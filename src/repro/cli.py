@@ -322,15 +322,20 @@ def _cmd_record(args) -> int:
 
 def _cmd_simulate(args) -> int:
     pipeline = _pipeline_from_args(args)
+    results = pipeline.simulate()
     rows = []
-    for r in pipeline.simulate():
-        rows.append((r.kernel, r.tag, r.cycles, f"{r.ipc:.2f}",
+    for r in results:
+        cycles = str(r.cycles) if r.completed else f"{r.cycles}*"
+        rows.append((r.kernel, r.tag, cycles, f"{r.ipc:.2f}",
                      f"{r.l1_hit_rate:.0%}", f"{r.l2_hit_rate:.0%}",
                      r.dominant_stall()))
     print(format_table(
         ("Kernel", "Tag", "Cycles", "IPC", "L1 Hit", "L2 Hit",
          "Dominant Stall"),
         rows, title="Cycle-level simulation (GPGPU-Sim substitute)"))
+    if not all(r.completed for r in results):
+        print("* stopped at the cycle cap with warps still live; the row "
+              "describes the simulated window only")
     return 0
 
 

@@ -62,7 +62,9 @@ class SimResult:
 
     All distributions are normalised fractions.  ``cycles`` is the
     representative-SM simulated cycle count; ``estimated_total_cycles``
-    extrapolates to the full launch.
+    extrapolates to the full launch.  ``completed`` is False when the
+    warp simulation stopped at ``GPUConfig.max_cycles`` with warps still
+    live, so every figure describes the capped window only.
     """
 
     kernel: str
@@ -79,6 +81,7 @@ class SimResult:
     estimated_total_cycles: float
     ipc: float
     tag: str = ""
+    completed: bool = True
 
     def dominant_stall(self) -> str:
         """The stall reason with the largest share (excluding issued)."""

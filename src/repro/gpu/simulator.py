@@ -128,6 +128,7 @@ class GpuSimulator:
             estimated_total_cycles=estimated_total_cycles,
             ipc=out.issued / cycles,
             tag=launch.tag,
+            completed=out.completed,
         )
 
     def simulate_all(self, launches: Iterable[KernelLaunch]) -> List[SimResult]:

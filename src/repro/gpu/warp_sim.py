@@ -8,9 +8,23 @@ repeating instruction pattern derived from the launch's instruction mix,
 so the *composition* of the stream matches what the kernel actually does
 while the cycle count stays bounded.
 
-The loop is event-driven: cycles on which no warp is eligible are skipped
-in bulk (stall reasons accumulate with the skipped weight), so kernels
-dominated by 400-cycle DRAM waits simulate quickly.
+The scheduler is event-driven in two ways.  Cycles on which no warp is
+eligible are skipped in bulk (stall reasons accumulate with the skipped
+weight), so kernels dominated by 400-cycle DRAM waits simulate quickly.
+And an iteration touches only the warps whose state can change on it:
+waiting warps sleep in a heap keyed by the cycle they become ready and
+are charged to their stall reason through one count per reason, eligible
+warps wait in a sorted pool that greedy-then-oldest selection takes the
+lowest indices from, and only warps inside their instruction-fetch gap
+(or just woken) are walked.  ``docs/architecture.md`` ("GPU simulator")
+states the invariants of the three populations.
+
+The counters are bit-identical to the loop this replaced, which walked
+every resident warp on every iteration; that loop lives on as
+``tests/gpu/reference_warp_sim.py`` and ``tests/gpu/test_warp_sim.py``
+compares whole outputs against it.  Identity needs the same *iteration
+cycles*, not just the same totals: a warp's promote step tests
+``completion > cycle`` against the cycle of the iteration it runs on.
 
 Outputs are the two distributions the paper reports from GPGPU-Sim:
 
@@ -22,8 +36,10 @@ Outputs are the two distributions the paper reports from GPGPU-Sim:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from heapq import heappop, heappush
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -140,7 +156,7 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
     issue_width = config.issue_width
     alu_lat = max(1, config.alu_latency)
     ctl_lat = max(1, config.sfu_latency)
-    fetch_lat = max(0, config.fetch_latency)
+    fetch_gap = 1 + max(0, config.fetch_latency)
     # A load's value is consumed `use_distance` instructions later.
     # Compilers hoist loads roughly two load-strides ahead of their uses,
     # so the window adapts to how dense the kernel's loads are; each warp
@@ -151,16 +167,6 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
     use_distance = int(min(32, max(4, round(2 * load_stride))))
     mlp = 8
 
-    # Per-warp state (plain lists: this loop is the simulator hot path).
-    ready = [0] * R                  # cycle at which the warp may issue
-    wait_kind = [1] * R              # STALL_REASONS index while waiting
-    pc = [0] * R                     # instructions completed
-    fetched_at = [0] * R             # cycle at which next instr is available
-    pending_sync = [0] * R           # extra atomic serialization to apply
-    mem_cursor = list(range(R))      # per-warp offset into latency stream
-    # Outstanding loads per warp: list of (use_pc, completion_cycle).
-    inflight: List[List] = [[] for _ in range(R)]
-
     reason_index = {name: i for i, name in enumerate(STALL_REASONS)}
     R_MEM = reason_index["MemoryDependency"]
     R_EXE = reason_index["ExecutionDependency"]
@@ -170,6 +176,17 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
     R_NSEL = reason_index["NotSelected"]
     stall_counts = [0] * len(STALL_REASONS)
 
+    # Per-warp state (plain lists: this loop is the simulator hot path).
+    ready = [0] * R                  # cycle at which the warp may issue
+    wait_kind = [R_EXE] * R          # reason charged while ready > cycle:
+                                     # only ever R_EXE, R_MEM or R_SYN
+    pc = [0] * R                     # instructions completed
+    fetched_at = [0] * R             # cycle at which next instr is available
+    pending_sync = [0] * R           # extra atomic serialization to apply
+    mem_cursor = list(range(R))      # per-warp offset into latency stream
+    # Outstanding loads per warp: list of (use_pc, completion_cycle).
+    inflight: List[List] = [[] for _ in range(R)]
+
     occ = {state: 0 for state in OCCUPANCY_STATES}
     if active_lanes <= 8:
         lane_bucket = "W8"
@@ -178,81 +195,114 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
     else:
         lane_bucket = "W32"
 
+    # The three populations of live warps (docs/architecture.md, "GPU
+    # simulator").  Every live warp is in exactly one of them.
+    #
+    # * ``sleepers``: heap of (ready, warp) with ready > cycle and
+    #   ready >= fetched_at, so the warp's gate is ``ready`` and nothing
+    #   about it changes before then; ``asleep[kind]`` counts them per
+    #   wait reason and charges them in aggregate.
+    # * ``pool``: sorted indices of eligible warps whose promote step is
+    #   a no-op until they issue (no pending_sync, no due in-flight head).
+    # * ``scan``: warps still inside their fetch gap (fetched_at > cycle
+    #   and fetched_at > ready) plus the sleepers that woke this cycle;
+    #   only these are walked, and only they run the promote step.
+    sleepers: List[Tuple[int, int]] = []
+    asleep = [0] * len(STALL_REASONS)
+    pool = list(range(R))
+    in_pool = [True] * R
+    scan: List[int] = []
+
     issued_total = 0
     live = R
     cycle = 0
     last_issued = 0
     max_cycles = config.max_cycles
-    BIG = 1 << 60
 
     while live > 0 and cycle < max_cycles:
-        # Promote finished atomic waits into their serialization phase and
-        # surface scoreboard (use-of-load) dependencies.
-        for w in range(R):
-            if pc[w] >= ipw:
-                continue
-            if pending_sync[w] > 0 and ready[w] <= cycle:
-                ready[w] = cycle + pending_sync[w]
-                wait_kind[w] = R_SYN
-                pending_sync[w] = 0
-                continue
-            if ready[w] <= cycle and inflight[w]:
-                use_pc, completion = inflight[w][0]
-                if use_pc <= pc[w]:
-                    inflight[w].pop(0)
+        while sleepers and sleepers[0][0] <= cycle:
+            w = heappop(sleepers)[1]
+            asleep[wait_kind[w]] -= 1
+            scan.append(w)
+
+        # Promote finished atomic waits into their serialization phase,
+        # surface scoreboard (use-of-load) dependencies, and re-home each
+        # scanned warp.  One promote step per warp per iteration: whether
+        # `completion > cycle` holds depends on the cycle it runs at.
+        gapped = []
+        for w in scan:
+            until = ready[w]
+            if until <= cycle:
+                if pending_sync[w]:
+                    until = ready[w] = cycle + pending_sync[w]
+                    wait_kind[w] = R_SYN
+                    pending_sync[w] = 0
+                elif inflight[w] and inflight[w][0][0] <= pc[w]:
+                    completion = inflight[w].pop(0)[1]
                     if completion > cycle:
-                        ready[w] = completion
+                        until = ready[w] = completion
                         wait_kind[w] = R_MEM
+            fetched = fetched_at[w]
+            if fetched > cycle and fetched > until:
+                gapped.append(w)
+            elif until > cycle:
+                heappush(sleepers, (until, w))
+                asleep[wait_kind[w]] += 1
+            else:
+                insort(pool, w)
+                in_pool[w] = True
+        scan = gapped
 
-        # Determine eligibility and the next event horizon.
-        eligible: List[int] = []
-        next_event = BIG
-        for w in range(R):
-            if pc[w] >= ipw:
-                continue
-            gate = ready[w] if ready[w] > fetched_at[w] else fetched_at[w]
-            if gate <= cycle:
-                eligible.append(w)
-            elif gate < next_event:
-                next_event = gate
-
-        if not eligible:
-            # Fast-forward: nothing can issue until next_event.
-            if next_event >= BIG:
-                break  # no live warp has a future event; defensive
-            delta = min(next_event, max_cycles) - cycle
-            if delta <= 0:
-                delta = 1
-            dependency_wait = False
-            for w in range(R):
-                if pc[w] >= ipw:
-                    continue
-                if ready[w] > cycle:
-                    stall_counts[wait_kind[w]] += delta
-                    if wait_kind[w] == R_MEM or wait_kind[w] == R_SYN:
-                        dependency_wait = True
-                else:
-                    stall_counts[R_FET] += delta
+        # Nothing eligible: fast-forward to the next gate.  Otherwise
+        # this is an issuing cycle.  Either way the waiting warps are
+        # charged before the issue stage moves anything, and a skip
+        # charges the reason a warp holds at its start for the whole
+        # span (the oracle's behaviour, pinned in the tests).
+        if pool:
+            delta = 1
+        else:
+            gates = [fetched_at[w] for w in scan]
+            if sleepers:
+                gates.append(sleepers[0][0])
+            delta = min(min(gates), max_cycles) - cycle
+        stall_counts[R_MEM] += asleep[R_MEM] * delta
+        stall_counts[R_EXE] += asleep[R_EXE] * delta
+        stall_counts[R_SYN] += asleep[R_SYN] * delta
+        dependency_wait = asleep[R_MEM] > 0 or asleep[R_SYN] > 0
+        for w in scan:
+            if ready[w] > cycle:
+                kind = wait_kind[w]
+                stall_counts[kind] += delta
+                if kind == R_MEM or kind == R_SYN:
+                    dependency_wait = True
+            else:
+                stall_counts[R_FET] += delta
+        if not pool:
             occ["Stall" if dependency_wait else "Idle"] += delta
             cycle += delta
             continue
 
         # Issue stage: greedy (last issuer first), then oldest eligible.
-        issued_flags = [False] * R
-        issued_this_cycle = 0
-        if last_issued in eligible:
-            order = [last_issued] + [w for w in eligible if w != last_issued]
+        if in_pool[last_issued]:
+            pool.remove(last_issued)
+            order = [last_issued] + pool[:issue_width - 1]
+            del pool[:issue_width - 1]
         else:
-            order = eligible
-        for w in order[:issue_width]:
+            order = pool[:issue_width]
+            del pool[:issue_width]
+        for w in order:
+            in_pool[w] = False
             cls = pat[pc[w] % pat_len]
             if cls == _MEM:
                 if len(inflight[w]) >= mlp:
                     # LSU back-pressure: wait for the oldest request.
-                    _, completion = inflight[w].pop(0)
+                    completion = inflight[w].pop(0)[1]
                     if completion > cycle:
                         ready[w] = completion
                         wait_kind[w] = R_MEM
+                        heappush(sleepers, (completion, w))
+                        asleep[R_MEM] += 1
+                        stall_counts[R_MEM] += 1
                         continue
                 cursor = mem_cursor[w]
                 latency = lat_list[cursor % num_lat]
@@ -260,38 +310,31 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
                 # The load issues without blocking; its *value* is needed
                 # `use_distance` instructions later (scoreboard model).
                 inflight[w].append((pc[w] + use_distance, cycle + latency))
-                ready[w] = cycle + 1
+                until = cycle + 1
                 if sync_extra:
                     pending_sync[w] = sync_extra
                     wait_kind[w] = R_SYN
             elif cls == _CTL:
-                ready[w] = cycle + ctl_lat
+                until = cycle + ctl_lat
                 wait_kind[w] = R_EXE
             else:
-                ready[w] = cycle + alu_lat
+                until = cycle + alu_lat
                 wait_kind[w] = R_EXE
+            ready[w] = until
             pc[w] += 1
-            fetched_at[w] = cycle + 1 + fetch_lat
-            issued_flags[w] = True
-            issued_this_cycle += 1
+            fetched = fetched_at[w] = cycle + fetch_gap
             issued_total += 1
+            stall_counts[R_ISS] += 1
             last_issued = w
             if pc[w] >= ipw:
                 live -= 1
-
-        # Per-warp stall accounting for this issuing cycle.
-        for w in range(R):
-            if pc[w] >= ipw and not issued_flags[w]:
-                continue
-            if issued_flags[w]:
-                stall_counts[R_ISS] += 1
-            elif ready[w] > cycle:
-                stall_counts[wait_kind[w]] += 1
-            elif fetched_at[w] > cycle:
-                stall_counts[R_FET] += 1
+            elif until >= fetched:
+                heappush(sleepers, (until, w))
+                asleep[wait_kind[w]] += 1
             else:
-                stall_counts[R_NSEL] += 1
+                scan.append(w)
 
+        stall_counts[R_NSEL] += len(pool)
         occ[lane_bucket] += 1
         cycle += 1
 

@@ -1,8 +1,21 @@
-"""Tests for the end-to-end GPU simulator and profiler over real launches."""
+"""Tests for the end-to-end GPU simulator and profiler over real launches.
+
+``golden_sim.json`` (this directory) holds per-launch simulator digests
+frozen at the commit before the warp scheduler became event-driven.
+Run as a script, this module prints that file's content for whatever
+``repro`` is importable; to re-freeze after an *intended* model change::
+
+    PYTHONPATH=src python tests/gpu/test_simulator.py > tests/gpu/golden_sim.json
+"""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.bench.common import pipeline_for
+from repro.bench.profiles import PROFILES, BenchProfile
 from repro.core.kernels import (
     index_select,
     record_launches,
@@ -25,6 +38,42 @@ from repro.gpu.metrics import (
     merge_distributions,
     normalize,
 )
+
+GOLDEN_PATH = Path(__file__).with_name("golden_sim.json")
+
+#: The budgets benchmarks/e2e's ``characterize`` workload runs under.
+E2E = BenchProfile(
+    name="e2e", dataset_scales={**PROFILES["ci"].dataset_scales, "pubmed": 0.25},
+    sample_cap=10_000, max_cycles=5_000, repeats=1)
+
+GOLDEN_SETS = {
+    "gcn/cora/MP@e2e": (("gcn", "cora", "MP"), E2E),
+    "gcn/cora/SpMM@e2e": (("gcn", "cora", "SpMM"), E2E),
+    "sage/pubmed/MP@e2e": (("sage", "pubmed", "MP"), E2E),
+    "gcn/cora/MP@ci": (("gcn", "cora", "MP"), PROFILES["ci"]),
+}
+
+
+def simulate_set(cell, profile):
+    """Record one benchmark cell and simulate it, bypassing every cache."""
+    launches = pipeline_for(*cell, profile).record().launches
+    simulator = GpuSimulator(v100_config(max_cycles=profile.max_cycles))
+    return simulator.simulate_all(launches)
+
+
+def launch_digest(result):
+    """What must not move when the simulator only gets faster."""
+    return {
+        "kernel": result.kernel,
+        "tag": result.tag,
+        "cycles": result.cycles,
+        "issued_instructions": result.issued_instructions,
+        "ipc": result.ipc,
+        "stall_distribution": result.stall_distribution,
+        "occupancy_distribution": result.occupancy_distribution,
+        "l1_hit_rate": result.l1_hit_rate,
+        "l2_hit_rate": result.l2_hit_rate,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +145,25 @@ class TestGpuSimulator:
     def test_dominant_stall(self, sim_results):
         for r in sim_results:
             assert r.dominant_stall() in STALL_REASONS
+
+
+class TestGoldenDigests:
+    """Exact per-launch figures frozen at the parent commit."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SETS))
+    def test_launch_set_matches_golden(self, name):
+        golden = json.loads(GOLDEN_PATH.read_text())[name]
+        results = simulate_set(*GOLDEN_SETS[name])
+        assert [launch_digest(r) for r in results] == golden
+
+    def test_cycle_cap_is_carried(self):
+        """Launches cut off at ``max_cycles`` say so; the rest do not."""
+        results = simulate_set(*GOLDEN_SETS["sage/pubmed/MP@e2e"])
+        capped = [r for r in results if not r.completed]
+        assert capped and len(capped) < len(results)
+        assert all(r.cycles == E2E.max_cycles for r in capped)
+        assert all(r.cycles < E2E.max_cycles
+                   for r in results if r.completed)
 
 
 class TestNvprofProfiler:
@@ -192,3 +260,10 @@ class TestConfigs:
         from repro.errors import SimulationError
         with pytest.raises(SimulationError):
             v100_config(simulated_sms=0)
+
+
+if __name__ == "__main__":
+    print(json.dumps(
+        {name: [launch_digest(r) for r in simulate_set(*spec)]
+         for name, spec in GOLDEN_SETS.items()},
+        indent=1, sort_keys=True))

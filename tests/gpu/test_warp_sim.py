@@ -1,10 +1,16 @@
-"""Tests for the cycle-level warp scheduler simulation."""
+"""Tests for the cycle-level warp scheduler simulation.
+
+``reference_warp_sim.py`` (this directory) holds the all-warps-every-
+iteration loop the event-driven scheduler replaced; the differential
+tests below require the two to return equal ``WarpSimOutput`` records.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_warp_sim import reference_simulate_warps
 from repro.errors import SimulationError
 from repro.gpu.config import v100_config
 from repro.gpu.metrics import OCCUPANCY_STATES, STALL_REASONS
@@ -154,3 +160,114 @@ def test_accounting_invariants(warps, ipw, mem_fraction, seed):
     assert sum(out.occupancy_counts.values()) == out.cycles
     assert all(v >= 0 for v in out.stall_counts.values())
     assert out.stall_counts["InstructionIssued"] == out.issued
+
+
+# -- differential oracle ---------------------------------------------------
+
+#: Nine back-to-back loads in a sparse pattern: `use_distance` becomes 9,
+#: so the ninth load finds `mlp` = 8 requests outstanding and takes the
+#: LSU back-pressure path.  (`build_pattern` never gets there: dense
+#: loads clamp `use_distance` to 4, leaving at most four outstanding.)
+BACK_PRESSURE = [_MEM] * 9 + [_ALU] * 32
+MIXED = np.array([1, 28, 193, 420, 28, 28, 193], dtype=np.int64)
+
+
+def both(cfg, warps, ipw, pattern, lats, **kw):
+    """Run the scheduler and the oracle; they must agree on every field."""
+    out = simulate_warps(cfg, warps, ipw, pattern, lats, **kw)
+    assert out == reference_simulate_warps(cfg, warps, ipw, pattern, lats, **kw)
+    return out
+
+
+@st.composite
+def sim_cases(draw):
+    cfg = v100_config(
+        issue_width=draw(st.sampled_from([1, 2, 4])),
+        fetch_latency=draw(st.sampled_from([0, 1, 3, 6])),
+        alu_latency=draw(st.integers(0, 8)),
+        sfu_latency=draw(st.integers(1, 16)),
+        atomic_penalty=draw(st.sampled_from([0, 24, 100])),
+        max_cycles=draw(st.sampled_from([50, 500, 3_000, 20_000])),
+    )
+    pattern = draw(st.one_of(
+        st.builds(build_pattern, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                  st.sampled_from([4, 16, 64])),
+        st.builds(lambda loads, rest: [_MEM] * loads + [_ALU] * rest,
+                  st.integers(9, 12), st.integers(32, 48)),
+    ))
+    lats = draw(st.one_of(
+        st.just([]), st.sampled_from([[1], [28], [420]]),
+        st.lists(st.sampled_from([1, 28, 193, 420]), min_size=2, max_size=40),
+    ))
+    return dict(
+        cfg=cfg, warps=draw(st.integers(1, 64)), ipw=draw(st.integers(1, 300)),
+        pattern=pattern, lats=np.array(lats, dtype=np.int64),
+        atomic=draw(st.booleans()),
+        contention=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(sim_cases())
+def test_matches_reference_loop(case):
+    """Property: the whole ``WarpSimOutput`` equals the oracle's."""
+    both(**case)
+
+
+class TestReferenceRegressions:
+    """Named corners of the bit-identity contract."""
+
+    def test_cycle_cap_inside_fast_forward(self):
+        # One warp blocks on a 420-cycle load from about cycle 20 on; the
+        # cap at 100 cuts that skip short.
+        out = both(v100_config(max_cycles=100), 1, 50,
+                   [_MEM, _ALU, _ALU, _ALU], SLOW)
+        assert out.cycles == 100 and not out.completed
+        assert out.occupancy_counts["Stall"] > 50
+
+    def test_single_instruction_per_warp(self):
+        out = both(CFG, 5, 1, build_pattern(0.5, 0.0), MIXED)
+        assert out.completed and out.issued == 5
+
+    def test_issue_width_wider_than_resident_warps(self):
+        out = both(v100_config(issue_width=4, max_cycles=20_000), 2, 60,
+                   build_pattern(0.3, 0.05), MIXED)
+        assert out.completed
+
+    def test_all_memory_pattern(self):
+        for atomic in (False, True):
+            out = both(CFG, 3, 120, build_pattern(1.0, 0.0), MIXED,
+                       atomic=atomic, contention=1.0)
+            assert out.completed
+
+    def test_lsu_back_pressure(self):
+        fast = both(CFG, 3, 120, BACK_PRESSURE, FAST)
+        slow = both(CFG, 3, 120, BACK_PRESSURE, SLOW)
+        assert slow.stall_counts["MemoryDependency"] > \
+            fast.stall_counts["MemoryDependency"]
+
+    def test_fetch_gap_longer_than_alu_latency(self):
+        # A warp that is `ready` but not yet fetched still runs its
+        # promote step on every iteration other warps cause in between.
+        cfg = v100_config(fetch_latency=6, alu_latency=1, max_cycles=20_000)
+        for warps in (1, 4, 33):
+            out = both(cfg, warps, 80, build_pattern(0.3, 0.05), MIXED,
+                       atomic=True, contention=0.3)
+            assert out.completed
+        assert out.stall_counts["InstructionFetch"] > 0
+
+    def test_fast_forward_charges_wait_reason_past_ready(self):
+        """The one modelling quirk kept for bit-identity.
+
+        Warp 0 issues an ALU op at cycle 0: ready at 2, next instruction
+        fetched at 7.  Nothing is eligible at cycle 1, so the loop skips
+        to 7 and charges all six cycles to the reason the warp was
+        waiting on at cycle 1 (ExecutionDependency), although from cycle
+        2 on it waited for the fetch.
+        """
+        cfg = v100_config(fetch_latency=6, alu_latency=2, max_cycles=1_000)
+        out = both(cfg, 1, 2, [_ALU], FAST)
+        assert out.cycles == 8
+        assert out.stall_counts["ExecutionDependency"] == 6
+        assert out.stall_counts["InstructionFetch"] == 0
+        assert out.stall_counts["InstructionIssued"] == 2

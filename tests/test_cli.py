@@ -56,6 +56,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "Dominant Stall" in out
+        assert "*" not in out          # every launch ran to completion
+
+    def test_simulate_marks_capped_launches(self, capsys, monkeypatch):
+        """A launch cut off at ``max_cycles`` is starred in the Cycles
+        column and footnoted; it is extrapolated, not fully simulated."""
+        import repro.gpu.simulator as simulator
+        from repro.gpu.config import v100_config
+        monkeypatch.setattr(simulator, "v100_config",
+                            lambda: v100_config(max_cycles=40))
+        code = main(["simulate", "--dataset", "cora", "--scale", "0.1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert " 40* " in out
+        assert "* stopped at the cycle cap" in out
 
     def test_profile(self, capsys):
         code = main(["profile", "--dataset", "cora", "--scale", "0.1"])
