@@ -97,13 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "lets the planner decide, 'off' (or 1, the "
                             "default) disables, K >= 2 forces K shards")
         p.add_argument("--partitioner", type=_knob_type("partitioner"),
-                       default=None, metavar="auto|rows|edges|degree",
+                       default=None, metavar="auto|rows|edges",
                        help="shard partitioner: 'auto' (default) lets the "
                             "planner's skew gate decide, 'rows' (= 'off') "
                             "splits even row ranges, 'edges' balances "
-                            "edges over contiguous ranges, 'degree' "
-                            "groups degree-sorted rows (explicit opt-in; "
-                            "incompatible with batched plans)")
+                            "edges over contiguous ranges")
         p.add_argument("--fuse", default=None,
                        choices=["auto", "off", "force"],
                        help="plan-level operator fusion: 'auto' lets the "
@@ -390,27 +388,28 @@ def _cmd_plan(args) -> int:
     if decisions.shards > 1:
         import numpy as np
         from repro.plan import (
-            degree_grouped_rows,
-            edge_balanced_ranges,
             find_shard_groups,
-            shard_ranges,
+            partition_ranges,
+            plan_row_edges,
         )
         graph = pipeline.graph
-        row_edges = np.bincount(graph.dst, minlength=graph.num_nodes)
-        if decisions.partitioner == "edges":
-            shards = edge_balanced_ranges(row_edges, decisions.shards)
-            counts = [int(row_edges[lo:hi].sum()) for lo, hi in shards]
-        elif decisions.partitioner == "degree":
-            shards = degree_grouped_rows(row_edges, decisions.shards)
-            counts = [int(row_edges[rows].sum()) for rows in shards]
-        else:
-            shards = shard_ranges(graph.num_nodes, decisions.shards)
-            counts = [int(row_edges[lo:hi].sum()) for lo, hi in shards]
+        # The counts the dispatcher will split and report: the first
+        # aggregation op's operand rows (self-loops, normalisation
+        # included), not the raw graph's — unless that operand only
+        # exists at run time, which the label then says.
+        row_edges = plan_row_edges(plan, graph)
+        label = "per-shard edges"
+        if row_edges is None:
+            row_edges = np.bincount(graph.dst, minlength=graph.num_nodes)
+            label = "per-shard raw graph edges"
+        shards = partition_ranges(decisions.partitioner, graph.num_nodes,
+                                  decisions.shards, lambda: row_edges)
+        counts = [int(row_edges[lo:hi].sum()) for lo, hi in shards]
         groups = find_shard_groups(plan)
         print(f"sharding: {len(shards)} destination-range shards "
               f"({decisions.shards_source}) over {len(groups)} "
               f"aggregation op(s)")
-        print(f"partitioner: {decisions.partitioner}; per-shard edges "
+        print(f"partitioner: {decisions.partitioner}; {label} "
               f"{counts}")
     elif args.shards != 1 and not built.can_shard():
         print(f"sharding: unavailable (backend {args.framework!r} does "

@@ -96,17 +96,16 @@ class Knob:
 #: ``batch`` canonicalise to the historical integer encoding (0 =
 #: planner auto, 1 = off, K >= 2 explicit); ``fuse`` keeps its string
 #: values with ``"force"`` as the knob-specific third state;
-#: ``partitioner`` names how destinations split into shards (``"off"``
-#: is the free even-row split, and ``"degree"`` is CLI-opt-in only —
-#: the planner never picks a row-permuting mode on its own).
+#: ``partitioner`` names how destinations split into contiguous shard
+#: ranges (``"off"`` is the free even-row split).
 KNOBS = {
     "shards": Knob("shards", auto=0, off=1),
     "fuse": Knob("fuse", auto="auto", off="off",
                  spellings=(("force", "force"),), integer=False),
     "batch": Knob("batch", auto=0, off=1),
     "partitioner": Knob("partitioner", auto="auto", off="rows",
-                        spellings=(("rows", "rows"), ("edges", "edges"),
-                                   ("degree", "degree")), integer=False),
+                        spellings=(("rows", "rows"), ("edges", "edges")),
+                        integer=False),
     "serve_batch": Knob("serve_batch", auto=0, off=1),
 }
 
@@ -148,8 +147,7 @@ class SuiteConfig:
     partitioner: str = "auto"     # shard partitioner: "auto" = planner
                                   # decides (skew gate), "rows" = even
                                   # row ranges, "edges" = edge-balanced
-                                  # ranges, "degree" = degree-sorted row
-                                  # grouping (explicit opt-in only)
+                                  # ranges
     fuse: str = "auto"            # plan fusion: "auto" = planner decides,
                                   # "off" = never (--no-fuse), "force" =
                                   # every legal site

@@ -247,12 +247,11 @@ class GNNPipeline:
     def shard_partitioner(self, num_shards: int) -> str:
         """The shard partitioner ``config.partitioner`` implies.
 
-        An explicit value (``"rows"`` / ``"edges"`` / ``"degree"``)
-        passes through; ``"auto"`` (the default) asks the planner,
-        whose skew gate (:func:`repro.plan.planner.choose_partitioner`)
-        keeps flat graphs on the free even-row split and balances edges
-        only past :attr:`~repro.plan.costprofile.CostProfile.shard_skew_threshold`
-        — it never picks the row-permuting ``"degree"`` mode.
+        An explicit value (``"rows"`` / ``"edges"``) passes through;
+        ``"auto"`` (the default) asks the planner, whose skew gate
+        (:func:`repro.plan.planner.choose_partitioner`) keeps flat
+        graphs on the free even-row split and balances edges only past
+        :attr:`~repro.plan.costprofile.CostProfile.shard_skew_threshold`.
         """
         if self.config.partitioner != "auto":
             return self.config.partitioner

@@ -107,9 +107,10 @@ from repro.plan.sharding import (
     ShardGroup,
     ShardingPolicy,
     build_shard_subplan,
-    degree_grouped_rows,
     edge_balanced_ranges,
     find_shard_groups,
+    partition_ranges,
+    plan_row_edges,
     shard_ranges,
 )
 
@@ -152,7 +153,6 @@ __all__ = [
     "choose_partitioner",
     "choose_shards",
     "default_profile_path",
-    "degree_grouped_rows",
     "describe_fusion",
     "edge_balanced_ranges",
     "explain_choice",
@@ -165,6 +165,8 @@ __all__ = [
     "legacy_trace",
     "mp_layer_cost",
     "partition_balance_cost",
+    "partition_ranges",
+    "plan_row_edges",
     "register_normalize",
     "resolve_cost_profile",
     "shard_ranges",

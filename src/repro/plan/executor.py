@@ -59,24 +59,7 @@ from repro.plan.ir import (
     SpMM,
 )
 
-__all__ = ["PlanExecutor", "NORMALIZE_KINDS", "apply_elementwise_stage",
-           "register_normalize"]
-
-
-def apply_elementwise_stage(stage, resolve):
-    """Evaluate one ``Elementwise`` / ``Activation`` stage.
-
-    ``resolve`` maps a :class:`~repro.plan.ir.ValueRef` to its value.
-    Shared by the executor's op dispatch and the sharding dispatcher's
-    in-process tail replay (:func:`repro.plan.sharding._apply_tail`),
-    so the two can never diverge on stage semantics.
-    """
-    if isinstance(stage, Activation):
-        return get_activation(stage.function)(resolve(stage.source))
-    a, b = resolve(stage.a), resolve(stage.b)
-    if stage.kind in ("add", "add_bias"):
-        return a + b
-    return (1.0 + stage.alpha) * a + b  # combine
+__all__ = ["PlanExecutor", "NORMALIZE_KINDS", "register_normalize"]
 
 #: Kind name -> ``fn(graph, params, inputs, tag) -> tuple`` registry.
 NORMALIZE_KINDS: Dict[str, Callable] = {}
@@ -272,8 +255,8 @@ class PlanExecutor:
         ``SGEMM`` launches run *segment-local* per member row range,
         because BLAS blocking varies with the row count and a packed
         GEMM is not guaranteed bitwise against the per-member launches
-        (the measured caveat behind
-        :attr:`~repro.plan.sharding.ShardingPolicy.local_tails`).
+        (measured: float32 GEMMs over different row counts diverge in
+        the last ulp).
         """
         self._segments = None
         if plan.batch is None and getattr(graph, "num_graphs", 1) > 1:
@@ -314,19 +297,6 @@ class PlanExecutor:
                     f"{plan.batch.node_offsets} do not match the bound "
                     f"graph's packing {tuple(int(o) for o in offsets)}"
                 )
-            if (self.sharding is not None
-                    and self.sharding.num_shards > 1
-                    and self.sharding.partitioner == "degree"):
-                # The degree partitioner regroups rows by in-degree —
-                # shard row lists cut across member boundaries in an
-                # order the segment map does not describe.  Refuse at
-                # bind time rather than silently merging packed
-                # segments under a permuted row order.
-                raise PlanError(
-                    "the 'degree' partitioner permutes shard row order "
-                    "and does not compose with a batched plan's packed "
-                    "member segments; use the 'rows' or 'edges' "
-                    "partitioner for batched execution")
             if plan.batch.num_graphs > 1:
                 self._segments = plan.batch.node_segments()
         env: Dict[int, Any] = dict(plan.constants)
@@ -358,9 +328,7 @@ class PlanExecutor:
         from repro.plan.sharding import find_shard_groups, shard_ranges
         if len(shard_ranges(graph.num_nodes, self.sharding.num_shards)) < 2:
             return {}
-        groups = find_shard_groups(
-            plan, local_tails=self.sharding.local_tails)
-        return {group.start: group for group in groups}
+        return {group.start: group for group in find_shard_groups(plan)}
 
     def _run_sharded(self, plan: ExecutionPlan, env: Dict[int, Any],
                      graph: Graph, group_at: Dict) -> np.ndarray:
@@ -473,7 +441,13 @@ class PlanExecutor:
 
             out = None
             for stage in stages:
-                out = apply_elementwise_stage(stage, _resolve)
+                if isinstance(stage, Activation):
+                    out = get_activation(stage.function)(
+                        _resolve(stage.source))
+                else:
+                    a, b = _resolve(stage.a), _resolve(stage.b)
+                    out = a + b if stage.kind in ("add", "add_bias") \
+                        else (1.0 + stage.alpha) * a + b  # combine
                 local[stage.out.vid] = out
             env[op.out.vid] = out
             return out

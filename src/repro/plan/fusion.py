@@ -90,12 +90,14 @@ PATTERNS = ("gather_scatter", "sgemm_epilogue", "spmm_epilogue",
 class FusionPolicy:
     """Which fusion patterns :func:`fuse_plan` may apply.
 
-    ``cross_layer`` defaults *off* — unlike the per-op patterns it
-    merges work across a layer boundary, so the planner enables it
-    only for plans whose aggregation format is stable ``SpMM``
-    (:func:`repro.plan.planner.choose_fusion`); :func:`fuse_plan`
-    additionally refuses it on batched plans, whose dense transforms
-    must stay segment-local.
+    ``cross_layer`` is the one pattern a bare ``FusionPolicy()`` (and
+    therefore ``fuse="force"``) leaves off: it merges work across a
+    layer boundary, so it is the planner's call —
+    :func:`repro.plan.planner.choose_fusion` turns it on for every plan
+    with two or more layers whose formats are all ``SpMM``, which is
+    what ``fuse="auto"`` runs.  :func:`fuse_plan` additionally refuses
+    it on batched plans, whose dense transforms must stay
+    segment-local.
 
     ``source`` records where the decision came from (``"planner"`` /
     ``"forced"``) — reporting only, like

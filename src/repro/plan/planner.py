@@ -190,9 +190,8 @@ class PlannerDecisions:
     cost_profile: str = "paper"
     explain: str = ""
     execution_plan: Optional[Any] = None   # ExecutionPlan | None
-    partitioner: str = "rows"        # shard partitioner ("rows"/"edges"/
-                                     # "degree"; only meaningful when
-                                     # shards > 1)
+    partitioner: str = "rows"        # shard partitioner ("rows"/"edges";
+                                     # only meaningful when shards > 1)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (what the regression gate records)."""
@@ -509,9 +508,7 @@ def choose_partitioner(stats: GraphStats, num_shards: int = 0,
     on :attr:`GraphStats.degree_skew` — flat graphs cannot be
     meaningfully imbalanced, so they keep the free split — plus the
     :func:`partition_balance_cost` amortisation against one aggregation
-    pass.  The row-permuting ``"degree"`` mode (degree-sorted row
-    grouping) is opt-in via the CLI knob only; the planner never picks
-    it.  ``num_shards <= 1`` always returns ``"rows"`` (nothing to
+    pass.  ``num_shards <= 1`` always returns ``"rows"`` (nothing to
     balance).
     """
     profile = _resolve(profile)

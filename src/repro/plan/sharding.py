@@ -34,30 +34,24 @@ Per-shard results can flow through the persistent cache (kind
 content of its bound operands, so warm sharded sweeps skip the
 aggregation compute entirely.
 
-Two extensions ride on the fusion pass (:mod:`repro.plan.fusion`):
-
-* fused plans' :class:`~repro.plan.ir.FusedGatherScatter` ops shard
-  exactly like the pair they replaced, and for ``jobs == 1`` the
-  dispatcher takes a *fused slice-dispatch-merge* fast path — no
-  per-shard sub-plans, binding copies or cache keys; one stable
-  destination partition, the streaming kernel per range, the
-  scatter-kernel merge;
-* ``local_tails`` extends each group with its row-local layer tail
-  (``SGEMM`` / ``Activation`` / constant-operand elementwise ops), so
-  whole layers run inside a shard between merges — opt-in, see
-  :class:`ShardingPolicy` for the exactness caveat.
+Fused plans (:mod:`repro.plan.fusion`) shard too: a
+:class:`~repro.plan.ir.FusedGatherScatter` op shards exactly like the
+pair it replaced, and for ``jobs == 1`` the dispatcher takes a *fused
+slice-dispatch-merge* fast path — no per-shard sub-plans, binding
+copies or cache keys; one stable destination partition, the streaming
+kernel per range, the scatter-kernel merge.
 
 Batched multi-graph plans (:class:`~repro.plan.ir.BatchSegmentMap`)
 shard transparently: the packed graph is one block-diagonal workload,
 so shard ranges partition the *packed* node space and may split inside
 a member graph — which is fine, because the parity argument above is
-per-destination and never refers to graph boundaries.  The executor's
-segment-local ``SGEMM`` handling applies to the non-group ops of a
-sharded walk unchanged; only ``local_tails`` sub-plans run their tail
-``SGEMM`` over shard rows (the already-documented non-bitwise opt-in).
+per-destination and never refers to graph boundaries.  Shard groups
+cover aggregation ops only, so the executor's segment-local ``SGEMM``
+handling applies to a sharded walk unchanged.
 
-**Partitioners.**  *How* destinations split into shards is the
-policy's :attr:`ShardingPolicy.partitioner`:
+**Partitioners.**  *How* destinations split into contiguous ranges is
+the policy's :attr:`ShardingPolicy.partitioner`
+(:func:`partition_ranges` is the one place the choice is applied):
 
 * ``"rows"`` — :func:`shard_ranges`, equal *row* counts.  On power-law
   graphs most edges land in the few hub-row shards, so K-way dispatch
@@ -68,15 +62,8 @@ policy's :attr:`ShardingPolicy.partitioner`:
   edge count reaches ``E * k / K``.  Shards stay *contiguous* row
   ranges — every exactness property above carries over verbatim —
   but carry ~``E/K`` edges each with ragged row counts.
-* ``"degree"`` — :func:`degree_grouped_rows`, the edge-balanced split
-  applied to rows *sorted by descending in-degree*, so hub rows spread
-  across shards.  Shards are non-contiguous row **lists**; the merge
-  scatters each shard's rows to their original positions (the
-  permutation-aware merge), and edges partition with the same stable
-  sort keyed on the row→shard assignment, so per-destination reduction
-  order — hence bitwise output parity — is preserved.
 
-All three share the canonical-trace machinery, so recorded logical
+Both share the canonical-trace machinery, so recorded logical
 traces stay partitioner-independent; shard-*local* tags and cache keys
 carry the partitioner so shard traces and cached shard results never
 alias across partitioners.
@@ -98,16 +85,12 @@ from repro.core.kernels import record_launches, scatter
 from repro.errors import PlanError
 from repro.graph.formats import CSRMatrix
 from repro.plan.ir import (
-    Activation,
-    Elementwise,
     ExecutionPlan,
-    FusedElementwise,
     FusedGatherScatter,
     Gather,
+    Normalize,
     PlanBuilder,
-    PlanOp,
     ScatterReduce,
-    SGEMM,
     SpMM,
 )
 
@@ -116,7 +99,6 @@ from repro.plan.ir import (
 # emitters the dispatcher reuses for merged-trace parity.
 _index_select_mod = import_module("repro.core.kernels.index_select")
 _scatter_mod = import_module("repro.core.kernels.scatter")
-_sgemm_mod = import_module("repro.core.kernels.sgemm")
 _sparse_mod = import_module("repro.core.kernels.sparse")
 
 __all__ = [
@@ -126,14 +108,15 @@ __all__ = [
     "ShardDispatch",
     "shard_ranges",
     "edge_balanced_ranges",
-    "degree_grouped_rows",
+    "partition_ranges",
+    "plan_row_edges",
     "find_shard_groups",
     "build_shard_subplan",
     "ShardDispatcher",
 ]
 
 #: The recognised :attr:`ShardingPolicy.partitioner` values.
-PARTITIONERS = ("rows", "edges", "degree")
+PARTITIONERS = ("rows", "edges")
 
 
 @dataclass(frozen=True)
@@ -158,28 +141,11 @@ class ShardingPolicy:
     source:
         Where the shard count came from (``"forced"`` / ``"planner"``)
         — reporting only.
-    local_tails:
-        Run each aggregation group's row-local *layer tail* — the
-        ``SGEMM`` / ``Activation`` / constant-operand ``Elementwise``
-        ops consuming the aggregate — inside the shard, merging once
-        per layer instead of right after the aggregation.  Off by
-        default because BLAS GEMM blocking depends on the row count:
-        a tail ``SGEMM`` over a shard's row slice is the same function
-        but not guaranteed bit-for-bit against the unsharded launch
-        (measured: float32 GEMMs over small row slices diverge in the
-        last ulp), so enabling tails trades the sharding layer's
-        bitwise-reproducibility contract for merge elimination.
-        Tail-free groups, and tails containing no ``SGEMM``, remain
-        exact.  Fused and unfused plans under the *same* tail-enabled
-        policy still match each other bit-for-bit (they issue
-        identical per-shard kernel calls), which is the fusion parity
-        contract.
     partitioner:
-        How destinations split into shards: ``"rows"`` (equal row
-        counts), ``"edges"`` (edge-balanced contiguous ranges) or
-        ``"degree"`` (edge-balanced over degree-sorted row lists with
-        a permutation-aware merge).  See the module docstring; all
-        three are bit-for-bit against unsharded execution.
+        How destinations split into contiguous ranges: ``"rows"``
+        (equal row counts) or ``"edges"`` (edge-balanced).  See the
+        module docstring; both are bit-for-bit against unsharded
+        execution.
     task_timeout:
         Per-shard-task deadline in seconds for pooled dispatch
         (``None`` = wait forever; dead workers are still detected).
@@ -195,7 +161,6 @@ class ShardingPolicy:
     jobs: int = 1
     use_cache: bool = True
     source: str = "forced"
-    local_tails: bool = False
     partitioner: str = "rows"
     task_timeout: Optional[float] = None
     max_retries: int = 2
@@ -223,10 +188,7 @@ class ShardGroup:
     single fused-aggregation op) or ``"fused"`` (a
     :class:`~repro.plan.ir.FusedGatherScatter` op from the fusion
     pass).  ``start`` is the first covered op position — the point in
-    the op walk where the whole group executes.  ``tail`` holds the
-    row-local layer-tail ops the group also covers when the policy
-    enables :attr:`ShardingPolicy.local_tails` (empty otherwise); the
-    merged result then defines the *last tail op's* value.
+    the op walk where the whole group executes.
     """
 
     kind: str
@@ -236,7 +198,6 @@ class ShardGroup:
     scatter: Optional[ScatterReduce] = None
     spmm: Optional[SpMM] = None
     fused: Optional[FusedGatherScatter] = None
-    tail: Tuple[PlanOp, ...] = ()
 
     @property
     def agg_op(self):
@@ -246,14 +207,9 @@ class ShardGroup:
         return self.spmm if self.kind == "spmm" else self.fused
 
     @property
-    def agg_out_vid(self) -> int:
-        """The SSA value id of the bare aggregation result."""
-        return self.agg_op.out.vid
-
-    @property
     def out_vid(self) -> int:
         """The SSA value id the merged result defines."""
-        return self.tail[-1].out.vid if self.tail else self.agg_out_vid
+        return self.agg_op.out.vid
 
     @property
     def tag(self) -> str:
@@ -271,8 +227,7 @@ class ShardGroup:
 
     @property
     def reduce(self) -> str:
-        op = self.scatter if self.kind == "mp" else self.fused
-        return op.reduce
+        return self.agg_op.reduce
 
     @property
     def gather_tag(self) -> str:
@@ -312,25 +267,25 @@ def shard_ranges(num_nodes: int, num_shards: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def _edge_balanced_bounds(counts: np.ndarray, num_shards: int) -> List[int]:
-    """Row boundaries splitting ``counts`` into ~equal-sum segments.
+def edge_balanced_ranges(row_edges: np.ndarray,
+                         num_shards: int) -> List[Tuple[int, int]]:
+    """Contiguous destination ranges carrying ~``E/K`` edges each.
 
-    Returns ``K + 1`` ascending bounds over ``[0, len(counts)]``.  Each
-    interior boundary lands on the first row whose cumulative count
-    reaches the ``total * k / K`` target, then is clamped so every
-    segment keeps at least one row (mirroring :func:`shard_ranges`'s
-    no-empty-shard guarantee).  An all-zero ``counts`` falls back to
-    the even-row split — there is nothing to balance.
+    The prefix-sum split over the per-row edge counts (for CSR
+    operands, literally over the row pointer): each interior boundary
+    lands on the first row whose cumulative count reaches the
+    ``E * k / K`` target, then is clamped so every shard keeps at least
+    one row — row counts go ragged but per-shard edge work evens out.
+    Same clamping contract as :func:`shard_ranges` (never more shards
+    than rows, never an empty shard), and an all-zero ``row_edges``
+    falls back to it — there is nothing to balance.
     """
+    counts = np.asarray(row_edges, dtype=np.int64)
     num_rows = int(counts.size)
     k = max(1, min(int(num_shards), max(1, num_rows)))
-    if num_rows == 0:
-        return [0, 0]
     total = int(counts.sum())
-    if k == 1:
-        return [0, num_rows]
-    if total == 0:
-        return [lo for lo, _ in shard_ranges(num_rows, k)] + [num_rows]
+    if k == 1 or total == 0:
+        return shard_ranges(num_rows, k)
     csum = np.cumsum(counts, dtype=np.int64)
     targets = total * np.arange(1, k, dtype=np.float64) / k
     cuts = np.searchsorted(csum, targets, side="left") + 1
@@ -340,41 +295,17 @@ def _edge_balanced_bounds(counts: np.ndarray, num_shards: int) -> List[int]:
         hi = num_rows - (k - 1 - i)
         bounds.append(int(min(max(int(cut), lo), hi)))
     bounds.append(num_rows)
-    return bounds
-
-
-def edge_balanced_ranges(row_edges: np.ndarray,
-                         num_shards: int) -> List[Tuple[int, int]]:
-    """Contiguous destination ranges carrying ~``E/K`` edges each.
-
-    The prefix-sum split over the per-row edge counts (for CSR
-    operands, literally over the row pointer): shard boundaries land
-    where the cumulative edge count crosses each ``E * k / K`` target,
-    so row counts go ragged but per-shard edge work evens out.  Same
-    clamping contract as :func:`shard_ranges` — never more shards than
-    rows, never an empty shard.
-    """
-    bounds = _edge_balanced_bounds(
-        np.asarray(row_edges, dtype=np.int64), num_shards)
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def degree_grouped_rows(row_edges: np.ndarray,
-                        num_shards: int) -> List[np.ndarray]:
-    """Edge-balanced shard row *lists* over degree-sorted rows.
-
-    Rows sort by descending edge count (stable, so ties keep ascending
-    row order), the edge-balanced boundaries split the sorted
-    sequence, and each shard's rows then re-sort ascending — intra-
-    shard row order is free because the merge places rows by explicit
-    slot ids.  Spreading hubs across shards beats contiguous
-    edge-balancing when a single hub row dominates a range.
-    """
-    row_edges = np.asarray(row_edges, dtype=np.int64)
-    order = np.argsort(-row_edges, kind="stable")
-    bounds = _edge_balanced_bounds(row_edges[order], num_shards)
-    return [np.sort(order[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _spmm_matrix(group: "ShardGroup", env: Dict[int, object]) -> CSRMatrix:
+    """The CSR operand of an ``SpMM`` group (other formats refuse)."""
+    matrix = env[group.spmm.matrix.vid]
+    if not isinstance(matrix, CSRMatrix):
+        raise PlanError(
+            f"sharded spmm expects a CSRMatrix operand, got "
+            f"{type(matrix).__name__}")
+    return matrix
 
 
 def _group_row_edges(group: "ShardGroup", env: Dict[int, object],
@@ -386,58 +317,25 @@ def _group_row_edges(group: "ShardGroup", env: Dict[int, object],
     work the edge-balanced boundaries equalise.
     """
     if group.kind == "spmm":
-        matrix = env[group.spmm.matrix.vid]
-        if not isinstance(matrix, CSRMatrix):
-            raise PlanError(
-                f"sharded spmm expects a CSRMatrix operand, got "
-                f"{type(matrix).__name__}")
-        return np.diff(np.asarray(matrix.indptr))
+        return np.diff(np.asarray(_spmm_matrix(group, env).indptr))
     _, _, dst_ref, _ = group.mp_refs
     dst = np.asarray(env[dst_ref.vid])
     return np.bincount(dst, minlength=num_nodes)
 
 
-def _list_partition(row_lists: List[np.ndarray], dst: np.ndarray,
-                    num_nodes: int):
-    """Stable partition of edge positions by shard row *list*.
+def partition_ranges(partitioner: str, num_nodes: int, num_shards: int,
+                     row_edges) -> List[Tuple[int, int]]:
+    """The contiguous destination ranges ``partitioner`` implies.
 
-    The row-list analogue of
-    :func:`repro.core.kernels.scatter.destination_partition`, with the
-    same ``(order, counts, offsets)`` contract and the same stability
-    guarantee: one stable sort on the row→shard assignment keeps every
-    destination's in-edges in original edge order, which is what keeps
-    degree-grouped sharding bit-for-bit.
+    The one place a partitioner name turns into ranges — the dispatcher
+    and ``gsuite plan`` both call it, so what the command reports is
+    what runs.  ``row_edges`` is a zero-argument callable returning the
+    per-row edge counts; only ``"edges"`` evaluates it (the even-row
+    split never pays the O(E) count).
     """
-    shard_of = np.zeros(num_nodes, dtype=np.int64)
-    for k, rows in enumerate(row_lists):
-        shard_of[rows] = k
-    keys = shard_of[dst]
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys, minlength=len(row_lists))
-    offsets = np.concatenate([np.zeros(1, dtype=np.int64),
-                              np.cumsum(counts)])
-    return order, counts, offsets
-
-
-def _csr_row_select(matrix: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
-    """The CSR sub-matrix of an arbitrary row subset, order-preserving.
-
-    The row-list analogue of ``CSRMatrix.row_slice``: selected rows
-    keep their per-row entry order (a gather of whole row extents), so
-    per-row SpMM reduction sequences are unchanged — the CSR half of
-    the degree-grouped exactness argument.
-    """
-    indptr = np.asarray(matrix.indptr)
-    lengths = np.diff(indptr)[rows]
-    out_indptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out_indptr[1:])
-    total = int(out_indptr[-1])
-    starts = indptr[rows].astype(np.int64)
-    pos = np.repeat(starts - out_indptr[:-1], lengths) \
-        + np.arange(total, dtype=np.int64)
-    return CSRMatrix(out_indptr, np.asarray(matrix.indices)[pos],
-                     np.asarray(matrix.data)[pos],
-                     shape=(int(rows.size), matrix.shape[1]))
+    if partitioner == "rows":
+        return shard_ranges(num_nodes, num_shards)
+    return edge_balanced_ranges(row_edges(), num_shards)
 
 
 def _shard_suffix(shard_index: int, num_shards: int,
@@ -449,51 +347,7 @@ def _shard_suffix(shard_index: int, num_shards: int,
     return suffix
 
 
-def _collect_tail(ops, start: int, value_vid: int, uses: Dict[int, int],
-                  constants: Dict[int, object]) -> Tuple[PlanOp, ...]:
-    """The row-local layer tail starting at op position ``start``.
-
-    An op joins the tail when it is the *sole* consumer of the value
-    flowing out of the group so far and it operates row-locally on it:
-    ``SGEMM`` whose weight/bias are plan constants (broadcast to every
-    shard), ``Activation``, and ``Elementwise`` /
-    :class:`~repro.plan.ir.FusedElementwise` whose non-flowing
-    operands are all constant *vectors* (broadcast row-wise).  An
-    operand that is another runtime matrix (e.g. GIN's self-term ``x``)
-    stops the tail — slicing it per shard would need shape guarantees
-    the IR does not carry.
-    """
-    tail: List[PlanOp] = []
-    position = start
-    while position < len(ops):
-        if uses.get(value_vid, 0) != 1:
-            break
-        op = ops[position]
-        if isinstance(op, SGEMM):
-            if not (op.a.vid == value_vid and op.b.vid in constants
-                    and (op.bias is None or op.bias.vid in constants)):
-                break
-        elif isinstance(op, Activation):
-            if op.source.vid != value_vid:
-                break
-        elif isinstance(op, (Elementwise, FusedElementwise)):
-            refs = op.operands()
-            if value_vid not in {ref.vid for ref in refs}:
-                break
-            others = [ref for ref in refs if ref.vid != value_vid]
-            if any(ref.vid not in constants or ref.format != "vec"
-                   for ref in others):
-                break
-        else:
-            break
-        tail.append(op)
-        value_vid = op.out.vid
-        position += 1
-    return tuple(tail)
-
-
-def find_shard_groups(plan: ExecutionPlan,
-                      local_tails: bool = False) -> List[ShardGroup]:
+def find_shard_groups(plan: ExecutionPlan) -> List[ShardGroup]:
     """The destination-shardable aggregation sites of ``plan``.
 
     A ``Gather`` qualifies only when the *immediately following* op is a
@@ -503,10 +357,6 @@ def find_shard_groups(plan: ExecutionPlan,
     ops always qualify (their rows are destination nodes), and so do
     the fusion pass's ``FusedGatherScatter`` ops (destination-range
     partitioning is exactly the kernel's own blocking structure).
-
-    With ``local_tails`` each group additionally covers its row-local
-    layer tail (see :func:`_collect_tail`), so whole layers execute
-    inside a shard between merges.
     """
     uses: Dict[int, int] = {}
     for op in plan.ops:
@@ -535,80 +385,48 @@ def find_shard_groups(plan: ExecutionPlan,
         if group is None:
             position += 1
             continue
-        after = group.positions[-1] + 1
-        if local_tails:
-            tail = _collect_tail(ops, after, group.agg_out_vid, uses,
-                                 plan.constants)
-            if tail:
-                group = ShardGroup(
-                    group.kind, group.start,
-                    group.positions + tuple(
-                        range(after, after + len(tail))),
-                    gather=group.gather, scatter=group.scatter,
-                    spmm=group.spmm, fused=group.fused, tail=tail)
         groups.append(group)
         position = group.positions[-1] + 1
     return groups
 
 
-def _append_tail(builder: PlanBuilder, group: ShardGroup, out,
-                 constants: Dict[int, np.ndarray], suffix: str):
-    """Re-emit the group's tail ops into a shard sub-plan.
+def plan_row_edges(plan: ExecutionPlan, graph) -> Optional[np.ndarray]:
+    """Per-row edge counts of ``plan``'s first shard group, pre-run.
 
-    The flowing value is remapped onto the sub-plan's aggregation
-    output; constant operands (weights, biases) embed as sub-plan
-    constants, so tail-carrying sub-plans stay self-contained (and
-    their fingerprints — hence shard cache keys — cover the tail).
+    The counts the dispatcher will partition and report
+    (:attr:`ShardDispatch.edges_per_shard`) come from the group's
+    *operand* — a self-loop-augmented edge list, a normalised
+    propagation matrix — not from the raw graph.  This resolves that
+    operand without running the model: it evaluates only the
+    ``Normalize`` ops ahead of the group whose inputs are themselves
+    graph-derived.  Returns ``None`` when the plan has no shard group
+    or the operand depends on a runtime input.
     """
-    mapping = {group.agg_out_vid: out}
-    embedded: Dict[int, object] = {}
-
-    def _remap(ref):
-        if ref.vid in mapping:
-            return mapping[ref.vid]
-        if ref.vid not in embedded:
-            embedded[ref.vid] = builder.constant(
-                constants[ref.vid], name=ref.name, fmt=ref.format)
-        return embedded[ref.vid]
-
-    for op in group.tail:
-        if isinstance(op, SGEMM):
-            result = builder.sgemm(
-                _remap(op.a), _remap(op.b),
-                bias=None if op.bias is None else _remap(op.bias),
-                tag=op.tag + suffix, activation=op.activation)
-        elif isinstance(op, Activation):
-            result = builder.activation(_remap(op.source), op.function)
-        elif isinstance(op, Elementwise):
-            result = builder.elementwise(op.kind, _remap(op.a),
-                                         _remap(op.b), alpha=op.alpha)
-        else:  # FusedElementwise: replay its stages individually
-            for stage in op.stages:
-                if isinstance(stage, Activation):
-                    result = builder.activation(_remap(stage.source),
-                                                stage.function)
-                else:
-                    result = builder.elementwise(
-                        stage.kind, _remap(stage.a), _remap(stage.b),
-                        alpha=stage.alpha)
-                mapping[stage.out.vid] = result
-        mapping[op.out.vid] = result
-    return mapping[group.tail[-1].out.vid]
+    from repro.plan.executor import PlanExecutor
+    groups = find_shard_groups(plan)
+    if not groups:
+        return None
+    group = groups[0]
+    operand = group.spmm.matrix if group.kind == "spmm" else group.mp_refs[2]
+    env: Dict[int, object] = {}
+    executor = PlanExecutor()
+    for op in plan.ops[:group.start]:
+        if isinstance(op, Normalize) \
+                and all(ref.vid in env for ref in op.inputs):
+            executor._execute(op, env, graph)
+    if operand.vid not in env:
+        return None
+    return _group_row_edges(group, env, graph.num_nodes)
 
 
 def build_shard_subplan(group: ShardGroup, lo: int, hi: int,
                         shard_index: int, num_shards: int,
-                        constants: Optional[Dict[int, np.ndarray]] = None,
                         partitioner: str = "rows") -> ExecutionPlan:
     """The self-contained sub-plan computing one shard of ``group``.
 
     Sub-plans bind their operands as runtime inputs (the dispatcher
     slices them), carry shard-annotated tags so shard-local traces stay
     distinguishable, and record their destination range in ``meta``.
-    Tail-carrying groups re-emit their tail ops after the aggregation
-    (``constants`` supplies the tail's weight/bias payloads).  Under
-    the ``"degree"`` partitioner ``lo``/``hi`` are shard-local row
-    coordinates (``0``/row count) — the row list lives dispatcher-side.
     """
     builder = PlanBuilder(model="shard", flavor="shard")
     suffix = _shard_suffix(shard_index, num_shards, partitioner)
@@ -643,10 +461,6 @@ def build_shard_subplan(group: ShardGroup, lo: int, hi: int,
                            tag=group.spmm.tag + suffix)
     else:  # pragma: no cover - guarded by find_shard_groups
         raise PlanError(f"unknown shard group kind {group.kind!r}")
-    if group.tail:
-        if constants is None:
-            raise PlanError("tail-carrying sub-plans need the plan constants")
-        out = _append_tail(builder, group, out, constants, suffix)
     return builder.build(out, meta={
         "kind": group.kind, "lo": int(lo), "hi": int(hi),
         "shard": int(shard_index), "num_shards": int(num_shards),
@@ -696,38 +510,6 @@ def _binding_digest(value) -> str:
         digest.update(f"array|{arr.dtype}|{arr.shape}".encode())
         digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()
-
-
-def _apply_tail(rows: np.ndarray, group: ShardGroup,
-                env: Dict[int, object], suffix: str) -> np.ndarray:
-    """Apply a group's layer tail to one shard's aggregation rows.
-
-    Used by the in-process fused fast path, where no sub-plan exists;
-    the pooled path replays tails through the sub-plan executor
-    instead.  Constant operands (weights, biases) resolve from the
-    parent plan's environment; the flowing value is the shard's row
-    block.
-    """
-    from repro.core.kernels import sgemm
-    from repro.plan.executor import apply_elementwise_stage
-    flowing = {group.agg_out_vid: rows}
-
-    def _resolve(ref):
-        return flowing[ref.vid] if ref.vid in flowing else env[ref.vid]
-
-    for op in group.tail:
-        if isinstance(op, SGEMM):
-            bias = None if op.bias is None else env[op.bias.vid]
-            rows = sgemm(_resolve(op.a), env[op.b.vid], bias=bias,
-                         tag=op.tag + suffix,
-                         activation=op.activation or None)
-        else:  # Activation / Elementwise / FusedElementwise
-            stages = op.stages if isinstance(op, FusedElementwise) else (op,)
-            for stage in stages:
-                rows = apply_elementwise_stage(stage, _resolve)
-                flowing[stage.out.vid] = rows
-        flowing[op.out.vid] = rows
-    return rows
 
 
 def _execute_shard_task(task):
@@ -787,23 +569,20 @@ class ShardDispatcher:
                       graph, pool, recorder) -> np.ndarray:
         """Shard, dispatch, merge and canonically trace one group."""
         start = time.perf_counter()
-        shards = self._partition(group, env, graph.num_nodes)
+        shards = partition_ranges(
+            self.policy.partitioner, graph.num_nodes, self.policy.num_shards,
+            lambda: _group_row_edges(group, env, graph.num_nodes))
         capture = recorder is not None
-        if group.kind == "fused" and self.policy.jobs == 1:
-            return self._execute_fused_inprocess(
-                group, env, graph, shards, recorder, start)
-        prepare = self._prepare_spmm if group.kind == "spmm" \
-            else self._prepare_mp
-        tasks, edges, emit_canonical = prepare(group, env, shards,
-                                               graph.num_nodes, capture)
-        outcomes = pool.map(_execute_shard_task, tasks)
+        dispatch = self._dispatch_spmm if group.kind == "spmm" \
+            else self._dispatch_mp
+        outcomes, edges, emit_canonical = dispatch(
+            group, env, shards, graph.num_nodes, capture, pool)
         merged = self._merge_rows([o[0] for o in outcomes], graph.num_nodes,
-                                  group.tag, capture,
-                                  slots=self._merge_slots(shards))
+                                  group.tag, capture)
         for outcome in outcomes:
             self.trace.extend(outcome[1])
         if recorder is not None:
-            emit_canonical(recorder, merged, outcomes)
+            emit_canonical(recorder)
         self.report.append(ShardDispatch(
             tag=group.tag, kind=group.kind, num_shards=len(shards),
             edges_per_shard=tuple(edges),
@@ -812,128 +591,8 @@ class ShardDispatcher:
             partitioner=self.policy.partitioner))
         return merged
 
-    def _partition(self, group: ShardGroup, env: Dict[int, object],
-                   num_nodes: int) -> List[Tuple[int, int, int,
-                                                 Optional[np.ndarray]]]:
-        """Per-group shard descriptors ``(k, lo, hi, rows)``.
-
-        Contiguous partitioners (``rows``/``edges``) yield real
-        ``[lo, hi)`` destination ranges with ``rows is None``; the
-        ``degree`` partitioner yields shard-local coordinates
-        ``(0, len(rows))`` plus the ascending original-row list.
-        """
-        k = self.policy.num_shards
-        partitioner = self.policy.partitioner
-        if partitioner == "rows":
-            ranges = shard_ranges(num_nodes, k)
-        elif partitioner == "edges":
-            ranges = edge_balanced_ranges(
-                _group_row_edges(group, env, num_nodes), k)
-        else:  # "degree"
-            row_lists = degree_grouped_rows(
-                _group_row_edges(group, env, num_nodes), k)
-            return [(i, 0, int(rows.size), rows)
-                    for i, rows in enumerate(row_lists)]
-        return [(i, lo, hi, None) for i, (lo, hi) in enumerate(ranges)]
-
-    @staticmethod
-    def _merge_slots(shards) -> Optional[np.ndarray]:
-        """Explicit merge slot ids — only the degree mode needs them."""
-        if shards and shards[0][3] is not None:
-            return np.concatenate([rows for _, _, _, rows in shards])
-        return None
-
-    def _edge_partition(self, shards, dst: np.ndarray, num_nodes: int):
-        """``(order, counts, offsets)`` of edge positions by shard."""
-        if shards and shards[0][3] is not None:
-            return _list_partition([rows for _, _, _, rows in shards],
-                                   dst, num_nodes)
-        starts = np.fromiter((lo for _, lo, _, _ in shards),
-                             dtype=np.int64, count=len(shards))
-        return _scatter_mod.destination_partition(starts, dst)
-
-    def _execute_fused_inprocess(self, group: ShardGroup, env, graph,
-                                 shards, recorder, start) -> np.ndarray:
-        """Fused slice-dispatch-merge: the ``jobs == 1`` fast path.
-
-        A :class:`~repro.plan.ir.FusedGatherScatter` group needs none
-        of the pooled machinery — no per-shard sub-plans, binding
-        dicts, cache keys or worker round-trips.  The parent-side
-        message partition collapses into the one stable
-        destination-order sort the exactness argument requires; each
-        shard then runs the fused kernel (plus its layer tail, when
-        the group carries one) directly on index *views*, and shard
-        rows merge through the scatter kernel exactly like the pooled
-        path.  Per-shard result caching is skipped: the fused kernel
-        already streams cache-resident blocks, so digesting the shared
-        source matrix would cost more than the aggregation it saves.
-        """
-        from repro.core.kernels.sparse import fused_gather_scatter
-        op = group.fused
-        source = np.asarray(env[op.source.vid])
-        src = np.asarray(env[op.src_index.vid])
-        dst = np.asarray(env[op.dst_index.vid])
-        scale = None if op.scale is None else np.asarray(env[op.scale.vid])
-        capture = recorder is not None
-
-        order, counts, offsets = self._edge_partition(
-            shards, dst, graph.num_nodes)
-
-        shard_outputs = []
-        outcomes = []
-        for k, lo, hi, rows_k in shards:
-            suffix = _shard_suffix(k, len(shards), self.policy.partitioner)
-            selection = order[offsets[k]:offsets[k + 1]]
-            dst_sel = dst[selection]
-            local_dst = dst_sel - lo if rows_k is None \
-                else np.searchsorted(rows_k, dst_sel)
-            shard_start = time.perf_counter()
-
-            def _run_shard():
-                rows = fused_gather_scatter(
-                    source, src[selection], local_dst,
-                    dim_size=hi - lo,
-                    scale=None if scale is None else scale[selection],
-                    reduce=op.reduce, tag=op.tag + suffix,
-                    gather_tag=op.gather_tag + suffix)
-                return _apply_tail(rows, group, env, suffix)
-
-            if capture:
-                with record_launches() as shard_recorder:
-                    rows = _run_shard()
-                launches = shard_recorder.launches
-            else:
-                rows = _run_shard()
-                launches = []
-            shard_outputs.append(rows)
-            outcomes.append((rows, launches,
-                             time.perf_counter() - shard_start, False))
-
-        merged = self._merge_rows(shard_outputs, graph.num_nodes,
-                                  group.tag, capture,
-                                  slots=self._merge_slots(shards))
-        for outcome in outcomes:
-            self.trace.extend(outcome[1])
-        if recorder is not None:
-            _sparse_mod._emit_fused_gather_scatter(
-                recorder, source, src, dst,
-                _OperandShape((graph.num_nodes,
-                               source.shape[1] if source.ndim == 2 else 1)),
-                scale, op.reduce,
-                self._kernel_seconds(outcomes, "fusedGatherScatter"),
-                op.tag, op.gather_tag)
-            self._emit_tail_canonical(
-                recorder, group, env, graph.num_nodes,
-                source.shape[1] if source.ndim == 2 else 1, outcomes)
-        self.report.append(ShardDispatch(
-            tag=group.tag, kind=group.kind, num_shards=len(shards),
-            edges_per_shard=tuple(counts.tolist()),
-            seconds=time.perf_counter() - start,
-            partitioner=self.policy.partitioner))
-        return merged
-
-    def _prepare_mp(self, group, env, shards, num_nodes, capture):
-        """Slice one Gather+ScatterReduce (or fused) group into tasks."""
+    def _dispatch_mp(self, group, env, shards, num_nodes, capture, pool):
+        """Run one Gather+ScatterReduce (or fused) group shard by shard."""
         source_ref, src_ref, dst_ref, scale_ref = group.mp_refs
         source = np.asarray(env[source_ref.vid])
         src = np.asarray(env[src_ref.vid])
@@ -944,38 +603,21 @@ class ShardDispatcher:
         # sort, preserving original edge order inside every shard — the
         # property that keeps per-destination reduction sequences (and
         # therefore float results) bit-for-bit identical.
-        order, counts, offsets = self._edge_partition(shards, dst, num_nodes)
+        starts = np.fromiter((lo for lo, _ in shards),
+                             dtype=np.int64, count=len(shards))
+        order, counts, offsets = _scatter_mod.destination_partition(
+            starts, dst)
+        selections = [order[offsets[k]:offsets[k + 1]]
+                      for k in range(len(shards))]
+        operands = (source, src, dst, scale)
+        if group.kind == "fused" and self.policy.jobs == 1:
+            outcomes = self._run_fused_inprocess(
+                group.fused, operands, shards, selections, capture)
+        else:
+            outcomes = pool.map(_execute_shard_task, self._mp_tasks(
+                group, operands, shards, selections, capture))
 
-        compact = self.policy.jobs > 1
-        caching = self._caching()
-        # The un-compacted source is shared by every shard: digest it
-        # once per group, not once per shard (it is the whole [N, f]
-        # matrix — per-shard hashing would dwarf the cache's savings).
-        shared = {} if (compact or not caching) \
-            else {"source": _binding_digest(source)}
-        tasks = []
-        for k, lo, hi, rows_k in shards:
-            selection = order[offsets[k]:offsets[k + 1]]
-            src_k = src[selection]
-            dst_sel = dst[selection]
-            bindings = {"dst": dst_sel - lo if rows_k is None
-                        else np.searchsorted(rows_k, dst_sel)}
-            if compact:
-                # Ship only the source rows this shard dereferences, so
-                # worker memory scales with the shard, not the graph.
-                needed = np.unique(src_k)
-                bindings["source"] = source[needed]
-                bindings["src"] = np.searchsorted(needed, src_k)
-            else:
-                bindings["source"] = source
-                bindings["src"] = src_k
-            if scale is not None:
-                bindings["scale"] = scale[selection]
-            tasks.append(self._task(group, bindings, lo, hi, k, len(shards),
-                                    caching, shared, capture,
-                                    constants=env if group.tail else None))
-
-        def emit_canonical(recorder, merged, outcomes):
+        def emit_canonical(recorder):
             width = source.shape[1] if source.ndim == 2 else 1
             agg_shape = _OperandShape((num_nodes, width))
             if group.kind == "fused":
@@ -995,20 +637,82 @@ class ShardDispatcher:
                     recorder, _OperandShape(message_shape), dst, agg_shape,
                     group.reduce,
                     self._kernel_seconds(outcomes, "scatter"), group.tag)
-            self._emit_tail_canonical(recorder, group, env, num_nodes,
-                                      width, outcomes)
 
-        return tasks, counts.tolist(), emit_canonical
+        return outcomes, counts.tolist(), emit_canonical
 
-    def _prepare_spmm(self, group, env, shards, num_nodes, capture):
-        """Slice one SpMM op's row range into shard tasks."""
+    def _run_fused_inprocess(self, op: FusedGatherScatter, operands, shards,
+                             selections, capture):
+        """Fused slice-dispatch-merge: the ``jobs == 1`` fast path.
+
+        A :class:`~repro.plan.ir.FusedGatherScatter` group needs none
+        of the pooled machinery — no per-shard sub-plans, binding
+        dicts, cache keys or worker round-trips: each shard runs the
+        fused kernel directly on index *views* of the one stable
+        destination partition.  Per-shard result caching is skipped:
+        the fused kernel already streams cache-resident blocks, so
+        digesting the shared source matrix would cost more than the
+        aggregation it saves.
+        """
+        from repro.core.kernels.sparse import fused_gather_scatter
+        source, src, dst, scale = operands
+        outcomes = []
+        for k, ((lo, hi), selection) in enumerate(zip(shards, selections)):
+            suffix = _shard_suffix(k, len(shards), self.policy.partitioner)
+            shard_start = time.perf_counter()
+
+            def _run_shard():
+                return fused_gather_scatter(
+                    source, src[selection], dst[selection] - lo,
+                    dim_size=hi - lo,
+                    scale=None if scale is None else scale[selection],
+                    reduce=op.reduce, tag=op.tag + suffix,
+                    gather_tag=op.gather_tag + suffix)
+
+            if capture:
+                with record_launches() as shard_recorder:
+                    rows = _run_shard()
+                launches = shard_recorder.launches
+            else:
+                rows = _run_shard()
+                launches = []
+            outcomes.append((rows, launches,
+                             time.perf_counter() - shard_start, False))
+        return outcomes
+
+    def _mp_tasks(self, group, operands, shards, selections, capture):
+        """Slice one Gather+ScatterReduce (or fused) group into tasks."""
+        source, src, dst, scale = operands
+        compact = self.policy.jobs > 1
+        caching = self._caching()
+        # The un-compacted source is shared by every shard: digest it
+        # once per group, not once per shard (it is the whole [N, f]
+        # matrix — per-shard hashing would dwarf the cache's savings).
+        shared = {} if (compact or not caching) \
+            else {"source": _binding_digest(source)}
+        tasks = []
+        for k, ((lo, hi), selection) in enumerate(zip(shards, selections)):
+            src_k = src[selection]
+            bindings = {"dst": dst[selection] - lo}
+            if compact:
+                # Ship only the source rows this shard dereferences, so
+                # worker memory scales with the shard, not the graph.
+                needed = np.unique(src_k)
+                bindings["source"] = source[needed]
+                bindings["src"] = np.searchsorted(needed, src_k)
+            else:
+                bindings["source"] = source
+                bindings["src"] = src_k
+            if scale is not None:
+                bindings["scale"] = scale[selection]
+            tasks.append(self._task(group, bindings, lo, hi, k, len(shards),
+                                    caching, shared, capture))
+        return tasks
+
+    def _dispatch_spmm(self, group, env, shards, num_nodes, capture, pool):
+        """Run one SpMM op's row ranges as shard tasks."""
         op = group.spmm
-        matrix = env[op.matrix.vid]
+        matrix = _spmm_matrix(group, env)
         dense = np.asarray(env[op.dense.vid])
-        if not isinstance(matrix, CSRMatrix):
-            raise PlanError(
-                f"sharded spmm expects a CSRMatrix operand, got "
-                f"{type(matrix).__name__}")
         bias = None if op.bias is None else np.asarray(env[op.bias.vid])
 
         compact = self.policy.jobs > 1
@@ -1019,9 +723,8 @@ class ShardDispatcher:
             else {"dense": _binding_digest(dense)}
         tasks = []
         edges = []
-        for k, lo, hi, rows_k in shards:
-            sliced = matrix.row_slice(lo, hi) if rows_k is None \
-                else _csr_row_select(matrix, rows_k)
+        for k, (lo, hi) in enumerate(shards):
+            sliced = matrix.row_slice(lo, hi)
             edges.append(sliced.nnz)
             if compact:
                 # Column-compact the slice so each worker receives only
@@ -1038,19 +741,18 @@ class ShardDispatcher:
                 # binds the same (small) vector.
                 bindings["bias"] = bias
             tasks.append(self._task(group, bindings, lo, hi, k, len(shards),
-                                    caching, shared, capture,
-                                    constants=env if group.tail else None))
+                                    caching, shared, capture))
 
-        def emit_canonical(recorder, merged, outcomes):
+        outcomes = pool.map(_execute_shard_task, tasks)
+
+        def emit_canonical(recorder):
             agg_shape = _OperandShape((num_nodes, dense.shape[1]))
             _sparse_mod._emit_spmm(
                 recorder, matrix, dense, agg_shape,
                 self._kernel_seconds(outcomes, "spmm"), op.tag,
                 epilogue=op.activation or "")
-            self._emit_tail_canonical(recorder, group, env, num_nodes,
-                                      dense.shape[1], outcomes)
 
-        return tasks, edges, emit_canonical
+        return outcomes, edges, emit_canonical
 
     def _caching(self) -> bool:
         """Whether per-shard results round-trip through the cache."""
@@ -1058,16 +760,14 @@ class ShardDispatcher:
                 and env_enabled())
 
     def _task(self, group, bindings, lo, hi, shard_index, num_shards,
-              caching, shared_digests, capture, constants=None):
+              caching, shared_digests, capture):
         """One pickled shard task: sub-plan, operands, cache key.
 
         ``shared_digests`` carries content digests precomputed by the
         caller for bindings shared across every shard; the remaining
-        (shard-sized) bindings digest here.  ``constants`` supplies the
-        tail ops' weight/bias payloads for tail-carrying groups.
+        (shard-sized) bindings digest here.
         """
         subplan = build_shard_subplan(group, lo, hi, shard_index, num_shards,
-                                      constants=constants,
                                       partitioner=self.policy.partitioner)
         key = None
         if caching:
@@ -1083,25 +783,20 @@ class ShardDispatcher:
 
     # -- helpers -----------------------------------------------------------
     def _merge_rows(self, shard_outputs: List[np.ndarray], num_nodes: int,
-                    tag: str, capture: bool,
-                    slots: Optional[np.ndarray] = None) -> np.ndarray:
+                    tag: str, capture: bool) -> np.ndarray:
         """Merge disjoint shard row blocks through the scatter kernel.
 
-        The shards partition ``[0, num_nodes)``, so the merge is a pure
-        row placement (one contribution per slot — float exact).  For
-        contiguous partitioners the stacked rows are already in order
-        (``slots is None`` → identity); the degree partitioner passes
-        the concatenated shard row lists, and scattering to those slot
-        ids is the permutation-aware merge that restores bitwise row
-        order.  It runs under a private recorder: the merge launch is
-        sharded-runtime bookkeeping, captured on :attr:`trace` when an
-        ambient recorder is active, never part of the canonical logical
-        trace.
+        The shards are ascending contiguous ranges partitioning
+        ``[0, num_nodes)``, so the stacked rows are already in order
+        and the merge is an identity row placement (one contribution
+        per slot — float exact).  It runs under a private recorder:
+        the merge launch is sharded-runtime bookkeeping, captured on
+        :attr:`trace` when an ambient recorder is active, never part
+        of the canonical logical trace.
         """
         stacked = shard_outputs[0] if len(shard_outputs) == 1 \
             else np.concatenate(shard_outputs, axis=0)
-        if slots is None:
-            slots = np.arange(num_nodes, dtype=np.int64)
+        slots = np.arange(num_nodes, dtype=np.int64)
         if not capture:
             # No ambient recorder (capture mirrors its presence): the
             # kernel skips all trace synthesis on its own.
@@ -1113,30 +808,6 @@ class ShardDispatcher:
         self.trace.extend(merge_recorder.launches)
         return merged
 
-    def _emit_tail_canonical(self, recorder, group: ShardGroup, env,
-                             num_nodes: int, width: int, outcomes) -> None:
-        """Emit the canonical launches of a group's layer tail.
-
-        Only ``SGEMM`` tail ops launch kernels (elementwise and
-        activation stages are silent); each is emitted from full-shape
-        stand-ins plus the real weight constant, with its duration
-        summed from the matching per-shard launches — so a tail-
-        carrying sharded run records the same logical launch stream an
-        unsharded run of the same plan does.
-        """
-        sgemm_index = 0
-        for op in group.tail:
-            if not isinstance(op, SGEMM):
-                continue
-            weight = np.asarray(env[op.b.vid])
-            _sgemm_mod._emit(
-                recorder,
-                _OperandShape((num_nodes, weight.shape[0])), weight,
-                _OperandShape((num_nodes, weight.shape[1])),
-                self._nth_kernel_seconds(outcomes, "sgemm", sgemm_index),
-                op.tag, epilogue=op.activation or "")
-            sgemm_index += 1
-
     @staticmethod
     def _kernel_seconds(outcomes, kernel: str) -> float:
         """Summed shard-side duration of one kernel (trace bookkeeping)."""
@@ -1144,14 +815,3 @@ class ShardDispatcher:
                          for outcome in outcomes
                          for launch in outcome[1]
                          if launch.kernel == kernel))
-
-    @staticmethod
-    def _nth_kernel_seconds(outcomes, kernel: str, n: int) -> float:
-        """Summed duration of each shard's ``n``-th launch of ``kernel``."""
-        total = 0.0
-        for outcome in outcomes:
-            matches = [launch for launch in outcome[1]
-                       if launch.kernel == kernel]
-            if n < len(matches):
-                total += matches[n].duration_s
-        return float(total)

@@ -263,6 +263,30 @@ class InferenceService:
         }
 
 
+#: Longest request line :func:`serve_tcp` accepts (asyncio's default).
+MAX_REQUEST_LINE = 64 * 1024
+
+
+async def _read_request_line(reader) -> Optional[bytes]:
+    """The next request line; ``None`` for one over the limit.
+
+    An over-long line is read off through its newline (in limit-sized
+    bites), so closing afterwards does not reset the connection under
+    the refusal with input still unread.
+    """
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial            # EOF: b"" on a clean close
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            overlong = True
+            continue
+        return None if overlong else line
+
+
 async def serve_tcp(service: InferenceService, host: str = "127.0.0.1",
                     port: int = 0, max_requests: Optional[int] = None,
                     ready=None) -> int:
@@ -270,9 +294,10 @@ async def serve_tcp(service: InferenceService, host: str = "127.0.0.1",
 
     One request object per line in, one response summary per line out
     (errors come back as ``{"error": ...}`` instead of killing the
-    connection).  ``ready`` is called with the bound ``(host, port)``
-    once listening — the CLI prints it, tests connect to it.  Returns
-    the number of requests answered.
+    connection; a line over :data:`MAX_REQUEST_LINE` gets its error
+    reply, then the connection closes).  ``ready`` is called with the
+    bound ``(host, port)`` once listening — the CLI prints it, tests
+    connect to it.  Returns the number of requests answered.
     """
     served = 0
     done = asyncio.Event()
@@ -281,10 +306,13 @@ async def serve_tcp(service: InferenceService, host: str = "127.0.0.1",
         nonlocal served
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_request_line(reader)
+                if line == b"":
                     break
                 try:
+                    if line is None:
+                        raise ServeError(f"request line exceeds "
+                                         f"{MAX_REQUEST_LINE} bytes")
                     request = InferenceRequest.from_dict(json.loads(line))
                     response = await service.submit(request)
                     reply = response.summary()
@@ -293,13 +321,16 @@ async def serve_tcp(service: InferenceService, host: str = "127.0.0.1",
                 writer.write(json.dumps(reply).encode() + b"\n")
                 await writer.drain()
                 served += 1
-                if max_requests is not None and served >= max_requests:
+                finished = max_requests is not None and served >= max_requests
+                if finished:
                     done.set()
+                if finished or line is None:
                     break
         finally:
             writer.close()
 
-    server = await asyncio.start_server(handle, host, port)
+    server = await asyncio.start_server(handle, host, port,
+                                        limit=MAX_REQUEST_LINE)
     bound = server.sockets[0].getsockname()[:2]
     if ready is not None:
         ready(bound)

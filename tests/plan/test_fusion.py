@@ -30,7 +30,6 @@ from repro.plan import (
     PlanBuilder,
     ShardingPolicy,
     choose_fusion,
-    find_shard_groups,
     fuse_plan,
     legacy_trace,
 )
@@ -388,69 +387,6 @@ class TestFusedParity:
         built = get_backend("pyg").build(_spec("gcn", "MP"), graph)
         with pytest.raises(BackendError):
             built.configure_fusion(FORCE)
-
-
-class TestShardLocalTails:
-    """local_tails=True runs SGEMM/Activation layer tails inside the
-    shard.  Fused and unfused plans under the same tail policy match
-    each other bit-for-bit (identical per-shard kernel calls); against
-    the *unsharded* run the tail SGEMM is numerically equivalent but
-    only allclose-guaranteed (BLAS GEMM blocking varies with the row
-    count — the documented local_tails caveat)."""
-
-    POLICY = ShardingPolicy(num_shards=3, local_tails=True, use_cache=False)
-
-    @pytest.mark.parametrize("model,cm", [("gcn", "SpMM"), ("gin", "SpMM"),
-                                          ("gcn", "MP"), ("gin", "MP"),
-                                          ("sage", "MP"), ("gat", "MP")])
-    def test_fused_equals_unfused_under_same_tails(self, graph, model, cm):
-        spec = _spec(model, cm)
-        unfused = get_backend("gsuite").build(spec, graph) \
-            .configure_sharding(self.POLICY)
-        fused = get_backend("gsuite").build(spec, graph) \
-            .configure_fusion(FORCE).configure_sharding(self.POLICY)
-        assert np.array_equal(unfused.run(), fused.run())
-
-    @pytest.mark.parametrize("model,cm", [("gcn", "SpMM"), ("gin", "MP")])
-    def test_tails_match_unsharded_function(self, graph, model, cm):
-        spec = _spec(model, cm)
-        reference = get_backend("gsuite").build(spec, graph).run()
-        tailed = get_backend("gsuite").build(spec, graph) \
-            .configure_sharding(self.POLICY)
-        assert np.allclose(tailed.run(), reference, atol=1e-5)
-
-    def test_tail_covers_whole_layer(self, graph):
-        """GCN-SpMM: spmm + sgemm(+bias) + activation in one group."""
-        built = get_backend("gsuite").build(_spec("gcn", "SpMM"), graph)
-        groups = find_shard_groups(built.plan, local_tails=True)
-        assert [g.kind for g in groups] == ["spmm", "spmm"]
-        assert len(groups[0].tail) == 2              # sgemm + activation
-        assert len(groups[0].positions) == 3
-        # Fused plan: the tail is a single epilogue-carrying sgemm.
-        fused = fuse_plan(built.plan, FORCE)
-        fused_groups = find_shard_groups(fused, local_tails=True)
-        assert len(fused_groups[0].tail) == 1
-        assert fused_groups[0].tail[0].activation == "relu"
-
-    def test_runtime_operand_stops_tail(self, graph):
-        """GIN's combine reads the layer input x -> tail must stop."""
-        built = get_backend("gsuite").build(_spec("gin", "MP"), graph)
-        groups = find_shard_groups(built.plan, local_tails=True)
-        assert all(not g.tail for g in groups)
-
-    def test_tails_captured_in_shard_trace(self, graph):
-        built = get_backend("gsuite").build(_spec("gcn", "SpMM"), graph) \
-            .configure_fusion(FORCE).configure_sharding(self.POLICY)
-        with record_launches() as recorder:
-            built.run()
-        shard_kernels = [launch.kernel
-                         for launch in built._executor.shard_trace]
-        assert "sgemm" in shard_kernels              # tail ran shard-local
-        # The ambient (canonical) trace still shows one logical sgemm
-        # per layer, epilogue included.
-        sgemms = [l for l in recorder.launches if l.kernel == "sgemm"]
-        assert len(sgemms) == 2
-        assert sgemms[0].epilogue == "relu"
 
 
 class TestStreamingKernel:

@@ -1,18 +1,19 @@
 """Partitioner contracts: skew-aware sharding stays invisible.
 
-Three surfaces of the edge-balanced ("edges") and degree-grouped
-("degree") partitioners:
+Three surfaces of the even-row ("rows") and edge-balanced ("edges")
+partitioners:
 
 * **Partition shape** — edge-balanced bounds cover every row exactly
-  once with ~``E / K`` edges per shard; degree grouping is a
-  permutation whose merge restores bitwise row order.
+  once with ~``E / K`` edges per shard.
 * **Parity** — random power-law graphs x model x partitioner x shard
   count: outputs and the ambient (canonical) trace fingerprints are
   bit-for-bit identical to unsharded execution, whatever the split.
-* **Boundaries** — the planner's skew gate never picks the
-  row-permuting mode, shard-cache keys distinguish partitioners, and
-  the degree partitioner refuses batched plans at bind time.
+* **Boundaries** — shard-cache keys distinguish partitioners, the
+  removed ``degree`` spelling refuses at every entry point, and
+  ``gsuite plan`` reports the edge counts the dispatcher uses.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -22,9 +23,12 @@ from hypothesis import strategies as st
 from strategies import PARITY_SETTINGS, power_law_graphs, shard_counts
 
 from repro.cache import get_cache
+from repro.cli import main
+from repro.core.config import SuiteConfig
 from repro.core.kernels import record_launches
+from repro.core.pipeline import GNNPipeline
 from repro.datasets import load_dataset
-from repro.errors import PlanError
+from repro.errors import ConfigError, PlanError
 from repro.frameworks import PipelineSpec, get_backend
 from repro.plan import (
     CostProfile,
@@ -32,8 +36,8 @@ from repro.plan import (
     PARTITIONERS,
     ShardingPolicy,
     choose_partitioner,
-    degree_grouped_rows,
     edge_balanced_ranges,
+    plan_row_edges,
     shard_ranges,
 )
 
@@ -89,33 +93,6 @@ class TestEdgeBalancedRanges:
         assert edge_balanced_ranges([4, 4], 7) == [(0, 1), (1, 2)]
 
 
-class TestDegreeGroupedRows:
-    def test_rows_cover_exactly_once(self):
-        rng = np.random.default_rng(2)
-        counts = rng.integers(0, 12, size=60)
-        shards = degree_grouped_rows(counts, 5)
-        assert np.array_equal(np.sort(np.concatenate(shards)),
-                              np.arange(60))
-
-    def test_heaviest_rows_group_first(self):
-        counts = np.array([1, 9, 1, 8, 1, 7, 1])
-        shards = degree_grouped_rows(counts, 3)
-        assert set(shards[0]) == {1, 3}          # the two heaviest rows
-        assert all(np.all(np.diff(rows) > 0) for rows in shards if len(rows))
-
-    def test_sorted_split_isolates_scattered_hub(self):
-        counts = np.array([1, 1, 1, 25, 1, 1, 1, 1, 1])
-        shards = degree_grouped_rows(counts, 3)
-        assert [rows.tolist() for rows in shards] == \
-            [[3], [0], [1, 2, 4, 5, 6, 7, 8]]
-        # The contiguous edge-balanced split has to drag the hub's
-        # light left-neighbours along; the sorted grouping does not.
-        ranges = edge_balanced_ranges(counts, 3)
-        contiguous = max(int(counts[lo:hi].sum()) for lo, hi in ranges)
-        grouped = max(int(counts[rows].sum()) for rows in shards)
-        assert grouped < contiguous
-
-
 class TestSkewGate:
     FLAT = GraphStats(num_nodes=1000, num_edges=4000, feature_width=16,
                       avg_degree=4.0, density=0.004, degree_skew=2.0)
@@ -136,7 +113,7 @@ class TestSkewGate:
             stats = GraphStats(num_nodes=1000, num_edges=4000,
                                feature_width=16, avg_degree=4.0,
                                density=0.004, degree_skew=skew)
-            assert choose_partitioner(stats, 8) != "degree"
+            assert choose_partitioner(stats, 8) in ("rows", "edges")
 
     def test_threshold_is_profile_driven(self):
         lax = CostProfile.paper().with_overrides(
@@ -189,11 +166,11 @@ class TestPartitionerBoundaries:
                 .configure_sharding(ShardingPolicy(
                     num_shards=3, use_cache=True, partitioner=partitioner))
             built.run()
-        # 2 MP layers x 3 shards x 3 partitioners with no key
-        # collisions: had two partitioners shared a key, the later run
-        # would hit the earlier entry and store fewer than 18.
+        # 2 MP layers x 3 shards x 2 partitioners with no key
+        # collisions: had the two partitioners shared a key, the later
+        # run would hit the earlier entry and store fewer than 12.
         shard_entries = [e for e in cache.entries() if e.kind == "shard"]
-        assert len(shard_entries) == 18
+        assert len(shard_entries) == 12
 
     def test_shard_report_names_partitioner(self, graph):
         built = get_backend("gsuite").build(_spec("gcn", "MP"), graph) \
@@ -204,18 +181,51 @@ class TestPartitionerBoundaries:
             assert dispatch.partitioner == "edges"
             assert dispatch.num_shards == 3
 
-    def test_degree_refuses_batched_plans(self):
-        from repro.core.config import SuiteConfig
-        from repro.core.pipeline import GNNPipeline
+    @pytest.mark.parametrize("boundary", ["SuiteConfig", "--partitioner",
+                                          "--config", "ShardingPolicy"])
+    def test_removed_degree_spelling_refused(self, boundary, tmp_path,
+                                             capsys):
+        vocabulary = "'auto', 'off', 'rows' or 'edges'"
+        if boundary == "SuiteConfig":
+            with pytest.raises(ConfigError, match=vocabulary):
+                SuiteConfig(partitioner="degree")
+        elif boundary == "ShardingPolicy":
+            with pytest.raises(PlanError, match=r"\('rows', 'edges'\)"):
+                ShardingPolicy(num_shards=2, partitioner="degree")
+        else:
+            argv = ["plan", "--partitioner", "degree"]
+            if boundary == "--config":
+                path = tmp_path / "config.json"
+                path.write_text(json.dumps({"partitioner": "degree"}))
+                argv = ["plan", "--config", str(path)]
+            try:
+                code = main(argv)
+            except SystemExit as exc:        # argparse refuses the flag
+                code = exc.code
+            assert code == 2
+            assert vocabulary in capsys.readouterr().err
+
+    @pytest.mark.parametrize("compute_model", ("MP", "SpMM"))
+    def test_plan_command_reports_dispatched_edge_counts(self, compute_model,
+                                                         capsys):
+        # The operand's rows (self-loops, normalisation), not graph.dst.
         pipeline = GNNPipeline(SuiteConfig(
-            dataset="cora", scale=0.1, batch=2, shards=2,
-            partitioner="degree"))
-        with pytest.raises(PlanError, match="degree"):
-            pipeline.run()
+            model="gcn", compute_model=compute_model, dataset="cora",
+            scale=0.2, shards=4, partitioner="edges"))
+        pipeline.run()
+        dispatch = pipeline.last_built._executor.shard_report[0]
+        assert main(["plan", "--model", "gcn", "--compute-model",
+                     compute_model, "--dataset", "cora", "--scale", "0.2",
+                     "--shards", "4", "--partitioner", "edges"]) == 0
+        assert f"per-shard edges {list(dispatch.edges_per_shard)}" \
+            in capsys.readouterr().out
+
+    def test_runtime_operand_has_no_plan_time_edge_counts(self, graph):
+        # PyG-like plans split a runtime edge_index input.
+        plan = get_backend("pyg").build(_spec("gcn", "MP"), graph).plan
+        assert plan_row_edges(plan, graph) is None
 
     def test_rows_and_edges_compose_with_batching(self):
-        from repro.core.config import SuiteConfig
-        from repro.core.pipeline import GNNPipeline
         outputs = {}
         for partitioner in ("rows", "edges"):
             pipeline = GNNPipeline(SuiteConfig(

@@ -26,6 +26,7 @@ from repro.serve import (
     solo_reference,
 )
 from repro.serve.loadgen import dataset_mix, percentile
+from repro.serve.service import MAX_REQUEST_LINE
 
 
 def _graph(width=4, nodes=10, seed=0, name="g"):
@@ -271,6 +272,32 @@ class TestTcpServer:
         assert first["output_shape"] == [10, 4]
         assert first["source"] == "solo"
         assert "error" in second and "nope" in second["error"]
+
+    def test_overlong_request_line_gets_error_reply_then_close(self):
+        async def scenario():
+            service = InferenceService(SuiteConfig(serve_batch=1,
+                                                   serve_window=0.01))
+            async with service:
+                ready = asyncio.get_running_loop().create_future()
+                server = asyncio.ensure_future(serve_tcp(
+                    service, port=0, max_requests=1,
+                    ready=ready.set_result))
+                reader, writer = await asyncio.open_connection(*await ready)
+                big = InferenceRequest(request_id="big", out_features=4,
+                                       graph=_graph(width=64, nodes=400))
+                line = json.dumps(big.to_dict()).encode() + b"\n"
+                assert len(line) > MAX_REQUEST_LINE
+                writer.write(line)
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                closed = await reader.read() == b""
+                writer.close()
+                return reply, closed, await server
+
+        reply, closed, served = asyncio.run(scenario())
+        assert reply == {
+            "error": f"request line exceeds {MAX_REQUEST_LINE} bytes"}
+        assert closed and served == 1
 
 
 class TestLoadgen:
