@@ -13,7 +13,12 @@ from repro.core.kernels.launch import (
     record_launches,
 )
 from repro.core.kernels.registry import KERNELS, KernelSpec, get_kernel, kernel_table
-from repro.core.kernels.scatter import REDUCE_OPS, scatter, streaming_reduce
+from repro.core.kernels.scatter import (
+    REDUCE_OPS,
+    reduction_structure,
+    scatter,
+    streaming_reduce,
+)
 from repro.core.kernels.sgemm import sgemm
 from repro.core.kernels.sparse import (
     fused_gather_scatter,
@@ -39,6 +44,7 @@ __all__ = [
     "index_select",
     "kernel_table",
     "record_launches",
+    "reduction_structure",
     "scatter",
     "sgemm",
     "spgemm",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as _sp
@@ -20,19 +20,63 @@ from repro.core.kernels.costmodel import mix_for
 from repro.errors import KernelError
 
 __all__ = ["scatter", "streaming_reduce", "destination_partition",
+           "ReductionStructure", "reduction_structure",
            "REDUCE_OPS", "STREAM_BLOCK_BYTES"]
 
 #: Supported reduction operators.
 REDUCE_OPS = ("sum", "mean", "max", "min")
 
-#: Per-block message budget of :func:`streaming_reduce`: one
-#: destination block's gathered messages should stay last-level-cache
-#: resident between the gather and its reduction.
+#: Per-block message budget of :func:`streaming_reduce`'s max / min
+#: path: one destination block's gathered messages should stay
+#: last-level-cache resident between the gather and its reduction.
 STREAM_BLOCK_BYTES = 4 * 1024 * 1024
 
 
+class ReductionStructure(NamedTuple):
+    """Destination-major (CSR) view of one index vector.
+
+    Slot ``n`` reduces the rows ``perm[indptr[n]:indptr[n + 1]]`` of the
+    scattered operand, in that order — original edge order, because
+    ``perm`` is a *stable* sort — which is the order an atomic scatter
+    over the unsorted index applies them in.  A function of the index
+    alone: the plan executor keeps it resident per graph
+    (:meth:`repro.graph.Graph.structure`) and passes it to the kernels,
+    the way a CSR framework keeps its row extents.
+    """
+
+    indptr: np.ndarray   #: ``[dim_size + 1]`` row extents into ``perm``
+    perm: np.ndarray     #: ``argsort(index, kind="stable")``
+    counts: np.ndarray   #: float32 ``max(rows per slot, 1)``: mean's divisor
+
+    def check(self, rows: int, dim_size: int) -> None:
+        """Refuse operands of another index length or slot count."""
+        if (self.indptr.shape[0] != dim_size + 1
+                or self.perm.shape[0] != rows):
+            raise KernelError(
+                f"reduction structure covers {self.perm.shape[0]} rows "
+                f"and {self.indptr.shape[0] - 1} slots; the operands "
+                f"have {rows} rows and {dim_size} slots")
+
+
+def reduction_structure(index: np.ndarray,
+                        dim_size: int) -> ReductionStructure:
+    """Build the :class:`ReductionStructure` of ``index``.
+
+    The one construction site: kernels called without a structure
+    build theirs here too.  ``index`` must be validated (integral,
+    within ``[0, dim_size)``).
+    """
+    counts = np.bincount(index, minlength=dim_size)
+    indptr = np.zeros(dim_size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return ReductionStructure(
+        indptr, np.argsort(index, kind="stable"),
+        np.maximum(counts, 1).astype(np.float32))
+
+
 def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
-            reduce: str = "sum", tag: str = "") -> np.ndarray:
+            reduce: str = "sum", tag: str = "",
+            structure: Optional[ReductionStructure] = None) -> np.ndarray:
     """Reduce rows of ``src`` into ``out[index[i]]`` slots.
 
     Parameters
@@ -50,6 +94,9 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
         PyG's ``scatter`` fill value for detached aggregation).
     tag:
         Optional label copied onto the emitted :class:`KernelLaunch`.
+    structure:
+        The :func:`reduction_structure` of ``(index, dim_size)`` when
+        the caller keeps it resident; built on the spot otherwise.
 
     Returns
     -------
@@ -79,9 +126,12 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
         raise KernelError(
             f"dim_size={dim_size} but index references slot {inferred - 1}"
         )
+    if structure is not None:
+        structure.check(index.shape[0], int(dim_size))
 
     start = time.perf_counter()
-    out = _reduce(src, index.astype(np.int64, copy=False), int(dim_size), reduce)
+    out = _reduce(src, index.astype(np.int64, copy=False), int(dim_size),
+                  reduce, structure)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()
@@ -90,47 +140,58 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
     return out
 
 
-def _reduce(src: np.ndarray, index: np.ndarray, dim_size: int,
-            reduce: str) -> np.ndarray:
+def _reduce(src: np.ndarray, index: np.ndarray, dim_size: int, reduce: str,
+            structure: Optional[ReductionStructure] = None) -> np.ndarray:
     """Segmented reduction — semantics of an atomic GPU scatter.
 
     Sum and mean route through a compiled sparse selection-matrix product
     (the vendor-library path, mirroring how the real kernel runs on
     cuSPARSE-class primitives); max and min use a sorted segmented
-    reduction.
+    reduction.  Both read the destination-major ``structure``.
     """
     out_shape = (dim_size,) + src.shape[1:]
     out = np.zeros(out_shape, dtype=np.float32)
     if src.shape[0] == 0 or dim_size == 0:
         return out
     e = src.shape[0]
+    if structure is None:
+        structure = reduction_structure(index, dim_size)
+    indptr, perm, _ = structure
     if reduce in ("sum", "mean"):
         # out[n] = sum_i [index[i] == n] * src[i]  ==  M @ src with
         # M[index[i], i] = 1 — one compiled CSR product.
-        selection = _sp.csr_matrix(
-            (np.ones(e, dtype=np.float32), (index, np.arange(e))),
-            shape=(dim_size, e),
-        )
-        matrix_src = src if src.ndim == 2 else src[:, None]
-        summed = np.asarray(selection @ matrix_src)
-        if reduce == "mean":
-            counts = np.bincount(index, minlength=dim_size).astype(np.float32)
-            counts = np.maximum(counts, 1.0)
-            summed = summed / counts[:, None]
-        result = summed if src.ndim == 2 else summed[:, 0]
-        return result.astype(np.float32, copy=False)
-    order = np.argsort(index, kind="stable")
-    sorted_index = index[order]
-    sorted_src = src[order]
-    boundaries = np.flatnonzero(np.diff(sorted_index)) + 1
-    starts = np.concatenate([[0], boundaries])
-    slots = sorted_index[starts]
+        return _csr_reduce(np.ones(e, dtype=np.float32), perm, structure,
+                           src, reduce)
+    slots = np.flatnonzero(np.diff(indptr))
+    starts = indptr[slots]
+    sorted_src = src[perm]
     if reduce == "max":
         segment = np.maximum.reduceat(sorted_src, starts, axis=0)
     else:  # min
         segment = np.minimum.reduceat(sorted_src, starts, axis=0)
     out[slots] = segment.astype(np.float32, copy=False)
     return out
+
+
+def _csr_reduce(values: np.ndarray, columns: np.ndarray,
+                structure: ReductionStructure, dense: np.ndarray,
+                reduce: str) -> np.ndarray:
+    """Row-wise CSR product ``M @ dense`` for sum / mean.
+
+    Row ``n`` of ``M`` holds ``(values, columns)[indptr[n]:indptr[n + 1]]``
+    — already destination-major, so no COO sort runs — and the compiled
+    product accumulates a row's entries in stored order.  Mean divides
+    by the clamped row counts.
+    """
+    matrix = _sp.csr_matrix(
+        (values, columns, structure.indptr),
+        shape=(structure.indptr.shape[0] - 1, dense.shape[0]))
+    summed = np.asarray(matrix @ (dense if dense.ndim == 2
+                                  else dense[:, None]))
+    if reduce == "mean":
+        summed /= structure.counts[:, None]   # the product's own array
+    result = summed if dense.ndim == 2 else summed[:, 0]
+    return result.astype(np.float32, copy=False)
 
 
 def destination_partition(starts: np.ndarray, dst_index: np.ndarray):
@@ -157,24 +218,33 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
                      dst_index: np.ndarray, dim_size: int,
                      reduce: str = "sum",
                      scale: Optional[np.ndarray] = None,
-                     block_bytes: int = STREAM_BLOCK_BYTES) -> np.ndarray:
+                     block_bytes: int = STREAM_BLOCK_BYTES,
+                     structure: Optional[ReductionStructure] = None
+                     ) -> np.ndarray:
     """Gather-and-reduce without materialising the full message matrix.
 
     Computes exactly ``scatter(source[src_index] * scale[:, None],
     dst_index, dim_size, reduce)`` — the fused message-passing
-    aggregate — but streams the per-edge messages through
-    destination-range blocks sized to ``block_bytes``, so peak
-    intermediate memory is one block instead of the whole ``[E, f]``
-    matrix.
+    aggregate — for float32 operands.
 
-    **Bit-for-bit contract.**  Edges are partitioned by destination
-    block with one stable sort, preserving original edge order inside
-    every block; each destination's in-edges therefore reduce in the
-    same sequence the unfused scatter would use, and block outputs are
-    disjoint row ranges placed without arithmetic — the same argument
-    that makes destination-range *sharding* exact
-    (:mod:`repro.plan.sharding`).  When the messages fit a single block
-    the unfused compute runs verbatim.
+    **Sum and mean** are one row-wise CSR product over the
+    destination-major ``structure`` (built here when the caller keeps
+    none): row ``n`` holds ``(scale[e], src_index[e])`` for the in-edges
+    ``e`` of ``n`` in original edge order, so the compiled product
+    accumulates ``scale[e] * source[src_index[e]]`` in exactly the
+    sequence the unfused scatter sums the materialised messages in, and
+    no message is ever stored.  Bit-for-bit because the product rounds
+    ``a * x`` to float32 before the add, as the materialised message
+    was rounded.
+
+    **Max and min** need the messages themselves, so they stream them
+    through destination-range blocks sized to ``block_bytes``: edges
+    are partitioned by destination block with one stable sort,
+    preserving original edge order inside every block, and block
+    outputs are disjoint row ranges placed without arithmetic — the
+    same argument that makes destination-range *sharding* exact
+    (:mod:`repro.plan.sharding`).  Peak intermediate memory is one
+    block instead of the whole ``[E, f]`` matrix.
 
     No launch is recorded here: this is the compute core of the
     ``fusedGatherScatter`` kernel (:func:`repro.core.kernels.sparse.
@@ -182,18 +252,29 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
     and of the sharding dispatcher's fused in-process path.
     """
     src_index = np.asarray(src_index)
-    dst_index = np.asarray(dst_index)
+    dst_index = np.asarray(dst_index).astype(np.int64, copy=False)
     width = source.shape[1] if source.ndim == 2 else 1
-    total_bytes = src_index.size * width * np.dtype(np.float32).itemsize
+    out_shape = (dim_size, width) if source.ndim == 2 else (dim_size,)
 
+    if reduce in ("sum", "mean"):
+        if src_index.size == 0 or dim_size == 0:
+            return np.zeros(out_shape, dtype=np.float32)
+        if structure is None:
+            structure = reduction_structure(dst_index, dim_size)
+        perm = structure.perm
+        values = np.ones(perm.shape[0], dtype=np.float32) if scale is None \
+            else np.asarray(scale, dtype=np.float32)[perm]
+        return _csr_reduce(values, src_index[perm], structure,
+                           np.asarray(source, dtype=np.float32), reduce)
+
+    total_bytes = src_index.size * width * np.dtype(np.float32).itemsize
     if total_bytes <= block_bytes or dim_size <= 1:
         messages = source[src_index]
         if scale is not None:
             messages = messages * scale[:, None] \
                 if messages.ndim == 2 else messages * scale
-        return _reduce(np.asarray(messages, dtype=np.float32),
-                       dst_index.astype(np.int64, copy=False),
-                       dim_size, reduce)
+        return _reduce(np.asarray(messages, dtype=np.float32), dst_index,
+                       dim_size, reduce, structure)
 
     num_blocks = min(dim_size, math.ceil(total_bytes / block_bytes))
     base, extra = divmod(dim_size, num_blocks)
@@ -207,7 +288,6 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
     # identical to the unfused scatter.
     order, _, offsets = destination_partition(starts, dst_index)
 
-    out_shape = (dim_size, width) if source.ndim == 2 else (dim_size,)
     out = np.zeros(out_shape, dtype=np.float32)
     for k in range(num_blocks):
         lo = int(starts[k])
@@ -219,9 +299,7 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
             messages = messages * block_scale[:, None] \
                 if messages.ndim == 2 else messages * block_scale
         out[lo:hi] = _reduce(np.asarray(messages, dtype=np.float32),
-                             (dst_index[selection] - lo).astype(
-                                 np.int64, copy=False),
-                             hi - lo, reduce)
+                             dst_index[selection] - lo, hi - lo, reduce)
     return out
 
 

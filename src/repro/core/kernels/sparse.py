@@ -7,9 +7,10 @@ the fused aggregate of DGL-style execution — with an optional epilogue
 cuBLAS-style epilogue folds its stages.  ``SpGEMM`` multiplies two
 sparse matrices — the adjacency-normalisation chain of the paper's
 Fig. 2 (``D^-1/2 * A * D^-1/2``).  ``fused_gather_scatter`` is the
-plan-level-fusion entry point for the MP side: one launch that streams
-per-edge messages from gather straight into the scatter reduction
-(:func:`repro.core.kernels.scatter.streaming_reduce`) instead of
+plan-level-fusion entry point for the MP side: one launch that reduces
+gathered rows straight into their destinations
+(:func:`repro.core.kernels.scatter.streaming_reduce` — one CSR product
+for sum / mean, cache-sized message blocks for max / min) instead of
 materialising the ``[E, f]`` intermediate between two launches.
 ``transform_spmm`` is the cross-layer entry point: the dense layer
 transform (``sgemm`` arithmetic, epilogue included) feeding straight
@@ -28,7 +29,7 @@ import numpy as np
 from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import EPILOGUE_FP32_PER_ELEMENT, mix_for
 from repro.core.kernels.scatter import REDUCE_OPS, STREAM_BLOCK_BYTES, \
-    streaming_reduce
+    ReductionStructure, streaming_reduce
 from repro.errors import KernelError
 from repro.graph.formats import CSRMatrix
 
@@ -276,16 +277,19 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
                          scale: Optional[np.ndarray] = None,
                          reduce: str = "sum", tag: str = "",
                          gather_tag: Optional[str] = None,
-                         block_bytes: int = STREAM_BLOCK_BYTES) -> np.ndarray:
+                         block_bytes: int = STREAM_BLOCK_BYTES,
+                         structure: Optional[ReductionStructure] = None
+                         ) -> np.ndarray:
     """Fused message passing: gather + (scale +) scatter in one launch.
 
     Numerically identical — bit-for-bit — to
     ``scatter(index_select(source, src_index) * scale[:, None],
     dst_index, dim_size, reduce)``, but the per-edge message matrix is
-    streamed through destination-range blocks of at most
-    ``block_bytes`` instead of being materialised whole (see
-    :func:`repro.core.kernels.scatter.streaming_reduce` for the
-    exactness argument).
+    never materialised whole: sum and mean run as one CSR product over
+    the destination-major ``structure``, max and min stream the
+    messages through destination-range blocks of at most
+    ``block_bytes`` (see :func:`repro.core.kernels.scatter.
+    streaming_reduce` for the exactness arguments).
 
     Parameters
     ----------
@@ -303,6 +307,10 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
         Labels of the scatter / gather launches this fused launch
         replaces (``gather_tag`` defaults to ``tag``); recorded on the
         launch's ``replaces`` for the fusion trace mapping.
+    structure:
+        The :func:`~repro.core.kernels.scatter.reduction_structure` of
+        ``(dst_index, dim_size)`` when the caller keeps it resident;
+        built on the spot otherwise.
     """
     source = np.asarray(source)
     src_index = np.asarray(src_index)
@@ -335,11 +343,13 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
     if reduce not in REDUCE_OPS:
         raise KernelError(
             f"unknown reduce {reduce!r}; expected one of {REDUCE_OPS}")
+    if structure is not None:
+        structure.check(dst_index.shape[0], int(dim_size))
 
     start = time.perf_counter()
     out = streaming_reduce(source, src_index, dst_index, int(dim_size),
                            reduce=reduce, scale=scale,
-                           block_bytes=block_bytes)
+                           block_bytes=block_bytes, structure=structure)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()

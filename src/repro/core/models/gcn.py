@@ -25,6 +25,7 @@ from repro.core.kernels import index_select, scatter, sgemm, spgemm, spmm
 from repro.core.models.base import GNNModel
 from repro.graph import Graph, add_self_loops, gcn_edge_weights
 from repro.graph.formats import CSRMatrix
+from repro.graph.ops import self_loop_adjacency_csr
 
 __all__ = ["GCN", "gcn_propagation_matrix"]
 
@@ -47,10 +48,12 @@ def gcn_propagation_matrix(graph: Graph, tag: str = "gcn-normalize") -> CSRMatri
 
     The Fig. 2 normalisation chain, shared by the direct SpMM path and
     the plan executor's ``gcn_propagation`` Normalize kind so both emit
-    identical kernel launches.
+    identical kernel launches.  The two operands are resident on the
+    graph (:meth:`Graph.structure`); the launches run every time.
     """
-    d_half = _degree_half_inverse_csr(graph)
-    a_hat = add_self_loops(graph).adjacency_csr()
+    d_half = graph.structure("degree_half_inverse_csr",
+                             lambda: _degree_half_inverse_csr(graph))
+    a_hat = self_loop_adjacency_csr(graph)
     left = spgemm(d_half, a_hat, tag=tag)
     return spgemm(left, d_half, tag=tag)
 

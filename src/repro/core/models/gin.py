@@ -32,8 +32,15 @@ def gin_aggregate_matrix(graph: Graph, epsilon: float) -> CSRMatrix:
     """The SpMM aggregation matrix ``A + (1 + eps) I`` in CSR form.
 
     Shared by the direct SpMM path and the plan executor's
-    ``gin_aggregate`` Normalize kind.
+    ``gin_aggregate`` Normalize kind; built once per graph and epsilon
+    (:meth:`Graph.structure`).
     """
+    epsilon = float(epsilon)
+    return graph.structure(("gin_aggregate_matrix", epsilon),
+                           lambda: _gin_aggregate_matrix(graph, epsilon))
+
+
+def _gin_aggregate_matrix(graph: Graph, epsilon: float) -> CSRMatrix:
     n = graph.num_nodes
     diag = np.arange(n, dtype=np.int64)
     rows = np.concatenate([graph.dst, diag])

@@ -22,6 +22,7 @@ from repro.core.kernels import index_select, scatter, sgemm
 from repro.core.models.base import GNNModel
 from repro.graph import Graph, add_self_loops
 from repro.graph.formats import CSRMatrix
+from repro.graph.ops import self_loop_adjacency_csr
 
 __all__ = ["SAGE", "mean_adjacency_matrix"]
 
@@ -30,10 +31,16 @@ def mean_adjacency_matrix(graph: Graph) -> CSRMatrix:
     """Row-normalised ``A-hat`` realising mean over ``N(v) + v`` as SpMM.
 
     Shared by the plan executor's ``mean_adjacency`` Normalize kind and
-    the DGL-like backend's cached graph object.
+    the DGL-like backend's cached graph object; built once per graph
+    (:meth:`Graph.structure`).
     """
+    return graph.structure("mean_adjacency_matrix",
+                           lambda: _mean_adjacency_matrix(graph))
+
+
+def _mean_adjacency_matrix(graph: Graph) -> CSRMatrix:
     looped = add_self_loops(graph)
-    csr = looped.adjacency_csr()
+    csr = self_loop_adjacency_csr(graph)
     degree = np.maximum(1, looped.in_degrees()).astype(np.float32)
     rows = csr.expand_rows()
     data = csr.data / degree[rows]

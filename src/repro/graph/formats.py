@@ -193,10 +193,8 @@ class COOMatrix(SparseMatrix):
     def to_csr(self) -> "CSRMatrix":
         rows, cols = self.shape
         order = np.argsort(self.row, kind="stable")
-        sorted_rows = self.row[order]
         indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.add.at(indptr, sorted_rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(self.row, minlength=rows), out=indptr[1:])
         return CSRMatrix(indptr, self.col[order], self.val[order], shape=self.shape)
 
     def to_csc(self) -> "CSCMatrix":

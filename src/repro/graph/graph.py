@@ -18,6 +18,19 @@ from repro.graph.formats import COOMatrix, CSRMatrix, CSCMatrix, DenseMatrix
 __all__ = ["Graph"]
 
 
+def _freeze(value) -> None:
+    """Make every array reachable from a memoised structure read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    elif isinstance(value, Graph):
+        _freeze((value.edge_index, value.edge_weight))
+    elif isinstance(value, CSRMatrix):
+        _freeze((value.indptr, value.indices, value.data))
+
+
 class Graph:
     """An attributed directed graph.
 
@@ -84,6 +97,9 @@ class Graph:
                 )
         self.edge_weight = edge_weight
         self.name = name
+        #: Structures derived from ``(edge_index, edge_weight,
+        #: num_nodes)`` alone — see :meth:`structure`.
+        self._structures: dict = {}
 
     # -- basic accessors ---------------------------------------------------
     @property
@@ -113,17 +129,35 @@ class Graph:
         )
 
     # -- derived structure ---------------------------------------------------
+    def structure(self, key, build):
+        """The structure memoised under ``key``, built on first use.
+
+        The memo is for pure functions of ``(edge_index, edge_weight,
+        num_nodes)`` — degrees, the self-loop-augmented edge list,
+        normalised aggregation matrices, the destination-major
+        reduction structure — which every run over this graph would
+        otherwise re-derive.  ``key`` names the function and its
+        parameters and never captures features.  The graph owns the
+        memo, so the structures die with it; a graph is a value object
+        (its edge arrays are not to be written after construction), and
+        every array handed out is read-only, so an in-place write
+        raises instead of corrupting later runs.
+        """
+        try:
+            return self._structures[key]
+        except KeyError:
+            value = self._structures[key] = build()
+            _freeze(value)
+            return value
+
     def in_degrees(self) -> np.ndarray:
-        """In-degree of every node."""
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(deg, self.dst, 1)
-        return deg
+        """In-degree of every node (memoised, read-only)."""
+        return self.structure("in_degrees", lambda: np.bincount(
+            self.dst, minlength=self.num_nodes))
 
     def out_degrees(self) -> np.ndarray:
         """Out-degree of every node."""
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(deg, self.src, 1)
-        return deg
+        return np.bincount(self.src, minlength=self.num_nodes)
 
     def degrees(self) -> np.ndarray:
         """Total degree (in + out) of every node."""

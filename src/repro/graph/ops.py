@@ -18,6 +18,7 @@ from repro.graph.graph import Graph
 
 __all__ = [
     "add_self_loops",
+    "self_loop_adjacency_csr",
     "remove_self_loops",
     "coalesce_edges",
     "to_undirected",
@@ -33,7 +34,13 @@ def add_self_loops(graph: Graph) -> Graph:
 
     Matches PyG's ``add_remaining_self_loops``: nodes that already carry a
     self-loop are left untouched, new self-loop weights default to 1.
+    Built once per graph (:meth:`Graph.structure`), so the structures
+    derived from the augmented graph are resident with it.
     """
+    return graph.structure("add_self_loops", lambda: _add_self_loops(graph))
+
+
+def _add_self_loops(graph: Graph) -> Graph:
     has_loop = np.zeros(graph.num_nodes, dtype=bool)
     loops = graph.src == graph.dst
     has_loop[graph.src[loops]] = True
@@ -47,6 +54,13 @@ def add_self_loops(graph: Graph) -> Graph:
         )
     return Graph(edge_index, features=graph.features, num_nodes=graph.num_nodes,
                  edge_weight=edge_weight, name=graph.name)
+
+
+def self_loop_adjacency_csr(graph: Graph) -> CSRMatrix:
+    """``A + I`` in CSR form (row = destination), built once per graph."""
+    return graph.structure(
+        "self_loop_adjacency_csr",
+        lambda: add_self_loops(graph).adjacency_csr())
 
 
 def remove_self_loops(graph: Graph) -> Graph:
@@ -125,8 +139,14 @@ def gcn_edge_weights(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
 
     Returns ``(edge_index, weights)`` for the self-loop-augmented graph:
     the weight of edge ``u -> v`` is ``1/sqrt(deg(u) * deg(v))`` with
-    degrees counted after self-loop insertion (paper Eq. 1).
+    degrees counted after self-loop insertion (paper Eq. 1).  Built once
+    per graph (:meth:`Graph.structure`).
     """
+    return graph.structure("gcn_edge_weights",
+                           lambda: _gcn_edge_weights(graph))
+
+
+def _gcn_edge_weights(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
     looped = add_self_loops(graph)
     values = looped.edge_values().astype(np.float64)
     degree = np.zeros(looped.num_nodes, dtype=np.float64)

@@ -26,6 +26,15 @@ preparation callables in :data:`NORMALIZE_KINDS` via
 :func:`register_normalize`.  Each callable receives
 ``(graph, params, inputs, tag)`` and returns a tuple with one entry per
 declared output.
+
+The gSuite-native kinds are pure functions of the graph, so what they
+return is resident on it (:meth:`repro.graph.Graph.structure`) and a
+second run over the same graph re-derives nothing; for the endpoint
+kinds (:data:`RESIDENT_ENDPOINT_KINDS`) the executor also keeps the
+destination-major :func:`~repro.core.kernels.reduction_structure` of
+each output an aggregation op reduces over, and hands it to ``scatter``
+/ ``fused_gather_scatter``.  The ``pyg_*`` / ``dgl_*`` kinds model
+what those frameworks re-derive on every forward and stay per-run.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import numpy as np
 from repro.core.kernels import (
     fused_gather_scatter,
     index_select,
+    reduction_structure,
     scatter,
     sgemm,
     spmm,
@@ -59,10 +69,17 @@ from repro.plan.ir import (
     SpMM,
 )
 
-__all__ = ["PlanExecutor", "NORMALIZE_KINDS", "register_normalize"]
+__all__ = ["PlanExecutor", "NORMALIZE_KINDS", "RESIDENT_ENDPOINT_KINDS",
+           "register_normalize"]
 
 #: Kind name -> ``fn(graph, params, inputs, tag) -> tuple`` registry.
 NORMALIZE_KINDS: Dict[str, Callable] = {}
+
+#: Input-free kinds whose outputs are per-edge arrays determined by the
+#: graph alone — the index vectors whose reduction structure the
+#: executor keeps on the graph.
+RESIDENT_ENDPOINT_KINDS = frozenset(
+    ("edge_endpoints", "self_loop_endpoints", "gcn_edge_weights"))
 
 
 def register_normalize(kind: str, fn: Callable, overwrite: bool = False) -> None:
@@ -230,6 +247,9 @@ class PlanExecutor:
         #: Node segments of the currently bound batched plan (``None``
         #: while running unbatched plans — set per :meth:`run`).
         self._segments = None
+        #: ``{vid: (kind, output position)}`` of the current run's
+        #: :data:`RESIDENT_ENDPOINT_KINDS` outputs — set per :meth:`run`.
+        self._resident: Dict[int, Tuple[str, int]] = {}
         #: Shard-local + merge launches of the last sharded run.
         #: Populated while an ambient recorder is active (or while the
         #: shard cache stores entries); un-instrumented runs skip the
@@ -259,6 +279,7 @@ class PlanExecutor:
         the last ulp).
         """
         self._segments = None
+        self._resident = {}
         if plan.batch is None and getattr(graph, "num_graphs", 1) > 1:
             # The converse of the checks below: an unstamped plan over
             # a packed workload would run its dense transforms packed
@@ -380,6 +401,21 @@ class PlanExecutor:
         return np.concatenate(parts, axis=0)
 
     # -- op dispatch -------------------------------------------------------
+    def _reduction_structure(self, index_ref, env: Dict[int, Any],
+                             graph: Graph):
+        """The graph-resident reduction structure of an index operand.
+
+        ``None`` for an index the graph does not determine (a runtime
+        edge index, a ``pyg_*`` per-forward structure): the kernel then
+        builds its own for the call.
+        """
+        key = self._resident.get(index_ref.vid)
+        if key is None:
+            return None
+        return graph.structure(
+            ("reduction_structure",) + key,
+            lambda: reduction_structure(env[index_ref.vid], graph.num_nodes))
+
     def _execute(self, op, env: Dict[int, Any], graph: Graph):
         if isinstance(op, Gather):
             out = index_select(env[op.source.vid], env[op.index.vid],
@@ -391,7 +427,8 @@ class PlanExecutor:
         if isinstance(op, ScatterReduce):
             out = scatter(env[op.source.vid], env[op.index.vid],
                           dim_size=graph.num_nodes, reduce=op.reduce,
-                          tag=op.tag)
+                          tag=op.tag, structure=self._reduction_structure(
+                              op.index, env, graph))
             env[op.out.vid] = out
             return out
         if isinstance(op, SpMM):
@@ -414,7 +451,9 @@ class PlanExecutor:
                 env[op.source.vid], env[op.src_index.vid],
                 env[op.dst_index.vid], dim_size=graph.num_nodes,
                 scale=scale, reduce=op.reduce, tag=op.tag,
-                gather_tag=op.gather_tag)
+                gather_tag=op.gather_tag,
+                structure=self._reduction_structure(
+                    op.dst_index, env, graph))
             env[op.out.vid] = out
             return out
         if isinstance(op, SGEMM):
@@ -466,7 +505,9 @@ class PlanExecutor:
                     f"normalize {op.kind!r} produced {len(values)} values "
                     f"for {len(op.outs)} outputs"
                 )
-            for ref, value in zip(op.outs, values):
+            for position, (ref, value) in enumerate(zip(op.outs, values)):
                 env[ref.vid] = value
+                if op.kind in RESIDENT_ENDPOINT_KINDS:
+                    self._resident[ref.vid] = (op.kind, position)
             return values
         raise PlanError(f"unknown plan op {type(op).__name__}")

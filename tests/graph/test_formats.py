@@ -100,6 +100,20 @@ class TestCSRMatrix:
         csr = coo.to_csr()
         assert list(csr.row_lengths()) == [2, 0, 1]
 
+    def test_to_csr_indptr_equals_the_add_at_reference(self):
+        """The bincount row histogram is the scatter-add loop's, exactly
+        (empty rows, duplicates and an empty matrix included)."""
+        rng = np.random.default_rng(2)
+        for rows, nnz in ((1, 0), (4, 0), (6, 40), (30, 12)):
+            coo = COOMatrix(rng.integers(0, rows, nnz),
+                            rng.integers(0, 5, nnz), shape=(rows, 5))
+            reference = np.zeros(rows + 1, dtype=np.int64)
+            np.add.at(reference, coo.row + 1, 1)
+            np.cumsum(reference, out=reference)
+            csr = coo.to_csr()
+            assert csr.indptr.dtype == np.int64
+            assert np.array_equal(csr.indptr, reference)
+
     def test_indptr_must_start_at_zero(self):
         with pytest.raises(GraphFormatError):
             CSRMatrix([1, 2], [0], shape=(1, 1))

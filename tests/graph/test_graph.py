@@ -75,6 +75,20 @@ class TestDerivedStructure:
         assert list(triangle.out_degrees()) == [1, 1, 1]
         assert list(triangle.degrees()) == [2, 2, 2]
 
+    def test_degrees_equal_the_add_at_reference(self):
+        """The bincount histograms are the scatter-add loop's, exactly:
+        duplicate edges, isolated nodes and an empty edge list included."""
+        rng = np.random.default_rng(0)
+        for num_nodes, num_edges in ((1, 0), (5, 0), (7, 40), (50, 30)):
+            g = Graph(rng.integers(0, num_nodes, size=(2, num_edges)),
+                      num_nodes=num_nodes)
+            for measured, index in ((g.in_degrees(), g.dst),
+                                    (g.out_degrees(), g.src)):
+                reference = np.zeros(num_nodes, dtype=np.int64)
+                np.add.at(reference, index, 1)
+                assert measured.dtype == np.int64
+                assert np.array_equal(measured, reference)
+
     def test_self_loop_detection(self, triangle):
         assert not triangle.has_self_loops()
         loopy = Graph(np.array([[0, 1], [0, 2]]), num_nodes=3)

@@ -1,0 +1,148 @@
+"""Graph-resident structures: built once per graph, owned by the graph.
+
+No wall-clock here: builders are spied and counted, outputs and launch
+fingerprints compared run to run.
+"""
+
+import gc
+import weakref
+from importlib import import_module
+
+import numpy as np
+import pytest
+
+from repro.core import GNNPipeline, SuiteConfig
+from repro.core.kernels import record_launches
+from repro.graph import Graph, add_self_loops, gcn_edge_weights
+
+# (model, compute model, fuse) -> the builders that run and how often.
+# ``reduction_structure`` counts every build, resident or on the spot.
+CELLS = {
+    ("sage", "MP", "force"): {
+        "add_self_loops": 1, "reduction_structure": 1},
+    ("gcn", "MP", "off"): {
+        "add_self_loops": 1, "gcn_edge_weights": 1,
+        "reduction_structure": 1},
+    ("gin", "SpMM", "auto"): {"gin_aggregate_matrix": 1},
+    ("gcn", "SpMM", "auto"): {
+        "add_self_loops": 1, "degree_half_inverse_csr": 1,
+        "adjacency_csr": 1},
+}
+
+_BUILDERS = {
+    "add_self_loops": ("repro.graph.ops", "_add_self_loops"),
+    "gcn_edge_weights": ("repro.graph.ops", "_gcn_edge_weights"),
+    "gin_aggregate_matrix": ("repro.core.models.gin",
+                             "_gin_aggregate_matrix"),
+    "mean_adjacency_matrix": ("repro.core.models.sage",
+                              "_mean_adjacency_matrix"),
+    "degree_half_inverse_csr": ("repro.core.models.gcn",
+                                "_degree_half_inverse_csr"),
+}
+
+
+def _graph(seed=5, nodes=60, edges=400, width=6):
+    rng = np.random.default_rng(seed)
+    return Graph(rng.integers(0, nodes, size=(2, edges)),
+                 features=rng.standard_normal(
+                     (nodes, width)).astype(np.float32),
+                 name=f"resident-{seed}")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Call counts of every structure builder, by name."""
+    calls = {}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name, (module, attr) in _BUILDERS.items():
+        mod = import_module(module)
+        monkeypatch.setattr(mod, attr, spy(name, getattr(mod, attr)))
+    monkeypatch.setattr(Graph, "adjacency_csr",
+                        spy("adjacency_csr", Graph.adjacency_csr))
+    # The executor and the kernels each hold a reference to the builder.
+    scatter_mod = import_module("repro.core.kernels.scatter")
+    counted = spy("reduction_structure", scatter_mod.reduction_structure)
+    monkeypatch.setattr(scatter_mod, "reduction_structure", counted)
+    monkeypatch.setattr(import_module("repro.plan.executor"),
+                        "reduction_structure", counted)
+    return calls
+
+
+def _run(config, graph):
+    with record_launches() as recorder:
+        output = GNNPipeline(config, graph=graph).build().run()
+    return output, recorder.launches
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS), ids="-".join)
+def test_second_run_builds_nothing(cell, builds):
+    model, compute_model, fuse = cell
+    config = SuiteConfig(model=model, compute_model=compute_model, fuse=fuse,
+                         out_features=3)
+    graph = _graph()
+    first, first_launches = _run(config, graph)
+    assert builds == CELLS[cell]
+    second, second_launches = _run(config, graph)
+    assert builds == CELLS[cell]                 # every structure: once
+    assert np.array_equal(first, second)
+    assert [l.fingerprint() for l in first_launches] \
+        == [l.fingerprint() for l in second_launches]
+    kernels = [l.kernel for l in second_launches]
+    if cell == ("sage", "MP", "force"):
+        assert "fusedGatherScatter" in kernels
+    if cell == ("gcn", "MP", "off"):
+        assert "scatter" in kernels and "fusedGatherScatter" not in kernels
+    if cell == ("gcn", "SpMM", "auto"):
+        # The normalisation chain is traced work, not a structure.
+        for launches in (first_launches, second_launches):
+            assert sum(l.kernel == "SpGEMM" for l in launches) == 2
+
+
+def test_structures_die_with_their_graph():
+    graph = _graph()
+    for model, compute_model, fuse in CELLS:
+        GNNPipeline(SuiteConfig(model=model, compute_model=compute_model,
+                                fuse=fuse, out_features=3),
+                    graph=graph).build().run()
+    assert graph._structures
+    looped = weakref.ref(add_self_loops(graph))
+    ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert ref() is None
+    assert looped() is None
+
+
+def test_resident_arrays_are_read_only():
+    graph = _graph()
+    GNNPipeline(SuiteConfig(model="gcn", compute_model="MP", fuse="off",
+                            out_features=3), graph=graph).build().run()
+    edge_index, weights = gcn_edge_weights(graph)
+    structure = graph._structures[
+        ("reduction_structure", "gcn_edge_weights", 1)]
+    for array in (edge_index, weights, graph.in_degrees(),
+                  add_self_loops(graph).edge_index, *structure):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_memo_keys_never_capture_features():
+    graph = _graph()
+    for model, compute_model, fuse in CELLS:
+        GNNPipeline(SuiteConfig(model=model, compute_model=compute_model,
+                                fuse=fuse, out_features=3),
+                    graph=graph).build().run()
+
+    def leaves(key):
+        return [leaf for part in key for leaf in leaves(part)] \
+            if isinstance(key, tuple) else [key]
+
+    for key in graph._structures:
+        assert all(isinstance(leaf, (str, int, float))
+                   for leaf in leaves(key)), key
