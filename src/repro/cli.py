@@ -117,13 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default) runs one graph, N >= 2 packs N "
                             "seed-variant graphs into one plan")
         p.add_argument("--profile-costs", default=None,
-                       metavar="PATH|default|paper",
-                       help="planner cost constants: 'default' consults "
-                            "$GSUITE_COST_PROFILE then this host's "
-                            "calibrated profile then the paper values; "
-                            "'paper' forces the static Fig. 5 constants; "
-                            "a path loads that profile JSON (see "
-                            "'gsuite calibrate')")
+                       metavar="paper|PATH",
+                       help="planner cost constants: 'paper' (default) "
+                            "is the static Fig. 5 set; a path loads "
+                            "that CostProfile JSON")
         p.add_argument("--jobs", type=int, default=None,
                        help="worker processes for sharded plan dispatch "
                             "(default 1 = in-process shards)")
@@ -166,30 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("datasets", help="show the Table IV dataset registry")
     sub.add_parser("kernels", help="show the Table II kernel registry")
-
-    calibrate = sub.add_parser(
-        "calibrate",
-        help="fit this host's planner cost profile against the cycle "
-             "simulator, or (--check) replay planner decisions against "
-             "measured timings")
-    calibrate.add_argument("--profile", default="ci",
-                           help="benchmark size profile for the sweep / "
-                                "check cells (default ci)")
-    calibrate.add_argument("--out", default=None,
-                           help="where to write the fitted profile JSON "
-                                "(default results/calibration/"
-                                "<host>-<gpu>.json)")
-    calibrate.add_argument("--check", action="store_true",
-                           help="instead of fitting, replay planner "
-                                "decisions under the active cost profile "
-                                "against the measured-best choices in the "
-                                "trace cache; exit 1 on divergence below "
-                                "the paper profile's accuracy")
-    calibrate.add_argument("--profile-costs", default=None,
-                           metavar="PATH|default|paper",
-                           help="with --check: the cost profile to "
-                                "verify (default: the standard "
-                                "resolution order)")
 
     serve = sub.add_parser(
         "serve",
@@ -414,6 +387,10 @@ def _cmd_plan(args) -> int:
     elif args.shards != 1 and not built.can_shard():
         print(f"sharding: unavailable (backend {args.framework!r} does "
               f"not execute plans shardably)")
+    elif decisions.shards_source == "planner":
+        print("sharding: off (1 shard; planner declined — working set "
+              "within the cache budget (fused and SpMM layers stream "
+              "theirs) or per-shard setup outweighs the gain)")
     else:
         print("sharding: off (1 shard; --shards 0 lets the planner decide)")
     print(format_table(("Step", "Op", "Operands", "Result"),
@@ -478,16 +455,6 @@ def _cmd_loadgen(args) -> int:
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    from repro.plan.calibrate import run_calibration
-    return run_calibration(
-        profile_name=args.profile,
-        out_path=args.out,
-        check=args.check,
-        costs_selector=args.profile_costs,
-    )
-
-
 def _cmd_datasets(args) -> int:
     from repro.bench.experiments import table4
     print(table4.render())
@@ -548,7 +515,6 @@ _COMMANDS = {
     "plan": _cmd_plan,
     "serve": _cmd_serve,
     "loadgen": _cmd_loadgen,
-    "calibrate": _cmd_calibrate,
     "datasets": _cmd_datasets,
     "kernels": _cmd_kernels,
     "bench": _cmd_bench,

@@ -155,12 +155,9 @@ class SuiteConfig:
                                   # decides the packed sweep width ("auto"),
                                   # 1 = single-graph ("off"), B >= 2 = pack
                                   # B seed-variant graphs into one plan
-    profile_costs: str = "default"  # planner cost constants: "default"
-                                  # (env var > this host's calibrated
-                                  # profile > paper), "paper" (static
-                                  # Fig. 5 constants), or the path of a
-                                  # profile JSON written by
-                                  # `gsuite calibrate`
+    profile_costs: str = "paper"  # planner cost constants: "paper"
+                                  # (static Fig. 5 constants) or the
+                                  # path of a CostProfile JSON
     jobs: int = 1                 # worker processes for sharded plan
                                   # dispatch (1 = in-process shards)
     faults: str = ""              # fault-injection spec (see
@@ -209,8 +206,8 @@ class SuiteConfig:
             )
         if not isinstance(self.profile_costs, str) or not self.profile_costs:
             raise ConfigError(
-                f"profile_costs must be 'default', 'paper' or a profile "
-                f"path, got {self.profile_costs!r}"
+                f"profile_costs must be 'paper' or a profile path, "
+                f"got {self.profile_costs!r}"
             )
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")

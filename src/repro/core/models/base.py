@@ -171,7 +171,7 @@ class GNNModel:
                  features: Optional[np.ndarray] = None) -> np.ndarray:
         return self.forward(graph, features)
 
-    # -- cost-model calibration ---------------------------------------------
+    # -- cost-model widths --------------------------------------------------
     @classmethod
     def aggregation_width(cls, fmt: str, fan_in: int, fan_out: int) -> int:
         """The feature width one layer's aggregation runs at under ``fmt``.

@@ -86,9 +86,8 @@ class GNNPipeline:
     def cost_profile(self):
         """The active planner :class:`~repro.plan.costprofile.CostProfile`.
 
-        Resolved once from ``config.profile_costs`` (*explicit path >
-        ``GSUITE_COST_PROFILE`` env var > this host's calibrated default
-        file > paper constants* — see
+        Resolved once from ``config.profile_costs`` (``"paper"`` or
+        the path of a profile file — see
         :func:`repro.plan.costprofile.resolve_cost_profile`) and passed
         to every planner gate this pipeline consults, so one build can
         never mix constants from two profiles.
@@ -387,9 +386,8 @@ class GNNPipeline:
         profile they were priced under and the explain strings, with
         the lowered :class:`~repro.plan.ir.ExecutionPlan` on
         ``.execution_plan`` (``None`` for a backend that bypasses the
-        plan layer).  ``gsuite plan`` and the calibration regression
-        gate both render from this record, so reports can never drift
-        from what the build actually applied.
+        plan layer).  ``gsuite plan`` renders from this record, so the
+        report can never drift from what the build actually applied.
         """
         from repro.plan import fusion_summary
         from repro.plan.planner import PlannerDecisions, explain_choice
@@ -419,7 +417,11 @@ class GNNPipeline:
             formats=formats,
             formats_source=formats_source,
             shards=sharding.num_shards if sharding is not None else 1,
-            shards_source=sharding.source if sharding is not None else "off",
+            # An asked planner that answered 1 still decided: record it
+            # (mirrors batch_source), so `gsuite plan` reports a verdict
+            # instead of suggesting the flag the user already passed.
+            shards_source=sharding.source if sharding is not None
+            else ("planner" if self.config.shards == 0 else "off"),
             partitioner=sharding.partitioner
             if sharding is not None else "rows",
             fusion=fusion,

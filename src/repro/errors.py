@@ -50,7 +50,7 @@ class PlanError(GSuiteError):
 
 
 class CalibrationError(GSuiteError):
-    """A cost profile could not be loaded, fitted or verified."""
+    """A cost profile could not be loaded or holds an invalid constant."""
 
 
 class WorkerError(GSuiteError):

@@ -25,11 +25,10 @@ full dataflow):
     planner constants.
 :mod:`~repro.plan.costprofile`
     :class:`CostProfile` — the versioned, persistable set of planner
-    cost constants (``CostProfile.paper()`` is the static default;
-    :func:`resolve_cost_profile` implements the *path > env > default
-    file > paper* precedence) — and :mod:`~repro.plan.calibrate`,
-    the ``gsuite calibrate`` sweep that fits one against the cycle
-    simulator and this host's measured budgets.
+    cost constants.  ``CostProfile.paper()`` (the paper's Fig. 5
+    values) is the default; :func:`resolve_cost_profile` maps a
+    ``--profile-costs`` value to it or to an explicitly passed profile
+    file — the only two sources of planner constants.
 :mod:`~repro.plan.fusion`
     :func:`fuse_plan`, the liveness/single-consumer rewrite merging
     gather+scatter pairs, SGEMM epilogues and elementwise chains, with
@@ -76,9 +75,6 @@ from repro.plan.ir import (
 from repro.plan.costprofile import (
     CostProfile,
     PROFILE_SCHEMA_VERSION,
-    calibration_dir,
-    default_profile_path,
-    host_key,
     resolve_cost_profile,
 )
 from repro.plan.lowering import cached_plan, graph_signature
@@ -146,13 +142,11 @@ __all__ = [
     "batch_member_footprint",
     "build_shard_subplan",
     "cached_plan",
-    "calibration_dir",
     "choose_batching",
     "choose_formats",
     "choose_fusion",
     "choose_partitioner",
     "choose_shards",
-    "default_profile_path",
     "describe_fusion",
     "edge_balanced_ranges",
     "explain_choice",
@@ -161,7 +155,6 @@ __all__ = [
     "fusion_gain",
     "fusion_summary",
     "graph_signature",
-    "host_key",
     "legacy_trace",
     "mp_layer_cost",
     "partition_balance_cost",

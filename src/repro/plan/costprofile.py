@@ -9,17 +9,18 @@ numbers used to live as module globals tuned once against the paper's
 Fig. 5 mixes and one host; :class:`CostProfile` packages them into an
 explicit, versioned value that is
 
-* **constructed** either from the paper's static mixes
+* **constructed** from the paper's static mixes
   (:meth:`CostProfile.paper` — bit-for-bit the historical globals, so
-  every pre-profile planner decision is unchanged under the default),
-  or by the calibration sweep (:mod:`repro.plan.calibrate`) fitting
-  against the cycle simulator and measured timings;
-* **persisted** as JSON under ``results/calibration/``, keyed by host
-  and GPU model (:func:`default_profile_path`), with a schema version
-  that refuses to load profiles written by an incompatible planner;
-* **resolved** once per pipeline (:func:`resolve_cost_profile`) with
-  the documented precedence *explicit path > ``GSUITE_COST_PROFILE``
-  env var > calibrated default file > paper constants*.
+  every pre-profile planner decision is unchanged under the default)
+  or derived from them (:meth:`CostProfile.with_overrides`);
+* **persisted** as JSON (:meth:`CostProfile.save` / ``load``) with a
+  schema version that refuses to load profiles written for an
+  incompatible planner, and a boundary check that refuses constants
+  no gate can price with (non-finite, boolean, non-numeric);
+* **resolved** once per pipeline (:func:`resolve_cost_profile`) from
+  exactly two sources: the selector ``"paper"``, or the path of a
+  profile file the user passed.  Nothing is looked up from the
+  environment, the host name or the working directory.
 
 Every planner entry point takes an optional ``profile``; ``None``
 means :meth:`CostProfile.paper`.
@@ -28,11 +29,10 @@ means :meth:`CostProfile.paper`.
 from __future__ import annotations
 
 import json
-import os
-import platform
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+import math
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Union
 
 from repro.core.kernels.costmodel import COSTS
 from repro.core.kernels.scatter import STREAM_BLOCK_BYTES
@@ -41,21 +41,20 @@ from repro.errors import CalibrationError
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "CostProfile",
-    "calibration_dir",
-    "default_profile_path",
-    "host_key",
     "resolve_cost_profile",
 ]
 
-#: Bump when :class:`CostProfile` gains/renames fitted fields — loading
+#: Bump when :class:`CostProfile` gains/renames/drops fields — loading
 #: refuses a mismatched version instead of silently misreading it.
 #: Version 2 added the skew-aware partitioner constants
-#: (``shard_skew_threshold``, ``shard_balance_unit``).
-PROFILE_SCHEMA_VERSION = 2
+#: (``shard_skew_threshold``, ``shard_balance_unit``); version 3 dropped
+#: the fit-provenance fields (``source``/``host``/``gpu``/``created``/
+#: ``fit``) with the simulator fit that filled them.
+PROFILE_SCHEMA_VERSION = 3
 
-#: Environment variable naming a profile file (or the literal
-#: ``"paper"``) used when no explicit ``--profile-costs`` path is given.
-ENV_VAR = "GSUITE_COST_PROFILE"
+#: Constants that must be integers (byte budgets and the batch ceiling).
+_INTEGRAL = ("fuse_stream_block_bytes", "shard_working_set_bytes",
+             "batch_footprint_bytes", "max_auto_batch")
 
 
 def _instructions_per_unit(kernel: str) -> float:
@@ -67,8 +66,7 @@ def _instructions_per_unit(kernel: str) -> float:
 class CostProfile:
     """One complete set of planner cost constants.
 
-    Kernel units are dynamic instructions (paper profile) or fitted
-    simulator cycles (calibrated profiles) per unit of logical work —
+    Kernel units are dynamic instructions per unit of logical work —
     only consistent *relative* magnitudes matter to the planner, since
     every gate compares modelled costs against each other.  Budgets are
     bytes on the executing host.
@@ -96,33 +94,33 @@ class CostProfile:
     # -- batching ---------------------------------------------------------
     batch_footprint_bytes: int       # packed resident-state budget
     max_auto_batch: int              # planner-chosen batch ceiling
-    # -- provenance -------------------------------------------------------
+    # -- label (what ``PlannerDecisions.cost_profile`` records) -----------
     name: str = "paper"
-    source: str = "paper"            # "paper" | "calibrated"
-    host: str = ""
-    gpu: str = ""
-    created: str = ""                # ISO timestamp, informational
-    #: Fit diagnostics ((metric, value) pairs — e.g. residuals, sample
-    #: counts, fallback flags).  Excluded from equality so a re-fit
-    #: with identical constants compares equal.
-    fit: Tuple[Tuple[str, float], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        for name in ("gather_unit", "scatter_unit", "spmm_unit",
-                     "spgemm_unit", "row_overhead_nnz",
-                     "fuse_partition_unit", "launch_overhead",
-                     "shard_setup_instructions", "shard_skew_threshold",
-                     "shard_balance_unit"):
-            if getattr(self, name) < 0:
+        for f in fields(self):
+            if f.name == "name":
+                continue
+            value = getattr(self, f.name)
+            integral = f.name in _INTEGRAL
+            # Every comparison against NaN is false, so a non-finite
+            # unit would pass the range check below and silently flip
+            # planner decisions; bools and strings are not prices.
+            if (isinstance(value, bool)
+                    or not isinstance(value, int if integral
+                                      else (int, float))
+                    or not math.isfinite(value)):
                 raise CalibrationError(
-                    f"cost profile {self.name!r}: {name} must be >= 0, "
-                    f"got {getattr(self, name)}")
-        for name in ("fuse_stream_block_bytes", "shard_working_set_bytes",
-                     "batch_footprint_bytes", "max_auto_batch"):
-            if getattr(self, name) < 1:
+                    f"cost profile {self.name!r}: {f.name} must be "
+                    f"{'an integer' if integral else 'a finite number'}, "
+                    f"got {value!r}")
+            # Budgets are >= 1 and prices >= 0; contention_weight is the
+            # one constant that never carried a sign constraint.
+            floor = 1 if integral else 0
+            if value < floor and f.name != "contention_weight":
                 raise CalibrationError(
-                    f"cost profile {self.name!r}: {name} must be >= 1, "
-                    f"got {getattr(self, name)}")
+                    f"cost profile {self.name!r}: {f.name} must be "
+                    f">= {floor}, got {value}")
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -134,7 +132,7 @@ class CostProfile:
         retuning either retunes this profile with it; everything else is
         the hand-set value each planner gate shipped with.  Decisions
         under this profile are bit-for-bit the pre-profile decisions
-        (pinned in ``tests/plan/test_calibrate.py``).
+        (pinned in ``tests/plan/test_costprofile.py``).
         """
         return cls(
             gather_unit=_instructions_per_unit("indexSelect"),
@@ -153,15 +151,12 @@ class CostProfile:
             batch_footprint_bytes=1024 ** 3,
             max_auto_batch=64,
             name="paper",
-            source="paper",
         )
 
     # -- serialisation -----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (round-trips with :meth:`from_dict`)."""
-        payload = asdict(self)
-        payload["fit"] = [list(pair) for pair in self.fit]
-        return {"schema": PROFILE_SCHEMA_VERSION, "profile": payload}
+        return {"schema": PROFILE_SCHEMA_VERSION, "profile": asdict(self)}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any],
@@ -175,10 +170,9 @@ class CostProfile:
         if schema != PROFILE_SCHEMA_VERSION:
             raise CalibrationError(
                 f"{origin}: schema version {schema!r} is not the supported "
-                f"version {PROFILE_SCHEMA_VERSION}; re-run 'gsuite "
-                f"calibrate' with this build")
+                f"version {PROFILE_SCHEMA_VERSION}; re-save it from "
+                f"CostProfile.paper().with_overrides(...) with this build")
         body = dict(payload["profile"])
-        body["fit"] = tuple(tuple(pair) for pair in body.get("fit", ()))
         known = {f.name for f in fields(cls)}
         unknown = set(body) - known
         missing = {f.name for f in fields(cls)
@@ -192,7 +186,7 @@ class CostProfile:
                 f"{origin}: missing cost-profile fields {sorted(missing)}")
         try:
             return cls(**body)
-        except TypeError as exc:
+        except (TypeError, CalibrationError) as exc:
             raise CalibrationError(f"{origin}: {exc}") from exc
 
     def save(self, path: Union[str, Path]) -> Path:
@@ -216,77 +210,26 @@ class CostProfile:
 
     # -- introspection -----------------------------------------------------
     def with_overrides(self, **overrides) -> "CostProfile":
-        """A copy with some fields replaced (calibration fallbacks)."""
+        """A copy with some fields replaced (hand-edited profiles, the
+        perturbed-profile tests)."""
         return replace(self, **overrides)
 
     def describe(self) -> str:
-        """One-line provenance summary for CLI output."""
-        origin = self.source
-        if self.host or self.gpu:
-            origin += f" {self.host or '?'}/{self.gpu or '?'}"
-        return (f"cost profile {self.name!r} ({origin}): "
+        """One-line summary for CLI output."""
+        return (f"cost profile {self.name!r}: "
                 f"units is={self.gather_unit:.3g} sc={self.scatter_unit:.3g} "
                 f"sp={self.spmm_unit:.3g} sg={self.spgemm_unit:.3g}, "
                 f"row-overhead {self.row_overhead_nnz:.3g} nnz, "
                 f"working set {self.shard_working_set_bytes / 2**20:.0f} MB")
 
 
-# ---------------------------------------------------------------------------
-# Resolution: where the active profile comes from
-# ---------------------------------------------------------------------------
-
-def host_key() -> str:
-    """Stable identifier of the executing host for profile file names."""
-    node = platform.node().split(".")[0] or "unknown-host"
-    safe = "".join(ch if ch.isalnum() or ch in "-_" else "-"
-                   for ch in node.lower())
-    return f"{safe}-{platform.machine() or 'any'}"
-
-
-def calibration_dir() -> Path:
-    """``results/calibration`` next to the benchmark tables.
-
-    Override with the ``GSUITE_CALIBRATION_DIR`` environment variable
-    (tests, containers with read-only checkouts).
-    """
-    override = os.environ.get("GSUITE_CALIBRATION_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parents[3] / "results" / "calibration"
-
-
-def default_profile_path(gpu: str = "V100-GPGPUSim") -> Path:
-    """Where ``gsuite calibrate`` persists this host's profile."""
-    return calibration_dir() / f"{host_key()}-{gpu}.json"
-
-
-def resolve_cost_profile(selector: Optional[str] = None) -> CostProfile:
-    """The active :class:`CostProfile` for one pipeline.
-
-    ``selector`` is the ``--profile-costs`` / ``SuiteConfig.profile_costs``
-    value:
-
-    * a **path** — load exactly that file (missing/mismatched refuse);
-    * ``"paper"`` — the static built-in, ignoring env and files;
-    * ``"default"`` or ``None`` — consult ``GSUITE_COST_PROFILE`` (a
-      path or ``"paper"``); failing that, load this host's calibrated
-      profile from :func:`default_profile_path` when one exists;
-      failing that, :meth:`CostProfile.paper`.
-    """
-    if selector is None:
-        selector = "default"
-    selector = str(selector).strip()
-    lowered = selector.lower()
-    if lowered == "paper":
+def resolve_cost_profile(selector: str) -> CostProfile:
+    """The :class:`CostProfile` a ``--profile-costs`` /
+    ``SuiteConfig.profile_costs`` value names: ``"paper"`` is the static
+    built-in, anything else the path of a profile file (missing,
+    mismatched or invalid files refuse with
+    :class:`~repro.errors.CalibrationError`)."""
+    selector = selector.strip()
+    if selector.lower() == "paper":
         return CostProfile.paper()
-    if lowered != "default":
-        return CostProfile.load(selector)
-    env = os.environ.get(ENV_VAR, "").strip()
-    if env:
-        if env.lower() == "paper":
-            return CostProfile.paper()
-        return CostProfile.load(env)
-    default_path = default_profile_path()
-    if default_path.is_file():
-        return CostProfile.load(default_path)
-    return CostProfile.paper()
+    return CostProfile.load(selector)

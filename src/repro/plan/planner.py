@@ -14,10 +14,9 @@ of planner constants:
 
 Every entry point takes an optional ``profile``; ``None`` means the
 paper's static Fig. 5 constants (:meth:`CostProfile.paper`), under
-which all decisions are bit-for-bit the historical ones.  Calibrated
-profiles (``gsuite calibrate`` — :mod:`repro.plan.calibrate`) replace
-the constants with values fitted against the cycle simulator and the
-host's measured timings.
+which all decisions are bit-for-bit the historical ones; a
+hand-edited profile file (``--profile-costs PATH``) is the only other
+source.
 
 The founding observation is the format split: the same GNN layer can
 execute as message passing (gather + scatter over an edge list) or as
@@ -162,9 +161,8 @@ class BatchDecision(NamedTuple):
 class PlannerDecisions:
     """Every decision the planner took for one built pipeline.
 
-    The machine-readable surface behind ``gsuite plan`` and the
-    calibration regression gate (``gsuite calibrate --check``):
-    instead of scraping loose tuples and report strings, consumers get
+    The machine-readable surface behind ``gsuite plan``: instead of
+    scraping loose tuples and report strings, consumers get
     one typed record of what the build actually applied — per-layer
     formats, shard count, fusion policy, batch size, the cost-profile
     name they were priced under, and the human-readable explain

@@ -3,11 +3,6 @@
 Every test gets a private trace-cache root under ``tmp_path`` so
 nothing the suite records or simulates ever lands in the repository's
 ``results/.cache`` (and no stale repo cache can leak into a test).
-The planner's cost-profile resolution is isolated the same way: a
-calibrated profile under ``results/calibration/`` (or a
-``GSUITE_COST_PROFILE`` in the developer's shell) must never steer the
-suite's pinned planner decisions, so tests resolve against an empty
-calibration dir unless they opt in.
 """
 
 import pytest
@@ -19,8 +14,6 @@ from repro import faults
 @pytest.fixture(autouse=True)
 def _isolated_trace_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("GSUITE_CACHE_DIR", str(tmp_path / "trace-cache"))
-    monkeypatch.setenv("GSUITE_CALIBRATION_DIR", str(tmp_path / "calib"))
-    monkeypatch.delenv("GSUITE_COST_PROFILE", raising=False)
     # Fault injection must never leak between tests (or in from the
     # developer's shell): disarm the global plan and drop the env var.
     monkeypatch.delenv("GSUITE_FAULTS", raising=False)

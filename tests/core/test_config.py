@@ -150,7 +150,7 @@ class TestKnobs:
         assert cfg.batch == 1
 
     def test_profile_costs_field(self):
-        assert SuiteConfig().profile_costs == "default"
-        assert SuiteConfig(profile_costs="paper").profile_costs == "paper"
+        assert SuiteConfig().profile_costs == "paper"
+        assert SuiteConfig(profile_costs="p.json").profile_costs == "p.json"
         with pytest.raises(ConfigError):
             SuiteConfig(profile_costs="")

@@ -1,4 +1,4 @@
-"""Tests for the CostProfile subsystem and ``gsuite calibrate``.
+"""Tests for the CostProfile subsystem.
 
 Three contracts:
 
@@ -6,16 +6,16 @@ Three contracts:
   schema versions, unknown fields and invalid constants *refuse* to
   load (a stale or hand-mangled profile must never silently steer the
   planner).
+* **Resolution** — planner constants have exactly two sources, the
+  ``"paper"`` selector and an explicitly passed file; nothing ambient
+  (environment, host name, working directory) is consulted.
 * **Paper parity** — the default profile is the paper's static
   constants bit-for-bit: every gate decision with ``profile=None`` is
   identical to an explicit :meth:`CostProfile.paper`, across the same
   dataset grid the planner acceptance tests pin.
-* **Calibration** — a fit on tiny synthetic cells produces a loadable,
-  validated profile with documented fallbacks, and the ``--check``
-  replay scores decisions against measured timings.
 """
 
-import math
+import json
 
 import pytest
 
@@ -28,16 +28,8 @@ from repro.plan import (
     choose_formats,
     choose_fusion,
     choose_shards,
-    default_profile_path,
     explain_choice,
     resolve_cost_profile,
-)
-from repro.plan.calibrate import (
-    MicroCell,
-    check_decisions,
-    fit_profile,
-    host_budgets,
-    micro_cells,
 )
 from repro.plan.planner import (
     fusion_gain,
@@ -64,18 +56,16 @@ def _dims(spec):
 class TestProfilePersistence:
     def test_round_trip(self, tmp_path):
         profile = CostProfile.paper().with_overrides(
-            name="host-fit", source="calibrated", host="testhost",
-            gather_unit=0.123, fit=(("cells", 4.0),))
+            name="hand-edited", gather_unit=0.123, max_auto_batch=8)
         path = tmp_path / "profile.json"
         profile.save(path)
         loaded = CostProfile.load(path)
         assert loaded == profile
         assert loaded.gather_unit == 0.123
-        assert loaded.fit == (("cells", 4.0),)
-        assert loaded.source == "calibrated"
+        assert loaded.max_auto_batch == 8
+        assert loaded.name == "hand-edited"
 
     def test_version_mismatch_refused(self, tmp_path):
-        import json
         payload = CostProfile.paper().to_dict()
         payload["schema"] = 99
         path = tmp_path / "stale.json"
@@ -84,7 +74,6 @@ class TestProfilePersistence:
             CostProfile.load(path)
 
     def test_unknown_field_refused(self, tmp_path):
-        import json
         payload = CostProfile.paper().to_dict()
         payload["profile"]["warp_tax"] = 1.0
         path = tmp_path / "unknown.json"
@@ -93,7 +82,6 @@ class TestProfilePersistence:
             CostProfile.load(path)
 
     def test_missing_field_refused(self, tmp_path):
-        import json
         payload = CostProfile.paper().to_dict()
         del payload["profile"]["gather_unit"]
         path = tmp_path / "partial.json"
@@ -105,6 +93,26 @@ class TestProfilePersistence:
         with pytest.raises(CalibrationError):
             CostProfile.paper().with_overrides(gather_unit=-1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("spmm_unit", float("nan")),
+        ("gather_unit", float("inf")),
+        ("scatter_unit", True),
+        ("contention_weight", "7"),
+        ("max_auto_batch", 2.5),
+    ])
+    def test_unpriceable_constant_refused(self, tmp_path, field, value):
+        """Every comparison against NaN is false, so a NaN unit used to
+        load cleanly and flip adaptive reddit from [MP, SpMM] to
+        [MP, MP]; the file boundary now names the field and the file."""
+        payload = CostProfile.paper().to_dict()
+        payload["profile"][field] = value
+        path = tmp_path / "mangled.json"
+        path.write_text(json.dumps(payload))    # NaN / Infinity / true
+        with pytest.raises(CalibrationError) as excinfo:
+            CostProfile.load(path)
+        assert field in str(excinfo.value)
+        assert str(path) in str(excinfo.value)
+
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(CalibrationError):
             CostProfile.load(tmp_path / "nope.json")
@@ -114,35 +122,35 @@ class TestResolution:
     def test_paper_selector(self):
         assert resolve_cost_profile("paper") == CostProfile.paper()
 
-    def test_default_without_host_file_is_paper(self):
-        assert resolve_cost_profile(None) == CostProfile.paper()
-        assert resolve_cost_profile("default") == CostProfile.paper()
-
     def test_explicit_path(self, tmp_path):
         profile = CostProfile.paper().with_overrides(name="explicit")
         path = tmp_path / "p.json"
         profile.save(path)
         assert resolve_cost_profile(str(path)).name == "explicit"
 
-    def test_env_var_path(self, tmp_path, monkeypatch):
-        profile = CostProfile.paper().with_overrides(name="from-env")
-        path = tmp_path / "env.json"
-        profile.save(path)
-        monkeypatch.setenv("GSUITE_COST_PROFILE", str(path))
-        assert resolve_cost_profile(None).name == "from-env"
-        # An explicit path still beats the environment.
-        other = tmp_path / "other.json"
-        CostProfile.paper().with_overrides(name="explicit").save(other)
-        assert resolve_cost_profile(str(other)).name == "explicit"
-        # And "paper" ignores the environment entirely.
-        assert resolve_cost_profile("paper").name == "paper"
+    def test_ambient_profile_sources_are_ignored(self, tmp_path,
+                                                 monkeypatch):
+        """The removed lookups stay removed: a profile named by
+        ``GSUITE_COST_PROFILE``, or saved where the host-default lookup
+        (``$GSUITE_CALIBRATION_DIR/<host>-<arch>-V100-GPGPUSim.json``)
+        used to find one, no longer steers a default-configured
+        pipeline."""
+        import platform
 
-    def test_host_default_file(self):
-        path = default_profile_path()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        CostProfile.paper().with_overrides(name="host-default").save(path)
-        assert resolve_cost_profile(None).name == "host-default"
-        assert resolve_cost_profile("paper").name == "paper"
+        from repro.core.config import SuiteConfig
+        from repro.core.pipeline import GNNPipeline
+        perturbed = CostProfile.paper().with_overrides(
+            name="ambient", scatter_unit=1e6)
+        node = platform.node().split(".")[0] or "unknown-host"
+        host = "".join(ch if ch.isalnum() or ch in "-_" else "-"
+                       for ch in node.lower())
+        perturbed.save(tmp_path / "calib" / f"{host}-"
+                       f"{platform.machine() or 'any'}-V100-GPGPUSim.json")
+        monkeypatch.setenv("GSUITE_CALIBRATION_DIR", str(tmp_path / "calib"))
+        monkeypatch.setenv("GSUITE_COST_PROFILE",
+                           str(perturbed.save(tmp_path / "env.json")))
+        assert GNNPipeline(SuiteConfig()).cost_profile() == \
+            CostProfile.paper()
 
 
 class TestPaperParity:
@@ -196,77 +204,3 @@ class TestPaperParity:
         assert choose_formats(_dims(spec), stats) == ("MP", "MP")
         assert set(choose_formats(_dims(spec), stats,
                                   profile=expensive_mp)) == {"SpMM"}
-
-
-#: Tiny cells: seconds of fit, yet every regressor still varies.
-TINY_CELLS = (
-    MicroCell(num_nodes=400, avg_degree=2, feature_width=4,
-              degree_exponent=3.0),
-    MicroCell(num_nodes=400, avg_degree=8, feature_width=16,
-              degree_exponent=2.2),
-    MicroCell(num_nodes=300, avg_degree=4, feature_width=8,
-              degree_exponent=2.5),
-)
-
-
-class TestCalibration:
-    def test_fit_produces_valid_profile(self):
-        profile = fit_profile(cells=TINY_CELLS)
-        assert profile.source == "calibrated"
-        assert profile.gpu == "V100-GPGPUSim"
-        for unit in (profile.gather_unit, profile.scatter_unit,
-                     profile.spmm_unit, profile.spgemm_unit):
-            assert math.isfinite(unit) and unit > 0
-        diagnostics = dict(profile.fit)
-        assert diagnostics["cells"] == len(TINY_CELLS)
-        # Every constant documents whether it was fitted or fell back.
-        assert "fallback_gather_unit" in diagnostics
-        # The shard-dispatch probes fit the setup constant for real now
-        # and record what they measured.
-        assert diagnostics["fallback_shard_setup_instructions"] == 0.0
-        assert diagnostics["shard_overhead_cycles"] > 0
-        assert "fallback_shard_skew_threshold" in diagnostics
-        assert diagnostics["shard_skew_win_skewed"] > 1.0
-
-    def test_fit_round_trips_and_resolves(self, tmp_path):
-        profile = fit_profile(cells=TINY_CELLS)
-        path = tmp_path / "fitted.json"
-        profile.save(path)
-        assert resolve_cost_profile(str(path)) == profile
-
-    def test_fit_is_deterministic(self):
-        first = fit_profile(cells=TINY_CELLS)
-        second = fit_profile(cells=TINY_CELLS)
-        # Identical constants and diagnostics; only the timestamp moves.
-        assert first.with_overrides(created="") == \
-            second.with_overrides(created="")
-        assert first.fit == second.fit
-
-    def test_micro_cells_profiles(self):
-        ci, full = micro_cells("ci"), micro_cells("full")
-        assert len(ci) >= 8                      # enough lstsq samples
-        assert set(ci) <= set(full)
-        # The sweep must vary each regressor the fits depend on.
-        assert len({c.avg_degree for c in ci}) >= 2
-        assert len({c.feature_width for c in ci}) >= 2
-        assert len({c.degree_exponent for c in ci}) >= 2
-
-    def test_host_budgets_shape(self):
-        budgets = host_budgets()
-        assert set(budgets) == {"llc_bytes", "memory_bytes"}
-        for value in budgets.values():
-            assert value is None or value > 0
-
-
-class TestCheckGate:
-    def test_replay_scores_against_measured(self, monkeypatch):
-        from repro.plan import calibrate
-        monkeypatch.setattr(calibrate, "CHECK_MODELS", ("gcn",))
-        monkeypatch.setattr(calibrate, "CHECK_DATASETS", ("cora",))
-        cells = check_decisions(CostProfile.paper(), "ci")
-        assert len(cells) == 1
-        cell = cells[0]
-        assert cell.planner_choice == "MP"       # the pinned cora decision
-        assert cell.mp_seconds > 0 and cell.spmm_seconds > 0
-        assert cell.measured_choice in ("MP", "SpMM", "tie")
-        assert isinstance(cell.correct, bool)

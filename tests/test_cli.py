@@ -157,6 +157,21 @@ class TestCommands:
         # A missing file refuses cleanly.
         assert main(["plan", "--dataset", "cora", "--scale", "0.1",
                      "--profile-costs", str(tmp_path / "nope.json")]) == 2
+        # So does a hand-mangled constant: exit 2, one error line
+        # naming the field and the file, no traceback.
+        import json
+        payload = CostProfile.paper().to_dict()
+        payload["profile"]["spmm_unit"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["plan", "--dataset", "reddit", "--scale", "0.01",
+                     "--framework", "adaptive",
+                     "--profile-costs", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "spmm_unit" in captured.err and str(bad) in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_shards_accepts_knob_spellings(self, capsys):
         code = main(["run", "--dataset", "cora", "--scale", "0.1",
@@ -166,24 +181,13 @@ class TestCommands:
                      "--shards", "auto"])
         assert code == 0
         assert "sharding:" in capsys.readouterr().out
-
-    def test_calibrate_writes_and_checks(self, tmp_path, capsys,
-                                         monkeypatch):
-        from repro.plan import calibrate
-        from repro.plan.calibrate import MicroCell
-        tiny = (MicroCell(num_nodes=300, avg_degree=2, feature_width=4,
-                          degree_exponent=3.0),
-                MicroCell(num_nodes=300, avg_degree=8, feature_width=16,
-                          degree_exponent=2.2))
-        monkeypatch.setattr(calibrate, "micro_cells", lambda name: tiny)
-        monkeypatch.setattr(calibrate, "CHECK_MODELS", ("gcn",))
-        monkeypatch.setattr(calibrate, "CHECK_DATASETS", ("cora",))
-        out_path = tmp_path / "fitted.json"
-        assert main(["calibrate", "--out", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert out_path.is_file()
-        assert "calibrated" in out
-        assert main(["calibrate", "--check",
-                     "--profile-costs", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "decision accuracy" in out
+        # An asked planner that answers 1 reports its verdict instead
+        # of suggesting the flag the user already passed.
+        for spelling in ("0", "auto"):
+            code = main(["plan", "--model", "gin", "--dataset", "reddit",
+                         "--scale", "0.05", "--shards", spelling])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "sharding: off (1 shard; planner declined" in out
+            assert "lets the planner decide" not in out.split(
+                "sharding:")[1]

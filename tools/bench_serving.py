@@ -132,9 +132,8 @@ def main() -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="small scales and concurrency levels for CI")
     parser.add_argument("--profile-costs", default="paper",
-                        help="planner cost profile (default: the paper "
-                             "constants, so the pinned artifact never "
-                             "depends on host calibration)")
+                        help="planner cost profile: 'paper' (default) "
+                             "or the path of a CostProfile JSON")
     parser.add_argument("--out",
                         default=str(REPO_ROOT / "BENCH_serving.json"))
     args = parser.parse_args()
