@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
@@ -134,6 +134,9 @@ class KernelLaunch:
     #: Epilogue carried by this launch (e.g. ``"relu"`` on an
     #: epilogue-carrying SGEMM); empty when none.
     epilogue: str = ""
+    #: Results derived from the fields above — see :meth:`derived`.
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def warps(self) -> int:
@@ -154,6 +157,34 @@ class KernelLaunch:
     def trace_accesses(self) -> int:
         """Number of recorded (sampled) trace accesses."""
         return int(self.loads.shape[0] + self.stores.shape[0])
+
+    def derived(self, key, build):
+        """The value memoised under ``key``, built on first use.
+
+        For pure functions of the record that more than one consumer
+        needs — the simulator and the profiler both start from the same
+        L1 walk of the trace.  ``key`` names the function and every
+        parameter it takes from outside the record.  The launch owns
+        the memo, so the values die with it; they are no part of the
+        record (not in ``==``, ``repr``, :meth:`fingerprint`, a pickle
+        or a ``dataclasses.replace`` copy), and arrays are handed out
+        as read-only views, so an in-place write raises instead of
+        corrupting the other consumer's input.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = _read_only(build())
+            return value
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_derived"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._derived = {}
 
     def fingerprint(self) -> str:
         """Content hash of everything a simulator/profiler consumes.
@@ -177,6 +208,16 @@ class KernelLaunch:
         digest.update(np.ascontiguousarray(self.stores,
                                            dtype=np.int64).tobytes())
         return digest.hexdigest()
+
+
+def _read_only(value):
+    """``value`` with every array (also inside tuples) as a read-only view."""
+    if isinstance(value, np.ndarray):
+        value = value.view()
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        value = tuple(_read_only(item) for item in value)
+    return value
 
 
 class LaunchRecorder:

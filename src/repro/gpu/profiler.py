@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.core.kernels.launch import KernelLaunch
-from repro.gpu.cache import simulate_hierarchy
+from repro.gpu.cache import launch_hierarchy
 from repro.gpu.config import GPUConfig, nvprof_config
 from repro.gpu.metrics import ProfileResult
 
@@ -78,8 +78,7 @@ class NvprofProfiler:
     def _profile(self, launch: KernelLaunch) -> ProfileResult:
         """The actual analytic profile of one launch."""
         cfg = self.config
-        hierarchy = simulate_hierarchy(launch.loads, launch.stores, cfg,
-                                       atomic=launch.atomic)
+        hierarchy = launch_hierarchy(launch, cfg)
         total_accesses = hierarchy.levels.shape[0]
         dram_fraction = (hierarchy.dram_accesses / total_accesses
                          if total_accesses else 0.0)

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.core.kernels.launch import KernelLaunch, LINE_BYTES
-from repro.gpu.cache import simulate_hierarchy
+from repro.gpu.cache import launch_hierarchy
 from repro.gpu.config import GPUConfig, v100_config
 from repro.gpu.metrics import SimResult, merge_distributions, normalize
 from repro.gpu.warp_sim import build_pattern, simulate_warps
@@ -66,8 +66,7 @@ class GpuSimulator:
     def _simulate(self, launch: KernelLaunch) -> SimResult:
         """The actual cycle simulation of one launch."""
         cfg = self.config
-        hierarchy = simulate_hierarchy(launch.loads, launch.stores, cfg,
-                                       atomic=launch.atomic)
+        hierarchy = launch_hierarchy(launch, cfg)
 
         # Warps wait on loads and on atomic read-modify-writes; plain
         # stores retire through the write buffer without stalling issue.

@@ -1,5 +1,8 @@
 """Tests for the kernel instrumentation layer (launch records, traces)."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -166,6 +169,72 @@ class TestLaunchRecords:
         assert rec.launches[1].short_form == "sp"
         assert rec.launches[0].kernel == "spmm"
         assert rec.launches[1].kernel == "SpGEMM"
+
+
+class TestDerivedMemo:
+    """``KernelLaunch.derived`` values are no part of the record."""
+
+    @staticmethod
+    def launch_pair():
+        """The same scatter recorded twice; the first has a filled memo."""
+        launches = []
+        for _ in range(2):
+            with record_launches() as rec:
+                scatter(np.ones((4, 2), dtype=np.float32),
+                        np.array([0, 1, 0, 1]), 2)
+            launch, = rec.launches
+            launch.duration_s = 0.0
+            launches.append(launch)
+        launches[0].derived("lines", lambda: (np.arange(3), np.zeros(2)))
+        # One pair of trace arrays: dataclass ``==`` compares by identity
+        # first, and numpy arrays have no scalar ``==`` of their own.
+        launches[1].loads, launches[1].stores = (launches[0].loads,
+                                                 launches[0].stores)
+        return launches
+
+    def test_built_once_per_key(self):
+        filled, _ = self.launch_pair()
+        first = filled.derived("lines", lambda: pytest.fail("rebuilt"))
+        assert first is filled.derived("lines", lambda: pytest.fail("rebuilt"))
+        assert filled.derived("other", lambda: 7) == 7
+
+    def test_not_an_init_field(self):
+        filled, _ = self.launch_pair()
+        with pytest.raises(TypeError):
+            type(filled)(**{**vars(filled), "_derived": {}})
+
+    def test_not_in_fingerprint_eq_or_repr(self):
+        filled, empty = self.launch_pair()
+        assert filled.fingerprint() == empty.fingerprint()
+        assert filled == empty
+        assert repr(filled) == repr(empty)
+        assert "_derived" not in repr(filled)
+
+    def test_not_in_the_pickle(self):
+        filled, empty = self.launch_pair()
+        assert pickle.dumps(filled) == pickle.dumps(empty)
+        clone = pickle.loads(pickle.dumps(filled))
+        assert clone.fingerprint() == filled.fingerprint()
+        assert clone.derived("lines", lambda: "rebuilt") == "rebuilt"
+
+    def test_not_carried_by_replace(self):
+        filled, _ = self.launch_pair()
+        copy = dataclasses.replace(filled, tag="copy")
+        assert copy.derived("lines", lambda: "rebuilt") == "rebuilt"
+        assert filled.derived("lines", lambda: "rebuilt") != "rebuilt"
+
+    def test_arrays_are_read_only_views(self):
+        own = np.arange(4)
+        with record_launches() as rec:
+            sgemm(np.ones((4, 4), dtype=np.float32),
+                  np.ones((4, 4), dtype=np.float32))
+        handed, (nested,) = rec.launches[0].derived(
+            "arrays", lambda: (own, (own[:2],)))
+        for array in (handed, nested):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        own[0] = 9                      # the builder's array stays its own
+        assert handed[0] == 9
 
 
 class TestTraceHelpers:

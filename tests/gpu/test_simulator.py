@@ -1,20 +1,27 @@
 """Tests for the end-to-end GPU simulator and profiler over real launches.
 
 ``golden_sim.json`` (this directory) holds per-launch simulator digests
-frozen at the commit before the warp scheduler became event-driven.
-Run as a script, this module prints that file's content for whatever
-``repro`` is importable; to re-freeze after an *intended* model change::
+frozen at the commit before the warp scheduler became event-driven;
+``golden_profile.json`` holds the profiler's, frozen at the commit
+before the cache hierarchy became a batch solver.  Run as a script,
+this module prints either file's content for whatever ``repro`` is
+importable; to re-freeze after an *intended* model change::
 
     PYTHONPATH=src python tests/gpu/test_simulator.py > tests/gpu/golden_sim.json
+    PYTHONPATH=src python tests/gpu/test_simulator.py profile > tests/gpu/golden_profile.json
 """
 
+import dataclasses
+import functools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bench.common import pipeline_for
+from repro.cache import TraceCache
 from repro.bench.profiles import PROFILES, BenchProfile
 from repro.core.kernels import (
     index_select,
@@ -32,6 +39,7 @@ from repro.gpu import (
     nvprof_config,
     v100_config,
 )
+from repro.gpu.config import mi100_config
 from repro.gpu.metrics import (
     OCCUPANCY_STATES,
     STALL_REASONS,
@@ -40,6 +48,7 @@ from repro.gpu.metrics import (
 )
 
 GOLDEN_PATH = Path(__file__).with_name("golden_sim.json")
+GOLDEN_PROFILE_PATH = Path(__file__).with_name("golden_profile.json")
 
 #: The budgets benchmarks/e2e's ``characterize`` workload runs under.
 E2E = BenchProfile(
@@ -54,11 +63,27 @@ GOLDEN_SETS = {
 }
 
 
-def simulate_set(cell, profile):
-    """Record one benchmark cell and simulate it, bypassing every cache."""
-    launches = pipeline_for(*cell, profile).record().launches
-    simulator = GpuSimulator(v100_config(max_cycles=profile.max_cycles))
-    return simulator.simulate_all(launches)
+@functools.lru_cache(maxsize=None)
+def recorded_set(name):
+    """One golden set's launches, recorded once, bypassing every cache.
+
+    Simulator and profiler tests share the launch objects, as
+    ``repro.bench.common`` hands both the same ones.
+    """
+    cell, profile = GOLDEN_SETS[name]
+    return pipeline_for(*cell, profile).record().launches
+
+
+def simulate_set(name, launches=None):
+    """Simulate one golden set under its profile's cycle budget."""
+    max_cycles = GOLDEN_SETS[name][1].max_cycles
+    simulator = GpuSimulator(v100_config(max_cycles=max_cycles))
+    return simulator.simulate_all(launches or recorded_set(name))
+
+
+def profile_set(name, launches=None):
+    """Profile one golden set with the default hardware-side model."""
+    return NvprofProfiler().profile_all(launches or recorded_set(name))
 
 
 def launch_digest(result):
@@ -73,6 +98,20 @@ def launch_digest(result):
         "occupancy_distribution": result.occupancy_distribution,
         "l1_hit_rate": result.l1_hit_rate,
         "l2_hit_rate": result.l2_hit_rate,
+    }
+
+
+def profile_digest(result):
+    """The profiler's counterpart of :func:`launch_digest`."""
+    return {
+        "kernel": result.kernel,
+        "tag": result.tag,
+        "l1_hit_rate": result.l1_hit_rate,
+        "l2_hit_rate": result.l2_hit_rate,
+        "dram_bytes": result.dram_bytes,
+        "elapsed_estimate_cycles": result.elapsed_estimate_cycles,
+        "compute_utilization": result.compute_utilization,
+        "memory_utilization": result.memory_utilization,
     }
 
 
@@ -153,17 +192,62 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("name", sorted(GOLDEN_SETS))
     def test_launch_set_matches_golden(self, name):
         golden = json.loads(GOLDEN_PATH.read_text())[name]
-        results = simulate_set(*GOLDEN_SETS[name])
-        assert [launch_digest(r) for r in results] == golden
+        assert [launch_digest(r) for r in simulate_set(name)] == golden
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SETS))
+    def test_profile_set_matches_golden(self, name):
+        golden = json.loads(GOLDEN_PROFILE_PATH.read_text())[name]
+        assert [profile_digest(r) for r in profile_set(name)] == golden
+
+    def test_launches_from_the_trace_cache_match_golden(self, tmp_path):
+        """A stored launch carries no memo and needs none."""
+        name = "gcn/cora/MP@e2e"
+        simulate_set(name)           # every launch now holds its L1 mask
+        cache = TraceCache(tmp_path)
+        cache.put("record", "launches", recorded_set(name))
+        stored = cache.get("record", "launches")
+        assert [launch.fingerprint() for launch in stored] == [
+            launch.fingerprint() for launch in recorded_set(name)]
+        # Profiler first: whichever consumer comes first walks the L1s.
+        profiled = [profile_digest(r) for r in profile_set(name, stored)]
+        simulated = [launch_digest(r) for r in simulate_set(name, stored)]
+        assert profiled == json.loads(GOLDEN_PROFILE_PATH.read_text())[name]
+        assert simulated == json.loads(GOLDEN_PATH.read_text())[name]
 
     def test_cycle_cap_is_carried(self):
         """Launches cut off at ``max_cycles`` say so; the rest do not."""
-        results = simulate_set(*GOLDEN_SETS["sage/pubmed/MP@e2e"])
+        results = simulate_set("sage/pubmed/MP@e2e")
         capped = [r for r in results if not r.completed]
         assert capped and len(capped) < len(results)
         assert all(r.cycles == E2E.max_cycles for r in capped)
         assert all(r.cycles < E2E.max_cycles
                    for r in results if r.completed)
+
+
+class TestSharedL1Stage:
+    def test_one_l1_walk_per_launch_and_l1_model(self, launches, monkeypatch):
+        from repro.gpu import cache as cache_module
+
+        def copies():
+            return [dataclasses.replace(launch) for launch in launches]
+
+        simulator = GpuSimulator(v100_config(max_cycles=30_000))
+        # Two consumers that share nothing.
+        apart = (simulator.simulate_all(copies()),
+                 NvprofProfiler().profile_all(copies()))
+        walks = []
+        real = cache_module._l1_hits
+        monkeypatch.setattr(
+            cache_module, "_l1_hits",
+            lambda *args: walks.append(args[2:4]) or real(*args))
+        shared = copies()
+        assert (simulator.simulate_all(shared),
+                NvprofProfiler().profile_all(shared)) == apart
+        assert len(walks) == len(shared)
+        # Another SM sampling or L1 geometry is another stage.
+        GpuSimulator(v100_config(simulated_sms=2)).simulate(shared[0])
+        NvprofProfiler(mi100_config()).profile(shared[0])
+        assert len(walks) == len(shared) + 2 and len(set(walks)) == 3
 
 
 class TestNvprofProfiler:
@@ -263,7 +347,9 @@ class TestConfigs:
 
 
 if __name__ == "__main__":
+    run, digest = ((profile_set, profile_digest)
+                   if sys.argv[1:] == ["profile"]
+                   else (simulate_set, launch_digest))
     print(json.dumps(
-        {name: [launch_digest(r) for r in simulate_set(*spec)]
-         for name, spec in GOLDEN_SETS.items()},
+        {name: [digest(r) for r in run(name)] for name in GOLDEN_SETS},
         indent=1, sort_keys=True))
