@@ -20,11 +20,10 @@ that hashes *all* of those inputs, so
   crash it or poison a result.
 
 Layout: ``<root>/<kind>/<sha256>.pkl`` where ``kind`` is one of the
-:data:`KINDS` ("record", "sim", "profile", "timing", "plan",
-"shard").  The default root
-is ``results/.cache`` next to the benchmark tables; override with the
-``GSUITE_CACHE_DIR`` environment variable, disable entirely with
-``GSUITE_CACHE=0``.
+:data:`KINDS` ("record", "sim", "profile", "timing", "plan").  The
+default root is ``results/.cache`` next to the benchmark tables;
+override with the ``GSUITE_CACHE_DIR`` environment variable, disable
+entirely with ``GSUITE_CACHE=0``.
 """
 
 from __future__ import annotations
@@ -62,18 +61,15 @@ __all__ = [
 #: geometry (every member's signature, in order — see
 #: :func:`repro.plan.lowering.graph_signature`) and their entries
 #: carry ``meta["batched"]``, so a packed sweep and its per-graph
-#: members never collide; "shard" holds per-shard execution results
-#: (output rows + shard-local launch records) of sharded plan
-#: execution, keyed by the shard sub-plan and its operand content (see
-#: :mod:`repro.plan.sharding`).
-KINDS = ("record", "sim", "profile", "timing", "plan", "shard")
+#: members never collide.
+KINDS = ("record", "sim", "profile", "timing", "plan")
 
 #: Bump to invalidate every existing cache entry (format changes).
 _SCHEMA_VERSION = 2   # v2: checksummed entry framing
 
 #: Package subtrees whose source participates in the code-version hash.
 #: ``plan`` is hashed recursively, so the fusion pass
-#: (``plan/fusion.py``) invalidates cached plans/shard results/traces
+#: (``plan/fusion.py``) invalidates cached plans/traces
 #: whenever its rewrite rules change — fused and unfused plans already
 #: carry distinct fingerprints (their op streams differ), this guards
 #: the pass *implementation* itself.
@@ -344,11 +340,12 @@ class TraceCache:
         """Delete every entry; returns the number removed.
 
         Also sweeps orphaned ``*.tmp.*`` files left behind if a writer
-        was killed mid-store, and everything in the quarantine.
+        was killed mid-store, everything in the quarantine, and the
+        ``shard/`` entries older builds left behind.
         """
         removed = 0
-        directories = [self.root / kind for kind in KINDS]
-        directories.append(self.root / "quarantine")
+        directories = [self.root / kind
+                       for kind in KINDS + ("quarantine", "shard")]
         for directory in directories:
             if not directory.is_dir():
                 continue
@@ -426,7 +423,7 @@ def env_enabled() -> bool:
     """Whether the ``GSUITE_CACHE`` environment variable allows caching.
 
     The env var is a kill switch: callers that toggle caching
-    programmatically (e.g. the engine's ``use_cache`` flag) must AND
+    programmatically (e.g. the bench engine's cache switch) must AND
     their flag with this so ``GSUITE_CACHE=0`` always wins.
     """
     return os.environ.get("GSUITE_CACHE", "1").strip().lower() not in (

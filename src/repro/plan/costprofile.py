@@ -3,11 +3,11 @@
 The planner's decision procedures (:mod:`repro.plan.planner`) compare
 modelled costs built from a handful of constants — per-kernel
 instructions per unit of logical work, the SpMM row-traversal overhead,
-the scatter contention weight, the fusion partition bookkeeping, and
-the cache/footprint budgets that gate sharding and batching.  Those
-numbers used to live as module globals tuned once against the paper's
-Fig. 5 mixes and one host; :class:`CostProfile` packages them into an
-explicit, versioned value that is
+the scatter contention weight, and the cache/footprint budgets that
+gate sharding and batching.  Those numbers used to live as module
+globals tuned once against the paper's Fig. 5 mixes and one host;
+:class:`CostProfile` packages them into an explicit, versioned value
+that is
 
 * **constructed** from the paper's static mixes
   (:meth:`CostProfile.paper` — bit-for-bit the historical globals, so
@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Union
 
 from repro.core.kernels.costmodel import COSTS
-from repro.core.kernels.scatter import STREAM_BLOCK_BYTES
 from repro.errors import CalibrationError
 
 __all__ = [
@@ -49,12 +48,13 @@ __all__ = [
 #: Version 2 added the skew-aware partitioner constants
 #: (``shard_skew_threshold``, ``shard_balance_unit``); version 3 dropped
 #: the fit-provenance fields (``source``/``host``/``gpu``/``created``/
-#: ``fit``) with the simulator fit that filled them.
-PROFILE_SCHEMA_VERSION = 3
+#: ``fit``) with the simulator fit that filled them; version 4 dropped
+#: the three fusion constants with the fusion cost gate that read them.
+PROFILE_SCHEMA_VERSION = 4
 
 #: Constants that must be integers (byte budgets and the batch ceiling).
-_INTEGRAL = ("fuse_stream_block_bytes", "shard_working_set_bytes",
-             "batch_footprint_bytes", "max_auto_batch")
+_INTEGRAL = ("shard_working_set_bytes", "batch_footprint_bytes",
+             "max_auto_batch")
 
 
 def _instructions_per_unit(kernel: str) -> float:
@@ -80,10 +80,6 @@ class CostProfile:
     # -- cost-shape constants ---------------------------------------------
     row_overhead_nnz: float          # SpMM row startup, in nnz per row
     contention_weight: float         # scatter atomic-collision strength
-    # -- fusion -----------------------------------------------------------
-    fuse_partition_unit: float       # per edge per block-count doubling
-    launch_overhead: float           # cost of one kernel launch
-    fuse_stream_block_bytes: int     # fused kernel's streaming block
     # -- sharding ---------------------------------------------------------
     shard_working_set_bytes: int     # per-shard LLC residency target
     shard_setup_instructions: float  # per-shard slice/dispatch/merge
@@ -127,10 +123,9 @@ class CostProfile:
     def paper(cls) -> "CostProfile":
         """The static Fig. 5 constants — the historical module globals.
 
-        Kernel units derive from :data:`repro.core.kernels.costmodel.COSTS`
-        and the streaming block from the fused kernel's own constant, so
-        retuning either retunes this profile with it; everything else is
-        the hand-set value each planner gate shipped with.  Decisions
+        Kernel units derive from :data:`repro.core.kernels.costmodel.COSTS`,
+        so retuning those retunes this profile with them; everything else
+        is the hand-set value each planner gate shipped with.  Decisions
         under this profile are bit-for-bit the pre-profile decisions
         (pinned in ``tests/plan/test_costprofile.py``).
         """
@@ -141,9 +136,6 @@ class CostProfile:
             spgemm_unit=_instructions_per_unit("SpGEMM"),
             row_overhead_nnz=8.0,
             contention_weight=0.05,
-            fuse_partition_unit=48.0,
-            launch_overhead=2.0e5,
-            fuse_stream_block_bytes=STREAM_BLOCK_BYTES,
             shard_working_set_bytes=32 * 1024 * 1024,
             shard_setup_instructions=5.0e6,
             shard_skew_threshold=8.0,

@@ -251,9 +251,9 @@ class PlanExecutor:
         #: :data:`RESIDENT_ENDPOINT_KINDS` outputs — set per :meth:`run`.
         self._resident: Dict[int, Tuple[str, int]] = {}
         #: Shard-local + merge launches of the last sharded run.
-        #: Populated while an ambient recorder is active (or while the
-        #: shard cache stores entries); un-instrumented runs skip the
-        #: capture work entirely, like the kernels themselves do.
+        #: Populated while an ambient recorder is active;
+        #: un-instrumented runs skip the capture work entirely, like the
+        #: kernels themselves do.
         self.shard_trace: list = []
         #: Per-group :class:`~repro.plan.sharding.ShardDispatch` records.
         self.shard_report: list = []

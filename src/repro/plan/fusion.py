@@ -48,9 +48,9 @@ replace* (:attr:`~repro.core.kernels.launch.KernelLaunch.replaces`);
 ``(kernel, tag)`` sequence the unfused plan emits, which is how parity
 tests pin trace equivalence across the fused/unfused boundary.
 
-Whether fusion *runs* is the planner's call
-(:func:`repro.plan.planner.choose_fusion` prices pattern (a) from the
-workload statistics); this module only implements the transform.
+Every lowered plan takes patterns (a)-(d) unless ``fuse="off"``;
+:func:`repro.plan.planner.choose_fusion` adds (e) when the formats are
+stable ``SpMM``.  This module only implements the transform.
 """
 
 from __future__ import annotations
@@ -90,14 +90,13 @@ PATTERNS = ("gather_scatter", "sgemm_epilogue", "spmm_epilogue",
 class FusionPolicy:
     """Which fusion patterns :func:`fuse_plan` may apply.
 
-    ``cross_layer`` is the one pattern a bare ``FusionPolicy()`` (and
-    therefore ``fuse="force"``) leaves off: it merges work across a
-    layer boundary, so it is the planner's call —
-    :func:`repro.plan.planner.choose_fusion` turns it on for every plan
-    with two or more layers whose formats are all ``SpMM``, which is
-    what ``fuse="auto"`` runs.  :func:`fuse_plan` additionally refuses
-    it on batched plans, whose dense transforms must stay
-    segment-local.
+    ``cross_layer`` is the one pattern a bare ``FusionPolicy()``
+    leaves off: it merges work across a layer boundary, which is legal
+    only on stable formats — :func:`repro.plan.planner.choose_fusion`
+    turns it on for every plan with two or more layers whose formats
+    are all ``SpMM``, which is what ``fuse="auto"`` runs.
+    :func:`fuse_plan` additionally refuses it on batched plans, whose
+    dense transforms must stay segment-local.
 
     ``source`` records where the decision came from (``"planner"`` /
     ``"forced"``) — reporting only, like

@@ -5,8 +5,9 @@ One ``choose_*`` entry point per knob, all consuming the same
 of planner constants:
 
 * :func:`choose_formats` — MP vs fused-SpMM execution per layer;
-* :func:`choose_fusion`  — which fusion patterns pay
-  (:mod:`repro.plan.fusion` implements the transform);
+* :func:`choose_fusion`  — which fusion patterns are legal for the
+  plan's formats (:mod:`repro.plan.fusion` implements the transform;
+  the one gate that consults no cost model);
 * :func:`choose_shards`  — destination-range shard count
   (:mod:`repro.plan.sharding`);
 * :func:`choose_batching` — how many sweep members pack into one
@@ -68,7 +69,7 @@ __all__ = ["BatchDecision", "GraphStats", "PlannerDecisions",
            "batch_member_bytes", "batch_member_footprint",
            "choose_batching", "choose_formats", "choose_fusion",
            "choose_partitioner", "choose_shards", "explain_choice",
-           "fusion_gain", "mp_layer_cost", "partition_balance_cost",
+           "mp_layer_cost", "partition_balance_cost",
            "shard_setup_cost", "spmm_layer_cost", "spmm_setup_cost"]
 
 #: ``fn(fmt, fan_in, fan_out) -> width`` — the feature width a layer's
@@ -314,88 +315,23 @@ def choose_formats(dims: Sequence[Tuple[int, int]], stats: GraphStats,
 # Fusion decisions
 # ---------------------------------------------------------------------------
 
-def fusion_gain(stats: GraphStats, feature_width: int,
-                profile: Optional[CostProfile] = None) -> float:
-    """Modelled saving of fusing one Gather+ScatterReduce.
-
-    The fused kernel keeps the per-edge message block on-chip, saving
-    the intermediate's store (gather side) and reload (scatter side) —
-    one ldst each per element — plus one launch overhead, and paying
-    the destination-partition bookkeeping
-    (``profile.fuse_partition_unit`` per edge per doubling of the
-    block count) when the matrix is big enough to need blocking.  When
-    the whole message matrix fits the stream block there is no traffic
-    to save (it was cache-resident anyway); the leftover
-    launch-overhead saving sits below the decision threshold, so the
-    gain is modelled as zero — matching :func:`choose_fusion`, which
-    leaves such layers unfused.
-    """
-    profile = _resolve(profile)
-    width = max(1, feature_width)
-    elements = float(stats.num_edges) * width
-    intermediate_bytes = _FLOAT_BYTES * elements
-    if intermediate_bytes <= profile.fuse_stream_block_bytes:
-        return 0.0
-    saved_traffic = 2.0 * elements * _lane_penalty(width)
-    partition = (profile.fuse_partition_unit * float(stats.num_edges)
-                 * math.log2(max(2.0, intermediate_bytes
-                                 / profile.fuse_stream_block_bytes)))
-    return saved_traffic + profile.launch_overhead - partition
-
-
-def choose_fusion(dims: Sequence[Tuple[int, int]], stats: GraphStats,
-                  formats: Sequence[str] = (),
-                  width_hook: Optional[WidthHook] = None,
-                  profile: Optional[CostProfile] = None):
+def choose_fusion(formats: Sequence[str]):
     """The :class:`~repro.plan.fusion.FusionPolicy` for one plan.
 
-    * **gather+scatter** fusion streams the per-edge message matrix
-      through cache-sized destination blocks; it is enabled when the
-      modelled :func:`fusion_gain` of the *widest MP layer* clearly
-      beats zero — with the same 2x hysteresis ``choose_shards``
-      applies to its working-set target, so workloads whose messages
-      already fit on-chip stay unfused (their only gain would be one
-      launch overhead, below the decision threshold —
-      :func:`fusion_gain` models it as zero).  Plans with no MP layer
-      have no gather/scatter pairs; the flag is moot but left on (the
-      pass finds no sites).
-    * **sgemm epilogue** and **elementwise chain** fusion carry no
-      modelled overhead — the epilogue runs in registers before the
-      store, the chain is pure dispatch elimination — so they are
-      always profitable and always on.
-
-    ``formats``/``width_hook``/``profile`` follow :func:`choose_formats`.
+    Every intra-layer pattern is on: gather+scatter, the sgemm/spmm
+    epilogues and elementwise chains are bit-for-bit rewrites that were
+    measured faster than the unfused ops at every size the suite can
+    generate, so nothing here is priced.  **Cross-layer** fusion
+    (merging a layer's epilogue-carrying transform with the next
+    layer's aggregation into one launch) is legal only when the
+    aggregation format is stable ``SpMM`` across every adjacent layer
+    pair — the plan then reuses one adjacency structure end to end and
+    the transform->aggregate boundary is a pure SSA edge.  ``formats``
+    is the plan's per-layer execution format.
     """
     from repro.plan.fusion import FusionPolicy
-    width = width_hook or _default_width
-    profile = _resolve(profile)
-    formats = list(formats) or ["MP"] * len(dims)
-    best_gain = 0.0
-    for (fan_in, fan_out), fmt in zip(dims, formats):
-        if fmt == "SpMM":
-            continue
-        layer_width = max(1, width(fmt, fan_in, fan_out))
-        intermediate = _FLOAT_BYTES * float(stats.num_edges) * layer_width
-        # 2x hysteresis on the stream-block budget, mirroring
-        # choose_shards: borderline matrices gain less from blocking
-        # than the partition bookkeeping costs.
-        if intermediate <= 2 * profile.fuse_stream_block_bytes:
-            continue
-        best_gain = max(best_gain, fusion_gain(stats, layer_width,
-                                               profile=profile))
-    # Cross-layer fusion (merging a layer's epilogue-carrying transform
-    # with the next layer's aggregation into one launch) is legal only
-    # when the aggregation format is stable across every adjacent layer
-    # pair — the plan then reuses one adjacency structure end to end and
-    # the transform->aggregate boundary is a pure SSA edge.  It saves a
-    # launch per boundary at no modelled cost, so legality is the gate.
     stable_spmm = len(formats) >= 2 and all(f == "SpMM" for f in formats)
-    return FusionPolicy(gather_scatter=best_gain > 0.0,
-                        sgemm_epilogue=True,
-                        spmm_epilogue=True,
-                        elementwise_chain=True,
-                        cross_layer=stable_spmm,
-                        source="planner")
+    return FusionPolicy(cross_layer=stable_spmm, source="planner")
 
 
 def shard_setup_cost(stats: GraphStats,
@@ -437,7 +373,7 @@ def choose_shards(dims: Sequence[Tuple[int, int]], stats: GraphStats,
     ``formats`` is the plan's per-layer execution format (defaults to
     MP everywhere); widths follow the same calibrated ``width_hook`` as
     :func:`choose_formats`.  ``fused`` declares that the plan's
-    gather/scatter pairs were fused (:func:`choose_fusion` said yes):
+    gather/scatter pairs were fused (the default; ``fuse="off"`` opts out):
     the fused kernel already streams the message matrix through
     cache-sized destination blocks, so — exactly like SpMM layers — MP
     layers then exert no working-set pressure and a single process

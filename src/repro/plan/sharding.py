@@ -29,17 +29,12 @@ outputs *and* recorded traces:
   runs therefore produce identical launch fingerprints, and the
   simulation/profile caches are shared between the two modes.
 
-Per-shard results can flow through the persistent cache (kind
-``"shard"``), keyed by the shard sub-plan's fingerprint plus the
-content of its bound operands, so warm sharded sweeps skip the
-aggregation compute entirely.
-
 Fused plans (:mod:`repro.plan.fusion`) shard too: a
 :class:`~repro.plan.ir.FusedGatherScatter` op shards exactly like the
 pair it replaced, and for ``jobs == 1`` the dispatcher takes a *fused
-slice-dispatch-merge* fast path — no per-shard sub-plans, binding
-copies or cache keys; one stable destination partition, the streaming
-kernel per range, the scatter-kernel merge.
+slice-dispatch-merge* fast path — no per-shard sub-plans or binding
+copies; one stable destination partition, the streaming kernel per
+range, the scatter-kernel merge.
 
 Batched multi-graph plans (:class:`~repro.plan.ir.BatchSegmentMap`)
 shard transparently: the packed graph is one block-diagonal workload,
@@ -64,14 +59,12 @@ the policy's :attr:`ShardingPolicy.partitioner`
   but carry ~``E/K`` edges each with ragged row counts.
 
 Both share the canonical-trace machinery, so recorded logical
-traces stay partitioner-independent; shard-*local* tags and cache keys
-carry the partitioner so shard traces and cached shard results never
-alias across partitioners.
+traces stay partitioner-independent; shard-*local* tags carry the
+partitioner so shard traces never alias across partitioners.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -80,7 +73,6 @@ import numpy as np
 
 from importlib import import_module
 
-from repro.cache import compute_key, env_enabled, get_cache
 from repro.core.kernels import record_launches, scatter
 from repro.errors import PlanError
 from repro.graph.formats import CSRMatrix
@@ -134,10 +126,6 @@ class ShardingPolicy:
         memory and keeps per-shard working sets cache-sized — while
         ``> 1`` fans shards across a
         :class:`~repro.bench.pool.WorkerPool`.
-    use_cache:
-        Persist per-shard results through the trace cache (kind
-        ``"shard"``).  ANDed with the ``GSUITE_CACHE`` kill switch and
-        the process-wide cache's enabled flag.
     source:
         Where the shard count came from (``"forced"`` / ``"planner"``)
         — reporting only.
@@ -159,7 +147,6 @@ class ShardingPolicy:
 
     num_shards: int
     jobs: int = 1
-    use_cache: bool = True
     source: str = "forced"
     partitioner: str = "rows"
     task_timeout: Optional[float] = None
@@ -243,7 +230,6 @@ class ShardDispatch:
     num_shards: int
     edges_per_shard: Tuple[int, ...]
     seconds: float
-    cache_hits: int = 0
     partitioner: str = "rows"
 
 
@@ -498,57 +484,25 @@ class _OperandShape:
         self.size = size
 
 
-def _binding_digest(value) -> str:
-    """Content hash of one shard-task operand (array or CSR matrix)."""
-    digest = hashlib.sha256()
-    if isinstance(value, CSRMatrix):
-        digest.update(f"csr|{value.shape}".encode())
-        for arr in (value.indptr, value.indices, value.data):
-            digest.update(np.ascontiguousarray(arr).tobytes())
-    else:
-        arr = np.asarray(value)
-        digest.update(f"array|{arr.dtype}|{arr.shape}".encode())
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
-
-
 def _execute_shard_task(task):
     """Run one shard sub-plan; module-level so it pickles for the pool.
 
     Records the shard's launches into a private recorder (returned for
-    the dispatcher's shard trace).  ``key`` is the precomputed cache
-    key (kind ``"shard"``) or ``None`` when shard caching is off —
-    operand digesting happens dispatcher-side, where shared operands
-    hash once per group instead of once per shard.
+    the dispatcher's shard trace) when ``capture`` says an ambient
+    recorder will consume them — launch synthesis is O(E) numpy work
+    per kernel.
     """
     from repro.plan.executor import PlanExecutor
-    subplan, bindings, num_rows, key, capture = task
-    cache = get_cache()
-    if key is not None:
-        hit = cache.get("shard", key)
-        if hit is not None:
-            out, launches = hit
-            return out, launches, 0.0, True
+    subplan, bindings, num_rows, capture = task
     start = time.perf_counter()
-    if capture or key is not None:
-        # Launch synthesis is O(E) numpy work per kernel — pay it only
-        # when something consumes it: an ambient recorder (shard trace
-        # + canonical durations) or a cache store (so a later recorded
-        # run hitting this entry still gets the shard launches).
+    if capture:
         with record_launches() as recorder:
             out = PlanExecutor().run(subplan, _ShardView(num_rows), bindings)
         launches = recorder.launches
     else:
         out = PlanExecutor().run(subplan, _ShardView(num_rows), bindings)
         launches = []
-    seconds = time.perf_counter() - start
-    if key is not None:
-        cache.put("shard", key, (out, launches), meta={
-            "kind": subplan.meta.get("kind", ""),
-            "shard": subplan.meta.get("shard", 0),
-            "num_shards": subplan.meta.get("num_shards", 0),
-        })
-    return out, launches, seconds, False
+    return out, launches, time.perf_counter() - start
 
 
 class ShardDispatcher:
@@ -587,7 +541,6 @@ class ShardDispatcher:
             tag=group.tag, kind=group.kind, num_shards=len(shards),
             edges_per_shard=tuple(edges),
             seconds=time.perf_counter() - start,
-            cache_hits=sum(1 for o in outcomes if o[3]),
             partitioner=self.policy.partitioner))
         return merged
 
@@ -646,12 +599,9 @@ class ShardDispatcher:
 
         A :class:`~repro.plan.ir.FusedGatherScatter` group needs none
         of the pooled machinery — no per-shard sub-plans, binding
-        dicts, cache keys or worker round-trips: each shard runs the
-        fused kernel directly on index *views* of the one stable
-        destination partition.  Per-shard result caching is skipped:
-        the fused kernel already streams cache-resident blocks, so
-        digesting the shared source matrix would cost more than the
-        aggregation it saves.
+        dicts or worker round-trips: each shard runs the fused kernel
+        directly on index *views* of the one stable destination
+        partition.
         """
         from repro.core.kernels.sparse import fused_gather_scatter
         source, src, dst, scale = operands
@@ -676,19 +626,13 @@ class ShardDispatcher:
                 rows = _run_shard()
                 launches = []
             outcomes.append((rows, launches,
-                             time.perf_counter() - shard_start, False))
+                             time.perf_counter() - shard_start))
         return outcomes
 
     def _mp_tasks(self, group, operands, shards, selections, capture):
         """Slice one Gather+ScatterReduce (or fused) group into tasks."""
         source, src, dst, scale = operands
         compact = self.policy.jobs > 1
-        caching = self._caching()
-        # The un-compacted source is shared by every shard: digest it
-        # once per group, not once per shard (it is the whole [N, f]
-        # matrix — per-shard hashing would dwarf the cache's savings).
-        shared = {} if (compact or not caching) \
-            else {"source": _binding_digest(source)}
         tasks = []
         for k, ((lo, hi), selection) in enumerate(zip(shards, selections)):
             src_k = src[selection]
@@ -705,7 +649,7 @@ class ShardDispatcher:
             if scale is not None:
                 bindings["scale"] = scale[selection]
             tasks.append(self._task(group, bindings, lo, hi, k, len(shards),
-                                    caching, shared, capture))
+                                    capture))
         return tasks
 
     def _dispatch_spmm(self, group, env, shards, num_nodes, capture, pool):
@@ -716,11 +660,6 @@ class ShardDispatcher:
         bias = None if op.bias is None else np.asarray(env[op.bias.vid])
 
         compact = self.policy.jobs > 1
-        caching = self._caching()
-        # The shared dense operand hashes once per group (see
-        # _prepare_mp's shared-source note).
-        shared = {} if (compact or not caching) \
-            else {"dense": _binding_digest(dense)}
         tasks = []
         edges = []
         for k, (lo, hi) in enumerate(shards):
@@ -741,7 +680,7 @@ class ShardDispatcher:
                 # binds the same (small) vector.
                 bindings["bias"] = bias
             tasks.append(self._task(group, bindings, lo, hi, k, len(shards),
-                                    caching, shared, capture))
+                                    capture))
 
         outcomes = pool.map(_execute_shard_task, tasks)
 
@@ -754,32 +693,12 @@ class ShardDispatcher:
 
         return outcomes, edges, emit_canonical
 
-    def _caching(self) -> bool:
-        """Whether per-shard results round-trip through the cache."""
-        return (self.policy.use_cache and get_cache().enabled
-                and env_enabled())
-
     def _task(self, group, bindings, lo, hi, shard_index, num_shards,
-              caching, shared_digests, capture):
-        """One pickled shard task: sub-plan, operands, cache key.
-
-        ``shared_digests`` carries content digests precomputed by the
-        caller for bindings shared across every shard; the remaining
-        (shard-sized) bindings digest here.
-        """
+              capture):
+        """One pickled shard task: sub-plan, operands, row count."""
         subplan = build_shard_subplan(group, lo, hi, shard_index, num_shards,
                                       partitioner=self.policy.partitioner)
-        key = None
-        if caching:
-            key = compute_key("shard", {
-                "subplan": subplan.fingerprint(),
-                "rows": int(hi - lo),
-                "partitioner": self.policy.partitioner,
-                "bindings": {
-                    name: shared_digests.get(name) or _binding_digest(value)
-                    for name, value in sorted(bindings.items())},
-            })
-        return subplan, bindings, hi - lo, key, capture
+        return subplan, bindings, hi - lo, capture
 
     # -- helpers -----------------------------------------------------------
     def _merge_rows(self, shard_outputs: List[np.ndarray], num_nodes: int,

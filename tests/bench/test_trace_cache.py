@@ -15,7 +15,7 @@ from repro.bench.common import (
     sim_results,
 )
 from repro.bench.profiles import BenchProfile
-from repro.cache import TraceCache, compute_key, get_cache
+from repro.cache import KINDS, TraceCache, compute_key, get_cache
 
 TINY = BenchProfile(
     name="tiny",
@@ -101,6 +101,20 @@ class TestTraceCache:
         orphan.write_bytes(b"partial")
         assert cache.clear() == 2
         assert not orphan.exists()
+
+    def test_shard_kind_is_gone_but_leftovers_are_swept(self, tmp_path):
+        """The shard-result cache was deleted; entries an older build
+        left under ``shard/`` are invisible and go with ``clear``."""
+        cache = TraceCache(tmp_path / "c")
+        assert "shard" not in KINDS and len(KINDS) == 5
+        with pytest.raises(ValueError):
+            compute_key("shard", {"n": 1})
+        leftover = tmp_path / "c" / "shard" / "0123abcd.pkl"
+        leftover.parent.mkdir(parents=True)
+        leftover.write_bytes(b"stale")
+        assert cache.describe()["entries"] == 0
+        assert cache.clear() == 1
+        assert not leftover.exists()
 
     def test_clear_and_describe(self, tmp_path):
         cache = TraceCache(tmp_path / "c")

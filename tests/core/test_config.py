@@ -116,15 +116,15 @@ class TestKnobs:
         assert KNOBS["batch"].parse(16) == 16
         assert KNOBS["batch"].parse(16.0) == 16  # integral float ok
 
-    def test_fuse_keeps_its_force_spelling(self):
-        assert KNOBS["fuse"].parse("force") == "force"
+    def test_fuse_is_auto_or_off_only(self):
+        assert KNOBS["fuse"].vocabulary() == "'auto' or 'off'"
         with pytest.raises(ConfigError):
             KNOBS["fuse"].parse(2)              # fuse takes no integer
 
     @pytest.mark.parametrize("name,bad", [
         ("shards", "some"), ("shards", 2.5),
         ("shards", True), ("batch", "many"), ("batch", False),
-        ("fuse", "maybe"),
+        ("fuse", "maybe"), ("fuse", "force"),
     ])
     def test_uniform_refusal(self, name, bad):
         knob = KNOBS[name]
@@ -144,9 +144,9 @@ class TestKnobs:
         assert parse_batch(3) == 3
 
     def test_config_fields_parse_through_knobs(self):
-        cfg = SuiteConfig(shards="auto", fuse="force", batch="off")
+        cfg = SuiteConfig(shards="auto", fuse="OFF", batch="off")
         assert cfg.shards == 0
-        assert cfg.fuse == "force"
+        assert cfg.fuse == "off"
         assert cfg.batch == 1
 
     def test_profile_costs_field(self):

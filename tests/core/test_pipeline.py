@@ -13,6 +13,13 @@ def pipeline():
     return GNNPipeline.from_params(model="gcn", dataset="cora", scale=0.15)
 
 
+@pytest.fixture(scope="module")
+def unfused(pipeline):
+    """The ``fuse="off"`` arm: the paper's Table II kernels."""
+    return GNNPipeline(pipeline.config.with_overrides(fuse="off"),
+                       graph=pipeline.graph)
+
+
 class TestConstruction:
     def test_from_params_uses_defaults(self, pipeline):
         assert pipeline.config.num_layers == 2
@@ -59,10 +66,13 @@ class TestExecution:
         pipe = GNNPipeline.from_params(dataset="cora", scale=0.1, repeats=2)
         assert len(pipe.measure()) == 2
 
-    def test_record_collects_kernel_launches(self, pipeline):
-        recorder = pipeline.record()
-        kernels = {l.kernel for l in recorder.launches}
-        assert kernels == {"sgemm", "indexSelect", "scatter"}
+    def test_record_collects_kernel_launches(self, pipeline, unfused):
+        # Default: one fused launch stands in for each gather+scatter.
+        assert [l.kernel for l in pipeline.record().launches] == \
+            ["sgemm", "fusedGatherScatter"] * 2
+        # fuse="off": exactly the paper's Table II kernel names.
+        assert [l.kernel for l in unfused.record().launches] == \
+            ["sgemm", "indexSelect", "scatter"] * 2
 
     def test_record_respects_sample_cap(self):
         pipe = GNNPipeline.from_params(dataset="cora", scale=0.1,
@@ -70,12 +80,16 @@ class TestExecution:
         recorder = pipe.record()
         assert recorder.sample_cap == 128
 
-    def test_simulate_and_profile(self, pipeline):
-        sims = pipeline.simulate(GpuSimulator(v100_config(max_cycles=5_000)))
-        profs = pipeline.profile()
-        assert len(sims) == len(profs) == 6  # 3 kernels x 2 layers
-        assert all(0 <= r.l1_hit_rate <= 1 for r in sims)
-        assert all(0 <= p.l1_hit_rate <= 1 for p in profs)
+    def test_simulate_and_profile(self, pipeline, unfused):
+        # Default: (sgemm + fusedGatherScatter) x 2 layers; fuse="off":
+        # the 3 Table II kernels x 2 layers.
+        for pipe, launches in ((pipeline, 4), (unfused, 6)):
+            sims = pipe.simulate(
+                GpuSimulator(v100_config(max_cycles=5_000)))
+            profs = pipe.profile()
+            assert len(sims) == len(profs) == launches
+            assert all(0 <= r.l1_hit_rate <= 1 for r in sims)
+            assert all(0 <= p.l1_hit_rate <= 1 for p in profs)
 
     def test_backend_dispatch(self):
         mp = GNNPipeline.from_params(dataset="cora", scale=0.1,

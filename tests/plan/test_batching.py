@@ -164,7 +164,7 @@ class TestBatchedParity:
                 built.configure_fusion(FusionPolicy(source="forced"))
             if k > 1:
                 built.configure_sharding(
-                    ShardingPolicy(num_shards=k, use_cache=False))
+                    ShardingPolicy(num_shards=k))
             return built
 
         packed = build(batched).run()

@@ -26,13 +26,11 @@ from repro.plan import (
     GraphStats,
     choose_batching,
     choose_formats,
-    choose_fusion,
     choose_shards,
     explain_choice,
     resolve_cost_profile,
 )
 from repro.plan.planner import (
-    fusion_gain,
     mp_layer_cost,
     spmm_layer_cost,
     spmm_setup_cost,
@@ -79,6 +77,27 @@ class TestProfilePersistence:
         path = tmp_path / "unknown.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(CalibrationError):
+            CostProfile.load(path)
+
+    @pytest.mark.parametrize("schema,extra", [
+        (3, None),
+        (4, "fuse_partition_unit"),
+        (4, "launch_overhead"),
+        (4, "fuse_stream_block_bytes"),
+    ])
+    def test_removed_fusion_constants_refused(self, tmp_path, schema,
+                                              extra):
+        """A schema-3 file is refused by the version check; a schema-4
+        file still carrying a fusion constant by the unknown-field one."""
+        payload = CostProfile.paper().to_dict()
+        assert payload["schema"] == 4 and len(payload["profile"]) == 13
+        payload["schema"] = schema
+        if extra is not None:
+            payload["profile"][extra] = 1
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CalibrationError,
+                           match=extra or "schema version 3"):
             CostProfile.load(path)
 
     def test_missing_field_refused(self, tmp_path):
@@ -165,8 +184,6 @@ class TestPaperParity:
         dims = _dims(spec)
         assert choose_formats(dims, stats) == \
             choose_formats(dims, stats, profile=self.PAPER)
-        assert choose_fusion(dims, stats) == \
-            choose_fusion(dims, stats, profile=self.PAPER)
         assert choose_shards(dims, stats) == \
             choose_shards(dims, stats, profile=self.PAPER)
         assert choose_batching(8, dims, stats) == \
@@ -182,8 +199,6 @@ class TestPaperParity:
                 mp_layer_cost(stats, width, profile=self.PAPER)
             assert spmm_layer_cost(stats, width) == \
                 spmm_layer_cost(stats, width, profile=self.PAPER)
-            assert fusion_gain(stats, width) == \
-                fusion_gain(stats, width, profile=self.PAPER)
         assert spmm_setup_cost(stats) == \
             spmm_setup_cost(stats, profile=self.PAPER)
 

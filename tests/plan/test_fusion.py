@@ -8,16 +8,15 @@ they replace, so expanding ``replaces`` reproduces the unfused
 ``(kernel, tag)`` sequence exactly.  These tests pin that contract for
 every model x backend x {fused, unfused} x shard count, the legality
 edge cases (a value with two consumers must block fusion), the
-streaming kernel's destination blocking, the planner's cost-model
-gate, and the cache-key bugfix (fused and unfused plans never share a
-fingerprint).
+streaming kernel's destination blocking, the pipeline's default
+(every legal site fuses, at every size), and the cache-key bugfix
+(fused and unfused plans never share a fingerprint).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache import get_cache
 from repro.core.kernels import fused_gather_scatter, index_select, \
     record_launches, scatter
 from repro.datasets import load_dataset
@@ -29,8 +28,8 @@ from repro.plan import (
     FusionPolicy,
     PlanBuilder,
     ShardingPolicy,
-    choose_fusion,
     fuse_plan,
+    fusion_summary,
     legacy_trace,
 )
 from repro.plan.planner import GraphStats
@@ -42,7 +41,7 @@ from strategies import (
     shard_counts,
 )
 
-#: Force every pattern so tiny test graphs exercise the fused kernels.
+#: Every intra-layer pattern, applied straight to a backend's plan.
 FORCE = FusionPolicy()
 
 
@@ -323,7 +322,7 @@ class TestFusedParity:
             .configure_fusion(FORCE)
         if k > 1:
             fused_pipeline.configure_sharding(
-                ShardingPolicy(num_shards=k, use_cache=False))
+                ShardingPolicy(num_shards=k))
         fused, fused_launches = _run_recorded(fused_pipeline)
         assert fused.dtype == reference.dtype
         assert np.array_equal(fused, reference)      # bit-for-bit
@@ -344,8 +343,7 @@ class TestFusedParity:
         ref, ref_launches = _run_recorded(unsharded)
         sharded = get_backend(backend).build(spec, graph) \
             .configure_fusion(FORCE) \
-            .configure_sharding(ShardingPolicy(num_shards=k,
-                                               use_cache=False))
+            .configure_sharding(ShardingPolicy(num_shards=k))
         out, launches = _run_recorded(sharded)
         assert np.array_equal(out, ref)
         assert [l.fingerprint() for l in launches] == \
@@ -366,9 +364,7 @@ class TestFusedParity:
 
     def test_inprocess_fused_path_skips_task_machinery(self, graph):
         """The jobs=1 fused slice-dispatch-merge path: shard-suffixed
-        fused launches on the shard trace, no shard cache entries."""
-        cache = get_cache()
-        before = cache.stats.to_dict()
+        fused launches on the shard trace."""
         built = get_backend("gsuite").build(_spec("gin", "MP"), graph) \
             .configure_fusion(FORCE) \
             .configure_sharding(ShardingPolicy(num_shards=4))
@@ -380,8 +376,6 @@ class TestFusedParity:
         kernels = {launch.kernel for launch in built._executor.shard_trace}
         assert "fusedGatherScatter" in kernels
         assert "indexSelect" not in kernels          # nothing materialised
-        after = cache.stats.to_dict()
-        assert after["stores"] == before["stores"]   # no shard caching
 
     def test_pyg_refuses_fusion(self, graph):
         built = get_backend("pyg").build(_spec("gcn", "MP"), graph)
@@ -481,63 +475,91 @@ class TestRandomizedFusion:
                 f"case {case}: {model}/{cm} K={num_shards}"
 
 
+def _degenerate_graphs():
+    """Degenerate geometries nothing else drives through the fused path."""
+    from repro.graph import Graph
+
+    def graph(name, edges, num_nodes, width=5):
+        rng = np.random.default_rng(num_nodes + len(edges))
+        features = rng.standard_normal((num_nodes, width)).astype(np.float32)
+        edge_index = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        return Graph(edge_index, num_nodes=num_nodes, features=features,
+                     name=name)
+
+    return [
+        graph("no-edges", [], 6),
+        graph("one-node", [], 1),
+        graph("one-node-loop", [(0, 0)], 1),
+        graph("self-loops-only", [(i, i) for i in range(5)], 5),
+        graph("duplicate-edges", [(0, 1), (0, 1), (2, 1), (0, 1), (3, 4)],
+              5),
+        graph("no-in-edge-destinations", [(0, 3), (1, 3), (2, 3), (4, 3)],
+              7),
+    ]
+
+
 class TestPlannerFusion:
-    """choose_fusion prices the streaming fusion from the statistics."""
+    """Nothing is priced: a default pipeline fuses every legal
+    gather+scatter site — no size, width or cost gate stands in front
+    of the pass — and stays bit-for-bit the ``fuse="off"`` pipeline."""
 
-    def _stats(self, dataset, scale=1.0):
-        from repro.datasets import get_spec
-        spec = get_spec(dataset)
-        stats = GraphStats.from_spec(spec)
-        if scale != 1.0:
-            stats = GraphStats(
-                num_nodes=int(stats.num_nodes * scale),
-                num_edges=int(stats.num_edges * scale),
-                feature_width=stats.feature_width,
-                avg_degree=stats.avg_degree, density=stats.density,
-                degree_skew=stats.degree_skew)
-        return stats
+    ZOO = ("gcn", "gin", "sage", "gat")
+    BACKENDS = ("gsuite", "gsuite-adaptive")
 
-    def test_big_mp_workload_fuses(self):
-        dims = [(602, 16), (16, 41)]
-        policy = choose_fusion(dims, self._stats("reddit"))
-        assert policy.gather_scatter
-        assert policy.source == "planner"
+    def _check(self, config, graph=None):
+        from repro.core import GNNPipeline
+        built = GNNPipeline(config, graph=graph).build()
+        unfused = GNNPipeline(config.with_overrides(fuse="off"),
+                              graph=graph).build()
+        assert unfused.fusion is None
+        legal = fusion_summary(fuse_plan(unfused.plan, FORCE)) \
+            .get("gather_scatter", 0)
+        assert fusion_summary(built.plan).get("gather_scatter", 0) == legal
+        assert np.array_equal(built.run(), unfused.run())   # bit-for-bit
+        return legal, built
 
-    def test_tiny_workload_keeps_gather_scatter(self):
-        dims = [(1433, 16), (16, 7)]
-        stats = self._stats("cora", scale=0.15)
-        policy = choose_fusion(dims, stats,
-                               formats=["MP", "MP"],
-                               width_hook=lambda fmt, fi, fo: fo)
-        assert not policy.gather_scatter          # messages fit cache
-        assert policy.sgemm_epilogue              # zero-overhead: always on
-        assert policy.elementwise_chain
+    @pytest.mark.parametrize("dataset,scale", [
+        ("cora", 0.1), ("pubmed", 0.25), ("reddit", 0.01)])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("model", ZOO)
+    def test_every_legal_site_fuses(self, model, backend, dataset, scale):
+        from repro.core import SuiteConfig
+        legal, built = self._check(SuiteConfig(
+            model=model, framework=backend, dataset=dataset, scale=scale))
+        if "MP" in built.plan.layer_formats:
+            assert legal > 0                  # the table is not vacuous
 
-    def test_spmm_layers_exert_no_pressure(self):
-        dims = [(602, 16), (16, 41)]
-        policy = choose_fusion(dims, self._stats("reddit"),
-                               formats=["SpMM", "SpMM"])
-        assert not policy.gather_scatter
+    @pytest.mark.parametrize("graph", _degenerate_graphs(),
+                             ids=lambda g: g.name)
+    @pytest.mark.parametrize("model", ZOO)
+    def test_degenerate_geometries_fuse_identically(self, model, graph):
+        from repro.core import SuiteConfig
+        legal, _ = self._check(
+            SuiteConfig(model=model, out_features=3), graph=graph)
+        assert legal > 0
+
+    def test_default_build_measures_no_graph_stats(self, graph,
+                                                   monkeypatch):
+        """``shards=1`` asks no planner gate that needs the O(E) pass."""
+        from repro.core import GNNPipeline, SuiteConfig
+
+        def refuse(graph):
+            raise AssertionError("a default build measured GraphStats")
+        monkeypatch.setattr(GraphStats, "from_graph", staticmethod(refuse))
+        config = SuiteConfig(dataset="cora", model="gcn")
+        assert config.shards == 1
+        built = GNNPipeline(config, graph=graph).build()
+        assert any(isinstance(op, FusedGatherScatter)
+                   for op in built.plan.ops)
 
     def test_fused_plans_relax_shard_pressure(self):
+        from repro.datasets import get_spec
         from repro.plan import choose_shards
         dims = [(602, 16), (16, 41)]
-        stats = self._stats("reddit")
+        stats = GraphStats.from_spec(get_spec("reddit"))
         unfused_k = choose_shards(dims, stats)
         assert unfused_k > 1
         assert choose_shards(dims, stats, fused=True) == 1
-
-    def test_pipeline_auto_skips_fusion_on_tiny_graphs(self, graph):
-        from repro.core import GNNPipeline, SuiteConfig
-        pipe = GNNPipeline(SuiteConfig(dataset="cora", model="gcn"),
-                           graph=graph)
-        built = pipe.build()
-        # gcn messages at cora scale sit far under the stream budget:
-        # the planner leaves gather/scatter unfused...
-        assert not any(isinstance(op, FusedGatherScatter)
-                       for op in built.plan.ops)
-        # ...while the zero-overhead patterns still apply.
-        assert built.fusion is not None and built.fusion.sgemm_epilogue
 
 
 class TestConfigAndCli:
@@ -550,7 +572,7 @@ class TestConfigAndCli:
     def test_plan_command_reports_fusion(self, graph, capsys):
         from repro.cli import main
         assert main(["plan", "--dataset", "cora", "--scale", "0.1",
-                     "--model", "gin", "--fuse", "force"]) == 0
+                     "--model", "gin"]) == 0
         out = capsys.readouterr().out
         assert "fusion: " in out
         assert "gather+scatter x2" in out
@@ -564,11 +586,24 @@ class TestConfigAndCli:
         assert "fusion: off" in out
         assert "fused_gather_scatter" not in out
 
-    def test_forced_fusion_on_pyg_is_an_error(self, capsys):
+    def test_force_spelling_is_refused(self, tmp_path, capsys):
+        """``force`` left the vocabulary with the gate it overrode: the
+        knob's uniform refusal at every entry point, exit status 2."""
         from repro.cli import main
-        assert main(["run", "--dataset", "cora", "--scale", "0.1",
-                     "--framework", "pyg", "--fuse", "force"]) == 2
-        assert "fusion" in capsys.readouterr().err
+        from repro.core import SuiteConfig
+        refusal = "fuse must be 'auto' or 'off', got 'force'"
+        with pytest.raises(ConfigError) as err:
+            SuiteConfig(fuse="force")
+        assert str(err.value) == refusal
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--dataset", "cora", "--scale", "0.1",
+                  "--fuse", "force"])
+        assert exit_.value.code == 2
+        assert refusal in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text('{"fuse": "force"}')
+        assert main(["run", "--config", str(config)]) == 2
+        assert refusal in capsys.readouterr().err
 
     def test_auto_fusion_declines_on_pyg(self, capsys):
         from repro.cli import main
@@ -583,38 +618,6 @@ class TestCacheKeys:
         built = get_backend("gsuite").build(_spec("gcn", "MP"), graph)
         fused = fuse_plan(built.plan, FORCE)
         assert fused.fingerprint() != built.plan.fingerprint()
-
-    def test_fused_shard_entries_are_distinct(self, graph):
-        """Pooled fused sub-plans cache under their own keys, without
-        clobbering the unfused entries (PR 3's kind 'shard').  Workers
-        write from their own processes, so entries are counted on disk.
-        """
-        cache = get_cache()
-        spec = _spec("gin", "MP")
-
-        def _entries():
-            shard_dir = cache.root / "shard"
-            return set(path.name for path in shard_dir.glob("*.pkl")) \
-                if shard_dir.is_dir() else set()
-
-        def _run(fused, jobs):
-            built = get_backend("gsuite").build(spec, graph)
-            if fused:
-                built.configure_fusion(FORCE)
-            built.configure_sharding(
-                ShardingPolicy(num_shards=2, jobs=jobs, use_cache=True))
-            return built.run()
-
-        first = _run(fused=False, jobs=1)
-        unfused_entries = _entries()
-        assert unfused_entries                       # mp sub-plans stored
-        # Pooled fused dispatch (jobs=1 streams in-process and skips
-        # the shard cache by design).
-        second = _run(fused=True, jobs=2)
-        fused_entries = _entries() - unfused_entries
-        assert fused_entries                         # new, distinct keys
-        assert unfused_entries <= _entries()         # nothing clobbered
-        assert np.array_equal(first, second)
 
     def test_cache_info_reports_plan_kind(self, graph, capsys):
         from repro.cli import main

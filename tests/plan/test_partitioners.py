@@ -8,9 +8,9 @@ partitioners:
 * **Parity** — random power-law graphs x model x partitioner x shard
   count: outputs and the ambient (canonical) trace fingerprints are
   bit-for-bit identical to unsharded execution, whatever the split.
-* **Boundaries** — shard-cache keys distinguish partitioners, the
-  removed ``degree`` spelling refuses at every entry point, and
-  ``gsuite plan`` reports the edge counts the dispatcher uses.
+* **Boundaries** — the removed ``degree`` spelling refuses at every
+  entry point, and ``gsuite plan`` reports the edge counts the
+  dispatcher uses.
 """
 
 import json
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from strategies import PARITY_SETTINGS, power_law_graphs, shard_counts
 
-from repro.cache import get_cache
 from repro.cli import main
 from repro.core.config import SuiteConfig
 from repro.core.kernels import record_launches
@@ -143,7 +142,7 @@ class TestPropertyParity:
             get_backend("gsuite").build(_spec(model, cm), graph))
         sharded = get_backend("gsuite").build(_spec(model, cm), graph) \
             .configure_sharding(ShardingPolicy(
-                num_shards=k, use_cache=False, partitioner=partitioner))
+                num_shards=k, partitioner=partitioner))
         out, trace = _run_recorded(sharded)
         assert out.dtype == reference.dtype
         assert np.array_equal(out, reference), (model, cm, partitioner, k)
@@ -159,23 +158,10 @@ class TestPartitionerBoundaries:
         with pytest.raises(PlanError, match="partitioner"):
             ShardingPolicy(num_shards=2, partitioner="hashed")
 
-    def test_cache_keys_distinguish_partitioners(self, graph):
-        cache = get_cache()
-        for partitioner in PARTITIONERS:
-            built = get_backend("gsuite").build(_spec("gcn", "MP"), graph) \
-                .configure_sharding(ShardingPolicy(
-                    num_shards=3, use_cache=True, partitioner=partitioner))
-            built.run()
-        # 2 MP layers x 3 shards x 2 partitioners with no key
-        # collisions: had the two partitioners shared a key, the later
-        # run would hit the earlier entry and store fewer than 12.
-        shard_entries = [e for e in cache.entries() if e.kind == "shard"]
-        assert len(shard_entries) == 12
-
     def test_shard_report_names_partitioner(self, graph):
         built = get_backend("gsuite").build(_spec("gcn", "MP"), graph) \
             .configure_sharding(ShardingPolicy(
-                num_shards=3, use_cache=False, partitioner="edges"))
+                num_shards=3, partitioner="edges"))
         built.run()
         for dispatch in built._executor.shard_report:
             assert dispatch.partitioner == "edges"

@@ -18,7 +18,7 @@ from repro.graph import Graph, add_self_loops, gcn_edge_weights
 # (model, compute model, fuse) -> the builders that run and how often.
 # ``reduction_structure`` counts every build, resident or on the spot.
 CELLS = {
-    ("sage", "MP", "force"): {
+    ("sage", "MP", "auto"): {
         "add_self_loops": 1, "reduction_structure": 1},
     ("gcn", "MP", "off"): {
         "add_self_loops": 1, "gcn_edge_weights": 1,
@@ -94,7 +94,7 @@ def test_second_run_builds_nothing(cell, builds):
     assert [l.fingerprint() for l in first_launches] \
         == [l.fingerprint() for l in second_launches]
     kernels = [l.kernel for l in second_launches]
-    if cell == ("sage", "MP", "force"):
+    if cell == ("sage", "MP", "auto"):
         assert "fusedGatherScatter" in kernels
     if cell == ("gcn", "MP", "off"):
         assert "scatter" in kernels and "fusedGatherScatter" not in kernels

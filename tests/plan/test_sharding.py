@@ -12,7 +12,6 @@ over randomized adversarial graphs.
 import numpy as np
 import pytest
 
-from repro.cache import get_cache
 from repro.core.kernels import record_launches
 from repro.datasets import load_dataset
 from repro.errors import BackendError, PlanError
@@ -267,62 +266,3 @@ class TestRandomizedParity:
                 f"case {case}: {model}/{cm} K={num_shards}"
             assert trace == ref_trace, \
                 f"case {case}: {model}/{cm} K={num_shards}"
-
-
-class TestShardCache:
-    """Per-shard results flow through the persistent cache (kind
-    "shard"): hits on an identical rerun, misses across shard counts."""
-
-    def _run(self, graph, k):
-        spec = _spec("gcn", "MP")
-        built = get_backend("gsuite").build(spec, graph).configure_sharding(
-            ShardingPolicy(num_shards=k, use_cache=True))
-        out = built.run()
-        return out, built._executor.shard_report
-
-    def test_rerun_hits_across_shard_counts(self, graph):
-        cache = get_cache()
-        out_first, _ = self._run(graph, 4)
-        stored = cache.stats.stores
-        assert stored > 0
-        before = cache.stats.to_dict()
-        out_second, report = self._run(graph, 4)
-        after = cache.stats.to_dict()
-        # Every shard task of the rerun hit (2 MP layers x 4 shards).
-        assert after["hits"] - before["hits"] >= 8
-        assert after["stores"] == before["stores"]
-        assert sum(d.cache_hits for d in report) == 8
-        assert np.array_equal(out_first, out_second)
-
-    def test_different_shard_count_misses(self, graph):
-        cache = get_cache()
-        self._run(graph, 4)
-        before = cache.stats.to_dict()
-        out, report = self._run(graph, 3)
-        after = cache.stats.to_dict()
-        assert after["stores"] > before["stores"]      # new K = new entries
-        assert sum(d.cache_hits for d in report) == 0
-
-    def test_policy_can_opt_out(self, graph):
-        cache = get_cache()
-        spec = _spec("gcn", "MP")
-        built = get_backend("gsuite").build(spec, graph).configure_sharding(
-            ShardingPolicy(num_shards=4, use_cache=False))
-        built.run()
-        assert not (cache.root / "shard").exists()
-
-    def test_measure_bypasses_shard_cache(self, graph):
-        """Timed repeats must execute kernels, never read shard entries."""
-        from repro.core.config import SuiteConfig
-        from repro.core.pipeline import GNNPipeline
-        pipeline = GNNPipeline(SuiteConfig(dataset="cora", shards=3),
-                               graph=graph)
-        pipeline.measure(repeats=2)
-        assert not (get_cache().root / "shard").exists()
-
-    def test_cache_info_reports_shard_kind(self, graph, capsys):
-        from repro.cli import main
-        self._run(graph, 2)
-        assert main(["cache", "info"]) == 0
-        captured = capsys.readouterr().out
-        assert "shard" in captured

@@ -49,7 +49,16 @@ class TestCommands:
         code = main(["record", "--dataset", "cora", "--scale", "0.1"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "indexSelect" in out and "scatter" in out
+        assert "fusedGatherScatter" in out and "indexSelect" not in out
+
+    def test_record_no_fuse_shows_the_papers_kernels(self, capsys):
+        code = main(["record", "--dataset", "cora", "--scale", "0.1",
+                     "--no-fuse"])
+        kernels = [line.split()[0]
+                   for line in capsys.readouterr().out.splitlines()[3:]
+                   if line.strip()]
+        assert code == 0
+        assert kernels == ["sgemm", "indexSelect", "scatter"] * 2
 
     def test_simulate(self, capsys):
         code = main(["simulate", "--dataset", "cora", "--scale", "0.1"])

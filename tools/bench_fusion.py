@@ -58,7 +58,7 @@ from repro.plan.sharding import ShardingPolicy  # noqa: E402
 
 #: (model, dataset, compute model) cells.  SAGE/GIN Reddit-MP are the
 #: message-matrix workloads fusion targets; GCN-SpMM is the SGEMM-heavy
-#: epilogue cell; GCN-MP rides along as the small-message control (its
+#: epilogue cell; GCN-MP is the narrow-message cell (its
 #: transform-first path aggregates at the output width).
 WORKLOADS = (
     ("sage", "reddit", "MP"),
@@ -90,22 +90,16 @@ def _peak_bytes(fn) -> int:
 
 
 def _build(spec, graph, dims, stats, width_hook, fused: bool):
-    """One pipeline under its planner-chosen fusion + shard policies."""
+    """One pipeline, fused or not, under its planner-chosen shard policy."""
     built = get_backend("gsuite").build(spec, graph)
-    policy = None
     if fused:
-        policy = choose_fusion(dims, stats,
-                               formats=list(built.plan.layer_formats),
-                               width_hook=width_hook)
-        built.configure_fusion(policy)
+        built.configure_fusion(choose_fusion(list(built.plan.layer_formats)))
     shards = choose_shards(dims, stats,
                            formats=list(built.plan.layer_formats),
-                           width_hook=width_hook,
-                           fused=policy.gather_scatter if policy else False)
+                           width_hook=width_hook, fused=fused)
     if shards > 1:
         built.configure_sharding(
-            ShardingPolicy(num_shards=shards, use_cache=False,
-                           source="planner"))
+            ShardingPolicy(num_shards=shards, source="planner"))
     return built, shards
 
 
@@ -184,9 +178,7 @@ def run(profile_name: str, scale_override, repeats: int,
                        "reduction.  SpMM cells: bias/activation fold "
                        "into epilogue-carrying SGEMM launches.  "
                        "Outputs verified bit-for-bit identical on "
-                       "every cell.  GCN-MP is the small-message "
-                       "control (transform-first, output-width "
-                       "messages).",
+                       "every cell.",
         "profile": profile_name,
         "results": rows,
     }

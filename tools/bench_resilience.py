@@ -148,8 +148,7 @@ def bench_fault_rates(scale: float, shards: int, jobs: int,
                             f"corrupt_result:p={rate:g},tries=1")
         try:
             built = backend.build(spec, graph).configure_sharding(
-                ShardingPolicy(num_shards=shards, jobs=jobs,
-                               use_cache=False))
+                ShardingPolicy(num_shards=shards, jobs=jobs))
             out = built.run()
             if not np.array_equal(out, reference):
                 failures.append(f"rate={rate:g}: output mismatch")

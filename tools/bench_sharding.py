@@ -104,7 +104,7 @@ def run(profile_name: str, scale_override, shard_list, repeats: int,
             if k <= 1:
                 continue
             sharded = backend.build(spec, graph).configure_sharding(
-                ShardingPolicy(num_shards=k, jobs=jobs, use_cache=False))
+                ShardingPolicy(num_shards=k, jobs=jobs))
             out = sharded.run()
             if not np.array_equal(out, reference):
                 failures.append(f"{model}/{dataset} K={k}: output mismatch")

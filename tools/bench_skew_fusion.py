@@ -154,8 +154,7 @@ def bench_skew(simulator, profile, scale_override, repeats, failures):
             continue
         for partitioner in ("rows", "edges"):
             sharded = backend.build(spec, graph).configure_sharding(
-                ShardingPolicy(num_shards=k, partitioner=partitioner,
-                               use_cache=False))
+                ShardingPolicy(num_shards=k, partitioner=partitioner))
             with record_launches():
                 out = sharded.run()
             if not np.array_equal(out, reference):
