@@ -356,7 +356,7 @@ def _cmd_plan(args) -> int:
         print("batching: off (1 graph; --batch auto lets the planner "
               "decide)")
     from repro.plan import describe_fusion
-    print(describe_fusion(plan, decisions.fusion))
+    print(describe_fusion(plan))
     if decisions.shards > 1:
         import numpy as np
         from repro.plan import (

@@ -24,7 +24,6 @@ from repro.core.kernels.sparse import (
     fused_gather_scatter,
     spgemm,
     spmm,
-    transform_spmm,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "spgemm",
     "spmm",
     "streaming_reduce",
-    "transform_spmm",
 ]

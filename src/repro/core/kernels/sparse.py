@@ -12,15 +12,10 @@ gathered rows straight into their destinations
 (:func:`repro.core.kernels.scatter.streaming_reduce` — one CSR product
 for sum / mean, cache-sized message blocks for max / min) instead of
 materialising the ``[E, f]`` intermediate between two launches.
-``transform_spmm`` is the cross-layer entry point: the dense layer
-transform (``sgemm`` arithmetic, epilogue included) feeding straight
-into the next layer's aggregation ``adjacency @ h`` without the
-transformed features round-tripping through DRAM between launches.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Optional
 
@@ -33,7 +28,7 @@ from repro.core.kernels.scatter import REDUCE_OPS, STREAM_BLOCK_BYTES, \
 from repro.errors import KernelError
 from repro.graph.formats import CSRMatrix
 
-__all__ = ["spmm", "spgemm", "fused_gather_scatter", "transform_spmm"]
+__all__ = ["spmm", "spgemm", "fused_gather_scatter"]
 
 
 def spmm(adjacency: CSRMatrix, dense: np.ndarray,
@@ -141,133 +136,6 @@ def _emit_spmm(recorder: L.LaunchRecorder, adjacency: CSRMatrix,
         active_lanes=min(L.WARP_SIZE, max(1, f)),
         tag=tag,
         replaces=(f"spmm:{tag}",) if epilogue else (),
-        epilogue=epilogue,
-    ))
-
-
-def transform_spmm(a: np.ndarray, b: np.ndarray, adjacency: CSRMatrix,
-                   bias: Optional[np.ndarray] = None,
-                   activation: Optional[str] = None,
-                   sgemm_tag: str = "", tag: str = "") -> np.ndarray:
-    """Cross-layer fusion: ``adjacency @ act(a @ b + bias)`` in one launch.
-
-    The dense layer transform — exactly ``sgemm``'s arithmetic,
-    epilogue included, so the intermediate is bit-for-bit the unfused
-    transform output — feeds straight into the next layer's SpMM
-    aggregation; the transformed feature matrix stays on-chip instead
-    of round-tripping through DRAM between two launches.  ``sgemm_tag``
-    / ``tag`` name the replaced sgemm / spmm launches for the fusion
-    trace mapping.
-    """
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    if a.ndim != 2 or b.ndim != 2:
-        raise KernelError(
-            f"transformSpmm expects 2-D dense operands, got {a.ndim}-D "
-            f"and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise KernelError(
-            f"transformSpmm dimension mismatch: {a.shape} x {b.shape}")
-    if not isinstance(adjacency, CSRMatrix):
-        raise KernelError(
-            f"transformSpmm expects a CSRMatrix, got "
-            f"{type(adjacency).__name__}")
-    if adjacency.shape[1] != a.shape[0]:
-        raise KernelError(
-            f"transformSpmm dimension mismatch: {adjacency.shape} x "
-            f"[{a.shape[0]}, {b.shape[1]}]")
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float32)
-        if bias.shape != (b.shape[1],):
-            raise KernelError(
-                f"bias must have shape ({b.shape[1]},), got {bias.shape}")
-
-    start = time.perf_counter()
-    # Replicate the sgemm kernel's exact operation order (product, bias,
-    # float32 cast, activation) so the on-chip intermediate is bitwise
-    # the unfused transform output, then aggregate it.
-    h = a @ b
-    if bias is not None:
-        h = h + bias
-    h = h.astype(np.float32, copy=False)
-    if activation:
-        from repro.core.models.activations import get_activation
-        h = get_activation(activation)(h)
-    out = adjacency.matmul(h)
-    duration = time.perf_counter() - start
-
-    recorder = L.active_recorder()
-    if recorder is not None:
-        _emit_transform_spmm(recorder, a, b, adjacency, h, out, duration,
-                             sgemm_tag, tag, epilogue=activation or "")
-    return out
-
-
-def _emit_transform_spmm(recorder: L.LaunchRecorder, a, b,
-                         adjacency: CSRMatrix, h, out, duration: float,
-                         sgemm_tag: str, tag: str,
-                         epilogue: str = "") -> None:
-    """Launch record of one cross-layer transform+SpMM.
-
-    Operands may be geometry-only stand-ins.  The instruction mix is
-    the sum of the two stages it fuses; the memory trace carries the
-    GEMM operand sweeps and the adjacency structure/values, but not the
-    transformed feature rows — the intermediate stays on-chip, which is
-    exactly the traffic this fusion eliminates.  ``replaces`` restores
-    the legacy two-launch sequence for the trace mapping.
-    """
-    n, k = a.shape
-    m = b.shape[1]
-    fmas = float(n) * k * m
-    nnz = adjacency.nnz
-    units = float(nnz) * m
-
-    a_base = recorder.new_region()
-    b_base = recorder.new_region()
-    structure_base = recorder.new_region()
-    values_base = recorder.new_region()
-    out_base = recorder.new_region()
-    cap = recorder.sample_cap
-    loads = np.concatenate([
-        L.sequential_lines(a_base, a.size * L.FLOAT_BYTES, cap),
-        L.sequential_lines(b_base, b.size * L.FLOAT_BYTES, cap),
-        L.sequential_lines(structure_base,
-                           (adjacency.indptr.size + nnz) * L.FLOAT_BYTES,
-                           cap),
-        L.sequential_lines(values_base, nnz * L.FLOAT_BYTES, cap),
-    ])
-    stores = L.sequential_lines(out_base, out.size * L.FLOAT_BYTES, cap)
-
-    mix = mix_for("sgemm", fmas)
-    spmm_mix = mix_for("spmm", units)
-    mix.fp32 += spmm_mix.fp32
-    mix.int_ops += spmm_mix.int_ops
-    mix.ldst += spmm_mix.ldst
-    mix.control += spmm_mix.control
-    mix.other += spmm_mix.other
-    if epilogue:
-        mix.fp32 += EPILOGUE_FP32_PER_ELEMENT * h.size
-    row_tiles = math.ceil(n / 32)
-    col_tiles = math.ceil(m / 32)
-    recorder.emit(L.KernelLaunch(
-        kernel="transformSpmm",
-        short_form="ts",
-        model="SpMM",
-        threads=max(1, out.size),
-        mix=mix,
-        loads=loads,
-        stores=stores,
-        flops=2.0 * fmas + 2.0 * units
-            + (float(h.size) if epilogue else 0.0),
-        bytes_read=float(L.FLOAT_BYTES) * (
-            a.size * col_tiles + b.size * row_tiles
-            + nnz * 2 + adjacency.indptr.size),
-        bytes_written=float(out.size * L.FLOAT_BYTES),
-        duration_s=duration,
-        sample_fraction=1.0,
-        active_lanes=min(L.WARP_SIZE, max(1, m)),
-        tag=tag,
-        replaces=(f"sgemm:{sgemm_tag}", f"spmm:{tag}"),
         epilogue=epilogue,
     ))
 

@@ -210,21 +210,6 @@ class GNNPipeline:
         return self._backend.name
 
     # -- execution ------------------------------------------------------------
-    def fusion_policy(self, plan=None):
-        """The plan-fusion policy ``config.fuse`` implies.
-
-        ``"off"`` returns ``None`` (the ``--no-fuse`` escape hatch);
-        ``"auto"`` (the default) fuses every legal site
-        (:func:`repro.plan.planner.choose_fusion`).  ``plan`` supplies
-        the lowered plan's per-layer formats when known.
-        """
-        if self.config.fuse == "off":
-            return None
-        from repro.plan.planner import choose_fusion
-        formats = plan.layer_formats if plan is not None \
-            else [self.spec.compute_model] * self.spec.num_layers
-        return choose_fusion(formats)
-
     def shard_partitioner(self, num_shards: int) -> str:
         """The shard partitioner ``config.partitioner`` implies.
 
@@ -306,21 +291,16 @@ class GNNPipeline:
             from repro import faults as fault_injection
             fault_injection.activate(self.config.faults)
         built = self._backend.build(self.spec, self.graph,
-                                    cost_profile=self.cost_profile())
+                                    cost_profile=self.cost_profile(),
+                                    fuse=self.config.fuse != "off")
         plan = getattr(built, "plan", None)
-        fusion = self.fusion_policy(plan)
-        # Backends that cannot fuse (the PyG-like tape, unlowered
-        # extension models) keep their plans as lowered.
-        if fusion is not None and built.can_fuse():
-            built.configure_fusion(fusion)
-        # Gate on what the pass actually fused, not the policy's intent:
-        # legality (a multiply-consumed gather, non-adjacent pairs) can
-        # leave a "fuse gather/scatter" policy with zero fused sites,
-        # and such plans still need their MP sharding pressure.
+        # Gate on what the pass actually fused, not the knob: legality
+        # (a multiply-consumed gather, non-adjacent pairs, the PyG-like
+        # tape) can leave zero fused sites, and such plans still need
+        # their MP sharding pressure.
         from repro.plan import fusion_summary
-        fused_mp = (built.fusion is not None and built.plan is not None
-                    and fusion_summary(built.plan).get("gather_scatter",
-                                                       0) > 0)
+        fused_mp = (plan is not None
+                    and fusion_summary(plan).get("gather_scatter", 0) > 0)
         policy = self.sharding_policy(
             layer_formats=plan.layer_formats if plan is not None else None,
             fused=fused_mp)
@@ -352,7 +332,7 @@ class GNNPipeline:
         Builds the pipeline (or inspects a ``built`` one from
         :meth:`build`) and returns a
         :class:`~repro.plan.planner.PlannerDecisions`: per-layer
-        formats, shard count, fusion policy, batch size, the cost
+        formats, shard count, fused sites, batch size, the cost
         profile they were priced under and the explain strings, with
         the lowered :class:`~repro.plan.ir.ExecutionPlan` on
         ``.execution_plan`` (``None`` for a backend that bypasses the
@@ -370,9 +350,7 @@ class GNNPipeline:
         formats_source = "planner" \
             if getattr(built, "formats", None) is not None else "fixed"
         sharding = getattr(built, "sharding", None)
-        fusion = getattr(built, "fusion", None)
-        fused_sites = dict(fusion_summary(plan)) \
-            if fusion is not None and plan is not None else {}
+        fused_sites = fusion_summary(plan) if plan is not None else {}
         batch = self.batch_decision()
         explain = ""
         if plan is not None and plan.meta.get("dims"):
@@ -394,7 +372,6 @@ class GNNPipeline:
             else ("planner" if self.config.shards == 0 else "off"),
             partitioner=sharding.partitioner
             if sharding is not None else "rows",
-            fusion=fusion,
             fused_sites=fused_sites,
             batch=batch.size,
             batch_source=batch.source,

@@ -76,7 +76,8 @@ def _reference_model(spec: PipelineSpec, graph: Graph):
 
 
 class _AdaptivePipeline(BuiltPipeline):
-    def __init__(self, spec: PipelineSpec, graph: Graph, cost_profile=None):
+    def __init__(self, spec: PipelineSpec, graph: Graph, cost_profile,
+                 fuse: bool):
         super().__init__("gSuite-Adaptive", spec, graph)
         self._model = _reference_model(spec, graph)
         self.formats = plan_formats(spec, graph, model=self._model,
@@ -85,7 +86,7 @@ class _AdaptivePipeline(BuiltPipeline):
             self.plan = cached_plan(
                 "adaptive", spec, graph,
                 lambda: self._model.lower(self.formats, flavor="adaptive"),
-                extra={"formats": list(self.formats)})
+                extra={"formats": list(self.formats)}, fuse=fuse)
         except NotImplementedError:
             # Extension models without lowering hooks run unplanned.
             self.plan = None
@@ -105,13 +106,13 @@ class AdaptiveBackend(Backend):
     supported_compute_models = ("MP", "SpMM")
 
     def build(self, spec: PipelineSpec, graph: Graph,
-              cost_profile=None) -> BuiltPipeline:
+              cost_profile=None, fuse: bool = True) -> BuiltPipeline:
         # The spec's compute_model is advisory here: the planner owns
         # the decision, so any spec is accepted (like the DGL path).
         # The chosen formats flow into the plan-cache key via `extra`,
         # so two profiles that decide differently can never share a
         # cached plan.
-        return _AdaptivePipeline(spec, graph, cost_profile=cost_profile)
+        return _AdaptivePipeline(spec, graph, cost_profile, fuse)
 
     def figure_label(self, spec: PipelineSpec) -> str:
         return "gSuite-Adaptive"

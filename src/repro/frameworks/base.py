@@ -9,6 +9,12 @@ and produce numerically identical outputs for the same spec — the
 differences are the *execution structures*: per-call dispatch and
 re-validation (PyG-like), up-front graph object construction with fused
 SpMM (DGL-like), or the minimal direct path (native gSuite).
+
+A build is also where a plan is finished: :meth:`Backend.build` lowers
+through :func:`repro.plan.lowering.cached_plan`, which fuses what it
+lowers unless ``fuse=False``, so every caller of ``build`` — the
+pipeline facade, the serving layer, the tools — runs the same plan and
+a :class:`BuiltPipeline` carries no fusion state of its own.
 """
 
 from __future__ import annotations
@@ -62,48 +68,10 @@ class BuiltPipeline:
         #: The ShardingPolicy applied via configure_sharding (None =
         #: unsharded execution).
         self.sharding = None
-        #: The FusionPolicy applied via configure_fusion (None =
-        #: unfused plan).
-        self.fusion = None
-        #: The pre-fusion plan kept for inspection/parity when
-        #: configure_fusion rewrote ``plan``.
-        self.plan_unfused = None
 
     def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
         """Execute inference, returning ``[num_nodes, out_features]``."""
         raise NotImplementedError
-
-    def can_fuse(self) -> bool:
-        """Whether this pipeline's plan can take the fusion pass.
-
-        Mirrors :meth:`can_shard`: the plan must exist and execute
-        through a plain :class:`~repro.plan.executor.PlanExecutor` —
-        an op-observing tape (PyG-like) would see fused ops instead of
-        the per-op stream it records.
-        """
-        return self.can_shard()
-
-    def configure_fusion(self, policy) -> "BuiltPipeline":
-        """Rewrite the plan through the fusion pass
-        (:func:`repro.plan.fusion.fuse_plan`).
-
-        ``policy`` is a :class:`~repro.plan.fusion.FusionPolicy`.
-        Pipelines for which :meth:`can_fuse` is false refuse
-        (:meth:`repro.core.pipeline.GNNPipeline.build` checks first
-        and leaves their plans as lowered).
-        Outputs stay bit-for-bit identical to the unfused plan; the
-        original plan is kept on :attr:`plan_unfused`.
-        """
-        from repro.plan import fuse_plan
-        if not self.can_fuse():
-            raise BackendError(
-                f"backend {self.backend_name!r} does not support plan "
-                f"fusion"
-            )
-        self.plan_unfused = self.plan
-        self.plan = fuse_plan(self.plan, policy)
-        self.fusion = policy
-        return self
 
     def can_shard(self) -> bool:
         """Whether this pipeline can execute its plan sharded.
@@ -168,7 +136,7 @@ class Backend:
     supported_compute_models = ("MP", "SpMM")
 
     def build(self, spec: PipelineSpec, graph: Graph,
-              cost_profile=None) -> BuiltPipeline:
+              cost_profile=None, fuse: bool = True) -> BuiltPipeline:
         """Construct a pipeline for ``spec`` over ``graph``.
 
         ``cost_profile`` is the planner's
@@ -176,6 +144,11 @@ class Backend:
         paper constants).  Only backends that *plan* consume it — the
         adaptive path prices its per-layer format choice with it; the
         fixed paths execute the spec as given and ignore it.
+
+        ``fuse`` reaches :func:`repro.plan.lowering.cached_plan`: the
+        built plan is the fused plan unless ``False`` (``fuse="off"``,
+        the paper's Table II kernels).  The PyG-like backend lowers
+        unfused whatever it says — its tape observes the per-op stream.
         """
         raise NotImplementedError
 
@@ -189,7 +162,7 @@ class Backend:
 
 
 def time_end_to_end(backend: Backend, spec: PipelineSpec, graph: Graph,
-                    repeats: int = 3) -> List[float]:
+                    repeats: int = 3, fuse: bool = True) -> List[float]:
     """Wall-clock end-to-end times (build + inference), one per repeat.
 
     This is the paper's Fig. 3 measurement: each repeat pays the
@@ -201,7 +174,7 @@ def time_end_to_end(backend: Backend, spec: PipelineSpec, graph: Graph,
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        pipeline = backend.build(spec, graph)
+        pipeline = backend.build(spec, graph, fuse=fuse)
         pipeline.run()
         times.append(time.perf_counter() - start)
     return times

@@ -127,7 +127,7 @@ def _lower_dgl(spec: PipelineSpec, reference) -> ExecutionPlan:
 
 
 class _DGLLikePipeline(BuiltPipeline):
-    def __init__(self, spec: PipelineSpec, graph: Graph):
+    def __init__(self, spec: PipelineSpec, graph: Graph, fuse: bool):
         super().__init__("DGL", spec, graph)
         # Reference weights shared with the other backends.
         self._reference = build_model(
@@ -136,7 +136,8 @@ class _DGLLikePipeline(BuiltPipeline):
             compute_model="MP", activation=spec.activation, seed=spec.seed,
         )
         self.plan = cached_plan("dgl", spec, graph,
-                                lambda: _lower_dgl(spec, self._reference))
+                                lambda: _lower_dgl(spec, self._reference),
+                                fuse=fuse)
         self._executor = PlanExecutor()
 
     def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
@@ -154,8 +155,8 @@ class DGLLikeBackend(Backend):
     supported_compute_models = ("SpMM",)
 
     def build(self, spec: PipelineSpec, graph: Graph,
-              cost_profile=None) -> BuiltPipeline:
+              cost_profile=None, fuse: bool = True) -> BuiltPipeline:
         # DGL accepts every model here (its convs are all SpMM-realised);
         # the spec's compute_model is interpreted rather than enforced,
         # because the paper runs DGL on GCN/GIN/SAG alike.
-        return _DGLLikePipeline(spec, graph)
+        return _DGLLikePipeline(spec, graph, fuse)

@@ -23,7 +23,8 @@ __all__ = ["NativeBackend"]
 
 
 class _NativePipeline(BuiltPipeline):
-    def __init__(self, backend_name: str, spec: PipelineSpec, graph: Graph):
+    def __init__(self, backend_name: str, spec: PipelineSpec, graph: Graph,
+                 fuse: bool):
         super().__init__(backend_name, spec, graph)
         self._model = build_model(
             spec.model,
@@ -36,7 +37,8 @@ class _NativePipeline(BuiltPipeline):
             seed=spec.seed,
         )
         try:
-            self.plan = cached_plan("native", spec, graph, self._model.lower)
+            self.plan = cached_plan("native", spec, graph, self._model.lower,
+                                    fuse=fuse)
         except NotImplementedError:
             # User-registered extension models may implement only the
             # direct layer_forward path; they run unlowered.
@@ -57,9 +59,9 @@ class NativeBackend(Backend):
     supported_compute_models = ("MP", "SpMM")
 
     def build(self, spec: PipelineSpec, graph: Graph,
-              cost_profile=None) -> BuiltPipeline:
+              cost_profile=None, fuse: bool = True) -> BuiltPipeline:
         self.check_spec(spec)
-        return _NativePipeline(self.figure_label(spec), spec, graph)
+        return _NativePipeline(self.figure_label(spec), spec, graph, fuse)
 
     def figure_label(self, spec: PipelineSpec) -> str:
         """The paper's label for this path: gSuite-MP or gSuite-SpMM."""

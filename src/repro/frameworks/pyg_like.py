@@ -300,8 +300,11 @@ class _PyGLikePipeline(BuiltPipeline):
                 raise BackendError(f"PyG backend has no conv for {spec.model!r}")
             self._convs.append(conv)
 
+        # The tape below records one node per lowered op, so this plan
+        # never takes the fusion pass.
         self.plan = cached_plan("pyg", spec, graph,
-                                lambda: _lower_pyg(spec, self._convs))
+                                lambda: _lower_pyg(spec, self._convs),
+                                fuse=False)
         self._executor = PlanExecutor(on_op=self._record_op)
 
     def _record_op(self, op, result) -> None:
@@ -335,6 +338,6 @@ class PyGLikeBackend(Backend):
     supported_compute_models = ("MP",)
 
     def build(self, spec: PipelineSpec, graph: Graph,
-              cost_profile=None) -> BuiltPipeline:
+              cost_profile=None, fuse: bool = True) -> BuiltPipeline:
         self.check_spec(spec)
         return _PyGLikePipeline(spec, graph)

@@ -13,14 +13,13 @@ full dataflow):
 :mod:`~repro.plan.lowering`
     :func:`cached_plan` — the content-addressed plan store (cache kind
     ``"plan"``; batched geometry is a distinct flavor of the same
-    kind) — and :func:`graph_signature`, the geometry a plan key
-    depends on.
+    kind), which fuses what it lowers before storing it — and
+    :func:`graph_signature`, the geometry a plan key depends on.
 :mod:`~repro.plan.planner`
     The cost-model decision procedures, one ``choose_*`` entry point
     per knob: :func:`choose_formats` (MP vs SpMM per layer),
-    :func:`choose_fusion` (which fusion patterns pay),
     :func:`choose_shards` (destination-range shard count) and
-    :func:`choose_batching` (packed sweep width).  All four consume
+    :func:`choose_batching` (packed sweep width).  All three consume
     the same :class:`GraphStats` and the same :class:`CostProfile` of
     planner constants.
 :mod:`~repro.plan.costprofile`
@@ -31,7 +30,8 @@ full dataflow):
     file — the only two sources of planner constants.
 :mod:`~repro.plan.fusion`
     :func:`fuse_plan`, the liveness/single-consumer rewrite merging
-    gather+scatter pairs, SGEMM epilogues and elementwise chains, with
+    gather+scatter pairs, SGEMM / SpMM epilogues and elementwise
+    chains at every legal site (called by :func:`cached_plan` only), with
     :func:`legacy_trace` mapping fused launch streams back onto the
     unfused ``(kernel, tag)`` sequence.
 :mod:`~repro.plan.sharding`
@@ -49,7 +49,6 @@ suites pin.
 
 from repro.plan.executor import NORMALIZE_KINDS, PlanExecutor, register_normalize
 from repro.plan.fusion import (
-    FusionPolicy,
     describe_fusion,
     fuse_plan,
     fusion_summary,
@@ -63,7 +62,6 @@ from repro.plan.ir import (
     FORMATS,
     FusedElementwise,
     FusedGatherScatter,
-    FusedTransformSpMM,
     Gather,
     Normalize,
     PlanBuilder,
@@ -86,7 +84,6 @@ from repro.plan.planner import (
     batch_member_footprint,
     choose_batching,
     choose_formats,
-    choose_fusion,
     choose_partitioner,
     choose_shards,
     explain_choice,
@@ -119,8 +116,6 @@ __all__ = [
     "FORMATS",
     "FusedElementwise",
     "FusedGatherScatter",
-    "FusedTransformSpMM",
-    "FusionPolicy",
     "Gather",
     "GraphStats",
     "NORMALIZE_KINDS",
@@ -143,7 +138,6 @@ __all__ = [
     "cached_plan",
     "choose_batching",
     "choose_formats",
-    "choose_fusion",
     "choose_partitioner",
     "choose_shards",
     "describe_fusion",

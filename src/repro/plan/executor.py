@@ -50,7 +50,6 @@ from repro.core.kernels import (
     scatter,
     sgemm,
     spmm,
-    transform_spmm,
 )
 from repro.core.models.activations import get_activation
 from repro.errors import PlanError
@@ -61,7 +60,6 @@ from repro.plan.ir import (
     ExecutionPlan,
     FusedElementwise,
     FusedGatherScatter,
-    FusedTransformSpMM,
     Gather,
     Normalize,
     ScatterReduce,
@@ -435,14 +433,6 @@ class PlanExecutor:
             bias = env[op.bias.vid] if op.bias is not None else None
             out = spmm(env[op.matrix.vid], env[op.dense.vid], bias=bias,
                        tag=op.tag, activation=op.activation or None)
-            env[op.out.vid] = out
-            return out
-        if isinstance(op, FusedTransformSpMM):
-            bias = env[op.bias.vid] if op.bias is not None else None
-            out = transform_spmm(
-                env[op.a.vid], env[op.b.vid], env[op.matrix.vid],
-                bias=bias, activation=op.activation or None,
-                sgemm_tag=op.sgemm_tag, tag=op.tag)
             env[op.out.vid] = out
             return out
         if isinstance(op, FusedGatherScatter):

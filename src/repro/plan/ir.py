@@ -26,13 +26,11 @@ glue every GNN stack needs):
   *run* time, so plans record exactly the kernel launches — SpGEMM
   chains included — that the legacy direct paths emitted.
 
-The fusion pass (:mod:`repro.plan.fusion`) adds three derived ops —
+The fusion pass (:mod:`repro.plan.fusion`) adds two derived ops —
 :class:`FusedGatherScatter` (one streaming launch for a
-gather + scatter pair), :class:`FusedElementwise` (an
-elementwise/activation chain collapsed to one dispatch) and
-:class:`FusedTransformSpMM` (a cross-layer boundary — dense transform
-plus epilogue feeding the next layer's ``SpMM`` — in one launch) —
-written only by plan rewrites, never by direct lowering.
+gather + scatter pair) and :class:`FusedElementwise` (an
+elementwise/activation chain collapsed to one dispatch) — written only
+by plan rewrites, never by direct lowering.
 
 Plans are pure data: value references plus constants (the layer
 weights).  The workload graph is bound at execution time by the
@@ -72,7 +70,6 @@ __all__ = [
     "Normalize",
     "FusedGatherScatter",
     "FusedElementwise",
-    "FusedTransformSpMM",
     "PlanOp",
     "ExecutionPlan",
     "PlanBuilder",
@@ -409,39 +406,8 @@ class FusedElementwise:
             for stage in self.stages)
 
 
-@dataclass(frozen=True)
-class FusedTransformSpMM:
-    """Cross-layer fusion: ``out = matrix @ act(a @ b + bias)``.
-
-    One launch covering a layer boundary — the dense transform (plus
-    its epilogue bias/activation, exactly :class:`SGEMM`'s arithmetic)
-    feeding the *next* layer's ``SpMM`` aggregation.  Legal only when
-    the transform output has that single consumer and the plan's
-    aggregation format is stable across the boundary (both layers
-    SpMM); produced by the fusion pass, never by direct lowering.
-    ``sgemm_tag`` / ``tag`` keep the replaced launches' labels for the
-    fused launch's ``replaces`` mapping.
-    """
-
-    a: ValueRef
-    b: ValueRef
-    matrix: ValueRef
-    out: ValueRef
-    bias: Optional[ValueRef] = None
-    activation: str = ""
-    sgemm_tag: str = ""
-    tag: str = ""
-
-    opcode = "fused_transform_spmm"
-
-    def operands(self) -> Tuple[ValueRef, ...]:
-        refs = (self.a, self.b, self.matrix)
-        return refs + ((self.bias,) if self.bias is not None else ())
-
-
 PlanOp = Union[Gather, ScatterReduce, SpMM, SGEMM, Activation, Elementwise,
-               Normalize, FusedGatherScatter, FusedElementwise,
-               FusedTransformSpMM]
+               Normalize, FusedGatherScatter, FusedElementwise]
 
 
 def _op_outputs(op: PlanOp) -> Tuple[ValueRef, ...]:

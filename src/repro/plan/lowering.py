@@ -9,6 +9,11 @@ grid deserialise the finished plan instead of re-lowering.  (Backends
 still construct their model/module objects per build — that cost is
 part of each framework's measured character; only the lowering step is
 skipped.)
+
+"Finished" includes fusion: :func:`cached_plan` is the one caller of
+:func:`repro.plan.fusion.fuse_plan`, between lowering and the store,
+so a warm build neither lowers nor fuses and every consumer of a
+backend build runs the same plan.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import asdict
 from typing import Callable, Dict, Optional
 
 from repro.cache import compute_key, get_cache
+from repro.plan.fusion import fuse_plan
 from repro.plan.ir import ExecutionPlan
 
 __all__ = ["graph_signature", "cached_plan"]
@@ -55,7 +61,8 @@ def graph_signature(graph) -> Dict[str, object]:
 
 
 def cached_plan(flavor: str, spec, graph, build: Callable[[], ExecutionPlan],
-                extra: Optional[Dict[str, object]] = None) -> ExecutionPlan:
+                extra: Optional[Dict[str, object]] = None,
+                fuse: bool = True) -> ExecutionPlan:
     """Fetch (or build and persist) the plan for one pipeline.
 
     Parameters
@@ -73,6 +80,11 @@ def cached_plan(flavor: str, spec, graph, build: Callable[[], ExecutionPlan],
     extra:
         Additional key material (e.g. the adaptive planner's chosen
         formats).
+    fuse:
+        Run the fusion pass over the lowered plan (the default).
+        ``False`` keeps the op stream as lowered — ``fuse="off"``'s
+        Table II kernels, and always the PyG-like tape.  Part of the
+        key, so the two arms of one cell never share an entry.
 
     When ``graph`` is a :class:`~repro.graph.batch.BatchedGraph`, the
     returned plan carries its :class:`~repro.plan.ir.BatchSegmentMap`
@@ -89,12 +101,15 @@ def cached_plan(flavor: str, spec, graph, build: Callable[[], ExecutionPlan],
         "spec": asdict(spec),
         "graph": graph_signature(graph),
         "extra": extra or {},
+        "fuse": fuse,
     })
     plan = cache.get("plan", key)
     if plan is None:
         plan = build()
         if isinstance(graph, BatchedGraph):
             plan = plan.with_batch(BatchSegmentMap.from_graph(graph))
+        if fuse:
+            plan = fuse_plan(plan)
         if plan.constant_bytes() <= _MAX_PERSIST_BYTES:
             cache.put("plan", key, plan, meta={
                 "flavor": flavor, "model": spec.model,

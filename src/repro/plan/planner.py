@@ -2,12 +2,10 @@
 
 One ``choose_*`` entry point per knob, all consuming the same
 :class:`GraphStats` and the same :class:`~repro.plan.costprofile.CostProfile`
-of planner constants:
+of planner constants (fusion is not among them: it is a pass applied
+at lowering, :mod:`repro.plan.fusion`, with nothing to decide):
 
 * :func:`choose_formats` — MP vs fused-SpMM execution per layer;
-* :func:`choose_fusion`  — which fusion patterns are legal for the
-  plan's formats (:mod:`repro.plan.fusion` implements the transform;
-  the one gate that consults no cost model);
 * :func:`choose_shards`  — destination-range shard count
   (:mod:`repro.plan.sharding`);
 * :func:`choose_batching` — how many sweep members pack into one
@@ -165,15 +163,15 @@ class PlannerDecisions:
     The machine-readable surface behind ``gsuite plan``: instead of
     scraping loose tuples and report strings, consumers get
     one typed record of what the build actually applied — per-layer
-    formats, shard count, fusion policy, batch size, the cost-profile
+    formats, shard count, fused sites, batch size, the cost-profile
     name they were priced under, and the human-readable explain
     strings.
 
-    ``fusion`` is the applied :class:`~repro.plan.fusion.FusionPolicy`
-    (``None`` = unfused); ``execution_plan`` the lowered
-    :class:`~repro.plan.ir.ExecutionPlan` (``None`` for backends that
-    bypass the plan layer).  Sources mirror the policy objects:
-    ``"planner"`` / ``"forced"`` / ``"off"`` (plus ``"fixed"`` for
+    ``fused`` says whether the fusion pass rewrote the plan and
+    ``fused_sites`` how many sites per pattern; ``execution_plan`` is
+    the lowered :class:`~repro.plan.ir.ExecutionPlan` (``None`` for
+    backends that bypass the plan layer).  Sources mirror the policy
+    objects: ``"planner"`` / ``"forced"`` / ``"off"`` (plus ``"fixed"`` for
     formats pinned by the compute model and ``"graph"`` for explicit
     batched workloads).
     """
@@ -182,7 +180,6 @@ class PlannerDecisions:
     formats_source: str
     shards: int
     shards_source: str
-    fusion: Optional[Any]            # FusionPolicy | None
     fused_sites: Dict[str, int] = field(default_factory=dict)
     batch: int = 1
     batch_source: str = "off"
@@ -192,25 +189,20 @@ class PlannerDecisions:
     partitioner: str = "rows"        # shard partitioner ("rows"/"edges";
                                      # only meaningful when shards > 1)
 
+    @property
+    def fused(self) -> bool:
+        """Whether the fusion pass rewrote the plan."""
+        return any(self.fused_sites.values())
+
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (what the regression gate records)."""
-        fusion = None
-        if self.fusion is not None:
-            fusion = {
-                "gather_scatter": self.fusion.gather_scatter,
-                "sgemm_epilogue": self.fusion.sgemm_epilogue,
-                "spmm_epilogue": self.fusion.spmm_epilogue,
-                "elementwise_chain": self.fusion.elementwise_chain,
-                "cross_layer": self.fusion.cross_layer,
-                "source": self.fusion.source,
-            }
         return {
             "formats": list(self.formats),
             "formats_source": self.formats_source,
             "shards": self.shards,
             "shards_source": self.shards_source,
             "partitioner": self.partitioner,
-            "fusion": fusion,
+            "fused": self.fused,
             "fused_sites": dict(self.fused_sites),
             "batch": self.batch,
             "batch_source": self.batch_source,
@@ -311,27 +303,16 @@ def choose_formats(dims: Sequence[Tuple[int, int]], stats: GraphStats,
     return tuple(decisions)
 
 
-# ---------------------------------------------------------------------------
-# Fusion decisions
-# ---------------------------------------------------------------------------
+def choose_fusion(formats: Sequence[str]) -> bool:
+    """Uncalled shim: fusion is no longer a planner decision.
 
-def choose_fusion(formats: Sequence[str]):
-    """The :class:`~repro.plan.fusion.FusionPolicy` for one plan.
-
-    Every intra-layer pattern is on: gather+scatter, the sgemm/spmm
-    epilogues and elementwise chains are bit-for-bit rewrites that were
-    measured faster than the unfused ops at every size the suite can
-    generate, so nothing here is priced.  **Cross-layer** fusion
-    (merging a layer's epilogue-carrying transform with the next
-    layer's aggregation into one launch) is legal only when the
-    aggregation format is stable ``SpMM`` across every adjacent layer
-    pair — the plan then reuses one adjacency structure end to end and
-    the transform->aggregate boundary is a pure SSA edge.  ``formats``
-    is the plan's per-layer execution format.
+    :func:`repro.plan.fusion.fuse_plan` applies every pattern at every
+    legal site inside :func:`repro.plan.lowering.cached_plan`; nothing
+    here is consulted.  The name survives only because
+    ``benchmarks/e2e/tracing.py`` binds it by name (ROADMAP item 1e
+    deletes the binding and this).  Returns ``True`` — every plan fuses.
     """
-    from repro.plan.fusion import FusionPolicy
-    stable_spmm = len(formats) >= 2 and all(f == "SpMM" for f in formats)
-    return FusionPolicy(cross_layer=stable_spmm, source="planner")
+    return True
 
 
 def shard_setup_cost(stats: GraphStats,

@@ -115,6 +115,12 @@ class TestExecution:
         assert decisions.batch == 1 and decisions.batch_source == "off"
         assert decisions.cost_profile == "paper"
         assert "plan_fingerprint" in decisions.to_dict()
+        assert decisions.fused and decisions.fused_sites["gather_scatter"] == 2
+        assert decisions.to_dict()["fused"] is True
+
+    def test_plan_accessor_reports_unfused(self, unfused):
+        decisions = unfused.plan()
+        assert not decisions.fused and decisions.fused_sites == {}
 
 
 class TestPersistentCacheUse:

@@ -28,7 +28,6 @@ from repro.frameworks import PipelineSpec, get_backend
 from repro.graph import BatchedGraph, Graph
 from repro.plan import (
     BatchSegmentMap,
-    FusionPolicy,
     GraphStats,
     PlanExecutor,
     ShardingPolicy,
@@ -131,14 +130,16 @@ class TestBatchedParity:
     adaptive traffic (``InferenceRequest.batchable``)."""
 
     @PARITY_SETTINGS
-    @given(members=batch_member_lists(), combo=executable_combos())
-    def test_bitwise_member_outputs(self, members, combo):
+    @given(members=batch_member_lists(), combo=executable_combos(),
+           fuse=st.booleans())
+    def test_bitwise_member_outputs(self, members, combo, fuse):
         backend, model, cm = combo
         spec = _spec(model, cm)
         batched = BatchedGraph(members)
-        packed = get_backend(backend).build(spec, batched).run()
+        packed = get_backend(backend).build(spec, batched, fuse=fuse).run()
         for block, member in zip(batched.unpack(packed), members):
-            reference = get_backend(backend).build(spec, member).run()
+            reference = get_backend(backend).build(spec, member,
+                                                   fuse=fuse).run()
             if backend == "gsuite-adaptive":
                 from repro.frameworks.adaptive import plan_formats
                 if plan_formats(spec, batched) != plan_formats(spec, member):
@@ -159,9 +160,7 @@ class TestBatchedParity:
         batched = BatchedGraph(members)
 
         def build(graph):
-            built = get_backend(backend).build(spec, graph)
-            if fuse:
-                built.configure_fusion(FusionPolicy(source="forced"))
+            built = get_backend(backend).build(spec, graph, fuse=fuse)
             if k > 1:
                 built.configure_sharding(
                     ShardingPolicy(num_shards=k))
@@ -315,7 +314,7 @@ class TestCacheFlavor:
         plain = get_backend("gsuite").build(spec, members[0]).plan
         key = compute_key("plan", {
             "flavor": "native-test", "spec": asdict(spec),
-            "graph": graph_signature(batched), "extra": {},
+            "graph": graph_signature(batched), "extra": {}, "fuse": True,
         })
         get_cache().put("plan", key, plain)
 

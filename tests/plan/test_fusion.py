@@ -9,8 +9,10 @@ they replace, so expanding ``replaces`` reproduces the unfused
 every model x backend x {fused, unfused} x shard count, the legality
 edge cases (a value with two consumers must block fusion), the
 streaming kernel's destination blocking, the pipeline's default
-(every legal site fuses, at every size), and the cache-key bugfix
-(fused and unfused plans never share a fingerprint).
+(every legal site fuses, at every size), and the lowering seam: a
+backend build hands back the fused plan unless ``fuse=False``, the
+switch is part of the plan-cache key, and a warm build neither lowers
+nor fuses.
 """
 
 import numpy as np
@@ -20,12 +22,11 @@ from hypothesis import given, strategies as st
 from repro.core.kernels import fused_gather_scatter, index_select, \
     record_launches, scatter
 from repro.datasets import load_dataset
-from repro.errors import BackendError, ConfigError
+from repro.errors import ConfigError
 from repro.frameworks import get_backend, PipelineSpec
 from repro.plan import (
     FusedElementwise,
     FusedGatherScatter,
-    FusionPolicy,
     PlanBuilder,
     ShardingPolicy,
     fuse_plan,
@@ -41,10 +42,6 @@ from strategies import (
     shard_counts,
 )
 
-#: Every intra-layer pattern, applied straight to a backend's plan.
-FORCE = FusionPolicy()
-
-
 @pytest.fixture(scope="module")
 def graph():
     return load_dataset("cora", scale=0.15, seed=1)
@@ -52,6 +49,10 @@ def graph():
 
 def _spec(model, compute_model):
     return PipelineSpec(model=model, compute_model=compute_model, seed=5)
+
+
+def _build(backend, spec, graph, fuse=True):
+    return get_backend(backend).build(spec, graph, fuse=fuse)
 
 
 def _run_recorded(pipeline):
@@ -64,20 +65,17 @@ class TestFusionPass:
     """Structural properties of the plan rewrite."""
 
     def test_gather_scatter_pairs_fuse(self, graph):
-        built = get_backend("gsuite").build(_spec("gcn", "MP"), graph)
-        fused = fuse_plan(built.plan, FORCE)
+        built = _build("gsuite", _spec("gcn", "MP"), graph, fuse=False)
+        fused = fuse_plan(built.plan)
         kinds = [op.opcode for op in fused.ops]
         assert kinds.count("fused_gather_scatter") == 2  # one per layer
         assert "gather" not in kinds and "scatter" not in kinds
         fused.validate()
         assert fused.meta["fusion"]["gather_scatter"] == 2
-        from repro.plan.fusion import structure_digest
-        assert fused.meta["fused_from"] == structure_digest(built.plan)
-        assert structure_digest(fused) != structure_digest(built.plan)
 
     def test_sgemm_epilogue_folds_activation(self, graph):
-        built = get_backend("gsuite").build(_spec("gin", "SpMM"), graph)
-        fused = fuse_plan(built.plan, FORCE)
+        built = _build("gsuite", _spec("gin", "SpMM"), graph, fuse=False)
+        fused = fuse_plan(built.plan)
         epilogues = [op for op in fused.ops
                      if op.opcode == "sgemm" and op.activation]
         # GIN: the MLP's inner relu per layer + the inter-layer relu.
@@ -86,8 +84,8 @@ class TestFusionPass:
         assert fused.meta["fusion"]["sgemm_epilogue"] == 3
 
     def test_elementwise_chain_collapses(self, graph):
-        built = get_backend("gsuite").build(_spec("sage", "MP"), graph)
-        fused = fuse_plan(built.plan, FORCE)
+        built = _build("gsuite", _spec("sage", "MP"), graph, fuse=False)
+        fused = fuse_plan(built.plan)
         chains = [op for op in fused.ops
                   if isinstance(op, FusedElementwise)]
         assert len(chains) == 1          # layer-0 add + inter-layer relu
@@ -95,17 +93,11 @@ class TestFusionPass:
 
     def test_fused_plan_op_count_shrinks(self, graph):
         for backend, model, cm in FUSABLE_COMBOS:
-            built = get_backend(backend).build(_spec(model, cm), graph)
+            built = _build(backend, _spec(model, cm), graph, fuse=False)
             if built.plan is None:
                 continue
-            fused = fuse_plan(built.plan, FORCE)
+            fused = fuse_plan(built.plan)
             assert len(fused.ops) < len(built.plan.ops), (backend, model)
-
-    def test_empty_policy_is_identity(self, graph):
-        built = get_backend("gsuite").build(_spec("gcn", "MP"), graph)
-        off = FusionPolicy(gather_scatter=False, sgemm_epilogue=False,
-                           elementwise_chain=False)
-        assert fuse_plan(built.plan, off) is built.plan
 
     def test_bias_fold_requires_constant_vec(self):
         """An add_bias whose operand is a runtime value must not fold."""
@@ -116,14 +108,14 @@ class TestFusionPass:
         h = builder.sgemm(x, w, tag="t")
         out = builder.elementwise("add_bias", h, runtime_bias)
         plan = builder.build(out)
-        fused = fuse_plan(plan, FORCE)
+        fused = fuse_plan(plan)
         sgemms = [op for op in fused.ops if op.opcode == "sgemm"]
         assert sgemms[0].bias is None               # nothing folded
 
 
 class TestSpMMEpilogue:
-    """Pattern (d): trailing bias add / activation fold into the SpMM
-    launch itself, mirroring the SGEMM epilogue."""
+    """Trailing bias add / activation fold into the SpMM launch itself,
+    through the same matcher as the SGEMM epilogue."""
 
     @staticmethod
     def _tiny_graph():
@@ -147,7 +139,7 @@ class TestSpMMEpilogue:
 
     def test_epilogue_folds_into_spmm(self):
         plan = self._plan(5)
-        fused = fuse_plan(plan, FORCE)
+        fused = fuse_plan(plan)
         spmms = [op for op in fused.ops if op.opcode == "spmm"]
         assert len(spmms) == 1
         assert spmms[0].bias is not None
@@ -160,7 +152,7 @@ class TestSpMMEpilogue:
         from repro.plan import PlanExecutor
         graph = self._tiny_graph()
         plan = self._plan(graph.num_features)
-        fused = fuse_plan(plan, FORCE)
+        fused = fuse_plan(plan)
         with record_launches() as ref_rec:
             reference = PlanExecutor().run(plan, graph,
                                            {"X": graph.features})
@@ -178,67 +170,9 @@ class TestSpMMEpilogue:
         h = b.spmm(a, x, tag="agg")
         runtime_bias = b.input("B", fmt="vec")       # not a constant
         plan = b.build(b.elementwise("add_bias", h, runtime_bias))
-        fused = fuse_plan(plan, FORCE)
+        fused = fuse_plan(plan)
         spmms = [op for op in fused.ops if op.opcode == "spmm"]
         assert spmms[0].bias is None                 # nothing folded
-
-
-class TestCrossLayerFusion:
-    """Pattern (e): an epilogue-complete SGEMM merges into the next
-    layer's SpMM when every layer aggregates in SpMM format."""
-
-    POLICY = FusionPolicy(cross_layer=True)
-
-    def test_gcn_spmm_layers_merge(self, graph):
-        built = get_backend("gsuite").build(_spec("gcn", "SpMM"), graph)
-        fused = fuse_plan(built.plan, self.POLICY)
-        merged = [op for op in fused.ops
-                  if op.opcode == "fused_transform_spmm"]
-        assert merged
-        assert fused.meta["fusion"]["cross_layer"] == len(merged)
-
-    def test_off_by_default(self, graph):
-        built = get_backend("gsuite").build(_spec("gcn", "SpMM"), graph)
-        fused = fuse_plan(built.plan, FORCE)
-        assert all(op.opcode != "fused_transform_spmm"
-                   for op in fused.ops)
-
-    def test_format_instability_blocks_merge(self, graph):
-        # MP-format layers aggregate via gather/scatter — no adjacent
-        # SGEMM -> SpMM boundary exists, so the pattern never fires.
-        built = get_backend("gsuite").build(_spec("gcn", "MP"), graph)
-        fused = fuse_plan(built.plan, self.POLICY)
-        assert all(op.opcode != "fused_transform_spmm"
-                   for op in fused.ops)
-        assert fused.meta["fusion"]["cross_layer"] == 0
-
-    @pytest.mark.parametrize("model", ("gcn", "gin"))
-    def test_bitwise_output_and_mapped_trace(self, graph, model):
-        spec = _spec(model, "SpMM")
-        reference, ref_launches = _run_recorded(
-            get_backend("gsuite").build(spec, graph))
-        fused, fused_launches = _run_recorded(
-            get_backend("gsuite").build(spec, graph)
-            .configure_fusion(self.POLICY))
-        assert fused.dtype == reference.dtype
-        assert np.array_equal(fused, reference)      # bit-for-bit
-        assert legacy_trace(fused_launches) == \
-            [(l.kernel, l.tag) for l in ref_launches]
-
-    @pytest.mark.parametrize("partitioner", ("rows", "edges"))
-    def test_composes_with_sharding(self, graph, partitioner):
-        spec = _spec("gcn", "SpMM")
-        ref, ref_launches = _run_recorded(
-            get_backend("gsuite").build(spec, graph)
-            .configure_fusion(self.POLICY))
-        sharded = get_backend("gsuite").build(spec, graph) \
-            .configure_fusion(self.POLICY) \
-            .configure_sharding(ShardingPolicy(num_shards=3,
-                                               partitioner=partitioner))
-        out, launches = _run_recorded(sharded)
-        assert np.array_equal(out, ref)
-        assert [l.fingerprint() for l in launches] == \
-            [l.fingerprint() for l in ref_launches]
 
 
 class TestReuseBlocksFusion:
@@ -262,11 +196,11 @@ class TestReuseBlocksFusion:
         return builder.build(out)
 
     def test_single_consumer_fuses(self):
-        fused = fuse_plan(self._mp_plan(reused=False), FORCE)
+        fused = fuse_plan(self._mp_plan(reused=False))
         assert any(isinstance(op, FusedGatherScatter) for op in fused.ops)
 
     def test_reused_messages_block_gather_scatter(self):
-        fused = fuse_plan(self._mp_plan(reused=True), FORCE)
+        fused = fuse_plan(self._mp_plan(reused=True))
         assert not any(isinstance(op, FusedGatherScatter)
                        for op in fused.ops)
         kinds = [op.opcode for op in fused.ops]
@@ -281,7 +215,7 @@ class TestReuseBlocksFusion:
         act = builder.activation(summed, "relu")
         # Second consumer of `summed`: it must survive as an SSA value.
         out = builder.elementwise("add", act, summed)
-        fused = fuse_plan(builder.build(out), FORCE)
+        fused = fuse_plan(builder.build(out))
         # The producing add must stay a standalone op (its output is
         # read twice); a chain may legally start *after* it, but can
         # never absorb it.
@@ -300,7 +234,7 @@ class TestReuseBlocksFusion:
         h = builder.sgemm(x, w, tag="t")
         act = builder.activation(h, "relu")
         out = builder.elementwise("add", act, h)     # h read twice
-        fused = fuse_plan(builder.build(out), FORCE)
+        fused = fuse_plan(builder.build(out))
         sgemms = [op for op in fused.ops if op.opcode == "sgemm"]
         assert sgemms[0].activation == ""
 
@@ -317,9 +251,8 @@ class TestFusedParity:
         backend, model, cm = combo
         spec = _spec(model, cm)
         reference, ref_launches = _run_recorded(
-            get_backend(backend).build(spec, graph))
-        fused_pipeline = get_backend(backend).build(spec, graph) \
-            .configure_fusion(FORCE)
+            _build(backend, spec, graph, fuse=False))
+        fused_pipeline = _build(backend, spec, graph)
         if k > 1:
             fused_pipeline.configure_sharding(
                 ShardingPolicy(num_shards=k))
@@ -338,11 +271,8 @@ class TestFusedParity:
         identical traces against the unsharded fused run."""
         backend, model, cm = combo
         spec = _spec(model, cm)
-        unsharded = get_backend(backend).build(spec, graph) \
-            .configure_fusion(FORCE)
-        ref, ref_launches = _run_recorded(unsharded)
-        sharded = get_backend(backend).build(spec, graph) \
-            .configure_fusion(FORCE) \
+        ref, ref_launches = _run_recorded(_build(backend, spec, graph))
+        sharded = _build(backend, spec, graph) \
             .configure_sharding(ShardingPolicy(num_shards=k))
         out, launches = _run_recorded(sharded)
         assert np.array_equal(out, ref)
@@ -352,10 +282,8 @@ class TestFusedParity:
     def test_pooled_fused_dispatch_is_identical(self, graph):
         """jobs > 1 ships fused sub-plans through worker processes."""
         spec = _spec("gin", "MP")
-        ref, ref_launches = _run_recorded(
-            get_backend("gsuite").build(spec, graph).configure_fusion(FORCE))
-        pooled = get_backend("gsuite").build(spec, graph) \
-            .configure_fusion(FORCE) \
+        ref, ref_launches = _run_recorded(_build("gsuite", spec, graph))
+        pooled = _build("gsuite", spec, graph) \
             .configure_sharding(ShardingPolicy(num_shards=3, jobs=2))
         out, launches = _run_recorded(pooled)
         assert np.array_equal(out, ref)
@@ -365,8 +293,7 @@ class TestFusedParity:
     def test_inprocess_fused_path_skips_task_machinery(self, graph):
         """The jobs=1 fused slice-dispatch-merge path: shard-suffixed
         fused launches on the shard trace."""
-        built = get_backend("gsuite").build(_spec("gin", "MP"), graph) \
-            .configure_fusion(FORCE) \
+        built = _build("gsuite", _spec("gin", "MP"), graph) \
             .configure_sharding(ShardingPolicy(num_shards=4))
         with record_launches():
             built.run()
@@ -377,10 +304,32 @@ class TestFusedParity:
         assert "fusedGatherScatter" in kernels
         assert "indexSelect" not in kernels          # nothing materialised
 
+    @pytest.mark.parametrize("partitioner", ("rows", "edges"))
+    def test_fused_spmm_plan_composes_with_sharding(self, graph,
+                                                    partitioner):
+        spec = _spec("gcn", "SpMM")
+        ref, ref_launches = _run_recorded(_build("gsuite", spec, graph))
+        sharded = _build("gsuite", spec, graph).configure_sharding(
+            ShardingPolicy(num_shards=3, partitioner=partitioner))
+        out, launches = _run_recorded(sharded)
+        assert np.array_equal(out, ref)
+        assert [l.fingerprint() for l in launches] == \
+            [l.fingerprint() for l in ref_launches]
+
     def test_pyg_refuses_fusion(self, graph):
-        built = get_backend("pyg").build(_spec("gcn", "MP"), graph)
-        with pytest.raises(BackendError):
-            built.configure_fusion(FORCE)
+        """The tape observes the per-op stream, so a PyG-like build is
+        unfused whatever ``fuse`` says — and says nothing about it."""
+        asked, declined = (_build("pyg", _spec("gcn", "MP"), graph, fuse=fuse)
+                           for fuse in (True, False))
+        assert fusion_summary(asked.plan) == {}
+        assert asked.plan.fingerprint() == declined.plan.fingerprint()
+        out, launches = _run_recorded(asked)
+        assert np.array_equal(out, declined.run())
+        assert [l.kernel for l in launches if l.kernel != "sgemm"] == \
+            ["indexSelect", "scatter"] * 2
+        assert [node["op"] for node in asked._tape.nodes
+                if node["op"] != "sgemm"] == \
+            ["index_select", "message", "scatter"] * 2
 
 
 class TestStreamingKernel:
@@ -463,9 +412,8 @@ class TestRandomizedFusion:
                                 out_features=int(rng.integers(2, 6)),
                                 hidden=int(rng.integers(2, 9)),
                                 seed=int(rng.integers(0, 100)))
-            reference = get_backend("gsuite").build(spec, graph).run()
-            fused_pipeline = get_backend("gsuite").build(spec, graph) \
-                .configure_fusion(FORCE)
+            reference = _build("gsuite", spec, graph, fuse=False).run()
+            fused_pipeline = _build("gsuite", spec, graph)
             num_shards = int(rng.integers(1, graph.num_nodes + 3))
             if num_shards > 1:
                 fused_pipeline.configure_sharding(
@@ -511,8 +459,8 @@ class TestPlannerFusion:
         built = GNNPipeline(config, graph=graph).build()
         unfused = GNNPipeline(config.with_overrides(fuse="off"),
                               graph=graph).build()
-        assert unfused.fusion is None
-        legal = fusion_summary(fuse_plan(unfused.plan, FORCE)) \
+        assert fusion_summary(unfused.plan) == {}
+        legal = fusion_summary(fuse_plan(unfused.plan)) \
             .get("gather_scatter", 0)
         assert fusion_summary(built.plan).get("gather_scatter", 0) == legal
         assert np.array_equal(built.run(), unfused.run())   # bit-for-bit
@@ -611,17 +559,83 @@ class TestConfigAndCli:
                      "--framework", "pyg"]) == 0
 
 
+class TestLoweringSeam:
+    """Plans are fused where they are lowered: ``cached_plan`` is the
+    one caller of ``fuse_plan``, behind a ``fuse`` switch that is part
+    of the plan-cache key."""
+
+    def test_fuse_is_in_the_plan_cache_key(self, graph):
+        from repro.cache import get_cache
+        from repro.core import GNNPipeline, SuiteConfig
+        config = SuiteConfig(dataset="cora", model="gcn")
+        unfused = GNNPipeline(config.with_overrides(fuse="off"),
+                              graph=graph).build()
+        built = GNNPipeline(config, graph=graph).build()
+        plans = [e for e in get_cache().entries() if e.kind == "plan"]
+        assert len(plans) == 2 and get_cache().stats.hits == 0
+        legal = fusion_summary(fuse_plan(unfused.plan))["gather_scatter"]
+        assert fusion_summary(unfused.plan) == {}
+        assert fusion_summary(built.plan)["gather_scatter"] == legal == 2
+
+    def test_warm_build_neither_lowers_nor_fuses(self, graph, monkeypatch):
+        from repro.core import GNNPipeline, SuiteConfig
+        from repro.core.models.base import GNNModel
+        from repro.plan import lowering
+        calls = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(lowering, "fuse_plan")
+        spy(GNNModel, "lower")
+        config = SuiteConfig(dataset="cora", model="gcn")
+        cold = GNNPipeline(config, graph=graph).build()
+        assert calls == ["lower", "fuse_plan"]
+        warm = GNNPipeline(config, graph=graph).build()
+        assert calls == ["lower", "fuse_plan"]           # nothing new
+        assert warm.plan.fingerprint() == cold.plan.fingerprint()
+        assert any(isinstance(op, FusedGatherScatter)
+                   for op in warm.plan.ops)
+
+    @pytest.mark.parametrize("model", ("gcn", "gin"))
+    def test_spmm_layer_boundary_stays_two_launches(self, graph, model):
+        """No pattern crosses a layer: the transform feeding the next
+        layer's aggregation keeps its epilogue and stays an ``sgemm``
+        followed by an ``spmm``."""
+        spec = _spec(model, "SpMM")
+        reference, ref_launches = _run_recorded(
+            _build("gsuite", spec, graph, fuse=False))
+        built = _build("gsuite", spec, graph)
+        ops = built.plan.ops
+        boundary = next(i for i, op in enumerate(ops[1:], 1)
+                        if op.opcode == "spmm" and op.tag.endswith("l1"))
+        assert ops[boundary - 1].opcode == "sgemm"
+        assert ops[boundary - 1].activation == "relu"
+        assert ops[boundary].dense.vid == ops[boundary - 1].out.vid
+        assert {op.opcode for op in ops} <= {"normalize", "sgemm", "spmm"}
+        fused, fused_launches = _run_recorded(built)
+        assert fused.dtype == reference.dtype
+        assert np.array_equal(fused, reference)      # bit-for-bit
+        assert legacy_trace(fused_launches) == \
+            [(l.kernel, l.tag) for l in ref_launches]
+
+
 class TestCacheKeys:
     """The cache-key bugfix: fused and unfused plans stay distinct."""
 
     def test_fingerprints_differ(self, graph):
-        built = get_backend("gsuite").build(_spec("gcn", "MP"), graph)
-        fused = fuse_plan(built.plan, FORCE)
+        built = _build("gsuite", _spec("gcn", "MP"), graph, fuse=False)
+        fused = fuse_plan(built.plan)
         assert fused.fingerprint() != built.plan.fingerprint()
 
     def test_cache_info_reports_plan_kind(self, graph, capsys):
         from repro.cli import main
-        get_backend("gsuite").build(_spec("gcn", "MP"), graph)
+        _build("gsuite", _spec("gcn", "MP"), graph)
         assert main(["cache", "info"]) == 0
         out = capsys.readouterr().out
         assert "plan" in out

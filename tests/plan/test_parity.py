@@ -19,6 +19,7 @@ from repro.core.models.activations import get_activation, relu
 from repro.datasets import load_dataset
 from repro.frameworks import DGLGraphLike, get_backend, PipelineSpec
 from repro.frameworks.pyg_like import _validate_edge_index
+from strategies import lowered
 
 MODELS_BY_BACKEND = {
     "gsuite": (("gcn", "MP"), ("gcn", "SpMM"), ("gin", "MP"),
@@ -108,7 +109,7 @@ class TestBitwiseParity:
     def test_plan_output_equals_legacy(self, graph, backend, model, cm):
         spec = _spec(model, cm)
         legacy = _LEGACY[backend](spec, graph)
-        planned = get_backend(backend).build(spec, graph).run()
+        planned = lowered(backend, spec, graph).run()
         assert planned.dtype == legacy.dtype
         assert np.array_equal(planned, legacy)   # bit-for-bit
 
@@ -118,7 +119,7 @@ class TestBitwiseParity:
         spec = _spec(model, cm)
         with record_launches() as legacy_rec:
             _LEGACY[backend](spec, graph)
-        pipeline = get_backend(backend).build(spec, graph)
+        pipeline = lowered(backend, spec, graph)
         with record_launches() as plan_rec:
             pipeline.run()
         legacy_trace = [(l.kernel, l.tag, l.threads, l.flops,
@@ -151,8 +152,8 @@ class TestBitwiseParity:
     def test_cached_plan_reexecutes_bitwise(self, graph):
         """A plan deserialised from the persistent cache is equivalent."""
         spec = _spec("gcn", "MP")
-        first = get_backend("gsuite").build(spec, graph)
-        second = get_backend("gsuite").build(spec, graph)   # cache hit
+        first = lowered("gsuite", spec, graph)
+        second = lowered("gsuite", spec, graph)   # cache hit
         assert second.plan.fingerprint() == first.plan.fingerprint()
         assert np.array_equal(first.run(), second.run())
 
@@ -160,8 +161,8 @@ class TestBitwiseParity:
         """The planner changes the *execution*, never the function."""
         for model in ("gcn", "gin", "sage", "gat"):
             spec = _spec(model, "MP")
-            reference = get_backend("gsuite").build(spec, graph).run()
-            adaptive = get_backend("gsuite-adaptive").build(spec, graph).run()
+            reference = lowered("gsuite", spec, graph).run()
+            adaptive = lowered("gsuite-adaptive", spec, graph).run()
             assert np.allclose(adaptive, reference, atol=1e-3)
 
 
@@ -191,8 +192,7 @@ class TestExtensionModelFallback:
     def test_native_and_adaptive_fall_back_to_forward(self, graph):
         self._register()
         for backend in ("gsuite", "gsuite-adaptive"):
-            built = get_backend(backend).build(_spec("direct-only", "MP"),
-                                               graph)
+            built = lowered(backend, _spec("direct-only", "MP"), graph)
             assert built.plan is None
             out = built.run()
             assert out.shape == (graph.num_nodes, 7)

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strategies import PARITY_SETTINGS, power_law_graphs, shard_counts
+from strategies import PARITY_SETTINGS, lowered, power_law_graphs, \
+    shard_counts
 
 from repro.cli import main
 from repro.core.config import SuiteConfig
@@ -139,8 +140,8 @@ class TestPropertyParity:
     def test_bitwise_output_and_trace(self, graph, combo, partitioner, k):
         model, cm = combo
         reference, ref_trace = _run_recorded(
-            get_backend("gsuite").build(_spec(model, cm), graph))
-        sharded = get_backend("gsuite").build(_spec(model, cm), graph) \
+            lowered("gsuite", _spec(model, cm), graph))
+        sharded = lowered("gsuite", _spec(model, cm), graph) \
             .configure_sharding(ShardingPolicy(
                 num_shards=k, partitioner=partitioner))
         out, trace = _run_recorded(sharded)
@@ -159,7 +160,7 @@ class TestPartitionerBoundaries:
             ShardingPolicy(num_shards=2, partitioner="hashed")
 
     def test_shard_report_names_partitioner(self, graph):
-        built = get_backend("gsuite").build(_spec("gcn", "MP"), graph) \
+        built = lowered("gsuite", _spec("gcn", "MP"), graph) \
             .configure_sharding(ShardingPolicy(
                 num_shards=3, partitioner="edges"))
         built.run()

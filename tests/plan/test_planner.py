@@ -10,16 +10,13 @@ decision).
 import numpy as np
 import pytest
 
-from repro.core.config import SuiteConfig
 from repro.core.models import build_model
-from repro.core.pipeline import GNNPipeline
 from repro.datasets import get_spec, load_dataset
 from repro.errors import ModelError
 from repro.frameworks import get_backend, PipelineSpec
 from repro.plan import (
     GraphStats,
     choose_formats,
-    choose_fusion,
     choose_shards,
     explain_choice,
     mp_layer_cost,
@@ -260,20 +257,3 @@ class TestShardCount:
                                    "gcn").aggregation_width)
         unhooked = choose_shards(_dims(spec), stats)
         assert hooked <= unhooked
-
-
-class TestCrossLayerGate:
-    """Cross-layer fusion is planner-on: choose_fusion enables it on
-    every all-SpMM plan with two or more layers, so ``fuse="auto"``
-    (the default) runs it."""
-
-    def test_gate_and_the_plan_it_produces(self):
-        assert choose_fusion(("SpMM", "SpMM")).cross_layer
-        for formats in (("MP", "SpMM"), ("SpMM", "MP"), ("MP", "MP"),
-                        ("SpMM",)):
-            assert not choose_fusion(formats).cross_layer, formats
-        pipeline = GNNPipeline(SuiteConfig(
-            model="gin", compute_model="SpMM", dataset="cora", scale=0.1))
-        assert pipeline.config.fuse == "auto"
-        opcodes = [op.opcode for op in pipeline.build().plan.ops]
-        assert opcodes.count("fused_transform_spmm") == 1

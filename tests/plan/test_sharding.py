@@ -24,6 +24,7 @@ from repro.plan import (
     find_shard_groups,
     shard_ranges,
 )
+from strategies import lowered
 
 #: Backend x (model, compute model) combos whose pipelines execute a
 #: plain PlanExecutor and therefore support sharding.  (The PyG-like
@@ -90,7 +91,7 @@ class TestShardRanges:
 
 class TestShardGroups:
     def test_mp_plan_groups_gather_scatter_pairs(self, graph):
-        built = get_backend("gsuite").build(_spec("gcn", "MP"), graph)
+        built = lowered("gsuite", _spec("gcn", "MP"), graph)
         groups = find_shard_groups(built.plan)
         assert [g.kind for g in groups] == ["mp", "mp"]  # one per layer
         for group in groups:
@@ -98,12 +99,12 @@ class TestShardGroups:
             assert group.positions == (group.start, group.start + 1)
 
     def test_spmm_plan_groups_every_spmm(self, graph):
-        built = get_backend("gsuite").build(_spec("gin", "SpMM"), graph)
+        built = lowered("gsuite", _spec("gin", "SpMM"), graph)
         groups = find_shard_groups(built.plan)
         assert [g.kind for g in groups] == ["spmm", "spmm"]
 
     def test_subplan_is_valid_and_annotated(self, graph):
-        built = get_backend("gsuite").build(_spec("sage", "MP"), graph)
+        built = lowered("gsuite", _spec("sage", "MP"), graph)
         group = find_shard_groups(built.plan)[0]
         subplan = build_shard_subplan(group, 3, 9, 1, 4)
         subplan.validate()
@@ -120,8 +121,8 @@ class TestShardParity:
     def test_bitwise_output_and_trace(self, graph, backend, model, cm, k):
         spec = _spec(model, cm)
         reference, ref_trace = _run_recorded(
-            get_backend(backend).build(spec, graph))
-        sharded_pipeline = get_backend(backend).build(spec, graph) \
+            lowered(backend, spec, graph))
+        sharded_pipeline = lowered(backend, spec, graph) \
             .configure_sharding(ShardingPolicy(num_shards=k))
         sharded, shard_trace = _run_recorded(sharded_pipeline)
         assert sharded.dtype == reference.dtype
@@ -132,15 +133,15 @@ class TestShardParity:
         """jobs > 1 routes shards through real worker processes."""
         spec = _spec("gcn", "MP")
         reference, ref_trace = _run_recorded(
-            get_backend("gsuite").build(spec, graph))
-        pooled = get_backend("gsuite").build(spec, graph).configure_sharding(
+            lowered("gsuite", spec, graph))
+        pooled = lowered("gsuite", spec, graph).configure_sharding(
             ShardingPolicy(num_shards=3, jobs=2))
         out, trace = _run_recorded(pooled)
         assert np.array_equal(out, reference)
         assert trace == ref_trace
 
     def test_shard_trace_captures_shards_and_merges(self, graph):
-        built = get_backend("gsuite").build(_spec("gcn", "MP"), graph) \
+        built = lowered("gsuite", _spec("gcn", "MP"), graph) \
             .configure_sharding(ShardingPolicy(num_shards=4))
         with record_launches():   # capture follows the ambient recorder
             built.run()
@@ -167,9 +168,9 @@ class TestShardParity:
             spec = PipelineSpec(model=model, compute_model=cm,
                                 out_features=3, seed=2)
             reference, ref_trace = _run_recorded(
-                get_backend("gsuite").build(spec, graph))
+                lowered("gsuite", spec, graph))
             sharded, trace = _run_recorded(
-                get_backend("gsuite").build(spec, graph)
+                lowered("gsuite", spec, graph)
                 .configure_sharding(ShardingPolicy(num_shards=7)))
             assert np.array_equal(sharded, reference)
             assert trace == ref_trace
@@ -183,9 +184,9 @@ class TestShardParity:
         spec = PipelineSpec(model="gin", compute_model="MP",
                             out_features=2, seed=0)
         reference, ref_trace = _run_recorded(
-            get_backend("gsuite").build(spec, graph))
+            lowered("gsuite", spec, graph))
         sharded, trace = _run_recorded(
-            get_backend("gsuite").build(spec, graph)
+            lowered("gsuite", spec, graph)
             .configure_sharding(ShardingPolicy(num_shards=2)))
         assert np.array_equal(sharded, reference)
         assert trace == ref_trace
@@ -215,9 +216,9 @@ class TestCrossDatasetParity:
         for model in ("gcn", "gin", "sage", "gat"):
             spec = PipelineSpec(model=model, out_features=4, seed=3)
             reference, ref_trace = _run_recorded(
-                get_backend("gsuite-adaptive").build(spec, graph))
+                lowered("gsuite-adaptive", spec, graph))
             sharded, trace = _run_recorded(
-                get_backend("gsuite-adaptive").build(spec, graph)
+                lowered("gsuite-adaptive", spec, graph)
                 .configure_sharding(ShardingPolicy(num_shards=3)))
             assert np.array_equal(sharded, reference), \
                 f"{model} on {dataset}"
@@ -258,9 +259,9 @@ class TestRandomizedParity:
                                 seed=int(rng.integers(0, 100)))
             num_shards = int(rng.integers(2, graph.num_nodes + 3))
             reference, ref_trace = _run_recorded(
-                get_backend("gsuite").build(spec, graph))
+                lowered("gsuite", spec, graph))
             sharded, trace = _run_recorded(
-                get_backend("gsuite").build(spec, graph)
+                lowered("gsuite", spec, graph)
                 .configure_sharding(ShardingPolicy(num_shards=num_shards)))
             assert np.array_equal(sharded, reference), \
                 f"case {case}: {model}/{cm} K={num_shards}"

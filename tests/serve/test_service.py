@@ -10,6 +10,7 @@ degradation event exactly.
 
 import asyncio
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,38 @@ class TestBatchedParity:
     def test_latency_is_recorded(self):
         _, responses = _serve_all(_requests((4,)))
         assert responses[0].latency_s > 0
+
+
+class TestServedPlansAreFused:
+    """The service builds through ``Backend.build`` exactly as
+    ``gsuite run`` does, so it serves the same fused plans."""
+
+    @pytest.mark.parametrize("dataset", ("cora", "citeseer", "pubmed"))
+    def test_solo_and_batched_run_the_pipeline_kernels(self, dataset):
+        from repro.core.kernels import record_launches
+        from repro.core.pipeline import GNNPipeline
+        solo_request = InferenceRequest(request_id="solo", dataset=dataset,
+                                        scale=0.25, out_features=8)
+        pair = [replace(solo_request, request_id=f"pair-{i}")
+                for i in range(2)]
+        _, (solo,) = _serve_all([solo_request])
+        _, batched = _serve_all(pair)
+        assert solo.source == "solo"
+        assert [r.source for r in batched] == ["batched"] * 2
+        for request, response in zip([solo_request] + pair,
+                                     [solo] + batched):
+            assert np.array_equal(
+                response.output,
+                solo_reference(request, pad_to=response.padded_to))
+        config = SuiteConfig(dataset=dataset, scale=0.25, out_features=8)
+        assert np.array_equal(
+            solo.output,
+            GNNPipeline(config, graph=solo_request.resolve_graph()).run())
+        with record_launches() as recorder:
+            solo_reference(solo_request)
+        kernels = {launch.kernel for launch in recorder.launches}
+        assert "fusedGatherScatter" in kernels
+        assert not kernels & {"indexSelect", "scatter"}
 
 
 class TestServeModes:

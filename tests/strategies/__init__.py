@@ -16,6 +16,7 @@ from .modes import (
     batch_member_lists,
     executable_combos,
     fusable_combos,
+    lowered,
 )
 from .settings import PARITY_SETTINGS, STANDARD_SETTINGS
 
@@ -27,6 +28,7 @@ __all__ = [
     "batch_member_lists",
     "executable_combos",
     "fusable_combos",
+    "lowered",
     "power_law_graphs",
     "shard_counts",
 ]

@@ -19,6 +19,7 @@ __all__ = [
     "batch_member_lists",
     "executable_combos",
     "fusable_combos",
+    "lowered",
 ]
 
 #: Backend x (model, compute model) pairs every backend can execute.
@@ -40,6 +41,17 @@ EXECUTABLE_COMBOS = tuple((backend, model, cm)
 
 FUSABLE_COMBOS = tuple(combo for combo in EXECUTABLE_COMBOS
                        if combo[0] != "pyg")
+
+
+def lowered(backend, spec, graph):
+    """The pipeline over the plan as lowered (``fuse=False``).
+
+    For the suites that pin the per-op Table II stream — plan vs
+    legacy, unfused sharding, shard faults; the fused default has its
+    own suite in ``tests/plan/test_fusion.py``.
+    """
+    from repro.frameworks import get_backend
+    return get_backend(backend).build(spec, graph, fuse=False)
 
 
 def executable_combos():

@@ -26,11 +26,12 @@ from repro.errors import (
     WorkerError,
 )
 from repro.faults import FaultPlan, FaultSpec, parse_faults
-from repro.frameworks import PipelineSpec, get_backend
+from repro.frameworks import PipelineSpec
 from repro.graph import Graph, validate_graph
 from repro.graph.formats import COOMatrix, CSRMatrix
 from repro.plan import ShardingPolicy
-from strategies import PARITY_SETTINGS, power_law_graphs, shard_counts
+from strategies import PARITY_SETTINGS, lowered, power_law_graphs, \
+    shard_counts
 
 
 class TestCorruptedGraphs:
@@ -436,10 +437,10 @@ class TestShardedFaultScenarios:
         spec_text, timeout, counter = SHARD_SCENARIOS[scenario]
         spec = PipelineSpec(model="gcn", compute_model="MP", seed=5)
         reference, ref_trace = _run_recorded(
-            get_backend("gsuite").build(spec, cora))
+            lowered("gsuite", spec, cora))
 
         faults.activate(spec_text)
-        built = get_backend("gsuite").build(spec, cora).configure_sharding(
+        built = lowered("gsuite", spec, cora).configure_sharding(
             ShardingPolicy(num_shards=k, jobs=2, task_timeout=timeout))
         sharded, trace = _run_recorded(built)
 
@@ -453,7 +454,7 @@ class TestShardedFaultScenarios:
 
     def test_clean_sharded_run_reports_clean(self, cora):
         spec = PipelineSpec(model="gcn", compute_model="MP", seed=5)
-        built = get_backend("gsuite").build(spec, cora).configure_sharding(
+        built = lowered("gsuite", spec, cora).configure_sharding(
             ShardingPolicy(num_shards=3, jobs=2))
         built.run()
         report = built.dispatch_report
@@ -470,11 +471,11 @@ def test_faulted_sharding_property(graph, k):
     spec = PipelineSpec(model="gin", compute_model="MP", out_features=3,
                         seed=2)
     reference, ref_trace = _run_recorded(
-        get_backend("gsuite").build(spec, graph))
+        lowered("gsuite", spec, graph))
     faults.activate("seed=11;worker_crash:p=0.4,tries=1;"
                     "corrupt_result:p=0.4,tries=1")
     try:
-        built = get_backend("gsuite").build(spec, graph).configure_sharding(
+        built = lowered("gsuite", spec, graph).configure_sharding(
             ShardingPolicy(num_shards=k, jobs=2))
         sharded, trace = _run_recorded(built)
     finally:

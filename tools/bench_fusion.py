@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark plan-level fusion against unfused plan execution.
 
-For each workload this tool builds one pipeline twice — unfused and
-fused (``repro.plan.fusion``), each under its *own* planner-chosen
-shard policy — asserts **bit-for-bit output parity**, measures
-wall-clock and peak traced memory, and writes ``BENCH_fusion.json``
-at the repository root.
+For each workload this tool builds one pipeline twice — unfused
+(``build(..., fuse=False)``) and fused (``build(...)``, the default),
+each under its *own* planner-chosen shard policy — asserts
+**bit-for-bit output parity**, measures wall-clock and peak traced
+memory, and writes ``BENCH_fusion.json`` at the repository root.
 
 Where the win comes from:
 
@@ -50,7 +50,6 @@ from repro.datasets import load_dataset  # noqa: E402
 from repro.frameworks import PipelineSpec, get_backend  # noqa: E402
 from repro.plan import (  # noqa: E402
     GraphStats,
-    choose_fusion,
     choose_shards,
     fusion_summary,
 )
@@ -91,9 +90,7 @@ def _peak_bytes(fn) -> int:
 
 def _build(spec, graph, dims, stats, width_hook, fused: bool):
     """One pipeline, fused or not, under its planner-chosen shard policy."""
-    built = get_backend("gsuite").build(spec, graph)
-    if fused:
-        built.configure_fusion(choose_fusion(list(built.plan.layer_formats)))
+    built = get_backend("gsuite").build(spec, graph, fuse=fused)
     shards = choose_shards(dims, stats,
                            formats=list(built.plan.layer_formats),
                            width_hook=width_hook, fused=fused)

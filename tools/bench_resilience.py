@@ -136,7 +136,7 @@ def bench_fault_rates(scale: float, shards: int, jobs: int,
     graph = load_dataset("cora", scale=scale, seed=0)
     spec = PipelineSpec(model="gcn", compute_model="MP", out_features=8)
     backend = get_backend("gsuite")
-    reference = backend.build(spec, graph).run()
+    reference = backend.build(spec, graph, fuse=False).run()
     print(f"gcn/MP cora@{scale:g}  N={graph.num_nodes} E={graph.num_edges} "
           f"K={shards} jobs={jobs}")
 
@@ -147,8 +147,9 @@ def bench_fault_rates(scale: float, shards: int, jobs: int,
             faults.activate(f"seed=1;worker_crash:p={rate:g},tries=1;"
                             f"corrupt_result:p={rate:g},tries=1")
         try:
-            built = backend.build(spec, graph).configure_sharding(
-                ShardingPolicy(num_shards=shards, jobs=jobs))
+            built = backend.build(spec, graph, fuse=False) \
+                .configure_sharding(
+                    ShardingPolicy(num_shards=shards, jobs=jobs))
             out = built.run()
             if not np.array_equal(out, reference):
                 failures.append(f"rate={rate:g}: output mismatch")

@@ -78,7 +78,9 @@ def run(profile_name: str, scale_override, shard_list, repeats: int,
         spec = PipelineSpec(model=model, compute_model=compute_model,
                             out_features=8)
         backend = get_backend("gsuite")
-        built = backend.build(spec, graph)
+        # The message matrix only exists unfused: that is the arm the
+        # planner ever shards.
+        built = backend.build(spec, graph, fuse=False)
         cls = get_model_class(model)
         auto_k = choose_shards(
             built.plan.meta["dims"], GraphStats.from_graph(graph),
@@ -103,8 +105,8 @@ def run(profile_name: str, scale_override, shard_list, repeats: int,
             k = auto_k if requested == "auto" else int(requested)
             if k <= 1:
                 continue
-            sharded = backend.build(spec, graph).configure_sharding(
-                ShardingPolicy(num_shards=k, jobs=jobs))
+            sharded = backend.build(spec, graph, fuse=False) \
+                .configure_sharding(ShardingPolicy(num_shards=k, jobs=jobs))
             out = sharded.run()
             if not np.array_equal(out, reference):
                 failures.append(f"{model}/{dataset} K={k}: output mismatch")

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark skew-aware sharding and the SpMM-side fusion patterns.
+"""Benchmark skew-aware sharding (``BENCH_skew_fusion.json`` at the
+repo root).
 
-Two sections, one JSON (``BENCH_skew_fusion.json`` at the repo root):
-
-**Skew**: each MP aggregation workload runs on a *degree-sorted* copy
+Each MP aggregation workload runs, unfused, on a *degree-sorted* copy
 of scaled Reddit — rows relabeled hubs-first, the worst-case export
 order the planner's skew gate prices.  At the planner's own shard
 count the even-row partitioner and the edge-balanced partitioner run
@@ -14,11 +13,6 @@ the deterministic :class:`~repro.gpu.simulator.GpuSimulator`) — the
 quantity the edge-balanced split optimises and the one a worker pool
 or a multi-SM dispatch realises; host wall-clock rides along for
 reference but is too noisy on small containers to gate on.
-
-**Fusion**: the SpMM-epilogue and cross-layer patterns
-(``FusionPolicy(cross_layer=True)``) against the unfused plan on
-all-SpMM workloads — bit-for-bit outputs, fewer launches, fewer
-simulated cycles.
 
 Usage::
 
@@ -47,24 +41,16 @@ from repro.datasets import load_dataset  # noqa: E402
 from repro.frameworks import PipelineSpec, get_backend  # noqa: E402
 from repro.graph import Graph  # noqa: E402
 from repro.plan import (  # noqa: E402
-    FusionPolicy,
     GraphStats,
     ShardingPolicy,
     choose_partitioner,
     choose_shards,
 )
 
-#: MP aggregation workloads for the skew section.
+#: MP aggregation workloads.
 SKEW_WORKLOADS = (
     ("sage", "reddit", "MP"),
     ("gin", "reddit", "MP"),
-)
-
-#: All-SpMM workloads for the fusion section (cross-layer fusion
-#: requires a format-stable plan).
-FUSION_WORKLOADS = (
-    ("gcn", "reddit", "SpMM"),
-    ("gin", "reddit", "SpMM"),
 )
 
 #: The win the planner's skew gate promises; the committed JSON must
@@ -116,11 +102,6 @@ def _shard_cycles(simulator, trace) -> tuple:
     return makespan, sum(per_shard.values()) + serial
 
 
-def _total_cycles(simulator, launches) -> float:
-    return sum(result.estimated_total_cycles
-               for result in simulator.simulate_all(launches))
-
-
 def bench_skew(simulator, profile, scale_override, repeats, failures):
     rows = []
     backend = get_backend("gsuite")
@@ -130,7 +111,8 @@ def bench_skew(simulator, profile, scale_override, repeats, failures):
         stats = GraphStats.from_graph(graph)
         spec = PipelineSpec(model=model, compute_model=compute_model,
                             out_features=8)
-        built = backend.build(spec, graph)
+        # The message matrix the shards slice exists only unfused.
+        built = backend.build(spec, graph, fuse=False)
         cls = get_model_class(model)
         k = choose_shards(built.plan.meta["dims"], stats,
                           formats=list(built.plan.layer_formats),
@@ -153,8 +135,9 @@ def bench_skew(simulator, profile, scale_override, repeats, failures):
             rows.append(entry)
             continue
         for partitioner in ("rows", "edges"):
-            sharded = backend.build(spec, graph).configure_sharding(
-                ShardingPolicy(num_shards=k, partitioner=partitioner))
+            sharded = backend.build(spec, graph, fuse=False) \
+                .configure_sharding(ShardingPolicy(
+                    num_shards=k, partitioner=partitioner))
             with record_launches():
                 out = sharded.run()
             if not np.array_equal(out, reference):
@@ -189,51 +172,6 @@ def bench_skew(simulator, profile, scale_override, repeats, failures):
     return rows
 
 
-def bench_fusion(simulator, profile, scale_override, repeats, failures):
-    rows = []
-    backend = get_backend("gsuite")
-    policy = FusionPolicy(cross_layer=True)
-    for model, dataset, compute_model in FUSION_WORKLOADS:
-        scale = scale_override or profile.scale_of(dataset)
-        graph = load_dataset(dataset, scale=scale, seed=0)
-        spec = PipelineSpec(model=model, compute_model=compute_model,
-                            out_features=8)
-        unfused = backend.build(spec, graph)
-        with record_launches() as ref_rec:
-            reference = unfused.run()
-        fused = backend.build(spec, graph).configure_fusion(policy)
-        with record_launches() as rec:
-            out = fused.run()
-        if not np.array_equal(out, reference):
-            failures.append(f"{model}/{dataset} fused: output mismatch")
-            continue
-        counts = fused.plan.meta["fusion"]
-        base_s = _best_seconds(unfused.run, repeats)
-        fused_s = _best_seconds(fused.run, repeats)
-        base_cycles = _total_cycles(simulator, ref_rec.launches)
-        fused_cycles = _total_cycles(simulator, rec.launches)
-        entry = {
-            "model": model, "dataset": dataset, "scale": scale,
-            "compute_model": compute_model,
-            "fusion_counts": {k: v for k, v in counts.items() if v},
-            "launches": {"unfused": len(ref_rec.launches),
-                         "fused": len(rec.launches)},
-            "total_cycles": {"unfused": round(base_cycles, 1),
-                             "fused": round(fused_cycles, 1)},
-            "seconds": {"unfused": base_s, "fused": fused_s},
-            "speedup_fused_cycles": round(base_cycles / fused_cycles, 3),
-        }
-        print(f"{model:5s} {dataset}@{scale:g} {compute_model}  "
-              f"fused {counts}  launches {len(ref_rec.launches)} -> "
-              f"{len(rec.launches)}  cycles speedup "
-              f"{base_cycles / fused_cycles:.2f}x  [outputs bit-identical]")
-        if len(rec.launches) >= len(ref_rec.launches):
-            failures.append(f"{model}/{dataset} fused: launch count did "
-                            f"not shrink")
-        rows.append(entry)
-    return rows
-
-
 def run(profile_name: str, scale_override, repeats: int,
         out_path: Path) -> int:
     from repro.gpu.config import v100_config
@@ -244,8 +182,6 @@ def run(profile_name: str, scale_override, repeats: int,
     failures: list = []
     skew_rows = bench_skew(simulator, profile, scale_override, repeats,
                            failures)
-    fusion_rows = bench_fusion(simulator, profile, scale_override,
-                               repeats, failures)
 
     if failures:
         print("FAILURES:")
@@ -254,8 +190,8 @@ def run(profile_name: str, scale_override, repeats: int,
         return 1
 
     payload = {
-        "description": "Skew-aware sharding and SpMM-side fusion.  The "
-                       "skew section runs each MP workload on a degree-"
+        "description": "Skew-aware sharding: each MP workload runs "
+                       "unfused on a degree-"
                        "sorted (hubs-first) relabeling of scaled Reddit "
                        "and compares the even-row and edge-balanced "
                        "partitioners at the planner's shard count: "
@@ -264,15 +200,10 @@ def run(profile_name: str, scale_override, repeats: int,
                        "is the simulated shard makespan (heaviest "
                        "shard + serial merge) that a worker pool or "
                        "multi-SM dispatch realises; wall-clock is "
-                       "informational.  The fusion section compares "
-                       "cross-layer + SpMM-epilogue fused plans "
-                       "against unfused on all-SpMM workloads: "
-                       "bit-identical outputs from fewer launches and "
-                       "fewer simulated cycles.",
+                       "informational.",
         "profile": profile_name,
         "required_speedup": REQUIRED_SPEEDUP,
         "skew": skew_rows,
-        "fusion": fusion_rows,
     }
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out_path}")
