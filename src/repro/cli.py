@@ -142,11 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "up to the planner's choose_batching budget, "
                             "'off' executes every request solo, N >= 2 "
                             "caps batches at N members")
-        p.add_argument("--serve-window", type=float, default=None,
-                       metavar="SECONDS",
-                       help="micro-batch deadline flush: a queued request "
-                            "never waits longer than this for co-batchable "
-                            "traffic (default 0.01)")
 
     for name, help_text in (
             ("run", "run one inference pass"),
@@ -218,7 +213,7 @@ _ARG_FIELDS = {
     "partitioner": "partitioner", "fuse": "fuse", "batch": "batch",
     "profile_costs": "profile_costs", "jobs": "jobs",
     "task_timeout": "task_timeout", "faults": "faults",
-    "serve_batch": "serve_batch", "serve_window": "serve_window",
+    "serve_batch": "serve_batch",
 }
 
 
@@ -406,8 +401,7 @@ def _cmd_serve(args) -> int:
     def ready(bound):
         host, port = bound
         print(f"serving on {host}:{port} "
-              f"(serve_batch={config.serve_batch}, "
-              f"serve_window={config.serve_window}s); one JSON request "
+              f"(serve_batch={config.serve_batch}); one JSON request "
               f"per line, e.g. "
               f'{{"request_id": "r1", "dataset": "cora", "scale": 0.15}}')
 
@@ -444,7 +438,7 @@ def _cmd_loadgen(args) -> int:
     mode = "off" if config.serve_batch == 1 else (
         "auto" if config.serve_batch == 0 else f"<= {config.serve_batch}")
     print(f"loadgen over {'+'.join(datasets)} "
-          f"(micro-batching {mode}, window {config.serve_window}s)")
+          f"(micro-batching {mode})")
     print(report.summary())
     if args.verify:
         print(f"parity: {report.parity_checked} response(s) checked, "

@@ -173,10 +173,6 @@ class SuiteConfig:
                                   # (every request executes solo),
                                   # N >= 2 additionally caps batches
                                   # at N members
-    serve_window: float = 0.01    # micro-batch deadline flush
-                                  # (seconds): a queued request never
-                                  # waits longer than this for
-                                  # co-batchable traffic
 
     def __post_init__(self):
         if self.num_layers < 1:
@@ -222,10 +218,6 @@ class SuiteConfig:
             raise ConfigError(
                 f"task_timeout must be >= 0 (0 = no deadline), "
                 f"got {self.task_timeout!r}")
-        if self.serve_window < 0:
-            raise ConfigError(
-                f"serve_window must be >= 0 seconds, "
-                f"got {self.serve_window!r}")
 
     # -- construction helpers ----------------------------------------------
     @classmethod

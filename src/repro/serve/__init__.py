@@ -2,17 +2,19 @@
 
 The serving layer puts the suite's batched-execution machinery behind
 concurrent traffic: validated requests (:mod:`repro.serve.requests`)
-queue into a deadline-flushed micro-batcher
-(:mod:`repro.serve.batcher`) that packs compatible graphs into one
-block-diagonal :class:`~repro.graph.BatchedGraph` workload under the
-planner's :func:`~repro.plan.planner.choose_batching` budgets; an
+queue into a work-conserving micro-batcher
+(:mod:`repro.serve.batcher`: a group is cut when the worker is free,
+never on a timer) that packs compatible graphs into one block-diagonal
+:class:`~repro.graph.BatchedGraph` workload under the planner's
+:func:`~repro.plan.planner.choose_batching` budgets; an
 asyncio service (:mod:`repro.serve.service`) executes the packed plans
 and unpacks per-member responses; a deterministic load generator
 (:mod:`repro.serve.loadgen`) measures p50/p99 latency and throughput.
 
-Mixed feature widths share a batch through the zero-padding shim
-(:mod:`repro.serve.padding`); every batched member unpacks bit-for-bit
-identical to the same request executed solo at the same pad width.
+Mixed feature widths share a batch by packing at the group's widest
+member (``BatchedGraph(pad_width=)``); every batched member unpacks
+bit-for-bit identical to the same request executed solo at the same pad
+width (:mod:`repro.serve.padding` builds that reference).
 """
 
 from repro.serve.batcher import BatchGroup, MicroBatcher

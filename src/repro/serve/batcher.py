@@ -1,24 +1,29 @@
-"""Deadline-flushed micro-batcher over the planner's batching budgets.
+"""Work-conserving micro-batcher over the planner's batching budgets.
 
 Queued requests group by :meth:`~repro.serve.requests.InferenceRequest
 .compatibility_key` — everything the packed plan's arithmetic depends
-on except the feature width.  A group flushes as one
-:class:`BatchGroup` when it reaches its **budget** (batch-full) or when
-its oldest member has waited ``window`` seconds (deadline); the budget
-is exactly what :func:`repro.plan.planner.choose_batching` allows for
-the group's padded width and its costliest member's statistics, so the
-serving path can never pack a batch the offline planner would refuse.
+on except the feature width.  The batcher never holds a request back
+for traffic that may not come: whoever owns the worker asks
+:meth:`MicroBatcher.due` **when the worker is free**, and gets the one
+group to run next — the queue whose head arrived first, sliced at its
+**budget**.  An idle service therefore answers a lone request at once
+(a group of one), and a busy one batches exactly what queued behind the
+running group.  The budget is what
+:func:`repro.plan.planner.choose_batching` allows for the group's
+padded width and its costliest member's statistics, so the serving path
+can never pack a batch the offline planner would refuse.
 
-The batcher is deliberately synchronous and clock-injectable: the
-asyncio service drives it (:mod:`repro.serve.service`), and tests drive
-it with a fake clock — no sleeping, no threads, no flakiness.
+The batcher is deliberately synchronous and clock-free (arrival order
+is a counter): the asyncio service drives it
+(:mod:`repro.serve.service`), and tests drive it call by call — no
+sleeping, no threads, no flakiness.
 """
 
 from __future__ import annotations
 
-import time
+import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ServeError
 from repro.graph import Graph
@@ -33,7 +38,7 @@ class _Pending:
 
     request: InferenceRequest
     graph: Graph
-    enqueued_at: float
+    arrival: int               # submit order, across every queue
     payload: Any = None        # caller cargo (the service parks futures here)
 
 
@@ -44,7 +49,7 @@ class BatchGroup:
     key: Tuple
     entries: List[_Pending]
     pad_width: int
-    reason: str                # "full" | "deadline" | "close"
+    reason: str                # "full" | "free" | "close"
 
     @property
     def size(self) -> int:
@@ -73,7 +78,7 @@ def group_budget(requests: List[InferenceRequest], graphs: List[Graph],
     the group size).  The batcher passes :data:`CAPACITY` to ask "how
     deep *could* members like these pack" independent of how many are
     queued right now — queue-length-bounded pricing would make every
-    nonempty queue look batch-full and dead-code the deadline window.
+    nonempty queue look batch-full.
     """
     from repro.core.models import get_model_class
     from repro.core.models.base import layer_dimensions
@@ -101,8 +106,8 @@ def group_budget(requests: List[InferenceRequest], graphs: List[Graph],
 
 
 class MicroBatcher:
-    """FIFO request queues, grouped by compatibility, flushed by budget
-    or deadline.
+    """FIFO request queues, grouped by compatibility, cut one group at
+    a time for a free worker.
 
     Parameters
     ----------
@@ -112,28 +117,19 @@ class MicroBatcher:
         request flushes as a group of one), ``N >= 2`` additionally
         caps groups at ``N`` (the planner budgets still apply — a cap
         can shrink a batch, never grow one).
-    window:
-        The ``serve_window`` deadline in seconds: a queued request
-        never waits longer than this for co-batchable traffic.
     profile:
         Planner :class:`~repro.plan.costprofile.CostProfile` the
         budgets are priced under (``None`` = the resolution default).
-    clock:
-        Monotonic time source (injectable for tests).
     """
 
-    def __init__(self, max_batch: int = 0, window: float = 0.01,
-                 profile=None, clock: Callable[[], float] = time.monotonic):
+    def __init__(self, max_batch: int = 0, profile=None):
         if max_batch < 0:
             raise ServeError(
                 f"max_batch must be >= 0 (0 = planner auto), got {max_batch}")
-        if window < 0:
-            raise ServeError(f"window must be >= 0, got {window}")
         self.max_batch = max_batch
-        self.window = window
         self.profile = profile
-        self.clock = clock
         self._queues: Dict[Tuple, List[_Pending]] = {}
+        self._arrivals = itertools.count()
 
     # -- queueing ----------------------------------------------------------
     def __len__(self) -> int:
@@ -146,7 +142,7 @@ class MicroBatcher:
         entry = _Pending(request=request,
                          graph=graph if graph is not None
                          else request.resolve_graph(),
-                         enqueued_at=self.clock(), payload=payload)
+                         arrival=next(self._arrivals), payload=payload)
         self._queues.setdefault(request.compatibility_key(), []).append(entry)
 
     # -- budgets -----------------------------------------------------------
@@ -168,51 +164,36 @@ class MicroBatcher:
                             count=CAPACITY)
 
     # -- flushing ----------------------------------------------------------
-    def _cut(self, key: Tuple, size: int, reason: str) -> BatchGroup:
+    def _cut_oldest(self, reason: Optional[str] = None) -> BatchGroup:
+        """Cut one budget-sized group off the queue whose head arrived
+        first (``reason`` defaults to whether the budget bound it)."""
+        key = min(self._queues, key=lambda k: self._queues[k][0].arrival)
         queue = self._queues[key]
-        entries, self._queues[key] = queue[:size], queue[size:]
-        if not self._queues[key]:
+        budget = max(1, self.budget(key))
+        if reason is None:
+            reason = "full" if len(queue) >= budget else "free"
+        entries, rest = queue[:budget], queue[budget:]
+        if rest:
+            self._queues[key] = rest
+        else:
             del self._queues[key]
         pad_width = max(e.graph.num_features for e in entries)
         return BatchGroup(key=key, entries=entries, pad_width=pad_width,
                           reason=reason)
 
-    def due(self, now: Optional[float] = None) -> List[BatchGroup]:
-        """Flush every group that is batch-full or past its deadline.
+    def due(self) -> List[BatchGroup]:
+        """The group a free worker should run now: none when idle, else
+        exactly one.
 
-        Queues at or over capacity cut capacity-sized groups until the
-        remainder fits (that remainder keeps accumulating until its
-        own deadline); deadline-expired queues drain completely, in
-        capacity-sized slices — a request never waits past ``window``
-        for traffic that may not come.
+        Call it only when the worker can start the group immediately —
+        whatever stays queued keeps collecting co-batchable traffic for
+        the next call, which is the only waiting a request ever does.
         """
-        now = self.clock() if now is None else now
-        groups: List[BatchGroup] = []
-        for key in list(self._queues):
-            budget = self.budget(key)
-            while len(self._queues.get(key, ())) >= budget > 0:
-                groups.append(self._cut(key, budget, "full"))
-                budget = self.budget(key)
-            while key in self._queues and \
-                    now - self._queues[key][0].enqueued_at >= self.window:
-                groups.append(self._cut(key, max(1, self.budget(key)),
-                                        "deadline"))
-        return groups
+        return [self._cut_oldest()] if self._queues else []
 
     def flush_all(self) -> List[BatchGroup]:
         """Drain every queue (service shutdown), in budget-sized slices."""
         groups: List[BatchGroup] = []
-        for key in list(self._queues):
-            while key in self._queues:
-                groups.append(self._cut(key, max(1, self.budget(key)),
-                                        "close"))
+        while self._queues:
+            groups.append(self._cut_oldest("close"))
         return groups
-
-    def next_deadline(self, now: Optional[float] = None) -> Optional[float]:
-        """Seconds until the earliest queued deadline (``None`` = idle)."""
-        if not self._queues:
-            return None
-        now = self.clock() if now is None else now
-        oldest = min(queue[0].enqueued_at
-                     for queue in self._queues.values())
-        return max(0.0, oldest + self.window - now)

@@ -80,7 +80,6 @@ class LoadReport:
     parity_checked: int = 0
     parity_failures: int = 0
     serve_batch: int = 0
-    serve_window: float = 0.0
     batches: List[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -158,6 +157,5 @@ def run_loadgen(templates: Sequence[InferenceRequest], concurrency: int,
         parity_checked=checked,
         parity_failures=failures,
         serve_batch=config.serve_batch,
-        serve_window=config.serve_window,
         batches=stats["batches"],
     )

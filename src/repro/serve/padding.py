@@ -1,10 +1,12 @@
-"""Zero-padding feature-width shim for mixed-width micro-batches.
+"""Zero-padded solo graphs: the reference side of mixed-width batches.
 
-:class:`~repro.graph.BatchedGraph` refuses ragged feature widths — the
-packed feature matrix stacks row-wise, so members must agree on ``f``.
-Cross-dataset serving traffic rarely does (Cora requests carry 1433
-features, Pubmed 500), so the micro-batcher equalises a group by
-zero-padding every member to the group's widest member before packing.
+The packed feature matrix of a :class:`~repro.graph.BatchedGraph`
+stacks row-wise, so members must agree on ``f``.  Cross-dataset serving
+traffic rarely does (Cora requests carry 1433 features, Pubmed 500), so
+the service packs a group at its widest member's width
+(``BatchedGraph(pad_width=)`` writes the zero columns as it packs — no
+padded copy of any member exists).  :func:`pad_features` builds the
+graph the *reference* runs on: one member alone, padded the same way.
 
 The parity contract under padding is deliberately precise: a padded
 member's batched output is bit-for-bit identical to *the same request

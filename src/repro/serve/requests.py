@@ -11,7 +11,8 @@ executor is guaranteed to be able to build.
 Two requests may share a micro-batch iff their
 :meth:`~InferenceRequest.compatibility_key` matches — everything the
 lowered plan's *arithmetic* depends on except the feature width, which
-the padding shim (:mod:`repro.serve.padding`) equalises per group.
+the packed workload equalises per group (zero columns up to the widest
+member — see :mod:`repro.serve.padding` for the parity contract).
 ``out_features`` is part of the key, so cross-dataset traffic batches
 only when clients pin a common head width explicitly (datasets default
 it to their class count).
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.errors import BackendError, DatasetError, GSuiteError, ServeError
 from repro.frameworks import PipelineSpec
-from repro.graph import Graph
+from repro.graph import Graph, validate_graph
 
 __all__ = ["InferenceRequest", "InferenceResponse"]
 
@@ -66,10 +67,10 @@ class InferenceRequest:
                 raise ServeError(
                     f"request {self.request_id!r}: 'graph' must be a "
                     f"repro.graph.Graph, got {type(self.graph).__name__}")
-            if self.graph.features is None:
+            if not self.graph.num_features:
                 raise ServeError(
                     f"request {self.request_id!r}: graph payloads must "
-                    f"carry node features")
+                    f"carry node features (at least one column)")
             if self.out_features is None:
                 raise ServeError(
                     f"request {self.request_id!r}: graph payloads must "
@@ -132,7 +133,7 @@ class InferenceRequest:
         """The batching equivalence class of this request.
 
         Everything the packed plan's arithmetic depends on except the
-        feature width (the padding shim equalises that per group).
+        feature width (packing equalises that per group).
         """
         return (self.framework, self.model, self.compute_model,
                 self.hidden, self.num_layers, self.resolved_out_features(),
@@ -158,8 +159,10 @@ class InferenceRequest:
 
         Inline graphs travel as ``{"edge_index": [[...], [...]],
         "features": [[...], ...], "num_nodes": N}``; everything else is
-        the dataclass fields verbatim.  Unknown keys refuse, so client
-        typos surface as errors instead of silently-defaulted fields.
+        the dataclass fields verbatim, and the payload must pass
+        :func:`~repro.graph.validate_graph` (ids in range, finite
+        features).  Unknown keys refuse, so client typos surface as
+        errors instead of silently-defaulted fields.
         """
         if not isinstance(payload, dict):
             raise ServeError(
@@ -175,14 +178,14 @@ class InferenceRequest:
                     "inline 'graph' must be an object with 'edge_index' "
                     "(and usually 'features')")
             try:
-                graph = Graph(
+                graph = validate_graph(Graph(
                     np.asarray(graph_spec["edge_index"], dtype=np.int64),
                     features=np.asarray(graph_spec["features"],
                                         dtype=np.float32)
                     if graph_spec.get("features") is not None else None,
                     num_nodes=graph_spec.get("num_nodes"),
                     name=graph_spec.get("name", "payload"),
-                )
+                ))
             except GSuiteError as exc:
                 raise ServeError(f"bad inline graph: {exc}") from exc
         known = {f.name for f in _REQUEST_FIELDS}

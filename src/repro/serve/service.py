@@ -2,11 +2,14 @@
 
 :class:`InferenceService` owns one :class:`~repro.serve.batcher
 .MicroBatcher` and one single-worker thread executor.  ``submit`` is a
-coroutine: the request queues, a background drain task flushes groups
-(batch-full immediately, deadline otherwise), and the packed plan runs
-on the worker thread — one group at a time, so concurrent traffic can
-never interleave kernels and execution stays deterministic.  Unpacked
-member outputs resolve the per-request futures.
+coroutine: the request queues, and a background drain task cuts the
+next group **whenever the worker is free** — at once on an idle
+service, otherwise the moment the running group finishes, batching
+whatever queued behind it — and runs it on the worker thread, one
+group at a time, so concurrent traffic can never interleave kernels
+and execution stays deterministic.  Unpacked member outputs resolve
+the per-request futures; an exception out of a group fails that
+group's requests and nothing else.
 
 Warm-path behaviour comes from the persistent plan cache for free: a
 repeat geometry (same spec, same graph signature) hits the lowered-plan
@@ -66,17 +69,13 @@ class InferenceService:
     ----------
     config:
         A :class:`~repro.core.config.SuiteConfig`; the serving knobs
-        are ``serve_batch`` (``0`` planner auto / ``1`` off / ``N``
-        cap) and ``serve_window`` (deadline flush, seconds).  The
-        pipeline fields of the config do **not** constrain requests —
-        every request carries its own parameters — but ``faults`` and
-        ``profile_costs`` apply service-wide.
-    clock:
-        Monotonic time source (injectable for tests).
+        is ``serve_batch`` (``0`` planner auto / ``1`` off / ``N``
+        cap).  The pipeline fields of the config do **not** constrain
+        requests — every request carries its own parameters — but
+        ``faults`` and ``profile_costs`` apply service-wide.
     """
 
-    def __init__(self, config: Optional[SuiteConfig] = None,
-                 clock=time.monotonic):
+    def __init__(self, config: Optional[SuiteConfig] = None):
         self.config = config if config is not None else SuiteConfig()
         from repro.plan.costprofile import resolve_cost_profile
         self._profile = resolve_cost_profile(self.config.profile_costs)
@@ -84,12 +83,10 @@ class InferenceService:
             from repro import faults as fault_injection
             fault_injection.activate(self.config.faults)
         self.batcher = MicroBatcher(max_batch=self.config.serve_batch,
-                                    window=self.config.serve_window,
-                                    profile=self._profile, clock=clock)
+                                    profile=self._profile)
         self.report = DispatchReport()
         self.batches: List[int] = []      # executed batch sizes, in order
         self._batch_counter = 0
-        self._inflight = 0
         self._closing = False
         self._task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
@@ -138,28 +135,31 @@ class InferenceService:
             raise ServeError("service is closing; request refused")
         start = time.perf_counter()
         future = asyncio.get_running_loop().create_future()
-        self._inflight += 1
-        try:
-            self.batcher.submit(request, payload=(future, start))
-        except GSuiteError:
-            self._inflight -= 1
-            raise
+        self.batcher.submit(request, payload=(future, start))
         self._wake.set()
         return await future
 
     # -- the drain loop ----------------------------------------------------
     async def _drain(self) -> None:
+        """One group per turn, cut only when the worker is free to run
+        it: requests that arrive meanwhile queue up behind it and form
+        the next group."""
         loop = asyncio.get_running_loop()
         while True:
-            groups = self.batcher.due()
-            if self._closing:
-                groups += self.batcher.flush_all()
+            groups = self.batcher.flush_all() if self._closing \
+                else self.batcher.due()
             for group in groups:
-                results = await loop.run_in_executor(
-                    self._pool, self._execute_group, group)
+                try:
+                    results = await loop.run_in_executor(
+                        self._pool, self._execute_group, group)
+                except Exception as exc:
+                    error = ServeError(
+                        f"group of {group.size} failed in execution: "
+                        f"{type(exc).__name__}: {exc}")
+                    error.__cause__ = exc
+                    results = [error] * group.size
                 for entry, outcome in zip(group.entries, results):
                     future, started = entry.payload
-                    self._inflight -= 1
                     if future.done():
                         continue
                     if isinstance(outcome, Exception):
@@ -167,13 +167,11 @@ class InferenceService:
                     else:
                         outcome.latency_s = time.perf_counter() - started
                         future.set_result(outcome)
-            if self._closing and not len(self.batcher) and not self._inflight:
+            if groups:
+                continue              # the worker just came free: look again
+            if self._closing:
                 return
-            timeout = self.batcher.next_deadline()
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
+            await self._wake.wait()
             self._wake.clear()
 
     # -- execution (worker thread) -----------------------------------------
@@ -225,10 +223,10 @@ class InferenceService:
             outcomes[index] = self._solo(entry)
         elif batched:
             pad_width = max(e.graph.num_features for _, e in batched)
-            members = [pad_features(e.graph, pad_width) for _, e in batched]
             head = batched[0][1].request
-            workload = BatchedGraph(members)
             try:
+                workload = BatchedGraph([e.graph for _, e in batched],
+                                        pad_width=pad_width)
                 packed = get_backend(head.framework).build(
                     head.pipeline_spec(), workload,
                     cost_profile=self._profile).run()
@@ -315,10 +313,12 @@ async def serve_tcp(service: InferenceService, host: str = "127.0.0.1",
                                          f"{MAX_REQUEST_LINE} bytes")
                     request = InferenceRequest.from_dict(json.loads(line))
                     response = await service.submit(request)
-                    reply = response.summary()
+                    # allow_nan=False: an overflowed output is an error
+                    # line, never a bare NaN/Infinity token on the wire.
+                    reply = json.dumps(response.summary(), allow_nan=False)
                 except (GSuiteError, ValueError) as exc:
-                    reply = {"error": str(exc)}
-                writer.write(json.dumps(reply).encode() + b"\n")
+                    reply = json.dumps({"error": str(exc)})
+                writer.write(reply.encode() + b"\n")
                 await writer.drain()
                 served += 1
                 finished = max_requests is not None and served >= max_requests

@@ -3,9 +3,10 @@
 The batcher's contract: queues group by compatibility key, a group
 never flushes deeper than :func:`~repro.plan.planner.choose_batching`
 allows for its padded width and costliest member (the serving path
-stays inside the offline budgets), batch-full queues cut immediately,
-and no request ever waits past the deadline window.  All of it drives
-off an injected fake clock — no sleeping.
+stays inside the offline budgets), and ``due()`` — asked only when the
+worker is free — hands over exactly one group: the queue whose head
+arrived first, sliced at its budget.  No clock anywhere: arrival order
+is a counter, so every case is a plain sequence of calls.
 """
 
 import numpy as np
@@ -34,24 +35,16 @@ def _request(request_id, width=4, seed=0, **kwargs):
                             graph=_graph(width=width, seed=seed), **kwargs)
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 class TestGrouping:
     def test_compatible_requests_share_a_queue(self):
-        batcher = MicroBatcher(window=10.0)
+        batcher = MicroBatcher()
         for i in range(3):
             batcher.submit(_request(f"r{i}", seed=i))
         assert len(batcher) == 3
         assert len(batcher._queues) == 1
 
     def test_incompatible_requests_split_queues(self):
-        batcher = MicroBatcher(window=10.0)
+        batcher = MicroBatcher()
         batcher.submit(_request("a", model="gcn"))
         batcher.submit(_request("b", model="gin"))
         batcher.submit(_request("c", model="gcn", seed=9))  # same key as a
@@ -59,7 +52,7 @@ class TestGrouping:
 
     def test_mixed_widths_share_a_queue(self):
         """Width is not part of the key — padding equalises it."""
-        batcher = MicroBatcher(window=10.0)
+        batcher = MicroBatcher()
         batcher.submit(_request("a", width=3))
         batcher.submit(_request("b", width=11))
         assert len(batcher._queues) == 1
@@ -67,13 +60,11 @@ class TestGrouping:
     def test_invalid_knobs_refused(self):
         with pytest.raises(ServeError, match="max_batch"):
             MicroBatcher(max_batch=-1)
-        with pytest.raises(ServeError, match="window"):
-            MicroBatcher(window=-0.1)
 
 
 class TestBudgets:
     def test_budget_is_planner_capacity(self):
-        batcher = MicroBatcher(window=10.0)
+        batcher = MicroBatcher()
         requests = [_request(f"r{i}", width=3 + i) for i in range(4)]
         for request in requests:
             batcher.submit(request)
@@ -83,8 +74,7 @@ class TestBudgets:
                                count=CAPACITY)
         assert batcher.budget(key) == allowed
         # Capacity pricing: the budget must not collapse to the queue
-        # length (that would make every nonempty queue look batch-full
-        # and dead-code the deadline window).
+        # length (that would make every nonempty queue look batch-full).
         assert allowed > len(requests)               # tiny members pack deep
 
     def test_max_batch_caps_but_never_grows(self):
@@ -96,14 +86,14 @@ class TestBudgets:
         assert group_budget(requests, graphs, 4, max_batch=64) <= 64
 
     def test_off_mode_budget_is_one(self):
-        batcher = MicroBatcher(max_batch=1, window=10.0)
+        batcher = MicroBatcher(max_batch=1)
         for i in range(3):
             batcher.submit(_request(f"r{i}"))
         (key,) = batcher._queues
         assert batcher.budget(key) == 1
 
     def test_adaptive_budget_is_one(self):
-        batcher = MicroBatcher(window=10.0)
+        batcher = MicroBatcher()
         for i in range(3):
             batcher.submit(_request(f"r{i}", framework="gsuite-adaptive"))
         (key,) = batcher._queues
@@ -128,38 +118,60 @@ class TestBudgets:
 
 
 class TestFlushing:
-    def test_batch_full_cuts_one_group_keeps_remainder(self):
-        clock = FakeClock()
-        batcher = MicroBatcher(max_batch=2, window=10.0, clock=clock)
-        for i in range(5):
-            batcher.submit(_request(f"r{i}"))
-        groups = batcher.due()
-        assert [g.reason for g in groups] == ["full", "full"]
-        assert all(g.size == 2 for g in groups)
-        assert len(batcher) == 1                     # remainder waits
-
-    def test_deadline_flush_drains_completely(self):
-        clock = FakeClock()
-        batcher = MicroBatcher(max_batch=4, window=0.5, clock=clock)
+    def test_idle_batcher_cuts_a_group_of_one(self):
+        """Nothing else queued: the lone request goes now, alone."""
+        batcher = MicroBatcher(max_batch=4)
+        assert batcher.due() == []                   # idle
         batcher.submit(_request("a"))
-        batcher.submit(_request("b"))
-        assert batcher.due() == []                   # under budget, young
-        clock.now = 0.6
-        groups = batcher.due()
-        assert [g.reason for g in groups] == ["deadline"]
-        assert groups[0].size == 2
+        (group,) = batcher.due()
+        assert group.size == 1 and group.reason == "free"
+        assert [e.request.request_id for e in group.entries] == ["a"]
+        assert len(batcher) == 0 and batcher.due() == []
+
+    def test_under_budget_queue_goes_whole(self):
+        """What queued behind a running group is the next group."""
+        batcher = MicroBatcher(max_batch=4)
+        for i in range(3):
+            batcher.submit(_request(f"r{i}"))
+        (group,) = batcher.due()
+        assert group.size == 3 and group.reason == "free"
         assert len(batcher) == 0
 
+    def test_batch_full_cuts_one_group_keeps_remainder(self):
+        batcher = MicroBatcher(max_batch=2)
+        for i in range(5):
+            batcher.submit(_request(f"r{i}"))
+        sizes, reasons = [], []
+        while len(batcher):
+            (group,) = batcher.due()                 # one group per turn
+            sizes.append(group.size)
+            reasons.append(group.reason)
+        assert sizes == [2, 2, 1]
+        assert reasons == ["full", "full", "free"]
+
+    def test_oldest_head_goes_first(self):
+        """Across compatibility keys the queue whose head arrived first
+        is served first — and a remainder's head is as old as it is."""
+        batcher = MicroBatcher(max_batch=2)
+        batcher.submit(_request("gin-0", model="gin"))
+        batcher.submit(_request("gcn-0"))
+        batcher.submit(_request("gin-1", model="gin"))
+        batcher.submit(_request("gin-2", model="gin"))
+        order = []
+        while len(batcher):
+            (group,) = batcher.due()
+            order.append([e.request.request_id for e in group.entries])
+        assert order == [["gin-0", "gin-1"], ["gcn-0"], ["gin-2"]]
+
     def test_group_pad_width_is_widest_member(self):
-        clock = FakeClock()
-        batcher = MicroBatcher(max_batch=3, window=10.0, clock=clock)
+        batcher = MicroBatcher(max_batch=3)
         for i, width in enumerate((3, 11, 7)):
             batcher.submit(_request(f"r{i}", width=width))
         (group,) = batcher.due()
         assert group.pad_width == 11
 
     def test_flush_all_drains_every_queue(self):
-        batcher = MicroBatcher(max_batch=2, window=10.0)
+        batcher = MicroBatcher(max_batch=2)
         batcher.submit(_request("a", model="gcn"))
         batcher.submit(_request("b", model="gin"))
         batcher.submit(_request("c", model="gin", seed=2))
@@ -168,23 +180,10 @@ class TestFlushing:
         assert sum(g.size for g in groups) == 3
         assert len(batcher) == 0
 
-    def test_next_deadline_tracks_oldest(self):
-        clock = FakeClock()
-        batcher = MicroBatcher(window=1.0, clock=clock)
-        assert batcher.next_deadline() is None
-        batcher.submit(_request("a"))
-        clock.now = 0.25
-        batcher.submit(_request("b", model="gin"))
-        assert batcher.next_deadline() == pytest.approx(0.75)
-        clock.now = 2.0
-        assert batcher.next_deadline() == 0.0
-
     def test_requests_flush_in_fifo_order(self):
-        clock = FakeClock()
-        batcher = MicroBatcher(max_batch=2, window=0.1, clock=clock)
+        batcher = MicroBatcher(max_batch=2)
         for i in range(3):
             batcher.submit(_request(f"r{i}"))
-        clock.now = 1.0
-        groups = batcher.due()
+        groups = batcher.due() + batcher.due()
         order = [e.request.request_id for g in groups for e in g.entries]
         assert order == ["r0", "r1", "r2"]

@@ -132,6 +132,30 @@ class TestWireForm:
                 {"request_id": "r1", "graph": {"features": [[1.0]]},
                  "out_features": 2})
 
+    def test_zero_width_inline_features_refused(self):
+        """Zero columns used to reach the planner and kill the service's
+        drain task (``dimensions must be positive``)."""
+        with pytest.raises(ServeError, match="at least one column"):
+            InferenceRequest.from_dict(
+                {"request_id": "r1", "out_features": 2,
+                 "graph": {"edge_index": [[0, 1], [1, 2]],
+                           "features": [[], [], []], "num_nodes": 3}})
+
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_non_finite_inline_features_refused(self, bad):
+        with pytest.raises(ServeError, match="bad inline graph.*NaN or inf"):
+            InferenceRequest.from_dict(
+                {"request_id": "r1", "out_features": 2,
+                 "graph": {"edge_index": [[0], [1]],
+                           "features": [[1.0], [bad]]}})
+
+    def test_out_of_range_inline_ids_refused(self):
+        with pytest.raises(ServeError, match="bad inline graph"):
+            InferenceRequest.from_dict(
+                {"request_id": "r1", "out_features": 2,
+                 "graph": {"edge_index": [[0], [7]],
+                           "features": [[1.0], [2.0]], "num_nodes": 2}})
+
 
 class TestPadding:
     def test_same_width_is_identity(self):

@@ -10,6 +10,7 @@ degradation event exactly.
 
 import asyncio
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -49,7 +50,7 @@ def _requests(widths, **kwargs):
 
 def _serve_all(requests, config=None):
     """Submit every request concurrently; return (service, responses)."""
-    service = InferenceService(config or SuiteConfig(serve_window=0.02))
+    service = InferenceService(config or SuiteConfig())
 
     async def drive():
         async with service:
@@ -107,6 +108,109 @@ class TestBatchedParity:
         assert responses[0].latency_s > 0
 
 
+class TestWorkConservingFlush:
+    """The service cuts a group when the worker is free, never on a
+    timer.  The worker is gated with an event, so what runs alone and
+    what batches is decided by the test, not by the host's speed."""
+
+    def test_idle_runs_alone_and_busy_batches_what_queued(self):
+        a, b, c = _requests((3, 9, 5))
+        service = InferenceService(SuiteConfig())
+        started, gate = threading.Event(), threading.Event()
+        execute = service._execute_group
+
+        def gated(group):
+            started.set()
+            assert gate.wait(timeout=60)
+            return execute(group)
+        service._execute_group = gated
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            async with service:
+                first = asyncio.ensure_future(service.submit(a))
+                await loop.run_in_executor(None, started.wait, 60)
+                assert len(service.batcher) == 0     # A was cut at once
+                rest = [asyncio.ensure_future(service.submit(r))
+                        for r in (b, c)]
+                while len(service.batcher) < 2:      # both queue behind A
+                    await asyncio.sleep(0)
+                gate.set()
+                return await asyncio.gather(first, *rest)
+
+        responses = asyncio.run(drive())
+        assert [r.batch_size for r in responses] == [1, 2, 2]
+        assert [r.source for r in responses] == ["solo", "batched",
+                                                 "batched"]
+        assert [r.padded_to for r in responses] == [3, 9, 9]
+        assert service.stats()["batches"] == [2]
+        for request, response in zip((a, b, c), responses):
+            assert np.array_equal(
+                response.output,
+                solo_reference(request, pad_to=response.padded_to))
+
+
+class TestPoisonedRequests:
+    """One bad request fails alone: the drain task survives whatever a
+    group raises, and the next request is answered."""
+
+    @staticmethod
+    def _serve_in_turn(service, requests):
+        async def drive():
+            outcomes = []
+            async with service:
+                for group in requests:
+                    outcomes.append(await asyncio.gather(
+                        *(service.submit(r) for r in group),
+                        return_exceptions=True))
+                alive = not service._task.done()
+            return outcomes, alive
+        return asyncio.run(drive())
+
+    def test_worker_exception_fails_the_request_not_the_service(
+            self, monkeypatch):
+        import repro.serve.service as service_module
+        real = service_module.solo_reference
+
+        def poisoned(request, **kwargs):
+            if request.request_id == "r0":
+                raise RuntimeError("kernel blew up")
+            return real(request, **kwargs)
+        monkeypatch.setattr(service_module, "solo_reference", poisoned)
+        bad, good = _requests((4, 4))
+        service = InferenceService(SuiteConfig())
+        ((failure,), (response,)), alive = self._serve_in_turn(
+            service, [[bad], [good]])
+        assert isinstance(failure, ServeError)
+        assert "RuntimeError: kernel blew up" in str(failure)
+        assert alive
+        assert np.array_equal(response.output, real(good))
+
+    def test_failed_pack_fails_its_group_only(self, monkeypatch):
+        import repro.serve.service as service_module
+        real = service_module.BatchedGraph
+        calls = []
+
+        def flaky(members, **kwargs):
+            calls.append(len(members))
+            if len(calls) == 1:
+                raise MemoryError("no room for the slab")
+            return real(members, **kwargs)
+        monkeypatch.setattr(service_module, "BatchedGraph", flaky)
+        requests = _requests((3, 9, 3, 9))
+        service = InferenceService(SuiteConfig())
+        (first, second), alive = self._serve_in_turn(
+            service, [requests[:2], requests[2:]])
+        assert all(isinstance(f, ServeError) and "MemoryError" in str(f)
+                   for f in first)
+        assert alive and calls == [2, 2]
+        for request, response in zip(requests[2:], second):
+            assert response.source == "batched"
+            assert np.array_equal(
+                response.output,
+                solo_reference(request, pad_to=response.padded_to))
+
+
 class TestServedPlansAreFused:
     """The service builds through ``Backend.build`` exactly as
     ``gsuite run`` does, so it serves the same fused plans."""
@@ -141,7 +245,7 @@ class TestServedPlansAreFused:
 
 class TestServeModes:
     def test_off_mode_runs_everything_solo(self):
-        config = SuiteConfig(serve_batch=1, serve_window=0.02)
+        config = SuiteConfig(serve_batch=1)
         requests = _requests((3, 9, 5))
         service, responses = _serve_all(requests, config)
         assert [r.source for r in responses] == ["solo"] * 3
@@ -154,7 +258,7 @@ class TestServeModes:
         assert stats["dispatch"]["dispatched"] == 0
 
     def test_cap_mode_bounds_batches(self):
-        config = SuiteConfig(serve_batch=2, serve_window=0.02)
+        config = SuiteConfig(serve_batch=2)
         service, responses = _serve_all(_requests((4, 4, 4, 4)), config)
         assert service.stats()["max_batch_size"] <= 2
         assert sum(service.stats()["batches"]) + \
@@ -168,7 +272,7 @@ class TestServeModes:
             assert np.array_equal(response.output, solo_reference(request))
 
     def test_warm_plan_cache_reuse_on_repeat_geometry(self):
-        config = SuiteConfig(serve_batch=1, serve_window=0.01)
+        config = SuiteConfig(serve_batch=1)
         service = InferenceService(config)
         first = InferenceRequest(request_id="a", graph=_graph(seed=3),
                                  out_features=4)
@@ -191,8 +295,7 @@ class TestServeModes:
 
 class TestFaultDegradation:
     def test_request_drop_degrades_to_solo_with_parity(self):
-        config = SuiteConfig(serve_window=0.02,
-                             faults="seed=1;request_drop:p=1")
+        config = SuiteConfig(faults="seed=1;request_drop:p=1")
         requests = _requests((3, 9, 5))
         service, responses = _serve_all(requests, config)
         assert [r.source for r in responses] == ["degraded"] * 3
@@ -210,8 +313,7 @@ class TestFaultDegradation:
     def test_partial_drop_keeps_the_rest_batched(self):
         # p=0.5 with this seed drops a strict subset of the three
         # member ids (deterministically — same digests every run).
-        config = SuiteConfig(serve_window=0.02,
-                             faults="seed=5;request_drop:p=0.5")
+        config = SuiteConfig(faults="seed=5;request_drop:p=0.5")
         plan = parse_faults(config.faults)
         expected_drops = [r for r in ("r0", "r1", "r2")
                           if plan.decide("request_drop", r)]
@@ -228,8 +330,7 @@ class TestFaultDegradation:
         assert service.stats()["dispatch"]["retries"] == len(expected_drops)
 
     def test_batch_timeout_degrades_every_member(self):
-        config = SuiteConfig(serve_window=0.02,
-                             faults="batch_timeout:p=1")
+        config = SuiteConfig(faults="batch_timeout:p=1")
         requests = _requests((3, 9, 5))
         service, responses = _serve_all(requests, config)
         assert [r.source for r in responses] == ["degraded"] * 3
@@ -241,7 +342,7 @@ class TestFaultDegradation:
         assert stats["dispatch"]["dispatched"] == 0
 
     def test_solo_requests_never_consult_serving_sites(self):
-        config = SuiteConfig(serve_batch=1, serve_window=0.01,
+        config = SuiteConfig(serve_batch=1,
                              faults="request_drop:p=1;batch_timeout:p=1")
         service, responses = _serve_all(_requests((4,)), config)
         assert responses[0].source == "solo"
@@ -278,8 +379,7 @@ class TestFaultSpecs:
 class TestTcpServer:
     def test_json_lines_round_trip_and_error_reply(self):
         async def scenario():
-            service = InferenceService(SuiteConfig(serve_batch=1,
-                                                   serve_window=0.01))
+            service = InferenceService(SuiteConfig(serve_batch=1))
             async with service:
                 ready = asyncio.get_running_loop().create_future()
                 server = asyncio.ensure_future(serve_tcp(
@@ -306,10 +406,46 @@ class TestTcpServer:
         assert first["source"] == "solo"
         assert "error" in second and "nope" in second["error"]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_inline_features_get_an_error_line(self):
+        """NaN features would come back as ``"output_checksum": NaN`` —
+        not JSON.  The payload refuses instead, the connection stays."""
+        async def scenario():
+            service = InferenceService(SuiteConfig(serve_batch=1))
+            async with service:
+                ready = asyncio.get_running_loop().create_future()
+                server = asyncio.ensure_future(serve_tcp(
+                    service, port=0, max_requests=4,
+                    ready=ready.set_result))
+                reader, writer = await asyncio.open_connection(*await ready)
+                good = InferenceRequest(request_id="ok", graph=_graph(),
+                                        out_features=4).to_dict()
+                # 3e38 is finite going in and overflows float32 inside.
+                for bad_value in (float("nan"), float("inf"), 3e38):
+                    bad = json.loads(json.dumps(good))
+                    bad["request_id"] = "bad"
+                    bad["graph"]["features"][0][0] = bad_value
+                    writer.write(json.dumps(bad).encode() + b"\n")
+                writer.write(json.dumps(good).encode() + b"\n")
+                await writer.drain()
+                lines = [await reader.readline() for _ in range(4)]
+                writer.close()
+                return lines, await server
+
+        lines, served = asyncio.run(scenario())
+        assert served == 4
+        strict = [json.loads(line, parse_constant=pytest.fail)
+                  for line in lines]                 # no NaN on the wire
+        for reply in strict[:2]:
+            assert reply["error"].startswith("bad inline graph")
+            assert "NaN or infinite" in reply["error"]
+        assert "not JSON compliant" in strict[2]["error"]
+        assert strict[3]["request_id"] == "ok"
+        assert strict[3]["output_shape"] == [10, 4]
+
     def test_overlong_request_line_gets_error_reply_then_close(self):
         async def scenario():
-            service = InferenceService(SuiteConfig(serve_batch=1,
-                                                   serve_window=0.01))
+            service = InferenceService(SuiteConfig(serve_batch=1))
             async with service:
                 ready = asyncio.get_running_loop().create_future()
                 server = asyncio.ensure_future(serve_tcp(
@@ -356,7 +492,6 @@ class TestLoadgen:
             out_features=4) for w in (3, 6)]
         report = run_loadgen(templates, concurrency=3,
                              requests_per_client=2,
-                             config=SuiteConfig(serve_window=0.02),
                              verify=True)
         assert report.requests == 6
         assert report.parity_checked == 6
@@ -381,9 +516,9 @@ class TestCli:
         from repro.cli import main
         assert main(["loadgen", "--concurrency", "2", "--requests", "2",
                      "--datasets", "cora,pubmed", "--scale", "0.1",
-                     "--serve-window", "0.02", "--verify"]) == 0
+                     "--verify"]) == 0
         out = capsys.readouterr().out
-        assert "loadgen over cora+pubmed" in out
+        assert "loadgen over cora+pubmed (micro-batching auto)" in out
         assert "parity" in out
 
     def test_loadgen_off_mode(self, capsys):
@@ -394,7 +529,5 @@ class TestCli:
         assert "micro-batching off" in capsys.readouterr().out
 
     def test_serve_knobs_validate(self):
-        with pytest.raises(ConfigError):
-            SuiteConfig(serve_window=-1.0)
         with pytest.raises(ConfigError):
             SuiteConfig(serve_batch=-2)

@@ -5,7 +5,7 @@ One JSON answer (``BENCH_serving.json``): the deterministic closed-loop
 load generator (:mod:`repro.serve.loadgen`) drives a mixed-dataset
 request stream — Cora, CiteSeer and Pubmed requests with a pinned head
 width, so the three feature widths (1433 / 3703 / 500) share batches
-through the zero-padding shim — at several concurrency levels, once
+packed at the widest member's width — at several concurrency levels, once
 with the micro-batcher on (``serve_batch=0``, planner budgets) and once
 off (``serve_batch=1``, every request solo).  Each run records p50/p99
 latency, throughput, batch shapes and plan-cache reuse, and **verifies
@@ -33,7 +33,7 @@ from repro.serve import run_loadgen  # noqa: E402
 from repro.serve.loadgen import dataset_mix  # noqa: E402
 
 #: The mixed-width traffic: three citation datasets, head width pinned
-#: so the compatibility key matches and only the padding shim separates
+#: so the compatibility key matches and only the pad width separates
 #: them from a homogeneous sweep.
 DATASETS = ("cora", "citeseer", "pubmed")
 OUT_FEATURES = 8
@@ -43,13 +43,13 @@ MODES = ((0, "batched"), (1, "solo"))
 
 
 def bench_level(concurrency: int, requests_per_client: int, scale: float,
-                window: float, profile_costs: str) -> tuple:
+                profile_costs: str) -> tuple:
     """One concurrency level, batched vs solo; returns (rows, failures)."""
     templates = dataset_mix(list(DATASETS), out_features=OUT_FEATURES,
                             model="gcn", scale=scale)
     rows, failures = [], []
     for serve_batch, label in MODES:
-        config = SuiteConfig(serve_batch=serve_batch, serve_window=window,
+        config = SuiteConfig(serve_batch=serve_batch,
                              profile_costs=profile_costs)
         report = run_loadgen(templates, concurrency=concurrency,
                              requests_per_client=requests_per_client,
@@ -70,17 +70,17 @@ def bench_level(concurrency: int, requests_per_client: int, scale: float,
 
 def run(smoke: bool, out_path: Path, profile_costs: str) -> int:
     if smoke:
-        levels, requests_per_client, scale, window = (2, 4), 3, 0.1, 0.005
+        levels, requests_per_client, scale = (2, 4), 3, 0.1
     else:
-        levels, requests_per_client, scale, window = (2, 4, 8), 6, 0.25, 0.005
+        levels, requests_per_client, scale = (2, 4, 8), 6, 0.25
 
     print(f"serving loadgen over {'+'.join(DATASETS)}@{scale:g} "
-          f"(gcn, out_features={OUT_FEATURES}, window={window:g}s)")
+          f"(gcn, out_features={OUT_FEATURES})")
     sweep, failures = [], []
     for concurrency in levels:
         print(f"concurrency {concurrency}:")
         rows, level_failures = bench_level(
-            concurrency, requests_per_client, scale, window, profile_costs)
+            concurrency, requests_per_client, scale, profile_costs)
         failures += level_failures
         sweep.append({"concurrency": concurrency, "runs": rows})
 
@@ -95,28 +95,26 @@ def run(smoke: bool, out_path: Path, profile_costs: str) -> int:
                        "closed-loop client mix over "
                        f"{'+'.join(DATASETS)} (gcn, head width pinned to "
                        f"{OUT_FEATURES} so the 1433/3703/500-wide members "
-                       "share batches through the zero-padding shim) at "
+                       "share batches packed at the widest member) at "
                        "several concurrency levels, micro-batching on "
                        "(serve_batch=0, planner budgets) vs off "
                        "(serve_batch=1).  p50/p99 latency in ms, "
                        "throughput in req/s; every response verified "
                        "bit-for-bit against the same request executed "
-                       "solo at its recorded pad width.  The pinned "
-                       "finding is a characterisation, not a speedup "
-                       "claim: at reproduction scales the persistent "
-                       "plan cache already amortises the solo path's "
-                       "fixed per-request costs, while the batched path "
-                       "pays the serve_window deadline up front and "
-                       "executes narrow members at the group pad width "
-                       "(Pubmed's 500-wide features compute at "
-                       "CiteSeer's 3703), so solo wins both latency and "
-                       "throughput here — the artifact pins that "
-                       "tradeoff and the bitwise parity guarantee.",
+                       "solo at its recorded pad width.  A "
+                       "characterisation, not a speedup claim: groups "
+                       "are cut when the worker is free (no timer), so "
+                       "the batched path's cost over solo is what "
+                       "packing adds — narrow members execute at the "
+                       "group pad width (Pubmed's 500-wide features "
+                       "compute at CiteSeer's 3703) and the packed "
+                       "SGEMM is segment-local — against the fixed "
+                       "per-request costs the plan cache already "
+                       "amortises for solo.",
         "smoke": smoke,
         "datasets": list(DATASETS),
         "out_features": OUT_FEATURES,
         "scale": scale,
-        "serve_window_s": window,
         "profile_costs": profile_costs,
         "requests_per_client": requests_per_client,
         "concurrency_sweep": sweep,
