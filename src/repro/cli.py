@@ -185,11 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated dataset mix (default: the "
                               "--dataset value); multi-dataset mixes pin "
                               "out_features to the first dataset's class "
-                              "count so mixed widths can share batches")
+                              "count (requests batch at equal feature "
+                              "width and head width)")
     loadgen.add_argument("--verify", action="store_true",
                          help="after the timed window, re-run every "
-                              "response solo at its pad width and assert "
-                              "bitwise parity (exit 1 on any mismatch)")
+                              "request solo and assert bitwise parity "
+                              "with its response (exit 1 on any mismatch)")
 
     bench = sub.add_parser("bench", help="regenerate every paper table/figure")
     add_bench_arguments(bench)

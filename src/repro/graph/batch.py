@@ -7,9 +7,7 @@ lowering, structure setup and kernel-launch overhead once per member.
 workload instead: node ids of member ``g`` shift by ``node_offsets[g]``,
 edge lists concatenate in member order, and feature matrices stack
 row-wise (ragged in the *node* dimension; the feature *width* must
-agree across members, or the caller names a ``pad_width`` and narrower
-members are zero-padded as they are packed — see
-:meth:`BatchedGraph.__init__`).
+agree across members).
 
 Because the packed object *is* a :class:`Graph`, everything downstream
 — lowering, the plan executor, format conversion, normalisation,
@@ -55,17 +53,9 @@ class BatchedGraph(Graph):
         feature presence and feature *width* (node counts may differ —
         the stacking is ragged in that dimension); members with no
         edges are fine.  Mixed or ragged-width members raise
-        :class:`~repro.errors.GraphFormatError` unless ``pad_width``
-        says what to equalise them to.
+        :class:`~repro.errors.GraphFormatError`.
     name:
         Workload name; defaults to ``batch(<m1>+<m2>+...)``.
-    pad_width:
-        Pack at this feature width: every member's rows are written
-        into one zeroed ``num_nodes x pad_width`` matrix, so narrower
-        members gain zero columns on the way in — one allocation and
-        one copy, no padded intermediates (the serving layer's
-        mixed-width groups).  ``0`` keeps the members' common width.
-        Padding only widens: a member wider than ``pad_width`` refuses.
 
     Attributes
     ----------
@@ -78,8 +68,7 @@ class BatchedGraph(Graph):
         CSR/CSC form.
     """
 
-    def __init__(self, members: Sequence[Graph], name: str = "",
-                 pad_width: int = 0):
+    def __init__(self, members: Sequence[Graph], name: str = ""):
         members = list(members)
         if not members:
             raise GraphFormatError("a batch needs at least one member graph")
@@ -90,18 +79,11 @@ class BatchedGraph(Graph):
                 "cannot batch graphs with and without features: "
                 f"feature presence per member is {featured}"
             )
-        if pad_width:
-            if not all(featured) or max(widths) > pad_width:
-                raise GraphFormatError(
-                    f"cannot pack members of feature widths {widths} at "
-                    f"pad width {pad_width}; padding only widens, and "
-                    "only graphs that carry features"
-                )
-        elif len(set(widths)) > 1:
+        if len(set(widths)) > 1:
             raise GraphFormatError(
                 "cannot batch ragged feature widths: members carry "
-                f"widths {widths}; pass pad_width or project to a common "
-                "width before batching"
+                f"widths {widths}; pad or project to a common width "
+                "before batching"
             )
 
         node_offsets = np.zeros(len(members) + 1, dtype=np.int64)
@@ -120,13 +102,10 @@ class BatchedGraph(Graph):
 
         features = None
         if all(featured):
-            width = pad_width or widths[0]
-            alloc = np.zeros if min(widths) < width else np.empty
-            features = alloc((int(node_offsets[-1]), width),
-                             dtype=np.float32)
+            features = np.empty((int(node_offsets[-1]), widths[0]),
+                                dtype=np.float32)
             for i, g in enumerate(members):
-                features[node_offsets[i]:node_offsets[i + 1],
-                         :widths[i]] = g.features
+                features[node_offsets[i]:node_offsets[i + 1]] = g.features
 
         edge_weight = None
         if any(g.edge_weight is not None for g in members):

@@ -11,10 +11,10 @@ asyncio service (:mod:`repro.serve.service`) executes the packed plans
 and unpacks per-member responses; a deterministic load generator
 (:mod:`repro.serve.loadgen`) measures p50/p99 latency and throughput.
 
-Mixed feature widths share a batch by packing at the group's widest
-member (``BatchedGraph(pad_width=)``); every batched member unpacks
-bit-for-bit identical to the same request executed solo at the same pad
-width (:mod:`repro.serve.padding` builds that reference).
+Requests batch only at equal feature width (it is part of the
+batcher's queue key), so every request runs at its own width and every
+response — batched, solo or degraded — is bit-for-bit
+:func:`~repro.serve.service.solo_reference` of its request.
 """
 
 from repro.serve.batcher import BatchGroup, MicroBatcher

@@ -1,8 +1,10 @@
 """Work-conserving micro-batcher over the planner's batching budgets.
 
 Queued requests group by :meth:`~repro.serve.requests.InferenceRequest
-.compatibility_key` — everything the packed plan's arithmetic depends
-on except the feature width.  The batcher never holds a request back
+.compatibility_key` **plus the resolved graph's feature width** —
+together everything the packed plan's arithmetic depends on, so a group
+is always one width and every member runs the kernels its own shape
+asks for.  The batcher never holds a request back
 for traffic that may not come: whoever owns the worker asks
 :meth:`MicroBatcher.due` **when the worker is free**, and gets the one
 group to run next — the queue whose head arrived first, sliced at its
@@ -10,7 +12,7 @@ group to run next — the queue whose head arrived first, sliced at its
 (a group of one), and a busy one batches exactly what queued behind the
 running group.  The budget is what
 :func:`repro.plan.planner.choose_batching` allows for the group's
-padded width and its costliest member's statistics, so the serving path
+width and its costliest member's statistics, so the serving path
 can never pack a batch the offline planner would refuse.
 
 The batcher is deliberately synchronous and clock-free (arrival order
@@ -44,11 +46,10 @@ class _Pending:
 
 @dataclass
 class BatchGroup:
-    """One flushed batch: compatible members, equalised to one width."""
+    """One flushed batch: compatible members of one feature width."""
 
     key: Tuple
     entries: List[_Pending]
-    pad_width: int
     reason: str                # "full" | "free" | "close"
 
     @property
@@ -63,12 +64,12 @@ CAPACITY = 1 << 20
 
 
 def group_budget(requests: List[InferenceRequest], graphs: List[Graph],
-                 pad_width: int, max_batch: Optional[int] = None,
+                 max_batch: Optional[int] = None,
                  profile=None, count: Optional[int] = None) -> int:
     """The planner's batch-size cap for one compatible group.
 
     Prices :func:`~repro.plan.planner.choose_batching` with the group's
-    padded width and a *conservative representative member*: the
+    common feature width and a *conservative representative member*: the
     element-wise maximum of every member's
     :class:`~repro.plan.planner.GraphStats`.  A heterogeneous group is
     therefore never packed deeper than its costliest member alone would
@@ -86,16 +87,17 @@ def group_budget(requests: List[InferenceRequest], graphs: List[Graph],
     if not requests:
         return 1
     head = requests[0]
+    width = graphs[0].num_features
     stats = [GraphStats.from_graph(g) for g in graphs]
     representative = GraphStats(
         num_nodes=max(s.num_nodes for s in stats),
         num_edges=max(s.num_edges for s in stats),
-        feature_width=pad_width,
+        feature_width=width,
         avg_degree=max(s.avg_degree for s in stats),
         density=max(s.density for s in stats),
         degree_skew=max(s.degree_skew for s in stats),
     )
-    dims = layer_dimensions(pad_width, head.hidden,
+    dims = layer_dimensions(width, head.hidden,
                             head.resolved_out_features(), head.num_layers)
     formats = [head.compute_model] * len(dims)
     return choose_batching(
@@ -106,8 +108,8 @@ def group_budget(requests: List[InferenceRequest], graphs: List[Graph],
 
 
 class MicroBatcher:
-    """FIFO request queues, grouped by compatibility, cut one group at
-    a time for a free worker.
+    """FIFO request queues, grouped by compatibility and feature width,
+    cut one group at a time for a free worker.
 
     Parameters
     ----------
@@ -138,12 +140,22 @@ class MicroBatcher:
     def submit(self, request: InferenceRequest, payload: Any = None,
                graph: Optional[Graph] = None) -> None:
         """Queue one validated request (resolving its workload now, so
-        a dataset typo can never surface mid-flush)."""
-        entry = _Pending(request=request,
-                         graph=graph if graph is not None
-                         else request.resolve_graph(),
+        a dataset typo can never surface mid-flush).
+
+        The resolved graph's feature width completes the queue key; a
+        graph without features has none and is refused here, to its own
+        caller, instead of failing a budget or a pack later on.
+        """
+        if graph is None:
+            graph = request.resolve_graph()
+        if not graph.num_features:
+            raise ServeError(
+                f"request {request.request_id!r}: graph {graph.name!r} "
+                f"carries no node features")
+        entry = _Pending(request=request, graph=graph,
                          arrival=next(self._arrivals), payload=payload)
-        self._queues.setdefault(request.compatibility_key(), []).append(entry)
+        key = request.compatibility_key() + (graph.num_features,)
+        self._queues.setdefault(key, []).append(entry)
 
     # -- budgets -----------------------------------------------------------
     def budget(self, key: Tuple) -> int:
@@ -156,10 +168,9 @@ class MicroBatcher:
             return 1
         if not queue[0].request.batchable:
             return 1               # adaptive traffic flushes solo
-        pad_width = max(e.graph.num_features for e in queue)
         cap = self.max_batch if self.max_batch >= 1 else None
         return group_budget([e.request for e in queue],
-                            [e.graph for e in queue], pad_width,
+                            [e.graph for e in queue],
                             max_batch=cap, profile=self.profile,
                             count=CAPACITY)
 
@@ -177,9 +188,7 @@ class MicroBatcher:
             self._queues[key] = rest
         else:
             del self._queues[key]
-        pad_width = max(e.graph.num_features for e in entries)
-        return BatchGroup(key=key, entries=entries, pad_width=pad_width,
-                          reason=reason)
+        return BatchGroup(key=key, entries=entries, reason=reason)
 
     def due(self) -> List[BatchGroup]:
         """The group a free worker should run now: none when idle, else

@@ -13,7 +13,7 @@ Latency is measured per request (submit to response) and summarised as
 p50/p99; throughput is completed requests over the closed-loop wall
 clock.  Parity verification (``verify=True``) runs *after* the timed
 window: every response — batched, solo or degraded — is re-executed
-solo at its recorded pad width and compared bit-for-bit.
+solo and compared bit-for-bit.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ def dataset_mix(datasets: Sequence[str], out_features: Optional[int] = None,
                 **params) -> List[InferenceRequest]:
     """Request templates over a dataset list, head width pinned.
 
-    Mixed-width traffic only shares batches when ``out_features``
-    agrees (it is part of the compatibility key), so a multi-dataset
-    mix pins it — to the given value, or to the first dataset's class
-    count.  Single-dataset mixes keep their natural head width.
+    A multi-dataset mix pins ``out_features`` — to the given value, or
+    to the first dataset's class count — so the head width never
+    separates two requests that could otherwise batch (it is part of
+    the compatibility key; the feature width still does).
+    Single-dataset mixes keep their natural head width.
     """
     if not datasets:
         raise ServeError("dataset mix must name at least one dataset")
@@ -134,7 +135,7 @@ def run_loadgen(templates: Sequence[InferenceRequest], concurrency: int,
     checked = failures = 0
     if verify:
         for request, response in results:
-            reference = solo_reference(request, pad_to=response.padded_to)
+            reference = solo_reference(request)
             checked += 1
             if not np.array_equal(response.output, reference):
                 failures += 1

@@ -1,21 +1,12 @@
-"""Zero-padded solo graphs: the reference side of mixed-width batches.
+"""Zero-padded solo graphs: a reference helper, not a serving step.
 
-The packed feature matrix of a :class:`~repro.graph.BatchedGraph`
-stacks row-wise, so members must agree on ``f``.  Cross-dataset serving
-traffic rarely does (Cora requests carry 1433 features, Pubmed 500), so
-the service packs a group at its widest member's width
-(``BatchedGraph(pad_width=)`` writes the zero columns as it packs — no
-padded copy of any member exists).  :func:`pad_features` builds the
-graph the *reference* runs on: one member alone, padded the same way.
-
-The parity contract under padding is deliberately precise: a padded
-member's batched output is bit-for-bit identical to *the same request
-executed solo at the same pad width*.  It is **not** identical to the
-unpadded solo run — the first layer's seeded weight matrix is shaped by
-the input width, so widening the input re-draws ``W0`` and changes the
-arithmetic.  Responses therefore record the width they executed at
-(:attr:`~repro.serve.requests.InferenceResponse.padded_to`), and every
-parity check in the suite re-runs the reference at that width.
+The service never pads: requests batch only at equal feature width, so
+every response is the plain solo run of its request.
+:func:`pad_features` stays for ``solo_reference(request, pad_to=W)``,
+which the end-to-end harness (``benchmarks/e2e``) calls by name when it
+builds its reference table.  A padded run is a *different* computation
+from the unpadded one — the first layer's seeded weight matrix is
+shaped by the input width, so widening the input re-draws ``W0``.
 """
 
 from __future__ import annotations

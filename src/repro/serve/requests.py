@@ -9,13 +9,12 @@ reach the micro-batcher: the queue only ever holds requests the
 executor is guaranteed to be able to build.
 
 Two requests may share a micro-batch iff their
-:meth:`~InferenceRequest.compatibility_key` matches — everything the
-lowered plan's *arithmetic* depends on except the feature width, which
-the packed workload equalises per group (zero columns up to the widest
-member — see :mod:`repro.serve.padding` for the parity contract).
-``out_features`` is part of the key, so cross-dataset traffic batches
-only when clients pin a common head width explicitly (datasets default
-it to their class count).
+:meth:`~InferenceRequest.compatibility_key` matches **and their graphs
+carry the same feature width** (the batcher appends it once the graph
+is resolved) — together everything the lowered plan's *arithmetic*
+depends on.  ``out_features`` is part of the key, so equal-width
+traffic from different datasets batches only when clients pin a common
+head width explicitly (datasets default it to their class count).
 """
 
 from __future__ import annotations
@@ -133,7 +132,8 @@ class InferenceRequest:
         """The batching equivalence class of this request.
 
         Everything the packed plan's arithmetic depends on except the
-        feature width (packing equalises that per group).
+        feature width, which needs the resolved graph:
+        :class:`~repro.serve.batcher.MicroBatcher` appends it.
         """
         return (self.framework, self.model, self.compute_model,
                 self.hidden, self.num_layers, self.resolved_out_features(),
@@ -224,9 +224,8 @@ class InferenceResponse:
     ``source`` is ``"batched"`` (unpacked from a packed plan),
     ``"solo"`` (executed alone — the off mode, or a group of one) or
     ``"degraded"`` (fell out of a batch through a fault site and re-ran
-    solo).  ``padded_to`` is the feature width the request executed at;
-    parity references must re-run at the same width (see
-    :mod:`repro.serve.padding`).
+    solo).  ``padded_to`` is the feature width the request executed at
+    — always its own graph's; the service pads nothing.
     """
 
     request_id: str

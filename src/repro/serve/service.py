@@ -48,11 +48,13 @@ __all__ = ["InferenceService", "solo_reference", "serve_tcp"]
 
 def solo_reference(request: InferenceRequest, pad_to: int = 0,
                    profile=None, graph: Optional[Graph] = None) -> np.ndarray:
-    """Execute ``request`` alone, optionally at a padded width.
+    """Execute ``request`` alone.
 
-    This is the parity oracle for batched responses: a response whose
-    :attr:`~repro.serve.requests.InferenceResponse.padded_to` is ``W``
-    must equal ``solo_reference(request, pad_to=W)`` bit-for-bit.
+    This is the parity oracle for every response — batched, solo or
+    degraded: each must equal ``solo_reference(request)`` bit-for-bit.
+    ``pad_to`` runs the reference on zero-padded features instead; the
+    service never does (the end-to-end harness still builds such
+    references).
     """
     graph = request.resolve_graph() if graph is None else graph
     if pad_to and pad_to != graph.num_features:
@@ -175,12 +177,12 @@ class InferenceService:
             self._wake.clear()
 
     # -- execution (worker thread) -----------------------------------------
-    def _solo(self, entry, pad_to: int = 0, source: str = "solo"):
+    def _solo(self, entry, source: str = "solo"):
         request, graph = entry.request, entry.graph
         degraded = source == "degraded"
         try:
-            output = solo_reference(request, pad_to=pad_to,
-                                    profile=self._profile, graph=graph)
+            output = solo_reference(request, profile=self._profile,
+                                    graph=graph)
         except GSuiteError as exc:
             return exc
         self.report.in_process += 1
@@ -188,7 +190,7 @@ class InferenceService:
             self.report.degraded_tasks += 1
         return InferenceResponse(
             request_id=request.request_id, output=output, source=source,
-            batch_size=1, padded_to=pad_to or graph.num_features,
+            batch_size=1, padded_to=graph.num_features,
             degraded=degraded)
 
     def _execute_group(self, group: BatchGroup):
@@ -197,8 +199,9 @@ class InferenceService:
         Multi-member groups consult the serving fault sites first: a
         ``batch_timeout`` abandons the pack (every member degrades to
         solo), a ``request_drop`` spills single members out of it.
-        Solo and degraded members run unpadded — alone there is nothing
-        to equalise — while batched members run at the group pad width.
+        A group is one feature width (it is part of the batcher's queue
+        key), so every member — batched, solo or degraded — runs at its
+        own width.
         """
         plan = active_faults()
         entries = group.entries
@@ -222,11 +225,9 @@ class InferenceService:
             index, entry = batched[0]
             outcomes[index] = self._solo(entry)
         elif batched:
-            pad_width = max(e.graph.num_features for _, e in batched)
             head = batched[0][1].request
             try:
-                workload = BatchedGraph([e.graph for _, e in batched],
-                                        pad_width=pad_width)
+                workload = BatchedGraph([e.graph for _, e in batched])
                 packed = get_backend(head.framework).build(
                     head.pipeline_spec(), workload,
                     cost_profile=self._profile).run()
@@ -242,7 +243,8 @@ class InferenceService:
                     outcomes[index] = InferenceResponse(
                         request_id=entry.request.request_id,
                         output=block, source="batched",
-                        batch_size=len(batched), padded_to=pad_width)
+                        batch_size=len(batched),
+                        padded_to=entry.graph.num_features)
         return [outcomes[i] for i in range(len(entries))]
 
     # -- observability -----------------------------------------------------

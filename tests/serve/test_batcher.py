@@ -1,9 +1,10 @@
 """Micro-batcher unit and property tests.
 
-The batcher's contract: queues group by compatibility key, a group
-never flushes deeper than :func:`~repro.plan.planner.choose_batching`
-allows for its padded width and costliest member (the serving path
-stays inside the offline budgets), and ``due()`` — asked only when the
+The batcher's contract: queues group by compatibility key **and
+feature width** (a group is always one width), a group never flushes
+deeper than :func:`~repro.plan.planner.choose_batching` allows for that
+width and its costliest member (the serving path stays inside the
+offline budgets), and ``due()`` — asked only when the
 worker is free — hands over exactly one group: the queue whose head
 arrived first, sliced at its budget.  No clock anywhere: arrival order
 is a counter, so every case is a plain sequence of calls.
@@ -29,10 +30,11 @@ def _graph(width=4, nodes=6, seed=0, name="g"):
                  .astype(np.float32), name=name)
 
 
-def _request(request_id, width=4, seed=0, **kwargs):
+def _request(request_id, width=4, seed=0, nodes=6, **kwargs):
     kwargs.setdefault("out_features", 3)
     return InferenceRequest(request_id=request_id,
-                            graph=_graph(width=width, seed=seed), **kwargs)
+                            graph=_graph(width=width, nodes=nodes, seed=seed),
+                            **kwargs)
 
 
 class TestGrouping:
@@ -50,12 +52,20 @@ class TestGrouping:
         batcher.submit(_request("c", model="gcn", seed=9))  # same key as a
         assert len(batcher._queues) == 2
 
-    def test_mixed_widths_share_a_queue(self):
-        """Width is not part of the key — padding equalises it."""
+    def test_mixed_widths_never_share_a_queue(self):
+        """Width is part of the key: equal widths queue together, and
+        across width queues the oldest head is cut first."""
         batcher = MicroBatcher()
-        batcher.submit(_request("a", width=3))
-        batcher.submit(_request("b", width=11))
-        assert len(batcher._queues) == 1
+        for request_id, width in (("wide-0", 11), ("narrow-0", 3),
+                                  ("narrow-1", 3), ("wide-1", 11)):
+            batcher.submit(_request(request_id, width=width))
+        assert len(batcher._queues) == 2
+        order = []
+        while len(batcher):
+            (group,) = batcher.due()
+            assert len({e.graph.num_features for e in group.entries}) == 1
+            order.append([e.request.request_id for e in group.entries])
+        assert order == [["wide-0", "wide-1"], ["narrow-0", "narrow-1"]]
 
     def test_invalid_knobs_refused(self):
         with pytest.raises(ServeError, match="max_batch"):
@@ -65,12 +75,11 @@ class TestGrouping:
 class TestBudgets:
     def test_budget_is_planner_capacity(self):
         batcher = MicroBatcher()
-        requests = [_request(f"r{i}", width=3 + i) for i in range(4)]
+        requests = [_request(f"r{i}", seed=i) for i in range(4)]
         for request in requests:
             batcher.submit(request)
         (key,) = batcher._queues
-        pad = max(r.graph.num_features for r in requests)
-        allowed = group_budget(requests, [r.graph for r in requests], pad,
+        allowed = group_budget(requests, [r.graph for r in requests],
                                count=CAPACITY)
         assert batcher.budget(key) == allowed
         # Capacity pricing: the budget must not collapse to the queue
@@ -80,10 +89,10 @@ class TestBudgets:
     def test_max_batch_caps_but_never_grows(self):
         requests = [_request(f"r{i}") for i in range(5)]
         graphs = [r.graph for r in requests]
-        uncapped = group_budget(requests, graphs, 4)
-        assert group_budget(requests, graphs, 4, max_batch=2) == \
+        uncapped = group_budget(requests, graphs)
+        assert group_budget(requests, graphs, max_batch=2) == \
             min(2, uncapped)
-        assert group_budget(requests, graphs, 4, max_batch=64) <= 64
+        assert group_budget(requests, graphs, max_batch=64) <= 64
 
     def test_off_mode_budget_is_one(self):
         batcher = MicroBatcher(max_batch=1)
@@ -107,13 +116,12 @@ class TestBudgets:
             InferenceRequest(request_id=f"r{i}", graph=g, out_features=3)
             for i, g in enumerate(members)]
         graphs = [r.graph for r in requests]
-        pad = max(g.num_features for g in graphs)
-        budget = group_budget(requests, graphs, pad,
+        budget = group_budget(requests, graphs,
                               max_batch=cap if cap >= 1 else None)
         assert 1 <= budget <= len(requests)
         if cap >= 1:
             assert budget <= cap
-        unconstrained = group_budget(requests, graphs, pad)
+        unconstrained = group_budget(requests, graphs)
         assert budget <= unconstrained or cap >= 1
 
 
@@ -163,12 +171,20 @@ class TestFlushing:
             order.append([e.request.request_id for e in group.entries])
         assert order == [["gin-0", "gin-1"], ["gcn-0"], ["gin-2"]]
 
-    def test_group_pad_width_is_widest_member(self):
-        batcher = MicroBatcher(max_batch=3)
-        for i, width in enumerate((3, 11, 7)):
-            batcher.submit(_request(f"r{i}", width=width))
-        (group,) = batcher.due()
-        assert group.pad_width == 11
+    def test_budget_is_priced_at_the_queue_width(self):
+        """A wide request in flight does not shrink what narrow ones
+        may pack: each width queue is priced at its own width (gin
+        aggregates at the input width, so its budget follows it)."""
+        batcher = MicroBatcher()
+        for i, width in enumerate((4, 256, 4)):
+            batcher.submit(_request(f"r{i}", width=width, seed=i,
+                                    nodes=2000, model="gin"))
+        budgets = {key[-1]: batcher.budget(key) for key in batcher._queues}
+        assert budgets[4] > budgets[256] >= 1
+        narrow = [e.request for key, queue in batcher._queues.items()
+                  if key[-1] == 4 for e in queue]
+        assert budgets[4] == group_budget(
+            narrow, [r.graph for r in narrow], count=CAPACITY)
 
     def test_flush_all_drains_every_queue(self):
         batcher = MicroBatcher(max_batch=2)

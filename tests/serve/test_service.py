@@ -3,7 +3,7 @@
 The serving invariant under test everywhere: **how** a request executes
 (batched, solo, degraded through a fault site) never changes **what**
 it computes — every response is bit-for-bit the same request executed
-solo at its recorded pad width — and the service's
+solo, at its own feature width — and the service's
 :class:`~repro.bench.pool.DispatchReport` accounts every execution and
 degradation event exactly.
 """
@@ -15,9 +15,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.config import SuiteConfig
-from repro.errors import ConfigError, ServeError
+from repro.errors import ConfigError, GSuiteError, ServeError
 from repro.faults import SITES, parse_faults
 from repro.graph import Graph
 from repro.serve import (
@@ -29,6 +31,7 @@ from repro.serve import (
 )
 from repro.serve.loadgen import dataset_mix, percentile
 from repro.serve.service import MAX_REQUEST_LINE
+from strategies import PARITY_SETTINGS, power_law_graphs
 
 
 def _graph(width=4, nodes=10, seed=0, name="g"):
@@ -48,6 +51,20 @@ def _requests(widths, **kwargs):
             for i, w in enumerate(widths)]
 
 
+def _gate_worker(service):
+    """Hold the service's worker inside ``_execute_group`` until the
+    returned ``gate`` is set; ``started`` fires when it gets there."""
+    started, gate = threading.Event(), threading.Event()
+    execute = service._execute_group
+
+    def gated(group):
+        started.set()
+        assert gate.wait(timeout=60)
+        return execute(group)
+    service._execute_group = gated
+    return started, gate
+
+
 def _serve_all(requests, config=None):
     """Submit every request concurrently; return (service, responses)."""
     service = InferenceService(config or SuiteConfig())
@@ -61,27 +78,29 @@ def _serve_all(requests, config=None):
 
 
 class TestBatchedParity:
-    def test_mixed_width_batch_is_bitwise_solo_at_pad_width(self):
-        requests = _requests((3, 9, 5))
+    def test_equal_width_batch_is_bitwise_plain_solo(self):
+        requests = _requests((5, 5, 5))
         service, responses = _serve_all(requests)
         assert [r.source for r in responses] == ["batched"] * 3
-        assert {r.padded_to for r in responses} == {9}
+        assert {r.padded_to for r in responses} == {5}
         assert all(r.batch_size == 3 for r in responses)
         for request, response in zip(requests, responses):
-            reference = solo_reference(request, pad_to=response.padded_to)
-            assert np.array_equal(response.output, reference), \
+            assert np.array_equal(response.output,
+                                  solo_reference(request)), \
                 request.request_id
 
-    def test_padded_member_differs_from_unpadded_solo(self):
-        """The narrow member's batched output is *not* its unpadded solo
-        run — the pad width is part of the arithmetic (documented)."""
-        requests = _requests((3, 9))
-        _, responses = _serve_all(requests)
-        narrow = responses[0]
-        assert narrow.padded_to == 9
-        assert not np.array_equal(narrow.output, solo_reference(requests[0]))
-        assert np.array_equal(narrow.output,
-                              solo_reference(requests[0], pad_to=9))
+    def test_mixed_width_requests_run_at_their_own_width(self):
+        """Width is part of the batching key: simultaneous requests of
+        different widths never pack, equal ones among them still do,
+        and nobody's arithmetic depends on who else was in flight."""
+        requests = _requests((3, 9, 3))
+        service, responses = _serve_all(requests)
+        assert [r.padded_to for r in responses] == [3, 9, 3]
+        assert [r.source for r in responses] == ["batched", "solo",
+                                                 "batched"]
+        assert service.stats()["batches"] == [2]
+        for request, response in zip(requests, responses):
+            assert np.array_equal(response.output, solo_reference(request))
 
     def test_dispatch_report_accounts_cleanly(self):
         service, responses = _serve_all(_requests((4, 4, 4)))
@@ -114,16 +133,9 @@ class TestWorkConservingFlush:
     what batches is decided by the test, not by the host's speed."""
 
     def test_idle_runs_alone_and_busy_batches_what_queued(self):
-        a, b, c = _requests((3, 9, 5))
+        a, b, c = _requests((3, 9, 9))
         service = InferenceService(SuiteConfig())
-        started, gate = threading.Event(), threading.Event()
-        execute = service._execute_group
-
-        def gated(group):
-            started.set()
-            assert gate.wait(timeout=60)
-            return execute(group)
-        service._execute_group = gated
+        started, gate = _gate_worker(service)
 
         async def drive():
             loop = asyncio.get_running_loop()
@@ -145,9 +157,38 @@ class TestWorkConservingFlush:
         assert [r.padded_to for r in responses] == [3, 9, 9]
         assert service.stats()["batches"] == [2]
         for request, response in zip((a, b, c), responses):
-            assert np.array_equal(
-                response.output,
-                solo_reference(request, pad_to=response.padded_to))
+            assert np.array_equal(response.output, solo_reference(request))
+
+    def test_featureless_request_fails_alone_between_good_neighbours(self):
+        """A graph stripped of its features after validation is refused
+        at ``submit`` — it never queues, so the equal-width requests on
+        either side of it still pack, and the drain task lives."""
+        first, good_a, bad, good_b = _requests((4, 6, 6, 6))
+        bad.graph.features = None
+        service = InferenceService(SuiteConfig())
+        started, gate = _gate_worker(service)
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            async with service:
+                running = asyncio.ensure_future(service.submit(first))
+                await loop.run_in_executor(None, started.wait, 60)
+                queued = [asyncio.ensure_future(service.submit(r))
+                          for r in (good_a, bad, good_b)]
+                while len(service.batcher) < 2:
+                    await asyncio.sleep(0)
+                gate.set()
+                outcomes = await asyncio.gather(running, *queued,
+                                                return_exceptions=True)
+                return outcomes, not service._task.done()
+
+        (_, a, failure, b), alive = asyncio.run(drive())
+        assert alive
+        assert isinstance(failure, GSuiteError)
+        assert "r2" in str(failure) and "features" in str(failure)
+        for request, response in ((good_a, a), (good_b, b)):
+            assert response.source == "batched" and response.batch_size == 2
+            assert np.array_equal(response.output, solo_reference(request))
 
 
 class TestPoisonedRequests:
@@ -197,7 +238,7 @@ class TestPoisonedRequests:
                 raise MemoryError("no room for the slab")
             return real(members, **kwargs)
         monkeypatch.setattr(service_module, "BatchedGraph", flaky)
-        requests = _requests((3, 9, 3, 9))
+        requests = _requests((7, 7, 7, 7))
         service = InferenceService(SuiteConfig())
         (first, second), alive = self._serve_in_turn(
             service, [requests[:2], requests[2:]])
@@ -206,9 +247,7 @@ class TestPoisonedRequests:
         assert alive and calls == [2, 2]
         for request, response in zip(requests[2:], second):
             assert response.source == "batched"
-            assert np.array_equal(
-                response.output,
-                solo_reference(request, pad_to=response.padded_to))
+            assert np.array_equal(response.output, solo_reference(request))
 
 
 class TestServedPlansAreFused:
@@ -229,9 +268,7 @@ class TestServedPlansAreFused:
         assert [r.source for r in batched] == ["batched"] * 2
         for request, response in zip([solo_request] + pair,
                                      [solo] + batched):
-            assert np.array_equal(
-                response.output,
-                solo_reference(request, pad_to=response.padded_to))
+            assert np.array_equal(response.output, solo_reference(request))
         config = SuiteConfig(dataset=dataset, scale=0.25, out_features=8)
         assert np.array_equal(
             solo.output,
@@ -249,7 +286,6 @@ class TestServeModes:
         requests = _requests((3, 9, 5))
         service, responses = _serve_all(requests, config)
         assert [r.source for r in responses] == ["solo"] * 3
-        # Solo runs are unpadded: each executes at its natural width.
         assert [r.padded_to for r in responses] == [3, 9, 5]
         for request, response in zip(requests, responses):
             assert np.array_equal(response.output, solo_reference(request))
@@ -296,12 +332,11 @@ class TestServeModes:
 class TestFaultDegradation:
     def test_request_drop_degrades_to_solo_with_parity(self):
         config = SuiteConfig(faults="seed=1;request_drop:p=1")
-        requests = _requests((3, 9, 5))
+        requests = _requests((5, 5, 5))
         service, responses = _serve_all(requests, config)
         assert [r.source for r in responses] == ["degraded"] * 3
         assert all(r.degraded for r in responses)
         for request, response in zip(requests, responses):
-            # Degraded members re-run solo unpadded — still parity-exact.
             assert response.padded_to == request.graph.num_features
             assert np.array_equal(response.output, solo_reference(request))
         stats = service.stats()
@@ -325,13 +360,12 @@ class TestFaultDegradation:
             response = by_id[request.request_id]
             if request.request_id in expected_drops:
                 assert response.source == "degraded"
-            reference = solo_reference(request, pad_to=response.padded_to)
-            assert np.array_equal(response.output, reference)
+            assert np.array_equal(response.output, solo_reference(request))
         assert service.stats()["dispatch"]["retries"] == len(expected_drops)
 
     def test_batch_timeout_degrades_every_member(self):
         config = SuiteConfig(faults="batch_timeout:p=1")
-        requests = _requests((3, 9, 5))
+        requests = _requests((5, 5, 5))
         service, responses = _serve_all(requests, config)
         assert [r.source for r in responses] == ["degraded"] * 3
         for request, response in zip(requests, responses):
@@ -531,3 +565,38 @@ class TestCli:
     def test_serve_knobs_validate(self):
         with pytest.raises(ConfigError):
             SuiteConfig(serve_batch=-2)
+
+
+@st.composite
+def _arrivals(draw):
+    """2-6 inline graphs over 2-3 distinct feature widths, each with a
+    flag: is the worker free right after this one is submitted?"""
+    widths = draw(st.lists(st.integers(1, 12), min_size=2, max_size=3,
+                           unique=True))
+    steps = draw(st.lists(st.tuples(st.sampled_from(widths), st.booleans()),
+                          min_size=2, max_size=6))
+    return [(draw(power_law_graphs(max_nodes=24, width=width)), free)
+            for width, free in steps]
+
+
+@PARITY_SETTINGS
+@given(arrivals=_arrivals())
+def test_any_arrival_order_serves_every_request_at_its_own_width(arrivals):
+    """The width contract, driven call by call (no loop, no clock): no
+    group mixes widths, and every response is the plain solo run."""
+    service = InferenceService(SuiteConfig())
+    groups = []
+    for i, (graph, worker_free) in enumerate(arrivals):
+        service.batcher.submit(InferenceRequest(
+            request_id=f"r{i}", graph=graph, out_features=3))
+        if worker_free:
+            groups += service.batcher.due()
+    groups += service.batcher.flush_all()
+    assert sum(group.size for group in groups) == len(arrivals)
+    for group in groups:
+        assert len({e.graph.num_features for e in group.entries}) == 1
+        for entry, response in zip(group.entries,
+                                   service._execute_group(group)):
+            assert response.padded_to == entry.graph.num_features
+            assert np.array_equal(response.output,
+                                  solo_reference(entry.request))

@@ -4,13 +4,13 @@
 One JSON answer (``BENCH_serving.json``): the deterministic closed-loop
 load generator (:mod:`repro.serve.loadgen`) drives a mixed-dataset
 request stream — Cora, CiteSeer and Pubmed requests with a pinned head
-width, so the three feature widths (1433 / 3703 / 500) share batches
-packed at the widest member's width — at several concurrency levels, once
+width, so only the three feature widths (1433 / 3703 / 500) keep
+requests apart: they batch at equal width, each at its own — at several
+concurrency levels, once
 with the micro-batcher on (``serve_batch=0``, planner budgets) and once
 off (``serve_batch=1``, every request solo).  Each run records p50/p99
 latency, throughput, batch shapes and plan-cache reuse, and **verifies
-every response bit-for-bit** against the same request executed solo at
-its recorded pad width (the padding parity contract).
+every response bit-for-bit** against the same request executed solo.
 
 Usage::
 
@@ -33,8 +33,8 @@ from repro.serve import run_loadgen  # noqa: E402
 from repro.serve.loadgen import dataset_mix  # noqa: E402
 
 #: The mixed-width traffic: three citation datasets, head width pinned
-#: so the compatibility key matches and only the pad width separates
-#: them from a homogeneous sweep.
+#: so the compatibility key matches and only the feature width decides
+#: which requests may share a batch.
 DATASETS = ("cora", "citeseer", "pubmed")
 OUT_FEATURES = 8
 
@@ -58,7 +58,7 @@ def bench_level(concurrency: int, requests_per_client: int, scale: float,
             failures.append(
                 f"C={concurrency} {label}: {report.parity_failures}/"
                 f"{report.parity_checked} responses diverged from their "
-                f"solo-at-pad-width references")
+                f"solo references")
         rows.append({"mode": label, **report.to_dict()})
         print(f"  {label:7s} {report.summary()}")
     if len(rows) == 2 and rows[0]["p50_ms"] > 0:
@@ -94,21 +94,19 @@ def run(smoke: bool, out_path: Path, profile_costs: str) -> int:
         "description": "Serving-layer load generation: a deterministic "
                        "closed-loop client mix over "
                        f"{'+'.join(DATASETS)} (gcn, head width pinned to "
-                       f"{OUT_FEATURES} so the 1433/3703/500-wide members "
-                       "share batches packed at the widest member) at "
+                       f"{OUT_FEATURES}; the 1433/3703/500-wide requests "
+                       "batch only at equal feature width) at "
                        "several concurrency levels, micro-batching on "
                        "(serve_batch=0, planner budgets) vs off "
                        "(serve_batch=1).  p50/p99 latency in ms, "
                        "throughput in req/s; every response verified "
                        "bit-for-bit against the same request executed "
-                       "solo at its recorded pad width.  A "
-                       "characterisation, not a speedup claim: groups "
-                       "are cut when the worker is free (no timer), so "
-                       "the batched path's cost over solo is what "
-                       "packing adds — narrow members execute at the "
-                       "group pad width (Pubmed's 500-wide features "
-                       "compute at CiteSeer's 3703) and the packed "
-                       "SGEMM is segment-local — against the fixed "
+                       "solo.  A characterisation, not a speedup "
+                       "claim: groups are cut when the worker is free "
+                       "(no timer) from the oldest equal-width queue, "
+                       "so the batched path's cost over solo is what "
+                       "packing adds — one stacked feature copy and a "
+                       "segment-local SGEMM — against the fixed "
                        "per-request costs the plan cache already "
                        "amortises for solo.",
         "smoke": smoke,
