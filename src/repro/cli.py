@@ -351,8 +351,9 @@ def _cmd_plan(args) -> int:
     else:
         print("batching: off (1 graph; --batch auto lets the planner "
               "decide)")
-    from repro.plan import describe_fusion
+    from repro.plan import describe_features, describe_fusion
     print(describe_fusion(plan))
+    print(describe_features(plan, pipeline.graph, built.resident_features))
     if decisions.shards > 1:
         import numpy as np
         from repro.plan import (

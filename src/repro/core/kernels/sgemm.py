@@ -5,6 +5,14 @@ linear transform every GNN layer applies during combination, wrapped as
 ``C = alpha * A @ B + beta * C + bias``.  In the paper this is a cuBLAS
 call; here the compute is NumPy's BLAS and the launch record models a
 32x32-tiled shared-memory GEMM.
+
+A first layer's left operand is the graph's own feature matrix, which
+on the citation datasets is 1 % non-zero.  The caller that holds the
+graph passes its resident row-sparse form (``rows=``,
+:meth:`repro.graph.Graph.feature_rows`) and the product runs over the
+stored entries only, through the compiled CSR routine the sparse
+kernels use; the launch record is the dense GEMM's either way, so
+simulated figures do not know which route the host took.
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ _TILE = 32
 
 def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
           alpha: float = 1.0, beta: float = 0.0, c: Optional[np.ndarray] = None,
-          tag: str = "", activation: Optional[str] = None) -> np.ndarray:
+          tag: str = "", activation: Optional[str] = None,
+          rows=None) -> np.ndarray:
     """Dense matrix multiply ``alpha * a @ b + beta * c + bias``.
 
     Parameters
@@ -74,13 +83,22 @@ def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
             raise KernelError(
                 f"c must have shape {(a.shape[0], b.shape[1])}, got {c.shape}"
             )
+    if rows is not None and rows.shape != a.shape:
+        raise KernelError(
+            f"row-sparse operand has shape {rows.shape}; the dense "
+            f"operand it stands for has {a.shape}")
 
     start = time.perf_counter()
-    out = alpha * (a @ b)
+    # The product is this launch's own array: the epilogue below
+    # updates it in place, with the roundings of the out-of-place
+    # expression ``alpha * (a @ b) + beta * c + bias``.
+    out = a @ b if rows is None else np.asarray(rows @ b)
+    if alpha != 1.0:
+        out *= np.float32(alpha)
     if beta != 0.0:
-        out = out + beta * c
+        out += np.float32(beta) * c
     if bias is not None:
-        out = out + bias
+        out += bias
     out = out.astype(np.float32, copy=False)
     if activation:
         from repro.core.models.activations import get_activation

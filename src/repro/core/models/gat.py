@@ -102,7 +102,7 @@ class GAT(GNNModel):
         n = graph.num_nodes
         tag = f"gat-l{layer}"
 
-        h = sgemm(x, params["W"], tag=tag)
+        h = sgemm(x, params["W"], tag=tag, rows=graph.feature_rows(x))
         alpha = attention_coefficients(h, src, dst, params["a_src"],
                                        params["a_dst"], n, tag)
         messages = index_select(h, src, tag=tag) * alpha[:, None]

@@ -89,7 +89,8 @@ class GCN(GNNModel):
         if self.compute_model == "MP":
             edge_index, edge_weight = state["edge_index"], state["edge_weight"]
             # Transform first (Fig. 2: featureVector -> sgemm -> linearOutput).
-            h = sgemm(x, params["W"], tag=f"gcn-l{layer}")
+            h = sgemm(x, params["W"], tag=f"gcn-l{layer}",
+                      rows=graph.feature_rows(x))
             messages = index_select(h, edge_index[0], tag=f"gcn-l{layer}")
             messages = messages * edge_weight[:, None]
             aggregated = scatter(messages, edge_index[1],

@@ -75,7 +75,8 @@ class SAGE(GNNModel):
         mean_neigh = scatter(messages, edge_index[1],
                              dim_size=graph.num_nodes, reduce="mean",
                              tag=f"sage-l{layer}")
-        self_part = sgemm(x, params["W1"], tag=f"sage-l{layer}")
+        self_part = sgemm(x, params["W1"], tag=f"sage-l{layer}",
+                          rows=graph.feature_rows(x))
         neigh_part = sgemm(mean_neigh, params["W2"], bias=params["b"],
                            tag=f"sage-l{layer}")
         return self_part + neigh_part

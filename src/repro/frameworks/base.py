@@ -61,6 +61,11 @@ class PipelineSpec:
 class BuiltPipeline:
     """A ready-to-run inference pipeline bound to one graph."""
 
+    #: Whether a plain ``run()`` binds the graph's own feature array as
+    #: the plan input, so a first layer can read the graph's resident
+    #: row-sparse form of it (:meth:`repro.graph.Graph.feature_rows`).
+    resident_features = True
+
     def __init__(self, backend_name: str, spec: PipelineSpec, graph: Graph):
         self.backend_name = backend_name
         self.spec = spec

@@ -266,6 +266,10 @@ _TAPE_LABELS = {"gather": "index_select", "scatter": "scatter",
 
 
 class _PyGLikePipeline(BuiltPipeline):
+    #: ``run`` converts its input to a fresh tensor on every call, as
+    #: PyG does, so no first layer here ever sees a resident operand.
+    resident_features = False
+
     def __init__(self, spec: PipelineSpec, graph: Graph):
         super().__init__("PyG", spec, graph)
         self._tape = _Tape()

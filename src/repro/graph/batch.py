@@ -24,7 +24,11 @@ that composition exact:
 * dense transforms are the one row-count-sensitive step (BLAS blocking
   varies with the row count), so the plan executor runs them
   *segment-local* over :meth:`node_segments` — see
-  :class:`repro.plan.ir.BatchSegmentMap`.
+  :class:`repro.plan.ir.BatchSegmentMap`.  The first layer is excepted
+  twice over: when it multiplies the packed feature matrix, each
+  member launch reads that member's own resident row-sparse features
+  (:meth:`Graph.feature_rows`) — a row-count-independent product — and
+  the stacked copy made here supplies its shape only.
 
 :meth:`unpack` splits any packed per-node result back into per-member
 blocks, closing the loop: ``unpack(run(pack(graphs)))`` equals running

@@ -11,15 +11,69 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as _sp
 
 from repro.errors import GraphFormatError
 from repro.graph.formats import COOMatrix, CSRMatrix, CSCMatrix, DenseMatrix
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "ROW_SPARSE_STRIDE"]
+
+#: A feature matrix is kept row-sparse only at one stored entry per this
+#: many or fewer (``ROW_SPARSE_STRIDE * nnz <= n * k``): at most one
+#: useful float per 64-byte line of the dense operand.  Measured
+#: no-regret against the dense product at citation-dataset shapes: at
+#: this density the CSR product takes 0.29-0.46 of the BLAS time for 16
+#: and 64 output columns on one BLAS thread, and the crossover sits
+#: between 10 % and 25 % (docs/architecture.md, "Execution").
+ROW_SPARSE_STRIDE = 16
+
+#: Rows of the dense matrix are scanned this many bytes at a time, so
+#: the boolean mask never adds an ``n x k`` transient and a dense
+#: matrix is declined after its first megabyte (as fast to build as
+#: 4 MB blocks at citation shapes, slower below 256 KB).
+_SCAN_BLOCK_BYTES = 1024 * 1024
+
+
+def _row_sparse(features: np.ndarray) -> Optional[_sp.csr_matrix]:
+    """Row-major CSR of a dense float32 matrix, or ``None`` when it is
+    denser than one stored entry per :data:`ROW_SPARSE_STRIDE`.
+
+    Stored entries are exactly the positions where ``features != 0``
+    (so ``-0.0`` is absent and ``NaN`` is stored), column-ascending
+    within a row, float32 values over int32 indices.  A dense matrix is
+    declined after its first block.
+    """
+    n, k = features.shape
+    budget = (n * k) // ROW_SPARSE_STRIDE
+    step = max(1, _SCAN_BLOCK_BYTES // max(1, k * features.itemsize))
+    # Counted in int64: the csr_matrix constructor picks the index
+    # width from the contents, int32 unless nnz ever passes 2**31.
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    columns = [np.zeros(0, dtype=np.int32)]
+    values = [np.zeros(0, dtype=np.float32)]
+    nnz = 0
+    for lo in range(0, n, step):
+        block = features[lo:lo + step]
+        mask = block != 0
+        counts = np.count_nonzero(mask, axis=1)
+        nnz += int(counts.sum())
+        if nnz > budget:
+            return None
+        indptr[lo + 1:lo + 1 + counts.shape[0]] = counts
+        flat = np.flatnonzero(mask)
+        columns.append((flat % k).astype(np.int32))
+        values.append(block.ravel()[flat])
+    np.cumsum(indptr, out=indptr)
+    return _sp.csr_matrix(
+        (np.concatenate(values), np.concatenate(columns), indptr),
+        shape=(n, k))
 
 
 def _freeze(value) -> None:
-    """Make every array reachable from a memoised structure read-only."""
+    """Make every array reachable from a memoised structure read-only.
+
+    ``None`` (a declined structure) and scalars have nothing to freeze.
+    """
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     elif isinstance(value, tuple):
@@ -27,7 +81,7 @@ def _freeze(value) -> None:
             _freeze(item)
     elif isinstance(value, Graph):
         _freeze((value.edge_index, value.edge_weight))
-    elif isinstance(value, CSRMatrix):
+    elif isinstance(value, (CSRMatrix, _sp.csr_matrix)):
         _freeze((value.indptr, value.indices, value.data))
 
 
@@ -97,8 +151,8 @@ class Graph:
                 )
         self.edge_weight = edge_weight
         self.name = name
-        #: Structures derived from ``(edge_index, edge_weight,
-        #: num_nodes)`` alone — see :meth:`structure`.
+        #: Structures derived from this graph's arrays, built on first
+        #: use — see :meth:`structure` and :meth:`feature_rows`.
         self._structures: dict = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -137,11 +191,13 @@ class Graph:
         normalised aggregation matrices, the destination-major
         reduction structure — which every run over this graph would
         otherwise re-derive.  ``key`` names the function and its
-        parameters and never captures features.  The graph owns the
-        memo, so the structures die with it; a graph is a value object
-        (its edge arrays are not to be written after construction), and
-        every array handed out is read-only, so an in-place write
-        raises instead of corrupting later runs.
+        parameters.  The one entry derived from the feature matrix,
+        :meth:`feature_rows`, stores the array it was built from beside
+        the structure and is checked against it by identity.  The graph
+        owns the memo, so the structures die with it; a graph is a
+        value object (its arrays are not to be written after
+        construction), and every array handed out is read-only, so an
+        in-place write raises instead of corrupting later runs.
         """
         try:
             return self._structures[key]
@@ -149,6 +205,27 @@ class Graph:
             value = self._structures[key] = build()
             _freeze(value)
             return value
+
+    def feature_rows(self, x) -> Optional[_sp.csr_matrix]:
+        """The resident row-sparse form of ``x``, or ``None``.
+
+        ``sgemm``'s ``rows`` operand for a first layer: the memoised
+        row-major CSR of :attr:`features` (see :func:`_row_sparse`),
+        returned iff ``x`` *is* :attr:`features` — any other array,
+        however equal, has no resident form and multiplies densely —
+        and the matrix holds at most one stored entry per
+        :data:`ROW_SPARSE_STRIDE`.  Building it freezes
+        :attr:`features` with the rest of the memo: a later in-place
+        write raises rather than diverging from the structure, and a
+        rebound :attr:`features` gets a structure of its own.
+        """
+        if x is None or x is not self.features:
+            return None
+        memo = self._structures.get("feature_rows")
+        if memo is not None and memo[0] is not x:
+            del self._structures["feature_rows"]   # features were rebound
+        return self.structure("feature_rows",
+                              lambda: (x, _row_sparse(x)))[1]
 
     def in_degrees(self) -> np.ndarray:
         """In-degree of every node (memoised, read-only)."""

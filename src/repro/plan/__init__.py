@@ -47,7 +47,12 @@ direct legacy paths, which is the contract the ``tests/plan`` parity
 suites pin.
 """
 
-from repro.plan.executor import NORMALIZE_KINDS, PlanExecutor, register_normalize
+from repro.plan.executor import (
+    NORMALIZE_KINDS,
+    PlanExecutor,
+    describe_features,
+    register_normalize,
+)
 from repro.plan.fusion import (
     describe_fusion,
     fuse_plan,
@@ -140,6 +145,7 @@ __all__ = [
     "choose_formats",
     "choose_partitioner",
     "choose_shards",
+    "describe_features",
     "describe_fusion",
     "edge_balanced_ranges",
     "explain_choice",

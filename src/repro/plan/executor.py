@@ -35,6 +35,14 @@ destination-major :func:`~repro.core.kernels.reduction_structure` of
 each output an aggregation op reduces over, and hands it to ``scatter``
 / ``fused_gather_scatter``.  The ``pyg_*`` / ``dgl_*`` kinds model
 what those frameworks re-derive on every forward and stay per-run.
+
+The same goes for the one dense operand the graph owns: an ``SGEMM``
+whose left operand *is* ``graph.features`` is handed the graph's
+resident row-sparse form of it (:meth:`repro.graph.Graph.feature_rows`)
+and multiplies over the stored entries only.  The direct reference
+paths ask the same question of the same graph, so plan and direct take
+the same route and stay bit-for-bit; the two routes themselves agree
+to float32 reassociation (docs/architecture.md, "Parity contracts").
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from repro.plan.ir import (
 )
 
 __all__ = ["PlanExecutor", "NORMALIZE_KINDS", "RESIDENT_ENDPOINT_KINDS",
-           "register_normalize"]
+           "describe_features", "register_normalize"]
 
 #: Kind name -> ``fn(graph, params, inputs, tag) -> tuple`` registry.
 NORMALIZE_KINDS: Dict[str, Callable] = {}
@@ -209,6 +217,40 @@ for _kind, _fn in (
     register_normalize(_kind, _fn)
 
 
+def describe_features(plan: ExecutionPlan, graph: Graph,
+                      resident: bool = True) -> str:
+    """One-line report for ``gsuite plan``: the form in which the
+    plan's first-layer ``sgemm`` will read the feature matrix.
+
+    Asks :meth:`~repro.graph.Graph.feature_rows` exactly as
+    :class:`PlanExecutor` does — per member for a batched plan — so the
+    report is the decision, not a copy of its rule.  ``resident`` is
+    false for a pipeline that binds a fresh copy of ``X`` on every run.
+    """
+    x = next((ref.vid for ref in plan.inputs if ref.name == "X"), None)
+    if not any(isinstance(op, SGEMM) and op.a.vid == x for op in plan.ops):
+        return "features: dense (no sgemm reads X)"
+    if not resident:
+        return "features: dense (X is re-materialised on every run)"
+    batched = plan.batch is not None and plan.batch.num_graphs > 1
+    members = graph.members if batched else [graph]
+    kept = [rows for rows in (m.feature_rows(m.features) for m in members)
+            if rows is not None]
+    if not kept:
+        size = max(1, sum(m.features.size for m in members))
+        stored = sum(int(np.count_nonzero(m.features)) for m in members)
+        return f"features: dense ({100.0 * stored / size:.3g} %)"
+    size = sum(rows.shape[0] * rows.shape[1] for rows in kept)
+    sparse_bytes = sum(rows.data.nbytes + rows.indices.nbytes
+                       + rows.indptr.nbytes for rows in kept)
+    share = "" if len(kept) == len(members) \
+        else f" in {len(kept)} of {len(members)} members"
+    return (f"features: row-sparse{share} (nnz/size "
+            f"{100.0 * sum(r.nnz for r in kept) / max(1, size):.2f} %, "
+            f"{size * kept[0].dtype.itemsize / 1e6:.1f} MB dense \u2192 "
+            f"{sparse_bytes / 1e6:.1f} MB)")
+
+
 class PlanExecutor:
     """Interprets :class:`ExecutionPlan` values over a bound graph.
 
@@ -274,7 +316,9 @@ class PlanExecutor:
         because BLAS blocking varies with the row count and a packed
         GEMM is not guaranteed bitwise against the per-member launches
         (measured: float32 GEMMs over different row counts diverge in
-        the last ulp).
+        the last ulp).  A first layer over the packed feature matrix
+        gives each member launch that member's resident rows
+        (:meth:`_segmented_sgemm`).
         """
         self._segments = None
         self._resident = {}
@@ -380,22 +424,31 @@ class PlanExecutor:
         return env[plan.output.vid]
 
     # -- batched execution -------------------------------------------------
-    def _segmented_sgemm(self, op: SGEMM, a, b, bias) -> np.ndarray:
+    def _segmented_sgemm(self, op: SGEMM, a, b, bias,
+                         graph: Graph) -> np.ndarray:
         """Run one node-aligned ``SGEMM`` per member of a batched plan.
 
         Each launch sees exactly the row count the member's unbatched
         run would — the property that keeps batched dense transforms
         bit-for-bit — and carries a ``@graphI/B`` tag suffix so the
         per-member launches stay distinguishable in recorded traces.
+        When ``a`` is the packed graph's own feature matrix, member
+        ``i`` multiplies through *its* resident rows
+        (:meth:`~repro.graph.Graph.feature_rows`), so the launch is
+        that member's solo first-layer launch, route included.
         Zero-node members contribute an empty block and no arithmetic.
         """
         total = len(self._segments)
+        resident = a is graph.features
         parts = []
         for i, (lo, hi) in enumerate(self._segments):
+            member = graph.members[i]
             parts.append(sgemm(
                 a[lo:hi], b, bias=bias,
                 tag=f"{op.tag}@graph{i + 1}/{total}",
-                activation=op.activation or None))
+                activation=op.activation or None,
+                rows=member.feature_rows(member.features)
+                if resident else None))
         return np.concatenate(parts, axis=0)
 
     # -- op dispatch -------------------------------------------------------
@@ -451,10 +504,12 @@ class PlanExecutor:
             a = env[op.a.vid]
             if (self._segments is not None
                     and np.asarray(a).shape[0] == graph.num_nodes):
-                out = self._segmented_sgemm(op, a, env[op.b.vid], bias)
+                out = self._segmented_sgemm(op, a, env[op.b.vid], bias,
+                                            graph)
             else:
                 out = sgemm(a, env[op.b.vid], bias=bias, tag=op.tag,
-                            activation=op.activation or None)
+                            activation=op.activation or None,
+                            rows=graph.feature_rows(a))
             env[op.out.vid] = out
             return out
         if isinstance(op, Activation):

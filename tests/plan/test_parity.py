@@ -87,7 +87,8 @@ def _legacy_dgl(spec, graph):
             x = sgemm(hidden, params["W2"], bias=params["b2"], tag=tag)
         else:
             mean_neigh = spmm(dgl_graph.mean_adjacency(), x, tag=tag)
-            x = (sgemm(x, params["W1"], tag=tag)
+            x = (sgemm(x, params["W1"], tag=tag,
+                       rows=graph.feature_rows(x))
                  + sgemm(mean_neigh, params["W2"], bias=params["b"],
                          tag=tag))
         if layer < spec.num_layers - 1:

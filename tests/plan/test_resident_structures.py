@@ -16,13 +16,16 @@ from repro.core.kernels import record_launches
 from repro.graph import Graph, add_self_loops, gcn_edge_weights
 
 # (model, compute model, fuse) -> the builders that run and how often.
-# ``reduction_structure`` counts every build, resident or on the spot.
+# ``reduction_structure`` counts every build, resident or on the spot;
+# ``row_sparse`` is the scan behind ``Graph.feature_rows``, which only a
+# first layer multiplying the graph's own ``X`` asks for (a declined
+# matrix is remembered too).
 CELLS = {
     ("sage", "MP", "auto"): {
-        "add_self_loops": 1, "reduction_structure": 1},
+        "add_self_loops": 1, "reduction_structure": 1, "row_sparse": 1},
     ("gcn", "MP", "off"): {
         "add_self_loops": 1, "gcn_edge_weights": 1,
-        "reduction_structure": 1},
+        "reduction_structure": 1, "row_sparse": 1},
     ("gin", "SpMM", "auto"): {"gin_aggregate_matrix": 1},
     ("gcn", "SpMM", "auto"): {
         "add_self_loops": 1, "degree_half_inverse_csr": 1,
@@ -38,6 +41,7 @@ _BUILDERS = {
                               "_mean_adjacency_matrix"),
     "degree_half_inverse_csr": ("repro.core.models.gcn",
                                 "_degree_half_inverse_csr"),
+    "row_sparse": ("repro.graph.graph", "_row_sparse"),
 }
 
 
@@ -146,3 +150,94 @@ def test_memo_keys_never_capture_features():
     for key in graph._structures:
         assert all(isinstance(leaf, (str, int, float))
                    for leaf in leaves(key)), key
+
+
+# -- the feature-matrix entry of the memo ------------------------------------
+
+def _bag_of_words(seed=7, nodes=50, width=64):
+    """A graph whose features are ~3 % non-zero: kept row-sparse."""
+    rng = np.random.default_rng(seed)
+    features = np.where(rng.random((nodes, width)) < 0.03,
+                        rng.standard_normal((nodes, width)),
+                        0.0).astype(np.float32)
+    return Graph(rng.integers(0, nodes, size=(2, 300)), features=features,
+                 name=f"bow-{seed}")
+
+
+_GCN = SuiteConfig(model="gcn", compute_model="MP", out_features=3)
+
+
+def _rows_seen(monkeypatch):
+    """Every ``rows`` operand the executor hands to ``sgemm``."""
+    executor = import_module("repro.plan.executor")
+    sgemm = executor.sgemm
+    seen = []
+
+    def spy(*args, rows=None, **kwargs):
+        seen.append(rows)
+        return sgemm(*args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(executor, "sgemm", spy)
+    return seen
+
+
+def test_first_layer_reads_the_resident_rows(builds, monkeypatch):
+    seen = _rows_seen(monkeypatch)
+    graph = _bag_of_words()
+    first, _ = _run(_GCN, graph)
+    second, _ = _run(_GCN, graph)
+    assert builds["row_sparse"] == 1
+    rows = graph.feature_rows(graph.features)
+    assert rows is not None and rows.nnz == np.count_nonzero(graph.features)
+    # Layer 0 multiplies through the structure, the hidden layer densely.
+    assert [r is rows for r in seen] == [True, False] * 2
+    assert seen[1] is None
+    assert np.array_equal(first, second)
+
+
+def test_features_are_read_only_once_a_run_has_read_them():
+    graph = _bag_of_words()
+    graph.features[0, 0] = 1.0                    # still a plain array
+    _run(_GCN, graph)
+    with pytest.raises(ValueError):
+        graph.features[0, 0] = 2.0
+    rows = graph.feature_rows(graph.features)
+    for array in (rows.data, rows.indices, rows.indptr):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_rebound_features_never_read_a_stale_structure(monkeypatch):
+    seen = _rows_seen(monkeypatch)
+    graph = _bag_of_words()
+    _run(_GCN, graph)
+    stale = seen[0]
+    replacement = _bag_of_words(seed=8).features
+    graph.features = replacement
+    output, _ = _run(_GCN, graph)
+    assert seen[2] is not stale and seen[2] is not None
+    assert seen[2].nnz == np.count_nonzero(replacement)
+    fresh = Graph(graph.edge_index, features=replacement.copy())
+    assert np.array_equal(output, _run(_GCN, fresh)[0])
+
+
+def test_run_with_other_features_takes_the_dense_route(monkeypatch):
+    """``run(features=...)`` has no resident operand, however equal the
+    array: it multiplies densely and agrees with the row-sparse run to
+    float32 reassociation (docs/architecture.md)."""
+    seen = _rows_seen(monkeypatch)
+    graph = _bag_of_words()
+    pipeline = GNNPipeline(_GCN, graph=graph).build()
+    resident = pipeline.run()
+    passed = pipeline.run(graph.features.copy())
+    assert seen[0] is not None and seen[2] is None
+    assert np.allclose(passed, resident, rtol=1e-4, atol=1e-6)
+
+
+def test_copies_start_with_an_empty_memo():
+    graph = _bag_of_words()
+    _run(_GCN, graph)
+    for other in (graph.copy(), graph.with_features(graph.features.copy())):
+        assert not other._structures
+        other.features[0, 0] = 5.0                # its own, writable
+        assert graph.features[0, 0] != 5.0

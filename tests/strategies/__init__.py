@@ -9,6 +9,7 @@ convenience::
 the package imports as top-level ``strategies``.)
 """
 
+from .features import feature_matrices
 from .graphs import power_law_graphs, shard_counts
 from .modes import (
     EXECUTABLE_COMBOS,
@@ -27,6 +28,7 @@ __all__ = [
     "STANDARD_SETTINGS",
     "batch_member_lists",
     "executable_combos",
+    "feature_matrices",
     "fusable_combos",
     "lowered",
     "power_law_graphs",

@@ -182,6 +182,30 @@ class TestCommands:
         assert "spmm_unit" in captured.err and str(bad) in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    def test_plan_reports_the_feature_operand(self, capsys):
+        """The line is what ``Graph.feature_rows`` answers for the
+        operand the first-layer sgemm will be handed."""
+        def line(*args):
+            assert main(["plan", *args]) == 0
+            return next(l for l in capsys.readouterr().out.splitlines()
+                        if l.startswith("features:"))
+
+        assert line("--dataset", "cora") == (
+            "features: row-sparse (nnz/size 0.97 %, 15.5 MB dense "
+            "\u2192 0.3 MB)")
+        assert line("--dataset", "reddit", "--scale", "0.02") == \
+            "features: dense (100 %)"
+        # Three seed variants packed: each member's own structure.
+        assert line("--dataset", "cora", "--scale", "0.1",
+                    "--batch", "3").startswith(
+                        "features: row-sparse (nnz/size 0.9")
+        # No resident operand: PyG re-materialises X, GIN aggregates it.
+        assert line("--dataset", "cora", "--scale", "0.1", "--framework",
+                    "pyg") == \
+            "features: dense (X is re-materialised on every run)"
+        assert line("--dataset", "cora", "--scale", "0.1", "--model",
+                    "gin") == "features: dense (no sgemm reads X)"
+
     def test_shards_accepts_knob_spellings(self, capsys):
         code = main(["run", "--dataset", "cora", "--scale", "0.1",
                      "--shards", "off"])
