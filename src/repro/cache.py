@@ -17,13 +17,17 @@ that hashes *all* of those inputs, so
   a magic tag and its SHA-256 digest, so a truncated or bit-flipped
   file is detected on read, moved aside into ``<root>/quarantine/`` and
   transparently recomputed — corruption can slow a run down, never
-  crash it or poison a result.
+  crash it or poison a result;
+* entries are pickles, and the checksum catches corruption, not
+  tampering: a root that exists and is world-writable or owned by
+  another user is never read or written — the cache disables itself
+  with one warning on first access.
 
 Layout: ``<root>/<kind>/<sha256>.pkl`` where ``kind`` is one of the
-:data:`KINDS` ("record", "sim", "profile", "timing", "plan").  The
-default root is ``results/.cache`` next to the benchmark tables;
-override with the ``GSUITE_CACHE_DIR`` environment variable, disable
-entirely with ``GSUITE_CACHE=0``.
+:data:`KINDS` ("record", "sim", "profile", "timing").  The default
+root is ``results/.cache`` next to the benchmark tables; override with
+the ``GSUITE_CACHE_DIR`` environment variable, disable entirely with
+``GSUITE_CACHE=0``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ import hashlib
 import json
 import os
 import pickle
+import stat
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -54,25 +60,18 @@ __all__ = [
     "reset_cache",
 ]
 
-#: Artifact kinds the benchmark layers store.  "plan" holds lowered
-#: :class:`~repro.plan.ir.ExecutionPlan` objects so repeated sweeps
-#: skip the lowering step — batched multi-graph plans are a distinct
-#: *flavor* of the same kind: their keys hash the packed batch
-#: geometry (every member's signature, in order — see
-#: :func:`repro.plan.lowering.graph_signature`) and their entries
-#: carry ``meta["batched"]``, so a packed sweep and its per-graph
-#: members never collide.
-KINDS = ("record", "sim", "profile", "timing", "plan")
+#: Artifact kinds the benchmark layers store.
+KINDS = ("record", "sim", "profile", "timing")
 
 #: Bump to invalidate every existing cache entry (format changes).
 _SCHEMA_VERSION = 2   # v2: checksummed entry framing
 
 #: Package subtrees whose source participates in the code-version hash.
 #: ``plan`` is hashed recursively, so the fusion pass
-#: (``plan/fusion.py``) invalidates cached plans/traces
-#: whenever its rewrite rules change — fused and unfused plans already
-#: carry distinct fingerprints (their op streams differ), this guards
-#: the pass *implementation* itself.
+#: (``plan/fusion.py``) invalidates cached traces whenever its rewrite
+#: rules change — fused and unfused plans already carry distinct
+#: fingerprints (their op streams differ), this guards the pass
+#: *implementation* itself.
 #: The bench presentation layers (experiments, tables, harness, engine)
 #: only orchestrate and format — their changes cannot alter a recorded
 #: trace, simulation result or measurement, so they are excluded and
@@ -236,8 +235,36 @@ class TraceCache:
         self.root = Path(root)
         self.enabled = enabled
         self.stats = CacheStats()
+        self._trusted: Optional[bool] = None
 
     # -- core operations ---------------------------------------------------
+    def _root_trusted(self) -> bool:
+        """Whether only this user can have written the root (checked once).
+
+        An existing root that is world-writable or owned by another uid
+        could hold planted pickles: it is never read, written or
+        cleared, and the cache disables itself with one warning.  A
+        missing root is fine — this process creates it.
+        """
+        if self._trusted is None:
+            try:
+                info = self.root.stat()
+            except OSError:
+                info = None
+            reason = None
+            if info is not None and info.st_mode & stat.S_IWOTH:
+                reason = "it is world-writable"
+            elif info is not None and hasattr(os, "geteuid") \
+                    and info.st_uid != os.geteuid():
+                reason = f"it is owned by uid {info.st_uid}"
+            self._trusted = reason is None
+            if reason is not None:
+                self.enabled = False
+                warnings.warn(f"trace cache disabled: {self.root} is not "
+                              f"safe to unpickle from ({reason})",
+                              RuntimeWarning, stacklevel=3)
+        return self._trusted
+
     def _path(self, kind: str, key: str) -> Path:
         return self.root / kind / f"{key}.pkl"
 
@@ -249,7 +276,7 @@ class TraceCache:
         the caller recomputes — integrity failures never propagate from
         the read path.
         """
-        if not self.enabled:
+        if not (self.enabled and self._root_trusted()):
             return None
         path = self._path(kind, key)
         try:
@@ -270,7 +297,7 @@ class TraceCache:
     def put(self, kind: str, key: str, value: Any,
             meta: Optional[Dict[str, Any]] = None) -> None:
         """Store ``value`` atomically (concurrent writers are safe)."""
-        if not self.enabled:
+        if not (self.enabled and self._root_trusted()):
             return
         path = self._path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -315,7 +342,7 @@ class TraceCache:
         lose entries.
         """
         corrupt: List[Tuple[str, str]] = []
-        for kind in KINDS:
+        for kind in KINDS if self._root_trusted() else ():
             directory = self.root / kind
             if not directory.is_dir():
                 continue
@@ -341,11 +368,13 @@ class TraceCache:
 
         Also sweeps orphaned ``*.tmp.*`` files left behind if a writer
         was killed mid-store, everything in the quarantine, and the
-        ``shard/`` entries older builds left behind.
+        ``shard/`` and ``plan/`` entries older builds left behind.
         """
+        if not self._root_trusted():
+            return 0
         removed = 0
         directories = [self.root / kind
-                       for kind in KINDS + ("quarantine", "shard")]
+                       for kind in KINDS + ("quarantine", "shard", "plan")]
         for directory in directories:
             if not directory.is_dir():
                 continue
@@ -360,7 +389,7 @@ class TraceCache:
 
     def entries(self) -> Iterator[CacheEntryInfo]:
         """Iterate metadata of every on-disk entry (loads headers only)."""
-        for kind in KINDS:
+        for kind in KINDS if self._root_trusted() else ():
             directory = self.root / kind
             if not directory.is_dir():
                 continue

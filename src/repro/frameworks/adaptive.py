@@ -84,9 +84,9 @@ class _AdaptivePipeline(BuiltPipeline):
                                     cost_profile=cost_profile)
         try:
             self.plan = cached_plan(
-                "adaptive", spec, graph,
+                graph,
                 lambda: self._model.lower(self.formats, flavor="adaptive"),
-                extra={"formats": list(self.formats)}, fuse=fuse)
+                fuse=fuse)
         except NotImplementedError:
             # Extension models without lowering hooks run unplanned.
             self.plan = None
@@ -109,9 +109,6 @@ class AdaptiveBackend(Backend):
               cost_profile=None, fuse: bool = True) -> BuiltPipeline:
         # The spec's compute_model is advisory here: the planner owns
         # the decision, so any spec is accepted (like the DGL path).
-        # The chosen formats flow into the plan-cache key via `extra`,
-        # so two profiles that decide differently can never share a
-        # cached plan.
         return _AdaptivePipeline(spec, graph, cost_profile, fuse)
 
     def figure_label(self, spec: PipelineSpec) -> str:

@@ -135,7 +135,7 @@ class _DGLLikePipeline(BuiltPipeline):
             out_features=spec.out_features, num_layers=spec.num_layers,
             compute_model="MP", activation=spec.activation, seed=spec.seed,
         )
-        self.plan = cached_plan("dgl", spec, graph,
+        self.plan = cached_plan(graph,
                                 lambda: _lower_dgl(spec, self._reference),
                                 fuse=fuse)
         self._executor = PlanExecutor()

@@ -4,8 +4,8 @@ Instantiates a registered model, lowers it onto the shared
 :class:`~repro.plan.ir.ExecutionPlan` IR, and executes the plan through
 the instrumented kernels.  Exposed as two figure labels —
 ``gSuite-MP`` and ``gSuite-SpMM`` — depending on the spec's compute
-model.  Lowered plans are persisted through the content-addressed
-cache, so repeated sweeps over the same grid skip lowering.
+model.  Every build lowers (and fuses) its plan afresh: that is
+cheaper than any store could hand it back.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ class _NativePipeline(BuiltPipeline):
             seed=spec.seed,
         )
         try:
-            self.plan = cached_plan("native", spec, graph, self._model.lower,
-                                    fuse=fuse)
+            self.plan = cached_plan(graph, self._model.lower, fuse=fuse)
         except NotImplementedError:
             # User-registered extension models may implement only the
             # direct layer_forward path; they run unlowered.

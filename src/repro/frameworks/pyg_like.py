@@ -306,8 +306,7 @@ class _PyGLikePipeline(BuiltPipeline):
 
         # The tape below records one node per lowered op, so this plan
         # never takes the fusion pass.
-        self.plan = cached_plan("pyg", spec, graph,
-                                lambda: _lower_pyg(spec, self._convs),
+        self.plan = cached_plan(graph, lambda: _lower_pyg(spec, self._convs),
                                 fuse=False)
         self._executor = PlanExecutor(on_op=self._record_op)
 

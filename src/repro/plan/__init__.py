@@ -11,10 +11,9 @@ full dataflow):
     container, the :class:`PlanBuilder` the lowering hooks drive, and
     the :class:`BatchSegmentMap` that marks batched multi-graph plans.
 :mod:`~repro.plan.lowering`
-    :func:`cached_plan` — the content-addressed plan store (cache kind
-    ``"plan"``; batched geometry is a distinct flavor of the same
-    kind), which fuses what it lowers before storing it — and
-    :func:`graph_signature`, the geometry a plan key depends on.
+    :func:`cached_plan` — lower, stamp the batch map of a batched
+    workload, fuse: the finished plan every backend build runs.
+    Nothing is stored; lowering is cheaper than a cache read.
 :mod:`~repro.plan.planner`
     The cost-model decision procedures, one ``choose_*`` entry point
     per knob: :func:`choose_formats` (MP vs SpMM per layer),
@@ -80,7 +79,7 @@ from repro.plan.costprofile import (
     PROFILE_SCHEMA_VERSION,
     resolve_cost_profile,
 )
-from repro.plan.lowering import cached_plan, graph_signature
+from repro.plan.lowering import cached_plan
 from repro.plan.planner import (
     BatchDecision,
     GraphStats,
@@ -152,7 +151,6 @@ __all__ = [
     "find_shard_groups",
     "fuse_plan",
     "fusion_summary",
-    "graph_signature",
     "legacy_trace",
     "mp_layer_cost",
     "partition_balance_cost",

@@ -23,10 +23,9 @@ at every legal site,
 
 All four stay inside a layer.  There is no policy object and nothing
 is priced: the pass takes no argument but the plan, and it runs in
-exactly one place — :func:`repro.plan.lowering.cached_plan`, between
-lowering and the plan-cache ``put`` — so a stored plan is the finished
-plan and every consumer of a backend build (``gsuite run``, the
-serving layer, the tools) executes the same kernels.  ``fuse="off"``
+exactly one place — :func:`repro.plan.lowering.cached_plan`, right
+after lowering — so every consumer of a backend build (``gsuite run``,
+the serving layer, the tools) executes the same kernels.  ``fuse="off"``
 (``--no-fuse``) skips the call and keeps the paper's Table II stream.
 
 **Legality.**  A producer fuses into its consumer only when the

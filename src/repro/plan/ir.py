@@ -35,8 +35,8 @@ by plan rewrites, never by direct lowering.
 Plans are pure data: value references plus constants (the layer
 weights).  The workload graph is bound at execution time by the
 :class:`~repro.plan.executor.PlanExecutor`, which makes one plan
-reusable across runs and cacheable on disk (see
-:func:`repro.plan.lowering.cached_plan`).
+reusable across runs (see :func:`repro.plan.lowering.cached_plan` for
+how a backend build finishes one).
 
 A plan may additionally carry a :class:`BatchSegmentMap` — the batched
 multi-graph flavor: the bound graph is a block-diagonal
@@ -96,8 +96,8 @@ class BatchSegmentMap:
     executor reads it to keep row-count-sensitive launches (``SGEMM``)
     segment-local while the sparse aggregation ops run packed (their
     block-diagonal structure already factors per member).  The map is
-    part of :meth:`ExecutionPlan.fingerprint`, so batched plans can
-    never collide with unbatched ones in the plan cache.
+    part of :meth:`ExecutionPlan.fingerprint`, so a batched plan never
+    shares a fingerprint with the unbatched plan of the same ops.
     """
 
     node_offsets: Tuple[int, ...]
@@ -420,7 +420,7 @@ class ExecutionPlan:
 
     The graph itself is *not* embedded — it is bound when the plan is
     executed — so a plan depends only on the pipeline spec and the
-    graph's geometry, which is what makes plans cheap to cache.
+    graph's geometry.
 
     ``batch`` marks the batched multi-graph flavor: the plan expects a
     block-diagonal :class:`~repro.graph.batch.BatchedGraph` whose
@@ -459,10 +459,6 @@ class ExecutionPlan:
     def op_counts(self) -> Dict[str, int]:
         """``{opcode: occurrences}`` — the plan's kernel vocabulary."""
         return dict(Counter(op.opcode for op in self.ops))
-
-    def constant_bytes(self) -> int:
-        """Total payload of embedded constants (weights, biases)."""
-        return int(sum(arr.nbytes for arr in self.constants.values()))
 
     def validate(self) -> None:
         """Check SSA well-formedness: defs precede uses, single output."""

@@ -485,8 +485,8 @@ def choose_batching(num_graphs: int, dims: Sequence[Tuple[int, int]],
                     profile: Optional[CostProfile] = None) -> int:
     """Packed batch size for a sweep of ``num_graphs`` same-spec graphs.
 
-    Batching always *saves* fixed per-graph overhead — one lowering /
-    plan-cache round-trip, one executor walk, one launch per
+    Batching always *saves* fixed per-graph overhead — one model
+    build and lowering, one executor walk, one launch per
     aggregation op instead of ``num_graphs`` — so the decision is
     driven entirely by what it *costs*: the packed per-edge message
     matrix grows linearly with the batch, and once it outgrows the

@@ -77,7 +77,6 @@ class LoadReport:
     solo: int
     degraded: int
     max_batch_size: int
-    plan_cache_hits: int
     parity_checked: int = 0
     parity_failures: int = 0
     serve_batch: int = 0
@@ -96,8 +95,7 @@ class LoadReport:
                 f"{self.throughput_rps:.1f} req/s, "
                 f"{self.batched} batched / {self.solo} solo / "
                 f"{self.degraded} degraded "
-                f"(max batch {self.max_batch_size}, "
-                f"{self.plan_cache_hits} plan-cache hits)")
+                f"(max batch {self.max_batch_size})")
 
 
 def run_loadgen(templates: Sequence[InferenceRequest], concurrency: int,
@@ -154,7 +152,6 @@ def run_loadgen(templates: Sequence[InferenceRequest], concurrency: int,
         solo=stats["solo"],
         degraded=stats["degraded"],
         max_batch_size=stats["max_batch_size"],
-        plan_cache_hits=stats["plan_cache_hits"],
         parity_checked=checked,
         parity_failures=failures,
         serve_batch=config.serve_batch,

@@ -24,9 +24,8 @@ def pad_features(graph: Graph, width: int) -> Graph:
 
     The same graph comes back untouched when it already has ``width``
     features; narrowing refuses (truncation would silently change the
-    workload).  Structure, weights and name-derived identity are
-    preserved — only zero columns are appended — so the padded graph's
-    plan-cache signature is stable across repeat requests.
+    workload).  Structure and edge weights are preserved — only zero
+    columns are appended — and the name gains a ``+pad<width>`` suffix.
     """
     if graph.features is None:
         raise ServeError(

@@ -11,11 +11,6 @@ and execution stays deterministic.  Unpacked member outputs resolve
 the per-request futures; an exception out of a group fails that
 group's requests and nothing else.
 
-Warm-path behaviour comes from the persistent plan cache for free: a
-repeat geometry (same spec, same graph signature) hits the lowered-plan
-entry the first request stored, and :meth:`InferenceService.stats`
-reports the hit delta so the reuse is observable.
-
 Fault degradation (sites ``request_drop`` / ``batch_timeout`` — see
 :mod:`repro.faults`): a dropped member falls out of its batch and
 re-runs solo; a timed-out batch degrades every member to solo.  Both
@@ -93,9 +88,6 @@ class InferenceService:
         self._task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
         self._pool = None
-        from repro.cache import get_cache
-        self._cache = get_cache()
-        self._cache_hits_baseline = self._cache.stats.hits
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "InferenceService":
@@ -249,7 +241,7 @@ class InferenceService:
 
     # -- observability -----------------------------------------------------
     def stats(self) -> dict:
-        """Service counters: dispatch accounting, batch shape, cache reuse."""
+        """Service counters: dispatch accounting and batch shape."""
         return {
             "responses": self.report.tasks + self.report.in_process,
             "batched": self.report.tasks,
@@ -257,8 +249,6 @@ class InferenceService:
             "degraded": self.report.degraded_tasks,
             "batches": list(self.batches),
             "max_batch_size": max(self.batches) if self.batches else 1,
-            "plan_cache_hits":
-                self._cache.stats.hits - self._cache_hits_baseline,
             "dispatch": self.report.to_dict(),
         }
 

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import time
+import warnings
 
 import pytest
 
@@ -68,11 +70,13 @@ class TestComputeKey:
 
 class TestTraceCache:
     def test_roundtrip_and_stats(self, tmp_path):
-        cache = TraceCache(tmp_path / "c")
+        cache = TraceCache(tmp_path / "c")     # missing: created, trusted
         key = compute_key("sim", {"n": 1})
-        assert cache.get("sim", key) is None
-        cache.put("sim", key, {"cycles": 42}, meta={"kernel": "sgemm"})
-        assert cache.get("sim", key) == {"cycles": 42}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cache.get("sim", key) is None
+            cache.put("sim", key, {"cycles": 42}, meta={"kernel": "sgemm"})
+            assert cache.get("sim", key) == {"cycles": 42}
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
@@ -102,17 +106,23 @@ class TestTraceCache:
         assert cache.clear() == 2
         assert not orphan.exists()
 
-    def test_shard_kind_is_gone_but_leftovers_are_swept(self, tmp_path):
-        """The shard-result cache was deleted; entries an older build
-        left under ``shard/`` are invisible and go with ``clear``."""
+    @pytest.mark.parametrize("kind", ("shard", "plan"))
+    def test_shard_kind_is_gone_but_leftovers_are_swept(self, tmp_path,
+                                                        kind):
+        """The shard-result and plan caches were deleted; entries an
+        older build left under ``shard/`` or ``plan/`` are invisible and
+        go with ``clear``."""
         cache = TraceCache(tmp_path / "c")
-        assert "shard" not in KINDS and len(KINDS) == 5
+        assert kind not in KINDS and len(KINDS) == 4
         with pytest.raises(ValueError):
-            compute_key("shard", {"n": 1})
-        leftover = tmp_path / "c" / "shard" / "0123abcd.pkl"
+            compute_key(kind, {"n": 1})
+        leftover = tmp_path / "c" / kind / "0123abcd.pkl"
         leftover.parent.mkdir(parents=True)
-        leftover.write_bytes(b"stale")
+        leftover.write_bytes(trace_cache._encode_entry(
+            {"value": "stale", "meta": {}, "created": 0.0}))
         assert cache.describe()["entries"] == 0
+        assert list(cache.entries()) == []
+        assert cache.verify(strict=True) == []
         assert cache.clear() == 1
         assert not leftover.exists()
 
@@ -125,6 +135,85 @@ class TestTraceCache:
         assert set(info["by_kind"]) == {"sim", "record"}
         assert cache.clear() == 2
         assert cache.describe()["entries"] == 0
+
+
+class TestRootTrust:
+    """Entries are pickles: a root another user can write to is never
+    read, written or cleared, and saying so never raises."""
+
+    def _planted(self, tmp_path, mode):
+        root = tmp_path / "c"
+        key = compute_key("sim", {"n": 1})
+        TraceCache(root).put("sim", key, "planted")
+        root.chmod(mode)
+        return root, key
+
+    def test_world_writable_root_disables_the_cache(self, tmp_path):
+        root, key = self._planted(tmp_path, 0o777)
+        cache = TraceCache(root)
+        with pytest.warns(RuntimeWarning, match="world-writable") as caught:
+            assert cache.get("sim", key) is None
+            cache.put("sim", compute_key("sim", {"n": 2}), "new")
+            assert cache.describe()["entries"] == 0
+            assert cache.clear() == 0
+        assert len(caught) == 1
+        assert not cache.enabled
+        assert cache.stats.to_dict() == {"hits": 0, "misses": 0,
+                                         "stores": 0, "corrupt": 0}
+        assert sorted(p.name for p in (root / "sim").iterdir()) == \
+            [f"{key}.pkl"]
+
+    def test_group_writable_root_is_accepted(self, tmp_path):
+        root, key = self._planted(tmp_path, 0o775)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert TraceCache(root).get("sim", key) == "planted"
+
+    def test_foreign_owner_disables_the_cache(self, tmp_path, monkeypatch):
+        root, key = self._planted(tmp_path, 0o755)
+        monkeypatch.setattr(os, "geteuid", lambda: root.stat().st_uid + 1)
+        cache = TraceCache(root)
+        with pytest.warns(RuntimeWarning, match="owned by uid"):
+            assert cache.get("sim", key) is None
+        assert not cache.enabled
+
+    def test_two_process_same_key_write_race(self, tmp_path):
+        """Two writers replace one entry over and over while this
+        process reads it: every read is a whole value someone wrote."""
+        root, rounds = tmp_path / "c", 300
+        key = compute_key("sim", {"race": 1})
+        writer = (
+            "import sys\n"
+            "from repro.cache import TraceCache\n"
+            "cache = TraceCache(sys.argv[1])\n"
+            "for i in range(int(sys.argv[3])):\n"
+            "    cache.put('sim', sys.argv[2], sys.argv[4] + str(i) * 64)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(trace_cache.__file__), "..")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        writers = [
+            subprocess.Popen([sys.executable, "-c", writer, str(root), key,
+                              str(rounds), tag], env=env)
+            for tag in ("a", "b")]
+        written = {tag + str(i) * 64 for tag in ("a", "b")
+                   for i in range(rounds)}
+        reader = TraceCache(root)
+        reads = []
+        deadline = time.monotonic() + 300      # a hang guard, not a timing
+        try:
+            while any(w.poll() is None for w in writers) \
+                    and time.monotonic() < deadline:
+                reads.append(reader.get("sim", key))
+        finally:
+            for w in writers:
+                w.kill()
+                w.wait(timeout=60)
+        assert [w.returncode for w in writers] == [0, 0]
+        reads.append(reader.get("sim", key))
+        assert reads[-1] in written
+        assert all(value is None or value in written for value in reads)
+        assert reader.stats.corrupt == 0
 
 
 class TestBenchWiring:

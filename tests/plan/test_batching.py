@@ -6,8 +6,8 @@ one block-diagonal workload and executing the single batched plan
 yields per-member outputs **bit-for-bit identical** to running every
 member's unbatched plan alone — across models, backends, fusion and
 sharding — and a single-graph batch is additionally trace-fingerprint
-identical to the plain unbatched run.  Batched plans are a distinct
-plan-cache flavor (same kind ``"plan"``, batched key), and the planner
+identical to the plain unbatched run.  A batched build stamps its
+``BatchSegmentMap`` onto the plan, and the planner
 (``choose_batching``) packs citation-scale sweeps while declining
 Reddit-scale members whose packed message matrices outgrow the
 working-set budget.
@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cache import compute_key, get_cache
 from repro.core.config import SuiteConfig
 from repro.core.kernels import record_launches
 from repro.core.pipeline import AUTO_BATCH_SWEEP, GNNPipeline
@@ -32,9 +31,7 @@ from repro.plan import (
     PlanExecutor,
     ShardingPolicy,
     batch_member_bytes,
-    cached_plan,
     choose_batching,
-    graph_signature,
 )
 from strategies import (
     PARITY_SETTINGS,
@@ -219,7 +216,14 @@ class TestEdgeCases:
             assert np.array_equal(block, reference)
 
     def test_batched_plan_rejects_mismatched_graph(self, members, batched):
-        built = get_backend("gsuite").build(_spec("gcn", "MP"), batched)
+        spec = _spec("gcn", "MP")
+        built = get_backend("gsuite").build(spec, batched)
+        plain = get_backend("gsuite").build(spec, members[0]).plan
+        # The build stamps the packing onto the plan, so a batched plan
+        # never shares a fingerprint with the plain plan of its ops.
+        assert plain.batch is None
+        assert built.plan.batch == BatchSegmentMap.from_graph(batched)
+        assert plain.fingerprint() != built.plan.fingerprint()
         x = members[0].features
         with pytest.raises(PlanError, match="packs"):
             PlanExecutor().run(built.plan, members[0], {"X": x})
@@ -266,64 +270,6 @@ class TestEdgeCases:
             BatchSegmentMap(node_offsets=(0, 5, 3), edge_offsets=(0, 2, 4))
         with pytest.raises(PlanError, match="non-decreasing"):
             BatchSegmentMap(node_offsets=(0, 3, 5), edge_offsets=(4, 2, 1))
-
-
-class TestCacheFlavor:
-    def test_graph_signature_carries_batch_geometry(self, members, batched):
-        plain = graph_signature(members[0])
-        packed = graph_signature(batched)
-        assert "batch" not in plain
-        assert [m["num_nodes"] for m in packed["batch"]] == [
-            g.num_nodes for g in members]
-
-    def test_batched_and_unbatched_keys_are_distinct(self, members, batched):
-        spec = _spec("gcn", "MP")
-        keys = {
-            compute_key("plan", {"flavor": "native", "graph":
-                                 graph_signature(graph)})
-            for graph in (members[0], batched, BatchedGraph([members[0]]))
-        }
-        assert len(keys) == 3
-        # And the lowered plans themselves can never collide either.
-        plain = get_backend("gsuite").build(spec, members[0]).plan
-        packed = get_backend("gsuite").build(spec, batched).plan
-        assert plain.fingerprint() != packed.fingerprint()
-        assert plain.batch is None
-        assert packed.batch.num_graphs == 3
-
-    def test_warm_rerun_reuses_the_batched_entry(self, members, batched):
-        spec = _spec("gcn", "MP")
-        cache = get_cache()
-
-        def build():
-            return get_backend("gsuite").build(spec, batched).plan
-
-        first = build()
-        hits_before = cache.stats.hits
-        second = build()
-        assert cache.stats.hits > hits_before
-        assert first.fingerprint() == second.fingerprint()
-        assert second.batch == BatchSegmentMap.from_graph(batched)
-
-    def test_cached_plan_stamps_map_on_unstamped_entries(self, members,
-                                                         batched):
-        # Simulate an entry written without a segment map (a by-hand
-        # put): cached_plan must stamp the map on the way out.
-        from dataclasses import asdict
-        spec = _spec("gcn", "MP")
-        plain = get_backend("gsuite").build(spec, members[0]).plan
-        key = compute_key("plan", {
-            "flavor": "native-test", "spec": asdict(spec),
-            "graph": graph_signature(batched), "extra": {}, "fuse": True,
-        })
-        get_cache().put("plan", key, plain)
-
-        def never_built():  # the hit path must not rebuild
-            raise AssertionError("cache entry was ignored")
-
-        plan = cached_plan("native-test", spec, batched, never_built)
-        assert plan.batch == BatchSegmentMap.from_graph(batched)
-        assert plan.ops == plain.ops
 
 
 class TestChooseBatching:

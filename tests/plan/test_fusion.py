@@ -10,9 +10,8 @@ every model x backend x {fused, unfused} x shard count, the legality
 edge cases (a value with two consumers must block fusion), the
 streaming kernel's destination blocking, the pipeline's default
 (every legal site fuses, at every size), and the lowering seam: a
-backend build hands back the fused plan unless ``fuse=False``, the
-switch is part of the plan-cache key, and a warm build neither lowers
-nor fuses.
+backend build hands back the fused plan unless ``fuse=False``, lowers
+and fuses once per build, and touches no cache.
 """
 
 import numpy as np
@@ -561,24 +560,11 @@ class TestConfigAndCli:
 
 class TestLoweringSeam:
     """Plans are fused where they are lowered: ``cached_plan`` is the
-    one caller of ``fuse_plan``, behind a ``fuse`` switch that is part
-    of the plan-cache key."""
+    one caller of ``fuse_plan``, behind a ``fuse`` switch, and every
+    build lowers afresh — nothing is stored or fetched."""
 
-    def test_fuse_is_in_the_plan_cache_key(self, graph):
-        from repro.cache import get_cache
-        from repro.core import GNNPipeline, SuiteConfig
-        config = SuiteConfig(dataset="cora", model="gcn")
-        unfused = GNNPipeline(config.with_overrides(fuse="off"),
-                              graph=graph).build()
-        built = GNNPipeline(config, graph=graph).build()
-        plans = [e for e in get_cache().entries() if e.kind == "plan"]
-        assert len(plans) == 2 and get_cache().stats.hits == 0
-        legal = fusion_summary(fuse_plan(unfused.plan))["gather_scatter"]
-        assert fusion_summary(unfused.plan) == {}
-        assert fusion_summary(built.plan)["gather_scatter"] == legal == 2
-
-    def test_warm_build_neither_lowers_nor_fuses(self, graph, monkeypatch):
-        from repro.core import GNNPipeline, SuiteConfig
+    @pytest.fixture
+    def calls(self, monkeypatch):
         from repro.core.models.base import GNNModel
         from repro.plan import lowering
         calls = []
@@ -593,14 +579,43 @@ class TestLoweringSeam:
 
         spy(lowering, "fuse_plan")
         spy(GNNModel, "lower")
+        return calls
+
+    def test_every_build_lowers_and_fuses_once(self, graph, calls):
+        from repro.core import GNNPipeline, SuiteConfig
         config = SuiteConfig(dataset="cora", model="gcn")
-        cold = GNNPipeline(config, graph=graph).build()
+        first = GNNPipeline(config, graph=graph).build()
         assert calls == ["lower", "fuse_plan"]
-        warm = GNNPipeline(config, graph=graph).build()
-        assert calls == ["lower", "fuse_plan"]           # nothing new
-        assert warm.plan.fingerprint() == cold.plan.fingerprint()
+        again = GNNPipeline(config, graph=graph).build()
+        assert calls == ["lower", "fuse_plan"] * 2
+        assert again.plan.fingerprint() == first.plan.fingerprint()
         assert any(isinstance(op, FusedGatherScatter)
-                   for op in warm.plan.ops)
+                   for op in again.plan.ops)
+
+    def test_fuse_off_lowers_without_fusing(self, graph, calls):
+        from repro.core import GNNPipeline, SuiteConfig
+        config = SuiteConfig(dataset="cora", model="gcn")
+        unfused = GNNPipeline(config.with_overrides(fuse="off"),
+                              graph=graph).build()
+        assert calls == ["lower"]
+        built = GNNPipeline(config, graph=graph).build()
+        assert calls == ["lower", "lower", "fuse_plan"]
+        legal = fusion_summary(fuse_plan(unfused.plan))["gather_scatter"]
+        assert fusion_summary(unfused.plan) == {}
+        assert fusion_summary(built.plan)["gather_scatter"] == legal == 2
+
+    @pytest.mark.parametrize("backend",
+                             ("gsuite", "gsuite-adaptive", "pyg", "dgl"))
+    def test_builds_leave_the_trace_cache_untouched(self, graph, backend):
+        from repro.cache import get_cache
+        from repro.graph import BatchedGraph
+        spec = _spec("gcn", "MP")
+        other = load_dataset("cora", scale=0.15, seed=2)
+        for workload in (graph, BatchedGraph([graph, other])):
+            get_backend(backend).build(spec, workload).run()
+        cache = get_cache()
+        assert cache.describe()["entries"] == 0
+        assert cache.stats.hits + cache.stats.misses == 0
 
     @pytest.mark.parametrize("model", ("gcn", "gin"))
     def test_spmm_layer_boundary_stays_two_launches(self, graph, model):
@@ -633,9 +648,10 @@ class TestCacheKeys:
         fused = fuse_plan(built.plan)
         assert fused.fingerprint() != built.plan.fingerprint()
 
-    def test_cache_info_reports_plan_kind(self, graph, capsys):
+    def test_cache_info_lists_no_plan_kind(self, graph, capsys):
         from repro.cli import main
         _build("gsuite", _spec("gcn", "MP"), graph)
         assert main(["cache", "info"]) == 0
         out = capsys.readouterr().out
-        assert "plan" in out
+        assert "entries: 0 " in out
+        assert "Cached artifacts" not in out

@@ -3,8 +3,8 @@
 
 The small-graph cells of the paper's grids (Cora, CiteSeer, PubMed)
 are *overhead-bound*: each inference is milliseconds of kernel work
-wrapped in model construction, plan-cache round-trips, structure
-setup and a launch per op.  A sweep over ``SWEEP`` seed-variant
+wrapped in model construction, plan lowering, structure setup and a
+launch per op.  A sweep over ``SWEEP`` seed-variant
 graphs pays all of that per member — batching packs the members into
 block-diagonal :class:`~repro.graph.BatchedGraph` workloads (sub-
 batches sized by :func:`repro.plan.planner.choose_batching`) so one
@@ -52,7 +52,7 @@ SWEEP = 8
 
 #: (model, dataset, scale) cells.  The members are *small* on purpose:
 #: batching amortises the fixed per-graph costs (model construction,
-#: plan-cache round-trip, structure setup, one launch per op), and
+#: plan lowering, structure setup, one launch per op), and
 #: those dominate exactly in the sub-millisecond-kernel regime the
 #: paper's citation-graph cells live in — at full Cora scale one
 #: member's [N, 1433] SGEMM already dwarfs the overhead and batching
@@ -69,7 +69,7 @@ WORKLOADS = (
 
 
 def _best_seconds(fn, repeats: int) -> float:
-    fn()  # warm-up: plan cache, allocator, BLAS thread pools
+    fn()  # warm-up: resident structures, allocator, BLAS thread pools
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -170,11 +170,11 @@ def run(profile_name: str, repeats: int, out_path: Path) -> int:
         "description": "Batched multi-graph plans vs per-graph sweeps: "
                        f"best-of-{repeats} wall-clock seconds for a "
                        f"{SWEEP}-member seed-variant sweep (build + "
-                       "inference per repeat, warm plan cache) on the "
+                       "inference per repeat, after one warm-up) on the "
                        "host CPU.  Batched cells pack members into "
                        "block-diagonal BatchedGraph workloads at the "
                        "planner-chosen sub-batch size, amortising "
-                       "model construction, plan-cache round-trips, "
+                       "model construction, plan lowering, "
                        "structure setup and per-op kernel launches "
                        "across the sub-batch; member outputs verified "
                        "bit-for-bit against the per-graph runs.  "

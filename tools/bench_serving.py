@@ -9,7 +9,7 @@ requests apart: they batch at equal width, each at its own — at several
 concurrency levels, once
 with the micro-batcher on (``serve_batch=0``, planner budgets) and once
 off (``serve_batch=1``, every request solo).  Each run records p50/p99
-latency, throughput, batch shapes and plan-cache reuse, and **verifies
+latency, throughput and batch shapes, and **verifies
 every response bit-for-bit** against the same request executed solo.
 
 Usage::
@@ -107,8 +107,8 @@ def run(smoke: bool, out_path: Path, profile_costs: str) -> int:
                        "so the batched path's cost over solo is what "
                        "packing adds — one stacked feature copy and a "
                        "segment-local SGEMM — against the fixed "
-                       "per-request costs the plan cache already "
-                       "amortises for solo.",
+                       "per-request costs (model build, lowering) "
+                       "it amortises.",
         "smoke": smoke,
         "datasets": list(DATASETS),
         "out_features": OUT_FEATURES,
