@@ -79,7 +79,7 @@ _SCHEMA_VERSION = 2   # v2: checksummed entry framing
 #: hashed: it defines the measurement methodology (what gets recorded,
 #: how timings warm up).
 _HASHED_SUBTREES = ("core", "gpu", "graph", "datasets", "frameworks",
-                    "plan", "train")
+                    "plan")
 _HASHED_FILES = ("bench/common.py",)
 
 #: On-disk entry framing (schema v2): magic, 32-byte SHA-256 of the

@@ -267,10 +267,12 @@ def record_launches(sample_cap: int = 1_000_000) -> Iterator[LaunchRecorder]:
 
     Example
     -------
+    >>> pipeline = GNNPipeline.from_params(model="gcn", dataset="cora")
+    >>> built = pipeline.build()
     >>> with record_launches() as rec:
-    ...     model.forward(graph)
+    ...     built.run()
     >>> [l.kernel for l in rec.launches]
-    ['indexSelect', 'scatter', 'sgemm', ...]
+    ['sgemm', 'fusedGatherScatter', 'sgemm', 'fusedGatherScatter']
     """
     recorder = LaunchRecorder(sample_cap=sample_cap)
     _STACK.append(recorder)

@@ -7,9 +7,15 @@ implementation too.  Both implementations of a model compute the *same
 function* — the property tests pin that equivalence down, because it is
 the premise of the paper's MP-vs-SpMM comparison.
 
-Extending gSuite with a new model means subclassing :class:`GNNModel`
-and composing the public kernels (``index_select``, ``scatter``,
-``sgemm``, ``spmm``, ``spgemm``) in :meth:`GNNModel.layer_forward`.
+Every backend executes a model as its lowered
+:class:`~repro.plan.ir.ExecutionPlan`.  Extending gSuite with a new
+model means subclassing :class:`GNNModel` and emitting plan ops (gather,
+scatter-reduce, SGEMM, SpMM, Normalize) in
+:meth:`GNNModel.lower_prepare` / :meth:`GNNModel.lower_layer`;
+:func:`~repro.core.models.registry.register_model` refuses a class
+without ``lower_layer``.  The zoo's direct :meth:`GNNModel.layer_forward`
+/ :meth:`GNNModel.forward` kernel calls are the reference the parity
+suite pins the plans against, and run on no backend.
 """
 
 from __future__ import annotations
@@ -22,10 +28,32 @@ from repro.core.models.activations import get_activation
 from repro.errors import ModelError
 from repro.graph import Graph
 
-__all__ = ["GNNModel", "layer_dimensions"]
+__all__ = ["GNNModel", "check_features", "layer_dimensions"]
 
 #: Computational models a GNN implementation may follow.
 COMPUTE_MODELS = ("MP", "SpMM")
+
+
+def check_features(graph: Graph, width: int,
+                   features: Optional[np.ndarray] = None) -> np.ndarray:
+    """Resolve and validate an input feature matrix.
+
+    ``features`` overrides ``graph.features``; the result is float32 of
+    shape ``(graph.num_nodes, width)`` (a float32 array passes through
+    as the same object), else :class:`~repro.errors.ModelError`.
+    """
+    x = features if features is not None else graph.features
+    if x is None:
+        raise ModelError(
+            f"graph {graph.name!r} carries no features and none were given"
+        )
+    x = np.asarray(x, dtype=np.float32)
+    if x.shape != (graph.num_nodes, width):
+        raise ModelError(
+            f"features must have shape ({graph.num_nodes}, {width}), "
+            f"got {x.shape}"
+        )
+    return x
 
 
 def layer_dimensions(in_features: int, hidden: int, out_features: int,
@@ -120,7 +148,7 @@ class GNNModel:
         return self._rng.uniform(-limit, limit,
                                  size=(fan_in, fan_out)).astype(np.float32)
 
-    # -- inference ----------------------------------------------------------
+    # -- direct reference path ---------------------------------------------
     def prepare(self, graph: Graph) -> dict:
         """Precompute graph-dependent state shared by all layers.
 
@@ -131,35 +159,21 @@ class GNNModel:
 
     def layer_forward(self, layer: int, x: np.ndarray, graph: Graph,
                       state: dict) -> np.ndarray:
-        """Run one layer; subclasses implement with core kernels."""
+        """Run one layer with direct kernel calls (the parity reference
+        for :meth:`lower_layer`; an extension model may leave it out)."""
         raise NotImplementedError
-
-    def coerce_features(self, graph: Graph,
-                        features: Optional[np.ndarray]) -> np.ndarray:
-        """Resolve and validate the input feature matrix."""
-        x = features if features is not None else graph.features
-        if x is None:
-            raise ModelError(
-                f"graph {graph.name!r} carries no features and none were given"
-            )
-        x = np.asarray(x, dtype=np.float32)
-        if x.shape != (graph.num_nodes, self.dims[0][0]):
-            raise ModelError(
-                f"features must have shape ({graph.num_nodes}, "
-                f"{self.dims[0][0]}), got {x.shape}"
-            )
-        return x
 
     def forward(self, graph: Graph,
                 features: Optional[np.ndarray] = None) -> np.ndarray:
         """Full-graph inference: returns ``[num_nodes, out_features]``.
 
         ``features`` overrides the graph's stored feature matrix.  This
-        is the *direct* kernel-call path; the framework backends execute
-        the equivalent lowered plan (see :meth:`lower`), and the parity
-        suite pins the two bit-for-bit against each other.
+        is the *direct* kernel-call path, kept as the reference: the
+        framework backends execute the equivalent lowered plan (see
+        :meth:`lower`), and the parity suite pins the two bit-for-bit
+        against each other.
         """
-        x = self.coerce_features(graph, features)
+        x = check_features(graph, self.dims[0][0], features)
         state = self.prepare(graph)
         for layer in range(self.num_layers):
             x = self.layer_forward(layer, x, graph, state)
@@ -185,11 +199,10 @@ class GNNModel:
         return fan_in
 
     # -- plan lowering ------------------------------------------------------
-    def supported_lowerings(self) -> Sequence[str]:
+    @classmethod
+    def supported_lowerings(cls) -> Sequence[str]:
         """Execution formats :meth:`lower` accepts per layer."""
-        if self.lowerable_formats is not None:
-            return tuple(self.lowerable_formats)
-        return tuple(self.supported_compute_models)
+        return tuple(cls.lowerable_formats or cls.supported_compute_models)
 
     def lower(self, formats: Optional[Sequence[str]] = None,
               flavor: str = "native"):
@@ -240,11 +253,13 @@ class GNNModel:
         return {}
 
     def lower_layer(self, layer: int, x, builder, state: dict, fmt: str):
-        """Emit one layer's ops; the counterpart of :meth:`layer_forward`.
+        """Emit one layer's ops and return the layer's output value ref.
 
-        Optional for user-registered extension models: a model that only
-        implements :meth:`layer_forward` raises here, and the backends
-        fall back to the direct :meth:`forward` path for it.
+        This, with :meth:`lower_prepare`, *is* the model as every
+        backend runs it, so every model implements it — a registered
+        extension model included (``register_model`` refuses one that
+        does not).  ``state`` is what :meth:`lower_prepare` returned for
+        ``fmt``.
         """
         raise NotImplementedError(
             f"{type(self).__name__} provides no plan lowering"

@@ -54,7 +54,11 @@ def build_model(name: str, in_features: int, hidden: int, out_features: int,
 
 def register_model(name: str, cls: Type[GNNModel],
                    overwrite: bool = False) -> None:
-    """Add a user-defined model to the registry (plug-and-play extension)."""
+    """Add a user-defined model to the registry (plug-and-play extension).
+
+    Every backend runs a model as its lowered plan, so ``cls`` must
+    implement :meth:`~repro.core.models.base.GNNModel.lower_layer`.
+    """
     key = name.strip().lower()
     if not key:
         raise ModelError("model name must be non-empty")
@@ -62,4 +66,9 @@ def register_model(name: str, cls: Type[GNNModel],
         raise ModelError(f"model {name!r} already registered")
     if not (isinstance(cls, type) and issubclass(cls, GNNModel)):
         raise ModelError(f"{cls!r} is not a GNNModel subclass")
+    if cls.lower_layer is GNNModel.lower_layer:
+        raise ModelError(
+            f"{cls.__name__} implements no lower_layer: every backend runs "
+            f"a model as its lowered plan"
+        )
     MODELS[key] = cls

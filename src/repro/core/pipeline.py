@@ -145,10 +145,8 @@ class GNNPipeline:
                 # formats; price the batch the same way, so an
                 # all-SpMM plan gets choose_batching's free-batching
                 # rule instead of being costed at MP message widths.
-                allowed = cls.lowerable_formats \
-                    or cls.supported_compute_models
                 formats = list(choose_formats(
-                    dims, stats, allowed=allowed,
+                    dims, stats, allowed=cls.supported_lowerings(),
                     width_hook=cls.aggregation_width,
                     profile=profile))
             else:
@@ -293,22 +291,18 @@ class GNNPipeline:
         built = self._backend.build(self.spec, self.graph,
                                     cost_profile=self.cost_profile(),
                                     fuse=self.config.fuse != "off")
-        plan = getattr(built, "plan", None)
         # Gate on what the pass actually fused, not the knob: legality
         # (a multiply-consumed gather, non-adjacent pairs, the PyG-like
         # tape) can leave zero fused sites, and such plans still need
         # their MP sharding pressure.
         from repro.plan import fusion_summary
-        fused_mp = (plan is not None
-                    and fusion_summary(plan).get("gather_scatter", 0) > 0)
         policy = self.sharding_policy(
-            layer_formats=plan.layer_formats if plan is not None else None,
-            fused=fused_mp)
+            layer_formats=built.plan.layer_formats,
+            fused=fusion_summary(built.plan).get("gather_scatter", 0) > 0)
         # A planner-sourced policy on a backend that cannot shard (the
-        # PyG-like tape, unlowered extension models) silently declines —
-        # the planner was *asked* to decide, and the right decision is
-        # "don't".  Only forced shard counts refuse loudly (inside
-        # configure_sharding).
+        # PyG-like tape) silently declines — the planner was *asked* to
+        # decide, and the right decision is "don't".  Only forced shard
+        # counts refuse loudly (inside configure_sharding).
         if policy is not None and (policy.source != "planner"
                                    or built.can_shard()):
             built.configure_sharding(policy)
@@ -335,25 +329,24 @@ class GNNPipeline:
         formats, shard count, fused sites, batch size, the cost
         profile they were priced under and the explain strings, with
         the lowered :class:`~repro.plan.ir.ExecutionPlan` on
-        ``.execution_plan`` (``None`` for a backend that bypasses the
-        plan layer).  ``gsuite plan`` renders from this record, so the
-        report can never drift from what the build actually applied.
+        ``.execution_plan``.  ``gsuite plan`` renders from this record,
+        so the report can never drift from what the build actually
+        applied.
         """
         from repro.plan import fusion_summary
         from repro.plan.planner import PlannerDecisions, explain_choice
         if built is None:
             built = self.build()
-        plan = getattr(built, "plan", None)
-        formats = tuple(plan.layer_formats) if plan is not None else ()
+        plan = built.plan
+        formats = tuple(plan.layer_formats)
         # The adaptive backend chose its formats; the fixed backends
         # execute the spec's compute model as given.
         formats_source = "planner" \
             if getattr(built, "formats", None) is not None else "fixed"
-        sharding = getattr(built, "sharding", None)
-        fused_sites = fusion_summary(plan) if plan is not None else {}
+        sharding = built.sharding
         batch = self.batch_decision()
         explain = ""
-        if plan is not None and plan.meta.get("dims"):
+        if plan.meta.get("dims"):
             from repro.core.models import get_model_class
             explain = explain_choice(
                 plan.meta["dims"], self.graph_stats(),
@@ -372,7 +365,7 @@ class GNNPipeline:
             else ("planner" if self.config.shards == 0 else "off"),
             partitioner=sharding.partitioner
             if sharding is not None else "rows",
-            fused_sites=fused_sites,
+            fused_sites=fusion_summary(plan),
             batch=batch.size,
             batch_source=batch.source,
             cost_profile=self.cost_profile().name,

@@ -82,21 +82,14 @@ class _AdaptivePipeline(BuiltPipeline):
         self._model = _reference_model(spec, graph)
         self.formats = plan_formats(spec, graph, model=self._model,
                                     cost_profile=cost_profile)
-        try:
-            self.plan = cached_plan(
-                graph,
-                lambda: self._model.lower(self.formats, flavor="adaptive"),
-                fuse=fuse)
-        except NotImplementedError:
-            # Extension models without lowering hooks run unplanned.
-            self.plan = None
+        self.plan = cached_plan(
+            graph, lambda: self._model.lower(self.formats, flavor="adaptive"),
+            fuse=fuse)
         self._executor = PlanExecutor()
 
     def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
-        if self.plan is None:
-            return self._model.forward(self.graph, features)
-        x = self._model.coerce_features(self.graph, features)
-        return self._executor.run(self.plan, self.graph, {"X": x})
+        return self._executor.run(self.plan, self.graph,
+                                  {"X": self.input_features(features)})
 
 
 class AdaptiveBackend(Backend):

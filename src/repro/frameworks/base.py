@@ -25,6 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.models.base import check_features
 from repro.errors import BackendError
 from repro.graph import Graph
 
@@ -59,7 +60,12 @@ class PipelineSpec:
 
 
 class BuiltPipeline:
-    """A ready-to-run inference pipeline bound to one graph."""
+    """A ready-to-run inference pipeline bound to one graph.
+
+    Every backend sets :attr:`plan` to the finished
+    :class:`~repro.plan.ir.ExecutionPlan` at build time, and ``run``
+    executes that plan and nothing else.
+    """
 
     #: Whether a plain ``run()`` binds the graph's own feature array as
     #: the plan input, so a first layer can read the graph's resident
@@ -70,6 +76,8 @@ class BuiltPipeline:
         self.backend_name = backend_name
         self.spec = spec
         self.graph = graph
+        #: The input width the plan's weights were built for.
+        self.num_features = graph.num_features
         #: The ShardingPolicy applied via configure_sharding (None =
         #: unsharded execution).
         self.sharding = None
@@ -78,17 +86,26 @@ class BuiltPipeline:
         """Execute inference, returning ``[num_nodes, out_features]``."""
         raise NotImplementedError
 
+    def input_features(self,
+                       features: Optional[np.ndarray] = None) -> np.ndarray:
+        """The ``X`` a run binds: ``features``, else the graph's own.
+
+        Refuses a missing matrix or one not shaped ``(num_nodes,
+        num_features)`` with :class:`~repro.errors.ModelError` before
+        any kernel launches.  A float32 array passes through as the
+        same object, so ``graph.features`` keeps its resident
+        row-sparse form.
+        """
+        return check_features(self.graph, self.num_features, features)
+
     def can_shard(self) -> bool:
         """Whether this pipeline can execute its plan sharded.
 
-        True for pipelines that run a lowered plan through a plain
+        True for pipelines that run their plan through a plain
         :class:`~repro.plan.executor.PlanExecutor` (native, adaptive,
-        DGL-like); false when the plan layer is bypassed (unlowered
-        extension models) or every op is observed (the PyG-like tape).
+        DGL-like); false when every op is observed (the PyG-like tape).
         """
-        executor = getattr(self, "_executor", None)
-        return (executor is not None and executor.on_op is None
-                and getattr(self, "plan", None) is not None)
+        return self._executor.on_op is None
 
     def configure_sharding(self, policy) -> "BuiltPipeline":
         """Switch plan execution to destination-range sharding.
@@ -112,8 +129,7 @@ class BuiltPipeline:
     @property
     def shard_report(self):
         """Per-group dispatch accounting of the last sharded run."""
-        executor = getattr(self, "_executor", None)
-        return [] if executor is None else executor.shard_report
+        return self._executor.shard_report
 
     @property
     def dispatch_report(self):
@@ -123,9 +139,7 @@ class BuiltPipeline:
         timeouts, worker deaths and degradations.  ``None`` until a
         sharded run happens; a clean run reports ``faulted == False``.
         """
-        executor = getattr(self, "_executor", None)
-        return None if executor is None else getattr(
-            executor, "dispatch_report", None)
+        return self._executor.dispatch_report
 
 
 class Backend:

@@ -141,11 +141,8 @@ class _DGLLikePipeline(BuiltPipeline):
         self._executor = PlanExecutor()
 
     def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
-        x = features if features is not None else self.graph.features
-        if x is None:
-            raise BackendError("graph carries no features")
-        x = np.asarray(x, dtype=np.float32)
-        return self._executor.run(self.plan, self.graph, {"X": x})
+        return self._executor.run(self.plan, self.graph,
+                                  {"X": self.input_features(features)})
 
 
 class DGLLikeBackend(Backend):

@@ -36,19 +36,12 @@ class _NativePipeline(BuiltPipeline):
             activation=spec.activation,
             seed=spec.seed,
         )
-        try:
-            self.plan = cached_plan(graph, self._model.lower, fuse=fuse)
-        except NotImplementedError:
-            # User-registered extension models may implement only the
-            # direct layer_forward path; they run unlowered.
-            self.plan = None
+        self.plan = cached_plan(graph, self._model.lower, fuse=fuse)
         self._executor = PlanExecutor()
 
     def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
-        if self.plan is None:
-            return self._model.forward(self.graph, features)
-        x = self._model.coerce_features(self.graph, features)
-        return self._executor.run(self.plan, self.graph, {"X": x})
+        return self._executor.run(self.plan, self.graph,
+                                  {"X": self.input_features(features)})
 
 
 class NativeBackend(Backend):

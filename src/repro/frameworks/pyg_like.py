@@ -324,11 +324,8 @@ class _PyGLikePipeline(BuiltPipeline):
 
     def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
         graph = self.graph
-        x = features if features is not None else graph.features
-        if x is None:
-            raise BackendError("graph carries no features")
         # Tensor re-materialisation: PyG converts inputs on every call.
-        x = np.array(x, dtype=np.float32, copy=True)
+        x = np.array(self.input_features(features), copy=True)
         edge_index = _validate_edge_index(graph.edge_index, graph.num_nodes)
         return self._executor.run(self.plan, graph,
                                   {"X": x, "edge_index": edge_index})

@@ -169,8 +169,8 @@ class PlannerDecisions:
 
     ``fused`` says whether the fusion pass rewrote the plan and
     ``fused_sites`` how many sites per pattern; ``execution_plan`` is
-    the lowered :class:`~repro.plan.ir.ExecutionPlan` (``None`` for
-    backends that bypass the plan layer).  Sources mirror the policy
+    the lowered :class:`~repro.plan.ir.ExecutionPlan` the build
+    executes.  Sources mirror the policy
     objects: ``"planner"`` / ``"forced"`` / ``"off"`` (plus ``"fixed"`` for
     formats pinned by the compute model and ``"graph"`` for explicit
     batched workloads).
@@ -180,12 +180,12 @@ class PlannerDecisions:
     formats_source: str
     shards: int
     shards_source: str
+    execution_plan: Any                    # ExecutionPlan
     fused_sites: Dict[str, int] = field(default_factory=dict)
     batch: int = 1
     batch_source: str = "off"
     cost_profile: str = "paper"
     explain: str = ""
-    execution_plan: Optional[Any] = None   # ExecutionPlan | None
     partitioner: str = "rows"        # shard partitioner ("rows"/"edges";
                                      # only meaningful when shards > 1)
 
@@ -208,8 +208,7 @@ class PlannerDecisions:
             "batch_source": self.batch_source,
             "cost_profile": self.cost_profile,
             "explain": self.explain,
-            "plan_fingerprint": self.execution_plan.fingerprint()
-            if self.execution_plan is not None else None,
+            "plan_fingerprint": self.execution_plan.fingerprint(),
         }
 
 

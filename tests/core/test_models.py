@@ -103,8 +103,9 @@ class TestModelConstruction:
         class Custom(GNNModel):
             name = "custom-test"
 
-            def layer_forward(self, layer, x, graph, state):
-                return x @ self.weights[layer]["W"]
+            def lower_layer(self, layer, x, builder, state, fmt):
+                weight = builder.constant(self.weights[layer]["W"], name="W")
+                return builder.sgemm(x, weight, tag="custom")
 
         register_model("custom-test", Custom)
         try:

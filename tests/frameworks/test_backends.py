@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.kernels import record_launches
 from repro.datasets import load_dataset
-from repro.errors import BackendError
+from repro.errors import BackendError, ModelError
 from repro.frameworks import (
     BACKEND_NAMES,
     BACKENDS,
@@ -89,6 +89,37 @@ class TestNumericalEquivalence:
                 PipelineSpec(model="gcn", compute_model=cm, seed=2),
                 graph).run(features=zeros)
             assert np.allclose(out, 0.0, atol=1e-6)
+
+
+def _bad_input(case, graph):
+    """Mutate ``graph`` or return the ``features`` argument for ``case``."""
+    n, f = graph.num_nodes, graph.num_features
+    if case == "featureless":
+        graph.features = None
+        return None
+    shape = {"too-narrow": (n, f - 1), "one-row-short": (n - 1, f),
+             "1-D": (n,)}[case]
+    return np.zeros(shape, np.float32)
+
+
+class TestFeatureInput:
+    """One input check on every backend: a bad ``X`` is refused with
+    the same error before any kernel launches."""
+
+    @pytest.mark.parametrize(
+        "case", ["too-narrow", "one-row-short", "1-D", "featureless"])
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_bad_features_are_refused_before_any_launch(self, graph, name,
+                                                        case):
+        own = graph.copy()
+        built = get_backend(name).build(
+            PipelineSpec(model="gin",
+                         compute_model="SpMM" if name == "dgl" else "MP"),
+            own)
+        features = _bad_input(case, own)
+        with record_launches() as rec, pytest.raises(ModelError):
+            built.run(features)
+        assert rec.launches == []
 
 
 class TestKernelComposition:

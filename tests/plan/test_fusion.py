@@ -93,8 +93,6 @@ class TestFusionPass:
     def test_fused_plan_op_count_shrinks(self, graph):
         for backend, model, cm in FUSABLE_COMBOS:
             built = _build(backend, _spec(model, cm), graph, fuse=False)
-            if built.plan is None:
-                continue
             fused = fuse_plan(built.plan)
             assert len(fused.ops) < len(built.plan.ops), (backend, model)
 

@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import record_launches, sgemm, spmm
-from repro.core.models import build_model
+from repro.core.models import GNNModel, build_model, register_model
 from repro.core.models.activations import get_activation, relu
+from repro.core.models.registry import MODELS
 from repro.datasets import load_dataset
+from repro.errors import ModelError
 from repro.frameworks import DGLGraphLike, get_backend, PipelineSpec
 from repro.frameworks.pyg_like import _validate_edge_index
+from repro.plan import ExecutionPlan
 from strategies import lowered
 
 MODELS_BY_BACKEND = {
@@ -167,34 +170,76 @@ class TestBitwiseParity:
             assert np.allclose(adaptive, reference, atol=1e-3)
 
 
-class TestExtensionModelFallback:
-    """Extension models without lowering hooks keep working unlowered."""
+class _SGC(GNNModel):
+    """A registered extension model written only as its lowering:
+    two propagation hops, then one linear layer."""
 
-    def _register(self):
-        from repro.core.kernels import sgemm
-        from repro.core.models import GNNModel, register_model
-        from repro.graph import normalized_adjacency
+    name = "sgc-test"
+    supported_compute_models = ("MP", "SpMM")
 
-        class DirectOnly(GNNModel):
-            name = "direct-only"
-            supported_compute_models = ("MP",)
+    def __init__(self, *args, **kwargs):
+        kwargs["num_layers"] = 1
+        super().__init__(*args, **kwargs)
 
-            def prepare(self, graph):
-                return {"propagation": normalized_adjacency(graph)}
+    def lower_prepare(self, builder, fmt):
+        if fmt == "MP":
+            src, dst, weight = builder.normalize(
+                "gcn_edge_weights",
+                outputs=(("src", "edge"), ("dst", "edge"), ("weight", "vec")))
+            return {"src": src, "dst": dst, "weight": weight}
+        propagation, = builder.normalize(
+            "gcn_propagation", outputs=(("propagation", "csr"),),
+            tag="sgc-normalize")
+        return {"propagation": propagation}
 
-            def layer_forward(self, layer, x, graph, state):
-                params = self.weights[layer]
-                mixed = state["propagation"].matmul(x)
-                return sgemm(mixed, params["W"], bias=params["b"],
-                             tag=f"direct-l{layer}")
+    def lower_layer(self, layer, x, builder, state, fmt):
+        for hop in range(2):
+            if fmt == "MP":
+                messages = builder.gather(x, state["src"],
+                                          scale=state["weight"],
+                                          tag=f"sgc-hop{hop}")
+                x = builder.scatter_reduce(messages, state["dst"],
+                                           reduce="sum", tag=f"sgc-hop{hop}")
+            else:
+                x = builder.spmm(state["propagation"], x,
+                                 tag=f"sgc-hop{hop}")
+        params = self.weights[layer]
+        return builder.sgemm(x, builder.constant(params["W"], name="W"),
+                             bias=builder.constant(params["b"], name="b"),
+                             tag="sgc-linear")
 
-        register_model("direct-only", DirectOnly, overwrite=True)
 
-    def test_native_and_adaptive_fall_back_to_forward(self, graph):
-        self._register()
-        for backend in ("gsuite", "gsuite-adaptive"):
-            built = lowered(backend, _spec("direct-only", "MP"), graph)
-            assert built.plan is None
+class TestExtensionModel:
+    """A registered extension model runs as a plan on both gSuite
+    backends, with everything a zoo model gets from the plan layer."""
+
+    @pytest.fixture(autouse=True)
+    def registered(self):
+        register_model("sgc-test", _SGC)
+        yield
+        MODELS.pop("sgc-test", None)
+
+    @pytest.mark.parametrize("backend", ["gsuite", "gsuite-adaptive"])
+    def test_runs_as_a_fused_shardable_plan(self, graph, backend):
+        built = get_backend(backend).build(_spec("sgc-test", "MP"), graph)
+        assert isinstance(built.plan, ExecutionPlan)
+        assert built.can_shard()
+        with record_launches() as rec:
             out = built.run()
-            assert out.shape == (graph.num_nodes, 7)
-            assert np.all(np.isfinite(out))
+        assert out.shape == (graph.num_nodes, 7)
+        assert "fusedGatherScatter" in {l.kernel for l in rec.launches}
+
+    def test_mp_and_spmm_agree(self, graph):
+        mp, sp = (get_backend("gsuite").build(_spec("sgc-test", cm),
+                                              graph).run()
+                  for cm in ("MP", "SpMM"))
+        assert np.allclose(mp, sp, atol=1e-5)
+
+    def test_register_refuses_a_model_without_lower_layer(self):
+        class DirectOnly(GNNModel):
+            def layer_forward(self, layer, x, graph, state):
+                return sgemm(x, self.weights[layer]["W"], tag="direct")
+
+        with pytest.raises(ModelError, match="lower_layer"):
+            register_model("direct-only", DirectOnly)
+        assert "direct-only" not in MODELS

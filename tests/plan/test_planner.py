@@ -148,7 +148,7 @@ class TestCalibratedWidths:
         spec = get_spec(dataset)
         formats = choose_formats(
             _dims(spec), GraphStats.from_spec(spec),
-            allowed=cls.lowerable_formats or cls.supported_compute_models,
+            allowed=cls.supported_lowerings(),
             width_hook=cls.aggregation_width)
         assert formats == self.CALIBRATED[(model, dataset)]
 
