@@ -15,6 +15,7 @@ from repro.core.kernels.launch import (
 from repro.core.kernels.registry import KERNELS, KernelSpec, get_kernel, kernel_table
 from repro.core.kernels.scatter import (
     REDUCE_OPS,
+    aggregation_operator,
     reduction_structure,
     scatter,
     streaming_reduce,
@@ -38,6 +39,7 @@ __all__ = [
     "REDUCE_OPS",
     "WARP_SIZE",
     "active_recorder",
+    "aggregation_operator",
     "fused_gather_scatter",
     "get_kernel",
     "index_select",

@@ -21,7 +21,7 @@ from repro.errors import KernelError
 
 __all__ = ["scatter", "streaming_reduce", "destination_partition",
            "ReductionStructure", "reduction_structure",
-           "REDUCE_OPS", "STREAM_BLOCK_BYTES"]
+           "aggregation_operator", "REDUCE_OPS", "STREAM_BLOCK_BYTES"]
 
 #: Supported reduction operators.
 REDUCE_OPS = ("sum", "mean", "max", "min")
@@ -74,9 +74,56 @@ def reduction_structure(index: np.ndarray,
         np.maximum(counts, 1).astype(np.float32))
 
 
+def aggregation_operator(structure: ReductionStructure,
+                         src_index: Optional[np.ndarray],
+                         scale: Optional[np.ndarray],
+                         num_sources: int) -> _sp.csr_matrix:
+    """The sum / mean aggregation operator over ``structure``'s index.
+
+    A ``[dim_size, num_sources]`` CSR whose row ``n`` holds
+    ``(scale[e], src_index[e])`` for the edges ``e`` reducing into slot
+    ``n``, in original edge order (``structure.perm``), with ``scale``
+    defaulting to ones.  ``src_index=None`` is the identity: the
+    selection matrix ``M[index[i], i] = 1`` the unfused scatter applies
+    to its materialised messages.  The one construction site of the
+    reduction CSR: the plan executor keeps the operators of
+    graph-determined indices resident (:meth:`repro.graph.Graph.
+    structure`), and a kernel called without one builds it here for
+    that call.
+    """
+    perm = structure.perm
+    values = np.ones(perm.shape[0], dtype=np.float32) if scale is None \
+        else np.asarray(scale, dtype=np.float32)[perm]
+    columns = perm if src_index is None else np.asarray(src_index)[perm]
+    return _sp.csr_matrix(
+        (values, columns, structure.indptr),
+        shape=(structure.indptr.shape[0] - 1, int(num_sources)))
+
+
+def _check_operator(operator: _sp.csr_matrix, reduce: str, dim_size: int,
+                    sources: int, edges: int) -> None:
+    """Refuse an aggregation operator that cannot be this call's.
+
+    O(1): a sum / mean reduce, the ``(dim_size, sources)`` shape and
+    one stored entry per index element.  An operator of another index
+    with the same geometry passes; the executor's memo keys are what
+    rule that out.
+    """
+    if reduce not in ("sum", "mean"):
+        raise KernelError(
+            f"an aggregation operator applies to sum / mean only, not "
+            f"{reduce!r}")
+    if operator.shape != (dim_size, sources) or operator.nnz != edges:
+        raise KernelError(
+            f"aggregation operator has shape {operator.shape} and "
+            f"{operator.nnz} entries; the operands need "
+            f"({dim_size}, {sources}) and {edges}")
+
+
 def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
             reduce: str = "sum", tag: str = "",
-            structure: Optional[ReductionStructure] = None) -> np.ndarray:
+            structure: Optional[ReductionStructure] = None,
+            operator: Optional[_sp.csr_matrix] = None) -> np.ndarray:
     """Reduce rows of ``src`` into ``out[index[i]]`` slots.
 
     Parameters
@@ -97,6 +144,10 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
     structure:
         The :func:`reduction_structure` of ``(index, dim_size)`` when
         the caller keeps it resident; built on the spot otherwise.
+    operator:
+        The identity :func:`aggregation_operator` of ``structure`` for
+        ``src.shape[0]`` sources (sum / mean only), when the caller
+        keeps it resident; built on the spot otherwise.
 
     Returns
     -------
@@ -128,10 +179,13 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
         )
     if structure is not None:
         structure.check(index.shape[0], int(dim_size))
+    if operator is not None:
+        _check_operator(operator, reduce, int(dim_size), src.shape[0],
+                        index.shape[0])
 
     start = time.perf_counter()
     out = _reduce(src, index.astype(np.int64, copy=False), int(dim_size),
-                  reduce, structure)
+                  reduce, structure, operator)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()
@@ -141,11 +195,12 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
 
 
 def _reduce(src: np.ndarray, index: np.ndarray, dim_size: int, reduce: str,
-            structure: Optional[ReductionStructure] = None) -> np.ndarray:
+            structure: Optional[ReductionStructure] = None,
+            operator: Optional[_sp.csr_matrix] = None) -> np.ndarray:
     """Segmented reduction — semantics of an atomic GPU scatter.
 
-    Sum and mean route through a compiled sparse selection-matrix product
-    (the vendor-library path, mirroring how the real kernel runs on
+    Sum and mean apply the selection-matrix ``operator`` (the
+    vendor-library path, mirroring how the real kernel runs on
     cuSPARSE-class primitives); max and min use a sorted segmented
     reduction.  Both read the destination-major ``structure``.
     """
@@ -153,15 +208,13 @@ def _reduce(src: np.ndarray, index: np.ndarray, dim_size: int, reduce: str,
     out = np.zeros(out_shape, dtype=np.float32)
     if src.shape[0] == 0 or dim_size == 0:
         return out
-    e = src.shape[0]
     if structure is None:
         structure = reduction_structure(index, dim_size)
     indptr, perm, _ = structure
     if reduce in ("sum", "mean"):
         # out[n] = sum_i [index[i] == n] * src[i]  ==  M @ src with
         # M[index[i], i] = 1 — one compiled CSR product.
-        return _csr_reduce(np.ones(e, dtype=np.float32), perm, structure,
-                           src, reduce)
+        return _csr_reduce(structure, src, reduce, operator)
     slots = np.flatnonzero(np.diff(indptr))
     starts = indptr[slots]
     sorted_src = src[perm]
@@ -173,21 +226,23 @@ def _reduce(src: np.ndarray, index: np.ndarray, dim_size: int, reduce: str,
     return out
 
 
-def _csr_reduce(values: np.ndarray, columns: np.ndarray,
-                structure: ReductionStructure, dense: np.ndarray,
-                reduce: str) -> np.ndarray:
-    """Row-wise CSR product ``M @ dense`` for sum / mean.
+def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
+                reduce: str, operator: Optional[_sp.csr_matrix] = None,
+                src_index: Optional[np.ndarray] = None,
+                scale: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum / mean: apply an aggregation operator to ``dense``.
 
-    Row ``n`` of ``M`` holds ``(values, columns)[indptr[n]:indptr[n + 1]]``
-    — already destination-major, so no COO sort runs — and the compiled
-    product accumulates a row's entries in stored order.  Mean divides
-    by the clamped row counts.
+    The operator's rows are already destination-major, so no COO sort
+    runs, and the compiled product accumulates a row's entries in
+    stored order.  A caller that holds no ``operator`` gets
+    ``aggregation_operator(structure, src_index, scale, rows)`` built
+    for this call.  Mean divides by the clamped row counts.
     """
-    matrix = _sp.csr_matrix(
-        (values, columns, structure.indptr),
-        shape=(structure.indptr.shape[0] - 1, dense.shape[0]))
-    summed = np.asarray(matrix @ (dense if dense.ndim == 2
-                                  else dense[:, None]))
+    if operator is None:
+        operator = aggregation_operator(structure, src_index, scale,
+                                        dense.shape[0])
+    summed = np.asarray(operator @ (dense if dense.ndim == 2
+                                    else dense[:, None]))
     if reduce == "mean":
         summed /= structure.counts[:, None]   # the product's own array
     result = summed if dense.ndim == 2 else summed[:, 0]
@@ -219,7 +274,8 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
                      reduce: str = "sum",
                      scale: Optional[np.ndarray] = None,
                      block_bytes: int = STREAM_BLOCK_BYTES,
-                     structure: Optional[ReductionStructure] = None
+                     structure: Optional[ReductionStructure] = None,
+                     operator: Optional[_sp.csr_matrix] = None
                      ) -> np.ndarray:
     """Gather-and-reduce without materialising the full message matrix.
 
@@ -227,10 +283,12 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
     dst_index, dim_size, reduce)`` — the fused message-passing
     aggregate — for float32 operands.
 
-    **Sum and mean** are one row-wise CSR product over the
-    destination-major ``structure`` (built here when the caller keeps
-    none): row ``n`` holds ``(scale[e], src_index[e])`` for the in-edges
-    ``e`` of ``n`` in original edge order, so the compiled product
+    **Sum and mean** apply the :func:`aggregation_operator` of
+    ``(structure, src_index, scale)`` — the caller's resident
+    ``operator``, or one built here for the call, over ``structure``
+    (built here too when the caller keeps none): row ``n`` holds
+    ``(scale[e], src_index[e])`` for the in-edges ``e`` of ``n`` in
+    original edge order, so the compiled product
     accumulates ``scale[e] * source[src_index[e]]`` in exactly the
     sequence the unfused scatter sums the materialised messages in, and
     no message is ever stored.  Bit-for-bit because the product rounds
@@ -261,11 +319,8 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
             return np.zeros(out_shape, dtype=np.float32)
         if structure is None:
             structure = reduction_structure(dst_index, dim_size)
-        perm = structure.perm
-        values = np.ones(perm.shape[0], dtype=np.float32) if scale is None \
-            else np.asarray(scale, dtype=np.float32)[perm]
-        return _csr_reduce(values, src_index[perm], structure,
-                           np.asarray(source, dtype=np.float32), reduce)
+        return _csr_reduce(structure, np.asarray(source, dtype=np.float32),
+                           reduce, operator, src_index, scale)
 
     total_bytes = src_index.size * width * np.dtype(np.float32).itemsize
     if total_bytes <= block_bytes or dim_size <= 1:

@@ -9,9 +9,11 @@ sparse matrices — the adjacency-normalisation chain of the paper's
 Fig. 2 (``D^-1/2 * A * D^-1/2``).  ``fused_gather_scatter`` is the
 plan-level-fusion entry point for the MP side: one launch that reduces
 gathered rows straight into their destinations
-(:func:`repro.core.kernels.scatter.streaming_reduce` — one CSR product
-for sum / mean, cache-sized message blocks for max / min) instead of
-materialising the ``[E, f]`` intermediate between two launches.
+(:func:`repro.core.kernels.scatter.streaming_reduce` — one product
+with the sum / mean :func:`~repro.core.kernels.scatter.
+aggregation_operator`, cache-sized message blocks for max / min)
+instead of materialising the ``[E, f]`` intermediate between two
+launches.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import time
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as _sp
 
 from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import EPILOGUE_FP32_PER_ELEMENT, mix_for
 from repro.core.kernels.scatter import REDUCE_OPS, STREAM_BLOCK_BYTES, \
-    ReductionStructure, streaming_reduce
+    ReductionStructure, _check_operator, streaming_reduce
 from repro.errors import KernelError
 from repro.graph.formats import CSRMatrix
 
@@ -146,16 +149,17 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
                          reduce: str = "sum", tag: str = "",
                          gather_tag: Optional[str] = None,
                          block_bytes: int = STREAM_BLOCK_BYTES,
-                         structure: Optional[ReductionStructure] = None
+                         structure: Optional[ReductionStructure] = None,
+                         operator: Optional[_sp.csr_matrix] = None
                          ) -> np.ndarray:
     """Fused message passing: gather + (scale +) scatter in one launch.
 
     Numerically identical — bit-for-bit — to
     ``scatter(index_select(source, src_index) * scale[:, None],
     dst_index, dim_size, reduce)``, but the per-edge message matrix is
-    never materialised whole: sum and mean run as one CSR product over
-    the destination-major ``structure``, max and min stream the
-    messages through destination-range blocks of at most
+    never materialised whole: sum and mean apply the CSR aggregation
+    operator of ``(dst_index, src_index, scale)`` once, max and min
+    stream the messages through destination-range blocks of at most
     ``block_bytes`` (see :func:`repro.core.kernels.scatter.
     streaming_reduce` for the exactness arguments).
 
@@ -179,6 +183,11 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
         The :func:`~repro.core.kernels.scatter.reduction_structure` of
         ``(dst_index, dim_size)`` when the caller keeps it resident;
         built on the spot otherwise.
+    operator:
+        The :func:`~repro.core.kernels.scatter.aggregation_operator` of
+        ``(structure, src_index, scale, source.shape[0])`` (sum / mean
+        only) when the caller keeps it resident; built on the spot
+        otherwise.
     """
     source = np.asarray(source)
     src_index = np.asarray(src_index)
@@ -213,11 +222,15 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
             f"unknown reduce {reduce!r}; expected one of {REDUCE_OPS}")
     if structure is not None:
         structure.check(dst_index.shape[0], int(dim_size))
+    if operator is not None:
+        _check_operator(operator, reduce, int(dim_size), source.shape[0],
+                        dst_index.shape[0])
 
     start = time.perf_counter()
     out = streaming_reduce(source, src_index, dst_index, int(dim_size),
                            reduce=reduce, scale=scale,
-                           block_bytes=block_bytes, structure=structure)
+                           block_bytes=block_bytes, structure=structure,
+                           operator=operator)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()

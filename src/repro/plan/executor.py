@@ -32,9 +32,12 @@ return is resident on it (:meth:`repro.graph.Graph.structure`) and a
 second run over the same graph re-derives nothing; for the endpoint
 kinds (:data:`RESIDENT_ENDPOINT_KINDS`) the executor also keeps the
 destination-major :func:`~repro.core.kernels.reduction_structure` of
-each output an aggregation op reduces over, and hands it to ``scatter``
-/ ``fused_gather_scatter``.  The ``pyg_*`` / ``dgl_*`` kinds model
-what those frameworks re-derive on every forward and stay per-run.
+each output an aggregation op reduces over and, for a sum / mean whose
+index and scale operands all come from those kinds, the CSR
+:func:`~repro.core.kernels.aggregation_operator` it multiplies by, and
+hands both to ``scatter`` / ``fused_gather_scatter``.  The ``pyg_*`` /
+``dgl_*`` kinds model what those frameworks re-derive on every forward
+and stay per-run: their kernels build the operator for each call.
 
 The same goes for the one dense operand the graph owns: an ``SGEMM``
 whose left operand *is* ``graph.features`` is handed the graph's
@@ -52,6 +55,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.kernels import (
+    aggregation_operator,
     fused_gather_scatter,
     index_select,
     reduction_structure,
@@ -467,6 +471,35 @@ class PlanExecutor:
             ("reduction_structure",) + key,
             lambda: reduction_structure(env[index_ref.vid], graph.num_nodes))
 
+    def _aggregation(self, env: Dict[int, Any], graph: Graph, reduce: str,
+                     source, dst, src=None, scale=None):
+        """``(structure, operator)`` for one aggregation op.
+
+        ``structure`` is :meth:`_reduction_structure` of ``dst``.  The
+        sum / mean ``operator`` is resident under ``("aggregation_
+        operator", dst key, src key[, scale key])`` when every index and
+        scale operand is a resident endpoint output; ``src=None`` is the
+        unfused scatter's identity selection over its messages.  ``None``
+        otherwise — the kernel then builds one for the call.
+        """
+        structure = self._reduction_structure(dst, env, graph)
+        keys = tuple(self._resident.get(ref.vid)
+                     for ref in (dst, src, scale) if ref is not None)
+        if structure is None or reduce not in ("sum", "mean") \
+                or None in keys:
+            return structure, None
+        if src is None:            # one column per materialised message
+            columns, num_sources = None, env[dst.vid].shape[0]
+        elif np.shape(source)[0] == graph.num_nodes:
+            columns, num_sources = env[src.vid], graph.num_nodes
+        else:
+            return structure, None
+        weights = None if scale is None else env[scale.vid]
+        return structure, graph.structure(
+            ("aggregation_operator",) + keys,
+            lambda: aggregation_operator(structure, columns, weights,
+                                         num_sources))
+
     def _execute(self, op, env: Dict[int, Any], graph: Graph):
         if isinstance(op, Gather):
             out = index_select(env[op.source.vid], env[op.index.vid],
@@ -476,10 +509,12 @@ class PlanExecutor:
             env[op.out.vid] = out
             return out
         if isinstance(op, ScatterReduce):
-            out = scatter(env[op.source.vid], env[op.index.vid],
+            source = env[op.source.vid]
+            structure, operator = self._aggregation(
+                env, graph, op.reduce, source, op.index)
+            out = scatter(source, env[op.index.vid],
                           dim_size=graph.num_nodes, reduce=op.reduce,
-                          tag=op.tag, structure=self._reduction_structure(
-                              op.index, env, graph))
+                          tag=op.tag, structure=structure, operator=operator)
             env[op.out.vid] = out
             return out
         if isinstance(op, SpMM):
@@ -489,14 +524,17 @@ class PlanExecutor:
             env[op.out.vid] = out
             return out
         if isinstance(op, FusedGatherScatter):
+            source = env[op.source.vid]
             scale = env[op.scale.vid] if op.scale is not None else None
+            structure, operator = self._aggregation(
+                env, graph, op.reduce, source, op.dst_index, op.src_index,
+                op.scale)
             out = fused_gather_scatter(
-                env[op.source.vid], env[op.src_index.vid],
+                source, env[op.src_index.vid],
                 env[op.dst_index.vid], dim_size=graph.num_nodes,
                 scale=scale, reduce=op.reduce, tag=op.tag,
-                gather_tag=op.gather_tag,
-                structure=self._reduction_structure(
-                    op.dst_index, env, graph))
+                gather_tag=op.gather_tag, structure=structure,
+                operator=operator)
             env[op.out.vid] = out
             return out
         if isinstance(op, SGEMM):

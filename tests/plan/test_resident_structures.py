@@ -16,16 +16,19 @@ from repro.core.kernels import record_launches
 from repro.graph import Graph, add_self_loops, gcn_edge_weights
 
 # (model, compute model, fuse) -> the builders that run and how often.
-# ``reduction_structure`` counts every build, resident or on the spot;
+# ``reduction_structure`` and ``aggregation_operator`` count every build,
+# resident or on the spot (max / min and SpMM never build an operator);
 # ``row_sparse`` is the scan behind ``Graph.feature_rows``, which only a
 # first layer multiplying the graph's own ``X`` asks for (a declined
 # matrix is remembered too).
 CELLS = {
     ("sage", "MP", "auto"): {
-        "add_self_loops": 1, "reduction_structure": 1, "row_sparse": 1},
+        "add_self_loops": 1, "reduction_structure": 1,
+        "aggregation_operator": 1, "row_sparse": 1},
     ("gcn", "MP", "off"): {
         "add_self_loops": 1, "gcn_edge_weights": 1,
-        "reduction_structure": 1, "row_sparse": 1},
+        "reduction_structure": 1, "aggregation_operator": 1,
+        "row_sparse": 1},
     ("gin", "SpMM", "auto"): {"gin_aggregate_matrix": 1},
     ("gcn", "SpMM", "auto"): {
         "add_self_loops": 1, "degree_half_inverse_csr": 1,
@@ -69,12 +72,13 @@ def builds(monkeypatch):
         monkeypatch.setattr(mod, attr, spy(name, getattr(mod, attr)))
     monkeypatch.setattr(Graph, "adjacency_csr",
                         spy("adjacency_csr", Graph.adjacency_csr))
-    # The executor and the kernels each hold a reference to the builder.
+    # The executor and the kernels each hold a reference to the builders.
     scatter_mod = import_module("repro.core.kernels.scatter")
-    counted = spy("reduction_structure", scatter_mod.reduction_structure)
-    monkeypatch.setattr(scatter_mod, "reduction_structure", counted)
-    monkeypatch.setattr(import_module("repro.plan.executor"),
-                        "reduction_structure", counted)
+    for name in ("reduction_structure", "aggregation_operator"):
+        counted = spy(name, getattr(scatter_mod, name))
+        monkeypatch.setattr(scatter_mod, name, counted)
+        monkeypatch.setattr(import_module("repro.plan.executor"), name,
+                            counted)
     return calls
 
 
@@ -130,10 +134,34 @@ def test_resident_arrays_are_read_only():
     edge_index, weights = gcn_edge_weights(graph)
     structure = graph._structures[
         ("reduction_structure", "gcn_edge_weights", 1)]
+    operator = graph._structures[
+        ("aggregation_operator", ("gcn_edge_weights", 1))]
     for array in (edge_index, weights, graph.in_degrees(),
-                  add_self_loops(graph).edge_index, *structure):
+                  add_self_loops(graph).edge_index, *structure,
+                  operator.data, operator.indices, operator.indptr):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_operator_keys_name_every_operand():
+    """One operator per (dst, src[, scale]) endpoint triple; an operand
+    that is not a resident endpoint output (GAT's attention) keeps the
+    operator per call."""
+    expected = {
+        "gcn": (("gcn_edge_weights", 1), ("gcn_edge_weights", 0),
+                ("gcn_edge_weights", 2)),
+        "sage": (("self_loop_endpoints", 1), ("self_loop_endpoints", 0)),
+        "gin": (("edge_endpoints", 1), ("edge_endpoints", 0)),
+        "gat": None,
+    }
+    for model, operands in expected.items():
+        graph = _graph()
+        GNNPipeline(SuiteConfig(model=model, compute_model="MP",
+                                out_features=3), graph=graph).build().run()
+        keys = [key for key in graph._structures
+                if key[0] == "aggregation_operator"]
+        assert keys == ([] if operands is None
+                        else [("aggregation_operator",) + operands]), model
 
 
 def test_memo_keys_never_capture_features():
