@@ -10,7 +10,7 @@ A model is written as its lowering: ``lower_prepare`` emits the
 structure it needs once per execution format, and ``lower_layer`` emits
 one layer's ops onto the shared execution plan.  Every backend runs
 that plan, so the new model gets operator fusion, planner-chosen
-formats and sharding with no further code.
+formats and batching with no further code.
 
 SGC collapses a K-layer GCN into one propagation:  X' = P^K X W  with
 P = D^-1/2 (A+I) D^-1/2.  MP realises the K propagations as

@@ -1,9 +1,7 @@
-"""The supervised process pool shared by the bench engine and the plan layer.
+"""The supervised process pool behind the bench engine's cell fan-out.
 
-Extracted from :mod:`repro.bench.engine` so that work other than bench
-cells — most importantly the sharded plan executor
-(:mod:`repro.plan.sharding`) — can fan tasks across worker processes
-through one facade.  A :class:`WorkerPool` wraps
+:mod:`repro.bench.engine` runs each wave of work cells through one
+:class:`WorkerPool` (``gsuite bench --jobs N``), which wraps
 :class:`multiprocessing.Pool` with:
 
 * a serial fast path — ``jobs=1`` (or a single task) degrades to plain
@@ -12,9 +10,8 @@ through one facade.  A :class:`WorkerPool` wraps
   supervision overhead;
 * lazy creation — the underlying pool is created on the first parallel
   ``map`` and torn down by :meth:`close` / the context manager, so
-  short-lived callers pay nothing and long-lived callers (a sharded
-  multi-layer plan dispatching one wave per aggregation op) reuse one
-  set of workers;
+  short-lived callers pay nothing and repeated maps reuse one set of
+  workers;
 * **supervision** — per-task deadlines (:attr:`task_timeout`),
   dead-worker detection (a crashed worker loses its task silently under
   raw :class:`multiprocessing.Pool`; here it is spotted and the task
@@ -106,7 +103,7 @@ class DispatchReport:
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def summary(self) -> str:
-        """One human line, e.g. for ``gsuite run`` / the bench engine."""
+        """One human line, e.g. for the bench engine's summary."""
         head = (f"{self.tasks} pooled / {self.in_process} in-process "
                 f"task(s), {self.dispatched} attempt(s)")
         if not self.faulted:

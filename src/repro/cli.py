@@ -91,17 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON config file with default parameters")
         p.add_argument("--repeats", type=int, default=None,
                        help="timing repeats (default 3)")
-        p.add_argument("--shards", type=_knob_type("shards"), default=None,
-                       metavar="auto|off|K",
-                       help="destination-range plan shards: 'auto' (or 0) "
-                            "lets the planner decide, 'off' (or 1, the "
-                            "default) disables, K >= 2 forces K shards")
-        p.add_argument("--partitioner", type=_knob_type("partitioner"),
-                       default=None, metavar="auto|rows|edges",
-                       help="shard partitioner: 'auto' (default) lets the "
-                            "planner's skew gate decide, 'rows' (= 'off') "
-                            "splits even row ranges, 'edges' balances "
-                            "edges over contiguous ranges")
         p.add_argument("--fuse", type=_knob_type("fuse"), default=None,
                        metavar="auto|off",
                        help="plan-level operator fusion: 'auto' (default) "
@@ -120,22 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="planner cost constants: 'paper' (default) "
                             "is the static Fig. 5 set; a path loads "
                             "that CostProfile JSON")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for sharded plan dispatch "
-                            "(default 1 = in-process shards)")
-        p.add_argument("--task-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-task deadline for pooled shard dispatch; "
-                            "a timed-out task is retried, then degraded "
-                            "to in-process execution (default 0 = no "
-                            "deadline; dead workers are still detected)")
         p.add_argument("--faults", default=None, metavar="SPEC",
                        help="arm deterministic fault injection, e.g. "
-                            "'seed=7;worker_crash:p=0.2,tries=1' (sites: "
-                            "worker_crash, task_hang, corrupt_result, "
-                            "cache_truncate, request_drop, batch_timeout); "
-                            "results stay bit-for-bit identical — see "
-                            "repro.faults")
+                            "'seed=7;cache_truncate:p=0.5' (sites: "
+                            "cache_truncate, request_drop, batch_timeout; "
+                            "the pool sites worker_crash, task_hang and "
+                            "corrupt_result fire in 'gsuite bench --jobs N' "
+                            "via GSUITE_FAULTS); results stay bit-for-bit "
+                            "identical — see repro.faults")
         p.add_argument("--serve-batch", type=_knob_type("serve_batch"),
                        default=None, metavar="auto|off|N",
                        help="serving micro-batcher: 'auto' (default) packs "
@@ -210,10 +191,8 @@ _ARG_FIELDS = {
     "model": "model", "dataset": "dataset",
     "compute_model": "compute_model", "framework": "framework",
     "layers": "num_layers", "hidden": "hidden", "scale": "scale",
-    "seed": "seed", "repeats": "repeats", "shards": "shards",
-    "partitioner": "partitioner", "fuse": "fuse", "batch": "batch",
-    "profile_costs": "profile_costs", "jobs": "jobs",
-    "task_timeout": "task_timeout", "faults": "faults",
+    "seed": "seed", "repeats": "repeats", "fuse": "fuse", "batch": "batch",
+    "profile_costs": "profile_costs", "faults": "faults",
     "serve_batch": "serve_batch",
 }
 
@@ -252,12 +231,6 @@ def _cmd_run(args) -> int:
             print(f"  {member.name}: output shape {out.shape}")
     else:
         print(f"output shape: {outputs[0].shape}")
-    built = pipeline.last_built
-    report = built.dispatch_report if built is not None else None
-    # Surface dispatch supervision when it did something (or was asked
-    # to, via --faults) — clean unsupervised runs keep their old output.
-    if report is not None and (report.faulted or args.faults):
-        print(f"dispatch: {report.summary()}")
     return 0
 
 
@@ -351,41 +324,6 @@ def _cmd_plan(args) -> int:
     from repro.plan import describe_features, describe_fusion
     print(describe_fusion(plan))
     print(describe_features(plan, pipeline.graph, built.resident_features))
-    if decisions.shards > 1:
-        import numpy as np
-        from repro.plan import (
-            find_shard_groups,
-            partition_ranges,
-            plan_row_edges,
-        )
-        graph = pipeline.graph
-        # The counts the dispatcher will split and report: the first
-        # aggregation op's operand rows (self-loops, normalisation
-        # included), not the raw graph's — unless that operand only
-        # exists at run time, which the label then says.
-        row_edges = plan_row_edges(plan, graph)
-        label = "per-shard edges"
-        if row_edges is None:
-            row_edges = np.bincount(graph.dst, minlength=graph.num_nodes)
-            label = "per-shard raw graph edges"
-        shards = partition_ranges(decisions.partitioner, graph.num_nodes,
-                                  decisions.shards, lambda: row_edges)
-        counts = [int(row_edges[lo:hi].sum()) for lo, hi in shards]
-        groups = find_shard_groups(plan)
-        print(f"sharding: {len(shards)} destination-range shards "
-              f"({decisions.shards_source}) over {len(groups)} "
-              f"aggregation op(s)")
-        print(f"partitioner: {decisions.partitioner}; {label} "
-              f"{counts}")
-    elif args.shards != 1 and not built.can_shard():
-        print(f"sharding: unavailable (backend {args.framework!r} does "
-              f"not execute plans shardably)")
-    elif decisions.shards_source == "planner":
-        print("sharding: off (1 shard; planner declined — working set "
-              "within the cache budget (fused and SpMM layers stream "
-              "theirs) or per-shard setup outweighs the gain)")
-    else:
-        print("sharding: off (1 shard; --shards 0 lets the planner decide)")
     print(format_table(("Step", "Op", "Operands", "Result"),
                        plan.describe(), title="Execution plan"))
     return 0

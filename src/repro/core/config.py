@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from repro.errors import ConfigError
 
@@ -26,15 +26,14 @@ __all__ = ["SuiteConfig", "DEFAULTS", "KNOBS", "Knob", "parse_batch"]
 class Knob:
     """One tri-state pipeline knob with the shared vocabulary.
 
-    Every plan-level knob (``shards``, ``fuse``, ``batch``) answers the
-    same three-way question — *planner decides* / *feature off* /
+    Every plan-level knob (``fuse``, ``batch``, ``serve_batch``) answers
+    the same three-way question — *planner decides* / *feature off* /
     *explicit value* — and historically each grew its own parser with
     its own spellings and error text.  A ``Knob`` is the one shared
     parser: ``"auto"`` maps to :attr:`auto` (planner decides),
-    ``"off"`` maps to :attr:`off` (feature disabled), knob-specific
-    extra :attr:`spellings` name explicit values (``partitioner
-    edges``), and — when :attr:`integer` — plain integers pass through
-    (``shards 0/1/K`` stay valid, so existing configs never break).
+    ``"off"`` maps to :attr:`off` (feature disabled), and — when
+    :attr:`integer` — plain integers pass through (``batch 0/1/B`` stay
+    valid, so existing configs never break).
     Everything else refuses with one uniform
     :class:`~repro.errors.ConfigError` shape.
     """
@@ -42,15 +41,12 @@ class Knob:
     name: str
     auto: Any                 # canonical value "auto" parses to
     off: Any                  # canonical value "off" parses to
-    #: Extra accepted ``(spelling, canonical value)`` pairs.
-    spellings: Tuple[Tuple[str, Any], ...] = ()
     integer: bool = True      # whether plain integers are accepted
     minimum: int = 0          # smallest accepted integer
 
     def vocabulary(self) -> str:
         """The accepted spellings, rendered for error messages."""
         options = ["'auto'", "'off'"]
-        options += [f"'{spelling}'" for spelling, _ in self.spellings]
         if self.integer:
             options.append("an integer")
         return ", ".join(options[:-1]) + f" or {options[-1]}"
@@ -72,9 +68,6 @@ class Knob:
                 return self.auto
             if lowered == "off":
                 return self.off
-            for spelling, canonical in self.spellings:
-                if lowered == spelling:
-                    return canonical
             if not self.integer:
                 raise self._refuse(value)
         elif not self.integer:
@@ -92,19 +85,13 @@ class Knob:
         return coerced
 
 
-#: The plan-level knobs, one vocabulary each.  ``shards`` and
-#: ``batch`` canonicalise to the historical integer encoding (0 =
-#: planner auto, 1 = off, K >= 2 explicit); ``fuse`` has no explicit
-#: third value (``"auto"`` fuses every legal site); ``partitioner``
-#: names how destinations split into contiguous shard ranges
-#: (``"off"`` is the free even-row split).
+#: The plan-level knobs, one vocabulary each.  ``batch`` and
+#: ``serve_batch`` canonicalise to the historical integer encoding (0 =
+#: planner auto, 1 = off, B >= 2 explicit); ``fuse`` has no explicit
+#: third value (``"auto"`` fuses every legal site).
 KNOBS = {
-    "shards": Knob("shards", auto=0, off=1),
     "fuse": Knob("fuse", auto="auto", off="off", integer=False),
     "batch": Knob("batch", auto=0, off=1),
-    "partitioner": Knob("partitioner", auto="auto", off="rows",
-                        spellings=(("rows", "rows"), ("edges", "edges")),
-                        integer=False),
     "serve_batch": Knob("serve_batch", auto=0, off=1),
 }
 
@@ -141,12 +128,6 @@ class SuiteConfig:
     scale: float = 1.0            # dataset down-scaling for CI-sized runs
     repeats: int = 3              # paper: "run three times; mean collected"
     sample_cap: int = 1_000_000   # memory-trace sampling budget
-    shards: int = 1               # plan sharding: 0 = planner decides,
-                                  # 1 = unsharded, K >= 2 = force K shards
-    partitioner: str = "auto"     # shard partitioner: "auto" = planner
-                                  # decides (skew gate), "rows" = even
-                                  # row ranges, "edges" = edge-balanced
-                                  # ranges
     fuse: str = "auto"            # plan fusion: "auto" = every legal
                                   # site, "off" = never (--no-fuse)
     batch: int = 1                # batched multi-graph plans: 0 = planner
@@ -156,17 +137,11 @@ class SuiteConfig:
     profile_costs: str = "paper"  # planner cost constants: "paper"
                                   # (static Fig. 5 constants) or the
                                   # path of a CostProfile JSON
-    jobs: int = 1                 # worker processes for sharded plan
-                                  # dispatch (1 = in-process shards)
     faults: str = ""              # fault-injection spec (see
                                   # repro.faults), e.g.
                                   # "seed=7;worker_crash:p=0.2,tries=1";
                                   # "" disarms (the GSUITE_FAULTS env
                                   # var still applies)
-    task_timeout: float = 0.0     # per-task deadline (seconds) for
-                                  # pooled shard dispatch; 0 = no
-                                  # deadline (dead workers are still
-                                  # detected and their tasks retried)
     serve_batch: int = 0          # serving micro-batcher: 0 = planner
                                   # decides the batch size ("auto",
                                   # choose_batching budgets), 1 = off
@@ -203,8 +178,6 @@ class SuiteConfig:
                 f"profile_costs must be 'paper' or a profile path, "
                 f"got {self.profile_costs!r}"
             )
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not isinstance(self.faults, str):
             raise ConfigError(
                 f"faults must be a fault spec string, got {self.faults!r}")
@@ -214,10 +187,6 @@ class SuiteConfig:
             # is rebuilt at activation.
             from repro.faults import parse_faults
             parse_faults(self.faults)
-        if self.task_timeout < 0:
-            raise ConfigError(
-                f"task_timeout must be >= 0 (0 = no deadline), "
-                f"got {self.task_timeout!r}")
 
     # -- construction helpers ----------------------------------------------
     @classmethod

@@ -19,9 +19,9 @@ from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import mix_for
 from repro.errors import KernelError
 
-__all__ = ["scatter", "streaming_reduce", "destination_partition",
-           "ReductionStructure", "reduction_structure",
-           "aggregation_operator", "REDUCE_OPS", "STREAM_BLOCK_BYTES"]
+__all__ = ["scatter", "streaming_reduce", "ReductionStructure",
+           "reduction_structure", "aggregation_operator", "REDUCE_OPS",
+           "STREAM_BLOCK_BYTES"]
 
 #: Supported reduction operators.
 REDUCE_OPS = ("sum", "mean", "max", "min")
@@ -249,26 +249,6 @@ def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
     return result.astype(np.float32, copy=False)
 
 
-def destination_partition(starts: np.ndarray, dst_index: np.ndarray):
-    """Stable partition of edge positions by destination range.
-
-    ``starts`` holds the ascending range start nodes; the return is
-    ``(order, counts, offsets)`` such that
-    ``order[offsets[k]:offsets[k + 1]]`` lists range ``k``'s edge
-    positions *in original edge order*.  That stability is what makes
-    destination-range blocking bit-exact — every destination's
-    reduction sequence is preserved — so the streaming kernel and both
-    of the sharding dispatcher's partition sites share this one
-    construction instead of re-deriving it.
-    """
-    block_of = np.searchsorted(starts, dst_index, side="right") - 1
-    order = np.argsort(block_of, kind="stable")
-    counts = np.bincount(block_of, minlength=starts.shape[0])
-    offsets = np.concatenate([np.zeros(1, dtype=np.int64),
-                              np.cumsum(counts)])
-    return order, counts, offsets
-
-
 def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
                      dst_index: np.ndarray, dim_size: int,
                      reduce: str = "sum",
@@ -299,15 +279,13 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
     through destination-range blocks sized to ``block_bytes``: edges
     are partitioned by destination block with one stable sort,
     preserving original edge order inside every block, and block
-    outputs are disjoint row ranges placed without arithmetic — the
-    same argument that makes destination-range *sharding* exact
-    (:mod:`repro.plan.sharding`).  Peak intermediate memory is one
-    block instead of the whole ``[E, f]`` matrix.
+    outputs are disjoint row ranges placed without arithmetic.  Peak
+    intermediate memory is one block instead of the whole ``[E, f]``
+    matrix.
 
     No launch is recorded here: this is the compute core of the
     ``fusedGatherScatter`` kernel (:func:`repro.core.kernels.sparse.
-    fused_gather_scatter`), which owns validation and instrumentation,
-    and of the sharding dispatcher's fused in-process path.
+    fused_gather_scatter`), which owns validation and instrumentation.
     """
     src_index = np.asarray(src_index)
     dst_index = np.asarray(dst_index).astype(np.int64, copy=False)
@@ -341,7 +319,11 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
     # One stable partition of edge positions by destination block keeps
     # per-destination edge order — and therefore reduction order —
     # identical to the unfused scatter.
-    order, _, offsets = destination_partition(starts, dst_index)
+    block_of = np.searchsorted(starts, dst_index, side="right") - 1
+    order = np.argsort(block_of, kind="stable")
+    offsets = np.concatenate([
+        np.zeros(1, dtype=np.int64),
+        np.cumsum(np.bincount(block_of, minlength=num_blocks))])
 
     out = np.zeros(out_shape, dtype=np.float32)
     for k in range(num_blocks):

@@ -137,12 +137,10 @@ def _emit(recorder: L.LaunchRecorder, a, b, out, duration: float,
           tag: str, epilogue: str = "") -> None:
     """Launch record modelling a 32x32-tiled GEMM's global traffic.
 
-    Operands may be geometry-only stand-ins (the sharding dispatcher's
-    canonical emission reads shapes and sizes only).  ``epilogue``
-    names a fused activation stage: its per-element arithmetic joins
-    the instruction mix (applied in registers before the store — no
-    extra memory traffic) and the record declares the plain sgemm
-    launch it replaces, for the fusion trace mapping.
+    ``epilogue`` names a fused activation stage: its per-element
+    arithmetic joins the instruction mix (applied in registers before
+    the store — no extra memory traffic) and the record declares the
+    plain sgemm launch it replaces, for the fusion trace mapping.
     """
     n, k = a.shape
     m = b.shape[1]

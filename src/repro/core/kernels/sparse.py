@@ -248,9 +248,7 @@ def _emit_fused_gather_scatter(recorder: L.LaunchRecorder,
                                tag: str, gather_tag: str) -> None:
     """Launch record of one fused gather-scatter.
 
-    Operands may be geometry-only stand-ins (the sharding dispatcher's
-    canonical emission) — only shapes, sizes and the index arrays are
-    read.  The memory trace carries the gathered source rows and the
+    The memory trace carries the gathered source rows and the
     scattered destination rows; the intermediate message matrix never
     reaches DRAM, which is exactly the traffic fusion eliminates.
     """

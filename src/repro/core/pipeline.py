@@ -59,7 +59,6 @@ class GNNPipeline:
         self._batch_decision = None
         self._graph_stats = None
         self._cost_profile = None
-        self._last_built = None
         self._backend: Backend = get_backend(config.framework)
         out_features = config.out_features
         if out_features is None:
@@ -189,11 +188,10 @@ class GNNPipeline:
     def graph_stats(self):
         """Planner statistics of the workload graph, measured once.
 
-        The sharding planners (``shards=0``, ``partitioner="auto"``) and
-        :meth:`plan` consume them, and the in-degree pass behind
+        :meth:`plan` consumes them, and the in-degree pass behind
         :meth:`GraphStats.from_graph` is O(E) — memoising keeps repeated
-        :meth:`build` calls from re-walking LiveJournal-scale edge
-        lists.  A default build (``shards=1``) never asks.
+        calls from re-walking LiveJournal-scale edge lists.
+        :meth:`build` never asks.
         """
         if self._graph_stats is None:
             from repro.plan.planner import GraphStats
@@ -208,117 +206,16 @@ class GNNPipeline:
         return self._backend.name
 
     # -- execution ------------------------------------------------------------
-    def shard_partitioner(self, num_shards: int) -> str:
-        """The shard partitioner ``config.partitioner`` implies.
-
-        An explicit value (``"rows"`` / ``"edges"``) passes through;
-        ``"auto"`` (the default) asks the planner, whose skew gate
-        (:func:`repro.plan.planner.choose_partitioner`) keeps flat
-        graphs on the free even-row split and balances edges only past
-        :attr:`~repro.plan.costprofile.CostProfile.shard_skew_threshold`.
-        """
-        if self.config.partitioner != "auto":
-            return self.config.partitioner
-        from repro.plan.planner import choose_partitioner
-        return choose_partitioner(self.graph_stats(), num_shards,
-                                  profile=self.cost_profile())
-
-    def sharding_policy(self, layer_formats=None, fused=False):
-        """The sharded-execution policy ``config.shards`` implies.
-
-        ``shards == 1`` (the default) returns ``None`` — unsharded.
-        ``shards >= 2`` forces that many destination-range shards.
-        ``shards == 0`` asks the planner: shard count follows the graph
-        statistics and the per-shard setup-cost term
-        (:func:`repro.plan.planner.choose_shards`), using the model's
-        calibrated aggregation widths; small workloads come back
-        unsharded.  ``layer_formats`` is the lowered plan's per-layer
-        execution format when known (:meth:`build` passes it) — an
-        SpMM layer never materialises the ``[E, f]`` message matrix, so
-        costing the actual formats keeps the planner from over-sharding
-        plans the adaptive backend flipped to the fused side; without
-        it the spec's compute model is assumed for every layer.
-        ``fused`` declares that the plan's gather/scatter pairs were
-        fused: the streaming kernel already bounds the working set, so
-        MP layers stop exerting sharding pressure (see
-        :func:`~repro.plan.planner.choose_shards`).  Either way the
-        policy carries the partitioner :meth:`shard_partitioner`
-        resolves for the decided shard count.
-        """
-        from repro.plan.sharding import ShardingPolicy
-        shards = self.config.shards
-        # Pool supervision knobs ride on the policy; they steer *how*
-        # shard tasks are dispatched and recovered, never what they
-        # compute, so parity contracts are untouched.
-        supervision = {
-            "jobs": self.config.jobs,
-            "task_timeout": self.config.task_timeout or None,
-        }
-        if shards == 1:
-            return None
-        if shards >= 2:
-            return ShardingPolicy(num_shards=shards, source="forced",
-                                  partitioner=self.shard_partitioner(shards),
-                                  **supervision)
-        from repro.core.models import get_model_class
-        from repro.core.models.base import layer_dimensions
-        from repro.plan.planner import choose_shards
-        cls = get_model_class(self.config.model)
-        dims = layer_dimensions(
-            self.graph.num_features, self.spec.hidden,
-            self.spec.out_features, self.spec.num_layers)
-        formats = list(layer_formats) if layer_formats \
-            else [self.spec.compute_model] * len(dims)
-        chosen = choose_shards(
-            dims, self.graph_stats(),
-            formats=formats,
-            width_hook=cls.aggregation_width,
-            fused=fused,
-            profile=self.cost_profile())
-        if chosen <= 1:
-            return None
-        return ShardingPolicy(num_shards=chosen, source="planner",
-                              partitioner=self.shard_partitioner(chosen),
-                              **supervision)
-
     def build(self):
         """Construct the backend pipeline (framework init included)."""
         if self.config.faults:
-            # Arm the configured fault plan process-wide (and export it
-            # to pool workers) before any dispatch can happen.
+            # Arm the configured fault plan process-wide (exported
+            # through GSUITE_FAULTS) before the build reaches any site.
             from repro import faults as fault_injection
             fault_injection.activate(self.config.faults)
-        built = self._backend.build(self.spec, self.graph,
-                                    cost_profile=self.cost_profile(),
-                                    fuse=self.config.fuse != "off")
-        # Gate on what the pass actually fused, not the knob: legality
-        # (a multiply-consumed gather, non-adjacent pairs, the PyG-like
-        # tape) can leave zero fused sites, and such plans still need
-        # their MP sharding pressure.
-        from repro.plan import fusion_summary
-        policy = self.sharding_policy(
-            layer_formats=built.plan.layer_formats,
-            fused=fusion_summary(built.plan).get("gather_scatter", 0) > 0)
-        # A planner-sourced policy on a backend that cannot shard (the
-        # PyG-like tape) silently declines — the planner was *asked* to
-        # decide, and the right decision is "don't".  Only forced shard
-        # counts refuse loudly (inside configure_sharding).
-        if policy is not None and (policy.source != "planner"
-                                   or built.can_shard()):
-            built.configure_sharding(policy)
-        self._last_built = built
-        return built
-
-    @property
-    def last_built(self):
-        """The backend pipeline of the most recent :meth:`build`.
-
-        ``None`` before any build.  Lets callers that use the one-shot
-        conveniences (:meth:`run`, :meth:`run_batch`) reach execution
-        state recorded on the built pipeline afterwards — most notably
-        :attr:`~repro.frameworks.base.BuiltPipeline.dispatch_report`.
-        """
-        return self._last_built
+        return self._backend.build(self.spec, self.graph,
+                                   cost_profile=self.cost_profile(),
+                                   fuse=self.config.fuse != "off")
 
     def plan(self, built=None):
         """Every decision the planner took, as one typed record.
@@ -326,7 +223,7 @@ class GNNPipeline:
         Builds the pipeline (or inspects a ``built`` one from
         :meth:`build`) and returns a
         :class:`~repro.plan.planner.PlannerDecisions`: per-layer
-        formats, shard count, fused sites, batch size, the cost
+        formats, fused sites, batch size, the cost
         profile they were priced under and the explain strings, with
         the lowered :class:`~repro.plan.ir.ExecutionPlan` on
         ``.execution_plan``.  ``gsuite plan`` renders from this record,
@@ -343,7 +240,6 @@ class GNNPipeline:
         # execute the spec's compute model as given.
         formats_source = "planner" \
             if getattr(built, "formats", None) is not None else "fixed"
-        sharding = built.sharding
         batch = self.batch_decision()
         explain = ""
         if plan.meta.get("dims"):
@@ -357,14 +253,6 @@ class GNNPipeline:
         return PlannerDecisions(
             formats=formats,
             formats_source=formats_source,
-            shards=sharding.num_shards if sharding is not None else 1,
-            # An asked planner that answered 1 still decided: record it
-            # (mirrors batch_source), so `gsuite plan` reports a verdict
-            # instead of suggesting the flag the user already passed.
-            shards_source=sharding.source if sharding is not None
-            else ("planner" if self.config.shards == 0 else "off"),
-            partitioner=sharding.partitioner
-            if sharding is not None else "rows",
             fused_sites=fusion_summary(plan),
             batch=batch.size,
             batch_source=batch.source,

@@ -44,6 +44,9 @@ Activation, in precedence order: an explicit :func:`activate` call
 (what ``SuiteConfig.faults`` / ``--faults`` route through), else the
 ``GSUITE_FAULTS`` environment variable.  ``activate`` also exports
 ``GSUITE_FAULTS`` so spawned worker processes inherit the same plan.
+The three pool sites fire only in a pooled
+:class:`~repro.bench.pool.WorkerPool` map, whose one consumer is the
+bench engine's cell fan-out (``gsuite bench --jobs N``).
 
 Spec strings are ``;``-separated clauses: each clause is either
 ``seed=N`` or ``site[:key=value[,key=value...]]`` with keys ``p``

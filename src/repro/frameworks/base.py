@@ -78,9 +78,6 @@ class BuiltPipeline:
         self.graph = graph
         #: The input width the plan's weights were built for.
         self.num_features = graph.num_features
-        #: The ShardingPolicy applied via configure_sharding (None =
-        #: unsharded execution).
-        self.sharding = None
 
     def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
         """Execute inference, returning ``[num_nodes, out_features]``."""
@@ -97,49 +94,6 @@ class BuiltPipeline:
         row-sparse form.
         """
         return check_features(self.graph, self.num_features, features)
-
-    def can_shard(self) -> bool:
-        """Whether this pipeline can execute its plan sharded.
-
-        True for pipelines that run their plan through a plain
-        :class:`~repro.plan.executor.PlanExecutor` (native, adaptive,
-        DGL-like); false when every op is observed (the PyG-like tape).
-        """
-        return self._executor.on_op is None
-
-    def configure_sharding(self, policy) -> "BuiltPipeline":
-        """Switch plan execution to destination-range sharding.
-
-        ``policy`` is a :class:`~repro.plan.sharding.ShardingPolicy`.
-        Pipelines for which :meth:`can_shard` is false refuse, so a
-        *forced* ``--shards K`` request is never silently ignored
-        (planner-sourced policies are filtered by the caller instead —
-        see :meth:`repro.core.pipeline.GNNPipeline.build`).
-        """
-        from repro.plan import PlanExecutor
-        if not self.can_shard():
-            raise BackendError(
-                f"backend {self.backend_name!r} does not support sharded "
-                f"plan execution"
-            )
-        self._executor = PlanExecutor(sharding=policy)
-        self.sharding = policy
-        return self
-
-    @property
-    def shard_report(self):
-        """Per-group dispatch accounting of the last sharded run."""
-        return self._executor.shard_report
-
-    @property
-    def dispatch_report(self):
-        """Pool supervision record of the last sharded run (or ``None``).
-
-        A :class:`~repro.bench.pool.DispatchReport`: attempts, retries,
-        timeouts, worker deaths and degradations.  ``None`` until a
-        sharded run happens; a clean run reports ``faulted == False``.
-        """
-        return self._executor.dispatch_report
 
 
 class Backend:

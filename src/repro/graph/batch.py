@@ -11,16 +11,14 @@ agree across members).
 
 Because the packed object *is* a :class:`Graph`, everything downstream
 — lowering, the plan executor, format conversion, normalisation,
-fusion, sharding — consumes it unchanged.  The block structure makes
+fusion — consumes it unchanged.  The block structure makes
 that composition exact:
 
 * adjacency blocks are disjoint, so every derived structure (CSR/CSC,
   degrees, GCN normalisation, edge softmax) factors per member;
 * member edges keep their original relative order, so each destination
   node's reduction sequence is identical to the unbatched run and
-  sparse aggregation stays **bit-for-bit** (the same stability argument
-  destination-range sharding rests on — see
-  :mod:`repro.plan.sharding`);
+  sparse aggregation stays **bit-for-bit**;
 * dense transforms are the one row-count-sensitive step (BLAS blocking
   varies with the row count), so the plan executor runs them
   *segment-local* over :meth:`node_segments` — see

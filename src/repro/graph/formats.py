@@ -283,27 +283,6 @@ class CSRMatrix(SparseMatrix):
     def to_csr(self) -> "CSRMatrix":
         return self
 
-    def row_slice(self, start: int, stop: int) -> "CSRMatrix":
-        """Rows ``[start, stop)`` as a standalone CSR matrix.
-
-        The backbone of destination-range plan sharding: an adjacency's
-        row range is one shard's aggregation structure.  Per-row entry
-        order is preserved, so row-wise products over the slice are
-        bit-for-bit identical to the same rows of the full matrix.
-        """
-        rows = self.shape[0]
-        if not 0 <= start <= stop <= rows:
-            raise GraphFormatError(
-                f"row_slice [{start}, {stop}) out of range for {rows} rows"
-            )
-        lo, hi = int(self.indptr[start]), int(self.indptr[stop])
-        return CSRMatrix(
-            self.indptr[start:stop + 1] - self.indptr[start],
-            self.indices[lo:hi],
-            self.data[lo:hi],
-            shape=(stop - start, self.shape[1]),
-        )
-
     def to_csc(self) -> "CSCMatrix":
         t_indptr, t_indices, t_data = _transpose_compressed(
             self.indptr, self.indices, self.data, self.shape)
@@ -400,15 +379,6 @@ class CSCMatrix(SparseMatrix):
     def col_lengths(self) -> np.ndarray:
         """Number of stored entries per column (the in-degree vector)."""
         return self._transposed.row_lengths()
-
-    def col_slice(self, start: int, stop: int) -> "CSCMatrix":
-        """Columns ``[start, stop)`` as a standalone CSC matrix.
-
-        The CSC counterpart of :meth:`CSRMatrix.row_slice`: when columns
-        index destination nodes (the in-edge traversal order), a column
-        range is one destination shard's structure.
-        """
-        return self._transposed.row_slice(start, stop).transpose_view()
 
     def to_coo(self) -> COOMatrix:
         return self._transposed.to_coo().transpose()

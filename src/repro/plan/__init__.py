@@ -1,7 +1,7 @@
 """The execution-plan layer: one operator IR shared by every backend,
 and the passes and planners that transform and execute it.
 
-Five subsystems compose here (see ``docs/architecture.md`` for the
+Four subsystems compose here (see ``docs/architecture.md`` for the
 full dataflow):
 
 :mod:`~repro.plan.ir`
@@ -16,9 +16,8 @@ full dataflow):
     Nothing is stored; lowering is cheaper than a cache read.
 :mod:`~repro.plan.planner`
     The cost-model decision procedures, one ``choose_*`` entry point
-    per knob: :func:`choose_formats` (MP vs SpMM per layer),
-    :func:`choose_shards` (destination-range shard count) and
-    :func:`choose_batching` (packed sweep width).  All three consume
+    per knob: :func:`choose_formats` (MP vs SpMM per layer) and
+    :func:`choose_batching` (packed sweep width).  Both consume
     the same :class:`GraphStats` and the same :class:`CostProfile` of
     planner constants.
 :mod:`~repro.plan.costprofile`
@@ -33,14 +32,9 @@ full dataflow):
     chains at every legal site (called by :func:`cached_plan` only), with
     :func:`legacy_trace` mapping fused launch streams back onto the
     unfused ``(kernel, tag)`` sequence.
-:mod:`~repro.plan.sharding`
-    Destination-range sharding: :func:`find_shard_groups`,
-    :func:`build_shard_subplan`, the :class:`ShardingPolicy` contract
-    and the :class:`ShardDispatcher` that executes groups over a
-    worker pool with canonical trace emission.
 
 The :class:`~repro.plan.executor.PlanExecutor` ties them together: it
-interprets any (fused, sharded, batched — in any combination) plan
+interprets any (fused, batched, or both) plan in one op walk
 through the instrumented core kernels, bit-for-bit identical to the
 direct legacy paths, which is the contract the ``tests/plan`` parity
 suites pin.
@@ -88,26 +82,10 @@ from repro.plan.planner import (
     batch_member_footprint,
     choose_batching,
     choose_formats,
-    choose_partitioner,
-    choose_shards,
     explain_choice,
     mp_layer_cost,
-    partition_balance_cost,
-    shard_setup_cost,
     spmm_layer_cost,
     spmm_setup_cost,
-)
-from repro.plan.sharding import (
-    PARTITIONERS,
-    ShardDispatcher,
-    ShardGroup,
-    ShardingPolicy,
-    build_shard_subplan,
-    edge_balanced_ranges,
-    find_shard_groups,
-    partition_ranges,
-    plan_row_edges,
-    shard_ranges,
 )
 
 __all__ = [
@@ -124,42 +102,28 @@ __all__ = [
     "GraphStats",
     "NORMALIZE_KINDS",
     "Normalize",
-    "PARTITIONERS",
     "PROFILE_SCHEMA_VERSION",
     "PlanBuilder",
     "PlanExecutor",
     "PlannerDecisions",
     "SGEMM",
     "ScatterReduce",
-    "ShardDispatcher",
-    "ShardGroup",
-    "ShardingPolicy",
     "SpMM",
     "ValueRef",
     "batch_member_bytes",
     "batch_member_footprint",
-    "build_shard_subplan",
     "cached_plan",
     "choose_batching",
     "choose_formats",
-    "choose_partitioner",
-    "choose_shards",
     "describe_features",
     "describe_fusion",
-    "edge_balanced_ranges",
     "explain_choice",
-    "find_shard_groups",
     "fuse_plan",
     "fusion_summary",
     "legacy_trace",
     "mp_layer_cost",
-    "partition_balance_cost",
-    "partition_ranges",
-    "plan_row_edges",
     "register_normalize",
     "resolve_cost_profile",
-    "shard_ranges",
-    "shard_setup_cost",
     "spmm_layer_cost",
     "spmm_setup_cost",
 ]

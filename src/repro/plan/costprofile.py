@@ -4,7 +4,7 @@ The planner's decision procedures (:mod:`repro.plan.planner`) compare
 modelled costs built from a handful of constants — per-kernel
 instructions per unit of logical work, the SpMM row-traversal overhead,
 the scatter contention weight, and the cache/footprint budgets that
-gate sharding and batching.  Those numbers used to live as module
+gate batching.  Those numbers used to live as module
 globals tuned once against the paper's Fig. 5 mixes and one host;
 :class:`CostProfile` packages them into an explicit, versioned value
 that is
@@ -49,11 +49,13 @@ __all__ = [
 #: (``shard_skew_threshold``, ``shard_balance_unit``); version 3 dropped
 #: the fit-provenance fields (``source``/``host``/``gpu``/``created``/
 #: ``fit``) with the simulator fit that filled them; version 4 dropped
-#: the three fusion constants with the fusion cost gate that read them.
-PROFILE_SCHEMA_VERSION = 4
+#: the three fusion constants with the fusion cost gate that read them;
+#: version 5 dropped the three shard constants with plan sharding and
+#: renamed ``shard_working_set_bytes`` to ``working_set_bytes``.
+PROFILE_SCHEMA_VERSION = 5
 
 #: Constants that must be integers (byte budgets and the batch ceiling).
-_INTEGRAL = ("shard_working_set_bytes", "batch_footprint_bytes",
+_INTEGRAL = ("working_set_bytes", "batch_footprint_bytes",
              "max_auto_batch")
 
 
@@ -80,14 +82,8 @@ class CostProfile:
     # -- cost-shape constants ---------------------------------------------
     row_overhead_nnz: float          # SpMM row startup, in nnz per row
     contention_weight: float         # scatter atomic-collision strength
-    # -- sharding ---------------------------------------------------------
-    shard_working_set_bytes: int     # per-shard LLC residency target
-    shard_setup_instructions: float  # per-shard slice/dispatch/merge
-    shard_skew_threshold: float      # degree skew above which the
-                                     # edge-balanced partitioner pays
-    shard_balance_unit: float        # per-row prefix-sum/boundary cost
-                                     # of the edge-balanced partition
     # -- batching ---------------------------------------------------------
+    working_set_bytes: int           # packed message LLC residency target
     batch_footprint_bytes: int       # packed resident-state budget
     max_auto_batch: int              # planner-chosen batch ceiling
     # -- label (what ``PlannerDecisions.cost_profile`` records) -----------
@@ -136,10 +132,7 @@ class CostProfile:
             spgemm_unit=_instructions_per_unit("SpGEMM"),
             row_overhead_nnz=8.0,
             contention_weight=0.05,
-            shard_working_set_bytes=32 * 1024 * 1024,
-            shard_setup_instructions=5.0e6,
-            shard_skew_threshold=8.0,
-            shard_balance_unit=2.0,
+            working_set_bytes=32 * 1024 * 1024,
             batch_footprint_bytes=1024 ** 3,
             max_auto_batch=64,
             name="paper",
@@ -212,7 +205,9 @@ class CostProfile:
                 f"units is={self.gather_unit:.3g} sc={self.scatter_unit:.3g} "
                 f"sp={self.spmm_unit:.3g} sg={self.spgemm_unit:.3g}, "
                 f"row-overhead {self.row_overhead_nnz:.3g} nnz, "
-                f"working set {self.shard_working_set_bytes / 2**20:.0f} MB")
+                f"working set {self.working_set_bytes / 2**20:.0f} MB, "
+                f"footprint {self.batch_footprint_bytes / 2**30:.0f} GB, "
+                f"batch <= {self.max_auto_batch}")
 
 
 def resolve_cost_profile(selector: str) -> CostProfile:

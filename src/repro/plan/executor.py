@@ -11,15 +11,11 @@ functions the legacy direct paths called, kernel-level recording,
 simulation and profiling keep working unchanged, and plan execution is
 bit-for-bit identical to the direct code it replaced.
 
-Two execution modes layer on top of the plain op walk, composably:
-
-* **sharded** — a :class:`~repro.plan.sharding.ShardingPolicy` routes
-  the plan's aggregation groups through the
-  :class:`~repro.plan.sharding.ShardDispatcher` (see :class:`PlanExecutor`);
-* **batched** — a plan carrying a
-  :class:`~repro.plan.ir.BatchSegmentMap` binds a block-diagonal
-  :class:`~repro.graph.BatchedGraph` and runs its dense transforms
-  segment-local (see :meth:`PlanExecutor.run`).
+Every plan runs as one op walk.  A plan carrying a
+:class:`~repro.plan.ir.BatchSegmentMap` binds a block-diagonal
+:class:`~repro.graph.BatchedGraph` and runs its dense transforms
+segment-local (see :meth:`PlanExecutor.run`); nothing else changes how
+the walk executes.
 
 ``Normalize`` kinds are pluggable: backends register structure-
 preparation callables in :data:`NORMALIZE_KINDS` via
@@ -264,48 +260,16 @@ class PlanExecutor:
         Optional ``fn(op, result)`` observer invoked after each op —
         the PyG-like backend uses it to keep its autograd-style tape
         recording per-op bookkeeping exactly as before.
-    sharding:
-        Optional :class:`~repro.plan.sharding.ShardingPolicy` (or plain
-        shard count) enabling sharded execution: the plan's aggregation
-        ops (adjacent ``Gather``/``ScatterReduce`` pairs and ``SpMM``
-        ops) are partitioned by destination-node range into shard
-        sub-plans, dispatched over a worker pool, and merged through
-        the scatter kernel.  Outputs and the ambient recorder's trace
-        are bit-for-bit identical to unsharded execution; the shard-
-        local captures of the last run are kept on
-        :attr:`shard_trace` / :attr:`shard_report`.  Mutually exclusive
-        with ``on_op`` (the observer would see shard-order
-        intermediates).
     """
 
-    def __init__(self, on_op: Optional[Callable] = None, sharding=None):
-        from repro.plan.sharding import ShardingPolicy
-        if isinstance(sharding, int):
-            sharding = ShardingPolicy(num_shards=sharding)
-        if sharding is not None and on_op is not None:
-            raise PlanError(
-                "sharded execution does not support per-op observers"
-            )
+    def __init__(self, on_op: Optional[Callable] = None):
         self.on_op = on_op
-        self.sharding = sharding
         #: Node segments of the currently bound batched plan (``None``
         #: while running unbatched plans — set per :meth:`run`).
         self._segments = None
         #: ``{vid: (kind, output position)}`` of the current run's
         #: :data:`RESIDENT_ENDPOINT_KINDS` outputs — set per :meth:`run`.
         self._resident: Dict[int, Tuple[str, int]] = {}
-        #: Shard-local + merge launches of the last sharded run.
-        #: Populated while an ambient recorder is active;
-        #: un-instrumented runs skip the capture work entirely, like the
-        #: kernels themselves do.
-        self.shard_trace: list = []
-        #: Per-group :class:`~repro.plan.sharding.ShardDispatch` records.
-        self.shard_report: list = []
-        #: :class:`~repro.bench.pool.DispatchReport` of the last sharded
-        #: run's worker pool (``None`` until a sharded run happens).
-        #: Records supervision events — retries, timeouts, worker
-        #: deaths, degradations — none of which affect results.
-        self.dispatch_report = None
 
     def run(self, plan: ExecutionPlan, graph: Graph,
             inputs: Dict[str, Any]) -> np.ndarray:
@@ -378,53 +342,10 @@ class PlanExecutor:
         if unknown:
             raise PlanError(f"unexpected plan inputs: {sorted(unknown)}")
 
-        group_at = self._shard_groups(plan, graph)
-        if group_at:
-            return self._run_sharded(plan, env, graph, group_at)
         for op in plan.ops:
             result = self._execute(op, env, graph)
             if self.on_op is not None:
                 self.on_op(op, result)
-        return env[plan.output.vid]
-
-    # -- sharded execution -------------------------------------------------
-    def _shard_groups(self, plan: ExecutionPlan, graph: Graph) -> Dict:
-        """``{start position: ShardGroup}`` when sharding applies."""
-        if self.sharding is None or self.sharding.num_shards <= 1:
-            return {}
-        from repro.plan.sharding import find_shard_groups, shard_ranges
-        if len(shard_ranges(graph.num_nodes, self.sharding.num_shards)) < 2:
-            return {}
-        return {group.start: group for group in find_shard_groups(plan)}
-
-    def _run_sharded(self, plan: ExecutionPlan, env: Dict[int, Any],
-                     graph: Graph, group_at: Dict) -> np.ndarray:
-        """The sharded op walk: groups dispatch, everything else inline."""
-        from repro.bench.pool import WorkerPool
-        from repro.core.kernels.launch import active_recorder
-        from repro.plan.sharding import ShardDispatcher
-        dispatcher = ShardDispatcher(self.sharding)
-        recorder = active_recorder()
-        skip: set = set()
-        pool = WorkerPool(self.sharding.jobs,
-                          task_timeout=self.sharding.task_timeout,
-                          max_retries=self.sharding.max_retries)
-        try:
-            with pool:
-                for position, op in enumerate(plan.ops):
-                    if position in skip:
-                        continue
-                    group = group_at.get(position)
-                    if group is not None:
-                        env[group.out_vid] = dispatcher.execute_group(
-                            group, env, graph, pool, recorder)
-                        skip.update(group.positions)
-                        continue
-                    self._execute(op, env, graph)
-        finally:
-            self.shard_trace = dispatcher.trace
-            self.shard_report = dispatcher.report
-            self.dispatch_report = pool.report
         return env[plan.output.vid]
 
     # -- batched execution -------------------------------------------------

@@ -583,19 +583,6 @@ class PlanBuilder:
                                activation=activation))
         return out
 
-    def fused_gather_scatter(self, source: ValueRef, src_index: ValueRef,
-                             dst_index: ValueRef,
-                             scale: Optional[ValueRef] = None,
-                             reduce: str = "sum", tag: str = "",
-                             gather_tag: str = "") -> ValueRef:
-        """Emit a fused message-passing aggregate (shard sub-plans; the
-        fusion pass itself rewrites existing ops in place)."""
-        out = self._new("dense")
-        self._ops.append(FusedGatherScatter(
-            source, src_index, dst_index, out, scale=scale, reduce=reduce,
-            tag=tag, gather_tag=gather_tag or tag))
-        return out
-
     def activation(self, source: ValueRef, function: str) -> ValueRef:
         out = self._new("dense")
         self._ops.append(Activation(source, out, function=function))

@@ -6,8 +6,6 @@ of planner constants (fusion is not among them: it is a pass applied
 at lowering, :mod:`repro.plan.fusion`, with nothing to decide):
 
 * :func:`choose_formats` — MP vs fused-SpMM execution per layer;
-* :func:`choose_shards`  — destination-range shard count
-  (:mod:`repro.plan.sharding`);
 * :func:`choose_batching` — how many sweep members pack into one
   batched multi-graph plan (:mod:`repro.graph.batch`).
 
@@ -66,9 +64,8 @@ from repro.plan.costprofile import CostProfile
 __all__ = ["BatchDecision", "GraphStats", "PlannerDecisions",
            "batch_member_bytes", "batch_member_footprint",
            "choose_batching", "choose_formats", "choose_fusion",
-           "choose_partitioner", "choose_shards", "explain_choice",
-           "mp_layer_cost", "partition_balance_cost",
-           "shard_setup_cost", "spmm_layer_cost", "spmm_setup_cost"]
+           "choose_shards", "explain_choice", "mp_layer_cost",
+           "spmm_layer_cost", "spmm_setup_cost"]
 
 #: ``fn(fmt, fan_in, fan_out) -> width`` — the feature width a layer's
 #: aggregation actually runs at under execution format ``fmt``.  The
@@ -163,31 +160,26 @@ class PlannerDecisions:
     The machine-readable surface behind ``gsuite plan``: instead of
     scraping loose tuples and report strings, consumers get
     one typed record of what the build actually applied — per-layer
-    formats, shard count, fused sites, batch size, the cost-profile
+    formats, fused sites, batch size, the cost-profile
     name they were priced under, and the human-readable explain
     strings.
 
     ``fused`` says whether the fusion pass rewrote the plan and
     ``fused_sites`` how many sites per pattern; ``execution_plan`` is
     the lowered :class:`~repro.plan.ir.ExecutionPlan` the build
-    executes.  Sources mirror the policy
-    objects: ``"planner"`` / ``"forced"`` / ``"off"`` (plus ``"fixed"`` for
-    formats pinned by the compute model and ``"graph"`` for explicit
-    batched workloads).
+    executes.  Sources are ``"planner"`` / ``"forced"`` / ``"off"``
+    (plus ``"fixed"`` for formats pinned by the compute model and
+    ``"graph"`` for explicit batched workloads).
     """
 
     formats: Tuple[str, ...]
     formats_source: str
-    shards: int
-    shards_source: str
     execution_plan: Any                    # ExecutionPlan
     fused_sites: Dict[str, int] = field(default_factory=dict)
     batch: int = 1
     batch_source: str = "off"
     cost_profile: str = "paper"
     explain: str = ""
-    partitioner: str = "rows"        # shard partitioner ("rows"/"edges";
-                                     # only meaningful when shards > 1)
 
     @property
     def fused(self) -> bool:
@@ -199,9 +191,6 @@ class PlannerDecisions:
         return {
             "formats": list(self.formats),
             "formats_source": self.formats_source,
-            "shards": self.shards,
-            "shards_source": self.shards_source,
-            "partitioner": self.partitioner,
             "fused": self.fused,
             "fused_sites": dict(self.fused_sites),
             "batch": self.batch,
@@ -314,126 +303,13 @@ def choose_fusion(formats: Sequence[str]) -> bool:
     return True
 
 
-def shard_setup_cost(stats: GraphStats,
-                     profile: Optional[CostProfile] = None) -> float:
-    """Modelled per-shard overhead (slice + dispatch + merge share).
+def choose_shards(*args, **kwargs) -> int:
+    """Uncalled shim: no plan is sharded; every plan runs as one op walk.
 
-    ``profile.shard_setup_instructions`` covers edge-range slicing and
-    sub-plan dispatch; the merge's row pass scales with the node count
-    at the scatter unit cost.  Gates shard counts the same way
-    :func:`spmm_setup_cost` gates format flips — tiny workloads never
-    amortise it, so they stay unsharded.
+    The name survives only because ``benchmarks/e2e/tracing.py`` binds
+    it by name (like :func:`choose_fusion`).  Returns ``1``.
     """
-    profile = _resolve(profile)
-    return (profile.shard_setup_instructions
-            + profile.scatter_unit * stats.num_nodes)
-
-
-def choose_shards(dims: Sequence[Tuple[int, int]], stats: GraphStats,
-                  formats: Sequence[str] = (),
-                  width_hook: Optional[WidthHook] = None,
-                  max_shards: int = 32, fused: bool = False,
-                  profile: Optional[CostProfile] = None) -> int:
-    """Destination-range shard count for one plan.
-
-    Two terms, both from the graph statistics:
-
-    * the **working-set** target — the widest *MP* layer's per-edge
-      message matrix (``4 * E * width`` bytes) divided into slices of
-      ``profile.shard_working_set_bytes`` (an LLC-sized budget) sets
-      the shard count that keeps gather output resident for the
-      scatter.  SpMM layers never materialise that intermediate (the
-      fused kernel streams CSR rows), so they contribute no sharding
-      pressure — an all-SpMM plan stays at ``K = 1``;
-    * the **setup amortisation** gate — each shard must carry more
-      modelled aggregation work than :func:`shard_setup_cost`, which is
-      what keeps Cora-class workloads (and narrow-feature giants whose
-      messages already fit) at ``K = 1``.
-
-    ``formats`` is the plan's per-layer execution format (defaults to
-    MP everywhere); widths follow the same calibrated ``width_hook`` as
-    :func:`choose_formats`.  ``fused`` declares that the plan's
-    gather/scatter pairs were fused (the default; ``fuse="off"`` opts out):
-    the fused kernel already streams the message matrix through
-    cache-sized destination blocks, so — exactly like SpMM layers — MP
-    layers then exert no working-set pressure and a single process
-    stays at ``K = 1`` (sharding a fused plan is still legal and
-    useful for ``jobs > 1`` parallelism; it is just no longer a
-    residency fix).
-    """
-    width = width_hook or _default_width
-    profile = _resolve(profile)
-    formats = list(formats) or ["MP"] * len(dims)
-    peak_bytes = 0.0
-    aggregation = 0.0
-    for (fan_in, fan_out), fmt in zip(dims, formats):
-        layer_width = max(1, width(fmt, fan_in, fan_out))
-        if fmt != "SpMM" and not fused:
-            peak_bytes = max(
-                peak_bytes,
-                _FLOAT_BYTES * float(stats.num_edges) * layer_width)
-        cost = spmm_layer_cost if fmt == "SpMM" else mp_layer_cost
-        aggregation += cost(stats, layer_width, profile=profile)
-    # 2x hysteresis: a message matrix barely past the target gains less
-    # from residency than the per-shard dispatch costs, so only shard
-    # once the working set clearly exceeds it.
-    if peak_bytes <= 2 * profile.shard_working_set_bytes:
-        return 1
-    wanted = math.ceil(peak_bytes / profile.shard_working_set_bytes)
-    # cost(K) = aggregation / K + K * setup is minimised at
-    # sqrt(aggregation / setup); past that, extra shards cost more in
-    # setup than they save in working set.
-    amortised = math.sqrt(aggregation
-                          / shard_setup_cost(stats, profile=profile))
-    k = min(wanted, int(amortised), max_shards, stats.num_nodes)
-    return max(1, k)
-
-
-def partition_balance_cost(stats: GraphStats,
-                           profile: Optional[CostProfile] = None) -> float:
-    """Modelled one-off bookkeeping of the edge-balanced partition.
-
-    The prefix sum over the per-row in-edge counts plus the boundary
-    search is an O(V) host-side pass
-    (``profile.shard_balance_unit`` per row); the even-row split is
-    O(1).  Compared against one aggregation pass in
-    :func:`choose_partitioner` so degenerate workloads (near-edgeless
-    graphs) keep the free split.
-    """
-    profile = _resolve(profile)
-    return profile.shard_balance_unit * float(stats.num_nodes)
-
-
-def choose_partitioner(stats: GraphStats, num_shards: int = 0,
-                       profile: Optional[CostProfile] = None) -> str:
-    """The shard partitioner for one plan: ``"rows"`` or ``"edges"``.
-
-    Even-row destination ranges (``"rows"``) are free to compute but
-    bound each shard's *row* count, not its *edge* count: on a
-    power-law graph whose hub rows cluster (degree-sorted export
-    layouts), the heaviest shard can carry several times ``E / K``
-    edges — it blows the per-shard residency budget in-process and
-    bounds the pool's makespan under ``jobs > 1``.  The edge-balanced
-    partitioner (``"edges"``) splits by prefix sum over the CSR row
-    pointer so every shard carries ~``E / K`` edges at ragged row
-    counts.
-
-    The gate is :attr:`~repro.plan.costprofile.CostProfile.shard_skew_threshold`
-    on :attr:`GraphStats.degree_skew` — flat graphs cannot be
-    meaningfully imbalanced, so they keep the free split — plus the
-    :func:`partition_balance_cost` amortisation against one aggregation
-    pass.  ``num_shards <= 1`` always returns ``"rows"`` (nothing to
-    balance).
-    """
-    profile = _resolve(profile)
-    if num_shards <= 1:
-        return "rows"
-    if stats.degree_skew <= profile.shard_skew_threshold:
-        return "rows"
-    aggregation = mp_layer_cost(stats, stats.feature_width, profile=profile)
-    if partition_balance_cost(stats, profile=profile) >= aggregation:
-        return "rows"
-    return "edges"
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +321,10 @@ def batch_member_bytes(dims: Sequence[Tuple[int, int]], stats: GraphStats,
                        width_hook: Optional[WidthHook] = None) -> float:
     """Peak aggregation working set of *one* member's plan, in bytes.
 
-    The same quantity :func:`choose_shards` prices: the widest MP
-    layer's per-edge message matrix (``4 * E * width``).  SpMM layers
-    stream CSR rows block-locally and never materialise that
-    intermediate, so — exactly as in the shard planner — they
-    contribute nothing; an all-SpMM plan batches freely.
+    The widest MP layer's per-edge message matrix (``4 * E * width``).
+    SpMM layers stream CSR rows block-locally and never materialise
+    that intermediate, so they contribute nothing; an all-SpMM plan
+    batches freely.
     """
     width = width_hook or _default_width
     formats = list(formats) or ["MP"] * len(dims)
@@ -490,21 +365,14 @@ def choose_batching(num_graphs: int, dims: Sequence[Tuple[int, int]],
     driven entirely by what it *costs*: the packed per-edge message
     matrix grows linearly with the batch, and once it outgrows the
     cache-residency budget the batched run loses the locality every
-    member enjoyed alone (which sharding would then have to win back).
-    The planner therefore packs the largest ``B`` satisfying two
-    budgets at once:
+    member enjoyed alone.  The planner therefore packs the largest
+    ``B`` satisfying two budgets at once:
 
     * **message working set** — ``B *`` :func:`batch_member_bytes`
-      stays within the LLC-sized residency target the shard planner
-      also prices (``profile.shard_working_set_bytes``).  Note the
-      *absence* of the 2x hysteresis :func:`choose_shards` applies:
-      sharding pays a real per-shard setup cost, so it waits until the
-      working set clearly exceeds the target — batching costs nothing
-      to decline, and a borderline pack (measured: two ~31 MB GIN/Cora
-      members) loses more residency than it amortises.  Batching and
-      sharding can therefore never fight over the same plan: a
-      planner-packed batch always sits below the point where
-      ``choose_shards`` would start slicing it back up.
+      stays within an LLC-sized residency target
+      (``profile.working_set_bytes``), with no hysteresis: batching
+      costs nothing to decline, and a borderline pack (measured: two
+      ~31 MB GIN/Cora members) loses more residency than it amortises.
     * **resident footprint** — ``B *`` :func:`batch_member_footprint`
       stays within a RAM-scale budget (``profile.batch_footprint_bytes``).
       Feature slabs and structures multiply by ``B`` whatever the
@@ -521,11 +389,11 @@ def choose_batching(num_graphs: int, dims: Sequence[Tuple[int, int]],
     already >96% captured (overhead scales as 1/B) while every extra
     member keeps growing the packed operands linearly.
 
-    Unlike :func:`choose_shards`, there is deliberately no ``fused``
-    relaxation: the fused kernel bounds the message working set, but
-    the footprint argument above applies to fused plans identically,
-    and the message term is what keeps a *borderline* unfused pack
-    from evicting the residency each member enjoyed alone.
+    There is deliberately no relaxation for fused plans: the fused
+    kernel bounds the message working set, but the footprint argument
+    above applies to fused plans identically, and the message term is
+    what keeps a *borderline* unfused pack from evicting the residency
+    each member enjoyed alone.
     """
     if num_graphs <= 1:
         return 1
@@ -537,7 +405,7 @@ def choose_batching(num_graphs: int, dims: Sequence[Tuple[int, int]],
                                     width_hook=width_hook)
     if per_member > 0.0:
         ceiling = min(ceiling,
-                      int(profile.shard_working_set_bytes // per_member))
+                      int(profile.working_set_bytes // per_member))
     footprint = batch_member_footprint(stats)
     if footprint > 0.0:
         ceiling = min(ceiling,
@@ -566,13 +434,6 @@ def explain_choice(dims: Sequence[Tuple[int, int]], stats: GraphStats,
         f"feature width {stats.feature_width}, "
         f"setup {spmm_setup_cost(stats, profile=profile):.3g} instr "
         f"[costs: {profile.name}]",
-        # The skew gate's inputs and hypothetical outcome (what the
-        # partitioner would be *if* the plan shards), priced under the
-        # same profile as everything else.
-        f"shard partitioner: degree skew {stats.degree_skew:.1f} vs "
-        f"threshold {profile.shard_skew_threshold:.1f} -> "
-        f"{choose_partitioner(stats, num_shards=2, profile=profile)} "
-        f"when sharded [costs: {profile.name}]",
     ]
     for layer, (fan_in, fan_out) in enumerate(dims):
         w_mp = width("MP", fan_in, fan_out)

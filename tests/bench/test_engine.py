@@ -64,8 +64,7 @@ def _square(value):
 
 
 class TestWorkerPool:
-    """The pool facade extracted from the engine (shared with the
-    sharded plan executor)."""
+    """The pool facade behind the engine's cell fan-out."""
 
     def test_serial_fast_path_runs_in_process(self):
         from repro.bench.pool import WorkerPool

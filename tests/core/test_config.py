@@ -42,6 +42,20 @@ class TestValidation:
             SuiteConfig.from_dict({"modle": "gcn"})
         assert "modle" in str(err.value)
 
+    @pytest.mark.parametrize("key,value", [
+        ("shards", 2), ("partitioner", "rows"), ("jobs", 2),
+        ("task_timeout", 1.0),
+    ])
+    def test_removed_sharding_keys_refused(self, tmp_path, key, value):
+        """The plan-sharding knobs are gone: a dict or a config file
+        still carrying one is refused by name, not silently ignored."""
+        with pytest.raises(ConfigError, match=key):
+            SuiteConfig.from_dict({key: value})
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"model": "gcn", key: value}))
+        with pytest.raises(ConfigError, match=key):
+            SuiteConfig.from_file(path)
+
     def test_with_overrides_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             DEFAULTS.with_overrides(depth=3)
@@ -91,15 +105,12 @@ class TestImmutability:
 
 
 class TestKnobs:
-    """The shared knob vocabulary (shards / fuse / batch /
-    partitioner / serve_batch)."""
+    """The shared knob vocabulary (fuse / batch / serve_batch)."""
 
     def test_registry_covers_the_plan_knobs(self):
-        assert set(KNOBS) == {"shards", "fuse", "batch", "partitioner",
-                              "serve_batch"}
+        assert set(KNOBS) == {"fuse", "batch", "serve_batch"}
 
     @pytest.mark.parametrize("name,auto,off", [
-        ("shards", 0, 1),
         ("batch", 0, 1),
         ("serve_batch", 0, 1),
         ("fuse", "auto", "off"),
@@ -111,8 +122,8 @@ class TestKnobs:
         assert knob.parse("off") == off
 
     def test_integer_knobs_accept_ints_and_digit_strings(self):
-        assert KNOBS["shards"].parse(4) == 4
-        assert KNOBS["shards"].parse("4") == 4
+        assert KNOBS["serve_batch"].parse(4) == 4
+        assert KNOBS["serve_batch"].parse("4") == 4
         assert KNOBS["batch"].parse(16) == 16
         assert KNOBS["batch"].parse(16.0) == 16  # integral float ok
 
@@ -122,8 +133,8 @@ class TestKnobs:
             KNOBS["fuse"].parse(2)              # fuse takes no integer
 
     @pytest.mark.parametrize("name,bad", [
-        ("shards", "some"), ("shards", 2.5),
-        ("shards", True), ("batch", "many"), ("batch", False),
+        ("serve_batch", "some"), ("serve_batch", 2.5),
+        ("serve_batch", True), ("batch", "many"), ("batch", False),
         ("fuse", "maybe"), ("fuse", "force"),
     ])
     def test_uniform_refusal(self, name, bad):
@@ -133,7 +144,7 @@ class TestKnobs:
         assert str(err.value) == \
             f"{name} must be {knob.vocabulary()}, got {bad!r}"
 
-    @pytest.mark.parametrize("name", ["shards", "batch"])
+    @pytest.mark.parametrize("name", ["serve_batch", "batch"])
     def test_below_minimum_refused_with_range_message(self, name):
         with pytest.raises(ConfigError, match="must be >= 0"):
             KNOBS[name].parse(-1)
@@ -144,8 +155,8 @@ class TestKnobs:
         assert parse_batch(3) == 3
 
     def test_config_fields_parse_through_knobs(self):
-        cfg = SuiteConfig(shards="auto", fuse="OFF", batch="off")
-        assert cfg.shards == 0
+        cfg = SuiteConfig(serve_batch="auto", fuse="OFF", batch="off")
+        assert cfg.serve_batch == 0
         assert cfg.fuse == "off"
         assert cfg.batch == 1
 

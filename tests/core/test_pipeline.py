@@ -111,7 +111,6 @@ class TestExecution:
         assert decisions.execution_plan.op_counts()  # non-empty op stream
         # The typed decision record reflects the defaults the build
         # actually applied.
-        assert decisions.shards == 1 and decisions.shards_source == "off"
         assert decisions.batch == 1 and decisions.batch_source == "off"
         assert decisions.cost_profile == "paper"
         assert "plan_fingerprint" in decisions.to_dict()

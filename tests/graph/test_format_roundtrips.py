@@ -8,7 +8,6 @@ and columns, zero-sized shapes, and non-square matrices.
 import numpy as np
 import pytest
 
-from repro.errors import GraphFormatError
 from repro.graph.formats import COOMatrix, CSCMatrix, CSRMatrix
 
 
@@ -115,52 +114,6 @@ class TestDirectTranspose:
                                atol=1e-5)
             assert np.allclose(_dense_of(coo.to_csc().to_csr()), dense,
                                atol=1e-5)
-
-
-class TestRangeSlicing:
-    """row_slice / col_slice — the shard-structure primitives."""
-
-    def _random_csr(self, rng, rows=9, cols=7, nnz=30):
-        return COOMatrix(rng.integers(0, rows, nnz),
-                         rng.integers(0, cols, nnz),
-                         rng.standard_normal(nnz).astype(np.float32),
-                         shape=(rows, cols)).to_csr()
-
-    def test_row_slices_reassemble_exactly(self):
-        rng = np.random.default_rng(11)
-        csr = self._random_csr(rng)
-        dense = _dense_of(csr)
-        pieces = [csr.row_slice(lo, hi) for lo, hi in ((0, 3), (3, 4), (4, 9))]
-        assert sum(p.nnz for p in pieces) == csr.nnz
-        assert np.array_equal(np.vstack([_dense_of(p) for p in pieces]),
-                              dense)
-
-    def test_row_slice_product_matches_full_rows(self):
-        rng = np.random.default_rng(12)
-        csr = self._random_csr(rng)
-        x = rng.standard_normal((7, 5)).astype(np.float32)
-        full = csr.matmul(x)
-        # bit-for-bit: per-row entry order is preserved by the slice
-        assert np.array_equal(csr.row_slice(2, 6).matmul(x), full[2:6])
-
-    def test_row_slice_empty_and_degenerate(self):
-        rng = np.random.default_rng(13)
-        csr = self._random_csr(rng)
-        assert csr.row_slice(4, 4).shape == (0, 7)
-        assert csr.row_slice(0, 9).nnz == csr.nnz
-        with pytest.raises(GraphFormatError):
-            csr.row_slice(3, 12)
-        with pytest.raises(GraphFormatError):
-            csr.row_slice(-1, 3)
-
-    def test_col_slice_matches_dense_columns(self):
-        rng = np.random.default_rng(14)
-        csc = self._random_csr(rng).to_csc()
-        dense = _dense_of(csc)
-        sliced = csc.col_slice(1, 5)
-        assert isinstance(sliced, CSCMatrix)
-        assert sliced.shape == (9, 4)
-        assert np.array_equal(_dense_of(sliced), dense[:, 1:5])
 
 
 class TestCSCConstruction:

@@ -4,8 +4,8 @@ The batching contract (see :mod:`repro.graph.batch` and
 :class:`repro.plan.ir.BatchSegmentMap`): packing a set of graphs into
 one block-diagonal workload and executing the single batched plan
 yields per-member outputs **bit-for-bit identical** to running every
-member's unbatched plan alone — across models, backends, fusion and
-sharding — and a single-graph batch is additionally trace-fingerprint
+member's unbatched plan alone — across models, backends and fusion —
+and a single-graph batch is additionally trace-fingerprint
 identical to the plain unbatched run.  A batched build stamps its
 ``BatchSegmentMap`` onto the plan, and the planner
 (``choose_batching``) packs citation-scale sweeps while declining
@@ -29,7 +29,6 @@ from repro.plan import (
     BatchSegmentMap,
     GraphStats,
     PlanExecutor,
-    ShardingPolicy,
     batch_member_bytes,
     choose_batching,
 )
@@ -37,7 +36,6 @@ from strategies import (
     PARITY_SETTINGS,
     batch_member_lists,
     executable_combos,
-    shard_counts,
 )
 
 
@@ -115,8 +113,8 @@ class TestBatchedGraph:
 
 class TestBatchedParity:
     """Property sweep: random power-law member lists, every legal
-    backend x model x compute-model combo, fusion x shard count — the
-    packed plan's unpacked blocks are bit-for-bit the solo runs.
+    backend x model x compute-model combo, fused or not — the packed
+    plan's unpacked blocks are bit-for-bit the solo runs.
 
     One documented carve-out: the adaptive backend prices its
     per-layer formats from the *whole workload's* statistics, so a
@@ -144,29 +142,6 @@ class TestBatchedParity:
                         (backend, model, cm)
                     continue
             assert np.array_equal(block, reference), (backend, model, cm)
-
-    @PARITY_SETTINGS
-    @given(members=batch_member_lists(), fuse=st.booleans(),
-           k=shard_counts(), combo=st.sampled_from(
-               (("gsuite", "gin", "MP"), ("gsuite", "gcn", "SpMM"),
-                ("dgl", "sage", "SpMM"))))
-    def test_composes_with_fusion_and_sharding(self, members, fuse, k,
-                                               combo):
-        backend, model, cm = combo
-        spec = _spec(model, cm)
-        batched = BatchedGraph(members)
-
-        def build(graph):
-            built = get_backend(backend).build(spec, graph, fuse=fuse)
-            if k > 1:
-                built.configure_sharding(
-                    ShardingPolicy(num_shards=k))
-            return built
-
-        packed = build(batched).run()
-        for block, member in zip(batched.unpack(packed), members):
-            assert np.array_equal(block, build(member).run()), \
-                (backend, model, cm, fuse, k)
 
     def test_batched_sgemm_launches_are_segment_local(self, batched):
         built = get_backend("gsuite").build(_spec("gcn", "MP"), batched)

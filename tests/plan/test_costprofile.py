@@ -26,7 +26,6 @@ from repro.plan import (
     GraphStats,
     choose_batching,
     choose_formats,
-    choose_shards,
     explain_choice,
     resolve_cost_profile,
 )
@@ -81,23 +80,27 @@ class TestProfilePersistence:
 
     @pytest.mark.parametrize("schema,extra", [
         (3, None),
+        (4, None),
         (4, "fuse_partition_unit"),
         (4, "launch_overhead"),
         (4, "fuse_stream_block_bytes"),
+        (5, "shard_setup_instructions"),
     ])
     def test_removed_fusion_constants_refused(self, tmp_path, schema,
                                               extra):
-        """A schema-3 file is refused by the version check; a schema-4
-        file still carrying a fusion constant by the unknown-field one."""
+        """A file of an older schema is refused by the version check; a
+        schema-5 file still carrying a removed constant by the
+        unknown-field one."""
         payload = CostProfile.paper().to_dict()
-        assert payload["schema"] == 4 and len(payload["profile"]) == 13
+        assert payload["schema"] == 5 and len(payload["profile"]) == 10
         payload["schema"] = schema
         if extra is not None:
             payload["profile"][extra] = 1
         path = tmp_path / "old.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(CalibrationError,
-                           match=extra or "schema version 3"):
+                           match=extra if schema == 5
+                           else f"schema version {schema}"):
             CostProfile.load(path)
 
     def test_missing_field_refused(self, tmp_path):
@@ -184,8 +187,6 @@ class TestPaperParity:
         dims = _dims(spec)
         assert choose_formats(dims, stats) == \
             choose_formats(dims, stats, profile=self.PAPER)
-        assert choose_shards(dims, stats) == \
-            choose_shards(dims, stats, profile=self.PAPER)
         assert choose_batching(8, dims, stats) == \
             choose_batching(8, dims, stats, profile=self.PAPER)
         assert explain_choice(dims, stats) == \

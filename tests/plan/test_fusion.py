@@ -1,12 +1,11 @@
 """Fusion parity: fused plans are invisible except for speed.
 
 The fusion contract (see :mod:`repro.plan.fusion`) is bit-for-bit
-output equality with the unfused plan, under every execution mode —
-unsharded, sharded in-process, sharded over the pool — plus a
-*documented trace mapping*: fused launches declare the legacy launches
-they replace, so expanding ``replaces`` reproduces the unfused
-``(kernel, tag)`` sequence exactly.  These tests pin that contract for
-every model x backend x {fused, unfused} x shard count, the legality
+output equality with the unfused plan, plus a *documented trace
+mapping*: fused launches declare the legacy launches they replace, so
+expanding ``replaces`` reproduces the unfused ``(kernel, tag)``
+sequence exactly.  These tests pin that contract for every model x
+backend x {fused, unfused}, the legality
 edge cases (a value with two consumers must block fusion), the
 streaming kernel's destination blocking, the pipeline's default
 (every legal site fuses, at every size), and the lowering seam: a
@@ -16,7 +15,7 @@ and fuses once per build, and touches no cache.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from repro.core.kernels import fused_gather_scatter, index_select, \
     record_launches, scatter
@@ -27,7 +26,6 @@ from repro.plan import (
     FusedElementwise,
     FusedGatherScatter,
     PlanBuilder,
-    ShardingPolicy,
     fuse_plan,
     fusion_summary,
     legacy_trace,
@@ -38,7 +36,6 @@ from strategies import (
     PARITY_SETTINGS,
     fusable_combos,
     power_law_graphs,
-    shard_counts,
 )
 
 @pytest.fixture(scope="module")
@@ -237,81 +234,22 @@ class TestReuseBlocksFusion:
 
 
 class TestFusedParity:
-    """Drawn (backend, model, compute model) x shard count x random
-    power-law graph: outputs bit-for-bit, traces equivalent under the
-    replaces mapping."""
+    """Drawn (backend, model, compute model) x random power-law graph:
+    outputs bit-for-bit, traces equivalent under the replaces
+    mapping."""
 
     @PARITY_SETTINGS
-    @given(graph=power_law_graphs(), combo=fusable_combos(),
-           k=shard_counts())
-    def test_bitwise_output_and_mapped_trace(self, graph, combo, k):
+    @given(graph=power_law_graphs(), combo=fusable_combos())
+    def test_bitwise_output_and_mapped_trace(self, graph, combo):
         backend, model, cm = combo
         spec = _spec(model, cm)
         reference, ref_launches = _run_recorded(
             _build(backend, spec, graph, fuse=False))
-        fused_pipeline = _build(backend, spec, graph)
-        if k > 1:
-            fused_pipeline.configure_sharding(
-                ShardingPolicy(num_shards=k))
-        fused, fused_launches = _run_recorded(fused_pipeline)
+        fused, fused_launches = _run_recorded(_build(backend, spec, graph))
         assert fused.dtype == reference.dtype
         assert np.array_equal(fused, reference)      # bit-for-bit
         assert legacy_trace(fused_launches) == \
             [(l.kernel, l.tag) for l in ref_launches]
-
-    @PARITY_SETTINGS
-    @given(graph=power_law_graphs(), combo=fusable_combos(),
-           k=st.sampled_from((2, 7)))
-    def test_sharded_fused_trace_matches_unsharded_fused(
-            self, graph, combo, k):
-        """Sharding a fused plan keeps PR 3's contract: fingerprint-
-        identical traces against the unsharded fused run."""
-        backend, model, cm = combo
-        spec = _spec(model, cm)
-        ref, ref_launches = _run_recorded(_build(backend, spec, graph))
-        sharded = _build(backend, spec, graph) \
-            .configure_sharding(ShardingPolicy(num_shards=k))
-        out, launches = _run_recorded(sharded)
-        assert np.array_equal(out, ref)
-        assert [l.fingerprint() for l in launches] == \
-            [l.fingerprint() for l in ref_launches]
-
-    def test_pooled_fused_dispatch_is_identical(self, graph):
-        """jobs > 1 ships fused sub-plans through worker processes."""
-        spec = _spec("gin", "MP")
-        ref, ref_launches = _run_recorded(_build("gsuite", spec, graph))
-        pooled = _build("gsuite", spec, graph) \
-            .configure_sharding(ShardingPolicy(num_shards=3, jobs=2))
-        out, launches = _run_recorded(pooled)
-        assert np.array_equal(out, ref)
-        assert [l.fingerprint() for l in launches] == \
-            [l.fingerprint() for l in ref_launches]
-
-    def test_inprocess_fused_path_skips_task_machinery(self, graph):
-        """The jobs=1 fused slice-dispatch-merge path: shard-suffixed
-        fused launches on the shard trace."""
-        built = _build("gsuite", _spec("gin", "MP"), graph) \
-            .configure_sharding(ShardingPolicy(num_shards=4))
-        with record_launches():
-            built.run()
-        tags = [launch.tag for launch in built._executor.shard_trace]
-        assert any("@shard1/4" in tag for tag in tags)
-        assert any(tag.endswith("@merge") for tag in tags)
-        kernels = {launch.kernel for launch in built._executor.shard_trace}
-        assert "fusedGatherScatter" in kernels
-        assert "indexSelect" not in kernels          # nothing materialised
-
-    @pytest.mark.parametrize("partitioner", ("rows", "edges"))
-    def test_fused_spmm_plan_composes_with_sharding(self, graph,
-                                                    partitioner):
-        spec = _spec("gcn", "SpMM")
-        ref, ref_launches = _run_recorded(_build("gsuite", spec, graph))
-        sharded = _build("gsuite", spec, graph).configure_sharding(
-            ShardingPolicy(num_shards=3, partitioner=partitioner))
-        out, launches = _run_recorded(sharded)
-        assert np.array_equal(out, ref)
-        assert [l.fingerprint() for l in launches] == \
-            [l.fingerprint() for l in ref_launches]
 
     def test_pyg_refuses_fusion(self, graph):
         """The tape observes the per-op stream, so a PyG-like build is
@@ -381,7 +319,7 @@ class TestStreamingKernel:
 
 class TestRandomizedFusion:
     """Property-style parity over seeded adversarial graphs (duplicate
-    edges, isolated nodes, empty edge sets, ragged shard counts)."""
+    edges, isolated nodes, empty edge sets)."""
 
     MODELS = (("gcn", "MP"), ("gcn", "SpMM"), ("gin", "MP"),
               ("gin", "SpMM"), ("sage", "MP"), ("gat", "MP"))
@@ -410,14 +348,9 @@ class TestRandomizedFusion:
                                 hidden=int(rng.integers(2, 9)),
                                 seed=int(rng.integers(0, 100)))
             reference = _build("gsuite", spec, graph, fuse=False).run()
-            fused_pipeline = _build("gsuite", spec, graph)
-            num_shards = int(rng.integers(1, graph.num_nodes + 3))
-            if num_shards > 1:
-                fused_pipeline.configure_sharding(
-                    ShardingPolicy(num_shards=num_shards))
-            fused = fused_pipeline.run()
+            fused = _build("gsuite", spec, graph).run()
             assert np.array_equal(fused, reference), \
-                f"case {case}: {model}/{cm} K={num_shards}"
+                f"case {case}: {model}/{cm}"
 
 
 def _degenerate_graphs():
@@ -485,27 +418,16 @@ class TestPlannerFusion:
 
     def test_default_build_measures_no_graph_stats(self, graph,
                                                    monkeypatch):
-        """``shards=1`` asks no planner gate that needs the O(E) pass."""
+        """A default build asks no planner gate that needs the O(E) pass."""
         from repro.core import GNNPipeline, SuiteConfig
 
         def refuse(graph):
             raise AssertionError("a default build measured GraphStats")
         monkeypatch.setattr(GraphStats, "from_graph", staticmethod(refuse))
         config = SuiteConfig(dataset="cora", model="gcn")
-        assert config.shards == 1
         built = GNNPipeline(config, graph=graph).build()
         assert any(isinstance(op, FusedGatherScatter)
                    for op in built.plan.ops)
-
-    def test_fused_plans_relax_shard_pressure(self):
-        from repro.datasets import get_spec
-        from repro.plan import choose_shards
-        dims = [(602, 16), (16, 41)]
-        stats = GraphStats.from_spec(get_spec("reddit"))
-        unfused_k = choose_shards(dims, stats)
-        assert unfused_k > 1
-        assert choose_shards(dims, stats, fused=True) == 1
-
 
 class TestConfigAndCli:
     def test_config_validates_fuse(self):

@@ -220,10 +220,9 @@ class TestExtensionModel:
         MODELS.pop("sgc-test", None)
 
     @pytest.mark.parametrize("backend", ["gsuite", "gsuite-adaptive"])
-    def test_runs_as_a_fused_shardable_plan(self, graph, backend):
+    def test_runs_as_a_fused_plan(self, graph, backend):
         built = get_backend(backend).build(_spec("sgc-test", "MP"), graph)
         assert isinstance(built.plan, ExecutionPlan)
-        assert built.can_shard()
         with record_launches() as rec:
             out = built.run()
         assert out.shape == (graph.num_nodes, 7)

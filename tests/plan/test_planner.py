@@ -17,10 +17,8 @@ from repro.frameworks import get_backend, PipelineSpec
 from repro.plan import (
     GraphStats,
     choose_formats,
-    choose_shards,
     explain_choice,
     mp_layer_cost,
-    shard_setup_cost,
     spmm_layer_cost,
     spmm_setup_cost,
 )
@@ -208,52 +206,3 @@ class TestAdaptiveBackend:
                             out_features=3, compute_model="MP")
         with pytest.raises(ModelError):
             model.lower(["SpMM", "SpMM"])
-
-
-class TestShardCount:
-    """choose_shards: working-set driven, setup-cost gated."""
-
-    def test_small_workloads_stay_unsharded(self):
-        for dataset in ("cora", "citeseer", "pubmed"):
-            spec = get_spec(dataset)
-            k = choose_shards(_dims(spec), GraphStats.from_spec(spec))
-            assert k <= 3  # citation graphs never shard aggressively
-        cora = get_spec("cora")
-        assert choose_shards(_dims(cora), GraphStats.from_spec(cora)) == 1
-
-    @pytest.mark.parametrize("dataset", ["reddit", "livejournal"])
-    def test_large_graphs_shard(self, dataset):
-        spec = get_spec(dataset)
-        k = choose_shards(_dims(spec), GraphStats.from_spec(spec))
-        assert k > 1
-
-    def test_shard_count_bounded(self):
-        spec = get_spec("reddit")
-        stats = GraphStats.from_spec(spec)
-        assert choose_shards(_dims(spec), stats, max_shards=4) <= 4
-        assert choose_shards(_dims(spec), stats) <= stats.num_nodes
-
-    def test_spmm_plans_do_not_shard(self):
-        """The fused kernel never materialises the [E, f] messages, so
-        an all-SpMM plan has no working set to slice."""
-        spec = get_spec("reddit")
-        stats = GraphStats.from_spec(spec)
-        assert choose_shards(_dims(spec), stats,
-                             formats=["SpMM", "SpMM"]) == 1
-
-    def test_setup_cost_scales_with_nodes(self):
-        small = GraphStats.from_spec(get_spec("cora"))
-        large = GraphStats.from_spec(get_spec("reddit"))
-        assert shard_setup_cost(large) > shard_setup_cost(small)
-
-    def test_width_hook_shrinks_gcn_working_set(self):
-        """GCN's output-width MP messages imply fewer shards than the
-        input-width default on a wide-feature workload."""
-        from repro.core.models import get_model_class
-        spec = get_spec("reddit")
-        stats = GraphStats.from_spec(spec)
-        hooked = choose_shards(_dims(spec), stats,
-                               width_hook=get_model_class(
-                                   "gcn").aggregation_width)
-        unhooked = choose_shards(_dims(spec), stats)
-        assert hooked <= unhooked

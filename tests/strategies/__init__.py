@@ -10,7 +10,7 @@ the package imports as top-level ``strategies``.)
 """
 
 from .features import feature_matrices
-from .graphs import power_law_graphs, shard_counts
+from .graphs import power_law_graphs
 from .modes import (
     EXECUTABLE_COMBOS,
     FUSABLE_COMBOS,
@@ -32,5 +32,4 @@ __all__ = [
     "fusable_combos",
     "lowered",
     "power_law_graphs",
-    "shard_counts",
 ]

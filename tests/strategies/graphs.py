@@ -2,23 +2,17 @@
 
 The suite's adversarial graph space in one place: random power-law
 graphs spanning the regimes the plan layer discriminates on — flat vs
-heavy-tailed in-degree, hub-first (degree-sorted export order, the
-worst case for even-row sharding) vs shuffled layouts, isolated-node
-tails, and empty edge sets.  Generation is a pure function of drawn
-integers (one seeded ``default_rng`` per example), so failing examples
-shrink and replay deterministically.
+heavy-tailed in-degree, hub-first (degree-sorted export order) vs
+shuffled layouts, isolated-node tails, and empty edge sets.
+Generation is a pure function of drawn integers (one seeded
+``default_rng`` per example), so failing examples shrink and replay
+deterministically.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
-__all__ = ["power_law_graphs", "shard_counts"]
-
-
-def shard_counts():
-    """Shard counts spanning the interesting regimes: off (1), even,
-    and a ragged prime that never divides the node count cleanly."""
-    return st.sampled_from((1, 2, 7))
+__all__ = ["power_law_graphs"]
 
 
 @st.composite
@@ -28,8 +22,8 @@ def power_law_graphs(draw, min_nodes: int = 6, max_nodes: int = 48,
     """A random power-law :class:`~repro.graph.Graph` with features.
 
     In-edge destinations follow a Zipf-like law over the node ids, so
-    low ids are hubs; ``hubs_first`` keeps that degree-sorted layout
-    (adversarial for even-row sharding) or shuffles it away.  Degree
+    low ids are hubs; ``hubs_first`` keeps that degree-sorted layout or
+    shuffles it away.  Degree
     zero is allowed — edgeless graphs and isolated nodes are part of
     the space.  ``width`` pins the feature width instead of drawing it
     (member lists that must batch together share one width).

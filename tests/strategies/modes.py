@@ -2,8 +2,8 @@
 
 The plan-layer parity sweeps all quantify over the same space — which
 backends can run which (model, compute model) pairs, whether the plan
-takes the fusion pass, how many shards it executes over, and how many
-member graphs pack into one batched plan.  This module is that space,
+takes the fusion pass, and how many member graphs pack into one
+batched plan.  This module is that space,
 drawn instead of hand-picked: one shared combo table (the grids
 ``tests/plan/test_batching.py`` / ``test_fusion.py`` historically
 inlined), with strategies over its legal slices.
@@ -24,8 +24,8 @@ __all__ = [
 
 #: Backend x (model, compute model) pairs every backend can execute.
 #: Batching needs nothing from the execution style, so the observing
-#: PyG-like tape participates; fusion/sharding need a plain
-#: PlanExecutor, so :data:`FUSABLE_COMBOS` excludes it.
+#: PyG-like tape participates; fusion needs a plain PlanExecutor, so
+#: :data:`FUSABLE_COMBOS` excludes it.
 _GRID = {
     "gsuite": (("gcn", "MP"), ("gcn", "SpMM"), ("gin", "MP"),
                ("gin", "SpMM"), ("sage", "MP"), ("gat", "MP")),
@@ -47,8 +47,8 @@ def lowered(backend, spec, graph):
     """The pipeline over the plan as lowered (``fuse=False``).
 
     For the suites that pin the per-op Table II stream — plan vs
-    legacy, unfused sharding, shard faults; the fused default has its
-    own suite in ``tests/plan/test_fusion.py``.
+    legacy; the fused default has its own suite in
+    ``tests/plan/test_fusion.py``.
     """
     from repro.frameworks import get_backend
     return get_backend(backend).build(spec, graph, fuse=False)

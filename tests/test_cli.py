@@ -30,6 +30,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--compute-model", "TPU"])
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--shards", "2"), ("--partitioner", "rows"), ("--jobs", "2"),
+        ("--task-timeout", "1"),
+    ])
+    def test_removed_sharding_flags_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--dataset", "cora", "--scale", "0.1", flag, value])
+        assert exit_.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestCommands:
     def test_run(self, capsys):
@@ -113,41 +123,6 @@ class TestCommands:
         assert main(["run", "--scale", "7"]) == 2
         assert main(["run", "--model", "transformer"]) == 2
 
-    def test_run_with_forced_shards(self, capsys):
-        code = main(["run", "--dataset", "cora", "--scale", "0.1",
-                     "--shards", "3"])
-        assert code == 0
-        assert "output shape" in capsys.readouterr().out
-
-    def test_plan_reports_sharding_decision(self, capsys):
-        code = main(["plan", "--dataset", "cora", "--scale", "0.1",
-                     "--shards", "4"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "4 destination-range shards (forced)" in out
-        code = main(["plan", "--dataset", "cora", "--scale", "0.1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "sharding: off" in out
-        # --shards 0: the planner declines on a Cora-scale workload.
-        code = main(["plan", "--dataset", "cora", "--scale", "0.1",
-                     "--shards", "0"])
-        assert code == 0
-        assert "sharding: off" in capsys.readouterr().out
-
-    def test_sharding_on_pyg_is_an_error(self, capsys):
-        assert main(["run", "--dataset", "cora", "--scale", "0.1",
-                     "--framework", "pyg", "--shards", "2"]) == 2
-        assert "sharded" in capsys.readouterr().err
-
-    def test_planner_sharding_declines_on_pyg(self, capsys):
-        """--shards 0 asks the planner; on a backend that cannot shard
-        the decision is 'don't', not an error."""
-        code = main(["run", "--dataset", "cora", "--scale", "0.1",
-                     "--framework", "pyg", "--shards", "0"])
-        assert code == 0
-        assert "output shape" in capsys.readouterr().out
-
     def test_profile_costs_flag(self, tmp_path, capsys):
         code = main(["plan", "--dataset", "cora", "--scale", "0.1",
                      "--profile-costs", "paper"])
@@ -205,22 +180,3 @@ class TestCommands:
             "features: dense (X is re-materialised on every run)"
         assert line("--dataset", "cora", "--scale", "0.1", "--model",
                     "gin") == "features: dense (no sgemm reads X)"
-
-    def test_shards_accepts_knob_spellings(self, capsys):
-        code = main(["run", "--dataset", "cora", "--scale", "0.1",
-                     "--shards", "off"])
-        assert code == 0
-        code = main(["plan", "--dataset", "cora", "--scale", "0.1",
-                     "--shards", "auto"])
-        assert code == 0
-        assert "sharding:" in capsys.readouterr().out
-        # An asked planner that answers 1 reports its verdict instead
-        # of suggesting the flag the user already passed.
-        for spelling in ("0", "auto"):
-            code = main(["plan", "--model", "gin", "--dataset", "reddit",
-                         "--scale", "0.05", "--shards", spelling])
-            out = capsys.readouterr().out
-            assert code == 0
-            assert "sharding: off (1 shard; planner declined" in out
-            assert "lets the planner decide" not in out.split(
-                "sharding:")[1]

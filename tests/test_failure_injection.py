@@ -9,12 +9,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 from repro import faults
+from repro.bench import engine
+from repro.bench.common import WorkCell, clear_bench_cache, compute_cell
 from repro.bench.pool import WorkerPool
+from repro.bench.profiles import BenchProfile
 from repro.cache import TraceCache, compute_key
-from repro.core.kernels import record_launches
 from repro.datasets import load_dataset
 from repro.errors import (
     CacheIntegrityError,
@@ -26,12 +27,8 @@ from repro.errors import (
     WorkerError,
 )
 from repro.faults import FaultPlan, FaultSpec, parse_faults
-from repro.frameworks import PipelineSpec
 from repro.graph import Graph, validate_graph
 from repro.graph.formats import COOMatrix, CSRMatrix
-from repro.plan import ShardingPolicy
-from strategies import PARITY_SETTINGS, lowered, power_law_graphs, \
-    shard_counts
 
 
 class TestCorruptedGraphs:
@@ -401,84 +398,44 @@ class TestCacheIntegrity:
         assert cache.get("record", key) == ["launch"] * 50
 
 
-# -- sharded execution under injected faults -------------------------------
+# -- the bench engine's pooled waves under injected faults -----------------
 
-@pytest.fixture(scope="module")
-def cora():
-    return load_dataset("cora", scale=0.15, seed=1)
+#: Small enough for a unit test; cora/citeseer record cells are cheap.
+_WAVE_PROFILE = BenchProfile(
+    name="fault-wave",
+    dataset_scales={"cora": 0.05, "citeseer": 0.05},
+    sample_cap=5_000,
+    max_cycles=2_000,
+    repeats=1,
+)
 
-
-def _trace(recorder):
-    return [launch.fingerprint() for launch in recorder.launches]
-
-
-def _run_recorded(pipeline):
-    with record_launches() as recorder:
-        out = pipeline.run()
-    return out, _trace(recorder)
-
-
-#: scenario -> (fault spec, per-task timeout, report counter that must fire)
-SHARD_SCENARIOS = {
-    "crash": ("seed=5;worker_crash:p=1,tries=1", None, "worker_deaths"),
-    "hang": ("seed=5;task_hang:p=1,tries=1,secs=30", 0.5, "timeouts"),
-    "corrupt": ("seed=5;corrupt_result:p=1,tries=1", None, "corrupt_results"),
-}
+_WAVE_CELLS = [WorkCell("record", "gcn", "cora", "MP"),
+               WorkCell("record", "gin", "citeseer", "MP"),
+               WorkCell("record", "sage", "cora", "MP")]
 
 
-class TestShardedFaultScenarios:
-    """Injected faults under pooled shard dispatch (K in {2, 7}, jobs=2):
-    outputs and launch fingerprints stay bit-for-bit identical to the
-    clean unsharded run, and the DispatchReport records the recovery."""
-
-    @pytest.mark.parametrize("k", (2, 7))
-    @pytest.mark.parametrize("scenario", sorted(SHARD_SCENARIOS))
-    def test_faulted_run_is_bitwise_clean(self, cora, scenario, k):
-        spec_text, timeout, counter = SHARD_SCENARIOS[scenario]
-        spec = PipelineSpec(model="gcn", compute_model="MP", seed=5)
-        reference, ref_trace = _run_recorded(
-            lowered("gsuite", spec, cora))
-
-        faults.activate(spec_text)
-        built = lowered("gsuite", spec, cora).configure_sharding(
-            ShardingPolicy(num_shards=k, jobs=2, task_timeout=timeout))
-        sharded, trace = _run_recorded(built)
-
-        assert np.array_equal(sharded, reference)     # bit-for-bit
-        assert trace == ref_trace                     # fingerprints equal
-        report = built.dispatch_report
-        assert report is not None and report.faulted
-        assert getattr(report, counter) >= 1
-        assert report.retries >= 1
-        assert report.degraded_tasks == 0             # recovered, not degraded
-
-    def test_clean_sharded_run_reports_clean(self, cora):
-        spec = PipelineSpec(model="gcn", compute_model="MP", seed=5)
-        built = lowered("gsuite", spec, cora).configure_sharding(
-            ShardingPolicy(num_shards=3, jobs=2))
-        built.run()
-        report = built.dispatch_report
-        assert report is not None and not report.faulted
-        assert "clean" in report.summary()
+def _wave_fingerprints(jobs):
+    """Run one record wave, return ``(fingerprints per cell, report)``."""
+    clear_bench_cache()
+    report = engine.SuiteReport(jobs=jobs)
+    engine._run_wave(_WAVE_CELLS, _WAVE_PROFILE, jobs, False, report)
+    traces = [[launch.fingerprint() for launch in compute_cell(
+        cell, _WAVE_PROFILE)] for cell in _WAVE_CELLS]
+    clear_bench_cache()
+    return traces, report
 
 
-@settings(parent=PARITY_SETTINGS, max_examples=6)
-@given(graph=power_law_graphs(), k=shard_counts())
-def test_faulted_sharding_property(graph, k):
-    """Property: over random power-law graphs and shard counts, a
-    crash- and corruption-riddled pooled run equals the clean unsharded
-    run exactly — the resilience layer is invisible in the results."""
-    spec = PipelineSpec(model="gin", compute_model="MP", out_features=3,
-                        seed=2)
-    reference, ref_trace = _run_recorded(
-        lowered("gsuite", spec, graph))
-    faults.activate("seed=11;worker_crash:p=0.4,tries=1;"
-                    "corrupt_result:p=0.4,tries=1")
-    try:
-        built = lowered("gsuite", spec, graph).configure_sharding(
-            ShardingPolicy(num_shards=k, jobs=2))
-        sharded, trace = _run_recorded(built)
-    finally:
-        faults.deactivate()
-    assert np.array_equal(sharded, reference)
-    assert trace == ref_trace
+def test_faulted_pooled_wave_is_bitwise_clean():
+    """The faulted/clean contract: a crash- and corruption-riddled
+    pooled wave (``jobs=2``) seeds every cell with the launch trace a
+    clean serial wave records, and the engine's report says it was
+    faulted."""
+    clean, clean_report = _wave_fingerprints(jobs=1)
+    assert all(clean) and not clean_report.dispatch.faulted
+    faults.activate("seed=3;worker_crash:p=1,tries=1;"
+                    "corrupt_result:p=1,tries=1")
+    faulted, report = _wave_fingerprints(jobs=2)
+    assert faulted == clean
+    assert report.dispatch.faulted
+    assert report.dispatch.worker_deaths >= 1
+    assert report.dispatch.degraded_tasks == 0     # recovered by retry

@@ -2,9 +2,8 @@
 """Benchmark plan-level fusion against unfused plan execution.
 
 For each workload this tool builds one pipeline twice — unfused
-(``build(..., fuse=False)``) and fused (``build(...)``, the default),
-each under its *own* planner-chosen shard policy — asserts
-**bit-for-bit output parity**, measures wall-clock and peak traced
+(``build(..., fuse=False)``) and fused (``build(...)``, the default) —
+asserts **bit-for-bit output parity**, measures wall-clock and peak traced
 memory, and writes ``BENCH_fusion.json`` at the repository root.
 
 Where the win comes from:
@@ -12,9 +11,7 @@ Where the win comes from:
 * **MP aggregation cells** (SAGE/GIN on Reddit-class graphs): the
   unfused path launches ``indexSelect`` + ``scatter`` with a full
   ``[E, f]`` message matrix materialised in between — hundreds of MB
-  at scale, so the scatter re-streams it from DRAM (PR 3's sharding
-  mitigates this piecewise, and the planner is allowed to pick that
-  mitigation for the unfused baseline).  The fused
+  at scale, so the scatter re-streams it from DRAM.  The fused
   ``fusedGatherScatter`` kernel streams cache-sized destination blocks
   straight from gather into the reduction: one launch, no
   materialisation, peak intermediate memory bounded by the stream
@@ -26,7 +23,7 @@ Where the win comes from:
 Usage::
 
     PYTHONPATH=src python tools/bench_fusion.py --profile ci   # CI smoke
-    PYTHONPATH=src python tools/bench_fusion.py --scale 0.05   # full bench
+    PYTHONPATH=src python tools/bench_fusion.py --scale 0.02   # full bench
 """
 
 from __future__ import annotations
@@ -44,16 +41,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro.bench.profiles import PROFILES  # noqa: E402
-from repro.core.models import get_model_class  # noqa: E402
-from repro.core.models.base import layer_dimensions  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
 from repro.frameworks import PipelineSpec, get_backend  # noqa: E402
-from repro.plan import (  # noqa: E402
-    GraphStats,
-    choose_shards,
-    fusion_summary,
-)
-from repro.plan.sharding import ShardingPolicy  # noqa: E402
+from repro.plan import fusion_summary  # noqa: E402
 
 #: (model, dataset, compute model) cells.  SAGE/GIN Reddit-MP are the
 #: message-matrix workloads fusion targets; GCN-SpMM is the SGEMM-heavy
@@ -88,18 +78,6 @@ def _peak_bytes(fn) -> int:
     return int(peak)
 
 
-def _build(spec, graph, dims, stats, width_hook, fused: bool):
-    """One pipeline, fused or not, under its planner-chosen shard policy."""
-    built = get_backend("gsuite").build(spec, graph, fuse=fused)
-    shards = choose_shards(dims, stats,
-                           formats=list(built.plan.layer_formats),
-                           width_hook=width_hook, fused=fused)
-    if shards > 1:
-        built.configure_sharding(
-            ShardingPolicy(num_shards=shards, source="planner"))
-    return built, shards
-
-
 def run(profile_name: str, scale_override, repeats: int,
         out_path: Path) -> int:
     profile = PROFILES[profile_name]
@@ -110,15 +88,9 @@ def run(profile_name: str, scale_override, repeats: int,
         graph = load_dataset(dataset, scale=scale, seed=0)
         spec = PipelineSpec(model=model, compute_model=compute_model,
                             out_features=8)
-        cls = get_model_class(model)
-        stats = GraphStats.from_graph(graph)
-        dims = layer_dimensions(graph.num_features, spec.hidden,
-                                spec.out_features, spec.num_layers)
-
-        unfused, unfused_k = _build(
-            spec, graph, dims, stats, cls.aggregation_width, fused=False)
-        fused, fused_k = _build(
-            spec, graph, dims, stats, cls.aggregation_width, fused=True)
+        backend = get_backend("gsuite")
+        unfused = backend.build(spec, graph, fuse=False)
+        fused = backend.build(spec, graph)
 
         reference = unfused.run()
         fused_out = fused.run()
@@ -136,9 +108,9 @@ def run(profile_name: str, scale_override, repeats: int,
         print(f"{model:5s} {dataset}@{scale:g} {compute_model:4s} "
               f"N={graph.num_nodes} E={graph.num_edges} "
               f"f={graph.num_features}")
-        print(f"  unfused (planner K={unfused_k:2d}) {base_s * 1e3:9.1f} ms"
+        print(f"  unfused {base_s * 1e3:9.1f} ms"
               f"  peak {base_peak / 1e6:8.1f} MB")
-        print(f"  fused   (planner K={fused_k:2d}) {fused_s * 1e3:9.1f} ms"
+        print(f"  fused   {fused_s * 1e3:9.1f} ms"
               f"  peak {fused_peak / 1e6:8.1f} MB"
               f"  ({base_s / fused_s:.2f}x)  [outputs bit-identical]")
 
@@ -147,7 +119,6 @@ def run(profile_name: str, scale_override, repeats: int,
             "compute_model": compute_model,
             "nodes": graph.num_nodes, "edges": graph.num_edges,
             "features": graph.num_features,
-            "planner_shards": {"unfused": unfused_k, "fused": fused_k},
             "fusion": summary,
             "seconds": {"unfused": base_s, "fused": fused_s},
             "peak_bytes": {"unfused": base_peak, "fused": fused_peak},
@@ -165,8 +136,7 @@ def run(profile_name: str, scale_override, repeats: int,
     payload = {
         "description": "Fused vs unfused plan execution, best-of-"
                        f"{repeats} inference seconds (plan already "
-                       "built) on the host CPU, each side under its "
-                       "own planner-chosen shard count.  MP cells: the "
+                       "built) on the host CPU.  MP cells: the "
                        "fusedGatherScatter kernel streams per-edge "
                        "messages through cache-sized destination "
                        "blocks instead of materialising the [E, f] "
@@ -192,7 +162,7 @@ def main() -> int:
     parser.add_argument("--profile", default="ci", choices=sorted(PROFILES))
     parser.add_argument("--scale", type=float, default=None,
                         help="override the profile's dataset scale "
-                             "(the committed BENCH_fusion.json uses 0.05)")
+                             "(the committed BENCH_fusion.json uses 0.02)")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_fusion.json"))
     args = parser.parse_args()
