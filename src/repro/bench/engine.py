@@ -26,6 +26,7 @@ what makes warm reruns cheap regardless of parallelism.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -76,7 +77,7 @@ class SuiteReport:
     cell_timings: List[CellTiming] = field(default_factory=list)
     cache_stats: CacheStats = field(default_factory=CacheStats)
     #: Pool supervision events accumulated across every wave — retries,
-    #: timeouts, worker deaths, degradations (empty on a clean run).
+    #: worker deaths, degradations (empty on a clean run).
     dispatch: DispatchReport = field(default_factory=DispatchReport)
     total_seconds: float = 0.0
     jobs: int = 1
@@ -97,10 +98,11 @@ def collect_cells(profile: BenchProfile) -> List[common.WorkCell]:
 def _execute_cell(args: Tuple[common.WorkCell, BenchProfile, bool]):
     """Compute one cell, returning its value plus accounting.
 
-    Runs in pool workers and (for serial waves) in the parent; must stay
-    a module-level function so it pickles under every multiprocessing
-    start method.  Cache-stat *deltas* are returned so the caller can
-    merge worker counters without double counting.
+    Runs in pool workers and (for serial waves and degraded tasks) in
+    the parent; must stay a module-level function so it pickles under
+    every multiprocessing start method.  Cache-stat *deltas* and the
+    computing process's pid are returned so the caller merges only
+    worker counters, never the parent's own twice.
     """
     cell, profile, use_cache = args
     cache = get_cache()
@@ -112,7 +114,7 @@ def _execute_cell(args: Tuple[common.WorkCell, BenchProfile, bool]):
     seconds = time.perf_counter() - start
     after = cache.stats.to_dict()
     delta = CacheStats(**{k: after[k] - before[k] for k in after})
-    return cell, value, seconds, delta
+    return cell, value, seconds, delta, os.getpid()
 
 
 def _run_wave(cells: List[common.WorkCell], profile: BenchProfile,
@@ -125,18 +127,19 @@ def _run_wave(cells: List[common.WorkCell], profile: BenchProfile,
     # A fresh pool per wave: forked workers inherit every memo the
     # parent has seeded so far, so later waves reuse earlier traces.
     with WorkerPool(min(jobs, len(cells))) as pool:
-        outcomes = pool.map(_execute_cell, tasks, chunksize=1)
-        pooled = pool.forked
+        outcomes = pool.map(_execute_cell, tasks)
     report.dispatch.merge(pool.report)
-    for cell, value, seconds, delta in outcomes:
+    parent = os.getpid()
+    for cell, value, seconds, delta, pid in outcomes:
         common.seed_cell(cell, profile, value)
         # "cached" means nothing was computed: at least one hit and no
         # misses (a sim cell can hit on some launches and compute others).
         cached = delta.hits > 0 and delta.misses == 0
         report.cell_timings.append(CellTiming(cell, seconds, cached))
-        if pooled:
-            # Serial deltas already accumulated in the parent's counters;
-            # worker-side counters only travel back through the delta.
+        if pid != parent:
+            # Cells computed in the parent (serial waves, degraded tasks)
+            # already accumulated in its live counters; worker-side
+            # counters only travel back through the delta.
             report.cache_stats.merge(delta)
 
 

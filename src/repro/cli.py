@@ -109,14 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="planner cost constants: 'paper' (default) "
                             "is the static Fig. 5 set; a path loads "
                             "that CostProfile JSON")
-        p.add_argument("--faults", default=None, metavar="SPEC",
-                       help="arm deterministic fault injection, e.g. "
-                            "'seed=7;cache_truncate:p=0.5' (sites: "
-                            "cache_truncate, request_drop, batch_timeout; "
-                            "the pool sites worker_crash, task_hang and "
-                            "corrupt_result fire in 'gsuite bench --jobs N' "
-                            "via GSUITE_FAULTS); results stay bit-for-bit "
-                            "identical — see repro.faults")
         p.add_argument("--serve-batch", type=_knob_type("serve_batch"),
                        default=None, metavar="auto|off|N",
                        help="serving micro-batcher: 'auto' (default) packs "
@@ -192,8 +184,7 @@ _ARG_FIELDS = {
     "compute_model": "compute_model", "framework": "framework",
     "layers": "num_layers", "hidden": "hidden", "scale": "scale",
     "seed": "seed", "repeats": "repeats", "fuse": "fuse", "batch": "batch",
-    "profile_costs": "profile_costs", "faults": "faults",
-    "serve_batch": "serve_batch",
+    "profile_costs": "profile_costs", "serve_batch": "serve_batch",
 }
 
 
@@ -353,8 +344,9 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:            # pragma: no cover - interactive
         print("interrupted")
         return 0
-    print(f"served {served} request(s); "
-          f"dispatch: {service.report.summary()}")
+    stats = service.stats()
+    print(f"served {served} request(s); {stats['batched']} batched / "
+          f"{stats['solo']} solo (max batch {stats['max_batch_size']})")
     return 0
 
 

@@ -137,11 +137,6 @@ class SuiteConfig:
     profile_costs: str = "paper"  # planner cost constants: "paper"
                                   # (static Fig. 5 constants) or the
                                   # path of a CostProfile JSON
-    faults: str = ""              # fault-injection spec (see
-                                  # repro.faults), e.g.
-                                  # "seed=7;worker_crash:p=0.2,tries=1";
-                                  # "" disarms (the GSUITE_FAULTS env
-                                  # var still applies)
     serve_batch: int = 0          # serving micro-batcher: 0 = planner
                                   # decides the batch size ("auto",
                                   # choose_batching budgets), 1 = off
@@ -178,15 +173,6 @@ class SuiteConfig:
                 f"profile_costs must be 'paper' or a profile path, "
                 f"got {self.profile_costs!r}"
             )
-        if not isinstance(self.faults, str):
-            raise ConfigError(
-                f"faults must be a fault spec string, got {self.faults!r}")
-        if self.faults.strip():
-            # Parse eagerly so typos surface at configuration time, not
-            # in the middle of a dispatch wave; the parsed plan itself
-            # is rebuilt at activation.
-            from repro.faults import parse_faults
-            parse_faults(self.faults)
 
     # -- construction helpers ----------------------------------------------
     @classmethod

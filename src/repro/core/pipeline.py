@@ -208,11 +208,6 @@ class GNNPipeline:
     # -- execution ------------------------------------------------------------
     def build(self):
         """Construct the backend pipeline (framework init included)."""
-        if self.config.faults:
-            # Arm the configured fault plan process-wide (exported
-            # through GSUITE_FAULTS) before the build reaches any site.
-            from repro import faults as fault_injection
-            fault_injection.activate(self.config.faults)
         return self._backend.build(self.spec, self.graph,
                                    cost_profile=self.cost_profile(),
                                    fuse=self.config.fuse != "off")

@@ -53,14 +53,6 @@ class CalibrationError(GSuiteError):
     """A cost profile could not be loaded or holds an invalid constant."""
 
 
-class WorkerError(GSuiteError):
-    """A pool worker died or kept failing past its retry budget."""
-
-
-class TaskTimeoutError(GSuiteError):
-    """A dispatched task exceeded its per-task deadline."""
-
-
 class CacheIntegrityError(GSuiteError):
     """A persistent cache entry failed its checksum and cannot be isolated."""
 

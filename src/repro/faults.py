@@ -5,46 +5,32 @@ integrity-checked :class:`~repro.cache.TraceCache`) is only trustworthy
 if every recovery path can be *provoked on demand and reproduced
 bit-for-bit*.  This module is that provocation: a small harness that
 decides, from a seed and a stable site key, whether a named fault fires
-at a given injection site.
+at a given injection site.  Each site models a failure the system can
+really suffer, and its recovery runs whether or not the site is armed.
 
 Injection sites (:data:`SITES`):
 
 ``worker_crash``
     The worker process exits hard (``os._exit``) before running its
-    task — models an OOM kill or a segfaulting native kernel.
-``task_hang``
-    The worker sleeps for ``secs`` before running its task — models a
-    wedged kernel or a lost network peer.  Only observable when the
-    pool enforces a per-task timeout.
-``corrupt_result``
-    The worker returns a garbled result whose checksum no longer
-    matches — models silent data corruption in transport.
+    task — models an OOM kill or a segfaulting native kernel.  The pool
+    polls for dead workers on every pooled wave.
 ``cache_truncate``
     A freshly written cache entry is truncated on disk — models a
-    crash mid-write or filesystem corruption.
-``request_drop``
-    The serving micro-batcher loses one queued request out of a batch
-    it was about to pack — models a client disconnect or a queue slot
-    reclaimed under memory pressure.  The service degrades the request
-    to solo execution instead of failing it.
-``batch_timeout``
-    A packed batch misses its execution deadline — models a stalled
-    executor thread.  The service abandons the batch and degrades
-    every member to solo execution.
+    crash mid-write or filesystem corruption.  Every cache read
+    checksums its entry and quarantines a bad one.
 
 Decisions are **deterministic**: a fault fires iff
-``sha256(seed | site | key | attempt)`` maps below the site's
-probability.  Keys include the retry attempt, so an injected failure on
-attempt 0 deterministically clears (or deterministically persists, at
-``p=1``) on the retry — both the retry path and the degradation ladder
-are reachable with exact reproducibility, in-process or across worker
+``sha256(seed | site | key)`` maps below the site's probability.  Pool
+keys include the retry attempt, so an injected failure on attempt 0
+deterministically clears (or deterministically persists, at ``p=1``)
+on the retry — both the retry path and the degradation ladder are
+reachable with exact reproducibility, in-process or across worker
 processes.
 
-Activation, in precedence order: an explicit :func:`activate` call
-(what ``SuiteConfig.faults`` / ``--faults`` route through), else the
-``GSUITE_FAULTS`` environment variable.  ``activate`` also exports
-``GSUITE_FAULTS`` so spawned worker processes inherit the same plan.
-The three pool sites fire only in a pooled
+Activation: the ``GSUITE_FAULTS`` environment variable is the one
+switch (tests arm a plan with :func:`activate`, which exports it the
+same way, so spawned worker processes inherit the plan).  The
+``worker_crash`` site fires only in a pooled
 :class:`~repro.bench.pool.WorkerPool` map, whose one consumer is the
 bench engine's cell fan-out (``gsuite bench --jobs N``).
 
@@ -52,21 +38,18 @@ Spec strings are ``;``-separated clauses: each clause is either
 ``seed=N`` or ``site[:key=value[,key=value...]]`` with keys ``p``
 (probability, default 1), ``tries`` (fire only on retry attempts below
 this — ``tries=1`` fails the first attempt and lets the retry through,
-deterministically in every process), ``limit`` (max injections per
-process, default unlimited) and ``secs`` (hang duration, ``task_hang``
-only)::
+deterministically in every process) and ``limit`` (max injections per
+process, default unlimited)::
 
     worker_crash                          # every pooled attempt crashes
     seed=7;worker_crash:p=0.2,tries=1     # seeded, sparse, recovers on retry
-    task_hang:p=1,tries=1,secs=30         # first attempts hang 30 s
-    corrupt_result:p=0.05;cache_truncate:p=0.5
+    worker_crash:p=0.05;cache_truncate:p=0.5
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -82,10 +65,8 @@ __all__ = [
     "deactivate",
 ]
 
-#: The named injection sites, in dispatch order (the serving sites
-#: last: they fire in the micro-batcher, after any pool dispatch).
-SITES = ("worker_crash", "task_hang", "corrupt_result", "cache_truncate",
-         "request_drop", "batch_timeout")
+#: The named injection sites, in dispatch order.
+SITES = ("worker_crash", "cache_truncate")
 
 #: Exit status used by an injected worker crash — distinctive enough to
 #: recognise in a post-mortem, meaningless to the shell.
@@ -100,7 +81,6 @@ class FaultSpec:
     probability: float = 1.0
     tries: Optional[int] = None   # fire only on attempts < tries; None = all
     limit: Optional[int] = None   # max injections per process; None = unlimited
-    secs: float = 30.0            # hang duration (task_hang only)
 
     def __post_init__(self):
         if self.site not in SITES:
@@ -113,8 +93,6 @@ class FaultSpec:
             raise ConfigError(f"fault tries must be >= 1, got {self.tries!r}")
         if self.limit is not None and self.limit < 1:
             raise ConfigError(f"fault limit must be >= 1, got {self.limit!r}")
-        if self.secs < 0:
-            raise ConfigError(f"fault secs must be >= 0, got {self.secs!r}")
 
     def render(self) -> str:
         """The spec-string clause this spec round-trips through."""
@@ -123,8 +101,6 @@ class FaultSpec:
             parts.append(f"tries={self.tries}")
         if self.limit is not None:
             parts.append(f"limit={self.limit}")
-        if self.site == "task_hang":
-            parts.append(f"secs={self.secs:g}")
         return f"{self.site}:{','.join(parts)}"
 
 
@@ -183,28 +159,6 @@ class FaultPlan:
         """``worker_crash``: hard-exit the current process."""
         if self.decide("worker_crash", key, attempt):
             os._exit(CRASH_EXIT_CODE)
-
-    def maybe_hang(self, key: str, attempt: Optional[int] = None) -> None:
-        """``task_hang``: sleep for the armed duration."""
-        if self.decide("task_hang", key, attempt):
-            time.sleep(self.specs["task_hang"].secs)
-
-    def corrupt_result(self, key: str,
-                       attempt: Optional[int] = None) -> bool:
-        """``corrupt_result``: whether this result should be garbled."""
-        return self.decide("corrupt_result", key, attempt)
-
-    def drop_request(self, key: str,
-                     attempt: Optional[int] = None) -> bool:
-        """``request_drop``: whether this queued request falls out of
-        its batch (the service degrades it to solo execution)."""
-        return self.decide("request_drop", key, attempt)
-
-    def batch_timed_out(self, key: str,
-                        attempt: Optional[int] = None) -> bool:
-        """``batch_timeout``: whether this packed batch misses its
-        deadline (every member degrades to solo execution)."""
-        return self.decide("batch_timeout", key, attempt)
 
     def maybe_truncate(self, path, key: str) -> bool:
         """``cache_truncate``: chop a written cache file in half."""
@@ -267,12 +221,10 @@ def parse_faults(text: str) -> FaultPlan:
                         kwargs["tries"] = int(value)
                     elif key == "limit":
                         kwargs["limit"] = int(value)
-                    elif key == "secs":
-                        kwargs["secs"] = float(value)
                     else:
                         raise ConfigError(
                             f"unknown fault parameter {key!r} in {clause!r}; "
-                            f"known: p, tries, limit, secs")
+                            f"known: p, tries, limit")
                 except ValueError:
                     raise ConfigError(
                         f"bad value for fault parameter {key!r}: {value!r}"

@@ -13,7 +13,7 @@ and unpacks per-member responses; a deterministic load generator
 
 Requests batch only at equal feature width (it is part of the
 batcher's queue key), so every request runs at its own width and every
-response — batched, solo or degraded — is bit-for-bit
+response — batched or solo — is bit-for-bit
 :func:`~repro.serve.service.solo_reference` of its request.
 """
 

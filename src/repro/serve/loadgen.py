@@ -12,8 +12,8 @@ thread keeps out of the *results*.
 Latency is measured per request (submit to response) and summarised as
 p50/p99; throughput is completed requests over the closed-loop wall
 clock.  Parity verification (``verify=True``) runs *after* the timed
-window: every response — batched, solo or degraded — is re-executed
-solo and compared bit-for-bit.
+window: every response — batched or solo — is re-executed solo and
+compared bit-for-bit.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class LoadReport:
     throughput_rps: float
     batched: int
     solo: int
-    degraded: int
     max_batch_size: int
     parity_checked: int = 0
     parity_failures: int = 0
@@ -93,8 +92,7 @@ class LoadReport:
         return (f"C={self.concurrency} n={self.requests}: "
                 f"p50 {self.p50_ms:.2f} ms, p99 {self.p99_ms:.2f} ms, "
                 f"{self.throughput_rps:.1f} req/s, "
-                f"{self.batched} batched / {self.solo} solo / "
-                f"{self.degraded} degraded "
+                f"{self.batched} batched / {self.solo} solo "
                 f"(max batch {self.max_batch_size})")
 
 
@@ -150,7 +148,6 @@ def run_loadgen(templates: Sequence[InferenceRequest], concurrency: int,
         throughput_rps=total / wall if wall > 0 else 0.0,
         batched=stats["batched"],
         solo=stats["solo"],
-        degraded=stats["degraded"],
         max_batch_size=stats["max_batch_size"],
         parity_checked=checked,
         parity_failures=failures,

@@ -19,7 +19,7 @@ head width explicitly (datasets default it to their class count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -221,11 +221,10 @@ _REQUEST_FIELDS = tuple(f for f in fields(InferenceRequest)
 class InferenceResponse:
     """One served result, with its execution provenance.
 
-    ``source`` is ``"batched"`` (unpacked from a packed plan),
-    ``"solo"`` (executed alone — the off mode, or a group of one) or
-    ``"degraded"`` (fell out of a batch through a fault site and re-ran
-    solo).  ``padded_to`` is the feature width the request executed at
-    — always its own graph's; the service pads nothing.
+    ``source`` is ``"batched"`` (unpacked from a packed plan) or
+    ``"solo"`` (executed alone — the off mode, or a group of one).
+    ``padded_to`` is the feature width the request executed at — always
+    its own graph's; the service pads nothing.
     """
 
     request_id: str
@@ -234,7 +233,6 @@ class InferenceResponse:
     batch_size: int = 1
     padded_to: int = 0
     latency_s: float = 0.0
-    degraded: bool = field(default=False)
 
     def summary(self) -> dict:
         """JSON-serialisable summary (the TCP server's reply line)."""
@@ -246,5 +244,4 @@ class InferenceResponse:
             "batch_size": self.batch_size,
             "padded_to": self.padded_to,
             "latency_ms": round(self.latency_s * 1e3, 3),
-            "degraded": self.degraded,
         }

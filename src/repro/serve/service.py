@@ -10,13 +10,6 @@ group at a time, so concurrent traffic can never interleave kernels
 and execution stays deterministic.  Unpacked member outputs resolve
 the per-request futures; an exception out of a group fails that
 group's requests and nothing else.
-
-Fault degradation (sites ``request_drop`` / ``batch_timeout`` — see
-:mod:`repro.faults`): a dropped member falls out of its batch and
-re-runs solo; a timed-out batch degrades every member to solo.  Both
-paths still return parity-correct results — degradation changes *how*
-a request executes, never *what* it computes — and the service's
-:class:`~repro.bench.pool.DispatchReport` accounts every event.
 """
 
 from __future__ import annotations
@@ -28,10 +21,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.bench.pool import DispatchReport
 from repro.core.config import SuiteConfig
 from repro.errors import GSuiteError, ServeError
-from repro.faults import active_faults
 from repro.frameworks import get_backend
 from repro.graph import BatchedGraph, Graph
 from repro.serve.batcher import BatchGroup, MicroBatcher
@@ -45,8 +36,8 @@ def solo_reference(request: InferenceRequest, pad_to: int = 0,
                    profile=None, graph: Optional[Graph] = None) -> np.ndarray:
     """Execute ``request`` alone.
 
-    This is the parity oracle for every response — batched, solo or
-    degraded: each must equal ``solo_reference(request)`` bit-for-bit.
+    This is the parity oracle for every response — batched or solo:
+    each must equal ``solo_reference(request)`` bit-for-bit.
     ``pad_to`` runs the reference on zero-padded features instead; the
     service never does (the end-to-end harness still builds such
     references).
@@ -69,21 +60,17 @@ class InferenceService:
         is ``serve_batch`` (``0`` planner auto / ``1`` off / ``N``
         cap).  The pipeline fields of the config do **not** constrain
         requests — every request carries its own parameters — but
-        ``faults`` and ``profile_costs`` apply service-wide.
+        ``profile_costs`` applies service-wide.
     """
 
     def __init__(self, config: Optional[SuiteConfig] = None):
         self.config = config if config is not None else SuiteConfig()
         from repro.plan.costprofile import resolve_cost_profile
         self._profile = resolve_cost_profile(self.config.profile_costs)
-        if self.config.faults:
-            from repro import faults as fault_injection
-            fault_injection.activate(self.config.faults)
         self.batcher = MicroBatcher(max_batch=self.config.serve_batch,
                                     profile=self._profile)
-        self.report = DispatchReport()
+        self.solo = 0                     # requests executed alone
         self.batches: List[int] = []      # executed batch sizes, in order
-        self._batch_counter = 0
         self._closing = False
         self._task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
@@ -169,87 +156,52 @@ class InferenceService:
             self._wake.clear()
 
     # -- execution (worker thread) -----------------------------------------
-    def _solo(self, entry, source: str = "solo"):
+    def _solo(self, entry):
         request, graph = entry.request, entry.graph
-        degraded = source == "degraded"
         try:
             output = solo_reference(request, profile=self._profile,
                                     graph=graph)
         except GSuiteError as exc:
             return exc
-        self.report.in_process += 1
-        if degraded:
-            self.report.degraded_tasks += 1
+        self.solo += 1
         return InferenceResponse(
-            request_id=request.request_id, output=output, source=source,
-            batch_size=1, padded_to=graph.num_features,
-            degraded=degraded)
+            request_id=request.request_id, output=output, source="solo",
+            batch_size=1, padded_to=graph.num_features)
 
     def _execute_group(self, group: BatchGroup):
         """Run one flushed group; returns one outcome per entry, in order.
 
-        Multi-member groups consult the serving fault sites first: a
-        ``batch_timeout`` abandons the pack (every member degrades to
-        solo), a ``request_drop`` spills single members out of it.
         A group is one feature width (it is part of the batcher's queue
-        key), so every member — batched, solo or degraded — runs at its
-        own width.
+        key), so every member — batched or solo — runs at its own width.
         """
-        plan = active_faults()
         entries = group.entries
-        self._batch_counter += 1
         if len(entries) == 1:
             return [self._solo(entries[0])]
-        if plan is not None and plan.batch_timed_out(
-                f"batch:{self._batch_counter}"):
-            self.report.timeouts += 1
-            return [self._solo(e, source="degraded") for e in entries]
-        outcomes = {}
-        batched = []
-        for index, entry in enumerate(entries):
-            if plan is not None and plan.drop_request(
-                    entry.request.request_id):
-                self.report.retries += 1
-                outcomes[index] = self._solo(entry, source="degraded")
-            else:
-                batched.append((index, entry))
-        if len(batched) == 1:
-            index, entry = batched[0]
-            outcomes[index] = self._solo(entry)
-        elif batched:
-            head = batched[0][1].request
-            try:
-                workload = BatchedGraph([e.graph for _, e in batched])
-                packed = get_backend(head.framework).build(
-                    head.pipeline_spec(), workload,
-                    cost_profile=self._profile).run()
-            except GSuiteError as exc:
-                for index, _ in batched:
-                    outcomes[index] = exc
-            else:
-                self.report.dispatched += 1
-                self.batches.append(len(batched))
-                for block, (index, entry) in zip(workload.unpack(packed),
-                                                 batched):
-                    self.report.tasks += 1
-                    outcomes[index] = InferenceResponse(
-                        request_id=entry.request.request_id,
-                        output=block, source="batched",
-                        batch_size=len(batched),
-                        padded_to=entry.graph.num_features)
-        return [outcomes[i] for i in range(len(entries))]
+        head = entries[0].request
+        try:
+            workload = BatchedGraph([e.graph for e in entries])
+            packed = get_backend(head.framework).build(
+                head.pipeline_spec(), workload,
+                cost_profile=self._profile).run()
+        except GSuiteError as exc:
+            return [exc] * len(entries)
+        self.batches.append(len(entries))
+        return [InferenceResponse(
+                    request_id=entry.request.request_id, output=block,
+                    source="batched", batch_size=len(entries),
+                    padded_to=entry.graph.num_features)
+                for block, entry in zip(workload.unpack(packed), entries)]
 
     # -- observability -----------------------------------------------------
     def stats(self) -> dict:
-        """Service counters: dispatch accounting and batch shape."""
+        """Service counters: how requests executed and batch shape."""
+        batched = sum(self.batches)
         return {
-            "responses": self.report.tasks + self.report.in_process,
-            "batched": self.report.tasks,
-            "solo": self.report.in_process - self.report.degraded_tasks,
-            "degraded": self.report.degraded_tasks,
+            "responses": batched + self.solo,
+            "batched": batched,
+            "solo": self.solo,
             "batches": list(self.batches),
             "max_batch_size": max(self.batches) if self.batches else 1,
-            "dispatch": self.report.to_dict(),
         }
 
 

@@ -174,7 +174,7 @@ class TestEnvKillSwitch:
         monkeypatch.setenv("GSUITE_CACHE", "0")
         trace_cache.reset_cache()
         cell = WorkCell("record", "gcn", "cora", "MP")
-        _, value, _, delta = engine._execute_cell((cell, TINY, True))
+        _, value, _, delta, _ = engine._execute_cell((cell, TINY, True))
         assert value  # the work still happened
         assert delta.to_dict() == {"hits": 0, "misses": 0, "stores": 0,
                                    "corrupt": 0}

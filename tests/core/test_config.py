@@ -44,11 +44,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("key,value", [
         ("shards", 2), ("partitioner", "rows"), ("jobs", 2),
-        ("task_timeout", 1.0),
+        ("task_timeout", 1.0), ("faults", "worker_crash"),
     ])
     def test_removed_sharding_keys_refused(self, tmp_path, key, value):
-        """The plan-sharding knobs are gone: a dict or a config file
-        still carrying one is refused by name, not silently ignored."""
+        """The plan-sharding knobs and the ``faults`` spec are gone: a
+        dict or a config file still carrying one is refused by name, not
+        silently ignored."""
         with pytest.raises(ConfigError, match=key):
             SuiteConfig.from_dict({key: value})
         path = tmp_path / "old.json"

@@ -1,11 +1,9 @@
-"""End-to-end service tests: parity, degradation, accounting, wire.
+"""End-to-end service tests: parity, accounting, wire.
 
 The serving invariant under test everywhere: **how** a request executes
-(batched, solo, degraded through a fault site) never changes **what**
-it computes — every response is bit-for-bit the same request executed
-solo, at its own feature width — and the service's
-:class:`~repro.bench.pool.DispatchReport` accounts every execution and
-degradation event exactly.
+(batched or solo) never changes **what** it computes — every response
+is bit-for-bit the same request executed solo, at its own feature
+width — and the service's counters account every execution exactly.
 """
 
 import asyncio
@@ -20,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import SuiteConfig
 from repro.errors import ConfigError, GSuiteError, ServeError
-from repro.faults import SITES, parse_faults
+from repro.faults import parse_faults
 from repro.graph import Graph
 from repro.serve import (
     InferenceRequest,
@@ -107,11 +105,8 @@ class TestBatchedParity:
         stats = service.stats()
         assert stats["responses"] == 3
         assert stats["batched"] == 3 and stats["solo"] == 0
-        assert stats["degraded"] == 0
         assert stats["batches"] == [3] and stats["max_batch_size"] == 3
-        report = stats["dispatch"]
-        assert report["dispatched"] == 1 and report["tasks"] == 3
-        assert report["retries"] == 0 and report["timeouts"] == 0
+        assert "degraded" not in stats and "dispatch" not in stats
 
     def test_incompatible_requests_never_share_a_batch(self):
         gcn = _requests((4, 4))
@@ -291,7 +286,7 @@ class TestServeModes:
             assert np.array_equal(response.output, solo_reference(request))
         stats = service.stats()
         assert stats["batched"] == 0 and stats["solo"] == 3
-        assert stats["dispatch"]["dispatched"] == 0
+        assert stats["batches"] == []
 
     def test_cap_mode_bounds_batches(self):
         config = SuiteConfig(serve_batch=2)
@@ -330,81 +325,21 @@ class TestServeModes:
             asyncio.run(service.submit(_requests((4,))[0]))
 
 
-class TestFaultDegradation:
-    def test_request_drop_degrades_to_solo_with_parity(self):
-        config = SuiteConfig(faults="seed=1;request_drop:p=1")
-        requests = _requests((5, 5, 5))
-        service, responses = _serve_all(requests, config)
-        assert [r.source for r in responses] == ["degraded"] * 3
-        assert all(r.degraded for r in responses)
-        for request, response in zip(requests, responses):
-            assert response.padded_to == request.graph.num_features
-            assert np.array_equal(response.output, solo_reference(request))
-        stats = service.stats()
-        assert stats["degraded"] == 3 and stats["batched"] == 0
-        assert stats["dispatch"]["retries"] == 3      # one per dropped member
-        assert stats["dispatch"]["timeouts"] == 0
-        assert stats["dispatch"]["dispatched"] == 0   # nothing left to pack
-
-    def test_partial_drop_keeps_the_rest_batched(self):
-        # p=0.5 with this seed drops a strict subset of the three
-        # member ids (deterministically — same digests every run).
-        config = SuiteConfig(faults="seed=5;request_drop:p=0.5")
-        plan = parse_faults(config.faults)
-        expected_drops = [r for r in ("r0", "r1", "r2")
-                          if plan.decide("request_drop", r)]
-        assert 0 < len(expected_drops) < 3             # seed chosen for this
-        requests = _requests((4, 4, 4))
-        service, responses = _serve_all(requests, config)
-        by_id = {r.request_id: r for r in responses}
-        for request in requests:
-            response = by_id[request.request_id]
-            if request.request_id in expected_drops:
-                assert response.source == "degraded"
-            assert np.array_equal(response.output, solo_reference(request))
-        assert service.stats()["dispatch"]["retries"] == len(expected_drops)
-
-    def test_batch_timeout_degrades_every_member(self):
-        config = SuiteConfig(faults="batch_timeout:p=1")
-        requests = _requests((5, 5, 5))
-        service, responses = _serve_all(requests, config)
-        assert [r.source for r in responses] == ["degraded"] * 3
-        for request, response in zip(requests, responses):
-            assert np.array_equal(response.output, solo_reference(request))
-        stats = service.stats()
-        assert stats["dispatch"]["timeouts"] == 1     # one abandoned pack
-        assert stats["degraded"] == 3
-        assert stats["dispatch"]["dispatched"] == 0
-
-    def test_solo_requests_never_consult_serving_sites(self):
-        config = SuiteConfig(serve_batch=1,
-                             faults="request_drop:p=1;batch_timeout:p=1")
-        service, responses = _serve_all(_requests((4,)), config)
-        assert responses[0].source == "solo"
-        assert not responses[0].degraded
-        stats = service.stats()
-        assert stats["dispatch"]["retries"] == 0
-        assert stats["dispatch"]["timeouts"] == 0
-
-
 class TestFaultSpecs:
-    def test_serving_sites_registered(self):
-        assert "request_drop" in SITES and "batch_timeout" in SITES
-
     def test_spec_round_trip(self):
-        plan = parse_faults("seed=9;request_drop:p=0.25;batch_timeout:p=1")
+        plan = parse_faults("seed=9;worker_crash:p=0.25;cache_truncate:p=1")
         again = parse_faults(plan.render())
         assert again.render() == plan.render()
         assert again.seed == 9
-        assert again.specs["request_drop"].probability == 0.25
+        assert again.specs["worker_crash"].probability == 0.25
 
     def test_decisions_are_deterministic(self):
-        a = parse_faults("seed=3;request_drop:p=0.5")
-        b = parse_faults("seed=3;request_drop:p=0.5")
+        a = parse_faults("seed=3;cache_truncate:p=0.5")
+        b = parse_faults("seed=3;cache_truncate:p=0.5")
         keys = [f"r{i}" for i in range(32)]
-        assert [a.drop_request(k) for k in keys] == \
-            [b.drop_request(k) for k in keys]
-        assert a.injected("request_drop") > 0         # seed fires sometimes
+        assert [a.decide("cache_truncate", k) for k in keys] == \
+            [b.decide("cache_truncate", k) for k in keys]
+        assert a.injected("cache_truncate") > 0       # seed fires sometimes
 
     def test_unknown_site_still_refused(self):
         with pytest.raises(ConfigError, match="unknown fault site"):
@@ -531,7 +466,7 @@ class TestLoadgen:
         assert report.requests == 6
         assert report.parity_checked == 6
         assert report.parity_failures == 0
-        assert report.batched + report.solo + report.degraded == 6
+        assert report.batched + report.solo == 6
         assert report.throughput_rps > 0
         assert report.p99_ms >= report.p50_ms >= 0
         summary = report.summary()

@@ -32,7 +32,7 @@ class TestParser:
 
     @pytest.mark.parametrize("flag,value", [
         ("--shards", "2"), ("--partitioner", "rows"), ("--jobs", "2"),
-        ("--task-timeout", "1"),
+        ("--task-timeout", "1"), ("--faults", "x"),
     ])
     def test_removed_sharding_flags_exit_2(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exit_:
@@ -180,3 +180,43 @@ class TestCommands:
             "features: dense (X is re-materialised on every run)"
         assert line("--dataset", "cora", "--scale", "0.1", "--model",
                     "gin") == "features: dense (no sgemm reads X)"
+
+    def test_serve_answers_then_exits_0(self, capsys, monkeypatch):
+        """``gsuite serve --max-requests 1`` answers one TCP request and
+        exits 0 with a summary built from the service's own counters."""
+        import json
+        import socket
+        import threading
+
+        import repro.serve as serve
+
+        real_serve_tcp = serve.serve_tcp
+        replies = []
+
+        def client(port):
+            request = {"request_id": "r1", "dataset": "cora", "scale": 0.1,
+                       "out_features": 7}
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.sendall(json.dumps(request).encode() + b"\n")
+                replies.append(json.loads(sock.makefile().readline()))
+
+        threads = []
+
+        async def serve_tcp(service, ready=None, **kwargs):
+            def connect(bound):
+                ready(bound)
+                thread = threading.Thread(target=client, args=(bound[1],))
+                thread.start()
+                threads.append(thread)
+            return await real_serve_tcp(service, ready=connect, **kwargs)
+
+        monkeypatch.setattr(serve, "serve_tcp", serve_tcp)
+        code = main(["serve", "--port", "0", "--max-requests", "1"])
+        for thread in threads:
+            thread.join(timeout=30)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert replies[0]["request_id"] == "r1"
+        assert replies[0]["source"] == "solo"
+        assert ("served 1 request(s); 0 batched / 1 solo (max batch 1)"
+                in out)

@@ -2,14 +2,17 @@
 """Benchmark dispatch resilience: what supervision costs with no faults.
 
 The supervised :class:`~repro.bench.pool.WorkerPool` behind the bench
-engine's cell fan-out polices per-task deadlines, dead workers and
-result checksums; the contract is that a clean run pays ~nothing for
-any of it.  Measured two ways and written to ``BENCH_resilience.json``:
-the serial fast path against a plain in-process loop, and the pooled
-path against a raw ``multiprocessing.Pool`` (the pre-supervision seed
-behaviour).  Every path's results must equal the plain loop's bit for
-bit; exit code 1 otherwise.  (Recovery under injected faults is pinned
-by ``tests/test_failure_injection.py``.)
+engine's cell fan-out ships every pooled task on its own and polls for
+dead workers while it waits; the contract is that a clean run pays
+little for it.  Measured two ways and written to
+``BENCH_resilience.json``: the serial fast path against a plain
+in-process loop, and the pooled path against a raw
+``multiprocessing.Pool`` mapping the same tasks batched (the
+pre-supervision seed behaviour).  Each time is the median and
+interquartile range over at least ten interleaved rounds.  Every path's
+results must equal the plain loop's bit for bit; exit code 1 otherwise.
+(Recovery under injected faults is pinned by
+``tests/test_failure_injection.py``.)
 
 Usage::
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -33,13 +37,16 @@ import numpy as np  # noqa: E402
 
 from repro.bench.pool import WorkerPool  # noqa: E402
 
+#: Interleaved timing rounds per path (median and IQR are over these).
+ROUNDS = 10
+
 
 def _work(n: int) -> float:
     """One micro-task of several ms.
 
     Deliberately elementwise-only: BLAS kernels spin their own thread
     pools inside each worker, and the resulting scheduler noise swamps
-    the ~1 ms/task dispatch deltas this benchmark exists to measure."""
+    the per-task dispatch deltas this benchmark exists to measure."""
     rng = np.random.default_rng(n)
     a = rng.standard_normal(100_000).astype(np.float32)
     for _ in range(10):
@@ -53,7 +60,13 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def bench_overhead(tasks: int, jobs: int, repeats: int) -> tuple:
+def _spread(samples) -> dict:
+    """Median and quartiles (seconds) of one path's rounds."""
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def bench_overhead(tasks: int, jobs: int) -> tuple:
     """Supervised vs unsupervised mapping of identical task lists."""
     work = list(range(tasks))
 
@@ -78,46 +91,49 @@ def bench_overhead(tasks: int, jobs: int, repeats: int) -> tuple:
         with WorkerPool(jobs) as pool:
             return pool.map(_work, work)
 
-    # Interleave the paired measurements so machine drift lands on both
-    # sides of each comparison equally; best-of across the rounds.
-    repeats = max(repeats, 5)
+    paths = (plain_loop, supervised_serial, raw_pool, supervised_pool)
     # Warm-up (allocators, fork machinery) doubles as the parity check.
     reference = plain_loop()
-    mismatched = [fn.__name__ for fn in (supervised_serial, raw_pool,
-                                         supervised_pool)
-                  if fn() != reference]
-    serial_s = serial_sup_s = pooled_s = pooled_sup_s = float("inf")
-    for _ in range(repeats):
-        serial_s = min(serial_s, _timed(plain_loop))
-        serial_sup_s = min(serial_sup_s, _timed(supervised_serial))
-        pooled_s = min(pooled_s, _timed(raw_pool))
-        pooled_sup_s = min(pooled_sup_s, _timed(supervised_pool))
+    mismatched = [fn.__name__ for fn in paths[1:] if fn() != reference]
+    # Interleave the paths round by round so machine drift lands on
+    # every side of each comparison equally.
+    samples = {fn.__name__: [] for fn in paths}
+    for _ in range(ROUNDS):
+        for fn in paths:
+            samples[fn.__name__].append(_timed(fn))
+    seconds = {name: _spread(times) for name, times in samples.items()}
+
+    def overhead(base, path):
+        return round((seconds[path]["median"] - seconds[base]["median"])
+                     / seconds[base]["median"] * 100, 2)
+
     result = {
         "tasks": tasks,
         "jobs": jobs,
-        "seconds": {
-            "plain_loop": serial_s,
-            "supervised_serial": serial_sup_s,
-            "raw_pool": pooled_s,
-            "supervised_pool": pooled_sup_s,
-        },
-        "serial_overhead_pct": round(
-            (serial_sup_s - serial_s) / serial_s * 100, 2),
-        "pooled_overhead_pct": round(
-            (pooled_sup_s - pooled_s) / pooled_s * 100, 2),
+        "rounds": ROUNDS,
+        "seconds": seconds,
+        "serial_overhead_pct": overhead("plain_loop", "supervised_serial"),
+        "pooled_overhead_pct": overhead("raw_pool", "supervised_pool"),
         "results_bit_identical": not mismatched,
     }
-    print(f"zero-fault overhead over {tasks} tasks:")
-    print(f"  serial  plain {serial_s * 1e3:8.1f} ms   supervised "
-          f"{serial_sup_s * 1e3:8.1f} ms  ({result['serial_overhead_pct']:+.1f}%)")
-    print(f"  pooled  raw   {pooled_s * 1e3:8.1f} ms   supervised "
-          f"{pooled_sup_s * 1e3:8.1f} ms  ({result['pooled_overhead_pct']:+.1f}%)")
+    print(f"zero-fault overhead over {tasks} tasks, median (IQR) of "
+          f"{ROUNDS} rounds:")
+    for label, base, path, pct in (
+            ("serial  plain", "plain_loop", "supervised_serial",
+             "serial_overhead_pct"),
+            ("pooled  raw  ", "raw_pool", "supervised_pool",
+             "pooled_overhead_pct")):
+        print(f"  {label} {seconds[base]['median'] * 1e3:8.1f} "
+              f"({seconds[base]['iqr'] * 1e3:.1f}) ms   supervised "
+              f"{seconds[path]['median'] * 1e3:8.1f} "
+              f"({seconds[path]['iqr'] * 1e3:.1f}) ms  "
+              f"({result[pct]:+.1f}%)")
     return result, mismatched
 
 
 def run(smoke: bool, jobs: int, out_path: Path) -> int:
-    tasks, repeats = (16, 2) if smoke else (64, 3)
-    overhead, mismatched = bench_overhead(tasks, jobs, repeats)
+    tasks = 16 if smoke else 64
+    overhead, mismatched = bench_overhead(tasks, jobs)
     if mismatched:
         print(f"PARITY FAILURES: {', '.join(mismatched)} differ from "
               f"the plain loop")
@@ -127,9 +143,12 @@ def run(smoke: bool, jobs: int, out_path: Path) -> int:
         "description": "Zero-fault supervision overhead of the bench "
                        "engine's pool: the supervised WorkerPool's "
                        "serial fast path vs a plain loop, and its "
-                       "pooled path vs a raw multiprocessing.Pool (the "
-                       "seed behaviour); best-of wall-clock over "
-                       "interleaved rounds.  Every path's results "
+                       "pooled path (one dispatch per task, polling "
+                       "for dead workers) vs a raw multiprocessing.Pool "
+                       "mapping the same tasks batched (the seed "
+                       "behaviour); wall-clock seconds as median and "
+                       "quartiles over interleaved rounds, overheads "
+                       "from the medians.  Every path's results "
                        "verified bit-for-bit equal to the plain loop's.",
         "smoke": smoke,
         "zero_fault_overhead": overhead,
