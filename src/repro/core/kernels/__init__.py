@@ -15,10 +15,13 @@ from repro.core.kernels.launch import (
 from repro.core.kernels.registry import KERNELS, KernelSpec, get_kernel, kernel_table
 from repro.core.kernels.scatter import (
     REDUCE_OPS,
+    ROW_SPARSE_RATIO,
     aggregation_operator,
     reduction_structure,
+    row_sparse_ratio,
     scatter,
     streaming_reduce,
+    takes_row_sparse,
 )
 from repro.core.kernels.sgemm import sgemm
 from repro.core.kernels.sparse import (
@@ -37,6 +40,7 @@ __all__ = [
     "LaunchRecorder",
     "LINE_BYTES",
     "REDUCE_OPS",
+    "ROW_SPARSE_RATIO",
     "WARP_SIZE",
     "active_recorder",
     "aggregation_operator",
@@ -46,9 +50,11 @@ __all__ = [
     "kernel_table",
     "record_launches",
     "reduction_structure",
+    "row_sparse_ratio",
     "scatter",
     "sgemm",
     "spgemm",
     "spmm",
     "streaming_reduce",
+    "takes_row_sparse",
 ]

@@ -21,7 +21,8 @@ from repro.errors import KernelError
 
 __all__ = ["scatter", "streaming_reduce", "ReductionStructure",
            "reduction_structure", "aggregation_operator", "REDUCE_OPS",
-           "STREAM_BLOCK_BYTES"]
+           "ROW_SPARSE_RATIO", "STREAM_BLOCK_BYTES", "row_sparse_ratio",
+           "takes_row_sparse"]
 
 #: Supported reduction operators.
 REDUCE_OPS = ("sum", "mean", "max", "min")
@@ -30,6 +31,17 @@ REDUCE_OPS = ("sum", "mean", "max", "min")
 #: path: one destination block's gathered messages should stay
 #: last-level-cache resident between the gather and its reduction.
 STREAM_BLOCK_BYTES = 4 * 1024 * 1024
+
+#: An aggregation multiplies the resident row-sparse form of its dense
+#: operand only when the dense product's multiply-adds (``nnz * k``)
+#: outnumber the entries the sparse product visits (``nnz`` operator
+#: entries plus the stored entries of the rows they gather) at least
+#: this many times.  Fitted on the sage mean operator of cora, citeseer
+#: and pubmed over widths 16-1,433 and densities 0.5-6.25 %: every
+#: shape at or above 64 ran the sparse route in 0.32-1.01 of the dense
+#: time, and shapes up to 63.8 still lost (cora at 96 columns and
+#: 0.5 %: 1.13; docs/architecture.md, "Execution").
+ROW_SPARSE_RATIO = 64
 
 
 class ReductionStructure(NamedTuple):
@@ -98,6 +110,31 @@ def aggregation_operator(structure: ReductionStructure,
     return _sp.csr_matrix(
         (values, columns, structure.indptr),
         shape=(structure.indptr.shape[0] - 1, int(num_sources)))
+
+
+def row_sparse_ratio(operator, rows) -> float:
+    """``nnz * k / (nnz + expansion)`` of ``operator @ rows``.
+
+    ``operator`` is an ``[m, n]`` CSR (SciPy or
+    :class:`~repro.graph.formats.CSRMatrix`) and ``rows`` the row-sparse
+    form of an ``[n, k]`` dense operand; the expansion is the number of
+    stored entries of the rows the operator gathers.  ``0.0`` for an
+    empty operator.
+    """
+    if operator.nnz == 0:
+        return 0.0
+    expansion = int(np.diff(rows.indptr)[operator.indices].sum())
+    return operator.nnz * rows.shape[1] / (operator.nnz + expansion)
+
+
+def takes_row_sparse(operator, rows) -> bool:
+    """Whether ``operator`` multiplies ``rows`` instead of the dense
+    operand: ``rows`` exists and :func:`row_sparse_ratio` reaches
+    :data:`ROW_SPARSE_RATIO`.  The one rule: the kernels and ``gsuite
+    plan`` both ask it.
+    """
+    return rows is not None \
+        and row_sparse_ratio(operator, rows) >= ROW_SPARSE_RATIO
 
 
 def _check_operator(operator: _sp.csr_matrix, reduce: str, dim_size: int,
@@ -229,18 +266,35 @@ def _reduce(src: np.ndarray, index: np.ndarray, dim_size: int, reduce: str,
 def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
                 reduce: str, operator: Optional[_sp.csr_matrix] = None,
                 src_index: Optional[np.ndarray] = None,
-                scale: Optional[np.ndarray] = None) -> np.ndarray:
+                scale: Optional[np.ndarray] = None,
+                rows: Optional[_sp.csr_matrix] = None) -> np.ndarray:
     """Sum / mean: apply an aggregation operator to ``dense``.
 
     The operator's rows are already destination-major, so no COO sort
     runs, and the compiled product accumulates a row's entries in
     stored order.  A caller that holds no ``operator`` gets
-    ``aggregation_operator(structure, src_index, scale, rows)`` built
-    for this call.  Mean divides by the clamped row counts.
+    ``aggregation_operator(structure, src_index, scale,
+    dense.shape[0])`` built for this call.  Mean divides by the clamped
+    row counts.
+
+    ``rows`` is the row-sparse form of ``dense``; where
+    :func:`takes_row_sparse` says so the operator multiplies it
+    (``operator @ rows``, SciPy's SpGEMM) and mean divides only the
+    stored entries of the product.  Bit for bit the dense result for
+    finite operator values: both products start every output element
+    from +0.0 and add its products in the operator's stored order, and
+    the terms the sparse one skips are ``a * 0``, which leave a sum
+    unchanged.
     """
     if operator is None:
         operator = aggregation_operator(structure, src_index, scale,
                                         dense.shape[0])
+    if takes_row_sparse(operator, rows):
+        product = operator @ rows
+        if reduce == "mean":
+            product.data /= np.repeat(structure.counts,
+                                      np.diff(product.indptr))
+        return product.toarray()
     summed = np.asarray(operator @ (dense if dense.ndim == 2
                                     else dense[:, None]))
     if reduce == "mean":
@@ -255,7 +309,8 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
                      scale: Optional[np.ndarray] = None,
                      block_bytes: int = STREAM_BLOCK_BYTES,
                      structure: Optional[ReductionStructure] = None,
-                     operator: Optional[_sp.csr_matrix] = None
+                     operator: Optional[_sp.csr_matrix] = None,
+                     rows: Optional[_sp.csr_matrix] = None
                      ) -> np.ndarray:
     """Gather-and-reduce without materialising the full message matrix.
 
@@ -273,7 +328,9 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
     sequence the unfused scatter sums the materialised messages in, and
     no message is ever stored.  Bit-for-bit because the product rounds
     ``a * x`` to float32 before the add, as the materialised message
-    was rounded.
+    was rounded.  ``rows``, the row-sparse form of ``source``, is
+    multiplied instead where the rule allows (see :func:`_csr_reduce`);
+    max and min ignore it.
 
     **Max and min** need the messages themselves, so they stream them
     through destination-range blocks sized to ``block_bytes``: edges
@@ -298,7 +355,7 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
         if structure is None:
             structure = reduction_structure(dst_index, dim_size)
         return _csr_reduce(structure, np.asarray(source, dtype=np.float32),
-                           reduce, operator, src_index, scale)
+                           reduce, operator, src_index, scale, rows)
 
     total_bytes = src_index.size * width * np.dtype(np.float32).itemsize
     if total_bytes <= block_bytes or dim_size <= 1:

@@ -83,10 +83,7 @@ def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
             raise KernelError(
                 f"c must have shape {(a.shape[0], b.shape[1])}, got {c.shape}"
             )
-    if rows is not None and rows.shape != a.shape:
-        raise KernelError(
-            f"row-sparse operand has shape {rows.shape}; the dense "
-            f"operand it stands for has {a.shape}")
+    _check_rows(rows, a)
 
     start = time.perf_counter()
     # The product is this launch's own array: the epilogue below
@@ -109,6 +106,14 @@ def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
     if recorder is not None:
         _emit(recorder, a, b, out, duration, tag, epilogue=activation or "")
     return out
+
+
+def _check_rows(rows, dense: np.ndarray) -> None:
+    """Refuse a row-sparse operand that cannot stand for ``dense``."""
+    if rows is not None and rows.shape != dense.shape:
+        raise KernelError(
+            f"row-sparse operand has shape {rows.shape}; the dense "
+            f"operand it stands for has {dense.shape}")
 
 
 def _row_tile_interleave(a_sweep: np.ndarray, b_sweep: np.ndarray,

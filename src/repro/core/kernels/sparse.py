@@ -13,7 +13,10 @@ gathered rows straight into their destinations
 with the sum / mean :func:`~repro.core.kernels.scatter.
 aggregation_operator`, cache-sized message blocks for max / min)
 instead of materialising the ``[E, f]`` intermediate between two
-launches.
+launches.  Handed the row-sparse form of their dense operand
+(``rows=``), ``spmm`` and a sum / mean ``fused_gather_scatter``
+multiply it instead where :func:`~repro.core.kernels.scatter.
+takes_row_sparse` says so — bit for bit the dense product.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import scipy.sparse as _sp
 from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import EPILOGUE_FP32_PER_ELEMENT, mix_for
 from repro.core.kernels.scatter import REDUCE_OPS, STREAM_BLOCK_BYTES, \
-    ReductionStructure, _check_operator, streaming_reduce
+    ReductionStructure, _check_operator, streaming_reduce, takes_row_sparse
+from repro.core.kernels.sgemm import _check_rows
 from repro.errors import KernelError
 from repro.graph.formats import CSRMatrix
 
@@ -36,7 +40,8 @@ __all__ = ["spmm", "spgemm", "fused_gather_scatter"]
 
 def spmm(adjacency: CSRMatrix, dense: np.ndarray,
          bias: Optional[np.ndarray] = None, tag: str = "",
-         activation: Optional[str] = None) -> np.ndarray:
+         activation: Optional[str] = None,
+         rows: Optional[_sp.csr_matrix] = None) -> np.ndarray:
     """Sparse x dense product ``adjacency @ dense``, optional epilogue.
 
     Parameters
@@ -57,6 +62,13 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
         produce.  The launch record carries the epilogue's extra
         arithmetic and a ``replaces`` entry naming the plain spmm
         launch it stands in for.
+    rows:
+        The resident row-sparse form of ``dense``
+        (:meth:`repro.graph.Graph.feature_rows`), when the caller holds
+        the graph.  Where :func:`~repro.core.kernels.scatter.
+        takes_row_sparse` says so the product is ``adjacency @ rows``,
+        bit for bit the dense product for finite adjacency values; the
+        launch record is the dense product's either way.
     """
     if not isinstance(adjacency, CSRMatrix):
         raise KernelError(
@@ -75,9 +87,11 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
             raise KernelError(
                 f"bias must have shape ({dense.shape[1]},), got {bias.shape}"
             )
+    _check_rows(rows, dense)
 
     start = time.perf_counter()
-    out = adjacency.matmul(dense)
+    out = adjacency.matmul(
+        rows if takes_row_sparse(adjacency, rows) else dense)
     if bias is not None:
         out = out + bias
     out = out.astype(np.float32, copy=False)
@@ -150,7 +164,8 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
                          gather_tag: Optional[str] = None,
                          block_bytes: int = STREAM_BLOCK_BYTES,
                          structure: Optional[ReductionStructure] = None,
-                         operator: Optional[_sp.csr_matrix] = None
+                         operator: Optional[_sp.csr_matrix] = None,
+                         rows: Optional[_sp.csr_matrix] = None
                          ) -> np.ndarray:
     """Fused message passing: gather + (scale +) scatter in one launch.
 
@@ -188,6 +203,13 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
         ``(structure, src_index, scale, source.shape[0])`` (sum / mean
         only) when the caller keeps it resident; built on the spot
         otherwise.
+    rows:
+        The resident row-sparse form of ``source``
+        (:meth:`repro.graph.Graph.feature_rows`), when the caller holds
+        the graph.  A sum / mean multiplies the operator by it where
+        :func:`~repro.core.kernels.scatter.takes_row_sparse` says so,
+        bit for bit the dense result for finite operator values; max /
+        min ignore it, and the launch record is the same either way.
     """
     source = np.asarray(source)
     src_index = np.asarray(src_index)
@@ -225,12 +247,13 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
     if operator is not None:
         _check_operator(operator, reduce, int(dim_size), source.shape[0],
                         dst_index.shape[0])
+    _check_rows(rows, source)
 
     start = time.perf_counter()
     out = streaming_reduce(source, src_index, dst_index, int(dim_size),
                            reduce=reduce, scale=scale,
                            block_bytes=block_bytes, structure=structure,
-                           operator=operator)
+                           operator=operator, rows=rows)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()

@@ -26,7 +26,8 @@ that composition exact:
   twice over: when it multiplies the packed feature matrix, each
   member launch reads that member's own resident row-sparse features
   (:meth:`Graph.feature_rows`) — a row-count-independent product — and
-  the stacked copy made here supplies its shape only.
+  an aggregation over the packed features reads the members' rows
+  stacked; the stacked copy made here is never scanned for them.
 
 :meth:`unpack` splits any packed per-node result back into per-member
 blocks, closing the loop: ``unpack(run(pack(graphs)))`` equals running
@@ -38,6 +39,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as _sp
 
 from repro.errors import GraphFormatError
 from repro.graph.graph import Graph
@@ -141,6 +143,19 @@ class BatchedGraph(Graph):
     def member_names(self) -> Tuple[str, ...]:
         """Member workload names, in pack order."""
         return tuple(g.name for g in self.members)
+
+    def _build_feature_rows(self, x):
+        """The members' resident row-sparse forms, row-stacked, or
+        ``None`` unless every member keeps one.
+
+        The stacked copy's values are the members', so it is never
+        scanned: a whole-batch reader of ``X`` (an aggregation) gets
+        exactly the rows each member's solo run reads.
+        """
+        parts = [g.feature_rows(g.features) for g in self.members]
+        if any(part is None for part in parts):
+            return None
+        return _sp.vstack(parts, format="csr")
 
     # -- unpacking -----------------------------------------------------------
     def unpack(self, packed: np.ndarray) -> List[np.ndarray]:

@@ -209,12 +209,13 @@ class Graph:
     def feature_rows(self, x) -> Optional[_sp.csr_matrix]:
         """The resident row-sparse form of ``x``, or ``None``.
 
-        ``sgemm``'s ``rows`` operand for a first layer: the memoised
-        row-major CSR of :attr:`features` (see :func:`_row_sparse`),
-        returned iff ``x`` *is* :attr:`features` — any other array,
-        however equal, has no resident form and multiplies densely —
-        and the matrix holds at most one stored entry per
-        :data:`ROW_SPARSE_STRIDE`.  Building it freezes
+        The ``rows`` operand of a first-layer ``sgemm`` and of an
+        aggregation over ``X`` (``fused_gather_scatter``, ``spmm``):
+        the memoised row-major CSR of :attr:`features` (see
+        :func:`_row_sparse`), returned iff ``x`` *is* :attr:`features`
+        — any other array, however equal, has no resident form and
+        multiplies densely — and the matrix holds at most one stored
+        entry per :data:`ROW_SPARSE_STRIDE`.  Building it freezes
         :attr:`features` with the rest of the memo: a later in-place
         write raises rather than diverging from the structure, and a
         rebound :attr:`features` gets a structure of its own.
@@ -225,7 +226,11 @@ class Graph:
         if memo is not None and memo[0] is not x:
             del self._structures["feature_rows"]   # features were rebound
         return self.structure("feature_rows",
-                              lambda: (x, _row_sparse(x)))[1]
+                              lambda: (x, self._build_feature_rows(x)))[1]
+
+    def _build_feature_rows(self, x) -> Optional[_sp.csr_matrix]:
+        """The structure :meth:`feature_rows` memoises for ``x``."""
+        return _row_sparse(x)
 
     def in_degrees(self) -> np.ndarray:
         """In-degree of every node (memoised, read-only)."""

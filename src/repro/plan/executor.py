@@ -35,13 +35,17 @@ hands both to ``scatter`` / ``fused_gather_scatter``.  The ``pyg_*`` /
 ``dgl_*`` kinds model what those frameworks re-derive on every forward
 and stay per-run: their kernels build the operator for each call.
 
-The same goes for the one dense operand the graph owns: an ``SGEMM``
-whose left operand *is* ``graph.features`` is handed the graph's
-resident row-sparse form of it (:meth:`repro.graph.Graph.feature_rows`)
-and multiplies over the stored entries only.  The direct reference
-paths ask the same question of the same graph, so plan and direct take
-the same route and stay bit-for-bit; the two routes themselves agree
-to float32 reassociation (docs/architecture.md, "Parity contracts").
+The same goes for the one dense operand the graph owns: an ``SGEMM``,
+a ``FusedGatherScatter`` or an ``SpMM`` whose dense operand *is*
+``graph.features`` is handed the graph's resident row-sparse form of
+it (:meth:`repro.graph.Graph.feature_rows`).  The ``SGEMM`` multiplies
+over the stored entries only; the direct reference paths ask the same
+question of the same graph, so plan and direct take the same route and
+stay bit-for-bit, and the two routes themselves agree to float32
+reassociation.  A sum / mean aggregation multiplies its operator by the
+rows where :func:`~repro.core.kernels.takes_row_sparse` says so, which
+is bit for bit the dense product (docs/architecture.md, "Parity
+contracts").
 """
 
 from __future__ import annotations
@@ -51,13 +55,16 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.kernels import (
+    ROW_SPARSE_RATIO,
     aggregation_operator,
     fused_gather_scatter,
     index_select,
     reduction_structure,
+    row_sparse_ratio,
     scatter,
     sgemm,
     spmm,
+    takes_row_sparse,
 )
 from repro.core.models.activations import get_activation
 from repro.errors import PlanError
@@ -217,19 +224,33 @@ for _kind, _fn in (
     register_normalize(_kind, _fn)
 
 
+#: Each product op that can read ``X``: the kernel it launches, as
+#: launch records name it, and the field holding its dense operand.
+_X_READERS = {SGEMM: ("sgemm", "a"),
+              FusedGatherScatter: ("fusedGatherScatter", "source"),
+              SpMM: ("spmm", "dense")}
+
+
 def describe_features(plan: ExecutionPlan, graph: Graph,
                       resident: bool = True) -> str:
-    """One-line report for ``gsuite plan``: the form in which the
-    plan's first-layer ``sgemm`` will read the feature matrix.
+    """Report for ``gsuite plan``: whether the graph keeps a resident
+    row-sparse form of the feature matrix, then one line per kernel
+    that reads it (an ``sgemm``'s left operand, an aggregation's
+    source, an ``spmm``'s dense operand) and the form it will read.
 
-    Asks :meth:`~repro.graph.Graph.feature_rows` exactly as
-    :class:`PlanExecutor` does — per member for a batched plan — so the
-    report is the decision, not a copy of its rule.  ``resident`` is
-    false for a pipeline that binds a fresh copy of ``X`` on every run.
+    Asks :meth:`~repro.graph.Graph.feature_rows` and, for a sum / mean
+    aggregation or an ``spmm``, :func:`~repro.core.kernels.
+    takes_row_sparse` exactly as :class:`PlanExecutor` does — per
+    member for a batched plan's ``sgemm``, over the operator the
+    executor hands the kernel — so the report is the decision, not a
+    copy of its rule.  ``resident`` is false for a pipeline that binds
+    a fresh copy of ``X`` on every run.
     """
     x = next((ref.vid for ref in plan.inputs if ref.name == "X"), None)
-    if not any(isinstance(op, SGEMM) and op.a.vid == x for op in plan.ops):
-        return "features: dense (no sgemm reads X)"
+    readers = [op for op in plan.ops if type(op) in _X_READERS
+               and getattr(op, _X_READERS[type(op)][1]).vid == x]
+    if not readers:
+        return "features: dense (no kernel reads X)"
     if not resident:
         return "features: dense (X is re-materialised on every run)"
     batched = plan.batch is not None and plan.batch.num_graphs > 1
@@ -239,16 +260,43 @@ def describe_features(plan: ExecutionPlan, graph: Graph,
     if not kept:
         size = max(1, sum(m.features.size for m in members))
         stored = sum(int(np.count_nonzero(m.features)) for m in members)
-        return f"features: dense ({100.0 * stored / size:.3g} %)"
-    size = sum(rows.shape[0] * rows.shape[1] for rows in kept)
-    sparse_bytes = sum(rows.data.nbytes + rows.indices.nbytes
-                       + rows.indptr.nbytes for rows in kept)
-    share = "" if len(kept) == len(members) \
+        header = f"features: dense ({100.0 * stored / size:.3g} %)"
+    else:
+        size = sum(rows.shape[0] * rows.shape[1] for rows in kept)
+        sparse_bytes = sum(rows.data.nbytes + rows.indices.nbytes
+                           + rows.indptr.nbytes for rows in kept)
+        header = (f"features: row-sparse{_share(kept, members)} (nnz/size "
+                  f"{100.0 * sum(r.nnz for r in kept) / max(1, size):.2f} %, "
+                  f"{size * kept[0].dtype.itemsize / 1e6:.1f} MB dense "
+                  f"\u2192 {sparse_bytes / 1e6:.1f} MB)")
+    rows = graph.feature_rows(graph.features)
+    executor = PlanExecutor()
+    env = executor._structure_env(plan, graph, x) if rows is not None \
+        else {}
+    lines = [header]
+    for op in readers:
+        if isinstance(op, SGEMM):
+            form = ("row-sparse" + _share(kept, members)) if kept \
+                else "dense"
+        elif isinstance(op, FusedGatherScatter) \
+                and op.reduce not in ("sum", "mean"):
+            form = f"dense ({op.reduce} streams the gathered rows)"
+        elif rows is None:
+            form = "dense"
+        else:
+            operator = executor._product_operator(op, env, graph)
+            form, sign = ("row-sparse", "\u2265") \
+                if takes_row_sparse(operator, rows) else ("dense", "<")
+            form += (f" (nnz\u00b7k / (nnz + expansion) = "
+                     f"{row_sparse_ratio(operator, rows):.3g} {sign} "
+                     f"{ROW_SPARSE_RATIO})")
+        lines.append(f"  {_X_READERS[type(op)][0]} {op.tag}: {form}")
+    return "\n".join(lines)
+
+
+def _share(kept, members) -> str:
+    return "" if len(kept) == len(members) \
         else f" in {len(kept)} of {len(members)} members"
-    return (f"features: row-sparse{share} (nnz/size "
-            f"{100.0 * sum(r.nnz for r in kept) / max(1, size):.2f} %, "
-            f"{size * kept[0].dtype.itemsize / 1e6:.1f} MB dense \u2192 "
-            f"{sparse_bytes / 1e6:.1f} MB)")
 
 
 class PlanExecutor:
@@ -421,6 +469,41 @@ class PlanExecutor:
             lambda: aggregation_operator(structure, columns, weights,
                                          num_sources))
 
+    def _structure_env(self, plan: ExecutionPlan, graph: Graph,
+                       x: int) -> Dict[int, Any]:
+        """The plan's constants, ``X`` bound to ``graph.features``, and
+        the output of every ``Normalize`` whose inputs those determine —
+        what a run would hand the aggregation kernels, without running
+        one."""
+        self._resident = {}
+        env: Dict[int, Any] = dict(plan.constants)
+        env[x] = graph.features
+        for op in plan.ops:
+            if isinstance(op, Normalize) \
+                    and all(ref.vid in env for ref in op.inputs):
+                self._execute(op, env, graph)
+        return env
+
+    def _product_operator(self, op, env: Dict[int, Any], graph: Graph):
+        """The sparse operand a sum / mean ``FusedGatherScatter`` or an
+        ``SpMM`` multiplies its dense operand by: the resident operator
+        :meth:`_aggregation` hands the kernel, or the one the kernel
+        builds for the call."""
+        if isinstance(op, SpMM):
+            return env[op.matrix.vid]
+        source = env[op.source.vid]
+        structure, operator = self._aggregation(
+            env, graph, op.reduce, source, op.dst_index, op.src_index,
+            op.scale)
+        if operator is not None:
+            return operator
+        dst = env[op.dst_index.vid]
+        return aggregation_operator(
+            structure or reduction_structure(dst, graph.num_nodes),
+            env[op.src_index.vid],
+            None if op.scale is None else env[op.scale.vid],
+            source.shape[0])
+
     def _execute(self, op, env: Dict[int, Any], graph: Graph):
         if isinstance(op, Gather):
             out = index_select(env[op.source.vid], env[op.index.vid],
@@ -440,8 +523,10 @@ class PlanExecutor:
             return out
         if isinstance(op, SpMM):
             bias = env[op.bias.vid] if op.bias is not None else None
-            out = spmm(env[op.matrix.vid], env[op.dense.vid], bias=bias,
-                       tag=op.tag, activation=op.activation or None)
+            dense = env[op.dense.vid]
+            out = spmm(env[op.matrix.vid], dense, bias=bias,
+                       tag=op.tag, activation=op.activation or None,
+                       rows=graph.feature_rows(dense))
             env[op.out.vid] = out
             return out
         if isinstance(op, FusedGatherScatter):
@@ -455,7 +540,7 @@ class PlanExecutor:
                 env[op.dst_index.vid], dim_size=graph.num_nodes,
                 scale=scale, reduce=op.reduce, tag=op.tag,
                 gather_tag=op.gather_tag, structure=structure,
-                operator=operator)
+                operator=operator, rows=graph.feature_rows(source))
             env[op.out.vid] = out
             return out
         if isinstance(op, SGEMM):

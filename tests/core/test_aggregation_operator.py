@@ -7,13 +7,23 @@ either way the result is the unfused reference's, bit for bit.  An
 operator that cannot belong to the call is refused before any
 arithmetic and records no launch.
 
-The CSR product never enters BLAS, so these pins hold at any BLAS
+Where the dense operand has a row-sparse form (``rows=``), a sum /
+mean aggregation and ``spmm`` multiply it instead whenever
+``takes_row_sparse`` says so — bit for bit the dense product, NaN, inf
+and ``-0.0`` features included — and the rule sends the shapes on
+which that route measured slower to the dense product.
+
+The CSR products never enter BLAS, so these pins hold at any BLAS
 thread count (CI re-runs this file under ``OPENBLAS_NUM_THREADS=2``).
 """
 
+import math
+from importlib import import_module
+
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.sparse as sp
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core.kernels import (
@@ -23,9 +33,12 @@ from repro.core.kernels import (
     record_launches,
     reduction_structure,
     scatter,
+    spmm,
+    takes_row_sparse,
 )
 from repro.errors import KernelError
-from strategies import STANDARD_SETTINGS, power_law_graphs
+from repro.graph.formats import COOMatrix
+from strategies import STANDARD_SETTINGS, feature_matrices, power_law_graphs
 
 _SUM_MEAN = ("sum", "mean")
 
@@ -183,3 +196,104 @@ def test_operator_for_other_source_rows_is_refused(kernel, no_arithmetic):
     else:
         operator = aggregation_operator(structure, None, None, 6)
         _assert_refused(lambda: _scatter(operator))
+
+
+# -- the row-sparse route -----------------------------------------------------
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=np.float32).view(np.uint32)
+
+
+@STANDARD_SETTINGS
+@given(data=st.data(), reduce=st.sampled_from(_SUM_MEAN),
+       scaled=st.booleans(), specials=st.booleans(),
+       seed=st.integers(0, 2**31 - 1))
+def test_row_sparse_route_is_the_dense_product_bitwise(data, reduce, scaled,
+                                                       specials, seed):
+    """Forced onto the route whatever the rule says (the rule has its
+    own property below).  The drawn graphs carry zero-in-degree rows
+    and duplicate edges; the drawn features ``-0.0`` at absent
+    positions and, with ``specials``, NaN / +inf / -inf stored."""
+    graph = data.draw(power_law_graphs(min_nodes=1, max_nodes=32))
+    x, _ = data.draw(feature_matrices(rows=graph.num_nodes, max_width=24))
+    rng = np.random.default_rng(seed)
+    if specials:
+        stored = rng.permutation(np.flatnonzero(x))[:3]
+        x.flat[stored] = np.array([np.nan, np.inf, -np.inf],
+                                  dtype=np.float32)[:stored.size]
+    rows = sp.csr_matrix(x)
+    assert rows.nnz == np.count_nonzero(x)
+    scale = rng.standard_normal(graph.num_edges).astype(np.float32) \
+        if scaled else None
+    adjacency = COOMatrix(graph.dst, graph.src,
+                          rng.standard_normal(graph.num_edges),
+                          shape=(graph.num_nodes, graph.num_nodes)).to_csr()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(import_module("repro.core.kernels.scatter"),
+                      "ROW_SPARSE_RATIO", 0)
+        assert takes_row_sparse(adjacency, rows)
+        pairs = [
+            (fused_gather_scatter(x, graph.src, graph.dst, graph.num_nodes,
+                                  scale=scale, reduce=reduce),
+             fused_gather_scatter(x, graph.src, graph.dst, graph.num_nodes,
+                                  scale=scale, reduce=reduce, rows=rows)),
+            (spmm(adjacency, x), spmm(adjacency, x, rows=rows)),
+        ]
+    for dense, routed in pairs:
+        assert routed.dtype == np.float32 and routed.shape == dense.shape
+        assert np.array_equal(_bits(routed), _bits(dense))
+
+
+#: (width, density) of the route-rule sweep; the row-sparse route won
+#: only on the datasets' own shapes, 1 % at 500 columns and wider.
+_WINS = {(500, 0.01), (1433, 0.01), (3703, 0.01)}
+
+
+@STANDARD_SETTINGS
+@given(graph=power_law_graphs(min_nodes=1, max_nodes=24),
+       width=st.sampled_from((16, 64, 500, 1433, 3703)),
+       density=st.sampled_from((0.01, 0.0625)),
+       seed=st.integers(0, 2**31 - 1))
+def test_rule_routes_the_losing_shapes_dense(graph, width, density, seed):
+    """Every row stores ``ceil(width * density)`` entries, so the rule's
+    ratio is ``width / (1 + stored per row)`` on any graph.  The kernels
+    are handed NaN-poisoned rows: NaN in the output is the proof they
+    multiplied them, and a dense answer must equal the plain product."""
+    assume(graph.num_edges > 0)
+    rng = np.random.default_rng(seed)
+    n, per_row = graph.num_nodes, math.ceil(width * density)
+    columns = np.sort(rng.random((n, width)).argsort(axis=1)[:, :per_row],
+                      axis=1)
+    rows = sp.csr_matrix(
+        (rng.standard_normal(n * per_row).astype(np.float32) + 4.0,
+         columns.ravel(), np.arange(n + 1) * per_row), shape=(n, width))
+    x = rows.toarray()
+    poisoned = rows.copy()
+    poisoned.data[:] = np.nan
+    taken = (width, density) in _WINS
+    structure = reduction_structure(graph.dst, n)
+    operator = aggregation_operator(structure, graph.src, None, n)
+    adjacency = graph.adjacency_csr()
+    assert takes_row_sparse(operator, rows) is taken
+    assert takes_row_sparse(adjacency, rows) is taken
+    for dense, routed in (
+            (fused_gather_scatter(x, graph.src, graph.dst, n,
+                                  reduce="mean"),
+             fused_gather_scatter(x, graph.src, graph.dst, n, reduce="mean",
+                                  structure=structure, operator=operator,
+                                  rows=poisoned)),
+            (spmm(adjacency, x), spmm(adjacency, x, rows=poisoned))):
+        assert bool(np.isnan(routed).any()) is taken
+        if not taken:
+            assert np.array_equal(routed, dense)
+
+
+@pytest.mark.parametrize("kernel", ["fused", "spmm"])
+def test_rows_of_another_shape_are_refused(kernel, no_arithmetic):
+    rows = sp.csr_matrix(np.zeros((4, 3), dtype=np.float32))
+    if kernel == "fused":
+        _assert_refused(lambda: fused_gather_scatter(_X, _SRC, _DST, 4,
+                                                     rows=rows))
+    else:
+        adjacency = COOMatrix(_DST, _SRC, shape=(4, 4)).to_csr()
+        _assert_refused(lambda: spmm(adjacency, _X, rows=rows))

@@ -18,9 +18,10 @@ from repro.graph import Graph, add_self_loops, gcn_edge_weights
 # (model, compute model, fuse) -> the builders that run and how often.
 # ``reduction_structure`` and ``aggregation_operator`` count every build,
 # resident or on the spot (max / min and SpMM never build an operator);
-# ``row_sparse`` is the scan behind ``Graph.feature_rows``, which only a
-# first layer multiplying the graph's own ``X`` asks for (a declined
-# matrix is remembered too).
+# ``row_sparse`` is the scan behind ``Graph.feature_rows``, which every
+# product over the graph's own ``X`` asks for — a first-layer sgemm, a
+# fused aggregation, an spmm — once per graph (a declined matrix is
+# remembered too).
 CELLS = {
     ("sage", "MP", "auto"): {
         "add_self_loops": 1, "reduction_structure": 1,
@@ -29,10 +30,10 @@ CELLS = {
         "add_self_loops": 1, "gcn_edge_weights": 1,
         "reduction_structure": 1, "aggregation_operator": 1,
         "row_sparse": 1},
-    ("gin", "SpMM", "auto"): {"gin_aggregate_matrix": 1},
+    ("gin", "SpMM", "auto"): {"gin_aggregate_matrix": 1, "row_sparse": 1},
     ("gcn", "SpMM", "auto"): {
         "add_self_loops": 1, "degree_half_inverse_csr": 1,
-        "adjacency_csr": 1},
+        "adjacency_csr": 1, "row_sparse": 1},
 }
 
 _BUILDERS = {
@@ -269,3 +270,88 @@ def test_copies_start_with_an_empty_memo():
         assert not other._structures
         other.features[0, 0] = 5.0                # its own, writable
         assert graph.features[0, 0] != 5.0
+
+
+# -- aggregations over the feature matrix -------------------------------------
+
+def _routes_taken(monkeypatch):
+    """Every answer ``takes_row_sparse`` gives the aggregation kernels."""
+    answers = []
+    for name in ("repro.core.kernels.scatter", "repro.core.kernels.sparse"):
+        module = import_module(name)
+        rule = module.takes_row_sparse
+
+        def spy(operator, rows, rule=rule):
+            answers.append(rule(operator, rows))
+            return answers[-1]
+
+        monkeypatch.setattr(module, "takes_row_sparse", spy)
+    return answers
+
+
+def _citation(seed=1):
+    """A fresh cora sample: 1,433 columns at 1 %, an empty memo."""
+    from repro.datasets import load_dataset
+    return load_dataset("cora", scale=0.1, seed=seed).copy()
+
+
+@pytest.mark.parametrize("model, compute_model",
+                         [("sage", "MP"), ("gcn", "SpMM")])
+def test_launch_records_are_blind_to_the_aggregation_route(
+        model, compute_model, monkeypatch):
+    """``record()`` over the resident rows and ``run(features=copy)``
+    (no resident form: the dense route) emit the same launches."""
+    taken = _routes_taken(monkeypatch)
+    graph = _citation()
+    pipeline = GNNPipeline(SuiteConfig(model=model,
+                                       compute_model=compute_model,
+                                       out_features=3), graph=graph)
+    resident = pipeline.record()
+    assert taken == [True, False]        # layer 0 reads X, layer 1 not
+    dense = pipeline.record(graph.features.copy())
+    assert taken[2:] == [False, False]
+    assert [l.fingerprint() for l in resident.launches] \
+        == [l.fingerprint() for l in dense.launches]
+    if compute_model == "SpMM":
+        # The spmm is gcn/SpMM's only reader of X, and its route is
+        # exact: the whole output is bitwise.
+        built = pipeline.build()
+        assert np.array_equal(built.run(), built.run(graph.features.copy()))
+
+
+def test_batched_aggregation_never_scans_the_stacked_copy(monkeypatch):
+    """A packed aggregation over ``X`` reads the members' resident rows
+    row-stacked, or stays dense when a member has none; the packed
+    feature copy is never scanned."""
+    from repro.frameworks import PipelineSpec, get_backend
+    from repro.graph import BatchedGraph
+
+    graph_module = import_module("repro.graph.graph")
+    scan = graph_module._row_sparse
+    scanned = []
+
+    def counted(x):
+        scanned.append(x)
+        return scan(x)
+
+    monkeypatch.setattr(graph_module, "_row_sparse", counted)
+    taken = _routes_taken(monkeypatch)
+    spec = PipelineSpec(model="sage", compute_model="MP", seed=5)
+    members = [_citation(seed) for seed in (1, 2)]
+    batched = BatchedGraph(members)
+    blocks = batched.unpack(get_backend("gsuite").build(spec, batched).run())
+    assert [id(x) for x in scanned] == [id(m.features) for m in members]
+    assert taken[0] is True
+    for block, member in zip(blocks, members):
+        assert np.array_equal(block,
+                              get_backend("gsuite").build(spec, member).run())
+    assert len(scanned) == 2             # the solo runs read the memos
+
+    # One member without a resident form: the aggregation stays dense.
+    dense_member = _citation(3)
+    dense_member.features = np.ones_like(dense_member.features)
+    mixed = BatchedGraph([_citation(4), dense_member])
+    del scanned[:], taken[:]
+    get_backend("gsuite").build(spec, mixed).run()
+    assert all(x is not mixed.features for x in scanned)
+    assert len(scanned) == 2 and taken[0] is False

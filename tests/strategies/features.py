@@ -16,17 +16,19 @@ _REGIMES = ("empty", "single", "bag_of_words", "under", "over", "full")
 
 
 @st.composite
-def feature_matrices(draw, max_rows: int = 40, max_width: int = 48):
+def feature_matrices(draw, max_rows: int = 40, max_width: int = 48,
+                     rows: int = -1):
     """``(x, nnz)``: a float32 ``[n, k]`` matrix and its stored-entry
     count (positions where ``x != 0``).
 
     Values are drawn floats of either sign, not 0/1 indicators, and a
     drawn share of the absent positions holds ``-0.0``, which compares
-    equal to zero and must not be stored.
+    equal to zero and must not be stored.  ``rows`` pins ``n`` instead
+    of drawing it (the node count of a drawn graph).
     """
     from repro.graph.graph import ROW_SPARSE_STRIDE
 
-    n = draw(st.integers(0, max_rows))
+    n = rows if rows >= 0 else draw(st.integers(0, max_rows))
     k = draw(st.integers(0, max_width))
     regime = draw(st.sampled_from(_REGIMES))
     negative_zeros = draw(st.booleans())

@@ -158,28 +158,57 @@ class TestCommands:
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_plan_reports_the_feature_operand(self, capsys):
-        """The line is what ``Graph.feature_rows`` answers for the
-        operand the first-layer sgemm will be handed."""
-        def line(*args):
+        """The header is what ``Graph.feature_rows`` answers; each
+        indented line is one kernel that reads ``X`` and the form the
+        executor will hand it (``takes_row_sparse`` for an
+        aggregation)."""
+        def block(*args):
             assert main(["plan", *args]) == 0
-            return next(l for l in capsys.readouterr().out.splitlines()
-                        if l.startswith("features:"))
+            lines = capsys.readouterr().out.splitlines()
+            at = next(i for i, l in enumerate(lines)
+                      if l.startswith("features:"))
+            end = next(i for i in range(at + 1, len(lines) + 1)
+                       if i == len(lines) or not lines[i].startswith("  "))
+            return lines[at:end]
 
-        assert line("--dataset", "cora") == (
+        def line(*args):
+            return block(*args)[0]
+
+        assert block("--dataset", "cora") == [
             "features: row-sparse (nnz/size 0.97 %, 15.5 MB dense "
-            "\u2192 0.3 MB)")
-        assert line("--dataset", "reddit", "--scale", "0.02") == \
-            "features: dense (100 %)"
+            "\u2192 0.3 MB)",
+            "  sgemm gcn-l0: row-sparse"]
+        assert block("--dataset", "reddit", "--scale", "0.02") == [
+            "features: dense (100 %)", "  sgemm gcn-l0: dense"]
         # Three seed variants packed: each member's own structure.
         assert line("--dataset", "cora", "--scale", "0.1",
                     "--batch", "3").startswith(
                         "features: row-sparse (nnz/size 0.9")
-        # No resident operand: PyG re-materialises X, GIN aggregates it.
-        assert line("--dataset", "cora", "--scale", "0.1", "--framework",
-                    "pyg") == \
-            "features: dense (X is re-materialised on every run)"
-        assert line("--dataset", "cora", "--scale", "0.1", "--model",
-                    "gin") == "features: dense (no sgemm reads X)"
+        # No resident operand: PyG re-materialises X.
+        assert block("--dataset", "cora", "--scale", "0.1", "--framework",
+                     "pyg") == \
+            ["features: dense (X is re-materialised on every run)"]
+        # The aggregations over X are its other readers.
+        assert block("--dataset", "cora", "--scale", "0.1", "--model",
+                     "gin")[1:] == [
+            "  fusedGatherScatter gin-l0: row-sparse "
+            "(nnz\u00b7k / (nnz + expansion) = 96.1 \u2265 64)"]
+        assert block("--dataset", "cora", "--model", "sage")[1:] == [
+            "  fusedGatherScatter sage-l0: row-sparse "
+            "(nnz\u00b7k / (nnz + expansion) = 95.9 \u2265 64)",
+            "  sgemm sage-l0: row-sparse"]
+        assert block("--dataset", "cora", "--model", "gcn",
+                     "--compute-model", "SpMM")[1:] == [
+            "  spmm gcn-l0: row-sparse "
+            "(nnz\u00b7k / (nnz + expansion) = 95.9 \u2265 64)"]
+        assert block("--dataset", "reddit", "--scale", "0.02", "--model",
+                     "gin", "--compute-model", "SpMM") == [
+            "features: dense (100 %)", "  spmm gin-l0: dense"]
+        # Packed members: the aggregation reads their rows stacked.
+        assert block("--dataset", "cora", "--scale", "0.1", "--batch", "3",
+                     "--model", "sage")[1] == (
+            "  fusedGatherScatter sage-l0: row-sparse "
+            "(nnz\u00b7k / (nnz + expansion) = 96 \u2265 64)")
 
     def test_serve_answers_then_exits_0(self, capsys, monkeypatch):
         """``gsuite serve --max-requests 1`` answers one TCP request and
