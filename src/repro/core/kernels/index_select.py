@@ -79,9 +79,7 @@ def _emit(recorder: L.LaunchRecorder, input: np.ndarray, index: np.ndarray,
     sampled = index[::stride] if dim == 0 else index[:0]
     fraction = (sampled.size / index.size) if index.size else 1.0
 
-    input_base = recorder.new_region()
-    index_base = recorder.new_region()
-    out_base = recorder.new_region()
+    input_base, index_base, out_base = L.operand_bases(3)
     gathers = L.row_lines(input_base, sampled, row_bytes) if dim == 0 else \
         L.sequential_lines(input_base, input.size * L.FLOAT_BYTES, recorder.sample_cap)
     loads = np.concatenate([

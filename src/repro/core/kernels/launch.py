@@ -40,7 +40,7 @@ __all__ = [
     "LaunchRecorder",
     "record_launches",
     "active_recorder",
-    "operand_base",
+    "operand_bases",
     "row_lines",
     "sequential_lines",
     "sample_stride",
@@ -193,7 +193,10 @@ class KernelLaunch:
         simulation results under the same GPU model, so persistent
         caches key per-launch results by it.  ``duration_s`` is
         deliberately excluded: wall-clock noise does not influence the
-        simulated outcome.
+        simulated outcome.  Trace addresses are launch-local
+        (:func:`operand_bases`), so the same kernel on the same operands
+        has one fingerprint wherever it falls in a recording, and a
+        repeated launch is a cache hit.
         """
         digest = hashlib.sha256()
         mix = self.mix
@@ -221,11 +224,14 @@ def _read_only(value):
 
 
 class LaunchRecorder:
-    """Collects :class:`KernelLaunch` records and allocates trace regions.
+    """Collects :class:`KernelLaunch` records.
 
     One recorder is active at a time (they nest); kernels obtain it via
     :func:`active_recorder` and skip all trace work when none is active,
-    so un-instrumented inference pays almost nothing.
+    so un-instrumented inference pays almost nothing.  The recorder
+    holds no address state: trace addresses are launch-local
+    (:func:`operand_bases`), so a kernel records the same trace
+    whatever was recorded before it.
     """
 
     def __init__(self, sample_cap: int = 1_000_000):
@@ -233,17 +239,10 @@ class LaunchRecorder:
             raise ValueError(f"sample_cap must be positive, got {sample_cap}")
         self.sample_cap = int(sample_cap)
         self.launches: List[KernelLaunch] = []
-        self._next_region = 1  # region 0 reserved / null
 
     def emit(self, launch: KernelLaunch) -> None:
         """Append a finished launch record."""
         self.launches.append(launch)
-
-    def new_region(self) -> int:
-        """Reserve a fresh virtual base address for one operand."""
-        base = self._next_region * _REGION_BYTES
-        self._next_region += 1
-        return base
 
     # -- aggregation helpers used by the bench drivers --------------------
     def by_kernel(self) -> Dict[str, List[KernelLaunch]]:
@@ -291,9 +290,15 @@ def active_recorder() -> Optional[LaunchRecorder]:
 # Trace-generation helpers (all vectorised, all line-granular)
 # ---------------------------------------------------------------------------
 
-def operand_base(recorder: LaunchRecorder) -> int:
-    """Fresh virtual base address for one kernel operand."""
-    return recorder.new_region()
+def operand_bases(count: int) -> tuple:
+    """Virtual base addresses of one launch's ``count`` operands.
+
+    Operand ``i``, in the order the kernel names them, starts at
+    ``(i + 1) << 40`` (region 0 stays null), so the bases are a
+    function of the launch alone: two identical kernels record
+    identical traces and share a fingerprint.
+    """
+    return tuple((i + 1) * _REGION_BYTES for i in range(count))
 
 
 def sample_stride(count: int, cap: int) -> int:

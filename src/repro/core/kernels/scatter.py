@@ -408,9 +408,7 @@ def _emit(recorder: L.LaunchRecorder, src: np.ndarray, index: np.ndarray,
     sampled = index[::stride]
     fraction = (sampled.size / index.size) if index.size else 1.0
 
-    src_base = recorder.new_region()
-    index_base = recorder.new_region()
-    out_base = recorder.new_region()
+    src_base, index_base, out_base = L.operand_bases(3)
     loads = np.concatenate([
         L.sequential_lines(index_base, index.size * L.FLOAT_BYTES,
                            recorder.sample_cap),

@@ -153,9 +153,7 @@ def _emit(recorder: L.LaunchRecorder, a, b, out, duration: float,
     row_tiles = math.ceil(n / _TILE)
     col_tiles = math.ceil(m / _TILE)
 
-    a_base = recorder.new_region()
-    b_base = recorder.new_region()
-    out_base = recorder.new_region()
+    a_base, b_base, out_base = L.operand_bases(3)
     cap = recorder.sample_cap
     # A tiled GEMM walks A row-tile by row-tile, re-reading all of B for
     # every row tile: B recurs at short reuse distance (cache hits), A

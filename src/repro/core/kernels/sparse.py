@@ -119,10 +119,7 @@ def _emit_spmm(recorder: L.LaunchRecorder, adjacency: CSRMatrix,
     sampled_cols = adjacency.indices[::stride]
     fraction = (sampled_cols.size / nnz) if nnz else 1.0
 
-    structure_base = recorder.new_region()
-    values_base = recorder.new_region()
-    dense_base = recorder.new_region()
-    out_base = recorder.new_region()
+    structure_base, values_base, dense_base, out_base = L.operand_bases(4)
     cap = recorder.sample_cap
     loads = np.concatenate([
         L.sequential_lines(structure_base,
@@ -286,9 +283,7 @@ def _emit_fused_gather_scatter(recorder: L.LaunchRecorder,
     sampled_dst = dst_index[::stride]
     fraction = (sampled_src.size / edges) if edges else 1.0
 
-    source_base = recorder.new_region()
-    index_base = recorder.new_region()
-    out_base = recorder.new_region()
+    source_base, index_base, out_base = L.operand_bases(3)
     loads = np.concatenate([
         L.sequential_lines(index_base,
                            2 * edges * L.FLOAT_BYTES + (
@@ -365,9 +360,7 @@ def _emit_spgemm(recorder: L.LaunchRecorder, a: CSRMatrix, b: CSRMatrix,
     sampled_rows = a.indices[::stride]
     fraction = (sampled_rows.size / a.nnz) if a.nnz else 1.0
 
-    a_base = recorder.new_region()
-    b_base = recorder.new_region()
-    out_base = recorder.new_region()
+    a_base, b_base, out_base = L.operand_bases(3)
     cap = recorder.sample_cap
     loads = np.concatenate([
         L.sequential_lines(a_base, 2 * a.nnz * L.FLOAT_BYTES, cap),

@@ -39,7 +39,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -151,8 +151,9 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
 
     R = resident_warps
     ipw = instructions_per_warp
-    pat = list(pattern)
-    pat_len = len(pat)
+    pat_len = len(pattern)
+    # The class of the instruction at every pc a warp reaches.
+    classes = (list(pattern) * (ipw // pat_len + 1))[:ipw]
     issue_width = config.issue_width
     alu_lat = max(1, config.alu_latency)
     ctl_lat = max(1, config.sfu_latency)
@@ -163,17 +164,16 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
     # sustains up to `mlp` outstanding requests before the load/store
     # unit back-pressures.
     mem_slots_in_pattern = sum(1 for c in pattern if c == _MEM)
-    load_stride = len(pattern) / max(1, mem_slots_in_pattern)
+    load_stride = pat_len / max(1, mem_slots_in_pattern)
     use_distance = int(min(32, max(4, round(2 * load_stride))))
     mlp = 8
 
     reason_index = {name: i for i, name in enumerate(STALL_REASONS)}
     R_MEM = reason_index["MemoryDependency"]
     R_EXE = reason_index["ExecutionDependency"]
-    R_ISS = reason_index["InstructionIssued"]
-    R_FET = reason_index["InstructionFetch"]
     R_SYN = reason_index["Synchronization"]
-    R_NSEL = reason_index["NotSelected"]
+    # Wait reasons are charged through this list (a warp's reason is an
+    # index into it); the other three reasons are plain counters below.
     stall_counts = [0] * len(STALL_REASONS)
 
     # Per-warp state (plain lists: this loop is the simulator hot path).
@@ -187,41 +187,43 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
     # Outstanding loads per warp: list of (use_pc, completion_cycle).
     inflight: List[List] = [[] for _ in range(R)]
 
-    occ = {state: 0 for state in OCCUPANCY_STATES}
-    if active_lanes <= 8:
-        lane_bucket = "W8"
-    elif active_lanes <= 20:
-        lane_bucket = "W20"
-    else:
-        lane_bucket = "W32"
-
     # The three populations of live warps (docs/architecture.md, "GPU
     # simulator").  Every live warp is in exactly one of them.
     #
-    # * ``sleepers``: heap of (ready, warp) with ready > cycle and
-    #   ready >= fetched_at, so the warp's gate is ``ready`` and nothing
-    #   about it changes before then; ``asleep[kind]`` counts them per
-    #   wait reason and charges them in aggregate.
+    # * ``sleepers``: heap of ``ready << shift | warp`` keys (ordered
+    #   exactly like ``(ready, warp)`` pairs, as ``warp < 1 << shift``)
+    #   with ready > cycle and ready >= fetched_at, so the warp's gate is
+    #   ``ready`` and nothing about it changes before then;
+    #   ``asleep[kind]`` counts them per wait reason and charges them in
+    #   aggregate.
     # * ``pool``: sorted indices of eligible warps whose promote step is
     #   a no-op until they issue (no pending_sync, no due in-flight head).
     # * ``scan``: warps still inside their fetch gap (fetched_at > cycle
     #   and fetched_at > ready) plus the sleepers that woke this cycle;
     #   only these are walked, and only they run the promote step.
-    sleepers: List[Tuple[int, int]] = []
+    shift = R.bit_length()
+    mask = (1 << shift) - 1
+    sleepers: List[int] = []
     asleep = [0] * len(STALL_REASONS)
     pool = list(range(R))
     in_pool = [True] * R
     scan: List[int] = []
 
     issued_total = 0
+    issuing_cycles = 0
+    not_selected = 0
+    fetch_stalls = 0
+    stall_cycles = 0
+    idle_cycles = 0
     live = R
     cycle = 0
     last_issued = 0
     max_cycles = config.max_cycles
 
     while live > 0 and cycle < max_cycles:
-        while sleepers and sleepers[0][0] <= cycle:
-            w = heappop(sleepers)[1]
+        wake = (cycle + 1) << shift
+        while sleepers and sleepers[0] < wake:
+            w = heappop(sleepers) & mask
             asleep[wait_kind[w]] -= 1
             scan.append(w)
 
@@ -229,29 +231,32 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
         # surface scoreboard (use-of-load) dependencies, and re-home each
         # scanned warp.  One promote step per warp per iteration: whether
         # `completion > cycle` holds depends on the cycle it runs at.
-        gapped = []
-        for w in scan:
-            until = ready[w]
-            if until <= cycle:
-                if pending_sync[w]:
-                    until = ready[w] = cycle + pending_sync[w]
-                    wait_kind[w] = R_SYN
-                    pending_sync[w] = 0
-                elif inflight[w] and inflight[w][0][0] <= pc[w]:
-                    completion = inflight[w].pop(0)[1]
-                    if completion > cycle:
-                        until = ready[w] = completion
-                        wait_kind[w] = R_MEM
-            fetched = fetched_at[w]
-            if fetched > cycle and fetched > until:
-                gapped.append(w)
-            elif until > cycle:
-                heappush(sleepers, (until, w))
-                asleep[wait_kind[w]] += 1
-            else:
-                insort(pool, w)
-                in_pool[w] = True
-        scan = gapped
+        if scan:
+            gapped = []
+            for w in scan:
+                until = ready[w]
+                if until <= cycle:
+                    if pending_sync[w]:
+                        until = ready[w] = cycle + pending_sync[w]
+                        wait_kind[w] = R_SYN
+                        pending_sync[w] = 0
+                    else:
+                        queue = inflight[w]
+                        if queue and queue[0][0] <= pc[w]:
+                            completion = queue.pop(0)[1]
+                            if completion > cycle:
+                                until = ready[w] = completion
+                                wait_kind[w] = R_MEM
+                fetched = fetched_at[w]
+                if fetched > cycle and fetched > until:
+                    gapped.append(w)
+                elif until > cycle:
+                    heappush(sleepers, until << shift | w)
+                    asleep[wait_kind[w]] += 1
+                else:
+                    insort(pool, w)
+                    in_pool[w] = True
+            scan = gapped
 
         # Nothing eligible: fast-forward to the next gate.  Otherwise
         # this is an issuing cycle.  Either way the waiting warps are
@@ -261,10 +266,11 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
         if pool:
             delta = 1
         else:
-            gates = [fetched_at[w] for w in scan]
-            if sleepers:
-                gates.append(sleepers[0][0])
-            delta = min(min(gates), max_cycles) - cycle
+            gate = sleepers[0] >> shift if sleepers else max_cycles
+            for w in scan:
+                if fetched_at[w] < gate:
+                    gate = fetched_at[w]
+            delta = min(gate, max_cycles) - cycle
         stall_counts[R_MEM] += asleep[R_MEM] * delta
         stall_counts[R_EXE] += asleep[R_EXE] * delta
         stall_counts[R_SYN] += asleep[R_SYN] * delta
@@ -273,12 +279,15 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
             if ready[w] > cycle:
                 kind = wait_kind[w]
                 stall_counts[kind] += delta
-                if kind == R_MEM or kind == R_SYN:
+                if kind != R_EXE:
                     dependency_wait = True
             else:
-                stall_counts[R_FET] += delta
+                fetch_stalls += delta
         if not pool:
-            occ["Stall" if dependency_wait else "Idle"] += delta
+            if dependency_wait:
+                stall_cycles += delta
+            else:
+                idle_cycles += delta
             cycle += delta
             continue
 
@@ -292,15 +301,17 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
             del pool[:issue_width]
         for w in order:
             in_pool[w] = False
-            cls = pat[pc[w] % pat_len]
+            at = pc[w]
+            cls = classes[at]
             if cls == _MEM:
-                if len(inflight[w]) >= mlp:
+                queue = inflight[w]
+                if len(queue) >= mlp:
                     # LSU back-pressure: wait for the oldest request.
-                    completion = inflight[w].pop(0)[1]
+                    completion = queue.pop(0)[1]
                     if completion > cycle:
                         ready[w] = completion
                         wait_kind[w] = R_MEM
-                        heappush(sleepers, (completion, w))
+                        heappush(sleepers, completion << shift | w)
                         asleep[R_MEM] += 1
                         stall_counts[R_MEM] += 1
                         continue
@@ -309,7 +320,7 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
                 mem_cursor[w] = cursor + R
                 # The load issues without blocking; its *value* is needed
                 # `use_distance` instructions later (scoreboard model).
-                inflight[w].append((pc[w] + use_distance, cycle + latency))
+                queue.append((at + use_distance, cycle + latency))
                 until = cycle + 1
                 if sync_extra:
                     pending_sync[w] = sync_extra
@@ -321,27 +332,40 @@ def simulate_warps(config: GPUConfig, resident_warps: int,
                 until = cycle + alu_lat
                 wait_kind[w] = R_EXE
             ready[w] = until
-            pc[w] += 1
+            at += 1
+            pc[w] = at
             fetched = fetched_at[w] = cycle + fetch_gap
             issued_total += 1
-            stall_counts[R_ISS] += 1
             last_issued = w
-            if pc[w] >= ipw:
+            if at >= ipw:
                 live -= 1
             elif until >= fetched:
-                heappush(sleepers, (until, w))
+                heappush(sleepers, until << shift | w)
                 asleep[wait_kind[w]] += 1
             else:
                 scan.append(w)
 
-        stall_counts[R_NSEL] += len(pool)
-        occ[lane_bucket] += 1
+        not_selected += len(pool)
+        issuing_cycles += 1
         cycle += 1
 
+    counts = dict(zip(STALL_REASONS, stall_counts))
+    counts["InstructionIssued"] = issued_total
+    counts["InstructionFetch"] = fetch_stalls
+    counts["NotSelected"] = not_selected
+    occupancy = {state: 0 for state in OCCUPANCY_STATES}
+    occupancy["Stall"] = stall_cycles
+    occupancy["Idle"] = idle_cycles
+    if active_lanes <= 8:
+        occupancy["W8"] = issuing_cycles
+    elif active_lanes <= 20:
+        occupancy["W20"] = issuing_cycles
+    else:
+        occupancy["W32"] = issuing_cycles
     return WarpSimOutput(
         cycles=cycle,
         issued=issued_total,
-        stall_counts={name: stall_counts[i] for i, name in enumerate(STALL_REASONS)},
-        occupancy_counts=occ,
+        stall_counts=counts,
+        occupancy_counts=occupancy,
         completed=live == 0,
     )

@@ -13,7 +13,10 @@ from repro.bench.common import (
     recorded_launches,
     sim_results,
 )
-from repro.bench.profiles import BenchProfile
+from repro.bench.profiles import PROFILES, BenchProfile
+from repro.cache import get_cache
+from repro.gpu.config import v100_config
+from repro.gpu.simulator import GpuSimulator
 
 TINY = BenchProfile(
     name="tiny",
@@ -71,6 +74,41 @@ class TestMemoisation:
         a = recorded_launches("gcn", "cora", "MP", TINY)
         clear_bench_cache()
         assert recorded_launches("gcn", "cora", "MP", TINY) is not a
+
+
+class TestLaunchDedup:
+    """Identical launches share a fingerprint, so a cold pass simulates
+    each once: the cells and profile of the e2e ``characterize``
+    workload, where gcn/cora's two SGEMMs appear in both cells and
+    sage/pubmed's self and neighbour SGEMMs match in each layer."""
+
+    CELLS = (("gcn", "cora", "MP"), ("gcn", "cora", "SpMM"),
+             ("sage", "pubmed", "MP"))
+    PROFILE = BenchProfile(
+        name="e2e",
+        dataset_scales={**PROFILES["ci"].dataset_scales, "pubmed": 0.25},
+        sample_cap=10_000, max_cycles=5_000, repeats=PROFILES["ci"].repeats)
+
+    def test_cold_pass_simulates_each_distinct_launch_once(self,
+                                                            monkeypatch):
+        simulate = GpuSimulator._simulate
+        fingerprints = []
+
+        def counting(simulator, launch):
+            fingerprints.append(launch.fingerprint())
+            return simulate(simulator, launch)
+
+        monkeypatch.setattr(GpuSimulator, "_simulate", counting)
+        results = [r for cell in self.CELLS
+                   for r in sim_results(*cell, self.PROFILE)]
+        launches = [launch for cell in self.CELLS
+                    for launch in recorded_launches(*cell, self.PROFILE)]
+        distinct = {launch.fingerprint() for launch in launches}
+        assert (len(launches), len(distinct)) == (20, 16)
+        assert sorted(fingerprints) == sorted(distinct)
+        assert get_cache().stats.hits == 4
+        plain = GpuSimulator(v100_config(max_cycles=self.PROFILE.max_cycles))
+        assert results == [simulate(plain, launch) for launch in launches]
 
 
 class TestMergeSimByKernel:

@@ -20,6 +20,7 @@ from repro.core.kernels.launch import (
     WARP_SIZE,
     LaunchRecorder,
     active_recorder,
+    operand_bases,
     row_lines,
     sample_stride,
     sequential_lines,
@@ -72,9 +73,28 @@ class TestRecorder:
             LaunchRecorder(sample_cap=0)
 
     def test_regions_are_disjoint(self):
-        rec = LaunchRecorder()
-        a, b = rec.new_region(), rec.new_region()
-        assert a != b
+        bases = operand_bases(4)
+        assert 0 not in bases
+        assert np.all(np.diff(bases) >= 1 << 40)
+        x = np.ones((64, 48), dtype=np.float32)
+        with record_launches() as rec:
+            sgemm(x, np.ones((48, 40), dtype=np.float32))
+        launch = rec.launches[0]
+        # A, B and the output each stay inside their own region.
+        regions = np.concatenate([launch.loads, launch.stores]) >> 40
+        assert set(np.unique(launch.stores >> 40)) == {3}
+        assert set(np.unique(regions)) == {1, 2, 3}
+
+    def test_fingerprint_independent_of_recording_position(self):
+        x = np.ones((64, 48), dtype=np.float32)
+        w = np.ones((48, 40), dtype=np.float32)
+        with record_launches() as alone:
+            sgemm(x, w)
+        with record_launches() as after:
+            index_select(x, np.arange(64) % 7)
+            sgemm(x, w)
+        assert alone.launches[0].fingerprint() == \
+            after.launches[1].fingerprint()
 
     def test_by_kernel_grouping(self):
         x = np.ones((4, 3), dtype=np.float32)

@@ -20,6 +20,7 @@ from repro.gpu.cache import (
     CacheStats,
     HierarchyResult,
     SetAssociativeCache,
+    _hierarchy,
     _interleave,
     _level_hits,
     simulate_hierarchy,
@@ -30,6 +31,7 @@ from repro.gpu.config import (
     nvprof_config,
     v100_config,
 )
+from repro.gpu.simulator import atomic_contention
 from strategies import STANDARD_SETTINGS
 
 
@@ -412,3 +414,60 @@ def test_hierarchy_equals_reference_driver(trace):
     assert got.levels.dtype == want.levels.dtype
     assert np.array_equal(got.is_store, want.is_store)
     assert (got.l1, got.l2) == (want.l1, want.l2)
+
+
+# ---------------------------------------------------------------------------
+# Shift invariance: why launch-local trace addresses change no result
+# ---------------------------------------------------------------------------
+
+@st.composite
+def launch_traces(draw):
+    """(config, loads, stores, atomic, shift) laid out like one launch.
+
+    Operand ``i`` of a launch starts at ``(i + 1) << 40``; a recorder
+    that numbered regions across launches put the same trace at a
+    multiple of ``1 << 40`` further up, which ``shift`` stands for.
+    """
+    make = HIERARCHY_CONFIGS[draw(st.sampled_from(sorted(HIERARCHY_CONFIGS)))]
+    config = make(simulated_sms=draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Strides of one line, of one L1 set row and of one L2 set row: the
+    # last two pile lines into one set of the level whose set count is
+    # not a power of two (150, 75 or 136 sets in the scaled L2s).
+    stride = draw(st.sampled_from(
+        (1, config.l1.num_sets, config.scaled_l2().num_sets)))
+    universe = draw(st.sampled_from((3, 12, 48, 900)))
+
+    def operand(count, index):
+        lines = rng.integers(0, universe, size=count) * stride
+        return ((index + 1) << 40) + lines * 128
+
+    loads = np.concatenate([operand(draw(st.integers(0, 700)), index)
+                            for index in range(draw(st.integers(1, 3)))])
+    stores = operand(draw(st.sampled_from((0, 1, 700))),
+                     draw(st.sampled_from((0, 3))))
+    shift = draw(st.integers(1, 1 << 20)) << 40
+    return config, loads, stores, draw(st.booleans()), shift
+
+
+@STANDARD_SETTINGS
+@given(launch_traces())
+def test_hierarchy_is_shift_invariant(trace):
+    """Property: moving a whole trace by ``k << 40`` bytes moves no hit.
+
+    L1 set counts are powers of two, so the shift leaves every set index
+    as it is; in the scaled L2 it rotates all set indices by one amount,
+    which keeps every equality and conflict between lines.
+    """
+    config, loads, stores, atomic, shift = trace
+
+    def solve(offset):
+        return _hierarchy(loads + offset, stores + offset, config, atomic,
+                          lambda key, build: build())
+
+    got, want = solve(shift), solve(0)
+    assert np.array_equal(got.levels, want.levels)
+    assert got.levels.dtype == want.levels.dtype
+    assert np.array_equal(got.is_store, want.is_store)
+    assert (got.l1, got.l2) == (want.l1, want.l2)
+    assert atomic_contention(stores + shift) == atomic_contention(stores)

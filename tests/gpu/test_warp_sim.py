@@ -182,7 +182,7 @@ def both(cfg, warps, ipw, pattern, lats, **kw):
 @st.composite
 def sim_cases(draw):
     cfg = v100_config(
-        issue_width=draw(st.sampled_from([1, 2, 4])),
+        issue_width=draw(st.sampled_from([1, 2, 3, 4])),
         fetch_latency=draw(st.sampled_from([0, 1, 3, 6])),
         alu_latency=draw(st.integers(0, 8)),
         sfu_latency=draw(st.integers(1, 16)),
@@ -199,11 +199,16 @@ def sim_cases(draw):
         st.just([]), st.sampled_from([[1], [28], [420]]),
         st.lists(st.sampled_from([1, 28, 193, 420]), min_size=2, max_size=40),
     ))
+    # Warp counts reach past 128 because the sleeper heap packs warp
+    # indices into R.bit_length() bits, and a custom max_warps_per_sm
+    # may exceed the shipped 64.  The lane counts sit on both sides of
+    # each occupancy bucket's edge.
     return dict(
-        cfg=cfg, warps=draw(st.integers(1, 64)), ipw=draw(st.integers(1, 300)),
+        cfg=cfg, warps=draw(st.integers(1, 130)), ipw=draw(st.integers(1, 300)),
         pattern=pattern, lats=np.array(lats, dtype=np.int64),
         atomic=draw(st.booleans()),
         contention=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        active_lanes=draw(st.sampled_from([1, 8, 9, 20, 21, 32])),
     )
 
 
