@@ -17,6 +17,7 @@ from repro.core.kernels.scatter import (
     REDUCE_OPS,
     ROW_SPARSE_RATIO,
     aggregation_operator,
+    finite_rows,
     reduction_structure,
     row_sparse_ratio,
     scatter,
@@ -44,6 +45,7 @@ __all__ = [
     "WARP_SIZE",
     "active_recorder",
     "aggregation_operator",
+    "finite_rows",
     "fused_gather_scatter",
     "get_kernel",
     "index_select",

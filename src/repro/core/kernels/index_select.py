@@ -2,24 +2,29 @@
 
 "Indexes the input along specified dimension by using index entries" —
 the gather that materialises per-edge messages from per-node embeddings
-(PyG's ``x[edge_index[0]]``).
+(PyG's ``x[edge_index[0]]``).  Handed the row-sparse form of its input,
+it gathers the stored entries only and returns the messages row-sparse;
+the launch record is the dense gather's either way.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Optional
 
 import numpy as np
+import scipy.sparse as _sp
 
 from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import mix_for
+from repro.core.kernels.sgemm import _check_rows
 from repro.errors import KernelError
 
 __all__ = ["index_select"]
 
 
 def index_select(input: np.ndarray, index: np.ndarray, dim: int = 0,
-                 tag: str = "") -> np.ndarray:
+                 tag: str = "", rows: Optional[_sp.csr_matrix] = None):
     """Gather rows (or columns) of ``input`` selected by ``index``.
 
     Parameters
@@ -33,12 +38,18 @@ def index_select(input: np.ndarray, index: np.ndarray, dim: int = 0,
         0 selects rows (the GNN case), 1 selects columns.
     tag:
         Optional label copied onto the emitted :class:`KernelLaunch`.
+    rows:
+        The row-sparse form of a 2-D ``input`` (``dim=0`` only), when
+        the caller keeps one resident and the consumer can reduce a
+        row-sparse matrix (see :class:`repro.plan.PlanExecutor`).
 
     Returns
     -------
-    numpy.ndarray
+    numpy.ndarray or scipy.sparse.csr_matrix
         ``input`` gathered along ``dim``; shape ``[len(index), f]`` for
-        ``dim=0``.
+        ``dim=0``.  With ``rows``, the CSR ``rows[index]``: the stored
+        entries of the gathered rows, in their stored order — the dense
+        gather's non-zeros, without its ``[len(index), f]`` array.
     """
     input = np.asarray(input)
     index = np.asarray(index)
@@ -50,6 +61,9 @@ def index_select(input: np.ndarray, index: np.ndarray, dim: int = 0,
         raise KernelError(f"index must be integral, got dtype {index.dtype}")
     if dim not in (0, 1) or (dim == 1 and input.ndim == 1):
         raise KernelError(f"invalid dim={dim} for {input.ndim}-D input")
+    if rows is not None and (dim != 0 or input.ndim != 2):
+        raise KernelError("a row-sparse input gathers rows of a 2-D matrix")
+    _check_rows(rows, input)
     extent = input.shape[dim]
     if index.size and (int(index.min()) < 0 or int(index.max()) >= extent):
         raise KernelError(
@@ -58,7 +72,10 @@ def index_select(input: np.ndarray, index: np.ndarray, dim: int = 0,
         )
 
     start = time.perf_counter()
-    out = input[index] if dim == 0 else input[:, index]
+    if rows is not None:
+        out = rows[index]
+    else:
+        out = input[index] if dim == 0 else input[:, index]
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()
@@ -68,9 +85,13 @@ def index_select(input: np.ndarray, index: np.ndarray, dim: int = 0,
 
 
 def _emit(recorder: L.LaunchRecorder, input: np.ndarray, index: np.ndarray,
-          out: np.ndarray, dim: int, duration: float, tag: str) -> None:
-    """Build and emit the launch record for one gather."""
-    elements = int(out.size)
+          out, dim: int, duration: float, tag: str) -> None:
+    """Build and emit the launch record for one gather.
+
+    Elements are counted from the shape, so a row-sparse ``out`` (whose
+    ``size`` is its stored-entry count) records the dense gather.
+    """
+    elements = int(np.prod(out.shape))
     row_width = input.shape[1] if (input.ndim == 2 and dim == 0) else 1
     row_bytes = row_width * L.FLOAT_BYTES
 

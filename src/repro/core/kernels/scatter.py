@@ -3,7 +3,8 @@
 "Reduces given input based-on index vector using entries" — the
 aggregation step of message passing: per-edge messages land in their
 destination node's accumulator under an atomic reduction (sum / mean /
-max / min).
+max / min).  A sum / mean also reduces messages gathered row-sparse
+(``index_select(..., rows=)``), bit for bit the dense messages' result.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from repro.errors import KernelError
 
 __all__ = ["scatter", "streaming_reduce", "ReductionStructure",
            "reduction_structure", "aggregation_operator", "REDUCE_OPS",
-           "ROW_SPARSE_RATIO", "STREAM_BLOCK_BYTES", "row_sparse_ratio",
-           "takes_row_sparse"]
+           "ROW_SPARSE_RATIO", "STREAM_BLOCK_BYTES", "finite_rows",
+           "row_sparse_ratio", "takes_row_sparse"]
 
 #: Supported reduction operators.
 REDUCE_OPS = ("sum", "mean", "max", "min")
@@ -129,12 +130,24 @@ def row_sparse_ratio(operator, rows) -> float:
 
 def takes_row_sparse(operator, rows) -> bool:
     """Whether ``operator`` multiplies ``rows`` instead of the dense
-    operand: ``rows`` exists and :func:`row_sparse_ratio` reaches
-    :data:`ROW_SPARSE_RATIO`.  The one rule: the kernels and ``gsuite
-    plan`` both ask it.
+    operand: ``rows`` exists, :func:`row_sparse_ratio` reaches
+    :data:`ROW_SPARSE_RATIO`, and every stored value is finite.  The
+    one rule: the kernels, the plan executor and ``gsuite plan`` all
+    ask it.
+
+    Non-finite rows stay dense because SciPy's SpGEMM and its dense
+    product propagate colliding NaNs differently (the product's NaN
+    wins in one, the accumulator's in the other): their NaN positions
+    agree, their NaN bits need not.
     """
     return rows is not None \
-        and row_sparse_ratio(operator, rows) >= ROW_SPARSE_RATIO
+        and row_sparse_ratio(operator, rows) >= ROW_SPARSE_RATIO \
+        and finite_rows(rows)
+
+
+def finite_rows(rows) -> bool:
+    """Whether every stored value of the row-sparse ``rows`` is finite."""
+    return bool(np.isfinite(rows.data).all())
 
 
 def _check_operator(operator: _sp.csr_matrix, reduce: str, dim_size: int,
@@ -166,7 +179,14 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
     Parameters
     ----------
     src:
-        1-D or 2-D float array of per-edge messages ``[e, f]``.
+        1-D or 2-D float array of per-edge messages ``[e, f]``, or (sum
+        / mean only) their row-sparse form: a SciPy CSR whose stored
+        entries are the messages' non-zeros, in any float dtype — the
+        data is cast to float32 as a dense ``src`` is.  It is reduced as
+        ``operator @ src`` (SpGEMM), bit for bit the dense messages'
+        result: the terms it skips are ``1 * ±0``, which leave every
+        sum unchanged (see :func:`_csr_reduce`; one holding a NaN or an
+        inf is densified first).
     index:
         1-D destination ids, one per row of ``src``.
     dim_size:
@@ -191,7 +211,14 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
     numpy.ndarray
         Array of shape ``[dim_size, f]`` (or ``[dim_size]`` for 1-D src).
     """
-    src = np.asarray(src, dtype=np.float32)
+    if _sp.issparse(src):
+        if reduce not in ("sum", "mean"):
+            raise KernelError(
+                f"a row-sparse src reduces under sum / mean only, not "
+                f"{reduce!r}")
+        src = src.tocsr().astype(np.float32, copy=False)
+    else:
+        src = np.asarray(src, dtype=np.float32)
     index = np.asarray(index)
     if src.ndim not in (1, 2):
         raise KernelError(f"scatter expects 1-D or 2-D src, got {src.ndim}-D")
@@ -280,27 +307,39 @@ def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
     ``rows`` is the row-sparse form of ``dense``; where
     :func:`takes_row_sparse` says so the operator multiplies it
     (``operator @ rows``, SciPy's SpGEMM) and mean divides only the
-    stored entries of the product.  Bit for bit the dense result for
-    finite operator values: both products start every output element
-    from +0.0 and add its products in the operator's stored order, and
-    the terms the sparse one skips are ``a * 0``, which leave a sum
-    unchanged.
+    stored entries of the product.  A row-sparse ``dense`` (the unfused
+    scatter's messages, gathered row-sparse by the same rule) is
+    multiplied the same way; one holding a NaN or an inf is densified
+    first, for the reason :func:`takes_row_sparse` keeps such rows
+    dense.  Bit for bit the dense result for finite operator values:
+    both products start every output element from +0.0 and add its
+    products in the operator's stored order, and the terms the sparse
+    one skips are ``a * 0``, which leave a sum unchanged.
     """
     if operator is None:
         operator = aggregation_operator(structure, src_index, scale,
                                         dense.shape[0])
+    if _sp.issparse(dense):
+        if finite_rows(dense):
+            return _row_sparse_product(structure, operator @ dense, reduce)
+        dense = dense.toarray()      # NaN bits: see takes_row_sparse
     if takes_row_sparse(operator, rows):
-        product = operator @ rows
-        if reduce == "mean":
-            product.data /= np.repeat(structure.counts,
-                                      np.diff(product.indptr))
-        return product.toarray()
+        return _row_sparse_product(structure, operator @ rows, reduce)
     summed = np.asarray(operator @ (dense if dense.ndim == 2
                                     else dense[:, None]))
     if reduce == "mean":
         summed /= structure.counts[:, None]   # the product's own array
     result = summed if dense.ndim == 2 else summed[:, 0]
     return result.astype(np.float32, copy=False)
+
+
+def _row_sparse_product(structure: ReductionStructure,
+                        product: _sp.csr_matrix, reduce: str) -> np.ndarray:
+    """The dense sum / mean of an SpGEMM ``product``: mean divides the
+    stored entries by their rows' clamped counts."""
+    if reduce == "mean":
+        product.data /= np.repeat(structure.counts, np.diff(product.indptr))
+    return product.toarray()
 
 
 def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
@@ -399,8 +438,12 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
 
 def _emit(recorder: L.LaunchRecorder, src: np.ndarray, index: np.ndarray,
           out: np.ndarray, reduce: str, duration: float, tag: str) -> None:
-    """Build and emit the launch record for one scatter."""
-    elements = int(src.size)
+    """Build and emit the launch record for one scatter.
+
+    Elements are counted from the shape, so a row-sparse ``src`` (whose
+    ``size`` is its stored-entry count) records the dense scatter.
+    """
+    elements = int(np.prod(src.shape))
     row_width = src.shape[1] if src.ndim == 2 else 1
     row_bytes = row_width * L.FLOAT_BYTES
 

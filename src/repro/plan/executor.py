@@ -45,7 +45,11 @@ stay bit-for-bit, and the two routes themselves agree to float32
 reassociation.  A sum / mean aggregation multiplies its operator by the
 rows where :func:`~repro.core.kernels.takes_row_sparse` says so, which
 is bit for bit the dense product (docs/architecture.md, "Parity
-contracts").
+contracts").  An unfused ``Gather`` of ``X`` takes the same route split
+in two where the rule says its fused pair would (the gather's one
+consumer a sum / mean ``ScatterReduce``): ``index_select`` gathers the
+stored entries into row-sparse messages and ``scatter`` reduces them,
+bit for bit the dense pair, so no ``[E, F]`` message matrix is built.
 """
 
 from __future__ import annotations
@@ -53,10 +57,12 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as _sp
 
 from repro.core.kernels import (
     ROW_SPARSE_RATIO,
     aggregation_operator,
+    finite_rows,
     fused_gather_scatter,
     index_select,
     reduction_structure,
@@ -69,6 +75,8 @@ from repro.core.kernels import (
 from repro.core.models.activations import get_activation
 from repro.errors import PlanError
 from repro.graph import Graph, add_self_loops, gcn_edge_weights
+from repro.plan.fusion import _gather_scatter_pair, _single_consumer, \
+    _use_counts
 from repro.plan.ir import (
     Activation,
     Elementwise,
@@ -224,25 +232,28 @@ for _kind, _fn in (
     register_normalize(_kind, _fn)
 
 
-#: Each product op that can read ``X``: the kernel it launches, as
-#: launch records name it, and the field holding its dense operand.
+#: Each op that can read ``X``: the kernel it launches, as launch
+#: records name it, and the field holding its dense operand.
 _X_READERS = {SGEMM: ("sgemm", "a"),
               FusedGatherScatter: ("fusedGatherScatter", "source"),
-              SpMM: ("spmm", "dense")}
+              SpMM: ("spmm", "dense"),
+              Gather: ("indexSelect", "source")}
 
 
 def describe_features(plan: ExecutionPlan, graph: Graph,
                       resident: bool = True) -> str:
     """Report for ``gsuite plan``: whether the graph keeps a resident
     row-sparse form of the feature matrix, then one line per kernel
-    that reads it (an ``sgemm``'s left operand, an aggregation's
-    source, an ``spmm``'s dense operand) and the form it will read.
+    that reads it (an ``sgemm``'s left operand, an aggregation's or a
+    gather's source, an ``spmm``'s dense operand) and the form it will
+    read.
 
     Asks :meth:`~repro.graph.Graph.feature_rows` and, for a sum / mean
-    aggregation or an ``spmm``, :func:`~repro.core.kernels.
-    takes_row_sparse` exactly as :class:`PlanExecutor` does — per
-    member for a batched plan's ``sgemm``, over the operator the
-    executor hands the kernel — so the report is the decision, not a
+    aggregation, an ``spmm`` or an unfused gather,
+    :func:`~repro.core.kernels.takes_row_sparse` exactly as
+    :class:`PlanExecutor` does — per member for a batched plan's
+    ``sgemm``, over the operator the executor hands the kernel (a
+    gather's: its fused pair's) — so the report is the decision, not a
     copy of its rule.  ``resident`` is false for a pipeline that binds
     a fresh copy of ``X`` on every run.
     """
@@ -275,6 +286,8 @@ def describe_features(plan: ExecutionPlan, graph: Graph,
         else {}
     lines = [header]
     for op in readers:
+        product = executor._fused_pair(op) \
+            if isinstance(op, Gather) and rows is not None else op
         if isinstance(op, SGEMM):
             form = ("row-sparse" + _share(kept, members)) if kept \
                 else "dense"
@@ -283,8 +296,12 @@ def describe_features(plan: ExecutionPlan, graph: Graph,
             form = f"dense ({op.reduce} streams the gathered rows)"
         elif rows is None:
             form = "dense"
+        elif not finite_rows(rows):
+            form = "dense (X stores NaN / inf)"
+        elif product is None:
+            form = "dense (its messages feed no single sum / mean scatter)"
         else:
-            operator = executor._product_operator(op, env, graph)
+            operator = executor._product_operator(product, env, graph)
             form, sign = ("row-sparse", "\u2265") \
                 if takes_row_sparse(operator, rows) else ("dense", "<")
             form += (f" (nnz\u00b7k / (nnz + expansion) = "
@@ -292,6 +309,18 @@ def describe_features(plan: ExecutionPlan, graph: Graph,
                      f"{ROW_SPARSE_RATIO})")
         lines.append(f"  {_X_READERS[type(op)][0]} {op.tag}: {form}")
     return "\n".join(lines)
+
+
+def _scaled(messages, scale: np.ndarray):
+    """``messages * scale[:, None]``.  Row-sparse messages scale their
+    stored entries in the dtype the dense product promotes to, and the
+    consuming ``scatter`` casts to float32 as it casts dense messages:
+    one rounding per message, as on the dense route."""
+    if not _sp.issparse(messages):
+        return messages * scale[:, None]
+    return _sp.csr_matrix(
+        (messages.data * np.repeat(scale, np.diff(messages.indptr)),
+         messages.indices, messages.indptr), shape=messages.shape)
 
 
 def _share(kept, members) -> str:
@@ -307,11 +336,19 @@ class PlanExecutor:
     on_op:
         Optional ``fn(op, result)`` observer invoked after each op —
         the PyG-like backend uses it to keep its autograd-style tape
-        recording per-op bookkeeping exactly as before.
+        recording per-op bookkeeping exactly as before.  ``result`` is
+        a SciPy CSR for a ``Gather`` of ``X`` that takes the row-sparse
+        route; the PyG-like tape never sees one, because that backend
+        binds a fresh copy of ``X`` on every run and so has no resident
+        form to gather from.
     """
 
     def __init__(self, on_op: Optional[Callable] = None):
         self.on_op = on_op
+        #: The plan of the current run and its use counts, counted on
+        #: the first :meth:`_fused_pair` of the run — set per :meth:`run`.
+        self._plan: Optional[ExecutionPlan] = None
+        self._uses: Optional[Dict[int, int]] = None
         #: Node segments of the currently bound batched plan (``None``
         #: while running unbatched plans — set per :meth:`run`).
         self._segments = None
@@ -338,6 +375,7 @@ class PlanExecutor:
         """
         self._segments = None
         self._resident = {}
+        self._plan, self._uses = plan, None
         if plan.batch is None and getattr(graph, "num_graphs", 1) > 1:
             # The converse of the checks below: an unstamped plan over
             # a packed workload would run its dense transforms packed
@@ -476,6 +514,7 @@ class PlanExecutor:
         what a run would hand the aggregation kernels, without running
         one."""
         self._resident = {}
+        self._plan, self._uses = plan, None
         env: Dict[int, Any] = dict(plan.constants)
         env[x] = graph.features
         for op in plan.ops:
@@ -504,12 +543,46 @@ class PlanExecutor:
             None if op.scale is None else env[op.scale.vid],
             source.shape[0])
 
+    def _fused_pair(self, op: Gather) -> Optional[FusedGatherScatter]:
+        """The op the fusion pass would make of ``op`` and the one
+        consumer of its messages, when that consumer is a sum / mean
+        ``ScatterReduce``; ``None`` otherwise.  Single consumer by the
+        fusion pass's own rule, over use counts taken on the run's
+        first ask."""
+        if self._uses is None:
+            self._uses = _use_counts(self._plan)
+        if not _single_consumer(self._uses, op.out.vid):
+            return None
+        consumer = next((c for c in self._plan.ops
+                         if isinstance(c, ScatterReduce)
+                         and c.source.vid == op.out.vid), None)
+        if consumer is None or consumer.reduce not in ("sum", "mean"):
+            return None
+        return _gather_scatter_pair(op, consumer)
+
+    def _gather_rows(self, op: Gather, env: Dict[int, Any],
+                     graph: Graph) -> Optional[_sp.csr_matrix]:
+        """The resident row-sparse form an unfused gather reads: its
+        source's (:meth:`~repro.graph.Graph.feature_rows`), where the
+        fused pair over the same operands would take the route
+        (:meth:`_fused_pair`, :func:`~repro.core.kernels.
+        takes_row_sparse`), so fused and unfused plans route alike."""
+        rows = graph.feature_rows(env[op.source.vid])
+        if rows is None:
+            return None
+        pair = self._fused_pair(op)
+        if pair is None or not takes_row_sparse(
+                self._product_operator(pair, env, graph), rows):
+            return None
+        return rows
+
     def _execute(self, op, env: Dict[int, Any], graph: Graph):
         if isinstance(op, Gather):
             out = index_select(env[op.source.vid], env[op.index.vid],
-                               tag=op.tag)
+                               tag=op.tag,
+                               rows=self._gather_rows(op, env, graph))
             if op.scale is not None:
-                out = out * env[op.scale.vid][:, None]
+                out = _scaled(out, env[op.scale.vid])
             env[op.out.vid] = out
             return out
         if isinstance(op, ScatterReduce):

@@ -103,10 +103,17 @@ def _try_gather_scatter(ops: Sequence[PlanOp], i: int,
             and successor.source.vid == op.out.vid
             and _single_consumer(uses, op.out.vid)):
         return None
+    return _gather_scatter_pair(op, successor)
+
+
+def _gather_scatter_pair(gather: Gather,
+                        scatter: ScatterReduce) -> FusedGatherScatter:
+    """The one op a ``Gather`` and the ``ScatterReduce`` of its
+    messages compute together."""
     return FusedGatherScatter(
-        source=op.source, src_index=op.index, dst_index=successor.index,
-        out=successor.out, scale=op.scale, reduce=successor.reduce,
-        tag=successor.tag, gather_tag=op.tag)
+        source=gather.source, src_index=gather.index,
+        dst_index=scatter.index, out=scatter.out, scale=gather.scale,
+        reduce=scatter.reduce, tag=scatter.tag, gather_tag=gather.tag)
 
 
 def _try_epilogue(ops: Sequence[PlanOp], i: int, uses: Dict[int, int],

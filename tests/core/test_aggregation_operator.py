@@ -9,9 +9,13 @@ arithmetic and records no launch.
 
 Where the dense operand has a row-sparse form (``rows=``), a sum /
 mean aggregation and ``spmm`` multiply it instead whenever
-``takes_row_sparse`` says so — bit for bit the dense product, NaN, inf
-and ``-0.0`` features included — and the rule sends the shapes on
-which that route measured slower to the dense product.
+``takes_row_sparse`` says so — bit for bit the dense product,
+``-0.0`` features included — and the rule sends the shapes on which
+that route measured slower, and rows storing a NaN or an inf, to the
+dense product.  The unfused pair is the same route split in two:
+``index_select(..., rows=)`` gathers the stored entries and
+``scatter`` reduces them, bit for bit the dense pair, with the dense
+pair's launch records.
 
 The CSR products never enter BLAS, so these pins hold at any BLAS
 thread count (CI re-runs this file under ``OPENBLAS_NUM_THREADS=2``).
@@ -38,6 +42,7 @@ from repro.core.kernels import (
 )
 from repro.errors import KernelError
 from repro.graph.formats import COOMatrix
+from repro.plan.executor import _scaled
 from strategies import STANDARD_SETTINGS, feature_matrices, power_law_graphs
 
 _SUM_MEAN = ("sum", "mean")
@@ -210,10 +215,12 @@ def _bits(array):
        seed=st.integers(0, 2**31 - 1))
 def test_row_sparse_route_is_the_dense_product_bitwise(data, reduce, scaled,
                                                        specials, seed):
-    """Forced onto the route whatever the rule says (the rule has its
+    """Forced onto the route whatever the ratio says (the rule has its
     own property below).  The drawn graphs carry zero-in-degree rows
     and duplicate edges; the drawn features ``-0.0`` at absent
-    positions and, with ``specials``, NaN / +inf / -inf stored."""
+    positions and, with ``specials``, NaN / +inf / -inf stored — which
+    the rule keeps dense: SpGEMM and the dense product agree on where a
+    NaN lands, not on its bits when two NaNs meet in one sum."""
     graph = data.draw(power_law_graphs(min_nodes=1, max_nodes=32))
     x, _ = data.draw(feature_matrices(rows=graph.num_nodes, max_width=24))
     rng = np.random.default_rng(seed)
@@ -231,7 +238,8 @@ def test_row_sparse_route_is_the_dense_product_bitwise(data, reduce, scaled,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(import_module("repro.core.kernels.scatter"),
                       "ROW_SPARSE_RATIO", 0)
-        assert takes_row_sparse(adjacency, rows)
+        assert takes_row_sparse(adjacency, rows) \
+            is bool(np.isfinite(x).all())
         pairs = [
             (fused_gather_scatter(x, graph.src, graph.dst, graph.num_nodes,
                                   scale=scale, reduce=reduce),
@@ -243,6 +251,10 @@ def test_row_sparse_route_is_the_dense_product_bitwise(data, reduce, scaled,
         assert routed.dtype == np.float32 and routed.shape == dense.shape
         assert np.array_equal(_bits(routed), _bits(dense))
 
+
+#: Every stored value of the rows the rule property hands the kernels:
+#: no drawn feature sum comes within 2**90 of it.
+_MARKER = np.float32(2.0**100)
 
 #: (width, density) of the route-rule sweep; the row-sparse route won
 #: only on the datasets' own shapes, 1 % at 500 columns and wider.
@@ -257,8 +269,10 @@ _WINS = {(500, 0.01), (1433, 0.01), (3703, 0.01)}
 def test_rule_routes_the_losing_shapes_dense(graph, width, density, seed):
     """Every row stores ``ceil(width * density)`` entries, so the rule's
     ratio is ``width / (1 + stored per row)`` on any graph.  The kernels
-    are handed NaN-poisoned rows: NaN in the output is the proof they
-    multiplied them, and a dense answer must equal the plain product."""
+    are handed rows whose every value is a marker far beyond the
+    features' (finite: non-finite rows never take the route): a marker-
+    sized output is the proof they multiplied them, and a dense answer
+    must equal the plain product."""
     assume(graph.num_edges > 0)
     rng = np.random.default_rng(seed)
     n, per_row = graph.num_nodes, math.ceil(width * density)
@@ -269,7 +283,7 @@ def test_rule_routes_the_losing_shapes_dense(graph, width, density, seed):
          columns.ravel(), np.arange(n + 1) * per_row), shape=(n, width))
     x = rows.toarray()
     poisoned = rows.copy()
-    poisoned.data[:] = np.nan
+    poisoned.data[:] = _MARKER
     taken = (width, density) in _WINS
     structure = reduction_structure(graph.dst, n)
     operator = aggregation_operator(structure, graph.src, None, n)
@@ -283,17 +297,89 @@ def test_rule_routes_the_losing_shapes_dense(graph, width, density, seed):
                                   structure=structure, operator=operator,
                                   rows=poisoned)),
             (spmm(adjacency, x), spmm(adjacency, x, rows=poisoned))):
-        assert bool(np.isnan(routed).any()) is taken
+        assert bool(np.abs(routed).max() >= _MARKER / 2**10) is taken
         if not taken:
             assert np.array_equal(routed, dense)
 
 
-@pytest.mark.parametrize("kernel", ["fused", "spmm"])
+@pytest.mark.parametrize("kernel", ["fused", "spmm", "gather"])
 def test_rows_of_another_shape_are_refused(kernel, no_arithmetic):
     rows = sp.csr_matrix(np.zeros((4, 3), dtype=np.float32))
     if kernel == "fused":
         _assert_refused(lambda: fused_gather_scatter(_X, _SRC, _DST, 4,
                                                      rows=rows))
-    else:
+    elif kernel == "spmm":
         adjacency = COOMatrix(_DST, _SRC, shape=(4, 4)).to_csr()
         _assert_refused(lambda: spmm(adjacency, _X, rows=rows))
+    else:
+        _assert_refused(lambda: index_select(_X, _SRC, rows=rows))
+        # Rows are gathered, never columns.
+        _assert_refused(lambda: index_select(_X, _SRC[:2], dim=1,
+                                             rows=sp.csr_matrix(_X)))
+
+
+# -- the unfused pair over row-sparse messages --------------------------------
+
+@STANDARD_SETTINGS
+@given(data=st.data(), reduce=st.sampled_from(_SUM_MEAN),
+       scale_dtype=st.sampled_from((None, np.float32, np.float64)),
+       specials=st.booleans(), duplicates=st.integers(0, 3),
+       seed=st.integers(0, 2**31 - 1))
+def test_row_sparse_messages_reduce_to_the_dense_pair_bitwise(
+        data, reduce, scale_dtype, specials, duplicates, seed):
+    """``scatter(index_select(x, src, rows=rows) * scale, dst)`` is the
+    dense pair's output and launch records, bit for bit.  The kernels
+    ask no rule here (the plan executor decides the route), so nothing
+    needs forcing.  The drawn graphs carry zero-in-degree rows, the
+    first ``duplicates`` edges are repeated, the features hold ``-0.0``
+    at absent positions and, with ``specials``, NaN / ±inf stored; the
+    scales are finite, of either sign, in either float width — a
+    float64 scale promotes the messages before their one cast to
+    float32, on both routes."""
+    graph = data.draw(power_law_graphs(min_nodes=1, max_nodes=32))
+    x, _ = data.draw(feature_matrices(rows=graph.num_nodes, max_width=24))
+    rng = np.random.default_rng(seed)
+    if specials:
+        stored = rng.permutation(np.flatnonzero(x))[:3]
+        x.flat[stored] = np.array([np.nan, np.inf, -np.inf],
+                                  dtype=np.float32)[:stored.size]
+    src = np.concatenate([graph.src, graph.src[:duplicates]])
+    dst = np.concatenate([graph.dst, graph.dst[:duplicates]])
+    scale = None if scale_dtype is None \
+        else rng.standard_normal(src.size).astype(scale_dtype)
+    rows = sp.csr_matrix(x)
+
+    def pair(rows):
+        messages = index_select(x, src, rows=rows)
+        if scale is not None:
+            messages = _scaled(messages, scale)
+        return scatter(messages, dst, dim_size=graph.num_nodes,
+                       reduce=reduce)
+
+    with record_launches() as dense_launches:
+        dense = pair(None)
+    with record_launches() as routed_launches:
+        routed = pair(rows)
+    assert routed.dtype == np.float32 and routed.shape == dense.shape
+    assert np.array_equal(_bits(routed), _bits(dense))
+    assert [l.fingerprint() for l in routed_launches.launches] \
+        == [l.fingerprint() for l in dense_launches.launches]
+    assert [l.kernel for l in routed_launches.launches] \
+        == ["indexSelect", "scatter"]
+
+
+def test_gathered_rows_keep_only_stored_entries():
+    x = np.zeros((4, 3), dtype=np.float32)
+    x[1, 2], x[3, 0] = 2.5, -1.0
+    messages = index_select(x, _SRC, rows=sp.csr_matrix(x))
+    assert sp.issparse(messages) and messages.shape == (5, 3)
+    assert messages.nnz == 3                     # rows 1, 3, 1
+    assert np.array_equal(messages.toarray(), x[_SRC])
+
+
+@pytest.mark.parametrize("reduce", ["max", "min"])
+def test_row_sparse_messages_under_max_min_are_refused(reduce,
+                                                       no_arithmetic):
+    messages = sp.csr_matrix(_MESSAGES)
+    _assert_refused(lambda: scatter(messages, _DST, dim_size=4,
+                                    reduce=reduce))

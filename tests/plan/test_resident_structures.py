@@ -355,3 +355,116 @@ def test_batched_aggregation_never_scans_the_stacked_copy(monkeypatch):
     get_backend("gsuite").build(spec, mixed).run()
     assert all(x is not mixed.features for x in scanned)
     assert len(scanned) == 2 and taken[0] is False
+
+
+# -- unfused gathers over the feature matrix ----------------------------------
+
+def _aggregations_seen(monkeypatch):
+    """Whether each gather the executor launches was handed ``rows``,
+    and every aggregated answer, keyed by ``(kernel, tag)``."""
+    executor = import_module("repro.plan.executor")
+    gathers, answers = [], {}
+
+    def gather(*args, rows=None, tag="", **kwargs):
+        gathers.append((tag, rows is not None))
+        return index_select(*args, rows=rows, tag=tag, **kwargs)
+
+    def answered(kernel, fn):
+        def spy(*args, tag="", **kwargs):
+            answers[(kernel, tag)] = fn(*args, tag=tag, **kwargs)
+            return answers[(kernel, tag)]
+        return spy
+
+    index_select = executor.index_select
+    monkeypatch.setattr(executor, "index_select", gather)
+    monkeypatch.setattr(executor, "scatter",
+                        answered("scatter", executor.scatter))
+    monkeypatch.setattr(executor, "fused_gather_scatter",
+                        answered("fusedGatherScatter",
+                                 executor.fused_gather_scatter))
+    return gathers, answers
+
+
+@pytest.mark.parametrize("model", ["sage", "gin"])
+def test_unfused_layer0_gathers_the_resident_rows(model, monkeypatch):
+    """``test_parity``'s graph and spec: its unfused plan-vs-direct pins
+    hold this route against the dense direct path, and here the route's
+    aggregate is the fused plan's, bit for bit."""
+    from repro.datasets import load_dataset
+    from repro.frameworks import PipelineSpec, get_backend
+
+    gathers, answers = _aggregations_seen(monkeypatch)
+    graph = load_dataset("cora", scale=0.15, seed=1).copy()
+    spec = PipelineSpec(model=model, compute_model="MP", seed=5)
+    unfused = get_backend("gsuite").build(spec, graph, fuse=False).run()
+    fused = get_backend("gsuite").build(spec, graph).run()
+    assert gathers == [(f"{model}-l0", True), (f"{model}-l1", False)]
+    assert np.array_equal(answers[("scatter", f"{model}-l0")],
+                          answers[("fusedGatherScatter", f"{model}-l0")])
+    assert np.array_equal(unfused, fused)
+
+
+def _x_aggregation(reduces, scaled=False):
+    """``X`` gathered once and reduced by one scatter per entry of
+    ``reduces`` (two entries: two consumers of the messages); a scaled
+    gather weighs each message by its GCN edge weight."""
+    from repro.plan import PlanBuilder
+    builder = PlanBuilder("t", "t")
+    x = builder.input("X")
+    endpoints = (("src", "edge"), ("dst", "edge"))
+    weight = None
+    if scaled:
+        src, dst, weight = builder.normalize(
+            "gcn_edge_weights", outputs=endpoints + (("weight", "vec"),))
+    else:
+        src, dst = builder.normalize("edge_endpoints", outputs=endpoints)
+    messages = builder.gather(x, src, scale=weight, tag="t")
+    outs = [builder.scatter_reduce(messages, dst, reduce=reduce, tag="t")
+            for reduce in reduces]
+    return builder.build(outs[0] if len(outs) == 1
+                         else builder.elementwise("add", *outs))
+
+
+@pytest.mark.parametrize("reduces, scaled, taken", [
+    (("sum",), False, True), (("mean",), False, True),
+    (("sum",), True, True), (("max",), False, False),
+    (("sum", "mean"), False, False)])
+def test_only_a_lone_sum_mean_scatter_gathers_row_sparse(
+        reduces, scaled, taken, monkeypatch):
+    """The rule's answer for the gather is the route it takes, and
+    ``gsuite plan`` reports it; either way the output is the dense
+    route's (``run`` over a copy of ``X``), bit for bit."""
+    from repro.plan import PlanExecutor, describe_features
+
+    gathers, _ = _aggregations_seen(monkeypatch)
+    graph = _citation()
+    plan = _x_aggregation(reduces, scaled)
+    routed = PlanExecutor().run(plan, graph, {"X": graph.features})
+    dense = PlanExecutor().run(plan, graph, {"X": graph.features.copy()})
+    assert gathers == [("t", taken), ("t", False)]
+    assert np.array_equal(routed, dense)
+    report = describe_features(plan, graph).splitlines()[1]
+    assert report.startswith("  indexSelect t: " + (
+        "row-sparse (" if taken else "dense ("))
+
+
+def test_unfused_message_passing_never_holds_the_dense_messages():
+    """One unfused sage run over a bag-of-words graph peaks below the
+    ``[E, F]`` float32 message matrix the dense gather would hold."""
+    import tracemalloc
+
+    from repro.frameworks import PipelineSpec, get_backend
+
+    graph = _citation()
+    messages_bytes = add_self_loops(graph).num_edges \
+        * graph.num_features * 4
+    built = get_backend("gsuite").build(
+        PipelineSpec(model="sage", compute_model="MP", seed=5), graph,
+        fuse=False)
+    tracemalloc.start()
+    try:
+        built.run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < messages_bytes

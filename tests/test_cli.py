@@ -160,8 +160,10 @@ class TestCommands:
     def test_plan_reports_the_feature_operand(self, capsys):
         """The header is what ``Graph.feature_rows`` answers; each
         indented line is one kernel that reads ``X`` and the form the
-        executor will hand it (``takes_row_sparse`` for an
-        aggregation)."""
+        executor will hand it (``takes_row_sparse`` for an aggregation
+        or an unfused gather; a gather whose messages feed max / min or
+        two consumers reads ``dense (...)``, pinned in
+        ``tests/plan/test_resident_structures.py``)."""
         def block(*args):
             assert main(["plan", *args]) == 0
             lines = capsys.readouterr().out.splitlines()
@@ -204,6 +206,16 @@ class TestCommands:
         assert block("--dataset", "reddit", "--scale", "0.02", "--model",
                      "gin", "--compute-model", "SpMM") == [
             "features: dense (100 %)", "  spmm gin-l0: dense"]
+        # The unfused gather asks the rule its fused pair would ask.
+        assert block("--no-fuse", "--dataset", "pubmed", "--model",
+                     "sage")[1:] == [
+            "  indexSelect sage-l0: row-sparse "
+            "(nnz\u00b7k / (nnz + expansion) = 83.6 \u2265 64)",
+            "  sgemm sage-l0: row-sparse"]
+        assert block("--no-fuse", "--dataset", "cora", "--scale", "0.1",
+                     "--model", "gin")[1:] == [
+            "  indexSelect gin-l0: row-sparse "
+            "(nnz\u00b7k / (nnz + expansion) = 96.1 \u2265 64)"]
         # Packed members: the aggregation reads their rows stacked.
         assert block("--dataset", "cora", "--scale", "0.1", "--batch", "3",
                      "--model", "sage")[1] == (
