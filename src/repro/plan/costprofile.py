@@ -90,6 +90,10 @@ class CostProfile:
     name: str = "paper"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise CalibrationError(
+                f"cost profile name must be a string, got "
+                f"{type(self.name).__name__}")
         for f in fields(self):
             if f.name == "name":
                 continue
@@ -157,7 +161,11 @@ class CostProfile:
                 f"{origin}: schema version {schema!r} is not the supported "
                 f"version {PROFILE_SCHEMA_VERSION}; re-save it from "
                 f"CostProfile.paper().with_overrides(...) with this build")
-        body = dict(payload["profile"])
+        body = payload["profile"]
+        if not isinstance(body, Mapping):
+            raise CalibrationError(
+                f"{origin}: 'profile' must be a JSON object of cost "
+                f"constants, got {type(body).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(body) - known
         missing = {f.name for f in fields(cls)

@@ -20,6 +20,7 @@ head width explicitly (datasets default it to their class count).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,6 +30,18 @@ from repro.frameworks import PipelineSpec
 from repro.graph import Graph, validate_graph
 
 __all__ = ["InferenceRequest", "InferenceResponse"]
+
+#: What each scalar field must hold, checked before any field is read:
+#: a mistyped wire value is refused as a ServeError instead of escaping
+#: as an ``AttributeError`` / ``TypeError`` from whatever reads it.
+_FIELD_TYPES = (
+    ("a string", str,
+     ("request_id", "model", "framework", "compute_model", "activation")),
+    ("a string or null", (str, type(None)), ("dataset",)),
+    ("an integer", Integral, ("hidden", "num_layers", "seed")),
+    ("an integer or null", (Integral, type(None)), ("out_features",)),
+    ("a number", Real, ("scale",)),
+)
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,13 @@ class InferenceRequest:
     scale: float = 1.0
 
     def __post_init__(self):
+        for noun, types, names in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise ServeError(
+                        f"request field {name!r} must be {noun}, got "
+                        f"{type(value).__name__}")
         if not self.request_id:
             raise ServeError("request_id must be a non-empty string")
         if (self.dataset is None) == (self.graph is None):
@@ -82,6 +102,14 @@ class InferenceRequest:
             except DatasetError as exc:
                 raise ServeError(
                     f"request {self.request_id!r}: {exc}") from exc
+        from repro.core.models import get_model_class
+        try:
+            # The batcher prices a queued group by its model class, on
+            # the drain task: an unknown name must die here, not there.
+            get_model_class(self.model)
+        except GSuiteError as exc:
+            raise ServeError(
+                f"request {self.request_id!r}: {exc}") from exc
         from repro.frameworks import BACKEND_NAMES, get_backend
         try:
             get_backend(self.framework)
@@ -186,7 +214,9 @@ class InferenceRequest:
                     num_nodes=graph_spec.get("num_nodes"),
                     name=graph_spec.get("name", "payload"),
                 ))
-            except GSuiteError as exc:
+            except (GSuiteError, TypeError, ValueError) as exc:
+                # Arrays that are not arrays (objects, ragged or
+                # non-numeric lists) fail in the conversion itself.
                 raise ServeError(f"bad inline graph: {exc}") from exc
         known = {f.name for f in _REQUEST_FIELDS}
         unknown = set(payload) - known

@@ -135,6 +135,21 @@ class TestProfilePersistence:
         assert field in str(excinfo.value)
         assert str(path) in str(excinfo.value)
 
+    @pytest.mark.parametrize("body", ["abc", 5, None, [["name", "x"]]])
+    def test_non_object_profile_body_refused(self, body):
+        """A body that is not an object used to escape as a bare
+        ``ValueError`` / ``TypeError`` from ``dict(...)``."""
+        payload = CostProfile.paper().to_dict()
+        payload["profile"] = body
+        with pytest.raises(CalibrationError, match="must be a JSON object"):
+            CostProfile.from_dict(payload, origin="mangled.json")
+
+    def test_non_string_name_refused(self):
+        payload = CostProfile.paper().to_dict()
+        payload["profile"]["name"] = 5
+        with pytest.raises(CalibrationError, match="name must be a string"):
+            CostProfile.from_dict(payload)
+
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(CalibrationError):
             CostProfile.load(tmp_path / "nope.json")

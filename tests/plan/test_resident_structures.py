@@ -14,6 +14,7 @@ import pytest
 from repro.core import GNNPipeline, SuiteConfig
 from repro.core.kernels import record_launches
 from repro.graph import Graph, add_self_loops, gcn_edge_weights
+from repro.graph.formats import CSRMatrix
 
 # (model, compute model, fuse) -> the builders that run and how often.
 # ``reduction_structure`` and ``aggregation_operator`` count every build,
@@ -21,7 +22,8 @@ from repro.graph import Graph, add_self_loops, gcn_edge_weights
 # ``row_sparse`` is the scan behind ``Graph.feature_rows``, which every
 # product over the graph's own ``X`` asks for — a first-layer sgemm, a
 # fused aggregation, an spmm — once per graph (a declined matrix is
-# remembered too).
+# remembered too).  ``spgemm`` counts ``CSRMatrix.spgemm`` products:
+# gcn/SpMM's propagation chain runs its two on the first run only.
 CELLS = {
     ("sage", "MP", "auto"): {
         "add_self_loops": 1, "reduction_structure": 1,
@@ -33,7 +35,7 @@ CELLS = {
     ("gin", "SpMM", "auto"): {"gin_aggregate_matrix": 1, "row_sparse": 1},
     ("gcn", "SpMM", "auto"): {
         "add_self_loops": 1, "degree_half_inverse_csr": 1,
-        "adjacency_csr": 1, "row_sparse": 1},
+        "adjacency_csr": 1, "row_sparse": 1, "spgemm": 2},
 }
 
 _BUILDERS = {
@@ -73,6 +75,7 @@ def builds(monkeypatch):
         monkeypatch.setattr(mod, attr, spy(name, getattr(mod, attr)))
     monkeypatch.setattr(Graph, "adjacency_csr",
                         spy("adjacency_csr", Graph.adjacency_csr))
+    monkeypatch.setattr(CSRMatrix, "spgemm", spy("spgemm", CSRMatrix.spgemm))
     # The executor and the kernels each hold a reference to the builders.
     scatter_mod = import_module("repro.core.kernels.scatter")
     for name in ("reduction_structure", "aggregation_operator"):
@@ -108,9 +111,71 @@ def test_second_run_builds_nothing(cell, builds):
     if cell == ("gcn", "MP", "off"):
         assert "scatter" in kernels and "fusedGatherScatter" not in kernels
     if cell == ("gcn", "SpMM", "auto"):
-        # The normalisation chain is traced work, not a structure.
-        for launches in (first_launches, second_launches):
-            assert sum(l.kernel == "SpGEMM" for l in launches) == 2
+        # The normalisation chain is resident: its products ran once
+        # (``spgemm`` above), yet every run records both launches, the
+        # second from the resident matrices at the time it spent on them.
+        first_chain, second_chain = (
+            [l for l in launches if l.kernel == "SpGEMM"]
+            for launches in (first_launches, second_launches))
+        assert len(first_chain) == len(second_chain) == 2
+        assert [l.fingerprint() for l in first_chain] \
+            == [l.fingerprint() for l in second_chain]
+        assert [l.duration_s for l in second_chain] == [0.0, 0.0]
+
+
+_GCN_SPMM = SuiteConfig(model="gcn", compute_model="SpMM", out_features=3)
+
+
+def test_unrecorded_first_build_records_fresh_fingerprints():
+    """A chain built with no recorder active still records, on a later
+    traced run, the launches a fresh graph's first traced run records."""
+    warmed = _graph()
+    GNNPipeline(_GCN_SPMM, graph=warmed).build().run()
+    resident, resident_launches = _run(_GCN_SPMM, warmed)
+    fresh, fresh_launches = _run(_GCN_SPMM, _graph())
+    assert np.array_equal(resident, fresh)
+    assert [l.fingerprint() for l in resident_launches] \
+        == [l.fingerprint() for l in fresh_launches]
+    assert sum(l.kernel == "SpGEMM" for l in resident_launches) == 2
+
+
+def test_direct_prepare_reads_the_plans_propagation(monkeypatch):
+    from repro.core.models.gcn import GCN
+    executor = import_module("repro.plan.executor")
+    spmm = executor.spmm
+    read = []
+
+    def spy(matrix, *args, **kwargs):
+        read.append(matrix)
+        return spmm(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(executor, "spmm", spy)
+    graph = _graph()
+    GNNPipeline(_GCN_SPMM, graph=graph).build().run()
+    model = GCN(graph.num_features, 16, 3, compute_model="SpMM")
+    assert read and all(matrix is read[0] for matrix in read)
+    assert model.prepare(graph)["propagation"] is read[0]
+
+
+def test_dgl_gcn_normalizes_every_run(monkeypatch):
+    """The ``dgl_*`` kinds model per-run framework overhead (Fig. 3):
+    DGL-like gcn/SpMM builds its normalised adjacency on every run."""
+    dgl_like = import_module("repro.frameworks.dgl_like")
+    calls = []
+    normalized = dgl_like.normalized_adjacency
+
+    def counted(graph, *args, **kwargs):
+        calls.append(graph)
+        return normalized(graph, *args, **kwargs)
+
+    monkeypatch.setattr(dgl_like, "normalized_adjacency", counted)
+    config = _GCN_SPMM.with_overrides(framework="dgl")
+    graph = _graph()
+    first = GNNPipeline(config, graph=graph).build().run()
+    assert len(calls) == 1
+    second = GNNPipeline(config, graph=graph).build().run()
+    assert len(calls) == 2
+    assert np.array_equal(first, second)
 
 
 def test_structures_die_with_their_graph():

@@ -78,6 +78,26 @@ class TestRequestValidation:
         with pytest.raises(ServeError, match="r1"):
             InferenceRequest(request_id="r1", dataset="cora", num_layers=0)
 
+    def test_unknown_model_rejected(self):
+        """The batcher prices a queued group by its model class on the
+        drain task, where an unknown name used to kill the task."""
+        with pytest.raises(ServeError, match="unknown model"):
+            InferenceRequest(request_id="r1", dataset="cora", model="foo")
+
+    @pytest.mark.parametrize("field, value", [
+        ("request_id", 5), ("dataset", []), ("model", 3),
+        ("framework", []), ("compute_model", None), ("activation", {}),
+        ("hidden", "8"), ("num_layers", True), ("seed", 1.5),
+        ("out_features", 2.0), ("scale", "0.1"), ("scale", False)])
+    def test_mistyped_field_rejected(self, field, value):
+        """Each used to escape as an untyped error (``AttributeError``
+        from ``from_dict`` or ``submit``, ``TypeError``), which killed
+        the TCP connection without a reply."""
+        payload = {"request_id": "r1", "dataset": "cora", "scale": 0.1,
+                   field: value}
+        with pytest.raises(ServeError, match=f"'{field}' must be"):
+            InferenceRequest.from_dict(payload)
+
 
 class TestCompatibility:
     def test_pinned_head_width_batches_across_datasets(self):
@@ -148,6 +168,19 @@ class TestWireForm:
                 {"request_id": "r1", "out_features": 2,
                  "graph": {"edge_index": [[0], [1]],
                            "features": [[1.0], [bad]]}})
+
+    @pytest.mark.parametrize("graph", [
+        {"edge_index": {}},
+        {"edge_index": [[0], [1]], "features": {}},
+        {"edge_index": [[0], ["a"]], "features": [[1.0], [2.0]]},
+        {"edge_index": [[0], [1]], "features": [[1.0], [2.0, 3.0]]},
+        {"edge_index": [[0], [1]], "features": [[1.0], [2.0]],
+         "num_nodes": []},
+    ])
+    def test_mistyped_inline_arrays_refused(self, graph):
+        with pytest.raises(ServeError, match="bad inline graph"):
+            InferenceRequest.from_dict(
+                {"request_id": "r1", "out_features": 2, "graph": graph})
 
     def test_out_of_range_inline_ids_refused(self):
         with pytest.raises(ServeError, match="bad inline graph"):

@@ -413,6 +413,39 @@ class TestTcpServer:
         assert strict[3]["request_id"] == "ok"
         assert strict[3]["output_shape"] == [10, 4]
 
+    def test_mistyped_fields_get_an_error_line(self):
+        """A mistyped field used to escape ``from_dict`` / ``submit`` as
+        an untyped error: the connection closed with no reply (and an
+        unknown model killed the service's drain task).  Each now gets
+        its error line and the next request on the line is answered."""
+        async def scenario():
+            service = InferenceService(SuiteConfig(serve_batch=1))
+            async with service:
+                ready = asyncio.get_running_loop().create_future()
+                server = asyncio.ensure_future(serve_tcp(
+                    service, port=0, max_requests=4,
+                    ready=ready.set_result))
+                reader, writer = await asyncio.open_connection(*await ready)
+                good = InferenceRequest(request_id="ok", graph=_graph(),
+                                        out_features=4).to_dict()
+                for bad in ({"request_id": "r1", "dataset": []},
+                            {**good, "model": 3}, {**good, "model": "foo"},
+                            good):
+                    writer.write(json.dumps(bad).encode() + b"\n")
+                await writer.drain()
+                lines = [json.loads(await reader.readline())
+                         for _ in range(4)]
+                writer.close()
+                return lines, await server
+
+        lines, served = asyncio.run(scenario())
+        assert served == 4
+        assert "'dataset' must be" in lines[0]["error"]
+        assert "'model' must be" in lines[1]["error"]
+        assert "unknown model 'foo'" in lines[2]["error"]
+        assert lines[3]["request_id"] == "ok"
+        assert lines[3]["output_shape"] == [10, 4]
+
     def test_overlong_request_line_gets_error_reply_then_close(self):
         async def scenario():
             service = InferenceService(SuiteConfig(serve_batch=1))
