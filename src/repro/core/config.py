@@ -13,6 +13,8 @@ keyword overrides (everything else defaults), or load a JSON file with
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Optional
@@ -74,7 +76,7 @@ class Knob:
             raise self._refuse(value)
         try:
             coerced = int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # inf overflows
             raise self._refuse(value) from None
         if not isinstance(value, str) and coerced != value:
             raise self._refuse(value)  # non-integral number, e.g. 4.5
@@ -145,6 +147,27 @@ class SuiteConfig:
                                   # at N members
 
     def __post_init__(self):
+        # A JSON config can put any type in any field: refuse a mistyped
+        # one here, before a comparison below or a kernel later meets it
+        # (JSON true is an int to Python, so bools refuse by name).
+        for name in ("dataset", "model", "compute_model", "framework",
+                     "activation"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(
+                    f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("num_layers", "hidden", "out_features", "seed",
+                     "repeats", "sample_cap", "scale"):
+            value, integer = getattr(self, name), name != "scale"
+            if value is None and name == "out_features":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)
+                    or (integer and value != int(value))):
+                raise ConfigError(f"{name} must be "
+                                  f"{'an integer' if integer else 'finite'}"
+                                  f", got {value!r}")
+            object.__setattr__(self, name,
+                               int(value) if integer else float(value))
         if self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.hidden < 1:
@@ -159,6 +182,8 @@ class SuiteConfig:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.sample_cap < 1:
             raise ConfigError(f"sample_cap must be >= 1, got {self.sample_cap}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # Config files may use the CLI's vocabulary ("auto"/"off")
         # directly; numbers coerce to int (non-integral ones refuse).
         # One shared parser per knob keeps spellings and errors uniform.

@@ -1,21 +1,19 @@
 """Base classes for GNN models built from gSuite core kernels.
 
-A model is a stack of layers with deterministic, seeded weights.  Each
-concrete model provides a message-passing (MP) implementation, and those
-with a published SpMM formulation (GCN, GIN) provide an SpMM
-implementation too.  Both implementations of a model compute the *same
-function* — the property tests pin that equivalence down, because it is
-the premise of the paper's MP-vs-SpMM comparison.
+A model is a stack of layers with deterministic, seeded weights and
+nothing else: it *is* its lowering to an
+:class:`~repro.plan.ir.ExecutionPlan`, which every backend executes.
+Each concrete model lowers to a message-passing (MP) plan, and those
+with a published SpMM formulation (GCN, GIN) to an SpMM plan too.  Both
+compute the *same function* — the premise of the paper's MP-vs-SpMM
+comparison — and the test suite pins every plan against one float64
+re-derivation of that function (``tests/oracle.py``).
 
-Every backend executes a model as its lowered
-:class:`~repro.plan.ir.ExecutionPlan`.  Extending gSuite with a new
-model means subclassing :class:`GNNModel` and emitting plan ops (gather,
-scatter-reduce, SGEMM, SpMM, Normalize) in
-:meth:`GNNModel.lower_prepare` / :meth:`GNNModel.lower_layer`;
+Extending gSuite with a new model means subclassing :class:`GNNModel`
+and emitting plan ops (gather, scatter-reduce, SGEMM, SpMM, Normalize)
+in :meth:`GNNModel.lower_prepare` / :meth:`GNNModel.lower_layer`;
 :func:`~repro.core.models.registry.register_model` refuses a class
-without ``lower_layer``.  The zoo's direct :meth:`GNNModel.layer_forward`
-/ :meth:`GNNModel.forward` kernel calls are the reference the parity
-suite pins the plans against, and run on no backend.
+without ``lower_layer``.
 """
 
 from __future__ import annotations
@@ -102,9 +100,9 @@ class GNNModel:
 
     #: Formats the model can *lower to* in the plan IR.  Usually equal
     #: to ``supported_compute_models``, but a model may provide an SpMM
-    #: lowering for the adaptive planner even when the paper's direct
-    #: path is MP-only (SAGE's mean aggregation is one row-normalised
-    #: SpMM).  ``None`` means "same as supported_compute_models".
+    #: lowering for the adaptive planner even when the paper's model is
+    #: MP-only (SAGE's mean aggregation is one row-normalised SpMM).
+    #: ``None`` means "same as supported_compute_models".
     lowerable_formats: Optional[Sequence[str]] = None
 
     def __init__(self, in_features: int, hidden: int, out_features: int,
@@ -124,8 +122,8 @@ class GNNModel:
         self.dims = layer_dimensions(in_features, hidden, out_features,
                                      num_layers)
         self.num_layers = num_layers
+        get_activation(activation)   # refuse an unknown name up front
         self.activation_name = activation
-        self._activation = get_activation(activation)
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self.weights: List[dict] = [self._init_layer(fan_in, fan_out)
@@ -147,43 +145,6 @@ class GNNModel:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return self._rng.uniform(-limit, limit,
                                  size=(fan_in, fan_out)).astype(np.float32)
-
-    # -- direct reference path ---------------------------------------------
-    def prepare(self, graph: Graph) -> dict:
-        """Precompute graph-dependent state shared by all layers.
-
-        Called once per forward pass (e.g. self-loop insertion, GCN edge
-        weights).  Subclasses override; the default is empty state.
-        """
-        return {}
-
-    def layer_forward(self, layer: int, x: np.ndarray, graph: Graph,
-                      state: dict) -> np.ndarray:
-        """Run one layer with direct kernel calls (the parity reference
-        for :meth:`lower_layer`; an extension model may leave it out)."""
-        raise NotImplementedError
-
-    def forward(self, graph: Graph,
-                features: Optional[np.ndarray] = None) -> np.ndarray:
-        """Full-graph inference: returns ``[num_nodes, out_features]``.
-
-        ``features`` overrides the graph's stored feature matrix.  This
-        is the *direct* kernel-call path, kept as the reference: the
-        framework backends execute the equivalent lowered plan (see
-        :meth:`lower`), and the parity suite pins the two bit-for-bit
-        against each other.
-        """
-        x = check_features(graph, self.dims[0][0], features)
-        state = self.prepare(graph)
-        for layer in range(self.num_layers):
-            x = self.layer_forward(layer, x, graph, state)
-            if layer < self.num_layers - 1:
-                x = self._activation(x)
-        return x
-
-    def __call__(self, graph: Graph,
-                 features: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.forward(graph, features)
 
     # -- cost-model widths --------------------------------------------------
     @classmethod
@@ -210,8 +171,8 @@ class GNNModel:
 
         ``formats`` selects the execution format *per layer* (default:
         the model's configured compute model everywhere).  Structure
-        preparation is emitted once per distinct format, mirroring the
-        direct path's per-forward :meth:`prepare`.
+        preparation (:meth:`lower_prepare`) is emitted once per distinct
+        format and shared by every layer of that format.
         """
         from repro.plan.ir import PlanBuilder
         if formats is None:
@@ -246,9 +207,10 @@ class GNNModel:
     def lower_prepare(self, builder, fmt: str) -> dict:
         """Emit the structure-preparation ops for one execution format.
 
-        The plan-IR counterpart of :meth:`prepare`; returns the state
-        dict of value refs :meth:`lower_layer` consumes.  Default: no
-        preparation.
+        Graph-dependent state shared by all layers of that format
+        (self-loop insertion, GCN edge weights, an SpMM operator);
+        returns the state dict of value refs :meth:`lower_layer`
+        consumes.  Default: no preparation.
         """
         return {}
 

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import index_select, scatter, sgemm
+from repro.core.kernels import index_select, scatter
 from repro.core.models.base import GNNModel
-from repro.graph import Graph, add_self_loops
 
 __all__ = ["GAT", "attention_coefficients"]
 
-#: LeakyReLU negative slope used by the reference implementation.
+#: LeakyReLU negative slope (Velickovic et al.'s 0.2).
 _SLOPE = 0.2
 
 
@@ -40,8 +39,7 @@ def attention_coefficients(h: np.ndarray, src: np.ndarray, dst: np.ndarray,
                            segments=None) -> np.ndarray:
     """Edge-softmax attention weights, composed from Table II kernels.
 
-    Shared by the direct path and the plan executor's ``gat_attention``
-    Normalize kind, so both emit the identical kernel-launch sequence.
+    Behind the plan executor's ``gat_attention`` Normalize kind.
 
     ``segments`` carries the member row ranges of a batched workload
     (see :class:`~repro.plan.ir.BatchSegmentMap`): the per-node score
@@ -90,24 +88,6 @@ class GAT(GNNModel):
             "a_dst": self._glorot(fan_out, 1)[:, 0],
             "b": np.zeros(fan_out, dtype=np.float32),
         }
-
-    def prepare(self, graph: Graph) -> dict:
-        looped = add_self_loops(graph)
-        return {"edge_index": looped.edge_index}
-
-    def layer_forward(self, layer: int, x: np.ndarray, graph: Graph,
-                      state: dict) -> np.ndarray:
-        params = self.weights[layer]
-        src, dst = state["edge_index"]
-        n = graph.num_nodes
-        tag = f"gat-l{layer}"
-
-        h = sgemm(x, params["W"], tag=tag, rows=graph.feature_rows(x))
-        alpha = attention_coefficients(h, src, dst, params["a_src"],
-                                       params["a_dst"], n, tag)
-        messages = index_select(h, src, tag=tag) * alpha[:, None]
-        out = scatter(messages, dst, dim_size=n, reduce="sum", tag=tag)
-        return out + params["b"]
 
     # -- plan lowering ------------------------------------------------------
     def lower_prepare(self, builder, fmt: str) -> dict:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import active_recorder, index_select, scatter, \
-    sgemm, spgemm, spmm
+from repro.core.kernels import active_recorder, spgemm
 from repro.core.kernels.sparse import _emit_spgemm
 from repro.core.models.base import GNNModel
-from repro.graph import Graph, add_self_loops, gcn_edge_weights
+from repro.graph import Graph, add_self_loops
 from repro.graph.formats import CSRMatrix
 from repro.graph.ops import self_loop_adjacency_csr
 
@@ -51,14 +50,13 @@ def _degree_half_inverse_csr(graph: Graph) -> CSRMatrix:
 def gcn_propagation_matrix(graph: Graph, tag: str = "gcn-normalize") -> CSRMatrix:
     """``D^-1/2 (A + I) D^-1/2``, with its two traced SpGEMM launches.
 
-    The Fig. 2 normalisation chain, shared by the direct SpMM path and
-    the plan executor's ``gcn_propagation`` Normalize kind so both emit
-    identical kernel launches.  Operands and products are resident on
-    the graph (:meth:`Graph.structure`): the first call runs both
-    products, so their records carry the measured time; a later call
-    returns the resident matrix and, under a recorder, emits the same
-    two records from the resident operands and products.  A record is
-    built from shapes and sampled indices, so its fingerprint is the
+    The Fig. 2 normalisation chain behind the plan executor's
+    ``gcn_propagation`` Normalize kind.  Operands and products are
+    resident on the graph (:meth:`Graph.structure`): the first call runs
+    both products, so their records carry the measured time; a later
+    call returns the resident matrix and, under a recorder, emits the
+    same two records from the resident operands and products.  A record
+    is built from shapes and sampled indices, so its fingerprint is the
     first build's; its ``duration_s`` is ``0.0``, the SpGEMM time this
     call spent (replaying the first build's time would make kernel
     spans outgrow the run that contains them).
@@ -94,39 +92,6 @@ class GCN(GNNModel):
         scatter run at the layer's *output* width; the SpMM path
         propagates the untransformed features at the input width."""
         return fan_out if fmt == "MP" else fan_in
-
-    def prepare(self, graph: Graph) -> dict:
-        """Graph-dependent state.
-
-        MP needs the self-loop-augmented edge index with per-edge
-        ``1/sqrt(du dv)`` weights; SpMM reads the graph-resident
-        propagation matrix, whose two SpGEMM launches (the Fig. 2
-        pipeline) are traced on every call and run on the first.
-        """
-        if self.compute_model == "MP":
-            edge_index, edge_weight = gcn_edge_weights(graph)
-            return {"edge_index": edge_index, "edge_weight": edge_weight}
-        return {"propagation": gcn_propagation_matrix(graph)}
-
-    def layer_forward(self, layer: int, x: np.ndarray, graph: Graph,
-                      state: dict) -> np.ndarray:
-        params = self.weights[layer]
-        if self.compute_model == "MP":
-            edge_index, edge_weight = state["edge_index"], state["edge_weight"]
-            # Transform first (Fig. 2: featureVector -> sgemm -> linearOutput).
-            h = sgemm(x, params["W"], tag=f"gcn-l{layer}",
-                      rows=graph.feature_rows(x))
-            messages = index_select(h, edge_index[0], tag=f"gcn-l{layer}")
-            messages = messages * edge_weight[:, None]
-            aggregated = scatter(messages, edge_index[1],
-                                 dim_size=graph.num_nodes, reduce="sum",
-                                 tag=f"gcn-l{layer}")
-            # Bias after propagation (PyG convention) so MP and SpMM
-            # compute the identical function.
-            return aggregated + params["b"]
-        propagated = spmm(state["propagation"], x, tag=f"gcn-l{layer}")
-        return sgemm(propagated, params["W"], bias=params["b"],
-                     tag=f"gcn-l{layer}")
 
     # -- plan lowering ------------------------------------------------------
     def lower_prepare(self, builder, fmt: str) -> dict:

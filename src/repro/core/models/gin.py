@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import index_select, scatter, sgemm, spmm
-from repro.core.models.activations import relu
 from repro.core.models.base import GNNModel
 from repro.graph import Graph
 from repro.graph.formats import COOMatrix, CSRMatrix
@@ -31,9 +29,8 @@ __all__ = ["GIN", "gin_aggregate_matrix"]
 def gin_aggregate_matrix(graph: Graph, epsilon: float) -> CSRMatrix:
     """The SpMM aggregation matrix ``A + (1 + eps) I`` in CSR form.
 
-    Shared by the direct SpMM path and the plan executor's
-    ``gin_aggregate`` Normalize kind; built once per graph and epsilon
-    (:meth:`Graph.structure`).
+    Behind the plan executor's ``gin_aggregate`` Normalize kind; built
+    once per graph and epsilon (:meth:`Graph.structure`).
     """
     epsilon = float(epsilon)
     return graph.structure(("gin_aggregate_matrix", epsilon),
@@ -71,28 +68,6 @@ class GIN(GNNModel):
             "W2": self._glorot(mlp_hidden, fan_out),
             "b2": np.zeros(fan_out, dtype=np.float32),
         }
-
-    def prepare(self, graph: Graph) -> dict:
-        """SpMM needs ``A + (1+eps) I`` once; MP needs nothing."""
-        if self.compute_model == "MP":
-            return {}
-        return {"aggregate": gin_aggregate_matrix(graph, self.epsilon)}
-
-    def layer_forward(self, layer: int, x: np.ndarray, graph: Graph,
-                      state: dict) -> np.ndarray:
-        params = self.weights[layer]
-        if self.compute_model == "MP":
-            messages = index_select(x, graph.src, tag=f"gin-l{layer}")
-            neighbour_sum = scatter(messages, graph.dst,
-                                    dim_size=graph.num_nodes, reduce="sum",
-                                    tag=f"gin-l{layer}")
-            combined = (1.0 + self.epsilon) * x + neighbour_sum
-        else:
-            combined = spmm(state["aggregate"], x, tag=f"gin-l{layer}")
-        hidden = relu(sgemm(combined, params["W1"], bias=params["b1"],
-                            tag=f"gin-l{layer}"))
-        return sgemm(hidden, params["W2"], bias=params["b2"],
-                     tag=f"gin-l{layer}")
 
     # -- plan lowering ------------------------------------------------------
     def lower_prepare(self, builder, fmt: str) -> dict:

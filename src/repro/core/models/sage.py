@@ -5,20 +5,19 @@ Paper Eq. 5::
     h_v' = W1 h_v + W2 * mean_{u in N(v) + v} h_u
 
 The paper notes no SpMM formulation of SAGE was available, so — exactly
-like gSuite — only the MP implementation exists here; requesting
-``compute_model="SpMM"`` raises :class:`~repro.errors.ModelError`.
+like gSuite — ``compute_model="SpMM"`` raises
+:class:`~repro.errors.ModelError`.
 
 The *plan* layer is less constrained: the mean over ``N(v) + v`` is one
 row-normalised SpMM (how the DGL-like backend realises its SAGE conv),
 so the model offers an SpMM lowering for the adaptive planner even
-though the direct path stays MP-only (``lowerable_formats``).
+though its compute model stays MP-only (``lowerable_formats``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import index_select, scatter, sgemm
 from repro.core.models.base import GNNModel
 from repro.graph import Graph, add_self_loops
 from repro.graph.formats import CSRMatrix
@@ -61,25 +60,6 @@ class SAGE(GNNModel):
             "W2": self._glorot(fan_in, fan_out),
             "b": np.zeros(fan_out, dtype=np.float32),
         }
-
-    def prepare(self, graph: Graph) -> dict:
-        """The mean runs over ``N(v) + v``: self-loops are inserted once."""
-        looped = add_self_loops(graph)
-        return {"edge_index": looped.edge_index}
-
-    def layer_forward(self, layer: int, x: np.ndarray, graph: Graph,
-                      state: dict) -> np.ndarray:
-        params = self.weights[layer]
-        edge_index = state["edge_index"]
-        messages = index_select(x, edge_index[0], tag=f"sage-l{layer}")
-        mean_neigh = scatter(messages, edge_index[1],
-                             dim_size=graph.num_nodes, reduce="mean",
-                             tag=f"sage-l{layer}")
-        self_part = sgemm(x, params["W1"], tag=f"sage-l{layer}",
-                          rows=graph.feature_rows(x))
-        neigh_part = sgemm(mean_neigh, params["W2"], bias=params["b"],
-                           tag=f"sage-l{layer}")
-        return self_part + neigh_part
 
     # -- plan lowering ------------------------------------------------------
     def lower_prepare(self, builder, fmt: str) -> dict:

@@ -5,10 +5,10 @@ PyG, DGL, gSuite-MP and gSuite-SpMM.  Here each path is a
 :class:`Backend` that turns a :class:`PipelineSpec` plus a graph into a
 :class:`BuiltPipeline`.  All backends route their math through the
 instrumented core kernels (so kernel-level recording works everywhere)
-and produce numerically identical outputs for the same spec — the
-differences are the *execution structures*: per-call dispatch and
+and compute the same function for the same spec, to float32 rounding
+— the differences are the *execution structures*: per-call dispatch and
 re-validation (PyG-like), up-front graph object construction with fused
-SpMM (DGL-like), or the minimal direct path (native gSuite).
+SpMM (DGL-like), or the minimal plan walk (native gSuite).
 
 A build is also where a plan is finished: :meth:`Backend.build` lowers
 through :func:`repro.plan.lowering.cached_plan`, which fuses what it

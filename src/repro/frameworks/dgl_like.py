@@ -18,8 +18,8 @@ supports all three models, matching the paper's Fig. 3/4 grids.
 The pipeline lowers to the shared :class:`~repro.plan.ir.ExecutionPlan`
 IR: the up-front graph-object materialisation is a per-run ``dgl_graph``
 Normalize op, the cached structures (``normalized`` / ``mean`` /
-``plain``) are Normalize ops over it, and each conv is the same
-SpMM + SGEMM pair the direct path executed.
+``plain``) are Normalize ops over it, and each conv is one SpMM plus
+the dense SGEMM transform.
 """
 
 from __future__ import annotations

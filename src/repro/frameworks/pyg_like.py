@@ -3,10 +3,10 @@ execution style.
 
 PyG's costs, re-created here as *real work* (never artificial delays):
 
-* a module system — every conv is a ``Module`` holding ``Parameter``
-  objects that are re-initialised by ``reset_parameters`` during
-  construction (then overwritten with the spec's weights, exactly like
-  loading a state dict);
+* a module system — every conv holds ``Parameter`` objects that are
+  re-initialised by ``reset_parameters`` during construction (then
+  overwritten with the spec's weights, exactly like loading a state
+  dict);
 * eager per-forward validation — edge-index dtype/bounds checks and
   tensor re-materialisation on every call;
 * uncached normalisation — ``GCNConv`` recomputes ``gcn_norm`` (degrees,
@@ -20,8 +20,9 @@ The pipeline *lowers* to the shared :class:`~repro.plan.ir.ExecutionPlan`
 IR (flavoured with PyG's per-layer uncached ``gcn_norm`` and per-call
 edge re-validation) and executes it through the instrumented core
 kernels, so kernel-level recordings of this backend mirror Fig. 4's PyG
-column exactly as the direct path did.  The conv modules below remain
-the reference implementations the parity suite pins the plans against.
+column.  The conv classes below only hold parameters: their
+construction is the ``reset_parameters`` cost Fig. 3 measures, and the
+plan reads its weights from them.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.kernels import index_select, scatter, sgemm
 from repro.core.models import build_model
-from repro.core.models.activations import relu
 from repro.errors import BackendError
 from repro.frameworks.base import Backend, BuiltPipeline, PipelineSpec
 from repro.graph import Graph
@@ -105,58 +104,19 @@ def _gcn_norm(edge_index: np.ndarray, num_nodes: int):
     return full, weight
 
 
-class MessagePassing:
-    """The base class every PyG model inherits from (paper Section II-B)."""
+class GCNConv:
+    """GCNConv's parameters; its uncached ``gcn_norm`` is a per-layer
+    Normalize op of the lowered plan."""
 
-    def __init__(self, tape: _Tape):
-        self.tape = tape
-
-    def propagate(self, edge_index: np.ndarray, x: np.ndarray,
-                  edge_weight: Optional[np.ndarray] = None,
-                  reduce: str = "sum", num_nodes: Optional[int] = None,
-                  tag: str = "") -> np.ndarray:
-        """gather -> message -> scatter, each step Python-dispatched."""
-        messages = index_select(x, edge_index[0], tag=tag)
-        self.tape.record("index_select", x.shape)
-        messages = self.message(messages, edge_weight)
-        self.tape.record("message", messages.shape)
-        out = scatter(messages, edge_index[1], dim_size=num_nodes,
-                      reduce=reduce, tag=tag)
-        self.tape.record("scatter", out.shape)
-        return out
-
-    def message(self, messages: np.ndarray,
-                edge_weight: Optional[np.ndarray]) -> np.ndarray:
-        """Default message: scale by edge weight when present."""
-        if edge_weight is not None:
-            return messages * edge_weight[:, None]
-        return messages
-
-
-class GCNConv(MessagePassing):
-    """Uncached GCNConv: gcn_norm re-runs on every forward."""
-
-    def __init__(self, fan_in: int, fan_out: int, rng, tape: _Tape):
-        super().__init__(tape)
+    def __init__(self, fan_in: int, fan_out: int, rng):
         self.weight = Parameter((fan_in, fan_out), rng)
         self.bias = Parameter((fan_out,), rng)
 
-    def forward(self, x: np.ndarray, edge_index: np.ndarray,
-                num_nodes: int, tag: str) -> np.ndarray:
-        full, norm_weight = _gcn_norm(edge_index, num_nodes)
-        h = sgemm(x, self.weight.data, tag=tag)
-        self.tape.record("sgemm", x.shape, self.weight.shape)
-        out = self.propagate(full, h, edge_weight=norm_weight,
-                             num_nodes=num_nodes, tag=tag)
-        return out + self.bias.data
 
+class GINConv:
+    """GINConv's parameters: the standard 2-layer MLP."""
 
-class GINConv(MessagePassing):
-    """GINConv with the standard 2-layer MLP."""
-
-    def __init__(self, fan_in: int, fan_out: int, epsilon: float, rng,
-                 tape: _Tape):
-        super().__init__(tape)
+    def __init__(self, fan_in: int, fan_out: int, epsilon: float, rng):
         mlp_hidden = max(fan_in, fan_out)
         self.epsilon = epsilon
         self.w1 = Parameter((fan_in, mlp_hidden), rng)
@@ -164,38 +124,14 @@ class GINConv(MessagePassing):
         self.w2 = Parameter((mlp_hidden, fan_out), rng)
         self.b2 = Parameter((fan_out,), rng)
 
-    def forward(self, x: np.ndarray, edge_index: np.ndarray,
-                num_nodes: int, tag: str) -> np.ndarray:
-        agg = self.propagate(edge_index, x, num_nodes=num_nodes, tag=tag)
-        combined = (1.0 + self.epsilon) * x + agg
-        hidden = relu(sgemm(combined, self.w1.data, bias=self.b1.data, tag=tag))
-        self.tape.record("sgemm", combined.shape, self.w1.shape)
-        out = sgemm(hidden, self.w2.data, bias=self.b2.data, tag=tag)
-        self.tape.record("sgemm", hidden.shape, self.w2.shape)
-        return out
 
+class SAGEConv:
+    """SAGEConv's parameters (mean aggregation over N(v) + v)."""
 
-class SAGEConv(MessagePassing):
-    """SAGEConv with mean aggregation over N(v) + v."""
-
-    def __init__(self, fan_in: int, fan_out: int, rng, tape: _Tape):
-        super().__init__(tape)
+    def __init__(self, fan_in: int, fan_out: int, rng):
         self.w_self = Parameter((fan_in, fan_out), rng)
         self.w_neigh = Parameter((fan_in, fan_out), rng)
         self.bias = Parameter((fan_out,), rng)
-
-    def forward(self, x: np.ndarray, edge_index: np.ndarray,
-                num_nodes: int, tag: str) -> np.ndarray:
-        diag = np.arange(num_nodes, dtype=np.int64)
-        full = np.hstack([edge_index, np.vstack([diag, diag])])
-        mean_neigh = self.propagate(full, x, reduce="mean",
-                                    num_nodes=num_nodes, tag=tag)
-        out = sgemm(x, self.w_self.data, tag=tag)
-        self.tape.record("sgemm", x.shape, self.w_self.shape)
-        neigh = sgemm(mean_neigh, self.w_neigh.data, bias=self.bias.data,
-                      tag=tag)
-        self.tape.record("sgemm", mean_neigh.shape, self.w_neigh.shape)
-        return out + neigh
 
 
 def _lower_pyg(spec: PipelineSpec, convs: List) -> ExecutionPlan:
@@ -205,7 +141,7 @@ def _lower_pyg(spec: PipelineSpec, convs: List) -> ExecutionPlan:
     index is a *runtime* input (re-validated and re-split every call),
     ``gcn_norm`` and SAGE's diagonal augmentation are per-layer
     Normalize ops (PyG's uncached defaults), and all math flows through
-    the same kernels the direct conv ``forward`` methods call.
+    the instrumented core kernels.
     """
     builder = PlanBuilder(model=spec.model, flavor="pyg")
     x = builder.input("X", fmt="dense")
@@ -260,7 +196,7 @@ def _lower_pyg(spec: PipelineSpec, convs: List) -> ExecutionPlan:
     return builder.build(x, layer_formats=("MP",) * len(convs))
 
 
-#: Plan opcode -> the tape label the direct conv path recorded.
+#: Plan opcode -> the tape label PyG's autograd graph gives the op.
 _TAPE_LABELS = {"gather": "index_select", "scatter": "scatter",
                 "sgemm": "sgemm"}
 
@@ -285,18 +221,17 @@ class _PyGLikePipeline(BuiltPipeline):
         for layer, (fan_in, fan_out) in enumerate(reference.dims):
             params = reference.weights[layer]
             if spec.model == "gcn":
-                conv = GCNConv(fan_in, fan_out, rng, self._tape)
+                conv = GCNConv(fan_in, fan_out, rng)
                 conv.weight.load(params["W"])
                 conv.bias.load(params["b"])
             elif spec.model == "gin":
-                conv = GINConv(fan_in, fan_out, reference.epsilon, rng,
-                               self._tape)
+                conv = GINConv(fan_in, fan_out, reference.epsilon, rng)
                 conv.w1.load(params["W1"])
                 conv.b1.load(params["b1"])
                 conv.w2.load(params["W2"])
                 conv.b2.load(params["b2"])
             elif spec.model in ("sage", "sag"):
-                conv = SAGEConv(fan_in, fan_out, rng, self._tape)
+                conv = SAGEConv(fan_in, fan_out, rng)
                 conv.w_self.load(params["W1"])
                 conv.w_neigh.load(params["W2"])
                 conv.bias.load(params["b"])
@@ -311,9 +246,9 @@ class _PyGLikePipeline(BuiltPipeline):
         self._executor = PlanExecutor(on_op=self._record_op)
 
     def _record_op(self, op, result) -> None:
-        """Autograd-style bookkeeping, matching the direct conv path
-        node for node: every gather is followed by its ``message`` node
-        (PyG records the message step even for identity messages)."""
+        """Autograd-style bookkeeping, one node per traced op: every
+        gather is followed by its ``message`` node (PyG records the
+        message step even for identity messages)."""
         label = _TAPE_LABELS.get(op.opcode)
         if label is None:
             return

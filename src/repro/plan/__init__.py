@@ -34,10 +34,9 @@ full dataflow):
     unfused ``(kernel, tag)`` sequence.
 
 The :class:`~repro.plan.executor.PlanExecutor` ties them together: it
-interprets any (fused, batched, or both) plan in one op walk
-through the instrumented core kernels, bit-for-bit identical to the
-direct legacy paths, which is the contract the ``tests/plan`` parity
-suites pin.
+interprets any (fused, batched, or both) plan in one op walk through
+the instrumented core kernels.  ``tests/plan`` pins its outputs to a
+float64 oracle's error bound and its launch streams to golden files.
 """
 
 from repro.plan.executor import (

@@ -6,10 +6,9 @@ every operator to the instrumented kernels (``index_select`` /
 ``scatter`` / ``spmm`` / ``sgemm``, the fusion pass's streaming
 ``fused_gather_scatter`` — plus whatever kernels a
 :class:`~repro.plan.ir.Normalize` kind launches internally, e.g. GCN's
-SpGEMM normalisation chain).  Because the kernels are the same
-functions the legacy direct paths called, kernel-level recording,
-simulation and profiling keep working unchanged, and plan execution is
-bit-for-bit identical to the direct code it replaced.
+SpGEMM normalisation chain).  Every launch goes through the
+instrumented kernels, so kernel-level recording, simulation and
+profiling see each plan's full Table II stream.
 
 Every plan runs as one op walk.  A plan carrying a
 :class:`~repro.plan.ir.BatchSegmentMap` binds a block-diagonal
@@ -39,17 +38,16 @@ The same goes for the one dense operand the graph owns: an ``SGEMM``,
 a ``FusedGatherScatter`` or an ``SpMM`` whose dense operand *is*
 ``graph.features`` is handed the graph's resident row-sparse form of
 it (:meth:`repro.graph.Graph.feature_rows`).  The ``SGEMM`` multiplies
-over the stored entries only; the direct reference paths ask the same
-question of the same graph, so plan and direct take the same route and
-stay bit-for-bit, and the two routes themselves agree to float32
-reassociation.  A sum / mean aggregation multiplies its operator by the
-rows where :func:`~repro.core.kernels.takes_row_sparse` says so, which
-is bit for bit the dense product (docs/architecture.md, "Parity
-contracts").  An unfused ``Gather`` of ``X`` takes the same route split
-in two where the rule says its fused pair would (the gather's one
-consumer a sum / mean ``ScatterReduce``): ``index_select`` gathers the
-stored entries into row-sparse messages and ``scatter`` reduces them,
-bit for bit the dense pair, so no ``[E, F]`` message matrix is built.
+over the stored entries only, which agrees with the dense route to
+float32 reassociation.  A sum / mean aggregation multiplies its
+operator by the rows where :func:`~repro.core.kernels.takes_row_sparse`
+says so, which is bit for bit the dense product (docs/architecture.md,
+"Parity contracts").  An unfused ``Gather`` of ``X`` takes the same
+route split in two where the rule says its fused pair would (the
+gather's one consumer a sum / mean ``ScatterReduce``): ``index_select``
+gathers the stored entries into row-sparse messages and ``scatter``
+reduces them, bit for bit the dense pair, so no ``[E, F]`` message
+matrix is built.
 """
 
 from __future__ import annotations

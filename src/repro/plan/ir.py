@@ -23,8 +23,8 @@ glue every GNN stack needs):
   adds, GIN's ``(1+eps)*x + agg``) that glue kernels together;
 * :class:`Normalize`     — graph-structure preparation (self-loop
   insertion, GCN normalisation, CSR materialisation...).  Executed at
-  *run* time, so plans record exactly the kernel launches — SpGEMM
-  chains included — that the legacy direct paths emitted.
+  *run* time, so a plan's recorded trace holds every kernel launch the
+  model performs, SpGEMM chains included.
 
 The fusion pass (:mod:`repro.plan.fusion`) adds two derived ops —
 :class:`FusedGatherScatter` (one streaming launch for a
@@ -311,8 +311,7 @@ class Normalize:
     bound graph, this op's ``params`` and the resolved ``inputs``, and
     return one value per entry of ``outs``.  Runs at execution time so
     per-run preparation work (and any kernel launches it performs, e.g.
-    GCN's SpGEMM normalisation chain) lands in the recorded trace
-    exactly like the legacy direct paths.
+    GCN's SpGEMM normalisation chain) lands in the recorded trace.
     """
 
     kind: str

@@ -37,6 +37,25 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SuiteConfig(**bad)
 
+    @pytest.mark.parametrize("payload", [
+        '{"hidden": null}', '{"scale": "0.5"}', '{"batch": Infinity}',
+        '{"hidden": 16.5}', '{"seed": "x"}', '{"dataset": 5}',
+        '{"hidden": true}', '{"scale": NaN}', '{"out_features": 7.5}',
+        '{"repeats": Infinity}', '{"seed": -1}', '{"serve_batch": -Infinity}',
+    ])
+    def test_mistyped_file_fields_refused(self, tmp_path, payload):
+        """Whatever type a JSON config holds, a bad field refuses with
+        ConfigError when the config is built, never later in a run."""
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        with pytest.raises(ConfigError):
+            SuiteConfig.from_file(path)
+
+    def test_integral_numbers_coerce(self):
+        cfg = SuiteConfig(hidden=16.0, scale=1, out_features=7.0)
+        assert (cfg.hidden, cfg.scale, cfg.out_features) == (16, 1.0, 7)
+        assert type(cfg.hidden) is int and type(cfg.scale) is float
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError) as err:
             SuiteConfig.from_dict({"modle": "gcn"})

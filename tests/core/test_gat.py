@@ -1,4 +1,4 @@
-"""Tests for the GAT extension model."""
+"""Tests for the GAT extension model, run as its plan."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from repro.core.models import build_model
 from repro.core.models.gat import GAT, _leaky_relu
 from repro.errors import ModelError
 from repro.graph import Graph, add_self_loops
+from strategies import run_lowered
 
 
 @pytest.fixture
@@ -47,7 +48,7 @@ class TestGAT:
 
     def test_matches_dense_reference(self, graph):
         model = GAT(10, 8, 4, num_layers=1, seed=0)
-        out = model(graph)
+        out = run_lowered(model, graph)
         expected = dense_gat_layer(model, 0, graph.features, graph)
         assert np.allclose(out, expected, atol=1e-3)
 
@@ -56,19 +57,19 @@ class TestGAT:
         (softmax weights sum to one)."""
         model = GAT(10, 8, 8, num_layers=1, seed=1)
         uniform = np.ones((graph.num_nodes, 10), dtype=np.float32)
-        out = model(graph, features=uniform)
+        out = run_lowered(model, graph, features=uniform)
         h_row = (uniform[0] @ model.weights[0]["W"]) + model.weights[0]["b"]
         assert np.allclose(out, np.tile(h_row, (graph.num_nodes, 1)),
                            atol=1e-4)
 
     def test_two_layer_shapes(self, graph):
         model = build_model("gat", 10, 8, 3, num_layers=2)
-        assert model(graph).shape == (20, 3)
+        assert run_lowered(model, graph).shape == (20, 3)
 
     def test_decomposes_into_core_kernels(self, graph):
         model = build_model("gat", 10, 8, 3)
         with record_launches() as recorder:
-            model(graph)
+            run_lowered(model, graph)
         kernels = {l.kernel for l in recorder.launches}
         assert kernels == {"sgemm", "indexSelect", "scatter"}
         # Edge softmax uses the max reduction of scatter.
@@ -79,12 +80,12 @@ class TestGAT:
         g = Graph(np.array([[0], [1]]), num_nodes=3,
                   features=np.eye(3, dtype=np.float32))
         model = GAT(3, 4, 2, num_layers=1, seed=2)
-        out = model(g)
+        out = run_lowered(model, g)
         params = model.weights[0]
         expected = g.features[2] @ params["W"] + params["b"]
         assert np.allclose(out[2], expected, atol=1e-4)
 
     def test_deterministic(self, graph):
-        a = GAT(10, 8, 4, seed=5)(graph)
-        b = GAT(10, 8, 4, seed=5)(graph)
+        a = run_lowered(GAT(10, 8, 4, seed=5), graph)
+        b = run_lowered(GAT(10, 8, 4, seed=5), graph)
         assert np.array_equal(a, b)

@@ -1,9 +1,11 @@
-"""Unit and property tests for the GNN models (GCN, GIN, SAGE)."""
+"""Unit tests for the GNN models (GCN, GIN, SAGE), run as their plans.
+
+Every plan against the float64 oracle, on any graph, is
+``tests/plan/test_parity.py``'s property.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.kernels import record_launches
 from repro.core.models import (
@@ -19,7 +21,9 @@ from repro.core.models import (
 )
 from repro.core.models.activations import get_activation, relu, sigmoid
 from repro.errors import ModelError
+from repro.frameworks import PipelineSpec, get_backend
 from repro.graph import Graph, add_self_loops, normalized_adjacency
+from strategies import run_lowered
 
 
 @pytest.fixture
@@ -79,6 +83,11 @@ class TestModelConstruction:
         with pytest.raises(ModelError):
             build_model("sage", 8, 16, 3, compute_model="SpMM")
 
+    def test_unknown_activation(self):
+        """Refused when the model is built, not when a plan runs."""
+        with pytest.raises(ModelError, match="gelu"):
+            build_model("gcn", 8, 16, 3, activation="gelu")
+
     def test_unknown_compute_model(self):
         with pytest.raises(ModelError):
             build_model("gcn", 8, 16, 3, compute_model="TPU")
@@ -124,35 +133,38 @@ class TestModelConstruction:
             register_model("", GCN)
 
 
+def _pipeline(graph, **spec):
+    return get_backend("gsuite").build(PipelineSpec(**spec), graph)
+
+
 class TestForward:
+    """A built pipeline runs the model's plan end to end."""
+
     def test_output_shape(self, graph):
         for name in MODEL_NAMES:
-            model = build_model(name, 12, 16, 5)
-            out = model(graph)
+            out = _pipeline(graph, model=name, out_features=5).run()
             assert out.shape == (30, 5)
             assert out.dtype == np.float32
 
     def test_requires_features(self):
         g = Graph(np.array([[0], [1]]), num_nodes=2)
-        model = build_model("gcn", 4, 8, 2)
         with pytest.raises(ModelError):
-            model(g)
+            run_lowered(build_model("gcn", 4, 8, 2), g)
 
     def test_feature_override(self, graph):
-        model = build_model("gcn", 12, 16, 5)
         alt = np.zeros((30, 12), dtype=np.float32)
-        out = model(graph, features=alt)
+        out = _pipeline(graph, out_features=5).run(features=alt)
         # Zero input with zero bias propagates to zero logits.
         assert np.allclose(out, 0.0)
 
     def test_wrong_feature_shape(self, graph):
-        model = build_model("gcn", 12, 16, 5)
         with pytest.raises(ModelError):
-            model(graph, features=np.zeros((30, 99), dtype=np.float32))
+            _pipeline(graph, out_features=5).run(
+                features=np.zeros((30, 99), dtype=np.float32))
 
     def test_num_layers_respected(self, graph):
         with record_launches() as rec:
-            build_model("gcn", 12, 16, 5, num_layers=3)(graph)
+            _pipeline(graph, out_features=5, num_layers=3).run()
         sgemms = [l for l in rec.launches if l.kernel == "sgemm"]
         assert len(sgemms) == 3  # one transform per layer
 
@@ -162,7 +174,7 @@ class TestGCNSemantics:
         """One GCN layer equals P @ X @ W + b with P the normalised
         adjacency — the literal Eq. 2."""
         model = GCN(12, 16, 5, num_layers=1, compute_model="MP", seed=0)
-        out = model(graph)
+        out = run_lowered(model, graph)
         P = normalized_adjacency(graph).to_dense().array
         expected = P @ graph.features @ model.weights[0]["W"] + model.weights[0]["b"]
         assert np.allclose(out, expected, atol=1e-3)
@@ -170,12 +182,13 @@ class TestGCNSemantics:
     def test_mp_equals_spmm(self, graph):
         mp = GCN(12, 16, 5, compute_model="MP", seed=4)
         sp = GCN(12, 16, 5, compute_model="SpMM", seed=4)
-        assert np.allclose(mp(graph), sp(graph), atol=1e-3)
+        assert np.allclose(run_lowered(mp, graph), run_lowered(sp, graph),
+                           atol=1e-3)
 
     def test_spmm_records_spgemm_launches(self, graph):
         model = GCN(12, 16, 5, compute_model="SpMM")
         with record_launches() as rec:
-            model(graph)
+            run_lowered(model, graph)
         kernels = [l.kernel for l in rec.launches]
         assert kernels.count("SpGEMM") == 2  # Fig. 2 normalisation chain
         assert "spmm" in kernels
@@ -183,7 +196,7 @@ class TestGCNSemantics:
     def test_mp_records_fig2_kernels(self, graph):
         model = GCN(12, 16, 5, compute_model="MP")
         with record_launches() as rec:
-            model(graph)
+            run_lowered(model, graph)
         kernels = {l.kernel for l in rec.launches}
         assert kernels == {"sgemm", "indexSelect", "scatter"}
 
@@ -193,7 +206,7 @@ class TestGINSemantics:
         """One GIN layer equals MLP((A + (1+eps) I) X) — the literal Eq. 4."""
         model = GIN(12, 16, 5, num_layers=1, compute_model="MP", seed=0,
                     epsilon=0.3)
-        out = model(graph)
+        out = run_lowered(model, graph)
         A = graph.adjacency_dense().array
         S = A + (1.3) * np.eye(30, dtype=np.float32)
         p = model.weights[0]
@@ -204,18 +217,19 @@ class TestGINSemantics:
     def test_mp_equals_spmm(self, graph):
         mp = GIN(12, 16, 5, compute_model="MP", seed=4)
         sp = GIN(12, 16, 5, compute_model="SpMM", seed=4)
-        assert np.allclose(mp(graph), sp(graph), atol=1e-3)
+        assert np.allclose(run_lowered(mp, graph), run_lowered(sp, graph),
+                           atol=1e-3)
 
     def test_epsilon_affects_output(self, graph):
         a = GIN(12, 16, 5, seed=0, epsilon=0.0)
         b = GIN(12, 16, 5, seed=0, epsilon=0.9)
-        assert not np.allclose(a(graph), b(graph))
+        assert not np.allclose(run_lowered(a, graph), run_lowered(b, graph))
 
     def test_aggregates_at_input_width(self, graph):
         """GIN gathers raw features (unlike GCN): its indexSelect moves
         full-width rows — the paper's reason GIN kernels are heavier."""
         with record_launches() as rec:
-            GIN(12, 16, 5, compute_model="MP")(graph)
+            run_lowered(GIN(12, 16, 5, compute_model="MP"), graph)
         first_gather = next(l for l in rec.launches if l.kernel == "indexSelect")
         assert first_gather.threads == graph.num_edges * 12
 
@@ -224,7 +238,7 @@ class TestSAGESemantics:
     def test_matches_closed_form(self, graph):
         """One SAGE layer equals W1 x + W2 mean_{N(v)+v}(x) + b (Eq. 5)."""
         model = SAGE(12, 16, 5, num_layers=1, seed=0)
-        out = model(graph)
+        out = run_lowered(model, graph)
         looped = add_self_loops(graph)
         A = looped.adjacency_dense().array
         deg = np.maximum(A.sum(axis=1, keepdims=True), 1.0)
@@ -237,29 +251,8 @@ class TestSAGESemantics:
         g = Graph(np.array([[0], [1]]), num_nodes=3,
                   features=np.eye(3, dtype=np.float32))
         model = SAGE(3, 8, 2, num_layers=1, seed=0)
-        out = model(g)
+        out = run_lowered(model, g)
         p = model.weights[0]
         # Node 2 has no in-edges: mean over {2} is its own feature.
         expected = g.features[2] @ p["W1"] + g.features[2] @ p["W2"] + p["b"]
         assert np.allclose(out[2], expected, atol=1e-4)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from(["gcn", "gin"]), st.integers(1, 3),
-       st.integers(1, 25), st.integers(0, 80), st.integers(0, 2**31 - 1))
-def test_mp_spmm_equivalence_property(model_name, layers, nodes, edges, seed):
-    """Property: for any graph, the MP and SpMM implementations of a model
-    compute the same function — the paper's central comparability premise."""
-    rng = np.random.default_rng(seed)
-    g = Graph(rng.integers(0, nodes, size=(2, edges)),
-              features=rng.standard_normal((nodes, 6)).astype(np.float32),
-              num_nodes=nodes)
-    mp = build_model(model_name, 6, 8, 4, num_layers=layers,
-                     compute_model="MP", seed=seed % 100)
-    sp = build_model(model_name, 6, 8, 4, num_layers=layers,
-                     compute_model="SpMM", seed=seed % 100)
-    # rtol loosened from numpy's 1e-5 default: dense multi-edge graphs
-    # (e.g. 1 node with dozens of self-loops over 3 GIN layers) push
-    # activations to ~1e5, where reassociated float32 summation alone
-    # produces relative error slightly above 1e-5.
-    assert np.allclose(mp(g), sp(g), atol=5e-3, rtol=1e-4)

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import BackendError
+from repro.frameworks import PipelineSpec, get_backend
 from repro.frameworks.pyg_like import (
-    GCNConv,
     GINConv,
-    MessagePassing,
     Parameter,
     SAGEConv,
-    _Tape,
     _gcn_norm,
     _validate_edge_index,
 )
@@ -78,32 +76,21 @@ class TestGcnNorm:
 
 class TestTapeAndConvs:
     def test_tape_records_operations(self):
-        tape = _Tape()
         rng = np.random.default_rng(2)
-        conv = GCNConv(6, 4, rng, tape)
-        x = rng.standard_normal((10, 6)).astype(np.float32)
-        edge_index = rng.integers(0, 10, size=(2, 30)).astype(np.int64)
-        conv.forward(x, edge_index, 10, tag="t")
-        ops = [node["op"] for node in tape.nodes]
+        graph = Graph(rng.integers(0, 10, size=(2, 30)), num_nodes=10,
+                      features=rng.standard_normal((10, 6)).astype(np.float32))
+        pipeline = get_backend("pyg").build(
+            PipelineSpec(model="gcn", out_features=4), graph)
+        pipeline.run()
+        ops = [node["op"] for node in pipeline._tape.nodes]
         assert "sgemm" in ops and "scatter" in ops and "index_select" in ops
 
-    def test_message_passing_default_message(self):
-        mp = MessagePassing(_Tape())
-        msgs = np.ones((3, 2), dtype=np.float32)
-        assert np.array_equal(mp.message(msgs, None), msgs)
-        weighted = mp.message(msgs, np.array([2.0, 3.0, 4.0], np.float32))
-        assert np.allclose(weighted[:, 0], [2.0, 3.0, 4.0])
-
     def test_gin_conv_shapes(self):
-        rng = np.random.default_rng(3)
-        conv = GINConv(5, 3, 0.1, rng, _Tape())
-        x = rng.standard_normal((8, 5)).astype(np.float32)
-        edge_index = rng.integers(0, 8, size=(2, 20)).astype(np.int64)
-        assert conv.forward(x, edge_index, 8, tag="t").shape == (8, 3)
+        conv = GINConv(5, 3, 0.1, np.random.default_rng(3))
+        assert [p.shape for p in (conv.w1, conv.b1, conv.w2, conv.b2)] \
+            == [(5, 5), (5,), (5, 3), (3,)]
 
     def test_sage_conv_shapes(self):
-        rng = np.random.default_rng(4)
-        conv = SAGEConv(5, 3, rng, _Tape())
-        x = rng.standard_normal((8, 5)).astype(np.float32)
-        edge_index = rng.integers(0, 8, size=(2, 20)).astype(np.int64)
-        assert conv.forward(x, edge_index, 8, tag="t").shape == (8, 3)
+        conv = SAGEConv(5, 3, np.random.default_rng(4))
+        assert [p.shape for p in (conv.w_self, conv.w_neigh, conv.bias)] \
+            == [(5, 3), (5, 3), (3,)]

@@ -183,7 +183,7 @@ class TestAdaptiveBackend:
         assert np.all(np.isfinite(out))
 
     def test_sage_lowers_to_spmm_on_reddit(self):
-        """SAGE is MP-only on the direct path but SpMM-lowerable."""
+        """SAGE's compute model is MP-only, yet it lowers to SpMM."""
         graph = load_dataset("reddit", scale=0.005, seed=0)
         built = get_backend("gsuite-adaptive").build(
             PipelineSpec(model="sage", out_features=3), graph)

@@ -139,8 +139,11 @@ def test_unrecorded_first_build_records_fresh_fingerprints():
     assert sum(l.kernel == "SpGEMM" for l in resident_launches) == 2
 
 
-def test_direct_prepare_reads_the_plans_propagation(monkeypatch):
-    from repro.core.models.gcn import GCN
+def test_propagation_matrix_is_the_plans_operand(monkeypatch):
+    """Every spmm of a gcn/SpMM run multiplies the one graph-resident
+    ``D^-1/2 (A+I) D^-1/2``, the matrix ``gcn_propagation_matrix``
+    hands back for that graph."""
+    from repro.core.models.gcn import gcn_propagation_matrix
     executor = import_module("repro.plan.executor")
     spmm = executor.spmm
     read = []
@@ -152,9 +155,8 @@ def test_direct_prepare_reads_the_plans_propagation(monkeypatch):
     monkeypatch.setattr(executor, "spmm", spy)
     graph = _graph()
     GNNPipeline(_GCN_SPMM, graph=graph).build().run()
-    model = GCN(graph.num_features, 16, 3, compute_model="SpMM")
     assert read and all(matrix is read[0] for matrix in read)
-    assert model.prepare(graph)["propagation"] is read[0]
+    assert gcn_propagation_matrix(graph) is read[0]
 
 
 def test_dgl_gcn_normalizes_every_run(monkeypatch):
@@ -452,9 +454,9 @@ def _aggregations_seen(monkeypatch):
 
 @pytest.mark.parametrize("model", ["sage", "gin"])
 def test_unfused_layer0_gathers_the_resident_rows(model, monkeypatch):
-    """``test_parity``'s graph and spec: its unfused plan-vs-direct pins
-    hold this route against the dense direct path, and here the route's
-    aggregate is the fused plan's, bit for bit."""
+    """``test_parity``'s graph and spec: its oracle bound holds this
+    route's plan to the float64 model, and here the route's aggregate
+    is the fused plan's, bit for bit."""
     from repro.datasets import load_dataset
     from repro.frameworks import PipelineSpec, get_backend
 

@@ -18,6 +18,7 @@ from .modes import (
     executable_combos,
     fusable_combos,
     lowered,
+    run_lowered,
 )
 from .settings import PARITY_SETTINGS, STANDARD_SETTINGS
 
@@ -32,4 +33,5 @@ __all__ = [
     "fusable_combos",
     "lowered",
     "power_law_graphs",
+    "run_lowered",
 ]

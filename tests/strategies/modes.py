@@ -20,6 +20,7 @@ __all__ = [
     "executable_combos",
     "fusable_combos",
     "lowered",
+    "run_lowered",
 ]
 
 #: Backend x (model, compute model) pairs every backend can execute.
@@ -46,12 +47,21 @@ FUSABLE_COMBOS = tuple(combo for combo in EXECUTABLE_COMBOS
 def lowered(backend, spec, graph):
     """The pipeline over the plan as lowered (``fuse=False``).
 
-    For the suites that pin the per-op Table II stream — plan vs
-    legacy; the fused default has its own suite in
+    For the suites that pin the per-op Table II stream and the oracle
+    bound; the fused default has its own suite in
     ``tests/plan/test_fusion.py``.
     """
     from repro.frameworks import get_backend
     return get_backend(backend).build(spec, graph, fuse=False)
+
+
+def run_lowered(model, graph, features=None):
+    """Run ``model``'s lowered plan (unfused) over ``graph``: the model
+    exactly as every backend executes it, with no backend around it."""
+    from repro.core.models.base import check_features
+    from repro.plan import PlanExecutor
+    x = check_features(graph, model.dims[0][0], features)
+    return PlanExecutor().run(model.lower(), graph, {"X": x})
 
 
 def executable_combos():

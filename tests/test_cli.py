@@ -123,6 +123,12 @@ class TestCommands:
         assert main(["run", "--scale", "7"]) == 2
         assert main(["run", "--model", "transformer"]) == 2
 
+    def test_mistyped_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"hidden": true}')
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: hidden must be an integer" in capsys.readouterr().err
+
     def test_profile_costs_flag(self, tmp_path, capsys):
         code = main(["plan", "--dataset", "cora", "--scale", "0.1",
                      "--profile-costs", "paper"])
