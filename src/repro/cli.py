@@ -50,10 +50,6 @@ def _knob_type(name: str):
     return parse
 
 
-#: Historical alias (the ``--batch`` flag's original parser).
-_parse_batch = _knob_type("batch")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The gsuite argument parser."""
     parser = argparse.ArgumentParser(
@@ -98,17 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-fuse", dest="fuse", action="store_const",
                        const="off",
                        help="shorthand for --fuse off")
-        p.add_argument("--batch", type=_parse_batch, default=None,
+        p.add_argument("--batch", type=_knob_type("batch"), default=None,
                        metavar="auto|off|N",
                        help="batched multi-graph plans: 'auto' lets the "
                             "planner pick the packed sweep width, 'off' "
                             "(default) runs one graph, N >= 2 packs N "
                             "seed-variant graphs into one plan")
-        p.add_argument("--profile-costs", default=None,
-                       metavar="paper|PATH",
-                       help="planner cost constants: 'paper' (default) "
-                            "is the static Fig. 5 set; a path loads "
-                            "that CostProfile JSON")
         p.add_argument("--serve-batch", type=_knob_type("serve_batch"),
                        default=None, metavar="auto|off|N",
                        help="serving micro-batcher: 'auto' (default) packs "
@@ -184,7 +175,7 @@ _ARG_FIELDS = {
     "compute_model": "compute_model", "framework": "framework",
     "layers": "num_layers", "hidden": "hidden", "scale": "scale",
     "seed": "seed", "repeats": "repeats", "fuse": "fuse", "batch": "batch",
-    "profile_costs": "profile_costs", "serve_batch": "serve_batch",
+    "serve_batch": "serve_batch",
 }
 
 
@@ -299,7 +290,6 @@ def _cmd_plan(args) -> int:
           f"{pipeline.graph.name}: "
           f"{len(plan.ops)} ops, layer formats [{formats}]")
     print(f"fingerprint: {plan.fingerprint()[:16]}")
-    print(pipeline.cost_profile().describe())
     if decisions.formats_source == "planner" and decisions.explain:
         print(decisions.explain)
     # The batch map the plan actually carries (None = single-graph).

@@ -13,7 +13,6 @@ keyword overrides (everything else defaults), or load a JSON file with
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -21,7 +20,12 @@ from typing import Any, Optional
 
 from repro.errors import ConfigError
 
-__all__ = ["SuiteConfig", "DEFAULTS", "KNOBS", "Knob", "parse_batch"]
+__all__ = ["SuiteConfig", "DEFAULTS", "KNOBS", "Knob"]
+
+#: The int64 range every integer field must fit: a JSON integer can be
+#: arbitrarily long, and one past it overflows the first float or NumPy
+#: conversion that meets it.
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,9 @@ class Knob:
             raise self._refuse(value) from None
         if not isinstance(value, str) and coerced != value:
             raise self._refuse(value)  # non-integral number, e.g. 4.5
+        if coerced > INT64_MAX:
+            raise ConfigError(
+                f"{self.name} must be within the int64 range, got {value!r}")
         if coerced < self.minimum:
             raise ConfigError(
                 f"{self.name} must be >= {self.minimum} "
@@ -96,17 +103,6 @@ KNOBS = {
     "batch": Knob("batch", auto=0, off=1),
     "serve_batch": Knob("serve_batch", auto=0, off=1),
 }
-
-
-def parse_batch(value) -> int:
-    """The ``batch`` vocabulary: ``auto`` -> 0, ``off`` -> 1, else int.
-
-    Kept as the historical entry point; delegates to the shared
-    :data:`KNOBS` parser so the CLI flag and :class:`SuiteConfig`'s
-    config-file coercion can never diverge.  Raises
-    :class:`~repro.errors.ConfigError` on anything else.
-    """
-    return KNOBS["batch"].parse(value)
 
 
 @dataclass(frozen=True)
@@ -136,9 +132,9 @@ class SuiteConfig:
                                   # decides the packed sweep width ("auto"),
                                   # 1 = single-graph ("off"), B >= 2 = pack
                                   # B seed-variant graphs into one plan
-    profile_costs: str = "paper"  # planner cost constants: "paper"
-                                  # (static Fig. 5 constants) or the
-                                  # path of a CostProfile JSON
+    profile_costs: str = "paper"  # vestigial: the planner's constants
+                                  # are fixed, so "paper" is the only
+                                  # accepted value
     serve_batch: int = 0          # serving micro-batcher: 0 = planner
                                   # decides the batch size ("auto",
                                   # choose_batching budgets), 1 = off
@@ -160,12 +156,14 @@ class SuiteConfig:
             value, integer = getattr(self, name), name != "scale"
             if value is None and name == "out_features":
                 continue
+            # Exact comparison, no float conversion: a JSON integer past
+            # int64 would overflow math.isfinite, and NaN / inf fail it.
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)
+                    or not INT64_MIN <= value <= INT64_MAX
                     or (integer and value != int(value))):
                 raise ConfigError(f"{name} must be "
                                   f"{'an integer' if integer else 'finite'}"
-                                  f", got {value!r}")
+                                  f" within the int64 range, got {value!r}")
             object.__setattr__(self, name,
                                int(value) if integer else float(value))
         if self.num_layers < 1:
@@ -193,10 +191,10 @@ class SuiteConfig:
             raise ConfigError(
                 f"compute_model must be 'MP' or 'SpMM', got {self.compute_model!r}"
             )
-        if not isinstance(self.profile_costs, str) or not self.profile_costs:
+        if self.profile_costs != "paper":
             raise ConfigError(
-                f"profile_costs must be 'paper' or a profile path, "
-                f"got {self.profile_costs!r}"
+                f"profile_costs must be 'paper': the planner's cost "
+                f"constants are fixed, got {self.profile_costs!r}"
             )
 
     # -- construction helpers ----------------------------------------------
@@ -218,7 +216,7 @@ class SuiteConfig:
         path = Path(path)
         try:
             params = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError included
             raise ConfigError(f"cannot load config {path}: {exc}") from exc
         if not isinstance(params, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

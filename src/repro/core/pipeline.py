@@ -58,7 +58,6 @@ class GNNPipeline:
         self._explicit_graph = graph is not None
         self._batch_decision = None
         self._graph_stats = None
-        self._cost_profile = None
         self._backend: Backend = get_backend(config.framework)
         out_features = config.out_features
         if out_features is None:
@@ -82,21 +81,6 @@ class GNNPipeline:
         return cls(SuiteConfig.from_dict(params))
 
     # -- data ---------------------------------------------------------------
-    def cost_profile(self):
-        """The active planner :class:`~repro.plan.costprofile.CostProfile`.
-
-        Resolved once from ``config.profile_costs`` (``"paper"`` or
-        the path of a profile file — see
-        :func:`repro.plan.costprofile.resolve_cost_profile`) and passed
-        to every planner gate this pipeline consults, so one build can
-        never mix constants from two profiles.
-        """
-        if self._cost_profile is None:
-            from repro.plan.costprofile import resolve_cost_profile
-            self._cost_profile = resolve_cost_profile(
-                self.config.profile_costs)
-        return self._cost_profile
-
     def batch_decision(self):
         """The resolved batched-plan decision: a
         :class:`~repro.plan.planner.BatchDecision` ``(size, source)``.
@@ -138,7 +122,6 @@ class GNNPipeline:
             dims = layer_dimensions(spec.feature_length, self.spec.hidden,
                                     self.spec.out_features,
                                     self.spec.num_layers)
-            profile = self.cost_profile()
             if getattr(self._backend, "name", "") == "gsuite-adaptive":
                 # The adaptive backend will pick its own per-layer
                 # formats; price the batch the same way, so an
@@ -146,13 +129,12 @@ class GNNPipeline:
                 # rule instead of being costed at MP message widths.
                 formats = list(choose_formats(
                     dims, stats, allowed=cls.supported_lowerings(),
-                    width_hook=cls.aggregation_width,
-                    profile=profile))
+                    width_hook=cls.aggregation_width))
             else:
                 formats = [self.spec.compute_model] * len(dims)
             chosen = choose_batching(
                 AUTO_BATCH_SWEEP, dims, stats, formats=formats,
-                width_hook=cls.aggregation_width, profile=profile)
+                width_hook=cls.aggregation_width)
             self._batch_decision = BatchDecision(chosen, "planner")
         return self._batch_decision
 
@@ -209,7 +191,6 @@ class GNNPipeline:
     def build(self):
         """Construct the backend pipeline (framework init included)."""
         return self._backend.build(self.spec, self.graph,
-                                   cost_profile=self.cost_profile(),
                                    fuse=self.config.fuse != "off")
 
     def plan(self, built=None):
@@ -218,8 +199,7 @@ class GNNPipeline:
         Builds the pipeline (or inspects a ``built`` one from
         :meth:`build`) and returns a
         :class:`~repro.plan.planner.PlannerDecisions`: per-layer
-        formats, fused sites, batch size, the cost
-        profile they were priced under and the explain strings, with
+        formats, fused sites, batch size and the explain strings, with
         the lowered :class:`~repro.plan.ir.ExecutionPlan` on
         ``.execution_plan``.  ``gsuite plan`` renders from this record,
         so the report can never drift from what the build actually
@@ -243,15 +223,13 @@ class GNNPipeline:
                 plan.meta["dims"], self.graph_stats(),
                 chosen=formats,
                 width_hook=get_model_class(
-                    self.config.model).aggregation_width,
-                profile=self.cost_profile())
+                    self.config.model).aggregation_width)
         return PlannerDecisions(
             formats=formats,
             formats_source=formats_source,
             fused_sites=fusion_summary(plan),
             batch=batch.size,
             batch_source=batch.source,
-            cost_profile=self.cost_profile().name,
             explain=explain,
             execution_plan=plan,
         )

@@ -49,10 +49,6 @@ class PlanError(GSuiteError):
     """An execution plan is malformed or was executed with bad bindings."""
 
 
-class CalibrationError(GSuiteError):
-    """A cost profile could not be loaded or holds an invalid constant."""
-
-
 class CacheIntegrityError(GSuiteError):
     """A persistent cache entry failed its checksum and cannot be isolated."""
 

@@ -39,8 +39,7 @@ from repro.plan import (
 __all__ = ["AdaptiveBackend"]
 
 
-def plan_formats(spec: PipelineSpec, graph: Graph, model=None,
-                 cost_profile=None):
+def plan_formats(spec: PipelineSpec, graph: Graph, model=None):
     """The per-layer formats the planner selects for one pipeline.
 
     ``model`` lets callers that already constructed the reference model
@@ -48,16 +47,13 @@ def plan_formats(spec: PipelineSpec, graph: Graph, model=None,
     hook bounds the choice (the same validation :meth:`lower` applies)
     and its :meth:`~repro.core.models.base.GNNModel.aggregation_width`
     hook calibrates the per-layer cost widths (GCN's transform-first MP
-    path aggregates at the *output* width).  ``cost_profile`` is the
-    :class:`~repro.plan.costprofile.CostProfile` to price with (``None``
-    = the paper constants).
+    path aggregates at the *output* width).
     """
     if model is None:
         model = _reference_model(spec, graph)
     return choose_formats(model.dims, GraphStats.from_graph(graph),
                           allowed=model.supported_lowerings(),
-                          width_hook=model.aggregation_width,
-                          profile=cost_profile)
+                          width_hook=model.aggregation_width)
 
 
 def _reference_model(spec: PipelineSpec, graph: Graph):
@@ -76,12 +72,10 @@ def _reference_model(spec: PipelineSpec, graph: Graph):
 
 
 class _AdaptivePipeline(BuiltPipeline):
-    def __init__(self, spec: PipelineSpec, graph: Graph, cost_profile,
-                 fuse: bool):
+    def __init__(self, spec: PipelineSpec, graph: Graph, fuse: bool):
         super().__init__("gSuite-Adaptive", spec, graph)
         self._model = _reference_model(spec, graph)
-        self.formats = plan_formats(spec, graph, model=self._model,
-                                    cost_profile=cost_profile)
+        self.formats = plan_formats(spec, graph, model=self._model)
         self.plan = cached_plan(
             graph, lambda: self._model.lower(self.formats, flavor="adaptive"),
             fuse=fuse)
@@ -99,10 +93,10 @@ class AdaptiveBackend(Backend):
     supported_compute_models = ("MP", "SpMM")
 
     def build(self, spec: PipelineSpec, graph: Graph,
-              cost_profile=None, fuse: bool = True) -> BuiltPipeline:
+              fuse: bool = True) -> BuiltPipeline:
         # The spec's compute_model is advisory here: the planner owns
         # the decision, so any spec is accepted (like the DGL path).
-        return _AdaptivePipeline(spec, graph, cost_profile, fuse)
+        return _AdaptivePipeline(spec, graph, fuse)
 
     def figure_label(self, spec: PipelineSpec) -> str:
         return "gSuite-Adaptive"

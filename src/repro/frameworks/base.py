@@ -109,14 +109,8 @@ class Backend:
     supported_compute_models = ("MP", "SpMM")
 
     def build(self, spec: PipelineSpec, graph: Graph,
-              cost_profile=None, fuse: bool = True) -> BuiltPipeline:
+              fuse: bool = True) -> BuiltPipeline:
         """Construct a pipeline for ``spec`` over ``graph``.
-
-        ``cost_profile`` is the planner's
-        :class:`~repro.plan.costprofile.CostProfile` (``None`` = the
-        paper constants).  Only backends that *plan* consume it — the
-        adaptive path prices its per-layer format choice with it; the
-        fixed paths execute the spec as given and ignore it.
 
         ``fuse`` reaches :func:`repro.plan.lowering.cached_plan`: the
         built plan is the fused plan unless ``False`` (``fuse="off"``,

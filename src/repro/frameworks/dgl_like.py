@@ -152,7 +152,7 @@ class DGLLikeBackend(Backend):
     supported_compute_models = ("SpMM",)
 
     def build(self, spec: PipelineSpec, graph: Graph,
-              cost_profile=None, fuse: bool = True) -> BuiltPipeline:
+              fuse: bool = True) -> BuiltPipeline:
         # DGL accepts every model here (its convs are all SpMM-realised);
         # the spec's compute_model is interpreted rather than enforced,
         # because the paper runs DGL on GCN/GIN/SAG alike.

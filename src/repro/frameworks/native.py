@@ -51,7 +51,7 @@ class NativeBackend(Backend):
     supported_compute_models = ("MP", "SpMM")
 
     def build(self, spec: PipelineSpec, graph: Graph,
-              cost_profile=None, fuse: bool = True) -> BuiltPipeline:
+              fuse: bool = True) -> BuiltPipeline:
         self.check_spec(spec)
         return _NativePipeline(self.figure_label(spec), spec, graph, fuse)
 

@@ -273,6 +273,6 @@ class PyGLikeBackend(Backend):
     supported_compute_models = ("MP",)
 
     def build(self, spec: PipelineSpec, graph: Graph,
-              cost_profile=None, fuse: bool = True) -> BuiltPipeline:
+              fuse: bool = True) -> BuiltPipeline:
         self.check_spec(spec)
         return _PyGLikePipeline(spec, graph)

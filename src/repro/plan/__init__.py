@@ -18,14 +18,8 @@ full dataflow):
     The cost-model decision procedures, one ``choose_*`` entry point
     per knob: :func:`choose_formats` (MP vs SpMM per layer) and
     :func:`choose_batching` (packed sweep width).  Both consume
-    the same :class:`GraphStats` and the same :class:`CostProfile` of
-    planner constants.
-:mod:`~repro.plan.costprofile`
-    :class:`CostProfile` — the versioned, persistable set of planner
-    cost constants.  ``CostProfile.paper()`` (the paper's Fig. 5
-    values) is the default; :func:`resolve_cost_profile` maps a
-    ``--profile-costs`` value to it or to an explicitly passed profile
-    file — the only two sources of planner constants.
+    the same :class:`GraphStats` and price with the planner's module
+    constants (the paper's Fig. 5 values); nothing else sets them.
 :mod:`~repro.plan.fusion`
     :func:`fuse_plan`, the liveness/single-consumer rewrite merging
     gather+scatter pairs, SGEMM / SpMM epilogues and elementwise
@@ -67,11 +61,6 @@ from repro.plan.ir import (
     SpMM,
     ValueRef,
 )
-from repro.plan.costprofile import (
-    CostProfile,
-    PROFILE_SCHEMA_VERSION,
-    resolve_cost_profile,
-)
 from repro.plan.lowering import cached_plan
 from repro.plan.planner import (
     BatchDecision,
@@ -91,7 +80,6 @@ __all__ = [
     "Activation",
     "BatchDecision",
     "BatchSegmentMap",
-    "CostProfile",
     "Elementwise",
     "ExecutionPlan",
     "FORMATS",
@@ -101,7 +89,6 @@ __all__ = [
     "GraphStats",
     "NORMALIZE_KINDS",
     "Normalize",
-    "PROFILE_SCHEMA_VERSION",
     "PlanBuilder",
     "PlanExecutor",
     "PlannerDecisions",
@@ -122,7 +109,6 @@ __all__ = [
     "legacy_trace",
     "mp_layer_cost",
     "register_normalize",
-    "resolve_cost_profile",
     "spmm_layer_cost",
     "spmm_setup_cost",
 ]

@@ -1,19 +1,18 @@
 """The cost-model planner: every execution decision a plan can take.
 
 One ``choose_*`` entry point per knob, all consuming the same
-:class:`GraphStats` and the same :class:`~repro.plan.costprofile.CostProfile`
-of planner constants (fusion is not among them: it is a pass applied
-at lowering, :mod:`repro.plan.fusion`, with nothing to decide):
+:class:`GraphStats` and pricing with the same module constants below
+(fusion is not among them: it is a pass applied at lowering,
+:mod:`repro.plan.fusion`, with nothing to decide):
 
 * :func:`choose_formats` — MP vs fused-SpMM execution per layer;
 * :func:`choose_batching` — how many sweep members pack into one
   batched multi-graph plan (:mod:`repro.graph.batch`).
 
-Every entry point takes an optional ``profile``; ``None`` means the
-paper's static Fig. 5 constants (:meth:`CostProfile.paper`), under
-which all decisions are bit-for-bit the historical ones; a
-hand-edited profile file (``--profile-costs PATH``) is the only other
-source.
+The constants are the paper's static Fig. 5 values: the four kernel
+units derive from :data:`repro.core.kernels.costmodel.COSTS`, the rest
+are the hand-set values each gate shipped with.  Nothing — no flag,
+file, config field or environment variable — replaces them.
 
 The founding observation is the format split: the same GNN layer can
 execute as message passing (gather + scatter over an edge list) or as
@@ -56,10 +55,10 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, NamedTuple, Optional, Sequence,
                     Tuple)
 
+from repro.core.kernels.costmodel import COSTS
 from repro.core.kernels.launch import WARP_SIZE
 from repro.datasets.specs import DatasetSpec
 from repro.graph import Graph
-from repro.plan.costprofile import CostProfile
 
 __all__ = ["BatchDecision", "GraphStats", "PlannerDecisions",
            "batch_member_bytes", "batch_member_footprint",
@@ -78,16 +77,31 @@ WidthHook = Callable[[str, int, int], int]
 def _default_width(fmt: str, fan_in: int, fan_out: int) -> int:
     return fan_in
 
-#: The paper's static constants — the fallback for ``profile=None``
-#: everywhere below, so unparameterised calls price exactly as the
-#: pre-profile module globals did.
-_PAPER = CostProfile.paper()
+
+def _instructions_per_unit(kernel: str) -> float:
+    cost = COSTS[kernel]
+    return cost.fp32 + cost.int_ops + cost.ldst + cost.control + cost.other
+
+
+# Kernel units: dynamic instructions per element of logical work.  Only
+# their relative magnitudes matter, since every gate compares modelled
+# costs against each other.
+GATHER_UNIT = _instructions_per_unit("indexSelect")
+SCATTER_UNIT = _instructions_per_unit("scatter")
+SPMM_UNIT = _instructions_per_unit("spmm")
+SPGEMM_UNIT = _instructions_per_unit("SpGEMM")
+#: SpMM row startup, in nnz per row.
+ROW_OVERHEAD_NNZ = 8.0
+#: Scatter atomic-collision strength.
+CONTENTION_WEIGHT = 0.05
+#: Packed message LLC residency target, in bytes.
+WORKING_SET_BYTES = 32 * 1024 * 1024
+#: Packed resident-state budget, in bytes.
+BATCH_FOOTPRINT_BYTES = 1024 ** 3
+#: Planner-chosen batch ceiling.
+MAX_AUTO_BATCH = 64
 
 _FLOAT_BYTES = 4
-
-
-def _resolve(profile: Optional[CostProfile]) -> CostProfile:
-    return profile if profile is not None else _PAPER
 
 
 @dataclass(frozen=True)
@@ -160,8 +174,7 @@ class PlannerDecisions:
     The machine-readable surface behind ``gsuite plan``: instead of
     scraping loose tuples and report strings, consumers get
     one typed record of what the build actually applied — per-layer
-    formats, fused sites, batch size, the cost-profile
-    name they were priced under, and the human-readable explain
+    formats, fused sites, batch size and the human-readable explain
     strings.
 
     ``fused`` says whether the fusion pass rewrote the plan and
@@ -178,7 +191,6 @@ class PlannerDecisions:
     fused_sites: Dict[str, int] = field(default_factory=dict)
     batch: int = 1
     batch_source: str = "off"
-    cost_profile: str = "paper"
     explain: str = ""
 
     @property
@@ -195,7 +207,6 @@ class PlannerDecisions:
             "fused_sites": dict(self.fused_sites),
             "batch": self.batch,
             "batch_source": self.batch_source,
-            "cost_profile": self.cost_profile,
             "explain": self.explain,
             "plan_fingerprint": self.execution_plan.fingerprint(),
         }
@@ -212,47 +223,38 @@ def _lane_penalty(feature_width: int) -> float:
     return WARP_SIZE / min(WARP_SIZE, max(1, feature_width))
 
 
-def _contention(stats: GraphStats, profile: CostProfile) -> float:
+def _contention(stats: GraphStats) -> float:
     """Atomic-collision multiplier on scatter (1 for a flat graph)."""
-    return 1.0 + profile.contention_weight * math.log1p(stats.degree_skew)
+    return 1.0 + CONTENTION_WEIGHT * math.log1p(stats.degree_skew)
 
 
-def mp_layer_cost(stats: GraphStats, feature_width: int,
-                  profile: Optional[CostProfile] = None) -> float:
+def mp_layer_cost(stats: GraphStats, feature_width: int) -> float:
     """Estimated cost of one MP layer (gather + scatter)."""
-    profile = _resolve(profile)
     elements = float(stats.num_edges) * max(1, feature_width)
-    gather = profile.gather_unit * elements
-    scatter = (profile.scatter_unit * elements
-               * _contention(stats, profile))
+    gather = GATHER_UNIT * elements
+    scatter = SCATTER_UNIT * elements * _contention(stats)
     return (gather + scatter) * _lane_penalty(feature_width)
 
 
-def spmm_layer_cost(stats: GraphStats, feature_width: int,
-                    profile: Optional[CostProfile] = None) -> float:
+def spmm_layer_cost(stats: GraphStats, feature_width: int) -> float:
     """Estimated cost of one fused SpMM layer."""
-    profile = _resolve(profile)
-    effective_nnz = (stats.num_edges
-                     + profile.row_overhead_nnz * stats.num_nodes)
-    return (profile.spmm_unit * effective_nnz * max(1, feature_width)
+    effective_nnz = stats.num_edges + ROW_OVERHEAD_NNZ * stats.num_nodes
+    return (SPMM_UNIT * effective_nnz * max(1, feature_width)
             * _lane_penalty(feature_width))
 
 
-def spmm_setup_cost(stats: GraphStats,
-                    profile: Optional[CostProfile] = None) -> float:
+def spmm_setup_cost(stats: GraphStats) -> float:
     """One-off cost of materialising the SpMM structure per run.
 
     Models the CSR build plus the normalisation chain (for GCN, two
     SpGEMM launches whose expansion is ``E + V`` partial products).
     """
-    profile = _resolve(profile)
-    return profile.spgemm_unit * (stats.num_edges + stats.num_nodes)
+    return SPGEMM_UNIT * (stats.num_edges + stats.num_nodes)
 
 
 def choose_formats(dims: Sequence[Tuple[int, int]], stats: GraphStats,
                    allowed: Sequence[str] = ("MP", "SpMM"),
                    width_hook: Optional[WidthHook] = None,
-                   profile: Optional[CostProfile] = None,
                    ) -> Tuple[str, ...]:
     """Per-layer execution format for a stack with layer ``dims``.
 
@@ -267,7 +269,6 @@ def choose_formats(dims: Sequence[Tuple[int, int]], stats: GraphStats,
     plan stays MP-only.
     """
     width = width_hook or _default_width
-    profile = _resolve(profile)
     if "SpMM" not in allowed:
         return tuple("MP" for _ in dims)
     if "MP" not in allowed:
@@ -276,17 +277,14 @@ def choose_formats(dims: Sequence[Tuple[int, int]], stats: GraphStats,
     decisions = []
     saving = 0.0
     for fan_in, fan_out in dims:
-        mp = mp_layer_cost(stats, width("MP", fan_in, fan_out),
-                           profile=profile)
-        sp = spmm_layer_cost(stats, width("SpMM", fan_in, fan_out),
-                             profile=profile)
+        mp = mp_layer_cost(stats, width("MP", fan_in, fan_out))
+        sp = spmm_layer_cost(stats, width("SpMM", fan_in, fan_out))
         if sp < mp:
             decisions.append("SpMM")
             saving += mp - sp
         else:
             decisions.append("MP")
-    if "SpMM" in decisions and saving <= spmm_setup_cost(stats,
-                                                         profile=profile):
+    if "SpMM" in decisions and saving <= spmm_setup_cost(stats):
         return tuple("MP" for _ in dims)
     return tuple(decisions)
 
@@ -297,7 +295,7 @@ def choose_fusion(formats: Sequence[str]) -> bool:
     :func:`repro.plan.fusion.fuse_plan` applies every pattern at every
     legal site inside :func:`repro.plan.lowering.cached_plan`; nothing
     here is consulted.  The name survives only because
-    ``benchmarks/e2e/tracing.py`` binds it by name (ROADMAP item 1e
+    ``benchmarks/e2e/tracing.py`` binds it by name (ROADMAP item 1a
     deletes the binding and this).  Returns ``True`` — every plan fuses.
     """
     return True
@@ -355,8 +353,7 @@ def batch_member_footprint(stats: GraphStats) -> float:
 def choose_batching(num_graphs: int, dims: Sequence[Tuple[int, int]],
                     stats: GraphStats, formats: Sequence[str] = (),
                     width_hook: Optional[WidthHook] = None,
-                    max_batch: Optional[int] = None,
-                    profile: Optional[CostProfile] = None) -> int:
+                    max_batch: Optional[int] = None) -> int:
     """Packed batch size for a sweep of ``num_graphs`` same-spec graphs.
 
     Batching always *saves* fixed per-graph overhead — one model
@@ -370,11 +367,11 @@ def choose_batching(num_graphs: int, dims: Sequence[Tuple[int, int]],
 
     * **message working set** — ``B *`` :func:`batch_member_bytes`
       stays within an LLC-sized residency target
-      (``profile.working_set_bytes``), with no hysteresis: batching
+      (:data:`WORKING_SET_BYTES`), with no hysteresis: batching
       costs nothing to decline, and a borderline pack (measured: two
       ~31 MB GIN/Cora members) loses more residency than it amortises.
     * **resident footprint** — ``B *`` :func:`batch_member_footprint`
-      stays within a RAM-scale budget (``profile.batch_footprint_bytes``).
+      stays within a RAM-scale budget (:data:`BATCH_FOOTPRINT_BYTES`).
       Feature slabs and structures multiply by ``B`` whatever the
       layer formats, so an all-SpMM plan — which exerts no message
       pressure at all — is still bounded: scaled social-graph sweeps
@@ -383,9 +380,9 @@ def choose_batching(num_graphs: int, dims: Sequence[Tuple[int, int]],
     Citation-scale members pack wholesale; a full-size Reddit member
     exceeds both budgets on its own and the sweep stays unbatched
     (``1``).  ``stats`` describes one representative member (sweep
-    members share a spec); ``formats`` / ``width_hook`` / ``profile``
-    follow :func:`choose_formats`.  ``max_batch`` defaults to
-    ``profile.max_auto_batch`` — past it the per-plan amortisation is
+    members share a spec); ``formats`` / ``width_hook`` follow
+    :func:`choose_formats`.  ``max_batch`` defaults to
+    :data:`MAX_AUTO_BATCH` — past it the per-plan amortisation is
     already >96% captured (overhead scales as 1/B) while every extra
     member keeps growing the packed operands linearly.
 
@@ -397,49 +394,40 @@ def choose_batching(num_graphs: int, dims: Sequence[Tuple[int, int]],
     """
     if num_graphs <= 1:
         return 1
-    profile = _resolve(profile)
     if max_batch is None:
-        max_batch = profile.max_auto_batch
+        max_batch = MAX_AUTO_BATCH
     ceiling = min(int(num_graphs), int(max_batch))
     per_member = batch_member_bytes(dims, stats, formats=formats,
                                     width_hook=width_hook)
     if per_member > 0.0:
-        ceiling = min(ceiling,
-                      int(profile.working_set_bytes // per_member))
+        ceiling = min(ceiling, int(WORKING_SET_BYTES // per_member))
     footprint = batch_member_footprint(stats)
     if footprint > 0.0:
-        ceiling = min(ceiling,
-                      int(profile.batch_footprint_bytes // footprint))
+        ceiling = min(ceiling, int(BATCH_FOOTPRINT_BYTES // footprint))
     return max(1, ceiling)
 
 
 def explain_choice(dims: Sequence[Tuple[int, int]], stats: GraphStats,
                    chosen: Sequence[str] = (),
-                   width_hook: Optional[WidthHook] = None,
-                   profile: Optional[CostProfile] = None) -> str:
+                   width_hook: Optional[WidthHook] = None) -> str:
     """Human-readable per-layer cost breakdown (CLI ``gsuite plan``).
 
     ``chosen`` is the planner's *final* per-layer selection; when given,
     each line reports it (the raw cost comparison alone can differ from
     the outcome once the model's allowed lowerings and the SpMM
-    setup-amortisation gate apply).  ``profile`` must be the profile
-    the decision was priced under — the reported costs come from it,
-    so the breakdown can never disagree with the decision actually
-    taken.
+    setup-amortisation gate apply).
     """
     width = width_hook or _default_width
-    profile = _resolve(profile)
     lines = [
         f"avg degree {stats.avg_degree:.1f}, skew {stats.degree_skew:.1f}, "
         f"feature width {stats.feature_width}, "
-        f"setup {spmm_setup_cost(stats, profile=profile):.3g} instr "
-        f"[costs: {profile.name}]",
+        f"setup {spmm_setup_cost(stats):.3g} instr",
     ]
     for layer, (fan_in, fan_out) in enumerate(dims):
         w_mp = width("MP", fan_in, fan_out)
         w_sp = width("SpMM", fan_in, fan_out)
-        mp = mp_layer_cost(stats, w_mp, profile=profile)
-        sp = spmm_layer_cost(stats, w_sp, profile=profile)
+        mp = mp_layer_cost(stats, w_mp)
+        sp = spmm_layer_cost(stats, w_sp)
         picked = chosen[layer] if layer < len(chosen) \
             else ("SpMM" if sp < mp else "MP")
         lines.append(

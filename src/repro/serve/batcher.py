@@ -65,7 +65,7 @@ CAPACITY = 1 << 20
 
 def group_budget(requests: List[InferenceRequest], graphs: List[Graph],
                  max_batch: Optional[int] = None,
-                 profile=None, count: Optional[int] = None) -> int:
+                 count: Optional[int] = None) -> int:
     """The planner's batch-size cap for one compatible group.
 
     Prices :func:`~repro.plan.planner.choose_batching` with the group's
@@ -104,7 +104,7 @@ def group_budget(requests: List[InferenceRequest], graphs: List[Graph],
         len(requests) if count is None else count, dims, representative,
         formats=formats,
         width_hook=get_model_class(head.model).aggregation_width,
-        max_batch=max_batch, profile=profile)
+        max_batch=max_batch)
 
 
 class MicroBatcher:
@@ -119,17 +119,13 @@ class MicroBatcher:
         request flushes as a group of one), ``N >= 2`` additionally
         caps groups at ``N`` (the planner budgets still apply — a cap
         can shrink a batch, never grow one).
-    profile:
-        Planner :class:`~repro.plan.costprofile.CostProfile` the
-        budgets are priced under (``None`` = the resolution default).
     """
 
-    def __init__(self, max_batch: int = 0, profile=None):
+    def __init__(self, max_batch: int = 0):
         if max_batch < 0:
             raise ServeError(
                 f"max_batch must be >= 0 (0 = planner auto), got {max_batch}")
         self.max_batch = max_batch
-        self.profile = profile
         self._queues: Dict[Tuple, List[_Pending]] = {}
         self._arrivals = itertools.count()
 
@@ -171,8 +167,7 @@ class MicroBatcher:
         cap = self.max_batch if self.max_batch >= 1 else None
         return group_budget([e.request for e in queue],
                             [e.graph for e in queue],
-                            max_batch=cap, profile=self.profile,
-                            count=CAPACITY)
+                            max_batch=cap, count=CAPACITY)
 
     # -- flushing ----------------------------------------------------------
     def _cut_oldest(self, reason: Optional[str] = None) -> BatchGroup:

@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.config import INT64_MAX, INT64_MIN
 from repro.errors import BackendError, DatasetError, GSuiteError, ServeError
 from repro.frameworks import PipelineSpec
 from repro.graph import Graph, validate_graph
@@ -75,6 +76,14 @@ class InferenceRequest:
                     raise ServeError(
                         f"request field {name!r} must be {noun}, got "
                         f"{type(value).__name__}")
+                # A JSON integer can be arbitrarily long; past int64 it
+                # overflows a float conversion on the drain task later.
+                if (isinstance(value, Integral)
+                        and not INT64_MIN <= value <= INT64_MAX):
+                    raise ServeError(
+                        f"request field {name!r} must be within the "
+                        f"int64 range, got a {value.bit_length()}-bit "
+                        f"integer")
         if not self.request_id:
             raise ServeError("request_id must be a non-empty string")
         if (self.dataset is None) == (self.graph is None):

@@ -33,7 +33,7 @@ __all__ = ["InferenceService", "solo_reference", "serve_tcp"]
 
 
 def solo_reference(request: InferenceRequest, pad_to: int = 0,
-                   profile=None, graph: Optional[Graph] = None) -> np.ndarray:
+                   graph: Optional[Graph] = None) -> np.ndarray:
     """Execute ``request`` alone.
 
     This is the parity oracle for every response — batched or solo:
@@ -46,7 +46,7 @@ def solo_reference(request: InferenceRequest, pad_to: int = 0,
     if pad_to and pad_to != graph.num_features:
         graph = pad_features(graph, pad_to)
     built = get_backend(request.framework).build(
-        request.pipeline_spec(), graph, cost_profile=profile)
+        request.pipeline_spec(), graph)
     return built.run()
 
 
@@ -56,19 +56,15 @@ class InferenceService:
     Parameters
     ----------
     config:
-        A :class:`~repro.core.config.SuiteConfig`; the serving knobs
+        A :class:`~repro.core.config.SuiteConfig`; the serving knob
         is ``serve_batch`` (``0`` planner auto / ``1`` off / ``N``
         cap).  The pipeline fields of the config do **not** constrain
-        requests — every request carries its own parameters — but
-        ``profile_costs`` applies service-wide.
+        requests — every request carries its own parameters.
     """
 
     def __init__(self, config: Optional[SuiteConfig] = None):
         self.config = config if config is not None else SuiteConfig()
-        from repro.plan.costprofile import resolve_cost_profile
-        self._profile = resolve_cost_profile(self.config.profile_costs)
-        self.batcher = MicroBatcher(max_batch=self.config.serve_batch,
-                                    profile=self._profile)
+        self.batcher = MicroBatcher(max_batch=self.config.serve_batch)
         self.solo = 0                     # requests executed alone
         self.batches: List[int] = []      # executed batch sizes, in order
         self._closing = False
@@ -159,8 +155,7 @@ class InferenceService:
     def _solo(self, entry):
         request, graph = entry.request, entry.graph
         try:
-            output = solo_reference(request, profile=self._profile,
-                                    graph=graph)
+            output = solo_reference(request, graph=graph)
         except GSuiteError as exc:
             return exc
         self.solo += 1
@@ -181,8 +176,7 @@ class InferenceService:
         try:
             workload = BatchedGraph([e.graph for e in entries])
             packed = get_backend(head.framework).build(
-                head.pipeline_spec(), workload,
-                cost_profile=self._profile).run()
+                head.pipeline_spec(), workload).run()
         except GSuiteError as exc:
             return [exc] * len(entries)
         self.batches.append(len(entries))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.config import DEFAULTS, KNOBS, SuiteConfig, parse_batch
+from repro.core.config import DEFAULTS, KNOBS, SuiteConfig
 from repro.errors import ConfigError
 
 
@@ -50,6 +50,20 @@ class TestValidation:
         path.write_text(payload)
         with pytest.raises(ConfigError):
             SuiteConfig.from_file(path)
+
+    @pytest.mark.parametrize("payload", [
+        {"hidden": 10 ** 400}, {"scale": 10 ** 400}, {"seed": 10 ** 400},
+        {"seed": 2 ** 63}, {"hidden": 1e300}, {"batch": 10 ** 400},
+        {"serve_batch": 2 ** 63},
+    ])
+    def test_integers_past_int64_refused(self, payload):
+        """An integer too large for a float used to escape
+        ``math.isfinite`` as an ``OverflowError``."""
+        with pytest.raises(ConfigError, match="int64"):
+            SuiteConfig(**payload)
+
+    def test_int64_bounds_accepted(self):
+        assert SuiteConfig(seed=2 ** 63 - 1).seed == 2 ** 63 - 1
 
     def test_integral_numbers_coerce(self):
         cfg = SuiteConfig(hidden=16.0, scale=1, out_features=7.0)
@@ -103,6 +117,14 @@ class TestFileRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text("not json {")
         with pytest.raises(ConfigError):
+            SuiteConfig.from_file(path)
+
+    def test_integer_past_int_parse_limit(self, tmp_path):
+        """``json.loads`` refuses a 5000-digit integer with a plain
+        ``ValueError``, not a ``JSONDecodeError``."""
+        path = tmp_path / "long.json"
+        path.write_text('{"seed": %s}' % ("9" * 5000))
+        with pytest.raises(ConfigError, match="cannot load config"):
             SuiteConfig.from_file(path)
 
     def test_non_object_file(self, tmp_path):
@@ -170,9 +192,10 @@ class TestKnobs:
             KNOBS[name].parse(-1)
 
     def test_parse_batch_is_the_batch_knob(self):
-        assert parse_batch("auto") == 0
-        assert parse_batch("off") == 1
-        assert parse_batch(3) == 3
+        parse = KNOBS["batch"].parse
+        assert parse("auto") == 0
+        assert parse("off") == 1
+        assert parse(3) == 3
 
     def test_config_fields_parse_through_knobs(self):
         cfg = SuiteConfig(serve_batch="auto", fuse="OFF", batch="off")
@@ -181,7 +204,10 @@ class TestKnobs:
         assert cfg.batch == 1
 
     def test_profile_costs_field(self):
+        """A vestige: ``"paper"`` is accepted (older configs name it),
+        anything else — a profile path included — is refused."""
         assert SuiteConfig().profile_costs == "paper"
-        assert SuiteConfig(profile_costs="p.json").profile_costs == "p.json"
-        with pytest.raises(ConfigError):
-            SuiteConfig(profile_costs="")
+        assert SuiteConfig(profile_costs="paper").profile_costs == "paper"
+        for bad in ("p.json", "", "Paper", None):
+            with pytest.raises(ConfigError, match="constants are fixed"):
+                SuiteConfig(profile_costs=bad)

@@ -112,8 +112,8 @@ class TestExecution:
         # The typed decision record reflects the defaults the build
         # actually applied.
         assert decisions.batch == 1 and decisions.batch_source == "off"
-        assert decisions.cost_profile == "paper"
         assert "plan_fingerprint" in decisions.to_dict()
+        assert "cost_profile" not in decisions.to_dict()
         assert decisions.fused and decisions.fused_sites["gather_scatter"] == 2
         assert decisions.to_dict()["fused"] is True
 

@@ -381,12 +381,13 @@ class TestPipelineAndConfig:
 class TestCli:
     def test_parse_batch_values(self):
         import argparse
-        from repro.cli import _parse_batch
-        assert _parse_batch("auto") == 0
-        assert _parse_batch("off") == 1
-        assert _parse_batch("4") == 4
+        from repro.cli import _knob_type
+        parse = _knob_type("batch")
+        assert parse("auto") == 0
+        assert parse("off") == 1
+        assert parse("4") == 4
         with pytest.raises(argparse.ArgumentTypeError):
-            _parse_batch("many")
+            parse("many")
 
     def test_plan_reports_batching(self, capsys):
         from repro.cli import main

@@ -1,42 +1,32 @@
-"""Tests for the CostProfile subsystem.
+"""Tests for the planner's cost profile: its nine fixed constants.
 
-Three contracts:
+Two contracts:
 
-* **Persistence** — profiles round-trip through JSON exactly; wrong
-  schema versions, unknown fields and invalid constants *refuse* to
-  load (a stale or hand-mangled profile must never silently steer the
-  planner).
-* **Resolution** — planner constants have exactly two sources, the
-  ``"paper"`` selector and an explicitly passed file; nothing ambient
-  (environment, host name, working directory) is consulted.
-* **Paper parity** — the default profile is the paper's static
-  constants bit-for-bit: every gate decision with ``profile=None`` is
-  identical to an explicit :meth:`CostProfile.paper`, across the same
-  dataset grid the planner acceptance tests pin.
+* **Paper parity** — the constants are the paper's static Fig. 5
+  values, and every cost and gate decision priced with them is pinned
+  to the exact figure the planner produced when those values were
+  still a loadable profile, across the same dataset grid the planner
+  acceptance tests use.
+* **Nothing ambient** — no environment variable or file steers a
+  pipeline's decisions: the constants are module constants.
 """
 
 import json
 
 import pytest
 
-from repro.datasets import get_spec
-from repro.errors import CalibrationError
+from repro.datasets import get_spec, scaled_spec
 from repro.plan import (
-    CostProfile,
     GraphStats,
     choose_batching,
     choose_formats,
-    explain_choice,
-    resolve_cost_profile,
-)
-from repro.plan.planner import (
     mp_layer_cost,
     spmm_layer_cost,
     spmm_setup_cost,
 )
 
-#: Mirrors tests/plan/test_planner.py — the decisions the paper profile
-#: must keep making.
+#: Mirrors tests/plan/test_planner.py — the decisions the paper
+#: constants must keep making.
 EXPECTED = {
     "cora": "MP",
     "citeseer": "MP",
@@ -45,193 +35,97 @@ EXPECTED = {
     "livejournal": "SpMM",
 }
 
+#: dataset -> ((mp, spmm) layer cost at widths 4, 64, 1433; setup cost)
+#: on the full-size spec.  Exact floats: a reordered expression or a
+#: retuned constant shows here before it moves a decision.
+COSTS = {
+    "citeseer": (((2911660.99571028, 4915366.399999999),
+                  (5823321.99142056, 9830732.799999999),
+                  (130387818.96415097, 220116251.59999996)), 88649.0),
+    "cora": (((3303033.4274030905, 4248182.399999999),
+              (6606066.854806181, 8496364.799999999),
+              (147913965.67089465, 190238918.09999996)), 89507.0),
+    "livejournal": (((46425043080.12795, 16899016668.799997),
+                     (92850086160.2559, 33798033337.599995),
+                     (2078971460431.9797, 756759090199.6998)),
+                    812254784.0),
+    "pubmed": (((27869250.624100965, 31700883.199999996),
+                (55738501.24820193, 63401766.39999999),
+                (1248019879.5105214, 1419605175.7999997)), 705705.0),
+    "reddit": (((7445112521.840377, 2112196195.1999998),
+                (14890225043.680754, 4224392390.3999996),
+                (333401445118.6644, 94586785866.29999)), 130238724.0),
+}
+
+#: dataset -> (choose_batching on the 0.1-scale spec, MP formats — the
+#: message working-set budget binds or not; on the full-size spec with
+#: an all-SpMM plan — the resident footprint budget binds or not).
+BATCHES = {
+    "citeseer": (4, 21),
+    "cora": (10, 64),
+    "livejournal": (1, 1),
+    "pubmed": (3, 26),
+    "reddit": (1, 1),
+}
+
 
 def _dims(spec):
     return [(spec.feature_length, 16), (16, spec.num_classes)]
 
 
-class TestProfilePersistence:
-    def test_round_trip(self, tmp_path):
-        profile = CostProfile.paper().with_overrides(
-            name="hand-edited", gather_unit=0.123, max_auto_batch=8)
-        path = tmp_path / "profile.json"
-        profile.save(path)
-        loaded = CostProfile.load(path)
-        assert loaded == profile
-        assert loaded.gather_unit == 0.123
-        assert loaded.max_auto_batch == 8
-        assert loaded.name == "hand-edited"
-
-    def test_version_mismatch_refused(self, tmp_path):
-        payload = CostProfile.paper().to_dict()
-        payload["schema"] = 99
-        path = tmp_path / "stale.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CalibrationError, match="schema"):
-            CostProfile.load(path)
-
-    def test_unknown_field_refused(self, tmp_path):
-        payload = CostProfile.paper().to_dict()
-        payload["profile"]["warp_tax"] = 1.0
-        path = tmp_path / "unknown.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CalibrationError):
-            CostProfile.load(path)
-
-    @pytest.mark.parametrize("schema,extra", [
-        (3, None),
-        (4, None),
-        (4, "fuse_partition_unit"),
-        (4, "launch_overhead"),
-        (4, "fuse_stream_block_bytes"),
-        (5, "shard_setup_instructions"),
-    ])
-    def test_removed_fusion_constants_refused(self, tmp_path, schema,
-                                              extra):
-        """A file of an older schema is refused by the version check; a
-        schema-5 file still carrying a removed constant by the
-        unknown-field one."""
-        payload = CostProfile.paper().to_dict()
-        assert payload["schema"] == 5 and len(payload["profile"]) == 10
-        payload["schema"] = schema
-        if extra is not None:
-            payload["profile"][extra] = 1
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CalibrationError,
-                           match=extra if schema == 5
-                           else f"schema version {schema}"):
-            CostProfile.load(path)
-
-    def test_missing_field_refused(self, tmp_path):
-        payload = CostProfile.paper().to_dict()
-        del payload["profile"]["gather_unit"]
-        path = tmp_path / "partial.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CalibrationError):
-            CostProfile.load(path)
-
-    def test_invalid_constant_refused(self):
-        with pytest.raises(CalibrationError):
-            CostProfile.paper().with_overrides(gather_unit=-1.0)
-
-    @pytest.mark.parametrize("field,value", [
-        ("spmm_unit", float("nan")),
-        ("gather_unit", float("inf")),
-        ("scatter_unit", True),
-        ("contention_weight", "7"),
-        ("max_auto_batch", 2.5),
-    ])
-    def test_unpriceable_constant_refused(self, tmp_path, field, value):
-        """Every comparison against NaN is false, so a NaN unit used to
-        load cleanly and flip adaptive reddit from [MP, SpMM] to
-        [MP, MP]; the file boundary now names the field and the file."""
-        payload = CostProfile.paper().to_dict()
-        payload["profile"][field] = value
-        path = tmp_path / "mangled.json"
-        path.write_text(json.dumps(payload))    # NaN / Infinity / true
-        with pytest.raises(CalibrationError) as excinfo:
-            CostProfile.load(path)
-        assert field in str(excinfo.value)
-        assert str(path) in str(excinfo.value)
-
-    @pytest.mark.parametrize("body", ["abc", 5, None, [["name", "x"]]])
-    def test_non_object_profile_body_refused(self, body):
-        """A body that is not an object used to escape as a bare
-        ``ValueError`` / ``TypeError`` from ``dict(...)``."""
-        payload = CostProfile.paper().to_dict()
-        payload["profile"] = body
-        with pytest.raises(CalibrationError, match="must be a JSON object"):
-            CostProfile.from_dict(payload, origin="mangled.json")
-
-    def test_non_string_name_refused(self):
-        payload = CostProfile.paper().to_dict()
-        payload["profile"]["name"] = 5
-        with pytest.raises(CalibrationError, match="name must be a string"):
-            CostProfile.from_dict(payload)
-
-    def test_missing_file_refused(self, tmp_path):
-        with pytest.raises(CalibrationError):
-            CostProfile.load(tmp_path / "nope.json")
-
-
-class TestResolution:
-    def test_paper_selector(self):
-        assert resolve_cost_profile("paper") == CostProfile.paper()
-
-    def test_explicit_path(self, tmp_path):
-        profile = CostProfile.paper().with_overrides(name="explicit")
-        path = tmp_path / "p.json"
-        profile.save(path)
-        assert resolve_cost_profile(str(path)).name == "explicit"
-
-    def test_ambient_profile_sources_are_ignored(self, tmp_path,
-                                                 monkeypatch):
-        """The removed lookups stay removed: a profile named by
-        ``GSUITE_COST_PROFILE``, or saved where the host-default lookup
-        (``$GSUITE_CALIBRATION_DIR/<host>-<arch>-V100-GPGPUSim.json``)
-        used to find one, no longer steers a default-configured
-        pipeline."""
-        import platform
-
-        from repro.core.config import SuiteConfig
-        from repro.core.pipeline import GNNPipeline
-        perturbed = CostProfile.paper().with_overrides(
-            name="ambient", scatter_unit=1e6)
-        node = platform.node().split(".")[0] or "unknown-host"
-        host = "".join(ch if ch.isalnum() or ch in "-_" else "-"
-                       for ch in node.lower())
-        perturbed.save(tmp_path / "calib" / f"{host}-"
-                       f"{platform.machine() or 'any'}-V100-GPGPUSim.json")
-        monkeypatch.setenv("GSUITE_CALIBRATION_DIR", str(tmp_path / "calib"))
-        monkeypatch.setenv("GSUITE_COST_PROFILE",
-                           str(perturbed.save(tmp_path / "env.json")))
-        assert GNNPipeline(SuiteConfig()).cost_profile() == \
-            CostProfile.paper()
-
-
 class TestPaperParity:
-    """``profile=None`` must be bit-identical to an explicit paper()."""
-
-    PAPER = CostProfile.paper()
-
     @pytest.mark.parametrize("dataset", sorted(EXPECTED))
     def test_gate_decisions_identical(self, dataset):
         spec = get_spec(dataset)
-        stats = GraphStats.from_spec(spec)
-        dims = _dims(spec)
-        assert choose_formats(dims, stats) == \
-            choose_formats(dims, stats, profile=self.PAPER)
-        assert choose_batching(8, dims, stats) == \
-            choose_batching(8, dims, stats, profile=self.PAPER)
-        assert explain_choice(dims, stats) == \
-            explain_choice(dims, stats, profile=self.PAPER)
+        small = scaled_spec(spec, 0.1)
+        dims, small_dims = _dims(spec), _dims(small)
+        working_set, footprint = BATCHES[dataset]
+        assert choose_batching(64, small_dims, GraphStats.from_spec(small),
+                               formats=("MP", "MP")) == working_set
+        assert choose_batching(64, dims, GraphStats.from_spec(spec),
+                               formats=("SpMM", "SpMM")) == footprint
 
     @pytest.mark.parametrize("dataset", sorted(EXPECTED))
     def test_costs_identical(self, dataset):
         stats = GraphStats.from_spec(get_spec(dataset))
-        for width in (4, 64, 1433):
-            assert mp_layer_cost(stats, width) == \
-                mp_layer_cost(stats, width, profile=self.PAPER)
-            assert spmm_layer_cost(stats, width) == \
-                spmm_layer_cost(stats, width, profile=self.PAPER)
-        assert spmm_setup_cost(stats) == \
-            spmm_setup_cost(stats, profile=self.PAPER)
+        layers, setup = COSTS[dataset]
+        for width, (mp, sp) in zip((4, 64, 1433), layers):
+            assert mp_layer_cost(stats, width) == mp
+            assert spmm_layer_cost(stats, width) == sp
+        assert spmm_setup_cost(stats) == setup
 
     @pytest.mark.parametrize("dataset,expected", sorted(EXPECTED.items()))
     def test_paper_decisions_pinned(self, dataset, expected):
-        # The acceptance decisions themselves, under the default profile.
         spec = get_spec(dataset)
         formats = choose_formats(_dims(spec), GraphStats.from_spec(spec))
         assert formats == (expected, expected)
 
-    def test_perturbed_profile_flips_a_decision(self):
-        # The profile parameter is live: pricing scatter traffic three
-        # orders of magnitude higher must push a citation graph to SpMM.
-        spec = get_spec("cora")
-        stats = GraphStats.from_spec(spec)
-        expensive_mp = self.PAPER.with_overrides(
-            name="perturbed", scatter_unit=self.PAPER.scatter_unit * 1e3)
-        assert choose_formats(_dims(spec), stats) == ("MP", "MP")
-        assert set(choose_formats(_dims(spec), stats,
-                                  profile=expensive_mp)) == {"SpMM"}
+
+class TestResolution:
+    def test_ambient_profile_sources_are_ignored(self, tmp_path,
+                                                 monkeypatch):
+        """A profile file named by ``GSUITE_COST_PROFILE``, or saved in
+        ``GSUITE_CALIBRATION_DIR`` where a host-default lookup once
+        found one, moves no decision of a default-configured pipeline —
+        though its constants would flip cora's adaptive formats to
+        SpMM if anything read them."""
+        from repro.core.config import SuiteConfig
+        from repro.core.pipeline import GNNPipeline
+
+        def decisions():
+            pipeline = GNNPipeline(SuiteConfig(
+                dataset="cora", scale=0.1, framework="gsuite-adaptive",
+                batch="auto"))
+            record = pipeline.plan()
+            return record.formats, record.batch, record.explain
+
+        before = decisions()
+        perturbed = json.dumps({"schema": 5, "profile": {
+            "name": "ambient", "scatter_unit": 1e6}})
+        (tmp_path / "calib").mkdir()
+        (tmp_path / "calib" / "host-V100-GPGPUSim.json").write_text(perturbed)
+        (tmp_path / "env.json").write_text(perturbed)
+        monkeypatch.setenv("GSUITE_CALIBRATION_DIR", str(tmp_path / "calib"))
+        monkeypatch.setenv("GSUITE_COST_PROFILE", str(tmp_path / "env.json"))
+        assert decisions() == before
+        assert before[0] == ("MP", "MP")

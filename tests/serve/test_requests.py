@@ -98,6 +98,20 @@ class TestRequestValidation:
         with pytest.raises(ServeError, match=f"'{field}' must be"):
             InferenceRequest.from_dict(payload)
 
+    @pytest.mark.parametrize("field", [
+        "hidden", "num_layers", "seed", "out_features", "scale"])
+    @pytest.mark.parametrize("value", [10 ** 400, 2 ** 63, -2 ** 63 - 1],
+                             ids=["1e400", "2**63", "-2**63-1"])
+    def test_integer_past_int64_rejected(self, field, value):
+        """``json.loads`` yields arbitrarily long ints; one past int64
+        used to pass construction and kill the drain task later
+        (``OverflowError`` pricing the batch budget)."""
+        fields = {"request_id": "x", "dataset": "cora", "scale": 0.1,
+                  field: value}
+        with pytest.raises(ServeError, match=f"'{field}' must be within "
+                                             f"the int64 range"):
+            InferenceRequest(**fields)
+
 
 class TestCompatibility:
     def test_pinned_head_width_batches_across_datasets(self):

@@ -222,6 +222,23 @@ class TestPoisonedRequests:
         assert alive
         assert np.array_equal(response.output, real(good))
 
+    def test_integer_past_int64_refused_then_next_answered(self):
+        """``hidden=10**400`` used to pass construction; the drain task
+        then died pricing its budget and no later submit returned."""
+        async def drive():
+            async with InferenceService(SuiteConfig()) as service:
+                with pytest.raises(ServeError, match="int64"):
+                    await service.submit(InferenceRequest(
+                        request_id="x", dataset="cora", scale=0.1,
+                        hidden=10 ** 400))
+                response = await service.submit(good)
+                return response, not service._task.done()
+
+        (good,) = _requests((4,))
+        response, alive = asyncio.run(drive())
+        assert alive
+        assert np.array_equal(response.output, solo_reference(good))
+
     def test_failed_pack_fails_its_group_only(self, monkeypatch):
         import repro.serve.service as service_module
         real = service_module.BatchedGraph
@@ -445,6 +462,32 @@ class TestTcpServer:
         assert "unknown model 'foo'" in lines[2]["error"]
         assert lines[3]["request_id"] == "ok"
         assert lines[3]["output_shape"] == [10, 4]
+
+    def test_integer_past_int64_gets_an_error_line(self):
+        async def scenario():
+            service = InferenceService(SuiteConfig())
+            async with service:
+                ready = asyncio.get_running_loop().create_future()
+                server = asyncio.ensure_future(serve_tcp(
+                    service, port=0, max_requests=2,
+                    ready=ready.set_result))
+                reader, writer = await asyncio.open_connection(*await ready)
+                good = InferenceRequest(request_id="ok", graph=_graph(),
+                                        out_features=4).to_dict()
+                for payload in ({**good, "request_id": "big",
+                                 "hidden": 10 ** 400}, good):
+                    writer.write(json.dumps(payload).encode() + b"\n")
+                await writer.drain()
+                lines = [json.loads(await reader.readline())
+                         for _ in range(2)]
+                writer.close()
+                return lines, await server
+
+        lines, served = asyncio.run(scenario())
+        assert served == 2
+        assert "'hidden' must be within the int64 range" in lines[0]["error"]
+        assert lines[1]["request_id"] == "ok"
+        assert lines[1]["output_shape"] == [10, 4]
 
     def test_overlong_request_line_gets_error_reply_then_close(self):
         async def scenario():

@@ -130,38 +130,35 @@ class TestCommands:
         assert "error: hidden must be an integer" in capsys.readouterr().err
 
     def test_profile_costs_flag(self, tmp_path, capsys):
-        code = main(["plan", "--dataset", "cora", "--scale", "0.1",
-                     "--profile-costs", "paper"])
+        """The planner's constants are fixed: the flag is gone (argparse
+        exits 2), ``gsuite plan`` prints no cost-profile line, and a
+        config file naming a profile is refused with an error line."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plan", "--dataset", "cora", "--scale", "0.1",
+                  "--profile-costs", "paper"])
+        assert exit_info.value.code == 2
+        assert "--profile-costs" in capsys.readouterr().err
+        assert main(["plan", "--dataset", "cora", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
-        assert code == 0
-        assert "cost profile 'paper'" in out
-        # An explicit profile path is loaded and named in the output.
-        from repro.plan import CostProfile
-        path = tmp_path / "custom.json"
-        CostProfile.paper().with_overrides(name="custom").save(path)
-        code = main(["plan", "--dataset", "cora", "--scale", "0.1",
-                     "--profile-costs", str(path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "cost profile 'custom'" in out
-        # A missing file refuses cleanly.
-        assert main(["plan", "--dataset", "cora", "--scale", "0.1",
-                     "--profile-costs", str(tmp_path / "nope.json")]) == 2
-        # So does a hand-mangled constant: exit 2, one error line
-        # naming the field and the file, no traceback.
-        import json
-        payload = CostProfile.paper().to_dict()
-        payload["profile"]["spmm_unit"] = float("nan")
-        bad = tmp_path / "nan.json"
-        bad.write_text(json.dumps(payload))
-        capsys.readouterr()
-        assert main(["plan", "--dataset", "reddit", "--scale", "0.01",
-                     "--framework", "adaptive",
-                     "--profile-costs", str(bad)]) == 2
+        assert "cost profile" not in out and "[costs:" not in out
+        path = tmp_path / "cfg.json"
+        path.write_text('{"profile_costs": "custom.json"}')
+        assert main(["plan", "--config", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert "spmm_unit" in captured.err and str(bad) in captured.err
+        assert captured.err.startswith("error: profile_costs must be")
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("field", ["hidden", "scale", "seed"])
+    def test_config_integer_past_int64_exits_2(self, tmp_path, capsys,
+                                               field):
+        """A JSON integer too large for a float used to escape
+        ``math.isfinite`` as an ``OverflowError`` traceback."""
+        path = tmp_path / "cfg.json"
+        path.write_text('{"%s": %s}' % (field, "9" * 400))
+        assert main(["run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field} must be")
+        assert "int64" in captured.err and "Traceback" not in captured.err
 
     def test_plan_reports_the_feature_operand(self, capsys):
         """The header is what ``Graph.feature_rows`` answers; each

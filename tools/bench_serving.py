@@ -42,15 +42,14 @@ OUT_FEATURES = 8
 MODES = ((0, "batched"), (1, "solo"))
 
 
-def bench_level(concurrency: int, requests_per_client: int, scale: float,
-                profile_costs: str) -> tuple:
+def bench_level(concurrency: int, requests_per_client: int,
+                scale: float) -> tuple:
     """One concurrency level, batched vs solo; returns (rows, failures)."""
     templates = dataset_mix(list(DATASETS), out_features=OUT_FEATURES,
                             model="gcn", scale=scale)
     rows, failures = [], []
     for serve_batch, label in MODES:
-        config = SuiteConfig(serve_batch=serve_batch,
-                             profile_costs=profile_costs)
+        config = SuiteConfig(serve_batch=serve_batch)
         report = run_loadgen(templates, concurrency=concurrency,
                              requests_per_client=requests_per_client,
                              config=config, verify=True)
@@ -68,7 +67,7 @@ def bench_level(concurrency: int, requests_per_client: int, scale: float,
     return rows, failures
 
 
-def run(smoke: bool, out_path: Path, profile_costs: str) -> int:
+def run(smoke: bool, out_path: Path) -> int:
     if smoke:
         levels, requests_per_client, scale = (2, 4), 3, 0.1
     else:
@@ -80,7 +79,7 @@ def run(smoke: bool, out_path: Path, profile_costs: str) -> int:
     for concurrency in levels:
         print(f"concurrency {concurrency}:")
         rows, level_failures = bench_level(
-            concurrency, requests_per_client, scale, profile_costs)
+            concurrency, requests_per_client, scale)
         failures += level_failures
         sweep.append({"concurrency": concurrency, "runs": rows})
 
@@ -113,7 +112,6 @@ def run(smoke: bool, out_path: Path, profile_costs: str) -> int:
         "datasets": list(DATASETS),
         "out_features": OUT_FEATURES,
         "scale": scale,
-        "profile_costs": profile_costs,
         "requests_per_client": requests_per_client,
         "concurrency_sweep": sweep,
         "parity_failures": 0,
@@ -127,13 +125,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small scales and concurrency levels for CI")
-    parser.add_argument("--profile-costs", default="paper",
-                        help="planner cost profile: 'paper' (default) "
-                             "or the path of a CostProfile JSON")
     parser.add_argument("--out",
                         default=str(REPO_ROOT / "BENCH_serving.json"))
     args = parser.parse_args()
-    return run(args.smoke, Path(args.out), args.profile_costs)
+    return run(args.smoke, Path(args.out))
 
 
 if __name__ == "__main__":

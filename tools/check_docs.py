@@ -11,11 +11,17 @@ Two failure classes CI should catch before a reader does:
   block is extracted and byte-compiled (the ``compileall`` treatment,
   in-process), so documented examples cannot drift into syntax errors.
 * **Invalid JSON examples** — every fenced ```` ```json ```` block
-  must parse with :func:`json.loads` (documented schemas — the cost
-  profile, config files — cannot drift into invalid JSON).
+  must parse with :func:`json.loads` (documented schemas — config
+  files, wire requests — cannot drift into invalid JSON).
+* **Unknown CLI flags** — every ``--flag`` on a ``gsuite ...`` /
+  ``python -m repro ...`` line of a fenced block in ``README.md`` or
+  ``docs/`` must be an option of some :mod:`repro.cli` sub-parser, so
+  a removed flag cannot linger in a documented command.
 
 Checked files: ``README.md``, ``ROADMAP.md``, ``CHANGES.md`` and
-everything under ``docs/``.
+everything under ``docs/`` (the flag check skips ``ROADMAP.md`` and
+``CHANGES.md``, which record removed flags on purpose).  The flag
+check imports :mod:`repro.cli`, so numpy must be installed.
 
 Usage::
 
@@ -28,9 +34,10 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import sys
 import textwrap
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,6 +51,15 @@ _LINK = re.compile(r"\[[^\]\[]*\]\(([^)\s]+)\)")
 
 #: Targets that are not files on this filesystem.
 _EXTERNAL = ("http://", "https://", "mailto:")
+
+#: Files exempt from the flag check: they record removed flags.
+HISTORY_FILES = ("ROADMAP.md", "CHANGES.md")
+
+#: A ``gsuite`` / ``python -m repro[.module]`` command word; the flags
+#: checked are the ones after it on the same (continued) line.
+_COMMAND = re.compile(
+    r"(?:^|[\s$`(])(?:gsuite|python3?\s+-m\s+repro(?:\.[\w.]+)?)(?=\s|$)")
+_FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
 
 
 def doc_paths() -> List[Path]:
@@ -135,6 +151,56 @@ def check_snippets(path: Path,
     return problems
 
 
+def cli_flags() -> Set[str]:
+    """Every option string of the gsuite parser and its sub-parsers."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.cli import build_parser
+    parser = build_parser()
+    flags = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags.update(sub._option_string_actions)
+    return flags
+
+
+def iter_fenced_commands(text: str) -> Iterator[Tuple[int, str]]:
+    """``(line number, command line)`` per fenced line holding a
+    ``gsuite`` / ``python -m repro`` command, ``\\``-continuations
+    joined and the text before the command word dropped."""
+    in_fence = False
+    pending, start = "", 0
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip().startswith("```"):
+            in_fence, pending = not in_fence, ""
+            continue
+        if not in_fence:
+            continue
+        if not pending:
+            start = number
+        pending += line.rstrip()
+        if pending.endswith("\\"):
+            pending = pending[:-1] + " "
+            continue
+        match = _COMMAND.search(pending)
+        if match:
+            yield start, pending[match.end():]
+        pending = ""
+
+
+def check_flags(path: Path, commands: List[Tuple[int, str]],
+                known: Set[str]) -> List[str]:
+    """Unknown-flag messages for one file (empty = clean)."""
+    problems = []
+    for lineno, command in commands:
+        for flag in sorted(set(_FLAG.findall(command))):
+            if flag not in known:
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno}: {flag} is "
+                    f"not an option of any gsuite command")
+    return problems
+
+
 def check_json_snippets(path: Path,
                         snippets: List[Tuple[int, str]]) -> List[str]:
     """JSON-parse-error messages for one file (empty = clean)."""
@@ -158,6 +224,8 @@ def main() -> int:
     problems: List[str] = []
     checked_links = 0
     checked_snippets = 0
+    checked_commands = 0
+    known_flags = cli_flags()
     for path in doc_paths():
         text = path.read_text(encoding="utf-8")
         links = [t for t in iter_links(text)
@@ -179,6 +247,10 @@ def main() -> int:
         problems.extend(check_links(path, links))
         problems.extend(check_snippets(path, snippets))
         problems.extend(check_json_snippets(path, json_snippets))
+        if path.name not in HISTORY_FILES:
+            commands = list(iter_fenced_commands(text))
+            checked_commands += len(commands)
+            problems.extend(check_flags(path, commands, known_flags))
 
     if problems:
         print("DOC CHECK FAILURES:")
@@ -186,7 +258,8 @@ def main() -> int:
             print(f"  {problem}")
         return 1
     print(f"docs ok: {len(doc_paths())} files, {checked_links} relative "
-          f"links, {checked_snippets} python/json snippets")
+          f"links, {checked_snippets} python/json snippets, "
+          f"{checked_commands} gsuite command lines")
     return 0
 
 
