@@ -17,7 +17,7 @@ import scipy.sparse as _sp
 
 from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import mix_for
-from repro.core.kernels.sgemm import _check_rows
+from repro.core.kernels.scatter import _check_rows
 from repro.errors import KernelError
 
 __all__ = ["index_select"]

@@ -150,6 +150,14 @@ def finite_rows(rows) -> bool:
     return bool(np.isfinite(rows.data).all())
 
 
+def _check_rows(rows, dense: np.ndarray) -> None:
+    """Refuse a row-sparse operand that cannot stand for ``dense``."""
+    if rows is not None and rows.shape != dense.shape:
+        raise KernelError(
+            f"row-sparse operand has shape {rows.shape}; the dense "
+            f"operand it stands for has {dense.shape}")
+
+
 def _check_operator(operator: _sp.csr_matrix, reduce: str, dim_size: int,
                     sources: int, edges: int) -> None:
     """Refuse an aggregation operator that cannot be this call's.
@@ -173,7 +181,8 @@ def _check_operator(operator: _sp.csr_matrix, reduce: str, dim_size: int,
 def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
             reduce: str = "sum", tag: str = "",
             structure: Optional[ReductionStructure] = None,
-            operator: Optional[_sp.csr_matrix] = None) -> np.ndarray:
+            operator: Optional[_sp.csr_matrix] = None,
+            row_sparse_out: bool = False):
     """Reduce rows of ``src`` into ``out[index[i]]`` slots.
 
     Parameters
@@ -205,11 +214,18 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
         The identity :func:`aggregation_operator` of ``structure`` for
         ``src.shape[0]`` sources (sum / mean only), when the caller
         keeps it resident; built on the spot otherwise.
+    row_sparse_out:
+        Hand a row-sparse ``src``'s reduction on as the SpGEMM product
+        itself (a ``[dim_size, f]`` SciPy CSR, mean already divided)
+        instead of densifying it, for a consumer that reads its stored
+        entries (:func:`~repro.core.kernels.sgemm.sgemm`).  A dense
+        reduction is returned dense either way.
 
     Returns
     -------
-    numpy.ndarray
-        Array of shape ``[dim_size, f]`` (or ``[dim_size]`` for 1-D src).
+    numpy.ndarray or scipy.sparse.csr_matrix
+        Array of shape ``[dim_size, f]`` (or ``[dim_size]`` for 1-D
+        src); the CSR product under ``row_sparse_out``.
     """
     if _sp.issparse(src):
         if reduce not in ("sum", "mean"):
@@ -249,7 +265,7 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
 
     start = time.perf_counter()
     out = _reduce(src, index.astype(np.int64, copy=False), int(dim_size),
-                  reduce, structure, operator)
+                  reduce, structure, operator, row_sparse_out)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()
@@ -260,7 +276,8 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
 
 def _reduce(src: np.ndarray, index: np.ndarray, dim_size: int, reduce: str,
             structure: Optional[ReductionStructure] = None,
-            operator: Optional[_sp.csr_matrix] = None) -> np.ndarray:
+            operator: Optional[_sp.csr_matrix] = None,
+            keep: bool = False):
     """Segmented reduction — semantics of an atomic GPU scatter.
 
     Sum and mean apply the selection-matrix ``operator`` (the
@@ -269,16 +286,15 @@ def _reduce(src: np.ndarray, index: np.ndarray, dim_size: int, reduce: str,
     reduction.  Both read the destination-major ``structure``.
     """
     out_shape = (dim_size,) + src.shape[1:]
-    out = np.zeros(out_shape, dtype=np.float32)
     if src.shape[0] == 0 or dim_size == 0:
-        return out
+        return np.zeros(out_shape, dtype=np.float32)
     if structure is None:
         structure = reduction_structure(index, dim_size)
     indptr, perm, _ = structure
     if reduce in ("sum", "mean"):
         # out[n] = sum_i [index[i] == n] * src[i]  ==  M @ src with
         # M[index[i], i] = 1 — one compiled CSR product.
-        return _csr_reduce(structure, src, reduce, operator)
+        return _csr_reduce(structure, src, reduce, operator, keep=keep)
     slots = np.flatnonzero(np.diff(indptr))
     starts = indptr[slots]
     sorted_src = src[perm]
@@ -286,6 +302,7 @@ def _reduce(src: np.ndarray, index: np.ndarray, dim_size: int, reduce: str,
         segment = np.maximum.reduceat(sorted_src, starts, axis=0)
     else:  # min
         segment = np.minimum.reduceat(sorted_src, starts, axis=0)
+    out = np.zeros(out_shape, dtype=np.float32)
     out[slots] = segment.astype(np.float32, copy=False)
     return out
 
@@ -294,7 +311,8 @@ def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
                 reduce: str, operator: Optional[_sp.csr_matrix] = None,
                 src_index: Optional[np.ndarray] = None,
                 scale: Optional[np.ndarray] = None,
-                rows: Optional[_sp.csr_matrix] = None) -> np.ndarray:
+                rows: Optional[_sp.csr_matrix] = None,
+                keep: bool = False):
     """Sum / mean: apply an aggregation operator to ``dense``.
 
     The operator's rows are already destination-major, so no COO sort
@@ -314,17 +332,21 @@ def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
     dense.  Bit for bit the dense result for finite operator values:
     both products start every output element from +0.0 and add its
     products in the operator's stored order, and the terms the sparse
-    one skips are ``a * 0``, which leave a sum unchanged.
+    one skips are ``a * 0``, which leave a sum unchanged.  With
+    ``keep``, a product taken row-sparse is returned as that SciPy CSR
+    (the consumer reads its stored entries); a dense one stays dense.
     """
     if operator is None:
         operator = aggregation_operator(structure, src_index, scale,
                                         dense.shape[0])
     if _sp.issparse(dense):
         if finite_rows(dense):
-            return _row_sparse_product(structure, operator @ dense, reduce)
+            return _row_sparse_product(structure.counts, operator @ dense,
+                                       reduce, keep)
         dense = dense.toarray()      # NaN bits: see takes_row_sparse
     if takes_row_sparse(operator, rows):
-        return _row_sparse_product(structure, operator @ rows, reduce)
+        return _row_sparse_product(structure.counts, operator @ rows,
+                                   reduce, keep)
     summed = np.asarray(operator @ (dense if dense.ndim == 2
                                     else dense[:, None]))
     if reduce == "mean":
@@ -333,13 +355,14 @@ def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
     return result.astype(np.float32, copy=False)
 
 
-def _row_sparse_product(structure: ReductionStructure,
-                        product: _sp.csr_matrix, reduce: str) -> np.ndarray:
-    """The dense sum / mean of an SpGEMM ``product``: mean divides the
-    stored entries by their rows' clamped counts."""
+def _row_sparse_product(counts: np.ndarray, product: _sp.csr_matrix,
+                        reduce: str, keep: bool = False):
+    """The sum / mean of an SpGEMM ``product``: mean divides the stored
+    entries by their rows' clamped ``counts``.  Dense unless ``keep``,
+    when the product itself is handed on."""
     if reduce == "mean":
-        product.data /= np.repeat(structure.counts, np.diff(product.indptr))
-    return product.toarray()
+        product.data /= np.repeat(counts, np.diff(product.indptr))
+    return product if keep else product.toarray()
 
 
 def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
@@ -349,8 +372,8 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
                      block_bytes: int = STREAM_BLOCK_BYTES,
                      structure: Optional[ReductionStructure] = None,
                      operator: Optional[_sp.csr_matrix] = None,
-                     rows: Optional[_sp.csr_matrix] = None
-                     ) -> np.ndarray:
+                     rows: Optional[_sp.csr_matrix] = None,
+                     row_sparse_out: bool = False):
     """Gather-and-reduce without materialising the full message matrix.
 
     Computes exactly ``scatter(source[src_index] * scale[:, None],
@@ -368,8 +391,9 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
     no message is ever stored.  Bit-for-bit because the product rounds
     ``a * x`` to float32 before the add, as the materialised message
     was rounded.  ``rows``, the row-sparse form of ``source``, is
-    multiplied instead where the rule allows (see :func:`_csr_reduce`);
-    max and min ignore it.
+    multiplied instead where the rule allows (see :func:`_csr_reduce`),
+    and that product is returned itself under ``row_sparse_out``; max
+    and min ignore both.
 
     **Max and min** need the messages themselves, so they stream them
     through destination-range blocks sized to ``block_bytes``: edges
@@ -394,7 +418,8 @@ def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
         if structure is None:
             structure = reduction_structure(dst_index, dim_size)
         return _csr_reduce(structure, np.asarray(source, dtype=np.float32),
-                           reduce, operator, src_index, scale, rows)
+                           reduce, operator, src_index, scale, rows,
+                           row_sparse_out)
 
     total_bytes = src_index.size * width * np.dtype(np.float32).itemsize
     if total_bytes <= block_bytes or dim_size <= 1:

@@ -7,11 +7,13 @@ call; here the compute is NumPy's BLAS and the launch record models a
 32x32-tiled shared-memory GEMM.
 
 A first layer's left operand is the graph's own feature matrix, which
-on the citation datasets is 1 % non-zero.  The caller that holds the
-graph passes its resident row-sparse form (``rows=``,
-:meth:`repro.graph.Graph.feature_rows`) and the product runs over the
-stored entries only, through the compiled CSR routine the sparse
-kernels use; the launch record is the dense GEMM's either way, so
+on the citation datasets is 1 % non-zero, and the sum / mean of it a
+layer transforms is a few per cent non-zero.  The caller that holds the
+graph passes ``a`` row-sparse (a SciPy CSR: the resident form
+:meth:`repro.graph.Graph.feature_rows`, or an aggregation's kept
+SpGEMM product) and the product runs over the stored entries only,
+through the compiled CSR routine the sparse kernels use; the launch
+record is the dense GEMM's either way, counted from shapes, so
 simulated figures do not know which route the host took.
 """
 
@@ -22,6 +24,7 @@ import time
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as _sp
 
 from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import EPILOGUE_FP32_PER_ELEMENT, mix_for
@@ -35,14 +38,17 @@ _TILE = 32
 
 def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
           alpha: float = 1.0, beta: float = 0.0, c: Optional[np.ndarray] = None,
-          tag: str = "", activation: Optional[str] = None,
-          rows=None) -> np.ndarray:
+          tag: str = "", activation: Optional[str] = None) -> np.ndarray:
     """Dense matrix multiply ``alpha * a @ b + beta * c + bias``.
 
     Parameters
     ----------
     a, b:
-        Float matrices of shape ``[n, k]`` and ``[k, m]``.
+        Float matrices of shape ``[n, k]`` and ``[k, m]``.  ``a`` may be
+        row-sparse: a SciPy CSR is multiplied over its stored entries
+        (``a @ b`` in the order they are stored), which agrees with the
+        dense product to float32 reassociation; every output row is a
+        function of its own input row alone, whatever the row count.
     bias:
         Optional length-``m`` vector added to every output row (the GNN
         layer bias; fused the way cuBLAS epilogues fuse it).
@@ -61,7 +67,8 @@ def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
         epilogue's extra arithmetic and a ``replaces`` entry naming the
         plain sgemm launch it stands in for.
     """
-    a = np.asarray(a, dtype=np.float32)
+    a = a.tocsr().astype(np.float32, copy=False) if _sp.issparse(a) \
+        else np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
     if a.ndim != 2 or b.ndim != 2:
         raise KernelError(
@@ -83,13 +90,12 @@ def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
             raise KernelError(
                 f"c must have shape {(a.shape[0], b.shape[1])}, got {c.shape}"
             )
-    _check_rows(rows, a)
 
     start = time.perf_counter()
     # The product is this launch's own array: the epilogue below
     # updates it in place, with the roundings of the out-of-place
     # expression ``alpha * (a @ b) + beta * c + bias``.
-    out = a @ b if rows is None else np.asarray(rows @ b)
+    out = np.asarray(a @ b)
     if alpha != 1.0:
         out *= np.float32(alpha)
     if beta != 0.0:
@@ -106,14 +112,6 @@ def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
     if recorder is not None:
         _emit(recorder, a, b, out, duration, tag, epilogue=activation or "")
     return out
-
-
-def _check_rows(rows, dense: np.ndarray) -> None:
-    """Refuse a row-sparse operand that cannot stand for ``dense``."""
-    if rows is not None and rows.shape != dense.shape:
-        raise KernelError(
-            f"row-sparse operand has shape {rows.shape}; the dense "
-            f"operand it stands for has {dense.shape}")
 
 
 def _row_tile_interleave(a_sweep: np.ndarray, b_sweep: np.ndarray,
@@ -146,6 +144,8 @@ def _emit(recorder: L.LaunchRecorder, a, b, out, duration: float,
     arithmetic joins the instruction mix (applied in registers before
     the store — no extra memory traffic) and the record declares the
     plain sgemm launch it replaces, for the fusion trace mapping.
+    Operand sizes come from shapes, so a row-sparse ``a`` records the
+    dense GEMM.
     """
     n, k = a.shape
     m = b.shape[1]
@@ -159,7 +159,7 @@ def _emit(recorder: L.LaunchRecorder, a, b, out, duration: float,
     # every row tile: B recurs at short reuse distance (cache hits), A
     # streams once.  The trace replays that interleaving for as many row
     # tiles as the sample budget allows.
-    a_sweep = L.sequential_lines(a_base, a.size * L.FLOAT_BYTES, cap)
+    a_sweep = L.sequential_lines(a_base, n * k * L.FLOAT_BYTES, cap)
     b_sweep = L.sequential_lines(b_base, b.size * L.FLOAT_BYTES, cap)
     loads = _row_tile_interleave(a_sweep, b_sweep, row_tiles, cap)
     stores = L.sequential_lines(out_base, out.size * L.FLOAT_BYTES, cap)
@@ -176,7 +176,8 @@ def _emit(recorder: L.LaunchRecorder, a, b, out, duration: float,
         loads=loads,
         stores=stores,
         flops=2.0 * fmas + (float(out.size) if epilogue else 0.0),
-        bytes_read=float(L.FLOAT_BYTES) * (a.size * col_tiles + b.size * row_tiles),
+        bytes_read=float(L.FLOAT_BYTES) * (n * k * col_tiles
+                                           + b.size * row_tiles),
         bytes_written=float(out.size * L.FLOAT_BYTES),
         duration_s=duration,
         tag=tag,

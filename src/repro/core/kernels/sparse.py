@@ -16,7 +16,11 @@ instead of materialising the ``[E, f]`` intermediate between two
 launches.  Handed the row-sparse form of their dense operand
 (``rows=``), ``spmm`` and a sum / mean ``fused_gather_scatter``
 multiply it instead where :func:`~repro.core.kernels.scatter.
-takes_row_sparse` says so — bit for bit the dense product.
+takes_row_sparse` says so — bit for bit the dense product — and,
+asked (``row_sparse_out``), hand that SpGEMM product on as it is, for a
+consumer that reads its stored entries
+(:func:`~repro.core.kernels.sgemm.sgemm`).  Every emitter counts
+elements from shapes, so the launch record is the dense kernel's.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ import scipy.sparse as _sp
 from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import EPILOGUE_FP32_PER_ELEMENT, mix_for
 from repro.core.kernels.scatter import REDUCE_OPS, STREAM_BLOCK_BYTES, \
-    ReductionStructure, _check_operator, streaming_reduce, takes_row_sparse
-from repro.core.kernels.sgemm import _check_rows
+    ReductionStructure, _check_operator, _check_rows, streaming_reduce, \
+    takes_row_sparse
 from repro.errors import KernelError
 from repro.graph.formats import CSRMatrix
 
@@ -41,7 +45,8 @@ __all__ = ["spmm", "spgemm", "fused_gather_scatter"]
 def spmm(adjacency: CSRMatrix, dense: np.ndarray,
          bias: Optional[np.ndarray] = None, tag: str = "",
          activation: Optional[str] = None,
-         rows: Optional[_sp.csr_matrix] = None) -> np.ndarray:
+         rows: Optional[_sp.csr_matrix] = None,
+         row_sparse_out: bool = False):
     """Sparse x dense product ``adjacency @ dense``, optional epilogue.
 
     Parameters
@@ -69,6 +74,10 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
         takes_row_sparse` says so the product is ``adjacency @ rows``,
         bit for bit the dense product for finite adjacency values; the
         launch record is the dense product's either way.
+    row_sparse_out:
+        Return a product taken over ``rows`` as that SciPy CSR instead of
+        densifying it, when no epilogue applies (a bias or an activation
+        densifies it).  A dense product is returned dense either way.
     """
     if not isinstance(adjacency, CSRMatrix):
         raise KernelError(
@@ -92,6 +101,9 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
     start = time.perf_counter()
     out = adjacency.matmul(
         rows if takes_row_sparse(adjacency, rows) else dense)
+    if _sp.issparse(out) and not (row_sparse_out and bias is None
+                                  and not activation):
+        out = out.toarray()
     if bias is not None:
         out = out + bias
     out = out.astype(np.float32, copy=False)
@@ -108,10 +120,11 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
 
 
 def _emit_spmm(recorder: L.LaunchRecorder, adjacency: CSRMatrix,
-               dense: np.ndarray, out: np.ndarray, duration: float,
+               dense: np.ndarray, out, duration: float,
                tag: str, epilogue: str = "") -> None:
     nnz = adjacency.nnz
     f = dense.shape[1]
+    out_elements = out.shape[0] * out.shape[1]
     row_bytes = f * L.FLOAT_BYTES
     units = float(nnz) * f
 
@@ -127,24 +140,24 @@ def _emit_spmm(recorder: L.LaunchRecorder, adjacency: CSRMatrix,
         L.sequential_lines(values_base, nnz * L.FLOAT_BYTES, cap),
         L.row_lines(dense_base, sampled_cols, row_bytes),
     ])
-    stores = L.sequential_lines(out_base, out.size * L.FLOAT_BYTES, cap)
+    stores = L.sequential_lines(out_base, out_elements * L.FLOAT_BYTES, cap)
 
     mix = mix_for("spmm", units)
     if epilogue:
         # Epilogue stages run in registers before the store (the sgemm
         # emitter's convention): arithmetic joins the mix, no traffic.
-        mix.fp32 += EPILOGUE_FP32_PER_ELEMENT * out.size
+        mix.fp32 += EPILOGUE_FP32_PER_ELEMENT * out_elements
     recorder.emit(L.KernelLaunch(
         kernel="spmm",
         short_form="sp",
         model="SpMM",
-        threads=max(1, out.size),
+        threads=max(1, out_elements),
         mix=mix,
         loads=loads,
         stores=stores,
-        flops=2.0 * units + (float(out.size) if epilogue else 0.0),
+        flops=2.0 * units + (float(out_elements) if epilogue else 0.0),
         bytes_read=float(L.FLOAT_BYTES) * (nnz * (2 + f) + adjacency.indptr.size),
-        bytes_written=float(out.size * L.FLOAT_BYTES),
+        bytes_written=float(out_elements * L.FLOAT_BYTES),
         duration_s=duration,
         sample_fraction=fraction,
         active_lanes=min(L.WARP_SIZE, max(1, f)),
@@ -162,8 +175,8 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
                          block_bytes: int = STREAM_BLOCK_BYTES,
                          structure: Optional[ReductionStructure] = None,
                          operator: Optional[_sp.csr_matrix] = None,
-                         rows: Optional[_sp.csr_matrix] = None
-                         ) -> np.ndarray:
+                         rows: Optional[_sp.csr_matrix] = None,
+                         row_sparse_out: bool = False):
     """Fused message passing: gather + (scale +) scatter in one launch.
 
     Numerically identical — bit-for-bit — to
@@ -207,6 +220,10 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
         :func:`~repro.core.kernels.scatter.takes_row_sparse` says so,
         bit for bit the dense result for finite operator values; max /
         min ignore it, and the launch record is the same either way.
+    row_sparse_out:
+        Return a sum / mean taken over ``rows`` as its SpGEMM product (a
+        SciPy CSR, mean already divided) instead of densifying it; a
+        dense result is returned dense either way.
     """
     source = np.asarray(source)
     src_index = np.asarray(src_index)
@@ -250,7 +267,8 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
     out = streaming_reduce(source, src_index, dst_index, int(dim_size),
                            reduce=reduce, scale=scale,
                            block_bytes=block_bytes, structure=structure,
-                           operator=operator, rows=rows)
+                           operator=operator, rows=rows,
+                           row_sparse_out=row_sparse_out)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()
@@ -308,7 +326,7 @@ def _emit_fused_gather_scatter(recorder: L.LaunchRecorder,
         flops=elements + scale_elements,
         bytes_read=float(L.FLOAT_BYTES) * (
             elements + 2 * edges + scale_elements),
-        bytes_written=float(out.size * L.FLOAT_BYTES),
+        bytes_written=float(int(np.prod(out.shape)) * L.FLOAT_BYTES),
         duration_s=duration,
         sample_fraction=fraction,
         atomic=True,

@@ -318,17 +318,16 @@ class CSRMatrix(SparseMatrix):
             )
         return (self._vendor() @ x).astype(np.float32, copy=False)
 
-    def matmul(self, x) -> np.ndarray:
+    def matmul(self, x):
         """``A @ X``; a SciPy CSR ``x`` (the row-sparse form of a dense
-        operand) multiplies through the sparse-sparse product and the
-        result is densified."""
+        operand) multiplies through the sparse-sparse product, returned
+        as the float32 SciPy CSR it is."""
         if _sp.issparse(x):
             if x.shape[0] != self.shape[1]:
                 raise GraphFormatError(
                     f"matmul dimension mismatch: matrix has "
                     f"{self.shape[1]} columns, operand has {x.shape[0]} rows")
-            return (self._vendor() @ x).toarray().astype(np.float32,
-                                                         copy=False)
+            return (self._vendor() @ x).astype(np.float32, copy=False)
         x = np.asarray(x, dtype=np.float32)
         if x.ndim != 2:
             raise GraphFormatError(f"matmul expects a 2-D operand, got {x.ndim}-D")

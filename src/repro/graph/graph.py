@@ -16,7 +16,7 @@ import scipy.sparse as _sp
 from repro.errors import GraphFormatError
 from repro.graph.formats import COOMatrix, CSRMatrix, CSCMatrix, DenseMatrix
 
-__all__ = ["Graph", "ROW_SPARSE_STRIDE"]
+__all__ = ["Graph", "ROW_SPARSE_STRIDE", "row_sparse_enough"]
 
 #: A feature matrix is kept row-sparse only at one stored entry per this
 #: many or fewer (``ROW_SPARSE_STRIDE * nnz <= n * k``): at most one
@@ -34,6 +34,14 @@ ROW_SPARSE_STRIDE = 16
 _SCAN_BLOCK_BYTES = 1024 * 1024
 
 
+def row_sparse_enough(nnz: int, n: int, k: int) -> bool:
+    """Whether ``nnz`` stored entries keep an ``[n, k]`` matrix
+    row-sparse: ``ROW_SPARSE_STRIDE * nnz <= n * k``.  The one density
+    rule, for the feature matrix and for the aggregate of it a
+    narrowing ``sgemm`` reads (:class:`repro.plan.PlanExecutor`)."""
+    return ROW_SPARSE_STRIDE * nnz <= n * k
+
+
 def _row_sparse(features: np.ndarray) -> Optional[_sp.csr_matrix]:
     """Row-major CSR of a dense float32 matrix, or ``None`` when it is
     denser than one stored entry per :data:`ROW_SPARSE_STRIDE`.
@@ -44,7 +52,6 @@ def _row_sparse(features: np.ndarray) -> Optional[_sp.csr_matrix]:
     declined after its first block.
     """
     n, k = features.shape
-    budget = (n * k) // ROW_SPARSE_STRIDE
     step = max(1, _SCAN_BLOCK_BYTES // max(1, k * features.itemsize))
     # Counted in int64: the csr_matrix constructor picks the index
     # width from the contents, int32 unless nnz ever passes 2**31.
@@ -57,7 +64,7 @@ def _row_sparse(features: np.ndarray) -> Optional[_sp.csr_matrix]:
         mask = block != 0
         counts = np.count_nonzero(mask, axis=1)
         nnz += int(counts.sum())
-        if nnz > budget:
+        if not row_sparse_enough(nnz, n, k):
             return None
         indptr[lo + 1:lo + 1 + counts.shape[0]] = counts
         flat = np.flatnonzero(mask)

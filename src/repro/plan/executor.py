@@ -48,6 +48,17 @@ gather's one consumer a sum / mean ``ScatterReduce``): ``index_select``
 gathers the stored entries into row-sparse messages and ``scatter``
 reduces them, bit for bit the dense pair, so no ``[E, F]`` message
 matrix is built.
+
+A sum / mean over ``X`` (fused, unfused or ``SpMM``) taken that way is
+an SpGEMM product a few per cent non-zero, and it is handed on as that
+CSR — never densified — when :meth:`PlanExecutor._why_dense` finds
+every consumer an ``SGEMM`` reading it as ``a`` through a weight that
+narrows (``m < k``) and the value is not the plan output, and
+:func:`~repro.graph.graph.row_sparse_enough` (the rule ``X`` itself is
+kept by) holds for the product.  The ``SGEMM`` then multiplies over its
+stored entries, as a first layer multiplies over ``X``'s.  Fused and
+unfused plans hand on the same product, and a batched plan hands each
+member's launch the product that member's solo run would.
 """
 
 from __future__ import annotations
@@ -70,9 +81,11 @@ from repro.core.kernels import (
     spmm,
     takes_row_sparse,
 )
+from repro.core.kernels.scatter import _row_sparse_product
 from repro.core.models.activations import get_activation
 from repro.errors import PlanError
 from repro.graph import Graph, add_self_loops, gcn_edge_weights
+from repro.graph.graph import ROW_SPARSE_STRIDE, row_sparse_enough
 from repro.plan.fusion import _gather_scatter_pair, _single_consumer, \
     _use_counts
 from repro.plan.ir import (
@@ -252,8 +265,11 @@ def describe_features(plan: ExecutionPlan, graph: Graph,
     :class:`PlanExecutor` does — per member for a batched plan's
     ``sgemm``, over the operator the executor hands the kernel (a
     gather's: its fused pair's) — so the report is the decision, not a
-    copy of its rule.  ``resident`` is false for a pipeline that binds
-    a fresh copy of ``X`` on every run.
+    copy of its rule.  Then one line per ``sgemm`` whose ``a`` is a sum
+    / mean of ``X``: the form it will read and why, from
+    :meth:`PlanExecutor._why_dense` and the products
+    :meth:`PlanExecutor._member_products` computes.  ``resident`` is
+    false for a pipeline that binds a fresh copy of ``X`` on every run.
     """
     x = next((ref.vid for ref in plan.inputs if ref.name == "X"), None)
     readers = [op for op in plan.ops if type(op) in _X_READERS
@@ -280,8 +296,7 @@ def describe_features(plan: ExecutionPlan, graph: Graph,
                   f"\u2192 {sparse_bytes / 1e6:.1f} MB)")
     rows = graph.feature_rows(graph.features)
     executor = PlanExecutor()
-    env = executor._structure_env(plan, graph, x) if rows is not None \
-        else {}
+    env = executor._structure_env(plan, graph, x)
     lines = [header]
     for op in readers:
         product = executor._fused_pair(op) \
@@ -306,6 +321,18 @@ def describe_features(plan: ExecutionPlan, graph: Graph,
                      f"{row_sparse_ratio(operator, rows):.3g} {sign} "
                      f"{ROW_SPARSE_RATIO})")
         lines.append(f"  {_X_READERS[type(op)][0]} {op.tag}: {form}")
+    segments = plan.batch.node_segments() if batched \
+        else [(0, graph.num_nodes)]
+    producers = {op.out.vid: op for op in plan.ops if hasattr(op, "out")}
+    for op in plan.ops:
+        aggregate = producers.get(op.a.vid) if isinstance(op, SGEMM) \
+            else None
+        product = None if aggregate is None \
+            else executor._x_product(aggregate, env, graph)
+        if product is not None:
+            lines.append(f"  sgemm {op.tag} (aggregate of X): "
+                         + executor._hand_off_form(aggregate, product, env,
+                                                   graph, members, segments))
     return "\n".join(lines)
 
 
@@ -319,6 +346,15 @@ def _scaled(messages, scale: np.ndarray):
     return _sp.csr_matrix(
         (messages.data * np.repeat(scale, np.diff(messages.indptr)),
          messages.indices, messages.indptr), shape=messages.shape)
+
+
+def _handed(a):
+    """The form an ``sgemm`` reads a kept aggregate in: row-sparse while
+    :func:`~repro.graph.graph.row_sparse_enough` holds for it, densified
+    otherwise (the hand-off's density rule, asked per launch)."""
+    if _sp.issparse(a) and not row_sparse_enough(a.nnz, *a.shape):
+        return a.toarray()
+    return a
 
 
 def _share(kept, members) -> str:
@@ -336,9 +372,10 @@ class PlanExecutor:
         the PyG-like backend uses it to keep its autograd-style tape
         recording per-op bookkeeping exactly as before.  ``result`` is
         a SciPy CSR for a ``Gather`` of ``X`` that takes the row-sparse
-        route; the PyG-like tape never sees one, because that backend
-        binds a fresh copy of ``X`` on every run and so has no resident
-        form to gather from.
+        route and for an aggregate of ``X`` handed on row-sparse; the
+        PyG-like tape never sees one, because that backend binds a
+        fresh copy of ``X`` on every run and so has no resident form to
+        gather from.
     """
 
     def __init__(self, on_op: Optional[Callable] = None):
@@ -353,6 +390,9 @@ class PlanExecutor:
         #: ``{vid: (kind, output position)}`` of the current run's
         #: :data:`RESIDENT_ENDPOINT_KINDS` outputs — set per :meth:`run`.
         self._resident: Dict[int, Tuple[str, int]] = {}
+        #: ``{vid: per-member products}`` of a batched run's aggregates
+        #: of ``X`` kept for their ``SGEMM`` (:meth:`_member_products`).
+        self._kept: Dict[int, list] = {}
 
     def run(self, plan: ExecutionPlan, graph: Graph,
             inputs: Dict[str, Any]) -> np.ndarray:
@@ -372,7 +412,7 @@ class PlanExecutor:
         (:meth:`_segmented_sgemm`).
         """
         self._segments = None
-        self._resident = {}
+        self._resident, self._kept = {}, {}
         self._plan, self._uses = plan, None
         if plan.batch is None and getattr(graph, "num_graphs", 1) > 1:
             # The converse of the checks below: an unstamped plan over
@@ -444,20 +484,28 @@ class PlanExecutor:
         When ``a`` is the packed graph's own feature matrix, member
         ``i`` multiplies through *its* resident rows
         (:meth:`~repro.graph.Graph.feature_rows`), so the launch is
-        that member's solo first-layer launch, route included.
-        Zero-node members contribute an empty block and no arithmetic.
+        that member's solo first-layer launch, route included; a kept
+        aggregate of ``X`` gives it the product the member's solo run
+        hands on (:meth:`_member_products`).  Zero-node members
+        contribute an empty block and no arithmetic.
         """
         total = len(self._segments)
         resident = a is graph.features
+        kept = self._kept.get(op.a.vid)
         parts = []
         for i, (lo, hi) in enumerate(self._segments):
             member = graph.members[i]
+            part = None
+            if kept is not None:
+                part = kept[i]
+            elif resident:
+                part = member.feature_rows(member.features)
+            if part is None:
+                part = a[lo:hi].toarray() if _sp.issparse(a) else a[lo:hi]
             parts.append(sgemm(
-                a[lo:hi], b, bias=bias,
+                _handed(part), b, bias=bias,
                 tag=f"{op.tag}@graph{i + 1}/{total}",
-                activation=op.activation or None,
-                rows=member.feature_rows(member.features)
-                if resident else None))
+                activation=op.activation or None))
         return np.concatenate(parts, axis=0)
 
     # -- op dispatch -------------------------------------------------------
@@ -558,6 +606,116 @@ class PlanExecutor:
             return None
         return _gather_scatter_pair(op, consumer)
 
+    def _x_product(self, op, env: Dict[int, Any], graph: Graph):
+        """The op whose operator multiplies ``X`` when ``op`` is a sum /
+        mean of ``X`` — ``op`` itself (a ``FusedGatherScatter`` or an
+        epilogue-free ``SpMM``), or the fused pair of the gather whose
+        messages a ``ScatterReduce`` reduces (:meth:`_fused_pair`) —
+        else ``None``."""
+        x = graph.features
+        if isinstance(op, ScatterReduce):
+            gather = next((g for g in self._plan.ops if isinstance(g, Gather)
+                           and g.out.vid == op.source.vid), None)
+            if gather is None or env.get(gather.source.vid) is not x:
+                return None
+            return self._fused_pair(gather)
+        if isinstance(op, FusedGatherScatter):
+            return op if op.reduce in ("sum", "mean") \
+                and env.get(op.source.vid) is x else None
+        if isinstance(op, SpMM) and op.bias is None and not op.activation:
+            return op if env.get(op.dense.vid) is x else None
+        return None
+
+    def _why_dense(self, op, env: Dict[int, Any]) -> str:
+        """Why the aggregate ``op`` computes is densified before its
+        consumers read it; ``""`` when its row-sparse product may be
+        handed on: the value is not the plan output, and every consumer
+        is an ``SGEMM`` reading it as ``a`` (and as nothing else)
+        through a constant weight ``[k, m]`` that narrows, ``m < k``.
+        Decided from the plan and the weights' shapes alone; the
+        density rule is asked of each product (:func:`_handed`)."""
+        vid = op.out.vid
+        if vid == self._plan.output.vid:
+            return "plan output"
+        for consumer in self._plan.ops:
+            reads = [ref.vid for ref in consumer.operands()].count(vid)
+            if not reads:
+                continue
+            if not isinstance(consumer, SGEMM) or consumer.a.vid != vid \
+                    or reads > 1:
+                return "non-SGEMM consumer"
+            if consumer.b.vid not in self._plan.constants:
+                return "runtime weight"
+            k, m = np.shape(env[consumer.b.vid])
+            if m >= k:
+                return f"{'square' if m == k else 'widens'}: {k} \u2192 {m}"
+        return ""
+
+    def _member_products(self, product, env: Dict[int, Any], graph: Graph,
+                         members, segments, out=None) -> list:
+        """What each member's solo run of the sum / mean of ``X`` that
+        ``product`` multiplies (:meth:`_x_product`) hands its ``SGEMM``:
+        the SpGEMM product where that run multiplies the member's
+        resident rows, else ``None`` (dense).
+
+        The member's own operator is its diagonal block of the packed
+        one (same entries, same stored order), so
+        :func:`~repro.core.kernels.takes_row_sparse` answers over it as
+        the solo run does.  Rows of a row-sparse packed ``out`` are
+        those products already; the others are multiplied here, so a
+        member's launch never depends on how the packed aggregate was
+        taken.
+        """
+        if isinstance(product, SpMM):
+            operator, reduce = env[product.matrix.vid]._vendor(), "sum"
+        else:
+            operator = self._product_operator(product, env, graph)
+            reduce = product.reduce
+        counts = np.maximum(np.diff(operator.indptr), 1).astype(np.float32)
+        products = []
+        for member, (lo, hi) in zip(members, segments):
+            rows = member.feature_rows(member.features)
+            block = operator[lo:hi, lo:hi]
+            if not takes_row_sparse(block, rows):
+                products.append(None)
+            elif _sp.issparse(out):
+                products.append(out[lo:hi])
+            else:
+                products.append(_row_sparse_product(
+                    counts[lo:hi], block @ rows, reduce, keep=True))
+        return products
+
+    def _hand_off_form(self, op, product, env: Dict[int, Any], graph: Graph,
+                       members, segments) -> str:
+        """``gsuite plan``'s account of the form an ``SGEMM`` reads the
+        aggregate ``op`` of ``X`` in, decided as a run decides it."""
+        why = self._why_dense(op, env)
+        if why:
+            return f"dense ({why})"
+        stored = [p for p in self._member_products(
+            product, env, graph, members, segments) if p is not None]
+        if not stored:
+            return "dense (the aggregate is taken dense)"
+        kept = [p for p in stored if row_sparse_enough(p.nnz, *p.shape)]
+        counted = kept or stored
+        percent = 100.0 * sum(p.nnz for p in counted) / max(
+            1, sum(p.shape[0] * p.shape[1] for p in counted))
+        if not kept:
+            return (f"dense (product nnz/size {percent:.2f} % > "
+                    f"1/{ROW_SPARSE_STRIDE})")
+        return (f"row-sparse{_share(kept, members)} (product nnz/size "
+                f"{percent:.2f} % \u2264 1/{ROW_SPARSE_STRIDE})")
+
+    def _aggregated(self, op, out, keep: bool, product,
+                    env: Dict[int, Any], graph: Graph):
+        """Bind an aggregate's result; a batched run keeping it also
+        keeps each member's product (:meth:`_member_products`)."""
+        env[op.out.vid] = out
+        if keep and self._segments is not None:
+            self._kept[op.out.vid] = self._member_products(
+                product, env, graph, graph.members, self._segments, out)
+        return out
+
     def _gather_rows(self, op: Gather, env: Dict[int, Any],
                      graph: Graph) -> Optional[_sp.csr_matrix]:
         """The resident row-sparse form an unfused gather reads: its
@@ -583,23 +741,25 @@ class PlanExecutor:
                 out = _scaled(out, env[op.scale.vid])
             env[op.out.vid] = out
             return out
+        if isinstance(op, (ScatterReduce, SpMM, FusedGatherScatter)):
+            product = self._x_product(op, env, graph)
+            keep = product is not None and not self._why_dense(op, env)
         if isinstance(op, ScatterReduce):
             source = env[op.source.vid]
             structure, operator = self._aggregation(
                 env, graph, op.reduce, source, op.index)
             out = scatter(source, env[op.index.vid],
                           dim_size=graph.num_nodes, reduce=op.reduce,
-                          tag=op.tag, structure=structure, operator=operator)
-            env[op.out.vid] = out
-            return out
+                          tag=op.tag, structure=structure, operator=operator,
+                          row_sparse_out=keep)
+            return self._aggregated(op, out, keep, product, env, graph)
         if isinstance(op, SpMM):
             bias = env[op.bias.vid] if op.bias is not None else None
             dense = env[op.dense.vid]
             out = spmm(env[op.matrix.vid], dense, bias=bias,
                        tag=op.tag, activation=op.activation or None,
-                       rows=graph.feature_rows(dense))
-            env[op.out.vid] = out
-            return out
+                       rows=graph.feature_rows(dense), row_sparse_out=keep)
+            return self._aggregated(op, out, keep, product, env, graph)
         if isinstance(op, FusedGatherScatter):
             source = env[op.source.vid]
             scale = env[op.scale.vid] if op.scale is not None else None
@@ -611,20 +771,21 @@ class PlanExecutor:
                 env[op.dst_index.vid], dim_size=graph.num_nodes,
                 scale=scale, reduce=op.reduce, tag=op.tag,
                 gather_tag=op.gather_tag, structure=structure,
-                operator=operator, rows=graph.feature_rows(source))
-            env[op.out.vid] = out
-            return out
+                operator=operator, rows=graph.feature_rows(source),
+                row_sparse_out=keep)
+            return self._aggregated(op, out, keep, product, env, graph)
         if isinstance(op, SGEMM):
             bias = env[op.bias.vid] if op.bias is not None else None
             a = env[op.a.vid]
             if (self._segments is not None
-                    and np.asarray(a).shape[0] == graph.num_nodes):
+                    and np.shape(a)[0] == graph.num_nodes):
                 out = self._segmented_sgemm(op, a, env[op.b.vid], bias,
                                             graph)
             else:
-                out = sgemm(a, env[op.b.vid], bias=bias, tag=op.tag,
-                            activation=op.activation or None,
-                            rows=graph.feature_rows(a))
+                rows = graph.feature_rows(a)
+                out = sgemm(_handed(a) if rows is None else rows,
+                            env[op.b.vid], bias=bias, tag=op.tag,
+                            activation=op.activation or None)
             env[op.out.vid] = out
             return out
         if isinstance(op, Activation):

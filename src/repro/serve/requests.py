@@ -111,7 +111,8 @@ class InferenceRequest:
             except DatasetError as exc:
                 raise ServeError(
                     f"request {self.request_id!r}: {exc}") from exc
-        from repro.core.models import get_model_class
+        from repro.core.models import ACTIVATIONS, get_model_class
+        from repro.core.models.base import COMPUTE_MODELS
         try:
             # The batcher prices a queued group by its model class, on
             # the drain task: an unknown name must die here, not there.
@@ -119,6 +120,18 @@ class InferenceRequest:
         except GSuiteError as exc:
             raise ServeError(
                 f"request {self.request_id!r}: {exc}") from exc
+        # Names the build reads only once the request is dequeued, and
+        # the seed a dataset request generates its graph from.
+        for name, known in (("compute_model", COMPUTE_MODELS),
+                            ("activation", tuple(sorted(ACTIVATIONS)))):
+            if getattr(self, name) not in known:
+                raise ServeError(
+                    f"request {self.request_id!r}: unknown {name} "
+                    f"{getattr(self, name)!r}; known: {list(known)}")
+        if self.seed < 0:
+            raise ServeError(
+                f"request {self.request_id!r}: seed must be >= 0, got "
+                f"{self.seed}")
         from repro.frameworks import BACKEND_NAMES, get_backend
         try:
             get_backend(self.framework)

@@ -1,8 +1,10 @@
-"""``sgemm``'s row-sparse operand form and the graph memo behind it.
+"""``sgemm``'s row-sparse left operand and the graph memo behind it.
 
-A first-layer ``sgemm`` whose left operand is the graph's own feature
-matrix multiplies through ``Graph.feature_rows`` — a resident CSR of
-the matrix — instead of BLAS.  The two routes are the suite's one
+``sgemm`` takes its left operand dense or row-sparse (a SciPy CSR).  A
+first-layer ``sgemm`` whose left operand is the graph's own feature
+matrix is handed ``Graph.feature_rows`` — a resident CSR of the matrix —
+and multiplies over its stored entries instead of through BLAS, as does
+one handed a kept sum / mean of it.  The two routes are the suite's one
 by-design *numerical* contract (docs/architecture.md, "Row-sparse first
 layer"): they agree to float32 reassociation, while everything that
 takes the same route twice stays bitwise.
@@ -95,7 +97,7 @@ def test_routes_agree_within_the_documented_bound(drawn, m, seed, alpha,
     kwargs = dict(alpha=alpha, beta=beta, c=c if beta else None,
                   bias=bias if biased else None, activation=activation)
     dense = sgemm(x, w, **kwargs)
-    sparse = sgemm(x, w, rows=_rows(x), **kwargs)
+    sparse = sgemm(_rows(x), w, **kwargs)
     assert sparse.dtype == dense.dtype == np.float32
     assert sparse.shape == dense.shape == (x.shape[0], m)
     magnitude = abs(alpha) * (np.abs(x).astype(np.float64)
@@ -122,8 +124,8 @@ def test_row_count_independence_is_bitwise(drawn, m, seed, cut, biased):
     bias = bias if biased else None
     rows = _rows(x)
     lo, hi = sorted(int(round(f * x.shape[0])) for f in cut)
-    whole = sgemm(x, w, bias=bias, rows=rows)
-    part = sgemm(x[lo:hi], w, bias=bias, rows=rows[lo:hi])
+    whole = sgemm(rows, w, bias=bias)
+    part = sgemm(rows[lo:hi], w, bias=bias)
     assert np.array_equal(part, whole[lo:hi])
 
 
@@ -138,8 +140,7 @@ def test_launch_record_ignores_the_route(drawn, m, seed, activation):
     with record_launches() as dense:
         sgemm(x, w, bias=bias, tag="l0", activation=activation)
     with record_launches() as sparse:
-        sgemm(x, w, bias=bias, tag="l0", activation=activation,
-              rows=_rows(x))
+        sgemm(_rows(x), w, bias=bias, tag="l0", activation=activation)
     assert [launch.fingerprint() for launch in sparse.launches] \
         == [launch.fingerprint() for launch in dense.launches]
     assert len(sparse.launches) == 1
@@ -153,7 +154,7 @@ class TestEdgeGeometry:
             x[:, 1:] = 0.0                    # one entry per row at most
         w = np.full((k, 4), 2.0, dtype=np.float32)
         bias = np.arange(4, dtype=np.float32)
-        out = sgemm(x, w, bias=bias, rows=_rows(x))
+        out = sgemm(_rows(x), w, bias=bias)
         assert out.dtype == np.float32
         assert np.array_equal(out, sgemm(x, w, bias=bias))
         assert out.shape == (n, 4)
@@ -168,16 +169,22 @@ class TestEdgeGeometry:
         rows = _graph(x).feature_rows(x)
         assert rows.nnz == 0
         bias = np.array([1.0, -2.0], dtype=np.float32)
-        out = sgemm(x, np.ones((9, 2), dtype=np.float32), bias=bias,
-                    rows=rows)
+        out = sgemm(rows, np.ones((9, 2), dtype=np.float32), bias=bias)
         assert np.array_equal(out, np.tile(bias, (6, 1)))
 
-    @pytest.mark.parametrize("shape", [(5, 9), (6, 8), (9, 6)])
+    @pytest.mark.parametrize("shape", [(5, 8), (6, 10), (9, 6)])
     def test_rows_of_another_shape_refused(self, shape):
-        x = np.zeros((6, 9), dtype=np.float32)
-        with pytest.raises(KernelError, match="row-sparse operand"):
-            sgemm(x, np.ones((9, 2), dtype=np.float32),
-                  rows=sp.csr_matrix(shape, dtype=np.float32))
+        """A row-sparse ``a`` meets the dense one's dimension check."""
+        with pytest.raises(KernelError, match="dimension mismatch"):
+            sgemm(sp.csr_matrix(shape, dtype=np.float32),
+                  np.ones((9, 2), dtype=np.float32))
+
+    def test_row_sparse_operand_is_read_in_float32(self):
+        """A float64 CSR is cast as a dense float64 ``a`` is."""
+        x = np.array([[0.0, 1.0 / 3.0], [2.0, 0.0]])
+        w = np.array([[3.0], [1.0 / 7.0]], dtype=np.float32)
+        assert np.array_equal(sgemm(sp.csr_matrix(x), w),
+                              sgemm(sp.csr_matrix(x.astype(np.float32)), w))
 
 
 def test_in_place_epilogue_keeps_the_out_of_place_roundings():

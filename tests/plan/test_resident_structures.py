@@ -10,6 +10,7 @@ from importlib import import_module
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import GNNPipeline, SuiteConfig
 from repro.core.kernels import record_launches
@@ -264,14 +265,15 @@ _GCN = SuiteConfig(model="gcn", compute_model="MP", out_features=3)
 
 
 def _rows_seen(monkeypatch):
-    """Every ``rows`` operand the executor hands to ``sgemm``."""
+    """Every row-sparse ``a`` the executor hands to ``sgemm`` (``None``
+    for a dense one)."""
     executor = import_module("repro.plan.executor")
     sgemm = executor.sgemm
     seen = []
 
-    def spy(*args, rows=None, **kwargs):
-        seen.append(rows)
-        return sgemm(*args, rows=rows, **kwargs)
+    def spy(a, *args, **kwargs):
+        seen.append(a if sp.issparse(a) else None)
+        return sgemm(a, *args, **kwargs)
 
     monkeypatch.setattr(executor, "sgemm", spy)
     return seen
@@ -381,9 +383,19 @@ def test_launch_records_are_blind_to_the_aggregation_route(
         == [l.fingerprint() for l in dense.launches]
     if compute_model == "SpMM":
         # The spmm is gcn/SpMM's only reader of X, and its route is
-        # exact: the whole output is bitwise.
+        # exact: its product is the dense route's bit for bit.  The
+        # resident run hands that product to the narrowing W row-sparse,
+        # so the output agrees with the dense run to float32
+        # reassociation.
+        executor = import_module("repro.plan.executor")
+        spmm, products = executor.spmm, []
+        monkeypatch.setattr(executor, "spmm", lambda *a, **k: products.append(
+            spmm(*a, **k)) or products[-1])
         built = pipeline.build()
-        assert np.array_equal(built.run(), built.run(graph.features.copy()))
+        kept, dense = built.run(), built.run(graph.features.copy())
+        assert sp.issparse(products[0]) and not sp.issparse(products[2])
+        assert np.array_equal(products[0].toarray(), products[2])
+        assert np.allclose(kept, dense, rtol=1e-5, atol=1e-6)
 
 
 def test_batched_aggregation_never_scans_the_stacked_copy(monkeypatch):
@@ -466,9 +478,29 @@ def test_unfused_layer0_gathers_the_resident_rows(model, monkeypatch):
     unfused = get_backend("gsuite").build(spec, graph, fuse=False).run()
     fused = get_backend("gsuite").build(spec, graph).run()
     assert gathers == [(f"{model}-l0", True), (f"{model}-l1", False)]
-    assert np.array_equal(answers[("scatter", f"{model}-l0")],
-                          answers[("fusedGatherScatter", f"{model}-l0")])
+    unfused_sum = answers[("scatter", f"{model}-l0")]
+    fused_sum = answers[("fusedGatherScatter", f"{model}-l0")]
+    # sage's mean reaches its narrowing W2 as the SpGEMM product (a
+    # CSR), gin's sum its ``combine`` densely: compared bitwise either
+    # way, stored structure and order included.
+    assert sp.issparse(unfused_sum) == sp.issparse(fused_sum) \
+        == (model == "sage")
+    assert _bitwise(unfused_sum, fused_sum)
     assert np.array_equal(unfused, fused)
+
+
+def _bitwise(a, b) -> bool:
+    """Equal bit for bit: dtype, shape and values of two arrays, or of
+    two CSRs also their stored entries in stored order."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if not sp.issparse(a):
+        return np.array_equal(a, b)
+    return sp.issparse(b) and all(
+        np.array_equal(x, y) for x, y in ((a.indptr, b.indptr),
+                                          (a.indices, b.indices),
+                                          (a.data.view(np.uint32),
+                                           b.data.view(np.uint32))))
 
 
 def _x_aggregation(reduces, scaled=False):

@@ -113,6 +113,31 @@ class TestRequestValidation:
             InferenceRequest(**fields)
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("compute_model", "XX", "unknown compute_model 'XX'"),
+        ("activation", "nope", "unknown activation 'nope'")])
+    def test_unbuildable_names_and_seeds_rejected(self, field, value,
+                                                  message):
+        """A negative seed used to escape as numpy's untyped
+        ``ValueError`` from the dataset generator on submit; an unknown
+        compute model or activation failed only when the request was
+        built, on the drain task."""
+        with pytest.raises(ServeError, match=f"'r1': {message}"):
+            InferenceRequest(request_id="r1", dataset="cora", scale=0.1,
+                             **{field: value})
+        with pytest.raises(ServeError, match=message):
+            InferenceRequest(request_id="r1", graph=_graph(),
+                             out_features=3, **{field: value})
+
+    def test_known_names_construct(self):
+        for compute_model in ("MP", "SpMM"):
+            for activation in ("relu", "sigmoid", "identity"):
+                InferenceRequest(request_id="r1", dataset="cora",
+                                 compute_model=compute_model,
+                                 activation=activation, seed=0)
+
+
 class TestCompatibility:
     def test_pinned_head_width_batches_across_datasets(self):
         a = InferenceRequest(request_id="a", dataset="cora", out_features=8)

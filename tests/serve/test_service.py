@@ -463,6 +463,39 @@ class TestTcpServer:
         assert lines[3]["request_id"] == "ok"
         assert lines[3]["output_shape"] == [10, 4]
 
+    def test_unbuildable_request_gets_an_error_line(self):
+        """A negative seed, an unknown compute model and an unknown
+        activation are refused at construction with an error line, and
+        the next request on the line is answered."""
+        async def scenario():
+            service = InferenceService(SuiteConfig())
+            async with service:
+                ready = asyncio.get_running_loop().create_future()
+                server = asyncio.ensure_future(serve_tcp(
+                    service, port=0, max_requests=4,
+                    ready=ready.set_result))
+                reader, writer = await asyncio.open_connection(*await ready)
+                good = InferenceRequest(request_id="ok", graph=_graph(),
+                                        out_features=4).to_dict()
+                for payload in ({"request_id": "s", "dataset": "cora",
+                                 "scale": 0.1, "seed": -1},
+                                {**good, "compute_model": "XX"},
+                                {**good, "activation": "nope"}, good):
+                    writer.write(json.dumps(payload).encode() + b"\n")
+                await writer.drain()
+                lines = [json.loads(await reader.readline())
+                         for _ in range(4)]
+                writer.close()
+                return lines, await server
+
+        lines, served = asyncio.run(scenario())
+        assert served == 4
+        assert "seed must be >= 0" in lines[0]["error"]
+        assert "unknown compute_model 'XX'" in lines[1]["error"]
+        assert "unknown activation 'nope'" in lines[2]["error"]
+        assert lines[3]["request_id"] == "ok"
+        assert lines[3]["output_shape"] == [10, 4]
+
     def test_integer_past_int64_gets_an_error_line(self):
         async def scenario():
             service = InferenceService(SuiteConfig())

@@ -18,7 +18,7 @@ __all__ = ["power_law_graphs"]
 @st.composite
 def power_law_graphs(draw, min_nodes: int = 6, max_nodes: int = 48,
                      max_avg_degree: int = 5, max_width: int = 12,
-                     width: int = 0):
+                     width: int = 0, row_nnz: int = 0):
     """A random power-law :class:`~repro.graph.Graph` with features.
 
     In-edge destinations follow a Zipf-like law over the node ids, so
@@ -27,6 +27,8 @@ def power_law_graphs(draw, min_nodes: int = 6, max_nodes: int = 48,
     zero is allowed — edgeless graphs and isolated nodes are part of
     the space.  ``width`` pins the feature width instead of drawing it
     (member lists that must batch together share one width).
+    ``row_nnz`` keeps that many non-zeros per feature row, at random
+    columns (a bag-of-words ``X``); ``0`` keeps the rows dense.
     """
     from repro.graph import Graph
 
@@ -48,6 +50,10 @@ def power_law_graphs(draw, min_nodes: int = 6, max_nodes: int = 48,
         perm = rng.permutation(num_nodes)
         src, dst = perm[src], perm[dst]
     features = rng.standard_normal((num_nodes, width)).astype(np.float32)
+    if row_nnz:
+        dropped = np.argsort(rng.random((num_nodes, width)),
+                             axis=1)[:, row_nnz:]
+        np.put_along_axis(features, dropped, 0.0, axis=1)
     return Graph(np.vstack([src, dst]).astype(np.int64),
                  num_nodes=num_nodes, features=features,
                  name=f"powerlaw-{num_nodes}n-{num_edges}e")

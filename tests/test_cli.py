@@ -201,20 +201,38 @@ class TestCommands:
         assert block("--dataset", "cora", "--model", "sage")[1:] == [
             "  fusedGatherScatter sage-l0: row-sparse "
             "(nnz\u00b7k / (nnz + expansion) = 95.9 \u2265 64)",
-            "  sgemm sage-l0: row-sparse"]
+            "  sgemm sage-l0: row-sparse",
+            "  sgemm sage-l0 (aggregate of X): row-sparse "
+            "(product nnz/size 2.88 % \u2264 1/16)"]
         assert block("--dataset", "cora", "--model", "gcn",
                      "--compute-model", "SpMM")[1:] == [
             "  spmm gcn-l0: row-sparse "
-            "(nnz\u00b7k / (nnz + expansion) = 95.9 \u2265 64)"]
+            "(nnz\u00b7k / (nnz + expansion) = 95.9 \u2265 64)",
+            "  sgemm gcn-l0 (aggregate of X): row-sparse "
+            "(product nnz/size 2.88 % \u2264 1/16)"]
         assert block("--dataset", "reddit", "--scale", "0.02", "--model",
                      "gin", "--compute-model", "SpMM") == [
-            "features: dense (100 %)", "  spmm gin-l0: dense"]
+            "features: dense (100 %)", "  spmm gin-l0: dense",
+            "  sgemm gin-l0 (aggregate of X): dense (square: 602 \u2192 602)"]
+        # The sum / mean of X a layer transforms: handed to a narrowing
+        # W2 as the SpGEMM product, densified for GIN's square W1.
+        assert block("--dataset", "pubmed", "--model", "sage")[3:] == [
+            "  sgemm sage-l0 (aggregate of X): row-sparse "
+            "(product nnz/size 3.18 % \u2264 1/16)"]
+        assert block("--dataset", "cora", "--model", "gin",
+                     "--compute-model", "SpMM")[1:] == [
+            "  spmm gin-l0: row-sparse "
+            "(nnz\u00b7k / (nnz + expansion) = 95.9 \u2265 64)",
+            "  sgemm gin-l0 (aggregate of X): dense "
+            "(square: 1433 \u2192 1433)"]
         # The unfused gather asks the rule its fused pair would ask.
         assert block("--no-fuse", "--dataset", "pubmed", "--model",
                      "sage")[1:] == [
             "  indexSelect sage-l0: row-sparse "
             "(nnz\u00b7k / (nnz + expansion) = 83.6 \u2265 64)",
-            "  sgemm sage-l0: row-sparse"]
+            "  sgemm sage-l0: row-sparse",
+            "  sgemm sage-l0 (aggregate of X): row-sparse "
+            "(product nnz/size 3.18 % \u2264 1/16)"]
         assert block("--no-fuse", "--dataset", "cora", "--scale", "0.1",
                      "--model", "gin")[1:] == [
             "  indexSelect gin-l0: row-sparse "
