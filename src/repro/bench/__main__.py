@@ -1,7 +1,7 @@
 """``python -m repro.bench`` — regenerate every paper artifact.
 
-Accepts the harness flags: ``--jobs N``, ``--profile NAME``,
-``--no-cache``, ``--clear-cache``.
+Accepts the harness flags: ``--profile NAME``, ``--no-cache``,
+``--clear-cache``.
 """
 
 from repro.bench.harness import main

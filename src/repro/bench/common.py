@@ -11,9 +11,8 @@ and timing from ``results/.cache`` instead of recomputing it.
 The expensive unit of work is a :class:`WorkCell` — one (kind, model,
 dataset, computational model, framework) combination.  Experiment
 drivers declare the cells they need via their ``cells(profile)`` hook;
-the parallel engine (:mod:`repro.bench.engine`) computes cells on a
-worker pool and seeds the results back into this module's memo tables
-with :func:`seed_cell`.
+the engine (:mod:`repro.bench.engine`) computes each once with
+:func:`compute_cell`, which fills this module's memo tables.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "profile_results",
     "measured_times",
     "compute_cell",
-    "seed_cell",
     "merge_sim_by_kernel",
     "clear_bench_cache",
 ]
@@ -248,7 +246,7 @@ def measured_times(model: str, dataset: str, compute_model: str,
 
 
 # ---------------------------------------------------------------------------
-# WorkCell execution — the engine's worker-side and merge-side interface
+# WorkCell execution — the engine's interface
 # ---------------------------------------------------------------------------
 
 _CELL_FUNCS = {
@@ -258,16 +256,9 @@ _CELL_FUNCS = {
     "timing": measured_times,
 }
 
-_CELL_MEMOS = {
-    "record": _LAUNCHES,
-    "sim": _SIMS,
-    "profile": _PROFS,
-    "timing": _TIMES,
-}
-
 
 def compute_cell(cell: WorkCell, profile: BenchProfile):
-    """Compute (or load) one cell's value in the current process."""
+    """Compute (or load) one cell's value and memoise it."""
     try:
         func = _CELL_FUNCS[cell.kind]
     except KeyError:
@@ -275,13 +266,6 @@ def compute_cell(cell: WorkCell, profile: BenchProfile):
                          f"known: {sorted(_CELL_FUNCS)}") from None
     return func(cell.model, cell.dataset, cell.compute_model, profile,
                 framework=cell.framework)
-
-
-def seed_cell(cell: WorkCell, profile: BenchProfile, value) -> None:
-    """Install a worker-computed cell value into this process's memos."""
-    memo = _CELL_MEMOS[cell.kind]
-    memo[_key(cell.model, cell.dataset, cell.compute_model, profile,
-              cell.framework)] = value
 
 
 def merge_sim_by_kernel(results: List[SimResult]) -> Dict[str, dict]:

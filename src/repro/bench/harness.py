@@ -2,10 +2,10 @@
 
 ``python -m repro.bench`` regenerates all nine paper artifacts under
 ``results/`` and prints a pass/fail summary of the qualitative checks.
-Heavy lifting is delegated to :mod:`repro.bench.engine`, which fans the
-expensive recording/simulation cells across a worker pool (``--jobs``)
-and keeps a persistent trace cache warm between runs (``--no-cache`` /
-``--clear-cache`` to opt out / reset).
+Heavy lifting is delegated to :mod:`repro.bench.engine`, which computes
+each recording/simulation cell once and keeps a persistent trace cache
+warm between runs (``--no-cache`` / ``--clear-cache`` to opt out /
+reset).
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     Shared by ``python -m repro.bench`` and the ``gsuite bench``
     subcommand so the two entry points cannot drift.
     """
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes for the benchmark engine "
-                             "(default 1 = serial)")
     parser.add_argument("--profile", default=None, choices=sorted(PROFILES),
                         help="benchmark sizing profile (default: "
                              "GSUITE_PROFILE env var, then 'ci')")
@@ -41,23 +38,19 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                         help="delete all cached traces/results, then run")
 
 
-def run_all(profile: Optional[BenchProfile] = None,
-            stream=None, jobs: int = 1,
+def run_all(profile: Optional[BenchProfile] = None, stream=None,
             use_cache: bool = True) -> Dict[str, Dict[str, bool]]:
     """Run every experiment; returns ``{experiment: {check: ok}}``.
 
     Tables are written to ``results/<experiment>.txt`` and echoed to
-    ``stream`` (default stdout).  ``jobs > 1`` fans the expensive cells
-    across a worker pool; the tables are identical either way.
+    ``stream`` (default stdout).
     """
-    report = run_suite(profile=profile, jobs=jobs, use_cache=use_cache,
-                       stream=stream)
+    report = run_suite(profile=profile, use_cache=use_cache, stream=stream)
     return report.checks
 
 
-def run_bench(profile_name: Optional[str] = None, jobs: int = 1,
-              use_cache: bool = True, clear_cache: bool = False,
-              stream=None) -> int:
+def run_bench(profile_name: Optional[str] = None, use_cache: bool = True,
+              clear_cache: bool = False, stream=None) -> int:
     """Full benchmark campaign; exit code 1 if any qualitative check failed."""
     stream = stream or sys.stdout
     if clear_cache:
@@ -65,11 +58,9 @@ def run_bench(profile_name: Optional[str] = None, jobs: int = 1,
         print(f"cleared {removed} cache entries under {get_cache().root}",
               file=stream)
     profile = active_profile(profile_name)
-    print(f"Running all experiments under profile {profile.name!r} "
-          f"with {jobs} job(s)"
+    print(f"Running all experiments under profile {profile.name!r}"
           f"{'' if use_cache else ' (cache disabled)'}\n", file=stream)
-    report = run_suite(profile=profile, jobs=jobs, use_cache=use_cache,
-                       stream=stream)
+    report = run_suite(profile=profile, use_cache=use_cache, stream=stream)
     failed = [f"{exp}:{check}"
               for exp, checks in report.checks.items()
               for check, ok in checks.items() if not ok]
@@ -94,7 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; exit code 1 if any qualitative check failed."""
     args = build_parser().parse_args(argv)
     try:
-        return run_bench(profile_name=args.profile, jobs=args.jobs,
+        return run_bench(profile_name=args.profile,
                          use_cache=not args.no_cache,
                          clear_cache=args.clear_cache)
     except GSuiteError as exc:

@@ -11,8 +11,8 @@ that hashes *all* of those inputs, so
 * a warm ``python -m repro.bench`` run loads everything from disk;
 * any change to a relevant source file, config field or seed produces a
   different key and transparently recomputes;
-* worker processes of the parallel engine share results through the
-  filesystem without coordination (writes are atomic renames);
+* writes are atomic renames, so a crash mid-write never leaves a
+  half-written entry under its final name;
 * every entry is **integrity-checked**: the record pickle is framed by
   a magic tag and its SHA-256 digest, so a truncated or bit-flipped
   file is detected on read, moved aside into ``<root>/quarantine/`` and
@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import CacheIntegrityError
-from repro.faults import active_faults
 
 __all__ = [
     "KINDS",
@@ -186,13 +185,6 @@ class CacheStats:
     stores: int = 0
     corrupt: int = 0   # entries that failed their checksum (quarantined)
 
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate another stats record (e.g. from a worker process)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.corrupt += other.corrupt
-
     def to_dict(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "stores": self.stores, "corrupt": self.corrupt}
@@ -311,9 +303,6 @@ class TraceCache:
             tmp.unlink(missing_ok=True)
             return
         self.stats.stores += 1
-        plan = active_faults()
-        if plan is not None:
-            plan.maybe_truncate(path, f"{kind}:{key}")
 
     def _quarantine(self, path: Path, kind: str) -> None:
         """Move a corrupt file aside so it is never re-read (best effort).
@@ -469,7 +458,7 @@ def get_cache() -> TraceCache:
 
 def configure_cache(root: Optional[Path] = None,
                     enabled: Optional[bool] = None) -> TraceCache:
-    """Replace the process-wide cache (CLI flags, tests, workers)."""
+    """Replace the process-wide cache (CLI flags, tests)."""
     global _DEFAULT
     current = get_cache()
     _DEFAULT = TraceCache(

@@ -10,7 +10,7 @@ Build and exercise a GNN pipeline by passing a few parameters::
     gsuite profile  --model gcn --dataset reddit --scale 0.01
     gsuite datasets
     gsuite kernels
-    gsuite bench --jobs 4   # regenerate every paper table/figure
+    gsuite bench            # regenerate every paper table/figure
     gsuite cache info       # inspect the persistent trace cache
     gsuite serve --port 8753                 # JSON-lines inference service
     gsuite loadgen --concurrency 4 --requests 8 --datasets cora,pubmed
@@ -381,8 +381,7 @@ def _cmd_kernels(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro.bench.harness import run_bench
-    return run_bench(profile_name=args.profile, jobs=args.jobs,
-                     use_cache=not args.no_cache,
+    return run_bench(profile_name=args.profile, use_cache=not args.no_cache,
                      clear_cache=args.clear_cache)
 
 

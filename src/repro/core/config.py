@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Optional
@@ -201,11 +202,15 @@ class SuiteConfig:
     @classmethod
     def from_dict(cls, params: dict) -> "SuiteConfig":
         """Build a config from a parameter dict, rejecting unknown keys."""
+        if not isinstance(params, Mapping):
+            raise ConfigError(
+                f"configuration must be a mapping, got "
+                f"{type(params).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(params) - known
         if unknown:
             raise ConfigError(
-                f"unknown configuration keys: {sorted(unknown)}; "
+                f"unknown configuration keys: {sorted(unknown, key=repr)}; "
                 f"known: {sorted(known)}"
             )
         return cls(**params)

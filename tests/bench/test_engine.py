@@ -1,6 +1,8 @@
-"""Tests for the parallel benchmark engine and the harness CLI wiring."""
+"""Tests for the benchmark engine and the harness CLI wiring."""
 
 import io
+import shutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro import cache as trace_cache
 from repro.bench import engine
 from repro.bench.common import WorkCell, clear_bench_cache
 from repro.bench.harness import build_parser, run_all
+from repro.bench.harness import main as bench_main
 from repro.bench.profiles import PROFILES, BenchProfile, active_profile
 from repro.cli import build_parser as cli_parser
 from repro.errors import ConfigError
@@ -50,65 +53,25 @@ class TestCollectCells:
         assert len(mp_sims) == len(set(mp_sims))
         assert WorkCell("sim", "gcn", "cora", "MP") in mp_sims
 
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ConfigError):
-            engine.run_suite(TINY, jobs=0, stream=io.StringIO())
-
 
 def _table_files(base):
     return sorted(p.name for p in base.glob("*.txt"))
 
 
-def _square(value):
-    return value * value
-
-
-class TestWorkerPool:
-    """The pool facade behind the engine's cell fan-out."""
-
-    def test_serial_fast_path_runs_in_process(self):
-        from repro.bench.pool import WorkerPool
-        with WorkerPool(1) as pool:
-            assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-            assert pool._pool is None          # no processes were forked
-
-    def test_single_task_never_pools(self):
-        from repro.bench.pool import WorkerPool
-        with WorkerPool(4) as pool:
-            assert pool.map(_square, [5]) == [25]
-            assert pool._pool is None
-
-    def test_parallel_map_preserves_order_and_reuses_pool(self):
-        from repro.bench.pool import WorkerPool
-        with WorkerPool(2) as pool:
-            assert pool.map(_square, list(range(6))) == [
-                v * v for v in range(6)]
-            first = pool._pool
-            assert first is not None
-            pool.map(_square, [7, 8])
-            assert pool._pool is first         # lazily created once
-        assert pool._pool is None              # context exit closed it
-
-    def test_rejects_bad_jobs(self):
-        from repro.bench.pool import WorkerPool
-        with pytest.raises(ConfigError):
-            WorkerPool(0)
-
-
 @pytest.fixture(scope="module")
 def cold_run(tmp_path_factory):
-    """One cold serial suite run, shared by every test that only needs
+    """One cold suite run, shared by every test that only needs
     something to be warm against: (report, cache root, tables dir)."""
     base = tmp_path_factory.mktemp("cold-suite")
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("GSUITE_CACHE_DIR", str(base / "cache"))
         trace_cache.reset_cache()
         clear_bench_cache()
-        report = engine.run_suite(TINY, jobs=1, stream=io.StringIO(),
-                                  results_base=str(base / "serial"))
+        report = engine.run_suite(TINY, stream=io.StringIO(),
+                                  results_base=str(base / "cold"))
     trace_cache.reset_cache()
     clear_bench_cache()
-    return report, base / "cache", base / "serial"
+    return report, base / "cache", base / "cold"
 
 
 @pytest.fixture
@@ -119,38 +82,29 @@ def warm_cache(cold_run, monkeypatch):
     return trace_cache.get_cache()
 
 
-class TestParallelParity:
-    """A parallel warm run reproduces the serial run byte for byte."""
+#: The tables that hold no wall-clock number (fig3 and fig4 read
+#: measured times): a recomputed cell must leave them byte-identical.
+_CLOCK_FREE = ("table2", "table4", "fig5", "fig6", "fig7", "fig8", "fig9")
 
-    def test_parallel_tables_identical_to_serial(self, cold_run, warm_cache,
-                                                 tmp_path):
-        cold, _, serial_dir = cold_run
-        assert cold.cache_stats.stores > 0
-        assert len(cold.cell_timings) == len(engine.collect_cells(TINY))
 
-        warm = engine.run_suite(TINY, jobs=2, stream=io.StringIO(),
-                                results_base=str(tmp_path))
-        assert warm.jobs == 2
-        assert warm.cache_stats.hits > 0
-        assert warm.cache_stats.misses == 0
+def _quiet_run(base):
+    clear_bench_cache()
+    return engine.run_suite(TINY, stream=io.StringIO(),
+                            results_base=str(base))
 
-        names = _table_files(serial_dir)
-        assert names == _table_files(tmp_path)
-        assert set(names) == {f"{name}.txt" for name in engine.EXPERIMENTS}
-        for name in names:
-            assert (serial_dir / name).read_bytes() == \
-                (tmp_path / name).read_bytes(), name
 
+class TestWarmRun:
     def test_warm_run_is_all_cache_hits(self, cold_run, warm_cache, tmp_path):
         """Warm means nothing is computed — pinned by cache accounting,
-        not by comparing two wall-clock totals."""
-        cold = cold_run[0]
+        not by comparing two wall-clock totals — and every table comes
+        out byte for byte."""
+        cold, _, cold_dir = cold_run
+        assert len(cold.cell_timings) == len(engine.collect_cells(TINY))
         assert not any(t.cached for t in cold.cell_timings)
         assert cold.cache_stats.misses > 0 and cold.cache_stats.stores > 0
 
         stats_before, enabled_before = warm_cache.stats, warm_cache.enabled
-        warm = engine.run_suite(TINY, jobs=1, stream=io.StringIO(),
-                                results_base=str(tmp_path))
+        warm = _quiet_run(tmp_path)
         assert all(t.cached for t in warm.cell_timings)
         assert len(warm.cell_timings) == len(cold.cell_timings)
         assert warm.cache_stats.hits >= len(warm.cell_timings)
@@ -159,27 +113,72 @@ class TestParallelParity:
         assert warm_cache.stats is stats_before
         assert warm_cache.enabled is enabled_before
 
+        names = _table_files(cold_dir)
+        assert names == _table_files(tmp_path)
+        assert set(names) == {f"{name}.txt" for name in engine.EXPERIMENTS}
+        for name in names:
+            assert (cold_dir / name).read_bytes() == \
+                (tmp_path / name).read_bytes(), name
+
     def test_run_all_returns_checks(self, warm_cache):
-        checks = run_all(TINY, stream=io.StringIO(), jobs=2)
+        checks = run_all(TINY, stream=io.StringIO())
         assert set(checks) == set(engine.EXPERIMENTS)
         for per_experiment in checks.values():
             assert per_experiment  # every experiment asserts something
 
 
+class TestDamagedCache:
+    def test_truncated_entries_are_quarantined_and_recomputed(
+            self, cold_run, tmp_path, monkeypatch):
+        """Cache integrity on real files: truncate one record, one sim
+        and one profile entry of a cold run's cache on disk; the warm
+        run quarantines each, recomputes it and writes the clock-free
+        tables byte for byte, and the run after that is all hits."""
+        root = tmp_path / "cache"
+        shutil.copytree(cold_run[1], root)
+        damaged = []
+        for kind in ("record", "sim", "profile"):
+            path = sorted((root / kind).glob("*.pkl"))[0]
+            data = path.read_bytes()
+            path.write_bytes(data[:len(data) // 2])
+            damaged.append(f"{kind}-{path.name}")
+        monkeypatch.setenv("GSUITE_CACHE_DIR", str(root))
+        trace_cache.reset_cache()
+
+        warm = _quiet_run(tmp_path / "warm")
+        assert warm.cache_stats.corrupt == len(damaged)
+        assert sorted(p.name for p in (root / "quarantine").iterdir()) == \
+            sorted(damaged)
+        for name in _CLOCK_FREE:
+            assert (cold_run[2] / f"{name}.txt").read_bytes() == \
+                (tmp_path / "warm" / f"{name}.txt").read_bytes(), name
+
+        third = _quiet_run(tmp_path / "third")
+        assert all(t.cached for t in third.cell_timings)
+        assert third.cache_stats.misses == third.cache_stats.corrupt == 0
+
+
 class TestEnvKillSwitch:
-    def test_gsuite_cache_0_beats_programmatic_opt_in(self, monkeypatch):
-        """GSUITE_CACHE=0 must disable caching even when the engine asks
+    def test_gsuite_cache_0_beats_programmatic_opt_in(self, monkeypatch,
+                                                      tmp_path):
+        """GSUITE_CACHE=0 must disable caching even when the suite asks
         for use_cache=True (the env var is the documented kill switch)."""
-        from repro import cache as trace_cache
         monkeypatch.setenv("GSUITE_CACHE", "0")
         trace_cache.reset_cache()
         cell = WorkCell("record", "gcn", "cora", "MP")
-        _, value, _, delta, _ = engine._execute_cell((cell, TINY, True))
-        assert value  # the work still happened
-        assert delta.to_dict() == {"hits": 0, "misses": 0, "stores": 0,
-                                   "corrupt": 0}
-        root = trace_cache.get_cache().root
-        assert not root.exists() or not any(root.rglob("*.pkl"))
+        one_cell = SimpleNamespace(
+            cells=lambda profile: [cell], rows=lambda profile: [],
+            render=lambda profile: "", checks=lambda rows: {})
+        monkeypatch.setattr(engine, "EXPERIMENTS", {"one": one_cell})
+        report = engine.run_suite(TINY, use_cache=True, stream=io.StringIO(),
+                                  results_base=str(tmp_path))
+        assert [t.cell for t in report.cell_timings] == [cell]
+        assert not report.cell_timings[0].cached  # the work still happened
+        assert report.cache_stats.to_dict() == {
+            "hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
+        cache = trace_cache.get_cache()
+        assert not cache.enabled
+        assert not cache.root.exists() or not any(cache.root.rglob("*.pkl"))
 
 
 class TestProfileSelection:
@@ -199,16 +198,27 @@ class TestProfileSelection:
 
 class TestCliWiring:
     def test_bench_flags(self):
-        args = build_parser().parse_args(
-            ["--jobs", "4", "--profile", "full", "--no-cache"])
-        assert args.jobs == 4
+        args = build_parser().parse_args(["--profile", "full", "--no-cache"])
         assert args.profile == "full"
         assert args.no_cache and not args.clear_cache
 
     def test_gsuite_bench_flags(self):
-        args = cli_parser().parse_args(["bench", "-j", "2", "--clear-cache"])
+        args = cli_parser().parse_args(["bench", "--clear-cache"])
         assert args.command == "bench"
-        assert args.jobs == 2 and args.clear_cache
+        assert args.clear_cache and not args.no_cache
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--jobs", "2"], ["bench", "-j", "2"], ["--jobs", "2"],
+    ])
+    def test_removed_jobs_flag_exits_2(self, capsys, argv):
+        """The worker pool is gone: ``gsuite bench`` and ``python -m
+        repro.bench`` refuse ``--jobs`` / ``-j`` by name."""
+        from repro.cli import main
+        entry = main if argv[0] == "bench" else bench_main
+        with pytest.raises(SystemExit) as exit_:
+            entry(argv)
+        assert exit_.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
 
     def test_gsuite_cache_subcommand(self):
         assert cli_parser().parse_args(["cache"]).action == "info"

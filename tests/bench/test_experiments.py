@@ -93,6 +93,15 @@ class TestFig4:
         assert len(fig4.render(MICRO).splitlines()[1].split()) \
             == len(fig4.HEADERS)
 
+    def test_model_check_reads_no_wall_clock(self):
+        """The thresholded GCN-vs-GIN comparison holds whatever the
+        measured shares say, even when both rows' shares are equal."""
+        rows = fig4.rows(MICRO)
+        assert fig4.checks(rows)["model_is_determinative_factor"]
+        skewed = [r[:3] + (0.25, 0.25, 0.25, 0.25) + r[7:]
+                  if r[0] == "gSuite-MP" else r for r in rows]
+        assert fig4.checks(skewed)["model_is_determinative_factor"]
+
 
 class TestFig5:
     def test_panels_and_invariants(self):

@@ -8,17 +8,11 @@ nothing the suite records or simulates ever lands in the repository's
 import pytest
 
 from repro import cache as trace_cache
-from repro import faults
 
 
 @pytest.fixture(autouse=True)
 def _isolated_trace_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("GSUITE_CACHE_DIR", str(tmp_path / "trace-cache"))
-    # Fault injection must never leak between tests (or in from the
-    # developer's shell): disarm the global plan and drop the env var.
-    monkeypatch.delenv("GSUITE_FAULTS", raising=False)
-    faults.deactivate()
     trace_cache.reset_cache()
     yield
-    faults.deactivate()
     trace_cache.reset_cache()

@@ -75,6 +75,16 @@ class TestValidation:
             SuiteConfig.from_dict({"modle": "gcn"})
         assert "modle" in str(err.value)
 
+    @pytest.mark.parametrize("params", [
+        [], 1, None, "x", ("model", "gcn"), [("model", "gcn")], 1.5,
+        {1: "gcn", "modle": "gcn"},
+    ])
+    def test_from_dict_refuses_non_mappings(self, params):
+        """Anything but a mapping of field names is a ConfigError, never
+        a bare TypeError (a non-string key included)."""
+        with pytest.raises(ConfigError):
+            SuiteConfig.from_dict(params)
+
     @pytest.mark.parametrize("key,value", [
         ("shards", 2), ("partitioner", "rows"), ("jobs", 2),
         ("task_timeout", 1.0), ("faults", "worker_crash"),

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import SuiteConfig
 from repro.errors import ConfigError, GSuiteError, ServeError
-from repro.faults import parse_faults
 from repro.graph import Graph
 from repro.serve import (
     InferenceRequest,
@@ -340,27 +339,6 @@ class TestServeModes:
         service = InferenceService(SuiteConfig())
         with pytest.raises(ServeError, match="not started"):
             asyncio.run(service.submit(_requests((4,))[0]))
-
-
-class TestFaultSpecs:
-    def test_spec_round_trip(self):
-        plan = parse_faults("seed=9;worker_crash:p=0.25;cache_truncate:p=1")
-        again = parse_faults(plan.render())
-        assert again.render() == plan.render()
-        assert again.seed == 9
-        assert again.specs["worker_crash"].probability == 0.25
-
-    def test_decisions_are_deterministic(self):
-        a = parse_faults("seed=3;cache_truncate:p=0.5")
-        b = parse_faults("seed=3;cache_truncate:p=0.5")
-        keys = [f"r{i}" for i in range(32)]
-        assert [a.decide("cache_truncate", k) for k in keys] == \
-            [b.decide("cache_truncate", k) for k in keys]
-        assert a.injected("cache_truncate") > 0       # seed fires sometimes
-
-    def test_unknown_site_still_refused(self):
-        with pytest.raises(ConfigError, match="unknown fault site"):
-            parse_faults("request_dorp:p=1")
 
 
 class TestTcpServer:
