@@ -64,7 +64,6 @@ class SuiteReport:
     """Everything one suite run produced, for the harness summary."""
 
     checks: Dict[str, Dict[str, bool]] = field(default_factory=dict)
-    experiment_seconds: Dict[str, float] = field(default_factory=dict)
     cell_timings: List[CellTiming] = field(default_factory=list)
     cache_stats: CacheStats = field(default_factory=CacheStats)
     total_seconds: float = 0.0
@@ -128,7 +127,6 @@ def run_suite(profile: Optional[BenchProfile] = None, use_cache: bool = True,
             path = write_result(name, table, base=results_base)
             report.checks[name] = checks
             elapsed = time.perf_counter() - start
-            report.experiment_seconds[name] = elapsed
             print(table, file=stream)
             print(f"[{name}] wrote {path} in {elapsed:.1f}s; checks:",
                   file=stream)

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.bench.engine import EXPERIMENTS, run_suite
-from repro.bench.profiles import BenchProfile, PROFILES, active_profile
+from repro.bench.profiles import PROFILES, active_profile
 from repro.cache import get_cache
 from repro.errors import GSuiteError
 
-__all__ = ["EXPERIMENTS", "run_all", "run_bench", "add_bench_arguments",
-           "main"]
+__all__ = ["EXPERIMENTS", "run_bench", "add_bench_arguments", "main"]
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
@@ -36,17 +35,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                         help="bypass the persistent trace cache entirely")
     parser.add_argument("--clear-cache", action="store_true",
                         help="delete all cached traces/results, then run")
-
-
-def run_all(profile: Optional[BenchProfile] = None, stream=None,
-            use_cache: bool = True) -> Dict[str, Dict[str, bool]]:
-    """Run every experiment; returns ``{experiment: {check: ok}}``.
-
-    Tables are written to ``results/<experiment>.txt`` and echoed to
-    ``stream`` (default stdout).
-    """
-    report = run_suite(profile=profile, use_cache=use_cache, stream=stream)
-    return report.checks
 
 
 def run_bench(profile_name: Optional[str] = None, use_cache: bool = True,

@@ -21,7 +21,6 @@ from repro.core.kernels.scatter import (
     reduction_structure,
     row_sparse_ratio,
     scatter,
-    streaming_reduce,
     takes_row_sparse,
 )
 from repro.core.kernels.sgemm import sgemm
@@ -57,6 +56,5 @@ __all__ = [
     "sgemm",
     "spgemm",
     "spmm",
-    "streaming_reduce",
     "takes_row_sparse",
 ]

@@ -2,14 +2,14 @@
 
 "Reduces given input based-on index vector using entries" — the
 aggregation step of message passing: per-edge messages land in their
-destination node's accumulator under an atomic reduction (sum / mean /
-max / min).  A sum / mean also reduces messages gathered row-sparse
-(``index_select(..., rows=)``), bit for bit the dense messages' result.
+destination node's accumulator under an atomic sum or mean, applied as
+one product with the CSR aggregation operator.  Messages gathered
+row-sparse (``index_select(..., rows=)``) reduce bit for bit as the
+dense messages do.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from typing import NamedTuple, Optional
 
@@ -20,18 +20,12 @@ from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import mix_for
 from repro.errors import KernelError
 
-__all__ = ["scatter", "streaming_reduce", "ReductionStructure",
-           "reduction_structure", "aggregation_operator", "REDUCE_OPS",
-           "ROW_SPARSE_RATIO", "STREAM_BLOCK_BYTES", "finite_rows",
-           "row_sparse_ratio", "takes_row_sparse"]
+__all__ = ["scatter", "ReductionStructure", "reduction_structure",
+           "aggregation_operator", "REDUCE_OPS", "ROW_SPARSE_RATIO",
+           "finite_rows", "row_sparse_ratio", "takes_row_sparse"]
 
 #: Supported reduction operators.
-REDUCE_OPS = ("sum", "mean", "max", "min")
-
-#: Per-block message budget of :func:`streaming_reduce`'s max / min
-#: path: one destination block's gathered messages should stay
-#: last-level-cache resident between the gather and its reduction.
-STREAM_BLOCK_BYTES = 4 * 1024 * 1024
+REDUCE_OPS = ("sum", "mean")
 
 #: An aggregation multiplies the resident row-sparse form of its dense
 #: operand only when the dense product's multiply-adds (``nnz * k``)
@@ -158,19 +152,14 @@ def _check_rows(rows, dense: np.ndarray) -> None:
             f"operand it stands for has {dense.shape}")
 
 
-def _check_operator(operator: _sp.csr_matrix, reduce: str, dim_size: int,
+def _check_operator(operator: _sp.csr_matrix, dim_size: int,
                     sources: int, edges: int) -> None:
     """Refuse an aggregation operator that cannot be this call's.
 
-    O(1): a sum / mean reduce, the ``(dim_size, sources)`` shape and
-    one stored entry per index element.  An operator of another index
-    with the same geometry passes; the executor's memo keys are what
-    rule that out.
+    O(1): the ``(dim_size, sources)`` shape and one stored entry per
+    index element.  An operator of another index with the same geometry
+    passes; the executor's memo keys are what rule that out.
     """
-    if reduce not in ("sum", "mean"):
-        raise KernelError(
-            f"an aggregation operator applies to sum / mean only, not "
-            f"{reduce!r}")
     if operator.shape != (dim_size, sources) or operator.nnz != edges:
         raise KernelError(
             f"aggregation operator has shape {operator.shape} and "
@@ -188,10 +177,10 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
     Parameters
     ----------
     src:
-        1-D or 2-D float array of per-edge messages ``[e, f]``, or (sum
-        / mean only) their row-sparse form: a SciPy CSR whose stored
-        entries are the messages' non-zeros, in any float dtype — the
-        data is cast to float32 as a dense ``src`` is.  It is reduced as
+        1-D or 2-D float array of per-edge messages ``[e, f]``, or
+        their row-sparse form: a SciPy CSR whose stored entries are the
+        messages' non-zeros, in any float dtype — the data is cast to
+        float32 as a dense ``src`` is.  It is reduced as
         ``operator @ src`` (SpGEMM), bit for bit the dense messages'
         result: the terms it skips are ``1 * ±0``, which leave every
         sum unchanged (see :func:`_csr_reduce`; one holding a NaN or an
@@ -202,9 +191,8 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
         Number of output slots ``n``; inferred as ``index.max()+1`` when
         omitted.
     reduce:
-        One of ``"sum"``, ``"mean"``, ``"max"``, ``"min"``.  Slots that
-        receive no message are 0 for sum/mean and 0 for max/min (matching
-        PyG's ``scatter`` fill value for detached aggregation).
+        ``"sum"`` or ``"mean"``.  Slots that receive no message are 0
+        (PyG's ``scatter`` fill value for detached aggregation).
     tag:
         Optional label copied onto the emitted :class:`KernelLaunch`.
     structure:
@@ -212,8 +200,8 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
         the caller keeps it resident; built on the spot otherwise.
     operator:
         The identity :func:`aggregation_operator` of ``structure`` for
-        ``src.shape[0]`` sources (sum / mean only), when the caller
-        keeps it resident; built on the spot otherwise.
+        ``src.shape[0]`` sources, when the caller keeps it resident;
+        built on the spot otherwise.
     row_sparse_out:
         Hand a row-sparse ``src``'s reduction on as the SpGEMM product
         itself (a ``[dim_size, f]`` SciPy CSR, mean already divided)
@@ -228,10 +216,6 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
         src); the CSR product under ``row_sparse_out``.
     """
     if _sp.issparse(src):
-        if reduce not in ("sum", "mean"):
-            raise KernelError(
-                f"a row-sparse src reduces under sum / mean only, not "
-                f"{reduce!r}")
         src = src.tocsr().astype(np.float32, copy=False)
     else:
         src = np.asarray(src, dtype=np.float32)
@@ -260,12 +244,12 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
     if structure is not None:
         structure.check(index.shape[0], int(dim_size))
     if operator is not None:
-        _check_operator(operator, reduce, int(dim_size), src.shape[0],
+        _check_operator(operator, int(dim_size), src.shape[0],
                         index.shape[0])
 
     start = time.perf_counter()
-    out = _reduce(src, index.astype(np.int64, copy=False), int(dim_size),
-                  reduce, structure, operator, row_sparse_out)
+    out = _reduce(src, index, int(dim_size), reduce, structure, operator,
+                  keep=row_sparse_out)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()
@@ -274,37 +258,30 @@ def scatter(src: np.ndarray, index: np.ndarray, dim_size: Optional[int] = None,
     return out
 
 
-def _reduce(src: np.ndarray, index: np.ndarray, dim_size: int, reduce: str,
+def _reduce(source, index: np.ndarray, dim_size: int, reduce: str,
             structure: Optional[ReductionStructure] = None,
             operator: Optional[_sp.csr_matrix] = None,
+            src_index: Optional[np.ndarray] = None,
+            scale: Optional[np.ndarray] = None,
+            rows: Optional[_sp.csr_matrix] = None,
             keep: bool = False):
-    """Segmented reduction — semantics of an atomic GPU scatter.
+    """Segmented sum / mean — semantics of an atomic GPU scatter.
 
-    Sum and mean apply the selection-matrix ``operator`` (the
-    vendor-library path, mirroring how the real kernel runs on
-    cuSPARSE-class primitives); max and min use a sorted segmented
-    reduction.  Both read the destination-major ``structure``.
+    Reduces the rows of ``source`` (``source[src_index] * scale[:,
+    None]`` when ``src_index`` is given, without materialising them)
+    into the ``index`` slots through :func:`_csr_reduce`, over the
+    destination-major ``structure`` (built here when the caller keeps
+    none).  No edge or no slot is all zeros.  The compute core of both
+    ``scatter`` and ``fusedGatherScatter``, which own validation and
+    instrumentation.
     """
-    out_shape = (dim_size,) + src.shape[1:]
-    if src.shape[0] == 0 or dim_size == 0:
-        return np.zeros(out_shape, dtype=np.float32)
+    if index.shape[0] == 0 or dim_size == 0:
+        return np.zeros((dim_size,) + source.shape[1:], dtype=np.float32)
     if structure is None:
-        structure = reduction_structure(index, dim_size)
-    indptr, perm, _ = structure
-    if reduce in ("sum", "mean"):
-        # out[n] = sum_i [index[i] == n] * src[i]  ==  M @ src with
-        # M[index[i], i] = 1 — one compiled CSR product.
-        return _csr_reduce(structure, src, reduce, operator, keep=keep)
-    slots = np.flatnonzero(np.diff(indptr))
-    starts = indptr[slots]
-    sorted_src = src[perm]
-    if reduce == "max":
-        segment = np.maximum.reduceat(sorted_src, starts, axis=0)
-    else:  # min
-        segment = np.minimum.reduceat(sorted_src, starts, axis=0)
-    out = np.zeros(out_shape, dtype=np.float32)
-    out[slots] = segment.astype(np.float32, copy=False)
-    return out
+        structure = reduction_structure(
+            index.astype(np.int64, copy=False), dim_size)
+    return _csr_reduce(structure, source, reduce, operator, src_index,
+                       scale, rows, keep)
 
 
 def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
@@ -363,102 +340,6 @@ def _row_sparse_product(counts: np.ndarray, product: _sp.csr_matrix,
     if reduce == "mean":
         product.data /= np.repeat(counts, np.diff(product.indptr))
     return product if keep else product.toarray()
-
-
-def streaming_reduce(source: np.ndarray, src_index: np.ndarray,
-                     dst_index: np.ndarray, dim_size: int,
-                     reduce: str = "sum",
-                     scale: Optional[np.ndarray] = None,
-                     block_bytes: int = STREAM_BLOCK_BYTES,
-                     structure: Optional[ReductionStructure] = None,
-                     operator: Optional[_sp.csr_matrix] = None,
-                     rows: Optional[_sp.csr_matrix] = None,
-                     row_sparse_out: bool = False):
-    """Gather-and-reduce without materialising the full message matrix.
-
-    Computes exactly ``scatter(source[src_index] * scale[:, None],
-    dst_index, dim_size, reduce)`` — the fused message-passing
-    aggregate — for float32 operands.
-
-    **Sum and mean** apply the :func:`aggregation_operator` of
-    ``(structure, src_index, scale)`` — the caller's resident
-    ``operator``, or one built here for the call, over ``structure``
-    (built here too when the caller keeps none): row ``n`` holds
-    ``(scale[e], src_index[e])`` for the in-edges ``e`` of ``n`` in
-    original edge order, so the compiled product
-    accumulates ``scale[e] * source[src_index[e]]`` in exactly the
-    sequence the unfused scatter sums the materialised messages in, and
-    no message is ever stored.  Bit-for-bit because the product rounds
-    ``a * x`` to float32 before the add, as the materialised message
-    was rounded.  ``rows``, the row-sparse form of ``source``, is
-    multiplied instead where the rule allows (see :func:`_csr_reduce`),
-    and that product is returned itself under ``row_sparse_out``; max
-    and min ignore both.
-
-    **Max and min** need the messages themselves, so they stream them
-    through destination-range blocks sized to ``block_bytes``: edges
-    are partitioned by destination block with one stable sort,
-    preserving original edge order inside every block, and block
-    outputs are disjoint row ranges placed without arithmetic.  Peak
-    intermediate memory is one block instead of the whole ``[E, f]``
-    matrix.
-
-    No launch is recorded here: this is the compute core of the
-    ``fusedGatherScatter`` kernel (:func:`repro.core.kernels.sparse.
-    fused_gather_scatter`), which owns validation and instrumentation.
-    """
-    src_index = np.asarray(src_index)
-    dst_index = np.asarray(dst_index).astype(np.int64, copy=False)
-    width = source.shape[1] if source.ndim == 2 else 1
-    out_shape = (dim_size, width) if source.ndim == 2 else (dim_size,)
-
-    if reduce in ("sum", "mean"):
-        if src_index.size == 0 or dim_size == 0:
-            return np.zeros(out_shape, dtype=np.float32)
-        if structure is None:
-            structure = reduction_structure(dst_index, dim_size)
-        return _csr_reduce(structure, np.asarray(source, dtype=np.float32),
-                           reduce, operator, src_index, scale, rows,
-                           row_sparse_out)
-
-    total_bytes = src_index.size * width * np.dtype(np.float32).itemsize
-    if total_bytes <= block_bytes or dim_size <= 1:
-        messages = source[src_index]
-        if scale is not None:
-            messages = messages * scale[:, None] \
-                if messages.ndim == 2 else messages * scale
-        return _reduce(np.asarray(messages, dtype=np.float32), dst_index,
-                       dim_size, reduce, structure)
-
-    num_blocks = min(dim_size, math.ceil(total_bytes / block_bytes))
-    base, extra = divmod(dim_size, num_blocks)
-    starts = np.empty(num_blocks, dtype=np.int64)
-    lo = 0
-    for i in range(num_blocks):
-        starts[i] = lo
-        lo += base + (1 if i < extra else 0)
-    # One stable partition of edge positions by destination block keeps
-    # per-destination edge order — and therefore reduction order —
-    # identical to the unfused scatter.
-    block_of = np.searchsorted(starts, dst_index, side="right") - 1
-    order = np.argsort(block_of, kind="stable")
-    offsets = np.concatenate([
-        np.zeros(1, dtype=np.int64),
-        np.cumsum(np.bincount(block_of, minlength=num_blocks))])
-
-    out = np.zeros(out_shape, dtype=np.float32)
-    for k in range(num_blocks):
-        lo = int(starts[k])
-        hi = int(starts[k + 1]) if k + 1 < num_blocks else dim_size
-        selection = order[offsets[k]:offsets[k + 1]]
-        block_scale = None if scale is None else scale[selection]
-        messages = source[src_index[selection]]
-        if block_scale is not None:
-            messages = messages * block_scale[:, None] \
-                if messages.ndim == 2 else messages * block_scale
-        out[lo:hi] = _reduce(np.asarray(messages, dtype=np.float32),
-                             dst_index[selection] - lo, hi - lo, reduce)
-    return out
 
 
 def _emit(recorder: L.LaunchRecorder, src: np.ndarray, index: np.ndarray,

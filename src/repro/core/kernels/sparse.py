@@ -8,15 +8,13 @@ cuBLAS-style epilogue folds its stages.  ``SpGEMM`` multiplies two
 sparse matrices — the adjacency-normalisation chain of the paper's
 Fig. 2 (``D^-1/2 * A * D^-1/2``).  ``fused_gather_scatter`` is the
 plan-level-fusion entry point for the MP side: one launch that reduces
-gathered rows straight into their destinations
-(:func:`repro.core.kernels.scatter.streaming_reduce` — one product
-with the sum / mean :func:`~repro.core.kernels.scatter.
-aggregation_operator`, cache-sized message blocks for max / min)
+gathered rows straight into their destinations (one product with the
+sum / mean :func:`~repro.core.kernels.scatter.aggregation_operator`)
 instead of materialising the ``[E, f]`` intermediate between two
 launches.  Handed the row-sparse form of their dense operand
-(``rows=``), ``spmm`` and a sum / mean ``fused_gather_scatter``
-multiply it instead where :func:`~repro.core.kernels.scatter.
-takes_row_sparse` says so — bit for bit the dense product — and,
+(``rows=``), ``spmm`` and ``fused_gather_scatter`` multiply it instead
+where :func:`~repro.core.kernels.scatter.takes_row_sparse` says so —
+bit for bit the dense product — and,
 asked (``row_sparse_out``), hand that SpGEMM product on as it is, for a
 consumer that reads its stored entries
 (:func:`~repro.core.kernels.sgemm.sgemm`).  Every emitter counts
@@ -33,9 +31,8 @@ import scipy.sparse as _sp
 
 from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import EPILOGUE_FP32_PER_ELEMENT, mix_for
-from repro.core.kernels.scatter import REDUCE_OPS, STREAM_BLOCK_BYTES, \
-    ReductionStructure, _check_operator, _check_rows, streaming_reduce, \
-    takes_row_sparse
+from repro.core.kernels.scatter import REDUCE_OPS, ReductionStructure, \
+    _check_operator, _check_rows, _reduce, takes_row_sparse
 from repro.errors import KernelError
 from repro.graph.formats import CSRMatrix
 
@@ -172,7 +169,6 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
                          scale: Optional[np.ndarray] = None,
                          reduce: str = "sum", tag: str = "",
                          gather_tag: Optional[str] = None,
-                         block_bytes: int = STREAM_BLOCK_BYTES,
                          structure: Optional[ReductionStructure] = None,
                          operator: Optional[_sp.csr_matrix] = None,
                          rows: Optional[_sp.csr_matrix] = None,
@@ -182,11 +178,14 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
     Numerically identical — bit-for-bit — to
     ``scatter(index_select(source, src_index) * scale[:, None],
     dst_index, dim_size, reduce)``, but the per-edge message matrix is
-    never materialised whole: sum and mean apply the CSR aggregation
-    operator of ``(dst_index, src_index, scale)`` once, max and min
-    stream the messages through destination-range blocks of at most
-    ``block_bytes`` (see :func:`repro.core.kernels.scatter.
-    streaming_reduce` for the exactness arguments).
+    never materialised: the CSR aggregation operator of ``(dst_index,
+    src_index, scale)`` is applied once.  Its row ``n`` holds
+    ``(scale[e], src_index[e])`` for the in-edges ``e`` of ``n`` in
+    original edge order, so the compiled product accumulates
+    ``scale[e] * source[src_index[e]]`` in exactly the sequence the
+    unfused scatter sums the materialised messages in — bit for bit,
+    because the product rounds ``a * x`` to float32 before the add, as
+    the materialised message was rounded.
 
     Parameters
     ----------
@@ -199,7 +198,7 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
     scale:
         Optional per-edge weight vector applied to the gathered rows.
     reduce:
-        One of ``"sum"``, ``"mean"``, ``"max"``, ``"min"``.
+        ``"sum"`` or ``"mean"``.
     tag / gather_tag:
         Labels of the scatter / gather launches this fused launch
         replaces (``gather_tag`` defaults to ``tag``); recorded on the
@@ -210,18 +209,17 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
         built on the spot otherwise.
     operator:
         The :func:`~repro.core.kernels.scatter.aggregation_operator` of
-        ``(structure, src_index, scale, source.shape[0])`` (sum / mean
-        only) when the caller keeps it resident; built on the spot
-        otherwise.
+        ``(structure, src_index, scale, source.shape[0])`` when the
+        caller keeps it resident; built on the spot otherwise.
     rows:
         The resident row-sparse form of ``source``
         (:meth:`repro.graph.Graph.feature_rows`), when the caller holds
-        the graph.  A sum / mean multiplies the operator by it where
+        the graph.  The operator multiplies it where
         :func:`~repro.core.kernels.scatter.takes_row_sparse` says so,
-        bit for bit the dense result for finite operator values; max /
-        min ignore it, and the launch record is the same either way.
+        bit for bit the dense result for finite operator values; the
+        launch record is the same either way.
     row_sparse_out:
-        Return a sum / mean taken over ``rows`` as its SpGEMM product (a
+        Return a reduction taken over ``rows`` as its SpGEMM product (a
         SciPy CSR, mean already divided) instead of densifying it; a
         dense result is returned dense either way.
     """
@@ -259,16 +257,14 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
     if structure is not None:
         structure.check(dst_index.shape[0], int(dim_size))
     if operator is not None:
-        _check_operator(operator, reduce, int(dim_size), source.shape[0],
+        _check_operator(operator, int(dim_size), source.shape[0],
                         dst_index.shape[0])
     _check_rows(rows, source)
 
     start = time.perf_counter()
-    out = streaming_reduce(source, src_index, dst_index, int(dim_size),
-                           reduce=reduce, scale=scale,
-                           block_bytes=block_bytes, structure=structure,
-                           operator=operator, rows=rows,
-                           row_sparse_out=row_sparse_out)
+    out = _reduce(np.asarray(source, dtype=np.float32), dst_index,
+                  int(dim_size), reduce, structure, operator, src_index,
+                  scale, rows, keep=row_sparse_out)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()

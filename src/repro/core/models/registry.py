@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, Type
 
 from repro.core.models.base import GNNModel
-from repro.core.models.gat import GAT
 from repro.core.models.gcn import GCN
 from repro.core.models.gin import GIN
 from repro.core.models.sage import SAGE
@@ -24,7 +23,6 @@ MODELS: Dict[str, Type[GNNModel]] = {
     "gcn": GCN,
     "gin": GIN,
     "sage": SAGE,
-    "gat": GAT,   # extension model, not part of the paper's trio
 }
 
 #: Paper presentation order (GCN, GIN, SAG).

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.datasets.specs import DatasetSpec, get_spec, scaled_spec
+from repro.datasets.specs import get_spec, scaled_spec
 from repro.datasets.synthetic import generate_graph
 from repro.graph import Graph
 from repro.graph.validate import validate_graph
@@ -99,9 +99,3 @@ def clear_cache() -> None:
 def cache_info() -> Tuple[int, int]:
     """Return ``(entries, limit)`` of the graph cache."""
     return len(_CACHE), _CACHE_LIMIT
-
-
-def spec_of(graph_or_name) -> DatasetSpec:
-    """Resolve the spec behind a graph (by its name) or a name string."""
-    name = graph_or_name.name if isinstance(graph_or_name, Graph) else graph_or_name
-    return get_spec(name)

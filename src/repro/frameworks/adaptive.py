@@ -8,7 +8,7 @@ answer; this backend asks the planner instead.  Per pipeline it
 1. measures the workload (:class:`~repro.plan.planner.GraphStats`);
 2. chooses an execution format *per layer* from the kernel cost models
    (:func:`~repro.plan.planner.choose_formats`), honouring each model's
-   lowerable formats (GAT stays MP-only);
+   lowerable formats;
 3. lowers the native model onto the plan IR with those formats and runs
    it through the shared :class:`~repro.plan.executor.PlanExecutor`.
 

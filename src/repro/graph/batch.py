@@ -15,7 +15,7 @@ fusion — consumes it unchanged.  The block structure makes
 that composition exact:
 
 * adjacency blocks are disjoint, so every derived structure (CSR/CSC,
-  degrees, GCN normalisation, edge softmax) factors per member;
+  degrees, GCN normalisation) factors per member;
 * member edges keep their original relative order, so each destination
   node's reduction sequence is identical to the unbatched run and
   sparse aggregation stays **bit-for-bit**;

@@ -3,7 +3,7 @@
 :class:`PlanExecutor` walks an :class:`~repro.plan.ir.ExecutionPlan`
 op by op, binding the workload graph and runtime inputs, and dispatches
 every operator to the instrumented kernels (``index_select`` /
-``scatter`` / ``spmm`` / ``sgemm``, the fusion pass's streaming
+``scatter`` / ``spmm`` / ``sgemm``, the fusion pass's
 ``fused_gather_scatter`` — plus whatever kernels a
 :class:`~repro.plan.ir.Normalize` kind launches internally, e.g. GCN's
 SpGEMM normalisation chain).  Every launch goes through the
@@ -27,8 +27,8 @@ return is resident on it (:meth:`repro.graph.Graph.structure`) and a
 second run over the same graph re-derives nothing; for the endpoint
 kinds (:data:`RESIDENT_ENDPOINT_KINDS`) the executor also keeps the
 destination-major :func:`~repro.core.kernels.reduction_structure` of
-each output an aggregation op reduces over and, for a sum / mean whose
-index and scale operands all come from those kinds, the CSR
+each output an aggregation op reduces over and, for an aggregation
+whose index and scale operands all come from those kinds, the CSR
 :func:`~repro.core.kernels.aggregation_operator` it multiplies by, and
 hands both to ``scatter`` / ``fused_gather_scatter``.  The ``pyg_*`` /
 ``dgl_*`` kinds model what those frameworks re-derive on every forward
@@ -44,7 +44,7 @@ operator by the rows where :func:`~repro.core.kernels.takes_row_sparse`
 says so, which is bit for bit the dense product (docs/architecture.md,
 "Parity contracts").  An unfused ``Gather`` of ``X`` takes the same
 route split in two where the rule says its fused pair would (the
-gather's one consumer a sum / mean ``ScatterReduce``): ``index_select``
+gather's one consumer a ``ScatterReduce``): ``index_select``
 gathers the stored entries into row-sparse messages and ``scatter``
 reduces them, bit for bit the dense pair, so no ``[E, F]`` message
 matrix is built.
@@ -131,7 +131,7 @@ def _norm_edge_endpoints(graph: Graph, params, inputs, tag):
 
 
 def _norm_self_loop_endpoints(graph: Graph, params, inputs, tag):
-    """Endpoints of the self-loop-augmented edge list (SAGE / GAT)."""
+    """Endpoints of the self-loop-augmented edge list (SAGE)."""
     edge_index = add_self_loops(graph).edge_index
     return edge_index[0], edge_index[1]
 
@@ -158,23 +158,6 @@ def _norm_mean_adjacency(graph: Graph, params, inputs, tag):
     """Row-normalised ``A-hat`` realising mean over ``N(v) + v``."""
     from repro.core.models.sage import mean_adjacency_matrix
     return (mean_adjacency_matrix(graph),)
-
-
-def _norm_gat_attention(graph: Graph, params, inputs, tag):
-    """Edge-softmax attention coefficients (kernel-composed).
-
-    On a batched workload the score matvecs run segment-local (see
-    :func:`~repro.core.models.gat.attention_coefficients`), keeping
-    batched GAT plans bit-for-bit with their per-member runs.
-    """
-    from repro.core.models.gat import attention_coefficients
-    from repro.graph import BatchedGraph
-    h, src, dst, a_src, a_dst = inputs
-    segments = graph.node_segments() \
-        if isinstance(graph, BatchedGraph) else None
-    return (attention_coefficients(h, src, dst, a_src, a_dst,
-                                   graph.num_nodes, tag,
-                                   segments=segments),)
 
 
 def _norm_split_edges(graph: Graph, params, inputs, tag):
@@ -231,7 +214,6 @@ for _kind, _fn in (
         ("gcn_propagation", _norm_gcn_propagation),
         ("gin_aggregate", _norm_gin_aggregate),
         ("mean_adjacency", _norm_mean_adjacency),
-        ("gat_attention", _norm_gat_attention),
         ("split_edges", _norm_split_edges),
         ("pyg_gcn_norm", _norm_pyg_gcn_norm),
         ("pyg_sage_endpoints", _norm_pyg_sage_endpoints),
@@ -304,15 +286,12 @@ def describe_features(plan: ExecutionPlan, graph: Graph,
         if isinstance(op, SGEMM):
             form = ("row-sparse" + _share(kept, members)) if kept \
                 else "dense"
-        elif isinstance(op, FusedGatherScatter) \
-                and op.reduce not in ("sum", "mean"):
-            form = f"dense ({op.reduce} streams the gathered rows)"
         elif rows is None:
             form = "dense"
         elif not finite_rows(rows):
             form = "dense (X stores NaN / inf)"
         elif product is None:
-            form = "dense (its messages feed no single sum / mean scatter)"
+            form = "dense (its messages feed no single scatter)"
         else:
             operator = executor._product_operator(product, env, graph)
             form, sign = ("row-sparse", "\u2265") \
@@ -416,11 +395,10 @@ class PlanExecutor:
         self._plan, self._uses = plan, None
         if plan.batch is None and getattr(graph, "num_graphs", 1) > 1:
             # The converse of the checks below: an unstamped plan over
-            # a packed workload would run its dense transforms packed
-            # (and GAT's graph-keyed attention matvecs segmented) —
-            # a silent, half-segmented break of member parity.  Lower
-            # through cached_plan (which stamps the map) or stamp
-            # explicitly with ExecutionPlan.with_batch.
+            # a packed workload would run its dense transforms packed —
+            # a silent break of member parity.  Lower through
+            # cached_plan (which stamps the map) or stamp explicitly
+            # with ExecutionPlan.with_batch.
             raise PlanError(
                 f"a BatchedGraph packing {graph.num_graphs} members "
                 f"requires a batch-stamped plan, got one with batch=None"
@@ -434,9 +412,9 @@ class PlanExecutor:
             offsets = getattr(graph, "node_offsets", None)
             if offsets is None and plan.batch.num_graphs > 1:
                 # A plain graph of coincidentally matching size would
-                # pass the totals check, but graph-derived segmentation
-                # (GAT's attention-score matvecs) would then run
-                # packed — refuse rather than break member parity.
+                # pass the totals check, but it has no members for the
+                # segment-local SGEMMs to read their resident rows from
+                # (_segmented_sgemm) — refuse at bind time instead.
                 raise PlanError(
                     f"batched plan ({plan.batch.num_graphs} members) "
                     f"must bind its matching BatchedGraph, got a plain "
@@ -524,12 +502,12 @@ class PlanExecutor:
             ("reduction_structure",) + key,
             lambda: reduction_structure(env[index_ref.vid], graph.num_nodes))
 
-    def _aggregation(self, env: Dict[int, Any], graph: Graph, reduce: str,
-                     source, dst, src=None, scale=None):
+    def _aggregation(self, env: Dict[int, Any], graph: Graph, source, dst,
+                     src=None, scale=None):
         """``(structure, operator)`` for one aggregation op.
 
         ``structure`` is :meth:`_reduction_structure` of ``dst``.  The
-        sum / mean ``operator`` is resident under ``("aggregation_
+        ``operator`` is resident under ``("aggregation_
         operator", dst key, src key[, scale key])`` when every index and
         scale operand is a resident endpoint output; ``src=None`` is the
         unfused scatter's identity selection over its messages.  ``None``
@@ -538,8 +516,7 @@ class PlanExecutor:
         structure = self._reduction_structure(dst, env, graph)
         keys = tuple(self._resident.get(ref.vid)
                      for ref in (dst, src, scale) if ref is not None)
-        if structure is None or reduce not in ("sum", "mean") \
-                or None in keys:
+        if structure is None or None in keys:
             return structure, None
         if src is None:            # one column per materialised message
             columns, num_sources = None, env[dst.vid].shape[0]
@@ -570,7 +547,7 @@ class PlanExecutor:
         return env
 
     def _product_operator(self, op, env: Dict[int, Any], graph: Graph):
-        """The sparse operand a sum / mean ``FusedGatherScatter`` or an
+        """The sparse operand a ``FusedGatherScatter`` or an
         ``SpMM`` multiplies its dense operand by: the resident operator
         :meth:`_aggregation` hands the kernel, or the one the kernel
         builds for the call."""
@@ -578,8 +555,7 @@ class PlanExecutor:
             return env[op.matrix.vid]
         source = env[op.source.vid]
         structure, operator = self._aggregation(
-            env, graph, op.reduce, source, op.dst_index, op.src_index,
-            op.scale)
+            env, graph, source, op.dst_index, op.src_index, op.scale)
         if operator is not None:
             return operator
         dst = env[op.dst_index.vid]
@@ -591,7 +567,7 @@ class PlanExecutor:
 
     def _fused_pair(self, op: Gather) -> Optional[FusedGatherScatter]:
         """The op the fusion pass would make of ``op`` and the one
-        consumer of its messages, when that consumer is a sum / mean
+        consumer of its messages, when that consumer is a
         ``ScatterReduce``; ``None`` otherwise.  Single consumer by the
         fusion pass's own rule, over use counts taken on the run's
         first ask."""
@@ -602,13 +578,12 @@ class PlanExecutor:
         consumer = next((c for c in self._plan.ops
                          if isinstance(c, ScatterReduce)
                          and c.source.vid == op.out.vid), None)
-        if consumer is None or consumer.reduce not in ("sum", "mean"):
-            return None
-        return _gather_scatter_pair(op, consumer)
+        return None if consumer is None \
+            else _gather_scatter_pair(op, consumer)
 
     def _x_product(self, op, env: Dict[int, Any], graph: Graph):
-        """The op whose operator multiplies ``X`` when ``op`` is a sum /
-        mean of ``X`` — ``op`` itself (a ``FusedGatherScatter`` or an
+        """The op whose operator multiplies ``X`` when ``op`` aggregates
+        ``X`` — ``op`` itself (a ``FusedGatherScatter`` or an
         epilogue-free ``SpMM``), or the fused pair of the gather whose
         messages a ``ScatterReduce`` reduces (:meth:`_fused_pair`) —
         else ``None``."""
@@ -620,8 +595,7 @@ class PlanExecutor:
                 return None
             return self._fused_pair(gather)
         if isinstance(op, FusedGatherScatter):
-            return op if op.reduce in ("sum", "mean") \
-                and env.get(op.source.vid) is x else None
+            return op if env.get(op.source.vid) is x else None
         if isinstance(op, SpMM) and op.bias is None and not op.activation:
             return op if env.get(op.dense.vid) is x else None
         return None
@@ -747,7 +721,7 @@ class PlanExecutor:
         if isinstance(op, ScatterReduce):
             source = env[op.source.vid]
             structure, operator = self._aggregation(
-                env, graph, op.reduce, source, op.index)
+                env, graph, source, op.index)
             out = scatter(source, env[op.index.vid],
                           dim_size=graph.num_nodes, reduce=op.reduce,
                           tag=op.tag, structure=structure, operator=operator,
@@ -764,8 +738,7 @@ class PlanExecutor:
             source = env[op.source.vid]
             scale = env[op.scale.vid] if op.scale is not None else None
             structure, operator = self._aggregation(
-                env, graph, op.reduce, source, op.dst_index, op.src_index,
-                op.scale)
+                env, graph, source, op.dst_index, op.src_index, op.scale)
             out = fused_gather_scatter(
                 source, env[op.src_index.vid],
                 env[op.dst_index.vid], dim_size=graph.num_nodes,

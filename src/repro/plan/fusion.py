@@ -11,9 +11,9 @@ at every legal site,
 
 * **gather+scatter** — adjacent ``Gather`` + ``ScatterReduce`` pairs
   into one :class:`~repro.plan.ir.FusedGatherScatter` op — executed by
-  the ``fusedGatherScatter`` kernel, which streams per-edge messages
-  through destination-range blocks instead of materialising the
-  ``[E, f]`` message matrix between two launches;
+  the ``fusedGatherScatter`` kernel, which applies one CSR aggregation
+  operator instead of materialising the ``[E, f]`` message matrix
+  between two launches;
 * **sgemm / spmm epilogue** — ``SGEMM`` or ``SpMM`` followed by a
   constant-vector ``add_bias`` and/or an ``Activation`` into one
   epilogue-carrying launch (cuBLAS-epilogue style: bias and activation
@@ -38,8 +38,8 @@ the fused plan's launch order aligned with the unfused plan's.
 **Exactness.**  Fused execution is bit-for-bit identical to unfused
 execution: the epilogue applies the same float32 arithmetic after the
 same cast, the elementwise chain replays the original stages, and the
-streaming gather-scatter preserves every destination's reduction order
-(see :func:`repro.core.kernels.scatter.streaming_reduce`).
+fused gather-scatter preserves every destination's reduction order
+(see :func:`repro.core.kernels.sparse.fused_gather_scatter`).
 
 **Trace mapping.**  Fused launches *declare the legacy launches they
 replace* (:attr:`~repro.core.kernels.launch.KernelLaunch.replaces`);

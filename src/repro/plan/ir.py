@@ -14,7 +14,7 @@ glue every GNN stack needs):
 * :class:`Gather`        — ``indexSelect`` of rows, optionally scaled by
   a per-edge weight vector (the "message" step);
 * :class:`ScatterReduce` — atomic reduction of per-edge rows into node
-  slots (sum / mean / max / min);
+  slots (sum / mean);
 * :class:`SpMM`          — fused sparse-adjacency x dense-feature
   product (CSR operand);
 * :class:`SGEMM`         — dense transform with optional fused bias;
@@ -27,8 +27,8 @@ glue every GNN stack needs):
   model performs, SpGEMM chains included.
 
 The fusion pass (:mod:`repro.plan.fusion`) adds two derived ops —
-:class:`FusedGatherScatter` (one streaming launch for a
-gather + scatter pair) and :class:`FusedElementwise` (an
+:class:`FusedGatherScatter` (one launch for a gather + scatter
+pair) and :class:`FusedElementwise` (an
 elementwise/activation chain collapsed to one dispatch) — written only
 by plan rewrites, never by direct lowering.
 
@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.kernels.scatter import REDUCE_OPS
 from repro.errors import PlanError
 
 __all__ = [
@@ -83,6 +84,13 @@ FORMATS = ("dense", "csr", "edge", "vec", "obj")
 
 #: Elementwise combine kinds understood by the executor.
 ELEMENTWISE_KINDS = ("add", "add_bias", "combine")
+
+
+def _check_reduce(op) -> None:
+    """Refuse an aggregation op whose ``reduce`` no kernel applies."""
+    if op.reduce not in REDUCE_OPS:
+        raise PlanError(
+            f"unknown {op.opcode} reduce {op.reduce!r}; known: {REDUCE_OPS}")
 
 
 @dataclass(frozen=True)
@@ -197,6 +205,9 @@ class ScatterReduce:
     tag: str = ""
 
     opcode = "scatter"
+
+    def __post_init__(self):
+        _check_reduce(self)
 
     def operands(self) -> Tuple[ValueRef, ...]:
         return (self.source, self.index)
@@ -339,8 +350,8 @@ class FusedGatherScatter:
 
     Produced by the fusion pass from an adjacent pair whose per-edge
     message intermediate has exactly one consumer; executed through the
-    ``fusedGatherScatter`` kernel, which streams messages through
-    destination-range blocks instead of materialising the ``[E, f]``
+    ``fusedGatherScatter`` kernel, which applies the pair's CSR
+    aggregation operator instead of materialising the ``[E, f]``
     matrix.  ``tag`` / ``gather_tag`` keep the legacy scatter / gather
     labels for the fused launch's ``replaces`` mapping.
     """
@@ -355,6 +366,9 @@ class FusedGatherScatter:
     gather_tag: str = ""
 
     opcode = "fused_gather_scatter"
+
+    def __post_init__(self):
+        _check_reduce(self)
 
     def operands(self) -> Tuple[ValueRef, ...]:
         refs = (self.source, self.src_index, self.dst_index)

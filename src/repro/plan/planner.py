@@ -69,7 +69,7 @@ __all__ = ["BatchDecision", "GraphStats", "PlannerDecisions",
 #: ``fn(fmt, fan_in, fan_out) -> width`` — the feature width a layer's
 #: aggregation actually runs at under execution format ``fmt``.  The
 #: default models aggregation at the input width; models whose lowering
-#: transforms *before* aggregating (GCN-MP, GAT) override via
+#: transforms *before* aggregating (GCN-MP) override via
 #: :meth:`repro.core.models.base.GNNModel.aggregation_width`.
 WidthHook = Callable[[str, int, int], int]
 

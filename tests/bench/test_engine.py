@@ -9,7 +9,7 @@ import pytest
 from repro import cache as trace_cache
 from repro.bench import engine
 from repro.bench.common import WorkCell, clear_bench_cache
-from repro.bench.harness import build_parser, run_all
+from repro.bench.harness import build_parser
 from repro.bench.harness import main as bench_main
 from repro.bench.profiles import PROFILES, BenchProfile, active_profile
 from repro.cli import build_parser as cli_parser
@@ -120,8 +120,8 @@ class TestWarmRun:
             assert (cold_dir / name).read_bytes() == \
                 (tmp_path / name).read_bytes(), name
 
-    def test_run_all_returns_checks(self, warm_cache):
-        checks = run_all(TINY, stream=io.StringIO())
+    def test_run_suite_returns_checks(self, warm_cache):
+        checks = engine.run_suite(TINY, stream=io.StringIO()).checks
         assert set(checks) == set(engine.EXPERIMENTS)
         for per_experiment in checks.values():
             assert per_experiment  # every experiment asserts something

@@ -147,7 +147,7 @@ class TestFig9:
 
 
 class TestHarness:
-    def test_run_all_writes_tables(self, tmp_path, monkeypatch):
+    def test_run_suite_writes_tables(self, tmp_path, monkeypatch):
         import io
 
         import repro.bench.harness as harness
@@ -158,7 +158,7 @@ class TestHarness:
             tables, "results_dir",
             lambda base=None: tables.Path(tmp_path))
         stream = io.StringIO()
-        checks = harness.run_all(MICRO, stream=stream)
+        checks = harness.run_suite(MICRO, stream=stream).checks
         assert set(checks) == set(harness.EXPERIMENTS)
         written = {p.stem for p in tmp_path.glob("*.txt")}
         assert written == set(harness.EXPERIMENTS)

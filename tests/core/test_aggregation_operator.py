@@ -149,10 +149,8 @@ def no_arithmetic(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a refused operator reached the arithmetic")
 
-    monkeypatch.setattr(import_module("repro.core.kernels.sparse"),
-                        "streaming_reduce", refuse)
     monkeypatch.setattr(import_module("repro.core.kernels.scatter"),
-                        "_reduce", refuse)
+                        "_csr_reduce", refuse)
 
 
 def _assert_refused(call):
@@ -182,13 +180,17 @@ def test_operator_of_another_index_is_refused(kernel, no_arithmetic):
 @pytest.mark.parametrize("reduce", ["max", "min"])
 @pytest.mark.parametrize("kernel", ["fused", "scatter"])
 def test_operator_with_max_min_is_refused(kernel, reduce, no_arithmetic):
+    """Both kernels reduce by sum and mean only: another ``reduce`` is
+    refused before any arithmetic, with or without an operator."""
     structure = reduction_structure(_DST, 4)
     if kernel == "fused":
+        call = _fused
         operator = aggregation_operator(structure, _SRC, None, 4)
-        _assert_refused(lambda: _fused(operator, reduce))
     else:
+        call = _scatter
         operator = aggregation_operator(structure, None, None, 5)
-        _assert_refused(lambda: _scatter(operator, reduce))
+    for given in (operator, None):
+        _assert_refused(lambda: call(given, reduce))
 
 
 @pytest.mark.parametrize("kernel", ["fused", "scatter"])
@@ -380,6 +382,8 @@ def test_gathered_rows_keep_only_stored_entries():
 @pytest.mark.parametrize("reduce", ["max", "min"])
 def test_row_sparse_messages_under_max_min_are_refused(reduce,
                                                        no_arithmetic):
+    """Row-sparse messages are refused an unknown ``reduce`` as dense
+    ones are."""
     messages = sp.csr_matrix(_MESSAGES)
     _assert_refused(lambda: scatter(messages, _DST, dim_size=4,
                                     reduce=reduce))

@@ -76,8 +76,11 @@ class TestModelConstruction:
         assert get_model_class("GraphSAGE") is SAGE
 
     def test_unknown_model(self):
-        with pytest.raises(ModelError):
-            build_model("transformer", 8, 16, 3)
+        """GAT, once an extension model, is gone from the registry; a
+        plug-in model arrives through ``register_model``."""
+        for name in ("transformer", "gat"):
+            with pytest.raises(ModelError, match=f"unknown model '{name}'"):
+                build_model(name, 8, 16, 3)
 
     def test_sage_rejects_spmm(self):
         with pytest.raises(ModelError):

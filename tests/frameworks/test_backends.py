@@ -170,5 +170,18 @@ class TestEndToEndTiming:
                             repeats=0)
 
     def test_pyg_unknown_model_rejected(self, graph):
-        with pytest.raises(Exception):
-            get_backend("pyg").build(PipelineSpec(model="gat"), graph)
+        """The PyG-like backend has a conv for the paper's trio only: a
+        registered model outside it is refused, not run as a GCN."""
+        from repro.core.models import GCN, register_model
+        from repro.core.models.registry import MODELS
+
+        class Extension(GCN):
+            name = "extension-test"
+
+        register_model("extension-test", Extension)
+        try:
+            with pytest.raises(BackendError, match="no conv"):
+                get_backend("pyg").build(
+                    PipelineSpec(model="extension-test"), graph)
+        finally:
+            MODELS.pop("extension-test", None)

@@ -3,8 +3,8 @@
 Every backend runs a model as its lowered plan.  This module re-derives
 what each plan computes, in float64 NumPy / SciPy from the model's
 weights and the graph alone: GCN (Kipf & Welling, Eq. 2), GIN (Xu et
-al., Eq. 4, the MLP two SGEMMs around a ReLU), GraphSAGE-mean (Eq. 5)
-and single-head GAT (Velickovic et al.).
+al., Eq. 4, the MLP two SGEMMs around a ReLU) and GraphSAGE-mean
+(Eq. 5).
 
 :func:`layer_ratios` checks a plan one layer at a time, on the plan's
 own float32 input to that layer, so float32 error never compounds
@@ -21,8 +21,7 @@ element may sit ``gamma(k) * magnitude`` from the oracle, where
   node's in-edges, parallel edges counted), the inner width of every
   SGEMM on the path, and the single roundings each layer below names.
 
-GAT adds a first-order term for the edge softmax.  No constant is
-fitted: every bound comes from ``u`` and the shapes.
+No constant is fitted: every bound comes from ``u`` and the shapes.
 
 Backends add self-loops in one of two ways, and the oracle follows:
 PyG's SAGEConv adds one to every node, while everything else adds one
@@ -95,12 +94,6 @@ def _longest(counts: sp.csr_matrix) -> int:
     return int(counts.sum(axis=1).max()) if counts.shape[0] else 0
 
 
-def _per_row(reduce, rows, values, n: int, start: float) -> np.ndarray:
-    out = np.full(n, start)
-    reduce.at(out, rows, values)
-    return out
-
-
 # -- one layer each: (float64 value, elementwise bound) ----------------------
 
 def _gcn(x, p, graph, model, loops):
@@ -150,45 +143,7 @@ def _sage(x, p, graph, model, loops):
     return value, gamma(k) * magnitude
 
 
-def _gat(x, p, graph, model, loops):
-    """``sum_u alpha_uv (x W)_u + b``, ``alpha`` the edge softmax of
-    ``LeakyReLU(a_src . h_u + a_dst . h_v)`` over ``v``'s in-edges.
-
-    A score is off by at most ``gamma(fan_in + fan_out + 2)`` of its
-    magnitude (the SGEMM, the matvec, the add and the LeakyReLU scale).
-    To first order, ``exp(logit - max)`` is off relatively by the
-    shift's error (logit and max each off by ``dl``, plus the
-    subtraction's rounding) and exp's two units; the normaliser adds
-    that again and its accumulation, the division one more.  The
-    aggregation then carries its own accumulation, the message scale
-    and the bias add.
-    """
-    counts = adjacency(graph, "missing")
-    coo = counts.tocoo()
-    dst, src, count = coo.row, coo.col, coo.data
-    n = graph.num_nodes
-    fan_in, fan_out = p["W"].shape
-    h, h_mag = x @ p["W"], abs(x) @ abs(p["W"])
-    pre = h[src] @ p["a_src"] + h[dst] @ p["a_dst"]
-    logit = np.where(pre > 0, pre, 0.2 * pre)
-    peak = _per_row(np.maximum, dst, logit, n, -np.inf)
-    weight = count * np.exp(logit - peak[dst])
-    alpha = weight / np.bincount(dst, weight, minlength=n)[dst]
-    attention = sp.csr_matrix((alpha, (dst, src)), shape=(n, n))
-    value = attention @ h + p["b"]
-
-    score_error = gamma(fan_in + fan_out + 2) * (
-        h_mag[src] @ abs(p["a_src"]) + h_mag[dst] @ abs(p["a_dst"]))
-    shift = 2 * _per_row(np.maximum, dst, score_error, n, 0.0) \
-        + U * _per_row(np.maximum, dst, peak[dst] - logit, n, 0.0) + 2 * U
-    longest = _longest(counts)
-    softmax = 2 * shift + gamma(longest + 1)
-    magnitude = attention @ h_mag + abs(p["b"])
-    bound = (softmax + gamma(fan_in + longest + 2))[:, None] * magnitude
-    return value, bound
-
-
-_LAYERS = {"gcn": _gcn, "gin": _gin, "sage": _sage, "gat": _gat}
+_LAYERS = {"gcn": _gcn, "gin": _gin, "sage": _sage}
 
 
 def layer_inputs(pipeline):

@@ -7,7 +7,7 @@ expanding ``replaces`` reproduces the unfused ``(kernel, tag)``
 sequence exactly.  These tests pin that contract for every model x
 backend x {fused, unfused}, the legality
 edge cases (a value with two consumers must block fusion), the
-streaming kernel's destination blocking, the pipeline's default
+fused kernel against the unfused pair, the pipeline's default
 (every legal site fuses, at every size), and the lowering seam: a
 backend build hands back the fused plan unless ``fuse=False``, lowers
 and fuses once per build, and touches no cache.
@@ -268,7 +268,8 @@ class TestFusedParity:
 
 
 class TestStreamingKernel:
-    """The fused kernel's destination blocking is exact and bounded."""
+    """The fused kernel never stores a message and equals the unfused
+    pair bit for bit."""
 
     def _workload(self, edges=4000, nodes=300, width=9, seed=3):
         rng = np.random.default_rng(seed)
@@ -278,18 +279,16 @@ class TestStreamingKernel:
         scale = rng.standard_normal(edges).astype(np.float32)
         return source, src, dst, scale
 
-    @pytest.mark.parametrize("reduce", ["sum", "mean", "max", "min"])
-    def test_multi_block_matches_unfused(self, reduce):
+    @pytest.mark.parametrize("reduce", ["sum", "mean"])
+    def test_scaled_matches_unfused(self, reduce):
         source, src, dst, scale = self._workload()
         unfused = scatter(index_select(source, src) * scale[:, None], dst,
                           dim_size=source.shape[0], reduce=reduce)
-        # Tiny block budget: forces many destination blocks.
         fused = fused_gather_scatter(source, src, dst, source.shape[0],
-                                     scale=scale, reduce=reduce,
-                                     block_bytes=2048)
+                                     scale=scale, reduce=reduce)
         assert np.array_equal(fused, unfused)
 
-    def test_single_block_matches_unfused(self):
+    def test_unscaled_matches_unfused(self):
         source, src, dst, _ = self._workload(edges=50, nodes=20, width=3)
         unfused = scatter(index_select(source, src), dst,
                           dim_size=source.shape[0])
@@ -322,7 +321,7 @@ class TestRandomizedFusion:
     edges, isolated nodes, empty edge sets)."""
 
     MODELS = (("gcn", "MP"), ("gcn", "SpMM"), ("gin", "MP"),
-              ("gin", "SpMM"), ("sage", "MP"), ("gat", "MP"))
+              ("gin", "SpMM"), ("sage", "MP"))
 
     def _random_graph(self, rng, case):
         from repro.graph import Graph
@@ -381,7 +380,7 @@ class TestPlannerFusion:
     gather+scatter site — no size, width or cost gate stands in front
     of the pass — and stays bit-for-bit the ``fuse="off"`` pipeline."""
 
-    ZOO = ("gcn", "gin", "sage", "gat")
+    ZOO = ("gcn", "gin", "sage")
     BACKENDS = ("gsuite", "gsuite-adaptive")
 
     def _check(self, config, graph=None):

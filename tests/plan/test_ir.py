@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import PlanError
 from repro.plan import ExecutionPlan, PlanBuilder, ValueRef
+from repro.plan.ir import FusedGatherScatter
 
 
 def _tiny_plan(bias_value=1.0):
@@ -39,6 +40,19 @@ class TestBuilder:
         b.input("X")
         with pytest.raises(PlanError):
             b.input("X")
+
+    @pytest.mark.parametrize("reduce", ["max", "min"])
+    def test_aggregation_ops_reduce_by_sum_and_mean_only(self, reduce):
+        """Refused when the plan is built, not when a kernel runs."""
+        b = PlanBuilder(model="gcn", flavor="native")
+        x = b.input("X")
+        index = b.input("index", fmt="edge")
+        with pytest.raises(PlanError, match="unknown scatter reduce"):
+            b.scatter_reduce(x, index, reduce=reduce)
+        with pytest.raises(PlanError,
+                           match="unknown fused_gather_scatter reduce"):
+            FusedGatherScatter(x, index, index, ValueRef(9, "dense"),
+                               reduce=reduce)
 
     def test_unknown_elementwise_kind_rejected(self):
         b = PlanBuilder(model="gcn", flavor="native")

@@ -50,7 +50,7 @@ GOLDEN_LAUNCHES_PATH = Path(__file__).with_name("golden_launches.json")
 
 MODELS_BY_BACKEND = {
     "gsuite": (("gcn", "MP"), ("gcn", "SpMM"), ("gin", "MP"),
-               ("gin", "SpMM"), ("sage", "MP"), ("gat", "MP")),
+               ("gin", "SpMM"), ("sage", "MP")),
     "pyg": (("gcn", "MP"), ("gin", "MP"), ("sage", "MP")),
     "dgl": (("gcn", "SpMM"), ("gin", "SpMM"), ("sage", "SpMM")),
 }
@@ -164,7 +164,7 @@ class TestBitwiseParity:
 
     def test_adaptive_matches_native_function(self, graph):
         """The planner changes the *execution*, never the function."""
-        for model in ("gcn", "gin", "sage", "gat"):
+        for model in ("gcn", "gin", "sage"):
             spec = _spec(model, "MP")
             reference = lowered("gsuite", spec, graph).run()
             adaptive = lowered("gsuite-adaptive", spec, graph).run()
@@ -181,7 +181,7 @@ def _multigraph():
 
 
 class TestOracle:
-    @pytest.mark.parametrize("model", ["gcn", "gin", "sage", "gat"])
+    @pytest.mark.parametrize("model", ["gcn", "gin", "sage"])
     def test_rejects_wrong_models(self, graph, model):
         """The bound is tight enough to see a near miss at any layer."""
         spec = _spec(model, "MP")

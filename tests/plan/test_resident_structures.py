@@ -214,19 +214,21 @@ def test_resident_arrays_are_read_only():
 
 def test_operator_keys_name_every_operand():
     """One operator per (dst, src[, scale]) endpoint triple; an operand
-    that is not a resident endpoint output (GAT's attention) keeps the
-    operator per call."""
+    that is not a resident endpoint output (PyG's per-forward
+    ``gcn_norm``) keeps the operator per call."""
     expected = {
-        "gcn": (("gcn_edge_weights", 1), ("gcn_edge_weights", 0),
-                ("gcn_edge_weights", 2)),
-        "sage": (("self_loop_endpoints", 1), ("self_loop_endpoints", 0)),
-        "gin": (("edge_endpoints", 1), ("edge_endpoints", 0)),
-        "gat": None,
+        ("gsuite", "gcn"): (("gcn_edge_weights", 1), ("gcn_edge_weights", 0),
+                            ("gcn_edge_weights", 2)),
+        ("gsuite", "sage"): (("self_loop_endpoints", 1),
+                             ("self_loop_endpoints", 0)),
+        ("gsuite", "gin"): (("edge_endpoints", 1), ("edge_endpoints", 0)),
+        ("pyg", "gcn"): None,
     }
-    for model, operands in expected.items():
+    for (framework, model), operands in expected.items():
         graph = _graph()
         GNNPipeline(SuiteConfig(model=model, compute_model="MP",
-                                out_features=3), graph=graph).build().run()
+                                framework=framework, out_features=3),
+                    graph=graph).build().run()
         keys = [key for key in graph._structures
                 if key[0] == "aggregation_operator"]
         assert keys == ([] if operands is None
@@ -526,7 +528,7 @@ def _x_aggregation(reduces, scaled=False):
 
 @pytest.mark.parametrize("reduces, scaled, taken", [
     (("sum",), False, True), (("mean",), False, True),
-    (("sum",), True, True), (("max",), False, False),
+    (("sum",), True, True), (("mean", "mean"), False, False),
     (("sum", "mean"), False, False)])
 def test_only_a_lone_sum_mean_scatter_gathers_row_sparse(
         reduces, scaled, taken, monkeypatch):

@@ -81,8 +81,10 @@ class TestRequestValidation:
     def test_unknown_model_rejected(self):
         """The batcher prices a queued group by its model class on the
         drain task, where an unknown name used to kill the task."""
-        with pytest.raises(ServeError, match="unknown model"):
-            InferenceRequest(request_id="r1", dataset="cora", model="foo")
+        for model in ("foo", "gat"):
+            with pytest.raises(ServeError, match=f"unknown model '{model}'"):
+                InferenceRequest(request_id="r1", dataset="cora",
+                                 model=model)
 
     @pytest.mark.parametrize("field, value", [
         ("request_id", 5), ("dataset", []), ("model", 3),

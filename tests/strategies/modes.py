@@ -29,10 +29,9 @@ __all__ = [
 #: :data:`FUSABLE_COMBOS` excludes it.
 _GRID = {
     "gsuite": (("gcn", "MP"), ("gcn", "SpMM"), ("gin", "MP"),
-               ("gin", "SpMM"), ("sage", "MP"), ("gat", "MP")),
+               ("gin", "SpMM"), ("sage", "MP")),
     "dgl": (("gcn", "SpMM"), ("gin", "SpMM"), ("sage", "SpMM")),
-    "gsuite-adaptive": (("gcn", "MP"), ("gin", "MP"), ("sage", "MP"),
-                        ("gat", "MP")),
+    "gsuite-adaptive": (("gcn", "MP"), ("gin", "MP"), ("sage", "MP")),
     "pyg": (("gcn", "MP"), ("gin", "MP"), ("sage", "MP")),
 }
 

@@ -122,6 +122,10 @@ class TestCommands:
         assert "unknown dataset" in capsys.readouterr().err
         assert main(["run", "--scale", "7"]) == 2
         assert main(["run", "--model", "transformer"]) == 2
+        capsys.readouterr()
+        assert main(["run", "--model", "gat", "--scale", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown model 'gat'" in err and "Traceback" not in err
 
     def test_mistyped_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
