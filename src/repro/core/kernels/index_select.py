@@ -30,7 +30,9 @@ def index_select(input: np.ndarray, index: np.ndarray, dim: int = 0,
     Parameters
     ----------
     input:
-        1-D or 2-D float array (a node-embedding matrix ``[n, f]``).
+        1-D or 2-D float array (a node-embedding matrix ``[n, f]``), or
+        the row-sparse form of a 2-D one (a SciPy sparse matrix), which
+        then stands for ``rows`` too.
     index:
         1-D integer array of positions along ``dim``; entries may repeat
         and appear in any order, exactly like an edge list's endpoints.
@@ -51,7 +53,10 @@ def index_select(input: np.ndarray, index: np.ndarray, dim: int = 0,
         entries of the gathered rows, in their stored order — the dense
         gather's non-zeros, without its ``[len(index), f]`` array.
     """
-    input = np.asarray(input)
+    if _sp.issparse(input):
+        input = rows = input.tocsr()
+    else:
+        input = np.asarray(input)
     index = np.asarray(index)
     if input.ndim not in (1, 2):
         raise KernelError(f"indexSelect expects 1-D or 2-D input, got {input.ndim}-D")

@@ -302,12 +302,14 @@ def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
     ``rows`` is the row-sparse form of ``dense``; where
     :func:`takes_row_sparse` says so the operator multiplies it
     (``operator @ rows``, SciPy's SpGEMM) and mean divides only the
-    stored entries of the product.  A row-sparse ``dense`` (the unfused
-    scatter's messages, gathered row-sparse by the same rule) is
-    multiplied the same way; one holding a NaN or an inf is densified
-    first, for the reason :func:`takes_row_sparse` keeps such rows
-    dense.  Bit for bit the dense result for finite operator values:
-    both products start every output element from +0.0 and add its
+    stored entries of the product.  ``dense`` may itself be row-sparse:
+    as its own ``rows`` (an aggregation's source handed row-sparse) it
+    is densified where the rule says dense; without ``rows`` (the
+    unfused scatter's messages, gathered row-sparse by the same rule)
+    it is multiplied the same way, unless it holds a NaN or an inf, for
+    the reason :func:`takes_row_sparse` keeps such rows dense.  Bit for
+    bit the dense result for finite operator values: both products
+    start every output element from +0.0 and add its
     products in the operator's stored order, and the terms the sparse
     one skips are ``a * 0``, which leave a sum unchanged.  With
     ``keep``, a product taken row-sparse is returned as that SciPy CSR
@@ -316,14 +318,14 @@ def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
     if operator is None:
         operator = aggregation_operator(structure, src_index, scale,
                                         dense.shape[0])
-    if _sp.issparse(dense):
-        if finite_rows(dense):
-            return _row_sparse_product(structure.counts, operator @ dense,
-                                       reduce, keep)
-        dense = dense.toarray()      # NaN bits: see takes_row_sparse
+    if _sp.issparse(dense) and rows is None and finite_rows(dense):
+        return _row_sparse_product(structure.counts, operator @ dense,
+                                   reduce, keep)
     if takes_row_sparse(operator, rows):
         return _row_sparse_product(structure.counts, operator @ rows,
                                    reduce, keep)
+    if _sp.issparse(dense):
+        dense = dense.toarray()      # NaN bits: see takes_row_sparse
     summed = np.asarray(operator @ (dense if dense.ndim == 2
                                     else dense[:, None]))
     if reduce == "mean":

@@ -65,7 +65,8 @@ def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
         the result is bit-for-bit what a separate activation over this
         kernel's output would produce; the launch record carries the
         epilogue's extra arithmetic and a ``replaces`` entry naming the
-        plain sgemm launch it stands in for.
+        plain sgemm launch it stands in for.  It runs in place on the
+        launch's own product array, allocating no second ``[n, m]``.
     """
     a = a.tocsr().astype(np.float32, copy=False) if _sp.issparse(a) \
         else np.asarray(a, dtype=np.float32)
@@ -105,7 +106,7 @@ def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
     out = out.astype(np.float32, copy=False)
     if activation:
         from repro.core.models.activations import get_activation
-        out = get_activation(activation)(out)
+        out = get_activation(activation)(out, out=out)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()

@@ -51,7 +51,9 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
     adjacency:
         CSR matrix ``[n, n]`` (row = destination node).
     dense:
-        Float matrix ``[n, f]`` of node features.
+        Float matrix ``[n, f]`` of node features, or its row-sparse form
+        (a SciPy sparse matrix), which then stands for ``rows`` too and
+        is densified for this call only where the rule says dense.
     bias:
         Optional length-``f`` vector added to every output row inside
         this launch (cuBLAS-epilogue style, mirroring ``sgemm``).
@@ -63,7 +65,8 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
         a separate bias-add + activation over the plain product would
         produce.  The launch record carries the epilogue's extra
         arithmetic and a ``replaces`` entry naming the plain spmm
-        launch it stands in for.
+        launch it stands in for.  Like ``sgemm``'s, it runs in place on
+        the launch's own product array.
     rows:
         The resident row-sparse form of ``dense``
         (:meth:`repro.graph.Graph.feature_rows`), when the caller holds
@@ -80,7 +83,10 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
         raise KernelError(
             f"spmm expects a CSRMatrix, got {type(adjacency).__name__}"
         )
-    dense = np.asarray(dense, dtype=np.float32)
+    if _sp.issparse(dense):
+        dense = rows = dense.tocsr().astype(np.float32, copy=False)
+    else:
+        dense = np.asarray(dense, dtype=np.float32)
     if dense.ndim != 2:
         raise KernelError(f"spmm expects a 2-D dense operand, got {dense.ndim}-D")
     if dense.shape[0] != adjacency.shape[1]:
@@ -97,7 +103,7 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
 
     start = time.perf_counter()
     out = adjacency.matmul(
-        rows if takes_row_sparse(adjacency, rows) else dense)
+        rows if takes_row_sparse(adjacency, rows) else _dense(dense))
     if _sp.issparse(out) and not (row_sparse_out and bias is None
                                   and not activation):
         out = out.toarray()
@@ -106,7 +112,7 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
     out = out.astype(np.float32, copy=False)
     if activation:
         from repro.core.models.activations import get_activation
-        out = get_activation(activation)(out)
+        out = get_activation(activation)(out, out=out)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()
@@ -114,6 +120,13 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
         _emit_spmm(recorder, adjacency, dense, out, duration, tag,
                    epilogue=activation or "")
     return out
+
+
+def _dense(x):
+    """``x`` as a dense array: a row-sparse operand the rule keeps dense
+    (:func:`~repro.core.kernels.scatter.takes_row_sparse`) is densified
+    for the call."""
+    return x.toarray() if _sp.issparse(x) else x
 
 
 def _emit_spmm(recorder: L.LaunchRecorder, adjacency: CSRMatrix,
@@ -190,7 +203,9 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
     Parameters
     ----------
     source:
-        2-D float node-embedding matrix ``[n, f]``.
+        2-D float node-embedding matrix ``[n, f]``, or its row-sparse
+        form (a SciPy sparse matrix), which then stands for ``rows`` too
+        and is densified for this call only where the rule says dense.
     src_index / dst_index:
         Per-edge source and destination node ids (equal length).
     dim_size:
@@ -223,7 +238,10 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
         SciPy CSR, mean already divided) instead of densifying it; a
         dense result is returned dense either way.
     """
-    source = np.asarray(source)
+    if _sp.issparse(source):
+        source = rows = source.tocsr().astype(np.float32, copy=False)
+    else:
+        source = np.asarray(source, dtype=np.float32)
     src_index = np.asarray(src_index)
     dst_index = np.asarray(dst_index)
     if source.ndim != 2:
@@ -262,7 +280,7 @@ def fused_gather_scatter(source: np.ndarray, src_index: np.ndarray,
     _check_rows(rows, source)
 
     start = time.perf_counter()
-    out = _reduce(np.asarray(source, dtype=np.float32), dst_index,
+    out = _reduce(source, dst_index,
                   int(dim_size), reduce, structure, operator, src_index,
                   scale, rows, keep=row_sparse_out)
     duration = time.perf_counter() - start

@@ -2,12 +2,14 @@
 
 The paper's Theta is "an activation function such as a Rectified Linear
 Unit (ReLU) or a Sigmoid function"; both are provided plus identity for
-final layers.
+final layers.  Each takes an optional ``out`` array (``out=x`` applies
+it in place, as the ``sgemm`` / ``spmm`` epilogues do to their own
+product), with the same bits as the out-of-place call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -16,14 +18,16 @@ from repro.errors import ModelError
 __all__ = ["ACTIVATIONS", "get_activation", "relu", "sigmoid", "identity"]
 
 
-def relu(x: np.ndarray) -> np.ndarray:
+def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Rectified linear unit."""
-    return np.maximum(x, 0.0)
+    return np.maximum(x, 0.0, out=out)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x)
+def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Numerically stable logistic sigmoid.  ``out=x`` is safe: each
+    entry is read before it is written."""
+    if out is None:
+        out = np.empty_like(x)
     positive = x >= 0
     out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
     exp_x = np.exp(x[~positive])
@@ -31,19 +35,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def identity(x: np.ndarray) -> np.ndarray:
+def identity(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Pass-through (used for final layers producing logits)."""
-    return x
+    if out is None or out is x:
+        return x
+    out[...] = x
+    return out
 
 
-ACTIVATIONS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
+ACTIVATIONS: Dict[str, Callable[..., np.ndarray]] = {
     "relu": relu,
     "sigmoid": sigmoid,
     "identity": identity,
 }
 
 
-def get_activation(name: str) -> Callable[[np.ndarray], np.ndarray]:
+def get_activation(name: str) -> Callable[..., np.ndarray]:
     """Look up an activation by name."""
     if name not in ACTIVATIONS:
         raise ModelError(

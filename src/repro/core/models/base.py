@@ -36,16 +36,20 @@ def check_features(graph: Graph, width: int,
                    features: Optional[np.ndarray] = None) -> np.ndarray:
     """Resolve and validate an input feature matrix.
 
-    ``features`` overrides ``graph.features``; the result is float32 of
-    shape ``(graph.num_nodes, width)`` (a float32 array passes through
-    as the same object), else :class:`~repro.errors.ModelError`.
+    ``features`` overrides the graph's own ``X``, which is returned in
+    the form the graph stores it
+    (:attr:`~repro.graph.Graph.stored_features`: a row-sparse CSR is
+    not densified here).  The result is float32 of shape
+    ``(graph.num_nodes, width)`` (a float32 array passes through as the
+    same object), else :class:`~repro.errors.ModelError`.
     """
-    x = features if features is not None else graph.features
+    x = features if features is not None else graph.stored_features
     if x is None:
         raise ModelError(
             f"graph {graph.name!r} carries no features and none were given"
         )
-    x = np.asarray(x, dtype=np.float32)
+    if x is not graph.stored_features:
+        x = np.asarray(x, dtype=np.float32)
     if x.shape != (graph.num_nodes, width):
         raise ModelError(
             f"features must have shape ({graph.num_nodes}, {width}), "

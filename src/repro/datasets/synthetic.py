@@ -14,6 +14,12 @@ Self-loops and duplicate edges are rejected and re-sampled so the final
 edge count matches the spec *exactly* — Table IV is reproduced to the
 edge.
 
+Bag-of-words features (Cora, CiteSeer, PubMed) are 1 % non-zero and are
+generated as the row-sparse CSR the graph keeps (paper Section II-D:
+gSuite carries datasets as dense, sparse, COO or CSR), so loading one
+allocates no dense ``N x F`` matrix; a consumer that needs one asks
+:attr:`repro.graph.Graph.features`.
+
 Everything is driven by ``numpy.random.Generator`` seeded explicitly, so
 generation is deterministic across runs and platforms.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+import scipy.sparse as _sp
 
 from repro.errors import DatasetError
 from repro.datasets.specs import DatasetSpec
@@ -132,24 +139,35 @@ def sample_edges(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
     return chosen[:, order].astype(np.int64)
 
 
-def synthesize_features(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
+def synthesize_features(spec: DatasetSpec, rng: np.random.Generator):
     """Generate the float32 feature matrix for ``spec``.
 
     * ``bag_of_words`` — sparse 0/1 rows with roughly 1% active words,
-      the shape of Cora/CiteSeer/PubMed TF-IDF vectors;
+      the shape of Cora/CiteSeer/PubMed TF-IDF vectors, built directly
+      as the row-sparse CSR a :class:`~repro.graph.Graph` keeps: each
+      row draws its word ids, a word drawn twice is stored once, and no
+      dense ``[n, f]`` matrix is ever allocated;
     * ``dense``        — unit-variance Gaussian embeddings (Reddit GloVe);
     * ``scalar``       — a single normalised structural feature
       (LiveJournal has feature length 1 in Table IV).
+
+    The last two are dense arrays.
     """
     n, f = spec.num_nodes, spec.feature_length
     if spec.feature_style == "bag_of_words":
         density = 0.01
         active_per_row = max(1, int(f * density))
-        out = np.zeros((n, f), dtype=np.float32)
         cols = rng.integers(0, f, size=(n, active_per_row))
-        rows = np.repeat(np.arange(n), active_per_row)
-        out[rows, cols.ravel()] = 1.0
-        return out
+        # Row-major keys: sorted and unique, they are the stored entries
+        # in CSR order (rows ascending, columns ascending within a row).
+        keys = np.unique(np.arange(n, dtype=np.int64)[:, None] * f + cols)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // f, minlength=n), out=indptr[1:])
+        # The constructor picks the index width as for any CSR the
+        # graph builds (int32 here).
+        return _sp.csr_matrix(
+            (np.ones(keys.shape[0], dtype=np.float32),
+             (keys % f).astype(np.int32), indptr), shape=(n, f))
     if spec.feature_style == "dense":
         return rng.standard_normal((n, f)).astype(np.float32)
     if spec.feature_style == "scalar":

@@ -85,13 +85,14 @@ class BuiltPipeline:
 
     def input_features(self,
                        features: Optional[np.ndarray] = None) -> np.ndarray:
-        """The ``X`` a run binds: ``features``, else the graph's own.
+        """The ``X`` a run binds: ``features``, else the graph's own
+        in its stored form (:attr:`~repro.graph.Graph.stored_features`).
 
         Refuses a missing matrix or one not shaped ``(num_nodes,
         num_features)`` with :class:`~repro.errors.ModelError` before
         any kernel launches.  A float32 array passes through as the
-        same object, so ``graph.features`` keeps its resident
-        row-sparse form.
+        same object, so the graph's ``X`` keeps its resident row-sparse
+        form.
         """
         return check_features(self.graph, self.num_features, features)
 

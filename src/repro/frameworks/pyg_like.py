@@ -259,8 +259,11 @@ class _PyGLikePipeline(BuiltPipeline):
 
     def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
         graph = self.graph
-        # Tensor re-materialisation: PyG converts inputs on every call.
-        x = np.array(self.input_features(features), copy=True)
+        # Tensor re-materialisation: PyG converts inputs on every call,
+        # from the dense matrix (a row-sparse X's dense view).
+        x = self.input_features(features)
+        x = np.array(graph.features if x is graph.stored_features else x,
+                     copy=True)
         edge_index = _validate_edge_index(graph.edge_index, graph.num_nodes)
         return self._executor.run(self.plan, graph,
                                   {"X": x, "edge_index": edge_index})

@@ -77,7 +77,7 @@ class BatchedGraph(Graph):
         if not members:
             raise GraphFormatError("a batch needs at least one member graph")
         widths = [g.num_features for g in members]
-        featured = [g.features is not None for g in members]
+        featured = [g.stored_features is not None for g in members]
         if any(featured) and not all(featured):
             raise GraphFormatError(
                 "cannot batch graphs with and without features: "
@@ -152,7 +152,7 @@ class BatchedGraph(Graph):
         scanned: a whole-batch reader of ``X`` (an aggregation) gets
         exactly the rows each member's solo run reads.
         """
-        parts = [g.feature_rows(g.features) for g in self.members]
+        parts = [g.feature_rows(g.stored_features) for g in self.members]
         if any(part is None for part in parts):
             return None
         return _sp.vstack(parts, format="csr")

@@ -4,6 +4,13 @@ A graph workload, in the paper's terms, is connectivity information (an
 edge index in COO form) plus content information (a node feature matrix
 ``X`` of shape ``[|V|, f]``).  The data loader produces :class:`Graph`
 instances; models and kernels consume them.
+
+``X`` is kept in one of the paper's formats (Section II-D): as the
+row-sparse CSR it was generated as when it holds at most one stored
+entry per :data:`ROW_SPARSE_STRIDE` (the bag-of-words citation
+datasets), dense otherwise.  :attr:`Graph.stored_features` is that
+form, the one a run binds; :attr:`Graph.features` is always a dense
+array, for a row-sparse ``X`` a read-only view built on first read.
 """
 
 from __future__ import annotations
@@ -76,6 +83,32 @@ def _row_sparse(features: np.ndarray) -> Optional[_sp.csr_matrix]:
         shape=(n, k))
 
 
+def _stored_form(features):
+    """How a graph keeps the ``features`` it is given: ``None``; a dense
+    float32 array; or, for a SciPy sparse matrix, its canonical float32
+    CSR (the entries :func:`_row_sparse` stores: no duplicate, no zero,
+    columns ascending) while :func:`row_sparse_enough` holds for it, its
+    dense array otherwise."""
+    if features is None:
+        return None
+    if _sp.issparse(features):
+        rows = features.tocsr().astype(np.float32, copy=False)
+        if not rows.has_canonical_format \
+                or np.count_nonzero(rows.data) != rows.nnz:
+            rows = rows.copy()
+            rows.sum_duplicates()
+            rows.eliminate_zeros()
+        if not row_sparse_enough(rows.nnz, *rows.shape):
+            return rows.toarray()
+        return rows
+    features = np.asarray(features, dtype=np.float32)
+    if features.ndim != 2:
+        raise GraphFormatError(
+            f"features must have shape (num_nodes, f), got {features.shape}"
+        )
+    return features
+
+
 def _freeze(value) -> None:
     """Make every array reachable from a memoised structure read-only.
 
@@ -103,7 +136,11 @@ class Graph:
         convention PyG uses and the paper's Fig. 2 labels ``edgeIndex``.
     features:
         Optional float matrix of shape ``(num_nodes, f)`` — the paper's
-        feature matrix ``X``.
+        feature matrix ``X`` — as a dense array or a SciPy sparse
+        matrix.  A sparse one is kept as its canonical float32 CSR while
+        :func:`row_sparse_enough` holds for it (the bag-of-words
+        datasets are born that way) and densified otherwise; a dense
+        one is kept dense.  See :attr:`stored_features`.
     num_nodes:
         Node count.  Required when ``features`` is absent and the edge
         index does not reach every node.
@@ -125,13 +162,11 @@ class Graph:
             raise GraphFormatError("edge_index must be an integer array")
         self.edge_index = edge_index.astype(np.int64, copy=False)
 
-        if features is not None:
-            features = np.asarray(features, dtype=np.float32)
-            if features.ndim != 2:
-                raise GraphFormatError(
-                    f"features must have shape (num_nodes, f), got {features.shape}"
-                )
+        #: Structures derived from this graph's arrays, built on first
+        #: use — see :meth:`structure` and :meth:`feature_rows`.
+        self._structures: dict = {}
         self.features = features
+        features = self._x
 
         inferred = int(self.edge_index.max()) + 1 if self.edge_index.size else 0
         if num_nodes is None:
@@ -158,11 +193,54 @@ class Graph:
                 )
         self.edge_weight = edge_weight
         self.name = name
-        #: Structures derived from this graph's arrays, built on first
-        #: use — see :meth:`structure` and :meth:`feature_rows`.
-        self._structures: dict = {}
 
     # -- basic accessors ---------------------------------------------------
+    @property
+    def features(self) -> Optional[np.ndarray]:
+        """``X`` as a dense float32 array (``None`` without features).
+
+        A graph that stores ``X`` row-sparse builds this dense view from
+        the CSR on its first read, read-only, and keeps it; no native
+        kernel reads it where the density rules say row-sparse, so on
+        those paths it is never built.  Assigning rebinds ``X`` (dense
+        or sparse, as the constructor takes it) and drops the stored
+        CSR and its view.
+        """
+        x = self._x
+        if not _sp.issparse(x):
+            return x
+        if self._dense is None:
+            self._dense = x.toarray()
+            self._dense.setflags(write=False)
+        return self._dense
+
+    @features.setter
+    def features(self, value) -> None:
+        self._x = _stored_form(value)
+        self._dense = None
+
+    @property
+    def stored_features(self):
+        """``X`` in the form this graph keeps it: the row-sparse CSR
+        (which is also its :meth:`feature_rows`) or the dense array.
+
+        What a run binds as its plan input ``X``: the executor reads the
+        CSR where the rules say row-sparse and asks :attr:`features` for
+        the dense view elsewhere.
+        """
+        return self._x
+
+    def is_features(self, x) -> bool:
+        """Whether ``x`` *is* this graph's ``X`` — its
+        :attr:`stored_features` or the dense view :attr:`features` —
+        rather than any other array, however equal."""
+        return x is not None and (x is self._x or x is self._dense)
+
+    @property
+    def dense_view_built(self) -> bool:
+        """Whether a row-sparse ``X`` has had its dense view built."""
+        return self._dense is not None
+
     @property
     def num_edges(self) -> int:
         """Number of directed edges."""
@@ -171,7 +249,7 @@ class Graph:
     @property
     def num_features(self) -> int:
         """Feature length ``f`` (0 when the graph carries no features)."""
-        return int(self.features.shape[1]) if self.features is not None else 0
+        return int(self._x.shape[1]) if self._x is not None else 0
 
     @property
     def src(self) -> np.ndarray:
@@ -199,8 +277,9 @@ class Graph:
         reduction structure — which every run over this graph would
         otherwise re-derive.  ``key`` names the function and its
         parameters.  The one entry derived from the feature matrix,
-        :meth:`feature_rows`, stores the array it was built from beside
-        the structure and is checked against it by identity.  The graph
+        :meth:`feature_rows`, stores the :attr:`stored_features` it was
+        built from beside the structure and is checked against it by
+        identity (for a row-sparse ``X`` the two are one CSR).  The graph
         owns the memo, so the structures die with it; a graph is a
         value object (its arrays are not to be written after
         construction), and every array handed out is read-only, so an
@@ -217,27 +296,32 @@ class Graph:
         """The resident row-sparse form of ``x``, or ``None``.
 
         The ``rows`` operand of a first-layer ``sgemm`` and of an
-        aggregation over ``X`` (``fused_gather_scatter``, ``spmm``):
-        the memoised row-major CSR of :attr:`features` (see
-        :func:`_row_sparse`), returned iff ``x`` *is* :attr:`features`
-        — any other array, however equal, has no resident form and
-        multiplies densely — and the matrix holds at most one stored
-        entry per :data:`ROW_SPARSE_STRIDE`.  Building it freezes
-        :attr:`features` with the rest of the memo: a later in-place
-        write raises rather than diverging from the structure, and a
-        rebound :attr:`features` gets a structure of its own.
+        aggregation over ``X`` (``fused_gather_scatter``, ``spmm``,
+        ``index_select``), returned iff ``x`` *is* this graph's ``X`` —
+        :attr:`stored_features` or the dense view :attr:`features` —
+        since any other array, however equal, has no resident form and
+        multiplies densely.  A row-sparse ``X`` is its own form.  A
+        dense one gets the memoised row-major CSR of it (see
+        :func:`_row_sparse`) when it holds at most one stored entry per
+        :data:`ROW_SPARSE_STRIDE`.  The first ask freezes ``X`` with the
+        rest of the memo: a later in-place write raises rather than
+        diverging from the structure, and a rebound :attr:`features`
+        gets a structure of its own.
         """
-        if x is None or x is not self.features:
+        if not self.is_features(x):
             return None
+        stored = self._x
         memo = self._structures.get("feature_rows")
-        if memo is not None and memo[0] is not x:
+        if memo is not None and memo[0] is not stored:
             del self._structures["feature_rows"]   # features were rebound
-        return self.structure("feature_rows",
-                              lambda: (x, self._build_feature_rows(x)))[1]
+        return self.structure(
+            "feature_rows",
+            lambda: (stored, self._build_feature_rows(stored)))[1]
 
     def _build_feature_rows(self, x) -> Optional[_sp.csr_matrix]:
-        """The structure :meth:`feature_rows` memoises for ``x``."""
-        return _row_sparse(x)
+        """The structure :meth:`feature_rows` memoises for the stored
+        ``x``: ``x`` itself when it is row-sparse."""
+        return x if _sp.issparse(x) else _row_sparse(x)
 
     def in_degrees(self) -> np.ndarray:
         """In-degree of every node (memoised, read-only)."""
@@ -300,7 +384,7 @@ class Graph:
         """Deep copy (arrays included)."""
         return Graph(
             self.edge_index.copy(),
-            features=None if self.features is None else self.features.copy(),
+            features=None if self._x is None else self._x.copy(),
             num_nodes=self.num_nodes,
             edge_weight=None if self.edge_weight is None else self.edge_weight.copy(),
             name=self.name,

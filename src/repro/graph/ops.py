@@ -52,8 +52,9 @@ def _add_self_loops(graph: Graph) -> Graph:
         edge_weight = np.concatenate(
             [graph.edge_weight, np.ones(missing.shape[0], dtype=np.float32)]
         )
-    return Graph(edge_index, features=graph.features, num_nodes=graph.num_nodes,
-                 edge_weight=edge_weight, name=graph.name)
+    return Graph(edge_index, features=graph.stored_features,
+                 num_nodes=graph.num_nodes, edge_weight=edge_weight,
+                 name=graph.name)
 
 
 def self_loop_adjacency_csr(graph: Graph) -> CSRMatrix:
@@ -67,7 +68,7 @@ def remove_self_loops(graph: Graph) -> Graph:
     """Drop all ``v -> v`` edges."""
     keep = graph.src != graph.dst
     edge_weight = graph.edge_weight[keep] if graph.edge_weight is not None else None
-    return Graph(graph.edge_index[:, keep], features=graph.features,
+    return Graph(graph.edge_index[:, keep], features=graph.stored_features,
                  num_nodes=graph.num_nodes, edge_weight=edge_weight, name=graph.name)
 
 
@@ -79,8 +80,9 @@ def coalesce_edges(graph: Graph) -> Graph:
     weights = coo.val
     if graph.edge_weight is None and np.allclose(weights, 1.0):
         weights = None
-    return Graph(edge_index, features=graph.features, num_nodes=graph.num_nodes,
-                 edge_weight=weights, name=graph.name)
+    return Graph(edge_index, features=graph.stored_features,
+                 num_nodes=graph.num_nodes, edge_weight=weights,
+                 name=graph.name)
 
 
 def to_undirected(graph: Graph) -> Graph:
@@ -93,13 +95,13 @@ def to_undirected(graph: Graph) -> Graph:
     forward = graph.edge_index
     backward = graph.edge_index[::-1]
     both = np.hstack([forward, backward])
-    merged = Graph(both, features=graph.features, num_nodes=graph.num_nodes,
-                   name=graph.name)
+    merged = Graph(both, features=graph.stored_features,
+                   num_nodes=graph.num_nodes, name=graph.name)
     merged = coalesce_edges(merged)
     if graph.edge_weight is None and merged.edge_weight is not None:
         # Summation may have produced weight-2 entries for reciprocal edges;
         # an unweighted graph stays unweighted.
-        return Graph(merged.edge_index, features=graph.features,
+        return Graph(merged.edge_index, features=graph.stored_features,
                      num_nodes=graph.num_nodes, name=graph.name)
     return merged
 
@@ -176,7 +178,8 @@ def subgraph(graph: Graph, nodes) -> Graph:
         relabel[graph.src[edge_mask]],
         relabel[graph.dst[edge_mask]],
     ])
-    features = graph.features[nodes] if graph.features is not None else None
+    stored = graph.stored_features
+    features = stored[nodes] if stored is not None else None
     weight = graph.edge_weight[edge_mask] if graph.edge_weight is not None else None
     return Graph(edge_index, features=features, num_nodes=nodes.shape[0],
                  edge_weight=weight, name=graph.name)

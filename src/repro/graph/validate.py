@@ -8,6 +8,7 @@ CSR pointers) is caught at the boundary rather than inside a kernel.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import GraphFormatError
 from repro.graph.formats import CSRMatrix
@@ -32,10 +33,13 @@ def validate_graph(graph: Graph) -> Graph:
             raise GraphFormatError(
                 f"edge_index references node {hi} but num_nodes={graph.num_nodes}"
             )
-    if graph.features is not None:
-        if graph.features.shape[0] != graph.num_nodes:
+    stored = graph.stored_features
+    if stored is not None:
+        if stored.shape[0] != graph.num_nodes:
             raise GraphFormatError("feature row count does not match num_nodes")
-        if not np.all(np.isfinite(graph.features)):
+        # The stored values: a row-sparse X's dense view holds no others.
+        if not np.all(np.isfinite(stored.data if sp.issparse(stored)
+                                  else stored)):
             raise GraphFormatError("features contain NaN or infinite values")
     if graph.edge_weight is not None:
         if graph.edge_weight.shape[0] != graph.num_edges:

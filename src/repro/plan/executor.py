@@ -34,16 +34,23 @@ hands both to ``scatter`` / ``fused_gather_scatter``.  The ``pyg_*`` /
 ``dgl_*`` kinds model what those frameworks re-derive on every forward
 and stay per-run: their kernels build the operator for each call.
 
-The same goes for the one dense operand the graph owns: an ``SGEMM``,
-a ``FusedGatherScatter`` or an ``SpMM`` whose dense operand *is*
-``graph.features`` is handed the graph's resident row-sparse form of
-it (:meth:`repro.graph.Graph.feature_rows`).  The ``SGEMM`` multiplies
-over the stored entries only, which agrees with the dense route to
-float32 reassociation.  A sum / mean aggregation multiplies its
-operator by the rows where :func:`~repro.core.kernels.takes_row_sparse`
-says so, which is bit for bit the dense product (docs/architecture.md,
-"Parity contracts").  An unfused ``Gather`` of ``X`` takes the same
-route split in two where the rule says its fused pair would (the
+The same goes for the one dense operand the graph owns.  A run binds
+``X`` as the graph stores it (:attr:`repro.graph.Graph.
+stored_features`: the bag-of-words datasets' CSR, else a dense array),
+and an ``SGEMM``, a ``FusedGatherScatter``, an ``SpMM`` or a ``Gather``
+whose dense operand *is* the graph's ``X`` is handed the graph's
+resident row-sparse form of it (:meth:`repro.graph.Graph.
+feature_rows`).  The ``SGEMM`` multiplies over the stored entries only,
+which agrees with the dense route to float32 reassociation.  A sum /
+mean aggregation multiplies its operator by the rows where
+:func:`~repro.core.kernels.takes_row_sparse` says so, which is bit for
+bit the dense product (docs/architecture.md, "Parity contracts").
+Where the rule says dense (NaN / inf rows, a ratio below 64), and for a
+dense consumer such as gin's ``combine``, a row-sparse ``X`` is read
+through its dense view (:attr:`repro.graph.Graph.features`), built on
+that first read and kept by the graph.  An unfused ``Gather`` of ``X``
+takes the same route split in two where the rule says its fused pair
+would (the
 gather's one consumer a ``ScatterReduce``): ``index_select``
 gathers the stored entries into row-sparse messages and ``scatter``
 reduces them, bit for bit the dense pair, so no ``[E, F]`` message
@@ -236,7 +243,9 @@ _X_READERS = {SGEMM: ("sgemm", "a"),
 def describe_features(plan: ExecutionPlan, graph: Graph,
                       resident: bool = True) -> str:
     """Report for ``gsuite plan``: whether the graph keeps a resident
-    row-sparse form of the feature matrix, then one line per kernel
+    row-sparse form of the feature matrix (and, when it does, whether
+    a dense copy exists beside it: ``stored dense``, ``no dense view``
+    or ``dense view built``), then one line per kernel
     that reads it (an ``sgemm``'s left operand, an aggregation's or a
     gather's source, an ``spmm``'s dense operand) and the form it will
     read.
@@ -262,11 +271,12 @@ def describe_features(plan: ExecutionPlan, graph: Graph,
         return "features: dense (X is re-materialised on every run)"
     batched = plan.batch is not None and plan.batch.num_graphs > 1
     members = graph.members if batched else [graph]
-    kept = [rows for rows in (m.feature_rows(m.features) for m in members)
-            if rows is not None]
+    kept = [rows for rows in (m.feature_rows(m.stored_features)
+                              for m in members) if rows is not None]
     if not kept:
-        size = max(1, sum(m.features.size for m in members))
-        stored = sum(int(np.count_nonzero(m.features)) for m in members)
+        size = max(1, sum(m.stored_features.size for m in members))
+        stored = sum(int(np.count_nonzero(m.stored_features))
+                     for m in members)
         header = f"features: dense ({100.0 * stored / size:.3g} %)"
     else:
         size = sum(rows.shape[0] * rows.shape[1] for rows in kept)
@@ -275,8 +285,9 @@ def describe_features(plan: ExecutionPlan, graph: Graph,
         header = (f"features: row-sparse{_share(kept, members)} (nnz/size "
                   f"{100.0 * sum(r.nnz for r in kept) / max(1, size):.2f} %, "
                   f"{size * kept[0].dtype.itemsize / 1e6:.1f} MB dense "
-                  f"\u2192 {sparse_bytes / 1e6:.1f} MB)")
-    rows = graph.feature_rows(graph.features)
+                  f"\u2192 {sparse_bytes / 1e6:.1f} MB; "
+                  f"{_dense_views(members)})")
+    rows = graph.feature_rows(graph.stored_features)
     executor = PlanExecutor()
     env = executor._structure_env(plan, graph, x)
     lines = [header]
@@ -327,6 +338,15 @@ def _scaled(messages, scale: np.ndarray):
          messages.indices, messages.indptr), shape=messages.shape)
 
 
+def _dense_x(value, graph: Graph):
+    """``value`` as a dense reader reads it: the graph's dense view
+    (:attr:`~repro.graph.Graph.features`) when ``value`` is its
+    row-sparse ``X``.  The one place a run builds that view: for a
+    dense consumer (gin's ``combine``) or an aggregation whose rule
+    says dense."""
+    return graph.features if value is graph.stored_features else value
+
+
 def _handed(a):
     """The form an ``sgemm`` reads a kept aggregate in: row-sparse while
     :func:`~repro.graph.graph.row_sparse_enough` holds for it, densified
@@ -334,6 +354,18 @@ def _handed(a):
     if _sp.issparse(a) and not row_sparse_enough(a.nnz, *a.shape):
         return a.toarray()
     return a
+
+
+def _dense_views(members) -> str:
+    """Whether the dense ``X`` exists beside the row-sparse one, for
+    ``gsuite plan``'s header: ``stored dense`` for a graph that keeps
+    ``X`` dense, else whether its dense view has been built."""
+    sparse = [m for m in members if _sp.issparse(m.stored_features)]
+    if not sparse:
+        return "stored dense"
+    built = [m for m in sparse if m.dense_view_built]
+    return f"dense view built{_share(built, sparse)}" if built \
+        else "no dense view"
 
 
 def _share(kept, members) -> str:
@@ -448,7 +480,7 @@ class PlanExecutor:
             result = self._execute(op, env, graph)
             if self.on_op is not None:
                 self.on_op(op, result)
-        return env[plan.output.vid]
+        return _dense_x(env[plan.output.vid], graph)
 
     # -- batched execution -------------------------------------------------
     def _segmented_sgemm(self, op: SGEMM, a, b, bias,
@@ -468,7 +500,7 @@ class PlanExecutor:
         contribute an empty block and no arithmetic.
         """
         total = len(self._segments)
-        resident = a is graph.features
+        resident = graph.is_features(a)
         kept = self._kept.get(op.a.vid)
         parts = []
         for i, (lo, hi) in enumerate(self._segments):
@@ -477,7 +509,7 @@ class PlanExecutor:
             if kept is not None:
                 part = kept[i]
             elif resident:
-                part = member.feature_rows(member.features)
+                part = member.feature_rows(member.stored_features)
             if part is None:
                 part = a[lo:hi].toarray() if _sp.issparse(a) else a[lo:hi]
             parts.append(sgemm(
@@ -532,14 +564,15 @@ class PlanExecutor:
 
     def _structure_env(self, plan: ExecutionPlan, graph: Graph,
                        x: int) -> Dict[int, Any]:
-        """The plan's constants, ``X`` bound to ``graph.features``, and
+        """The plan's constants, ``X`` bound as a run binds it
+        (:attr:`~repro.graph.Graph.stored_features`), and
         the output of every ``Normalize`` whose inputs those determine —
         what a run would hand the aggregation kernels, without running
         one."""
         self._resident = {}
         self._plan, self._uses = plan, None
         env: Dict[int, Any] = dict(plan.constants)
-        env[x] = graph.features
+        env[x] = graph.stored_features
         for op in plan.ops:
             if isinstance(op, Normalize) \
                     and all(ref.vid in env for ref in op.inputs):
@@ -587,17 +620,17 @@ class PlanExecutor:
         epilogue-free ``SpMM``), or the fused pair of the gather whose
         messages a ``ScatterReduce`` reduces (:meth:`_fused_pair`) —
         else ``None``."""
-        x = graph.features
         if isinstance(op, ScatterReduce):
             gather = next((g for g in self._plan.ops if isinstance(g, Gather)
                            and g.out.vid == op.source.vid), None)
-            if gather is None or env.get(gather.source.vid) is not x:
+            if gather is None \
+                    or not graph.is_features(env.get(gather.source.vid)):
                 return None
             return self._fused_pair(gather)
         if isinstance(op, FusedGatherScatter):
-            return op if env.get(op.source.vid) is x else None
+            return op if graph.is_features(env.get(op.source.vid)) else None
         if isinstance(op, SpMM) and op.bias is None and not op.activation:
-            return op if env.get(op.dense.vid) is x else None
+            return op if graph.is_features(env.get(op.dense.vid)) else None
         return None
 
     def _why_dense(self, op, env: Dict[int, Any]) -> str:
@@ -648,7 +681,7 @@ class PlanExecutor:
         counts = np.maximum(np.diff(operator.indptr), 1).astype(np.float32)
         products = []
         for member, (lo, hi) in zip(members, segments):
-            rows = member.feature_rows(member.features)
+            rows = member.feature_rows(member.stored_features)
             block = operator[lo:hi, lo:hi]
             if not takes_row_sparse(block, rows):
                 products.append(None)
@@ -690,27 +723,28 @@ class PlanExecutor:
                 product, env, graph, graph.members, self._segments, out)
         return out
 
-    def _gather_rows(self, op: Gather, env: Dict[int, Any],
-                     graph: Graph) -> Optional[_sp.csr_matrix]:
-        """The resident row-sparse form an unfused gather reads: its
-        source's (:meth:`~repro.graph.Graph.feature_rows`), where the
-        fused pair over the same operands would take the route
-        (:meth:`_fused_pair`, :func:`~repro.core.kernels.
-        takes_row_sparse`), so fused and unfused plans route alike."""
-        rows = graph.feature_rows(env[op.source.vid])
-        if rows is None:
-            return None
-        pair = self._fused_pair(op)
-        if pair is None or not takes_row_sparse(
-                self._product_operator(pair, env, graph), rows):
-            return None
-        return rows
+    def _routed(self, op, source, env: Dict[int, Any], graph: Graph):
+        """``(operand, rows)`` for an aggregation, an ``SpMM`` or a
+        gather reading ``source``: ``source`` and its resident
+        row-sparse form (:meth:`~repro.graph.Graph.feature_rows`) where
+        :func:`~repro.core.kernels.takes_row_sparse` holds for the
+        operator that multiplies it — a gather's that of its fused pair
+        (:meth:`_fused_pair`), so fused and unfused plans route alike;
+        otherwise the dense matrix and no rows (:func:`_dense_x`: a
+        row-sparse ``X``'s dense view, built on this first read)."""
+        rows = graph.feature_rows(source)
+        if rows is not None:
+            product = self._fused_pair(op) if isinstance(op, Gather) else op
+            if product is not None and takes_row_sparse(
+                    self._product_operator(product, env, graph), rows):
+                return source, rows
+        return _dense_x(source, graph), None
 
     def _execute(self, op, env: Dict[int, Any], graph: Graph):
         if isinstance(op, Gather):
-            out = index_select(env[op.source.vid], env[op.index.vid],
-                               tag=op.tag,
-                               rows=self._gather_rows(op, env, graph))
+            source, rows = self._routed(op, env[op.source.vid], env, graph)
+            out = index_select(source, env[op.index.vid], tag=op.tag,
+                               rows=rows)
             if op.scale is not None:
                 out = _scaled(out, env[op.scale.vid])
             env[op.out.vid] = out
@@ -729,13 +763,13 @@ class PlanExecutor:
             return self._aggregated(op, out, keep, product, env, graph)
         if isinstance(op, SpMM):
             bias = env[op.bias.vid] if op.bias is not None else None
-            dense = env[op.dense.vid]
+            dense, rows = self._routed(op, env[op.dense.vid], env, graph)
             out = spmm(env[op.matrix.vid], dense, bias=bias,
                        tag=op.tag, activation=op.activation or None,
-                       rows=graph.feature_rows(dense), row_sparse_out=keep)
+                       rows=rows, row_sparse_out=keep)
             return self._aggregated(op, out, keep, product, env, graph)
         if isinstance(op, FusedGatherScatter):
-            source = env[op.source.vid]
+            source, rows = self._routed(op, env[op.source.vid], env, graph)
             scale = env[op.scale.vid] if op.scale is not None else None
             structure, operator = self._aggregation(
                 env, graph, source, op.dst_index, op.src_index, op.scale)
@@ -744,8 +778,7 @@ class PlanExecutor:
                 env[op.dst_index.vid], dim_size=graph.num_nodes,
                 scale=scale, reduce=op.reduce, tag=op.tag,
                 gather_tag=op.gather_tag, structure=structure,
-                operator=operator, rows=graph.feature_rows(source),
-                row_sparse_out=keep)
+                operator=operator, rows=rows, row_sparse_out=keep)
             return self._aggregated(op, out, keep, product, env, graph)
         if isinstance(op, SGEMM):
             bias = env[op.bias.vid] if op.bias is not None else None
@@ -762,7 +795,8 @@ class PlanExecutor:
             env[op.out.vid] = out
             return out
         if isinstance(op, Activation):
-            out = get_activation(op.function)(env[op.source.vid])
+            out = get_activation(op.function)(
+                _dense_x(env[op.source.vid], graph))
             env[op.out.vid] = out
             return out
         if isinstance(op, (Elementwise, FusedElementwise)):
@@ -770,7 +804,8 @@ class PlanExecutor:
             local: Dict[int, Any] = {}
 
             def _resolve(ref):
-                return local[ref.vid] if ref.vid in local else env[ref.vid]
+                return local[ref.vid] if ref.vid in local \
+                    else _dense_x(env[ref.vid], graph)
 
             out = None
             for stage in stages:

@@ -27,7 +27,7 @@ def pad_features(graph: Graph, width: int) -> Graph:
     workload).  Structure and edge weights are preserved — only zero
     columns are appended — and the name gains a ``+pad<width>`` suffix.
     """
-    if graph.features is None:
+    if graph.stored_features is None:
         raise ServeError(
             f"cannot pad a graph without features: {graph.name!r}")
     have = graph.num_features

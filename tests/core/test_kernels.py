@@ -215,6 +215,61 @@ class TestSparseKernels:
             spgemm(random_csr(rng, n=3), random_csr(rng, n=5))
 
 
+class TestEpilogueInPlace:
+    """An ``sgemm`` / ``spmm`` epilogue activation writes into the
+    launch's own product array: bit for bit the separate activation over
+    the plain kernel's output, with no second ``[n, m]`` array."""
+
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        """``(input, out, result)`` of every activation call."""
+        from repro.core.models import activations
+        calls = []
+        for name, fn in list(activations.ACTIVATIONS.items()):
+            def spy(x, out=None, fn=fn):
+                calls.append((x, out, fn(x, out=out)))
+                return calls[-1][2]
+            monkeypatch.setitem(activations.ACTIVATIONS, name, spy)
+        return calls
+
+    @staticmethod
+    def _operands(rng):
+        a = rng.standard_normal((9, 6)).astype(np.float32)
+        a[0, 0], a[1, :] = np.nan, -0.0
+        return a, rng.standard_normal((6, 4)).astype(np.float32), \
+            rng.standard_normal(4).astype(np.float32)
+
+    def _check(self, applied, launch, separate):
+        fused = launch()
+        (product, out, result), = applied
+        assert out is product and result is product and fused is product
+        assert fused.tobytes() == separate.tobytes()
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "identity"])
+    def test_sgemm(self, applied, activation, sparse):
+        import scipy.sparse as sp
+        from repro.core.models.activations import get_activation
+        a, b, bias = self._operands(np.random.default_rng(7))
+        a = sp.csr_matrix(a) if sparse else a
+        separate = get_activation(activation)(sgemm(a, b, bias=bias))
+        del applied[:]
+        self._check(applied, lambda: sgemm(a, b, bias=bias,
+                                           activation=activation), separate)
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_spmm(self, applied, activation):
+        from repro.core.models.activations import get_activation
+        rng = np.random.default_rng(8)
+        x, _, _ = self._operands(rng)
+        csr = random_csr(rng, n=9)
+        bias = rng.standard_normal(6).astype(np.float32)
+        separate = get_activation(activation)(spmm(csr, x, bias=bias))
+        del applied[:]
+        self._check(applied, lambda: spmm(csr, x, bias=bias,
+                                          activation=activation), separate)
+
+
 class TestRegistry:
     def test_table_ii_kernels_present(self):
         assert {"indexSelect", "scatter", "sgemm", "SpGEMM", "spmm"} == set(KERNELS)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,9 +92,10 @@ class TestFeatures:
     def test_bag_of_words_is_binary_and_sparse(self):
         spec = scaled_spec(get_spec("cora"), 0.2)
         feats = synthesize_features(spec, np.random.default_rng(8))
+        assert sp.isspmatrix_csr(feats)         # born row-sparse
         assert feats.shape == (spec.num_nodes, spec.feature_length)
-        assert set(np.unique(feats)).issubset({0.0, 1.0})
-        density = feats.mean()
+        assert set(np.unique(feats.toarray())).issubset({0.0, 1.0})
+        density = feats.nnz / (feats.shape[0] * feats.shape[1])
         assert density < 0.05
 
     def test_dense_features_are_continuous(self):

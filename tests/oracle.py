@@ -193,6 +193,8 @@ def layer_ratios(pipeline, model):
     for layer, (x, out) in enumerate(zip(inputs, inputs[1:] + [output])):
         params = {key: np.asarray(value, dtype=np.float64)
                   for key, value in model.weights[layer].items()}
+        if sp.issparse(x):                # X as the graph stores it
+            x = x.toarray()
         value, bound = _LAYERS[model.name](
             np.asarray(x, dtype=np.float64), params, pipeline.graph, model,
             loops)

@@ -34,6 +34,7 @@ from repro.plan.planner import GraphStats
 from strategies import (
     FUSABLE_COMBOS,
     PARITY_SETTINGS,
+    ZOO,
     fusable_combos,
     power_law_graphs,
 )
@@ -320,8 +321,8 @@ class TestRandomizedFusion:
     """Property-style parity over seeded adversarial graphs (duplicate
     edges, isolated nodes, empty edge sets)."""
 
-    MODELS = (("gcn", "MP"), ("gcn", "SpMM"), ("gin", "MP"),
-              ("gin", "SpMM"), ("sage", "MP"))
+    MODELS = tuple((model, cm) for backend, model, cm in FUSABLE_COMBOS
+                   if backend == "gsuite")
 
     def _random_graph(self, rng, case):
         from repro.graph import Graph
@@ -380,7 +381,6 @@ class TestPlannerFusion:
     gather+scatter site — no size, width or cost gate stands in front
     of the pass — and stays bit-for-bit the ``fuse="off"`` pipeline."""
 
-    ZOO = ("gcn", "gin", "sage")
     BACKENDS = ("gsuite", "gsuite-adaptive")
 
     def _check(self, config, graph=None):

@@ -11,7 +11,6 @@ transform agrees with the dense route to float32 reassociation, within
 the oracle bound.  Every declined case is the dense route bit for bit.
 """
 
-import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -265,20 +264,3 @@ def test_an_spmm_epilogue_densifies_the_kept_product():
         kept = spmm(adjacency, x, rows=rows, row_sparse_out=True, **kwargs)
         assert not sp.issparse(kept)
         assert np.array_equal(kept, spmm(adjacency, x, **kwargs))
-
-
-# -- memory: the dense mean is never held -------------------------------------
-
-@pytest.mark.parametrize("fuse", [True, False])
-def test_sage_over_pubmed_never_holds_the_dense_mean(fuse):
-    """One sage build + run over pubmed peaks below the ``n x k``
-    float32 mean the dense route would hold (39.4 MB), fused and not."""
-    graph = load_dataset("pubmed", scale=1.0, seed=0).copy()
-    n, k = graph.features.shape
-    tracemalloc.start()
-    try:
-        _run(graph, fuse=fuse)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < n * k * 4

@@ -41,6 +41,7 @@ from repro.plan import ExecutionPlan
 from strategies import (
     EXECUTABLE_COMBOS,
     STANDARD_SETTINGS,
+    ZOO,
     executable_combos,
     lowered,
     power_law_graphs,
@@ -48,12 +49,12 @@ from strategies import (
 
 GOLDEN_LAUNCHES_PATH = Path(__file__).with_name("golden_launches.json")
 
-MODELS_BY_BACKEND = {
-    "gsuite": (("gcn", "MP"), ("gcn", "SpMM"), ("gin", "MP"),
-               ("gin", "SpMM"), ("sage", "MP")),
-    "pyg": (("gcn", "MP"), ("gin", "MP"), ("sage", "MP")),
-    "dgl": (("gcn", "SpMM"), ("gin", "SpMM"), ("sage", "SpMM")),
-}
+#: The combos ``golden_launches.json`` pins, in its order: every
+#: executable one but the adaptive backend's, whose layer formats are
+#: its planner's pick among the native plans (held to the native
+#: function by ``test_adaptive_matches_native_function``).
+PARITY_COMBOS = tuple(combo for combo in EXECUTABLE_COMBOS
+                      if combo[0] != "gsuite-adaptive")
 
 #: One layer's PyG-like tape, as the PyG conv loop recorded it.
 PYG_TAPE = {
@@ -76,12 +77,6 @@ def _spec(model, compute_model):
     return PipelineSpec(model=model, compute_model=compute_model, seed=5)
 
 
-def _combos():
-    return [(backend, model, cm)
-            for backend, combos in MODELS_BY_BACKEND.items()
-            for model, cm in combos]
-
-
 def _launch_stream(backend, model, cm, graph):
     """The unfused plan's launches as ``[kernel, tag, threads, flops,
     bytes_read, bytes_written]`` rows."""
@@ -96,7 +91,7 @@ def _launch_stream(backend, model, cm, graph):
 def golden_launches_text(graph) -> str:
     """``golden_launches.json``'s content: one launch per line."""
     blocks = []
-    for backend, model, cm in _combos():
+    for backend, model, cm in PARITY_COMBOS:
         rows = _launch_stream(backend, model, cm, graph)
         blocks.append(f" {json.dumps(f'{backend}/{model}/{cm}')}: [\n"
                       + ",\n".join(f"  {json.dumps(row)}" for row in rows)
@@ -128,7 +123,7 @@ class TestBitwiseParity:
     "legacy" is the function the direct-call paths computed, now
     re-derived in float64; launch streams and tapes stay exact."""
 
-    @pytest.mark.parametrize("backend,model,cm", _combos())
+    @pytest.mark.parametrize("backend,model,cm", EXECUTABLE_COMBOS)
     def test_plan_output_equals_legacy(self, graph, backend, model, cm):
         """Every layer keeps to the oracle's bound: the legacy function,
         re-derived in float64 (``tests/oracle.py``)."""
@@ -137,14 +132,16 @@ class TestBitwiseParity:
                               reference_model(spec, graph))
         assert max(ratios) <= 1.0, ratios
 
-    @pytest.mark.parametrize("backend,model,cm", _combos())
+    @pytest.mark.parametrize("backend,model,cm", PARITY_COMBOS)
     def test_recorded_trace_identical(self, graph, backend, model, cm):
         """Simulation/profiling consume the frozen launch stream."""
         golden = json.loads(GOLDEN_LAUNCHES_PATH.read_text())
         assert _launch_stream(backend, model, cm, graph) \
             == golden[f"{backend}/{model}/{cm}"]
 
-    @pytest.mark.parametrize("model", ["gcn", "gin", "sage"])
+    @pytest.mark.parametrize("model", [model for backend, model, _
+                                       in EXECUTABLE_COMBOS
+                                       if backend == "pyg"])
     def test_pyg_tape_matches_legacy_conv_path(self, graph, model):
         """The autograd-style tape records the node sequence the PyG
         conv loop produced, message nodes included."""
@@ -164,8 +161,10 @@ class TestBitwiseParity:
 
     def test_adaptive_matches_native_function(self, graph):
         """The planner changes the *execution*, never the function."""
-        for model in ("gcn", "gin", "sage"):
-            spec = _spec(model, "MP")
+        for backend, model, cm in EXECUTABLE_COMBOS:
+            if backend != "gsuite-adaptive":
+                continue
+            spec = _spec(model, cm)
             reference = lowered("gsuite", spec, graph).run()
             adaptive = lowered("gsuite-adaptive", spec, graph).run()
             assert np.allclose(adaptive, reference, atol=1e-3)
@@ -181,7 +180,7 @@ def _multigraph():
 
 
 class TestOracle:
-    @pytest.mark.parametrize("model", ["gcn", "gin", "sage"])
+    @pytest.mark.parametrize("model", ZOO)
     def test_rejects_wrong_models(self, graph, model):
         """The bound is tight enough to see a near miss at any layer."""
         spec = _spec(model, "MP")

@@ -403,7 +403,8 @@ def test_launch_records_are_blind_to_the_aggregation_route(
 def test_batched_aggregation_never_scans_the_stacked_copy(monkeypatch):
     """A packed aggregation over ``X`` reads the members' resident rows
     row-stacked, or stays dense when a member has none; the packed
-    feature copy is never scanned."""
+    feature copy is never scanned, and members born row-sparse are
+    never scanned at all."""
     from repro.frameworks import PipelineSpec, get_backend
     from repro.graph import BatchedGraph
 
@@ -418,7 +419,13 @@ def test_batched_aggregation_never_scans_the_stacked_copy(monkeypatch):
     monkeypatch.setattr(graph_module, "_row_sparse", counted)
     taken = _routes_taken(monkeypatch)
     spec = PipelineSpec(model="sage", compute_model="MP", seed=5)
-    members = [_citation(seed) for seed in (1, 2)]
+    born = [_citation(seed) for seed in (1, 2)]
+    get_backend("gsuite").build(spec, BatchedGraph(born)).run()
+    assert scanned == [] and taken[0] is True
+    del taken[:]
+    # Dense-backed members: each is scanned once, for its own memo.
+    members = [Graph(m.edge_index, features=m.features.copy(), name=m.name)
+               for m in born]
     batched = BatchedGraph(members)
     blocks = batched.unpack(get_backend("gsuite").build(spec, batched).run())
     assert [id(x) for x in scanned] == [id(m.features) for m in members]
@@ -435,7 +442,10 @@ def test_batched_aggregation_never_scans_the_stacked_copy(monkeypatch):
     del scanned[:], taken[:]
     get_backend("gsuite").build(spec, mixed).run()
     assert all(x is not mixed.features for x in scanned)
-    assert len(scanned) == 2 and taken[0] is False
+    # Only the dense-backed member is scanned: the other is born
+    # row-sparse.
+    assert [id(x) for x in scanned] == [id(dense_member.features)]
+    assert taken[0] is False
 
 
 # -- unfused gathers over the feature matrix ----------------------------------

@@ -14,6 +14,7 @@ from .graphs import power_law_graphs
 from .modes import (
     EXECUTABLE_COMBOS,
     FUSABLE_COMBOS,
+    ZOO,
     batch_member_lists,
     executable_combos,
     fusable_combos,
@@ -25,6 +26,7 @@ from .settings import PARITY_SETTINGS, STANDARD_SETTINGS
 __all__ = [
     "EXECUTABLE_COMBOS",
     "FUSABLE_COMBOS",
+    "ZOO",
     "PARITY_SETTINGS",
     "STANDARD_SETTINGS",
     "batch_member_lists",

@@ -16,6 +16,7 @@ from .graphs import power_law_graphs
 __all__ = [
     "EXECUTABLE_COMBOS",
     "FUSABLE_COMBOS",
+    "ZOO",
     "batch_member_lists",
     "executable_combos",
     "fusable_combos",
@@ -26,13 +27,14 @@ __all__ = [
 #: Backend x (model, compute model) pairs every backend can execute.
 #: Batching needs nothing from the execution style, so the observing
 #: PyG-like tape participates; fusion needs a plain PlanExecutor, so
-#: :data:`FUSABLE_COMBOS` excludes it.
+#: :data:`FUSABLE_COMBOS` excludes it.  The fixed backends come in the
+#: order ``tests/plan/golden_launches.json`` lists them.
 _GRID = {
     "gsuite": (("gcn", "MP"), ("gcn", "SpMM"), ("gin", "MP"),
                ("gin", "SpMM"), ("sage", "MP")),
+    "pyg": (("gcn", "MP"), ("gin", "MP"), ("sage", "MP")),
     "dgl": (("gcn", "SpMM"), ("gin", "SpMM"), ("sage", "SpMM")),
     "gsuite-adaptive": (("gcn", "MP"), ("gin", "MP"), ("sage", "MP")),
-    "pyg": (("gcn", "MP"), ("gin", "MP"), ("sage", "MP")),
 }
 
 EXECUTABLE_COMBOS = tuple((backend, model, cm)
@@ -41,6 +43,9 @@ EXECUTABLE_COMBOS = tuple((backend, model, cm)
 
 FUSABLE_COMBOS = tuple(combo for combo in EXECUTABLE_COMBOS
                        if combo[0] != "pyg")
+
+#: The models the combos cover, in first-seen order.
+ZOO = tuple(dict.fromkeys(model for _, model, _ in EXECUTABLE_COMBOS))
 
 
 def lowered(backend, spec, graph):

@@ -185,7 +185,7 @@ class TestCommands:
 
         assert block("--dataset", "cora") == [
             "features: row-sparse (nnz/size 0.97 %, 15.5 MB dense "
-            "\u2192 0.3 MB)",
+            "\u2192 0.3 MB; no dense view)",
             "  sgemm gcn-l0: row-sparse"]
         assert block("--dataset", "reddit", "--scale", "0.02") == [
             "features: dense (100 %)", "  sgemm gcn-l0: dense"]

@@ -11,18 +11,13 @@ import pytest
 
 from repro.core import GNNPipeline
 from repro.datasets import load_dataset
+from strategies import EXECUTABLE_COMBOS, ZOO
 
 SCALE = 0.08
 DATASETS = ("cora", "citeseer")
 
-GRID = [
-    # (framework, model, compute_model)
-    ("gsuite", "gcn", "MP"), ("gsuite", "gcn", "SpMM"),
-    ("gsuite", "gin", "MP"), ("gsuite", "gin", "SpMM"),
-    ("gsuite", "sage", "MP"),
-    ("pyg", "gcn", "MP"), ("pyg", "gin", "MP"), ("pyg", "sage", "MP"),
-    ("dgl", "gcn", "SpMM"), ("dgl", "gin", "SpMM"), ("dgl", "sage", "SpMM"),
-]
+#: (framework, model, compute_model): every executable combo.
+GRID = EXECUTABLE_COMBOS
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
@@ -58,7 +53,7 @@ def test_grid_cells_agree_across_frameworks(model):
 def test_full_characterization_stack_on_every_model():
     """record -> simulate -> profile works for each registered model."""
     graph = load_dataset("cora", scale=SCALE)
-    for model in ("gcn", "gin", "sage"):
+    for model in ZOO:
         pipeline = GNNPipeline.from_params(model=model, dataset="cora",
                                            scale=SCALE, sample_cap=10_000)
         sims = pipeline.simulate()
