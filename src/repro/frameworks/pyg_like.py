@@ -14,7 +14,8 @@ PyG's costs, re-created here as *real work* (never artificial delays):
   ``cached=False`` behaviour;
 * an autograd-style tape — every executed plan op appends a graph node,
   the bookkeeping PyTorch performs even in inference mode unless
-  explicitly disabled.
+  explicitly disabled; each forward starts a fresh tape, so a pipeline
+  run many times holds one forward's nodes.
 
 The pipeline *lowers* to the shared :class:`~repro.plan.ir.ExecutionPlan`
 IR (flavoured with PyG's per-layer uncached ``gcn_norm`` and per-call
@@ -259,6 +260,9 @@ class _PyGLikePipeline(BuiltPipeline):
 
     def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
         graph = self.graph
+        # A fresh autograd graph per forward, as PyG builds one: the
+        # tape holds the latest run's nodes only.
+        self._tape = _Tape()
         # Tensor re-materialisation: PyG converts inputs on every call,
         # from the dense matrix (a row-sparse X's dense view).
         x = self.input_features(features)

@@ -7,7 +7,9 @@ lowering, structure setup and kernel-launch overhead once per member.
 workload instead: node ids of member ``g`` shift by ``node_offsets[g]``,
 edge lists concatenate in member order, and feature matrices stack
 row-wise (ragged in the *node* dimension; the feature *width* must
-agree across members).
+agree across members).  Members that all store ``X`` row-sparse stack
+their CSRs, so the packed ``X`` is row-sparse too and no member's
+dense view is built; otherwise the stack is dense.
 
 Because the packed object *is* a :class:`Graph`, everything downstream
 — lowering, the plan executor, format conversion, normalisation,
@@ -27,7 +29,7 @@ that composition exact:
   member launch reads that member's own resident row-sparse features
   (:meth:`Graph.feature_rows`) — a row-count-independent product — and
   an aggregation over the packed features reads the members' rows
-  stacked; the stacked copy made here is never scanned for them.
+  stacked; a dense stack made here is never scanned for them.
 
 :meth:`unpack` splits any packed per-node result back into per-member
 blocks, closing the loop: ``unpack(run(pack(graphs)))`` equals running
@@ -105,7 +107,10 @@ class BatchedGraph(Graph):
             edge_index = np.zeros((2, 0), dtype=np.int64)
 
         features = None
-        if all(featured):
+        stored = [g.stored_features for g in members]
+        if all(_sp.issparse(x) for x in stored):
+            features = _sp.vstack(stored, format="csr")
+        elif all(featured):
             features = np.empty((int(node_offsets[-1]), widths[0]),
                                 dtype=np.float32)
             for i, g in enumerate(members):
@@ -148,10 +153,13 @@ class BatchedGraph(Graph):
         """The members' resident row-sparse forms, row-stacked, or
         ``None`` unless every member keeps one.
 
-        The stacked copy's values are the members', so it is never
-        scanned: a whole-batch reader of ``X`` (an aggregation) gets
-        exactly the rows each member's solo run reads.
+        A packed row-sparse ``X`` already is that stack.  A dense one's
+        values are the members', so it is never scanned: a whole-batch
+        reader of ``X`` (an aggregation) gets exactly the rows each
+        member's solo run reads.
         """
+        if _sp.issparse(x):
+            return x
         parts = [g.feature_rows(g.stored_features) for g in self.members]
         if any(part is None for part in parts):
             return None

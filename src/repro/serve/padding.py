@@ -12,6 +12,7 @@ shaped by the input width, so widening the input re-draws ``W0``.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as _sp
 
 from repro.errors import ServeError
 from repro.graph import Graph
@@ -26,6 +27,8 @@ def pad_features(graph: Graph, width: int) -> Graph:
     features; narrowing refuses (truncation would silently change the
     workload).  Structure and edge weights are preserved — only zero
     columns are appended — and the name gains a ``+pad<width>`` suffix.
+    A row-sparse ``X`` stays row-sparse (its CSR is widened, sharing
+    the stored arrays); a dense one is copied into a wider dense array.
     """
     if graph.stored_features is None:
         raise ServeError(
@@ -37,8 +40,14 @@ def pad_features(graph: Graph, width: int) -> Graph:
         raise ServeError(
             f"cannot pad {graph.name!r} from {have} features down to "
             f"{width}; padding only widens")
-    padded = np.zeros((graph.num_nodes, width), dtype=np.float32)
-    padded[:, :have] = graph.features
+    x = graph.stored_features
+    if _sp.issparse(x):
+        # Zero columns store nothing: a row-sparse X pads by widening.
+        padded = _sp.csr_matrix((x.data, x.indices, x.indptr),
+                                shape=(graph.num_nodes, width))
+    else:
+        padded = np.zeros((graph.num_nodes, width), dtype=np.float32)
+        padded[:, :have] = x
     return Graph(graph.edge_index, features=padded,
                  num_nodes=graph.num_nodes,
                  edge_weight=graph.edge_weight,

@@ -10,6 +10,18 @@ group at a time, so concurrent traffic can never interleave kernels
 and execution stays deterministic.  Unpacked member outputs resolve
 the per-request futures; an exception out of a group fails that
 group's requests and nothing else.
+
+A group of one runs on a **resident pipeline**: the service keeps the
+:class:`~repro.frameworks.base.BuiltPipeline` of each recent dataset
+request, keyed by framework, pipeline spec and the resolved graph
+object, in a least-recently-used table of :data:`RESIDENT_PIPELINES`
+entries.  A recurring request calls ``run()`` on it, so it skips the
+model build (the seeded Glorot draws), lowering and fusion; every
+kernel still launches and no output is kept.  Inline-graph requests
+(a fresh graph object each time) build afresh and are never held, nor
+is a pipeline whose build or first run raised.  The table lives on the
+single worker thread.  :func:`solo_reference` stays a fresh build: it
+is the oracle each resident answer is checked against, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import OrderedDict
 from typing import List, Optional
 
 import numpy as np
@@ -24,25 +37,33 @@ import numpy as np
 from repro.core.config import SuiteConfig
 from repro.errors import GSuiteError, ServeError
 from repro.frameworks import get_backend
-from repro.graph import BatchedGraph, Graph
+from repro.graph import BatchedGraph
 from repro.serve.batcher import BatchGroup, MicroBatcher
 from repro.serve.padding import pad_features
 from repro.serve.requests import InferenceRequest, InferenceResponse
 
-__all__ = ["InferenceService", "solo_reference", "serve_tcp"]
+__all__ = ["InferenceService", "RESIDENT_PIPELINES", "solo_reference",
+           "serve_tcp"]
+
+#: Resident pipelines one service keeps, least recently used evicted
+#: first.  A pipeline holds its graph, so this is also the number of
+#: graphs the table can pin: the size of the dataset loader's graph
+#: cache.
+RESIDENT_PIPELINES = 8
 
 
-def solo_reference(request: InferenceRequest, pad_to: int = 0,
-                   graph: Optional[Graph] = None) -> np.ndarray:
-    """Execute ``request`` alone.
+def solo_reference(request: InferenceRequest,
+                   pad_to: int = 0) -> np.ndarray:
+    """Execute ``request`` alone, on a freshly built pipeline.
 
-    This is the parity oracle for every response — batched or solo:
-    each must equal ``solo_reference(request)`` bit-for-bit.
+    This is the parity oracle for every response — batched, solo or
+    from a resident pipeline: each must equal
+    ``solo_reference(request)`` bit-for-bit.
     ``pad_to`` runs the reference on zero-padded features instead; the
     service never does (the end-to-end harness still builds such
     references).
     """
-    graph = request.resolve_graph() if graph is None else graph
+    graph = request.resolve_graph()
     if pad_to and pad_to != graph.num_features:
         graph = pad_features(graph, pad_to)
     built = get_backend(request.framework).build(
@@ -67,6 +88,11 @@ class InferenceService:
         self.batcher = MicroBatcher(max_batch=self.config.serve_batch)
         self.solo = 0                     # requests executed alone
         self.batches: List[int] = []      # executed batch sizes, in order
+        self.plan_cache_hits = 0          # solo runs on a resident pipeline
+        self.pipelines_built = 0          # builds, solo and batched
+        #: (framework, spec, graph) -> BuiltPipeline, least recent first;
+        #: read and written on the worker thread only.
+        self._resident: OrderedDict = OrderedDict()
         self._closing = False
         self._task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
@@ -153,9 +179,29 @@ class InferenceService:
 
     # -- execution (worker thread) -----------------------------------------
     def _solo(self, entry):
+        """Run one request alone, on its resident pipeline if it has one.
+
+        A hit only runs the built plan; a miss builds through
+        ``get_backend(...).build`` as :func:`solo_reference` does and,
+        for a dataset request whose run succeeded, keeps the pipeline.
+        """
         request, graph = entry.request, entry.graph
+        spec = request.pipeline_spec()
+        key = (request.framework, spec, graph)
         try:
-            output = solo_reference(request, graph=graph)
+            built = self._resident.get(key)
+            if built is not None:
+                self._resident.move_to_end(key)
+                output = built.run()
+                self.plan_cache_hits += 1
+            else:
+                built = get_backend(request.framework).build(spec, graph)
+                self.pipelines_built += 1
+                output = built.run()
+                if request.graph is None:
+                    self._resident[key] = built
+                    if len(self._resident) > RESIDENT_PIPELINES:
+                        self._resident.popitem(last=False)
         except GSuiteError as exc:
             return exc
         self.solo += 1
@@ -175,8 +221,10 @@ class InferenceService:
         head = entries[0].request
         try:
             workload = BatchedGraph([e.graph for e in entries])
-            packed = get_backend(head.framework).build(
-                head.pipeline_spec(), workload).run()
+            built = get_backend(head.framework).build(
+                head.pipeline_spec(), workload)
+            self.pipelines_built += 1
+            packed = built.run()
         except GSuiteError as exc:
             return [exc] * len(entries)
         self.batches.append(len(entries))
@@ -188,7 +236,8 @@ class InferenceService:
 
     # -- observability -----------------------------------------------------
     def stats(self) -> dict:
-        """Service counters: how requests executed and batch shape."""
+        """Service counters: how requests executed, batch shape, and
+        how many solo requests a resident pipeline answered."""
         batched = sum(self.batches)
         return {
             "responses": batched + self.solo,
@@ -196,6 +245,8 @@ class InferenceService:
             "solo": self.solo,
             "batches": list(self.batches),
             "max_batch_size": max(self.batches) if self.batches else 1,
+            "plan_cache_hits": self.plan_cache_hits,
+            "pipelines_built": self.pipelines_built,
         }
 
 

@@ -85,6 +85,19 @@ class TestTapeAndConvs:
         ops = [node["op"] for node in pipeline._tape.nodes]
         assert "sgemm" in ops and "scatter" in ops and "index_select" in ops
 
+    def test_tape_holds_one_forward(self):
+        """Each run starts a fresh tape, as PyG builds a new autograd
+        graph per forward: two runs leave one forward's nodes."""
+        rng = np.random.default_rng(2)
+        graph = Graph(rng.integers(0, 10, size=(2, 30)), num_nodes=10,
+                      features=rng.standard_normal((10, 6)).astype(np.float32))
+        pipeline = get_backend("pyg").build(
+            PipelineSpec(model="gcn", out_features=4), graph)
+        pipeline.run()
+        once = list(pipeline._tape.nodes)
+        pipeline.run()
+        assert once and pipeline._tape.nodes == once
+
     def test_gin_conv_shapes(self):
         conv = GINConv(5, 3, 0.1, np.random.default_rng(3))
         assert [p.shape for p in (conv.w1, conv.b1, conv.w2, conv.b2)] \

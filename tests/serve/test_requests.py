@@ -266,3 +266,32 @@ class TestPadding:
         wide = solo_reference(req, pad_to=9)
         assert narrow.shape == wide.shape            # head width unchanged
         assert not np.array_equal(narrow, wide)
+
+    def test_row_sparse_x_pads_row_sparse(self):
+        """A CSR-backed X pads by widening its CSR: its dense view is
+        the dense padding, byte for byte."""
+        from repro.datasets import load_dataset
+        g = load_dataset("cora", scale=0.1)
+        padded = pad_features(g, 3703)
+        assert padded.stored_features.shape == (g.num_nodes, 3703)
+        assert not padded.dense_view_built and not g.dense_view_built
+        dense = np.zeros((g.num_nodes, 3703), dtype=np.float32)
+        dense[:, :g.num_features] = g.stored_features.toarray()
+        assert padded.features.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("dataset, width", [("cora", 3703),
+                                                ("pubmed", 1433)])
+    def test_padded_reference_equals_dense_padded_twin(self, dataset,
+                                                        width):
+        from repro.frameworks import get_backend
+        from repro.serve import solo_reference
+        req = InferenceRequest(request_id="r1", dataset=dataset, scale=0.1,
+                               out_features=8)
+        g = req.resolve_graph()
+        dense = np.zeros((g.num_nodes, width), dtype=np.float32)
+        dense[:, :g.num_features] = g.stored_features.toarray()
+        twin = Graph(g.edge_index, features=dense, num_nodes=g.num_nodes,
+                     edge_weight=g.edge_weight)
+        expected = get_backend("gsuite").build(req.pipeline_spec(),
+                                               twin).run()
+        assert np.array_equal(solo_reference(req, pad_to=width), expected)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import SuiteConfig
 from repro.errors import ConfigError, GSuiteError, ServeError
+from repro.frameworks import get_backend
 from repro.graph import Graph
 from repro.serve import (
     InferenceRequest,
@@ -27,7 +28,7 @@ from repro.serve import (
     solo_reference,
 )
 from repro.serve.loadgen import dataset_mix, percentile
-from repro.serve.service import MAX_REQUEST_LINE
+from repro.serve.service import MAX_REQUEST_LINE, RESIDENT_PIPELINES
 from strategies import PARITY_SETTINGS, power_law_graphs
 
 
@@ -60,6 +61,23 @@ def _gate_worker(service):
         return execute(group)
     service._execute_group = gated
     return started, gate
+
+
+def _poison_builds(monkeypatch, poison):
+    """Route the service's backend builds through ``poison(spec,
+    graph)`` first: it raises to fail that build."""
+    import repro.serve.service as service_module
+    real = service_module.get_backend
+
+    class Poisoned:
+        def __init__(self, backend):
+            self.backend = backend
+
+        def build(self, spec, graph, **kwargs):
+            poison(spec, graph)
+            return self.backend.build(spec, graph, **kwargs)
+    monkeypatch.setattr(service_module, "get_backend",
+                        lambda name: Poisoned(real(name)))
 
 
 def _serve_all(requests, config=None):
@@ -204,22 +222,19 @@ class TestPoisonedRequests:
 
     def test_worker_exception_fails_the_request_not_the_service(
             self, monkeypatch):
-        import repro.serve.service as service_module
-        real = service_module.solo_reference
-
-        def poisoned(request, **kwargs):
-            if request.request_id == "r0":
-                raise RuntimeError("kernel blew up")
-            return real(request, **kwargs)
-        monkeypatch.setattr(service_module, "solo_reference", poisoned)
         bad, good = _requests((4, 4))
+
+        def poison(spec, graph):
+            if graph is bad.graph:
+                raise RuntimeError("kernel blew up")
+        _poison_builds(monkeypatch, poison)
         service = InferenceService(SuiteConfig())
         ((failure,), (response,)), alive = self._serve_in_turn(
             service, [[bad], [good]])
         assert isinstance(failure, ServeError)
         assert "RuntimeError: kernel blew up" in str(failure)
         assert alive
-        assert np.array_equal(response.output, real(good))
+        assert np.array_equal(response.output, solo_reference(good))
 
     def test_integer_past_int64_refused_then_next_answered(self):
         """``hidden=10**400`` used to pass construction; the drain task
@@ -289,6 +304,119 @@ class TestServedPlansAreFused:
         kernels = {launch.kernel for launch in recorder.launches}
         assert "fusedGatherScatter" in kernels
         assert not kernels & {"indexSelect", "scatter"}
+
+
+def _serve_in_order(service, requests):
+    """Submit one request at a time (each runs alone on an idle
+    service); return each response or the exception it raised."""
+    async def drive():
+        async with service:
+            return [(await asyncio.gather(service.submit(r),
+                                          return_exceptions=True))[0]
+                    for r in requests]
+    return asyncio.run(drive())
+
+
+class TestResidentPipelines:
+    """A recurring dataset request runs its resident pipeline: built
+    once, run every time, and bit for bit the fresh-build oracle."""
+
+    @pytest.mark.parametrize("framework, compute_model", [
+        ("gsuite", "MP"), ("gsuite", "SpMM"), ("pyg", "MP"),
+        ("dgl", "SpMM"), ("gsuite-adaptive", "MP")])
+    def test_recurring_request_builds_once(self, framework, compute_model):
+        requests = [InferenceRequest(
+            request_id=f"r{i}", dataset="cora", scale=0.1,
+            framework=framework, compute_model=compute_model)
+            for i in range(3)]
+        service = InferenceService(SuiteConfig())
+        responses = _serve_in_order(service, requests)
+        stats = service.stats()
+        assert stats["pipelines_built"] == 1
+        assert stats["plan_cache_hits"] == 2 and stats["solo"] == 3
+        for request, response in zip(requests, responses):
+            assert response.source == "solo"
+            assert np.array_equal(response.output, solo_reference(request))
+
+    def test_table_is_bounded_least_recent_out(self):
+        distinct = [InferenceRequest(request_id=f"r{i}", dataset="cora",
+                                     scale=0.1, out_features=i + 1)
+                    for i in range(3 * RESIDENT_PIPELINES)]
+        first = distinct[0]
+        # A hit refreshes the first spec, so the next miss evicts the
+        # second one instead and the first is still resident after it.
+        order = distinct[:RESIDENT_PIPELINES] + [
+            first, distinct[RESIDENT_PIPELINES], first] \
+            + distinct[RESIDENT_PIPELINES + 1:]
+        service = InferenceService(SuiteConfig())
+        responses = _serve_in_order(service, order)
+        assert len(service._resident) == RESIDENT_PIPELINES
+        stats = service.stats()
+        assert stats["plan_cache_hits"] == 2
+        assert stats["pipelines_built"] == 3 * RESIDENT_PIPELINES
+        for request, response in zip(order, responses):
+            assert np.array_equal(response.output, solo_reference(request))
+
+    def test_inline_graphs_are_never_held(self):
+        graph = _graph(seed=5)
+        requests = [InferenceRequest(request_id=f"r{i}", graph=graph,
+                                     out_features=4) for i in range(3)]
+        service = InferenceService(SuiteConfig())
+        responses = _serve_in_order(service, requests)
+        assert not service._resident
+        assert service.stats()["pipelines_built"] == 3
+        assert service.stats()["plan_cache_hits"] == 0
+        for request, response in zip(requests, responses):
+            assert np.array_equal(response.output, solo_reference(request))
+
+    def test_failed_build_fails_alone_and_is_not_held(self, monkeypatch):
+        builds = []
+
+        def first_fails(spec, graph):
+            builds.append(spec)
+            if len(builds) == 1:
+                raise MemoryError("no room for the weights")
+        _poison_builds(monkeypatch, first_fails)
+        request = InferenceRequest(request_id="r", dataset="cora",
+                                   scale=0.1)
+        service = InferenceService(SuiteConfig())
+        failure, first, second = _serve_in_order(service, [
+            request, replace(request, request_id="r1"),
+            replace(request, request_id="r2")])
+        assert isinstance(failure, ServeError)
+        assert "MemoryError" in str(failure)
+        assert len(builds) == 2 and len(service._resident) == 1
+        assert service.stats()["plan_cache_hits"] == 1
+        for response in (first, second):
+            assert np.array_equal(response.output, solo_reference(request))
+
+    def test_resident_pyg_tape_holds_one_forward(self):
+        request = InferenceRequest(request_id="r", dataset="cora",
+                                   scale=0.1, framework="pyg")
+        service = InferenceService(SuiteConfig())
+        _serve_in_order(service, [replace(request, request_id=f"r{i}")
+                                  for i in range(3)])
+        (resident,) = service._resident.values()
+        fresh = get_backend("pyg").build(request.pipeline_spec(),
+                                         request.resolve_graph())
+        fresh.run()
+        assert resident._tape.nodes == fresh._tape.nodes
+
+
+class TestBatchedRowSparseFeatures:
+    def test_batched_pair_builds_no_dense_view(self):
+        """Members storing X row-sparse pack their CSRs: a batched
+        serve leaves each member's dense view unbuilt."""
+        from repro.datasets import clear_cache
+        clear_cache()
+        pair = [InferenceRequest(request_id=f"pair-{i}", dataset="cora",
+                                 scale=0.25, out_features=8)
+                for i in range(2)]
+        _, responses = _serve_all(pair)
+        assert [r.source for r in responses] == ["batched"] * 2
+        for request, response in zip(pair, responses):
+            assert not request.resolve_graph().dense_view_built
+            assert np.array_equal(response.output, solo_reference(request))
 
 
 class TestServeModes:

@@ -189,10 +189,11 @@ class TestCommands:
             "  sgemm gcn-l0: row-sparse"]
         assert block("--dataset", "reddit", "--scale", "0.02") == [
             "features: dense (100 %)", "  sgemm gcn-l0: dense"]
-        # Three seed variants packed: each member's own structure.
-        assert line("--dataset", "cora", "--scale", "0.1",
-                    "--batch", "3").startswith(
-                        "features: row-sparse (nnz/size 0.9")
+        # Three seed variants packed: each member's own structure, the
+        # members' CSRs stacked, so packing builds no dense view.
+        batched = line("--dataset", "cora", "--scale", "0.1", "--batch", "3")
+        assert batched.startswith("features: row-sparse (nnz/size 0.9")
+        assert batched.endswith("; no dense view)")
         # No resident operand: PyG re-materialises X.
         assert block("--dataset", "cora", "--scale", "0.1", "--framework",
                      "pyg") == \
