@@ -19,6 +19,7 @@ import scipy.sparse as _sp
 from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import mix_for
 from repro.errors import KernelError
+from repro.graph.formats import row_parallel_product
 
 __all__ = ["scatter", "ReductionStructure", "reduction_structure",
            "aggregation_operator", "REDUCE_OPS", "ROW_SPARSE_RATIO",
@@ -314,6 +315,9 @@ def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
     one skips are ``a * 0``, which leave a sum unchanged.  With
     ``keep``, a product taken row-sparse is returned as that SciPy CSR
     (the consumer reads its stored entries); a dense one stays dense.
+    The dense product is :func:`~repro.graph.formats.
+    row_parallel_product`, split over the process's CPUs once it is
+    large enough and bit for bit the serial one at any split.
     """
     if operator is None:
         operator = aggregation_operator(structure, src_index, scale,
@@ -326,8 +330,8 @@ def _csr_reduce(structure: ReductionStructure, dense: np.ndarray,
                                    reduce, keep)
     if _sp.issparse(dense):
         dense = dense.toarray()      # NaN bits: see takes_row_sparse
-    summed = np.asarray(operator @ (dense if dense.ndim == 2
-                                    else dense[:, None]))
+    summed = np.asarray(row_parallel_product(
+        operator, dense if dense.ndim == 2 else dense[:, None]))
     if reduce == "mean":
         summed /= structure.counts[:, None]   # the product's own array
     result = summed if dense.ndim == 2 else summed[:, 0]

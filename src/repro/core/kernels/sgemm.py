@@ -12,7 +12,9 @@ layer transforms is a few per cent non-zero.  The caller that holds the
 graph passes ``a`` row-sparse (a SciPy CSR: the resident form
 :meth:`repro.graph.Graph.feature_rows`, or an aggregation's kept
 SpGEMM product) and the product runs over the stored entries only,
-through the compiled CSR routine the sparse kernels use; the launch
+through the compiled CSR routine the sparse kernels use, split over the
+process's CPUs the same way
+(:func:`~repro.graph.formats.row_parallel_product`); the launch
 record is the dense GEMM's either way, counted from shapes, so
 simulated figures do not know which route the host took.
 """
@@ -29,6 +31,7 @@ import scipy.sparse as _sp
 from repro.core.kernels import launch as L
 from repro.core.kernels.costmodel import EPILOGUE_FP32_PER_ELEMENT, mix_for
 from repro.errors import KernelError
+from repro.graph.formats import row_parallel_product
 
 __all__ = ["sgemm"]
 
@@ -96,7 +99,7 @@ def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
     # The product is this launch's own array: the epilogue below
     # updates it in place, with the roundings of the out-of-place
     # expression ``alpha * (a @ b) + beta * c + bias``.
-    out = np.asarray(a @ b)
+    out = np.asarray(row_parallel_product(a, b) if _sp.issparse(a) else a @ b)
     if alpha != 1.0:
         out *= np.float32(alpha)
     if beta != 0.0:

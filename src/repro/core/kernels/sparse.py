@@ -46,6 +46,11 @@ def spmm(adjacency: CSRMatrix, dense: np.ndarray,
          row_sparse_out: bool = False):
     """Sparse x dense product ``adjacency @ dense``, optional epilogue.
 
+    The dense product is :meth:`CSRMatrix.matmul`'s, whose rows split
+    over the process's CPUs once it is large enough
+    (:func:`~repro.graph.formats.row_parallel_product`), bit for bit
+    the serial product.
+
     Parameters
     ----------
     adjacency:

@@ -17,19 +17,23 @@ arrays.  Each container is a small, immutable-by-convention value object:
 
 All sparse containers share the :class:`SparseMatrix` interface: ``shape``,
 ``nnz``, ``to_coo()``, ``to_csr()``, ``to_csc()``, ``to_dense()`` and
-``matvec``/``matmul`` products.  The products are implemented with
-vectorised NumPy primitives (``np.add.reduceat``, fancy indexing) rather
-than SciPy so that the kernel-level instrumentation in
-:mod:`repro.core.kernels` observes exactly the memory behaviour the
-formats imply.
+``matvec``/``matmul`` products.  The conversions are vectorised NumPy;
+the products run SciPy's compiled CSR routines, this reproduction's
+vendor library (:meth:`CSRMatrix._vendor`), and a large sparse x dense
+product splits its rows over the process's CPUs
+(:func:`row_parallel_product`).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import List, Tuple
 
 import numpy as np
 import scipy.sparse as _sp
+from scipy.sparse import _sparsetools
 
 from repro.errors import GraphFormatError
 
@@ -39,7 +43,18 @@ __all__ = [
     "CSCMatrix",
     "DenseMatrix",
     "SparseMatrix",
+    "ROW_SPLIT_GRAIN",
+    "row_parallel_product",
 ]
+
+#: Multiply-adds (stored entries x dense columns) every range of a
+#: row-parallel product carries at least: a product under two grains
+#: runs as one serial call.  The break-even sweep that sets it is in
+#: docs/architecture.md ("Row-parallel vendor products").
+ROW_SPLIT_GRAIN = 1 << 22
+
+_split_pool = None
+_split_pool_lock = threading.Lock()
 
 
 def _as_index_array(values, name: str) -> np.ndarray:
@@ -321,7 +336,9 @@ class CSRMatrix(SparseMatrix):
     def matmul(self, x):
         """``A @ X``; a SciPy CSR ``x`` (the row-sparse form of a dense
         operand) multiplies through the sparse-sparse product, returned
-        as the float32 SciPy CSR it is."""
+        as the float32 SciPy CSR it is.  A dense ``x`` multiplies through
+        :func:`row_parallel_product`: split over the process's CPUs when
+        large enough, bit for bit the serial product either way."""
         if _sp.issparse(x):
             if x.shape[0] != self.shape[1]:
                 raise GraphFormatError(
@@ -336,7 +353,8 @@ class CSRMatrix(SparseMatrix):
                 f"matmul dimension mismatch: matrix has {self.shape[1]} columns, "
                 f"operand has {x.shape[0]} rows"
             )
-        return (self._vendor() @ x).astype(np.float32, copy=False)
+        return row_parallel_product(self._vendor(), x).astype(
+            np.float32, copy=False)
 
     def spgemm(self, other: "CSRMatrix") -> "CSRMatrix":
         """Sparse x sparse product ``self @ other`` in CSR form."""
@@ -358,6 +376,104 @@ class CSRMatrix(SparseMatrix):
             product.data.astype(np.float32),
             shape=(self.shape[0], other.shape[1]),
         )
+
+
+def row_parallel_product(a: _sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a SciPy CSR ``a`` and a dense ``x``, its rows split
+    over the CPUs this process may run on.
+
+    The rows are cut into contiguous ranges of about equal stored
+    entries (:func:`_row_ranges`): at most one range per CPU in the
+    affinity mask and none under :data:`ROW_SPLIT_GRAIN` multiply-adds.
+    Each range runs SciPy's own compiled kernel, which releases the
+    GIL, into its row slice of one float32 output; the ranges run on a
+    process-wide thread pool made on first use.  Every output row is
+    still summed by one call in the CSR's stored order, so the result
+    equals SciPy's serial ``a @ x`` bit for bit at any split.  A product
+    under two grains, a single CPU, or an operand that is not float32
+    runs as that serial call.
+    """
+    if not _splittable(a, x):
+        return a @ x
+    parts = min(_cpu_count(), a.nnz * x.shape[1] // ROW_SPLIT_GRAIN)
+    if parts < 2:
+        return a @ x
+    return _split_product(a, x, _row_ranges(a.indptr, parts))
+
+
+def _splittable(a, x) -> bool:
+    """Whether ``a @ x`` is a float32 CSR x 2-D float32 ndarray product
+    that SciPy would run through ``csr_matvec(s)``."""
+    return (type(x) is np.ndarray and x.ndim == 2 and a.format == "csr"
+            and x.shape[0] == a.shape[1]
+            and a.dtype == np.float32 and x.dtype == np.float32
+            and a.indices.dtype == a.indptr.dtype)
+
+
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_ranges(indptr: np.ndarray, parts: int) -> List[Tuple[int, int]]:
+    """At most ``parts`` contiguous, non-empty row ranges ``[lo, hi)``
+    covering every row, cut where the stored entries reach each
+    ``1/parts`` share.  Rows are never cut, so a range may carry more
+    than its share (one row holding every entry makes one range)."""
+    rows = indptr.shape[0] - 1
+    shares = int(indptr[-1]) * np.arange(1, parts, dtype=np.int64) // parts
+    cuts = np.searchsorted(indptr, shares, side="left")
+    bounds = np.unique(np.concatenate(([0], cuts, [rows])))
+    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _split_product(a: _sp.csr_matrix, x: np.ndarray,
+                   ranges: List[Tuple[int, int]]) -> np.ndarray:
+    """``a @ x`` computed range by range into one preallocated output.
+
+    Each range calls the kernel SciPy's ``a @ x`` calls
+    (``csr_matvec`` for one column, ``csr_matvecs`` otherwise) on its
+    own ``indptr`` slice; the operand is flattened once, as SciPy
+    flattens it, and every range writes a basic slice (a view) of the
+    output.  The caller's thread runs the first range.
+    """
+    rows, width = a.shape[0], x.shape[1]
+    out = np.zeros((rows, width), dtype=np.float32)
+    flat_x, flat_out = x.ravel(), out.reshape(-1)
+
+    def run(lo: int, hi: int) -> None:
+        y = flat_out[lo * width:hi * width]
+        if width == 1:
+            _sparsetools.csr_matvec(hi - lo, a.shape[1], a.indptr[lo:hi + 1],
+                                    a.indices, a.data, flat_x, y)
+        else:
+            _sparsetools.csr_matvecs(hi - lo, a.shape[1], width,
+                                     a.indptr[lo:hi + 1], a.indices, a.data,
+                                     flat_x, y)
+
+    futures = [_pool().submit(run, lo, hi) for lo, hi in ranges[1:]]
+    try:
+        if ranges:
+            run(*ranges[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+    return out
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide pool the split products share, made on first
+    use with one worker per CPU beyond the caller's own."""
+    global _split_pool
+    with _split_pool_lock:
+        if _split_pool is None:
+            _split_pool = ThreadPoolExecutor(
+                max_workers=max(1, _cpu_count() - 1),
+                thread_name_prefix="row-split")
+        return _split_pool
 
 
 class CSCMatrix(SparseMatrix):
