@@ -3,8 +3,13 @@
 "Generalized matrix multiplication of two given matrices" — the dense
 linear transform every GNN layer applies during combination, wrapped as
 ``C = alpha * A @ B + beta * C + bias``.  In the paper this is a cuBLAS
-call; here the compute is NumPy's BLAS and the launch record models a
-32x32-tiled shared-memory GEMM.
+call, spread over the whole device; here the compute is NumPy's BLAS,
+its rows split over the process's CPUs once the product is large
+enough (:func:`~repro.graph.formats.row_parallel_product`: at least
+``ROW_SPLIT_GRAIN`` multiply-adds per range, bit for bit the serial
+``a @ b`` at any split), and the launch record models a 32x32-tiled
+shared-memory GEMM.  The epilogue (``alpha``, ``beta * c``, bias,
+activation) runs inside each range on that range's rows.
 
 A first layer's left operand is the graph's own feature matrix, which
 on the citation datasets is 1 % non-zero, and the sum / mean of it a
@@ -12,11 +17,10 @@ layer transforms is a few per cent non-zero.  The caller that holds the
 graph passes ``a`` row-sparse (a SciPy CSR: the resident form
 :meth:`repro.graph.Graph.feature_rows`, or an aggregation's kept
 SpGEMM product) and the product runs over the stored entries only,
-through the compiled CSR routine the sparse kernels use, split over the
-process's CPUs the same way
-(:func:`~repro.graph.formats.row_parallel_product`); the launch
-record is the dense GEMM's either way, counted from shapes, so
-simulated figures do not know which route the host took.
+through the compiled CSR routine the sparse kernels use, split the
+same way; the launch record is the dense GEMM's either way, counted
+from shapes, so simulated figures do not know which route the host
+took.
 """
 
 from __future__ import annotations
@@ -95,21 +99,28 @@ def sgemm(a: np.ndarray, b: np.ndarray, bias: Optional[np.ndarray] = None,
                 f"c must have shape {(a.shape[0], b.shape[1])}, got {c.shape}"
             )
 
-    start = time.perf_counter()
-    # The product is this launch's own array: the epilogue below
-    # updates it in place, with the roundings of the out-of-place
-    # expression ``alpha * (a @ b) + beta * c + bias``.
-    out = np.asarray(row_parallel_product(a, b) if _sp.issparse(a) else a @ b)
-    if alpha != 1.0:
-        out *= np.float32(alpha)
-    if beta != 0.0:
-        out += np.float32(beta) * c
-    if bias is not None:
-        out += bias
-    out = out.astype(np.float32, copy=False)
+    act = None
     if activation:
         from repro.core.models.activations import get_activation
-        out = get_activation(activation)(out, out=out)
+        act = get_activation(activation)
+
+    def finish(lo: int, hi: int, rows: np.ndarray) -> None:
+        # Rows lo:hi of this launch's own product, updated in place
+        # with the roundings of the out-of-place expression
+        # ``alpha * (a @ b) + beta * c + bias``: every step is
+        # elementwise, so finishing a row range at a time leaves the
+        # same bits as finishing the whole product.
+        if alpha != 1.0:
+            rows *= np.float32(alpha)
+        if beta != 0.0:
+            rows += np.float32(beta) * c[lo:hi]
+        if bias is not None:
+            rows += bias
+        if act is not None:
+            act(rows, out=rows)
+
+    start = time.perf_counter()
+    out = row_parallel_product(a, b, finish)
     duration = time.perf_counter() - start
 
     recorder = L.active_recorder()

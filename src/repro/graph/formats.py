@@ -20,16 +20,17 @@ All sparse containers share the :class:`SparseMatrix` interface: ``shape``,
 ``matvec``/``matmul`` products.  The conversions are vectorised NumPy;
 the products run SciPy's compiled CSR routines, this reproduction's
 vendor library (:meth:`CSRMatrix._vendor`), and a large sparse x dense
-product splits its rows over the process's CPUs
+or dense x dense product splits its rows over the process's CPUs
 (:func:`row_parallel_product`).
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as _sp
@@ -47,11 +48,14 @@ __all__ = [
     "row_parallel_product",
 ]
 
-#: Multiply-adds (stored entries x dense columns) every range of a
-#: row-parallel product carries at least: a product under two grains
-#: runs as one serial call.  The break-even sweep that sets it is in
-#: docs/architecture.md ("Row-parallel vendor products").
+#: Multiply-adds (stored entries, or rows x inner dimension, times
+#: dense columns) every range of a row-parallel product carries at
+#: least: a product under two grains runs as one serial call.  The
+#: break-even sweep that sets it is in docs/architecture.md
+#: ("Row-parallel vendor products").
 ROW_SPLIT_GRAIN = 1 << 22
+
+_FLOAT32 = np.dtype(np.float32)
 
 _split_pool = None
 _split_pool_lock = threading.Lock()
@@ -378,36 +382,82 @@ class CSRMatrix(SparseMatrix):
         )
 
 
-def row_parallel_product(a: _sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a SciPy CSR ``a`` and a dense ``x``, its rows split
-    over the CPUs this process may run on.
+def row_parallel_product(a, x: np.ndarray,
+                         epilogue: Optional[Callable] = None) -> np.ndarray:
+    """``a @ x`` for a SciPy CSR or dense ``a`` and a dense ``x``, its
+    rows split over the CPUs this process may run on.
 
-    The rows are cut into contiguous ranges of about equal stored
-    entries (:func:`_row_ranges`): at most one range per CPU in the
-    affinity mask and none under :data:`ROW_SPLIT_GRAIN` multiply-adds.
-    Each range runs SciPy's own compiled kernel, which releases the
-    GIL, into its row slice of one float32 output; the ranges run on a
-    process-wide thread pool made on first use.  Every output row is
-    still summed by one call in the CSR's stored order, so the result
-    equals SciPy's serial ``a @ x`` bit for bit at any split.  A product
-    under two grains, a single CPU, or an operand that is not float32
-    runs as that serial call.
+    The rows are cut into contiguous ranges (:func:`_ranges`): at most
+    one range per CPU in the affinity mask and none under
+    :data:`ROW_SPLIT_GRAIN` multiply-adds.  Each range runs the vendor
+    call the serial product makes, which releases the GIL, into its row
+    slice of one float32 output; the ranges run on a process-wide
+    thread pool made on first use.
+
+    * A CSR ``a`` is cut at about equal stored entries, and each range
+      runs SciPy's own kernel.  Every output row is still summed by one
+      call in the CSR's stored order, so the result equals SciPy's
+      serial ``a @ x`` bit for bit at any split.
+    * A dense ``a`` is cut at equal row counts, and each range runs
+      ``np.matmul(a[lo:hi], x)``: the same BLAS GEMM over fewer rows.
+      OpenBLAS sums every output element over ``k`` in one order
+      whatever the row count, except in its small-matrix kernel, which
+      it takes at about 1 M multiply-adds and under; a range of at
+      least the grain is 4x above that, and every cut measured there
+      kept the serial bits (docs/architecture.md §5).
+
+    ``epilogue(lo, hi, rows)``, when given, finishes rows ``lo:hi`` of
+    the product in place (``rows`` is that slice of it) inside the
+    range that computed them, or once over every row when the product
+    is not split.
+
+    A product under two grains, a single CPU, or operands the split
+    does not take (:func:`_ranges`) run as the serial call.
     """
-    if not _splittable(a, x):
-        return a @ x
-    parts = min(_cpu_count(), a.nnz * x.shape[1] // ROW_SPLIT_GRAIN)
+    ranges = _ranges(a, x)
+    if ranges is None:
+        out = np.asarray(a @ x)
+        if epilogue is not None:
+            epilogue(0, out.shape[0], out)
+        return out
+    return _split_product(a, x, ranges, epilogue)
+
+
+def _ranges(a, x) -> Optional[List[Tuple[int, int]]]:
+    """The row ranges a split of ``a @ x`` runs, or None for the serial
+    call: the product is under two grains, only one CPU is free, or
+    the operands are not a float32 CSR, or a C-contiguous float32
+    ndarray, times a 2-D float32 ndarray.
+
+    A dense ``a`` also stays serial when ``x`` has one column or shares
+    memory with ``a``, and no range has fewer than two rows: NumPy
+    runs a one-column or one-row product through a matrix-vector call
+    and ``a @ a.T`` through ``syrk``, not through the GEMM the ranges
+    run.
+    """
+    if type(x) is not np.ndarray or x.ndim != 2 or x.dtype != _FLOAT32:
+        return None
+    if _sp.issparse(a):
+        # The float32 CSR products SciPy runs through csr_matvec(s).
+        if not (a.format == "csr" and a.dtype == _FLOAT32
+                and x.shape[0] == a.shape[1]
+                and a.indices.dtype == a.indptr.dtype):
+            return None
+        parts = min(_cpu_count(), a.nnz * x.shape[1] // ROW_SPLIT_GRAIN)
+        return _row_ranges(a.indptr, parts) if parts > 1 else None
+    if not (type(a) is np.ndarray and a.ndim == 2 and a.dtype == _FLOAT32
+            and x.shape[0] == a.shape[1] and x.shape[1] > 1):
+        return None
+    rows, inner, width = a.shape[0], a.shape[1], x.shape[1]
+    if (rows * inner * width < 2 * ROW_SPLIT_GRAIN
+            or not a.flags.c_contiguous or np.may_share_memory(a, x)):
+        return None
+    least = max(2, -(-ROW_SPLIT_GRAIN // (inner * width)))
+    parts = min(_cpu_count(), rows // least)
     if parts < 2:
-        return a @ x
-    return _split_product(a, x, _row_ranges(a.indptr, parts))
-
-
-def _splittable(a, x) -> bool:
-    """Whether ``a @ x`` is a float32 CSR x 2-D float32 ndarray product
-    that SciPy would run through ``csr_matvec(s)``."""
-    return (type(x) is np.ndarray and x.ndim == 2 and a.format == "csr"
-            and x.shape[0] == a.shape[1]
-            and a.dtype == np.float32 and x.dtype == np.float32
-            and a.indices.dtype == a.indptr.dtype)
+        return None
+    return [(rows * i // parts, rows * (i + 1) // parts)
+            for i in range(parts)]
 
 
 def _cpu_count() -> int:
@@ -429,31 +479,48 @@ def _row_ranges(indptr: np.ndarray, parts: int) -> List[Tuple[int, int]]:
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _split_product(a: _sp.csr_matrix, x: np.ndarray,
-                   ranges: List[Tuple[int, int]]) -> np.ndarray:
-    """``a @ x`` computed range by range into one preallocated output.
+def _split_product(a, x: np.ndarray, ranges: List[Tuple[int, int]],
+                   epilogue: Optional[Callable] = None) -> np.ndarray:
+    """``a @ x`` computed range by range into one preallocated output,
+    each range then finished by ``epilogue`` (see
+    :func:`row_parallel_product`).
 
-    Each range calls the kernel SciPy's ``a @ x`` calls
+    A CSR range calls the kernel SciPy's ``a @ x`` calls
     (``csr_matvec`` for one column, ``csr_matvecs`` otherwise) on its
     own ``indptr`` slice; the operand is flattened once, as SciPy
-    flattens it, and every range writes a basic slice (a view) of the
-    output.  The caller's thread runs the first range.
+    flattens it.  A dense range is ``np.matmul`` of ``a``'s row slice.
+    Every range writes a basic slice (a view) of the output, and the
+    caller's thread runs the first range; the others run in a copy of
+    the caller's context, so its ``np.errstate`` holds in every range.
     """
     rows, width = a.shape[0], x.shape[1]
-    out = np.zeros((rows, width), dtype=np.float32)
-    flat_x, flat_out = x.ravel(), out.reshape(-1)
+    if _sp.issparse(a):
+        out = np.zeros((rows, width), dtype=np.float32)
+        flat_x, flat_out = x.ravel(), out.reshape(-1)
+
+        def product(lo: int, hi: int) -> None:
+            y = flat_out[lo * width:hi * width]
+            if width == 1:
+                _sparsetools.csr_matvec(hi - lo, a.shape[1],
+                                        a.indptr[lo:hi + 1], a.indices,
+                                        a.data, flat_x, y)
+            else:
+                _sparsetools.csr_matvecs(hi - lo, a.shape[1], width,
+                                         a.indptr[lo:hi + 1], a.indices,
+                                         a.data, flat_x, y)
+    else:
+        out = np.empty((rows, width), dtype=np.float32)
+
+        def product(lo: int, hi: int) -> None:
+            np.matmul(a[lo:hi], x, out=out[lo:hi])
 
     def run(lo: int, hi: int) -> None:
-        y = flat_out[lo * width:hi * width]
-        if width == 1:
-            _sparsetools.csr_matvec(hi - lo, a.shape[1], a.indptr[lo:hi + 1],
-                                    a.indices, a.data, flat_x, y)
-        else:
-            _sparsetools.csr_matvecs(hi - lo, a.shape[1], width,
-                                     a.indptr[lo:hi + 1], a.indices, a.data,
-                                     flat_x, y)
+        product(lo, hi)
+        if epilogue is not None:
+            epilogue(lo, hi, out[lo:hi])
 
-    futures = [_pool().submit(run, lo, hi) for lo, hi in ranges[1:]]
+    futures = [_pool().submit(contextvars.copy_context().run, run, lo, hi)
+               for lo, hi in ranges[1:]]
     try:
         if ranges:
             run(*ranges[0])

@@ -415,10 +415,15 @@ class PlanExecutor:
         structure already factors per member — same per-destination
         reduction order, hence bit-for-bit member outputs), while
         ``SGEMM`` launches run *segment-local* per member row range,
-        because BLAS blocking varies with the row count and a packed
-        GEMM is not guaranteed bitwise against the per-member launches
-        (measured: float32 GEMMs over different row counts diverge in
-        the last ulp).  A first layer over the packed feature matrix
+        because a packed GEMM is not guaranteed bitwise against the
+        per-member launches: OpenBLAS runs a product of about 1 M
+        multiply-adds or fewer through its small-matrix kernel, whose
+        sums diverge in the last ulp from those of the same rows
+        inside a larger GEMM (measured), and citation-sized members
+        are that small.  Above that floor a row cut keeps the bits,
+        which is what lets a large ``sgemm`` split its rows over the
+        CPUs (:func:`~repro.graph.formats.row_parallel_product`).  A
+        first layer over the packed feature matrix
         gives each member launch that member's resident rows
         (:meth:`_segmented_sgemm`).
         """

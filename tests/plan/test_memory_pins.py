@@ -14,16 +14,20 @@ gin/reddit@0.02/SpMM stores a dense 602-wide ``X`` and multiplies it
 by its aggregation CSR through the row-parallel vendor product, whose
 ranges write views of one preallocated output: its pins bound the
 peak by what the shapes keep live, and the split product alone by its
-own output.
+own output.  So does its layer-0 transform ``X @ W1``, split the same
+way through ``np.matmul`` into row slices.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.core import GNNPipeline, SuiteConfig
 from repro.datasets import load_dataset, loader
-from repro.graph.formats import _row_ranges, _split_product
+from repro.graph import formats
+from repro.graph.formats import (_ranges, _row_ranges, _split_product,
+                                 row_parallel_product)
 
 CELLS = [("gcn", "MP", "cora"), ("gcn", "MP", "citeseer"),
          ("gcn", "MP", "pubmed"), ("gcn", "SpMM", "cora"),
@@ -105,4 +109,18 @@ def test_the_split_product_allocates_its_output_once():
     ranges = _row_ranges(a.indptr, 2)
     out, peak = _traced_peak(lambda: _split_product(a, x, ranges))
     assert len(ranges) == 2
+    assert out.nbytes <= peak <= out.nbytes + (1 << 20), (peak, out.nbytes)
+
+
+def test_the_dense_split_allocates_its_output_once(monkeypatch):
+    """Split in two, gin/reddit's layer-0 transform (4,660 x 602 x 602)
+    allocates its ``N x F`` output and nothing of that size besides:
+    neither operand is copied and every range writes a view."""
+    monkeypatch.setattr(formats, "_cpu_count", lambda: 2)
+    a = load_dataset("reddit", scale=0.02).features
+    b = np.random.default_rng(0).standard_normal(
+        (a.shape[1], a.shape[1])).astype(np.float32)
+    assert len(_ranges(a, b)) == 2
+    out, peak = _traced_peak(lambda: row_parallel_product(a, b))
+    assert out.shape == (a.shape[0], b.shape[1])
     assert out.nbytes <= peak <= out.nbytes + (1 << 20), (peak, out.nbytes)
