@@ -100,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "planner pick the packed sweep width, 'off' "
                             "(default) runs one graph, N >= 2 packs N "
                             "seed-variant graphs into one plan")
-        p.add_argument("--serve-batch", type=_knob_type("serve_batch"),
-                       default=None, metavar="auto|off|N",
-                       help="serving micro-batcher: 'auto' (default) packs "
-                            "up to the planner's choose_batching budget, "
-                            "'off' executes every request solo, N >= 2 "
-                            "caps batches at N members")
 
     for name, help_text in (
             ("run", "run one inference pass"),
@@ -149,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated dataset mix (default: the "
                               "--dataset value); multi-dataset mixes pin "
                               "out_features to the first dataset's class "
-                              "count (requests batch at equal feature "
-                              "width and head width)")
+                              "count")
     loadgen.add_argument("--verify", action="store_true",
                          help="after the timed window, re-run every "
                               "request solo and assert bitwise parity "
@@ -175,7 +168,6 @@ _ARG_FIELDS = {
     "compute_model": "compute_model", "framework": "framework",
     "layers": "num_layers", "hidden": "hidden", "scale": "scale",
     "seed": "seed", "repeats": "repeats", "fuse": "fuse", "batch": "batch",
-    "serve_batch": "serve_batch",
 }
 
 
@@ -313,13 +305,11 @@ def _cmd_plan(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
     from repro.serve import InferenceService, serve_tcp
-    config = _config_from_args(args)
-    service = InferenceService(config)
+    service = InferenceService(_config_from_args(args))
 
     def ready(bound):
         host, port = bound
-        print(f"serving on {host}:{port} "
-              f"(serve_batch={config.serve_batch}); one JSON request "
+        print(f"serving on {host}:{port}; one JSON request "
               f"per line, e.g. "
               f'{{"request_id": "r1", "dataset": "cora", "scale": 0.15}}')
 
@@ -335,8 +325,8 @@ def _cmd_serve(args) -> int:
         print("interrupted")
         return 0
     stats = service.stats()
-    print(f"served {served} request(s); {stats['batched']} batched / "
-          f"{stats['solo']} solo (max batch {stats['max_batch_size']})")
+    print(f"served {served} request(s); "
+          f"{stats['plan_cache_hits']} on a resident pipeline")
     return 0
 
 
@@ -352,12 +342,9 @@ def _cmd_loadgen(args) -> int:
         hidden=config.hidden, num_layers=config.num_layers,
         activation=config.activation, seed=config.seed, scale=config.scale)
     report = run_loadgen(templates, concurrency=args.concurrency,
-                         requests_per_client=args.requests, config=config,
+                         requests_per_client=args.requests,
                          verify=args.verify)
-    mode = "off" if config.serve_batch == 1 else (
-        "auto" if config.serve_batch == 0 else f"<= {config.serve_batch}")
-    print(f"loadgen over {'+'.join(datasets)} "
-          f"(micro-batching {mode})")
+    print(f"loadgen over {'+'.join(datasets)}")
     print(report.summary())
     if args.verify:
         print(f"parity: {report.parity_checked} response(s) checked, "

@@ -33,7 +33,7 @@ INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 class Knob:
     """One tri-state pipeline knob with the shared vocabulary.
 
-    Every plan-level knob (``fuse``, ``batch``, ``serve_batch``) answers
+    Every plan-level knob (``fuse``, ``batch``) answers
     the same three-way question — *planner decides* / *feature off* /
     *explicit value* — and historically each grew its own parser with
     its own spellings and error text.  A ``Knob`` is the one shared
@@ -95,14 +95,13 @@ class Knob:
         return coerced
 
 
-#: The plan-level knobs, one vocabulary each.  ``batch`` and
-#: ``serve_batch`` canonicalise to the historical integer encoding (0 =
-#: planner auto, 1 = off, B >= 2 explicit); ``fuse`` has no explicit
-#: third value (``"auto"`` fuses every legal site).
+#: The plan-level knobs, one vocabulary each.  ``batch`` canonicalises
+#: to the historical integer encoding (0 = planner auto, 1 = off,
+#: B >= 2 explicit); ``fuse`` has no explicit third value (``"auto"``
+#: fuses every legal site).
 KNOBS = {
     "fuse": Knob("fuse", auto="auto", off="off", integer=False),
     "batch": Knob("batch", auto=0, off=1),
-    "serve_batch": Knob("serve_batch", auto=0, off=1),
 }
 
 
@@ -136,12 +135,6 @@ class SuiteConfig:
     profile_costs: str = "paper"  # vestigial: the planner's constants
                                   # are fixed, so "paper" is the only
                                   # accepted value
-    serve_batch: int = 0          # serving micro-batcher: 0 = planner
-                                  # decides the batch size ("auto",
-                                  # choose_batching budgets), 1 = off
-                                  # (every request executes solo),
-                                  # N >= 2 additionally caps batches
-                                  # at N members
 
     def __post_init__(self):
         # A JSON config can put any type in any field: refuse a mistyped

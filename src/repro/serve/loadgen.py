@@ -12,20 +12,19 @@ thread keeps out of the *results*.
 Latency is measured per request (submit to response) and summarised as
 p50/p99; throughput is completed requests over the closed-loop wall
 clock.  Parity verification (``verify=True``) runs *after* the timed
-window: every response — batched or solo — is re-executed solo and
-compared bit-for-bit.
+window: every response is re-executed on a fresh build and compared
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import SuiteConfig
 from repro.errors import ServeError
 from repro.serve.requests import InferenceRequest
 from repro.serve.service import InferenceService, solo_reference
@@ -47,10 +46,9 @@ def dataset_mix(datasets: Sequence[str], out_features: Optional[int] = None,
     """Request templates over a dataset list, head width pinned.
 
     A multi-dataset mix pins ``out_features`` — to the given value, or
-    to the first dataset's class count — so the head width never
-    separates two requests that could otherwise batch (it is part of
-    the compatibility key; the feature width still does).
-    Single-dataset mixes keep their natural head width.
+    to the first dataset's class count — so every request of the mix
+    has one head width.  Single-dataset mixes keep their natural head
+    width.
     """
     if not datasets:
         raise ServeError("dataset mix must name at least one dataset")
@@ -73,13 +71,9 @@ class LoadReport:
     p99_ms: float
     mean_ms: float
     throughput_rps: float
-    batched: int
-    solo: int
-    max_batch_size: int
+    plan_cache_hits: int
     parity_checked: int = 0
     parity_failures: int = 0
-    serve_batch: int = 0
-    batches: List[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         out = self.__dict__.copy()
@@ -92,13 +86,11 @@ class LoadReport:
         return (f"C={self.concurrency} n={self.requests}: "
                 f"p50 {self.p50_ms:.2f} ms, p99 {self.p99_ms:.2f} ms, "
                 f"{self.throughput_rps:.1f} req/s, "
-                f"{self.batched} batched / {self.solo} solo "
-                f"(max batch {self.max_batch_size})")
+                f"{self.plan_cache_hits} on a resident pipeline")
 
 
 def run_loadgen(templates: Sequence[InferenceRequest], concurrency: int,
                 requests_per_client: int,
-                config: Optional[SuiteConfig] = None,
                 verify: bool = False) -> LoadReport:
     """Drive one closed-loop run against a fresh service; summarise it."""
     if concurrency < 1 or requests_per_client < 1:
@@ -107,8 +99,7 @@ def run_loadgen(templates: Sequence[InferenceRequest], concurrency: int,
             f"{concurrency} and {requests_per_client}")
     if not templates:
         raise ServeError("loadgen needs at least one request template")
-    config = config if config is not None else SuiteConfig()
-    service = InferenceService(config)
+    service = InferenceService()
     results = []                  # (request, response), completion order
 
     async def client(index: int) -> None:
@@ -146,11 +137,7 @@ def run_loadgen(templates: Sequence[InferenceRequest], concurrency: int,
         p99_ms=percentile(latencies, 0.99),
         mean_ms=sum(latencies) / total if total else 0.0,
         throughput_rps=total / wall if wall > 0 else 0.0,
-        batched=stats["batched"],
-        solo=stats["solo"],
-        max_batch_size=stats["max_batch_size"],
+        plan_cache_hits=stats["plan_cache_hits"],
         parity_checked=checked,
         parity_failures=failures,
-        serve_batch=config.serve_batch,
-        batches=stats["batches"],
     )

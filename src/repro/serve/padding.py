@@ -1,10 +1,9 @@
 """Zero-padded solo graphs: a reference helper, not a serving step.
 
-The service never pads: requests batch only at equal feature width, so
-every response is the plain solo run of its request.
-:func:`pad_features` stays for ``solo_reference(request, pad_to=W)``,
-which the end-to-end harness (``benchmarks/e2e``) calls by name when it
-builds its reference table.  A padded run is a *different* computation
+The service never pads: every response is the plain solo run of its
+request at its own width.  :func:`pad_features` stays for
+``solo_reference(request, pad_to=W)``, which the end-to-end harness
+(``benchmarks/e2e``) calls by name when it builds its reference table.  A padded run is a *different* computation
 from the unpadded one — the first layer's seeded weight matrix is
 shaped by the input width, so widening the input re-draws ``W0``.
 """

@@ -5,23 +5,15 @@ dataset (generated server-side, like every bench run) or an inline
 graph payload — plus the pipeline parameters
 (:class:`~repro.frameworks.base.PipelineSpec` fields and the backend).
 Validation happens at construction, so a malformed request can never
-reach the micro-batcher: the queue only ever holds requests the
-executor is guaranteed to be able to build.
-
-Two requests may share a micro-batch iff their
-:meth:`~InferenceRequest.compatibility_key` matches **and their graphs
-carry the same feature width** (the batcher appends it once the graph
-is resolved) — together everything the lowered plan's *arithmetic*
-depends on.  ``out_features`` is part of the key, so equal-width
-traffic from different datasets batches only when clients pin a common
-head width explicitly (datasets default it to their class count).
+reach the service's queue: it only ever holds requests the executor is
+guaranteed to be able to build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -114,8 +106,8 @@ class InferenceRequest:
         from repro.core.models import ACTIVATIONS, get_model_class
         from repro.core.models.base import COMPUTE_MODELS
         try:
-            # The batcher prices a queued group by its model class, on
-            # the drain task: an unknown name must die here, not there.
+            # The build reads the model class on the worker: an unknown
+            # name must die here, not there.
             get_model_class(self.model)
         except GSuiteError as exc:
             raise ServeError(
@@ -177,30 +169,6 @@ class InferenceRequest:
             return self.graph
         from repro.datasets import load_dataset
         return load_dataset(self.dataset, scale=self.scale, seed=self.seed)
-
-    def compatibility_key(self) -> Tuple:
-        """The batching equivalence class of this request.
-
-        Everything the packed plan's arithmetic depends on except the
-        feature width, which needs the resolved graph:
-        :class:`~repro.serve.batcher.MicroBatcher` appends it.
-        """
-        return (self.framework, self.model, self.compute_model,
-                self.hidden, self.num_layers, self.resolved_out_features(),
-                self.activation, self.seed)
-
-    @property
-    def batchable(self) -> bool:
-        """Whether this request may share a micro-batch.
-
-        The adaptive backend prices its per-layer formats from the
-        *whole workload's* statistics, so packing members changes the
-        schedule it would choose for each alone — outputs stay
-        numerically equivalent but the serving layer's bitwise parity
-        contract breaks.  Adaptive traffic therefore always executes
-        solo.
-        """
-        return self.framework != "gsuite-adaptive"
 
     # -- wire form (the JSON-lines TCP server) ------------------------------
     @classmethod
@@ -271,18 +239,14 @@ _REQUEST_FIELDS = tuple(f for f in fields(InferenceRequest)
 
 @dataclass
 class InferenceResponse:
-    """One served result, with its execution provenance.
+    """One served result.
 
-    ``source`` is ``"batched"`` (unpacked from a packed plan) or
-    ``"solo"`` (executed alone — the off mode, or a group of one).
     ``padded_to`` is the feature width the request executed at — always
     its own graph's; the service pads nothing.
     """
 
     request_id: str
     output: np.ndarray
-    source: str = "solo"
-    batch_size: int = 1
     padded_to: int = 0
     latency_s: float = 0.0
 
@@ -292,8 +256,6 @@ class InferenceResponse:
             "request_id": self.request_id,
             "output_shape": list(self.output.shape),
             "output_checksum": float(np.float64(self.output.sum())),
-            "source": self.source,
-            "batch_size": self.batch_size,
             "padded_to": self.padded_to,
             "latency_ms": round(self.latency_s * 1e3, 3),
         }

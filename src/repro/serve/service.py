@@ -1,23 +1,23 @@
 """The asyncio inference front end over the suite's execution path.
 
-:class:`InferenceService` owns one :class:`~repro.serve.batcher
-.MicroBatcher` and one single-worker thread executor.  ``submit`` is a
-coroutine: the request queues, and a background drain task cuts the
-next group **whenever the worker is free** — at once on an idle
-service, otherwise the moment the running group finishes, batching
-whatever queued behind it — and runs it on the worker thread, one
-group at a time, so concurrent traffic can never interleave kernels
-and execution stays deterministic.  Unpacked member outputs resolve
-the per-request futures; an exception out of a group fails that
-group's requests and nothing else.
+:class:`InferenceService` owns one FIFO request queue
+(:class:`~repro.serve.batcher.MicroBatcher`) and one single-worker
+thread executor.  ``submit`` is a coroutine: the request queues, and a
+background drain task hands the oldest request to the worker
+**whenever the worker is free** — at once on an idle service,
+otherwise the moment the running request finishes — one request at a
+time, so concurrent traffic can never interleave kernels and execution
+stays deterministic.  An exception out of a request fails that request
+and nothing else.
 
-A group of one runs on a **resident pipeline**: the service keeps the
-:class:`~repro.frameworks.base.BuiltPipeline` of each recent dataset
-request, keyed by framework, pipeline spec and the resolved graph
-object, in a least-recently-used table of :data:`RESIDENT_PIPELINES`
-entries.  A recurring request calls ``run()`` on it, so it skips the
-model build (the seeded Glorot draws), lowering and fusion; every
-kernel still launches and no output is kept.  Inline-graph requests
+Every request runs alone, on a **resident pipeline** where it can: the
+service keeps the :class:`~repro.frameworks.base.BuiltPipeline` of each
+recent dataset request, keyed by framework, pipeline spec and the
+resolved graph object, in a least-recently-used table of
+:data:`RESIDENT_PIPELINES` entries.  A recurring request calls
+``run()`` on it, so it skips the model build (the seeded Glorot
+draws), lowering and fusion; every kernel still launches and no output
+is kept.  Inline-graph requests
 (a fresh graph object each time) build afresh and are never held, nor
 is a pipeline whose build or first run raised.  The table lives on the
 single worker thread.  :func:`solo_reference` stays a fresh build: it
@@ -30,14 +30,13 @@ import asyncio
 import json
 import time
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.config import SuiteConfig
 from repro.errors import GSuiteError, ServeError
 from repro.frameworks import get_backend
-from repro.graph import BatchedGraph
 from repro.serve.batcher import BatchGroup, MicroBatcher
 from repro.serve.padding import pad_features
 from repro.serve.requests import InferenceRequest, InferenceResponse
@@ -56,9 +55,9 @@ def solo_reference(request: InferenceRequest,
                    pad_to: int = 0) -> np.ndarray:
     """Execute ``request`` alone, on a freshly built pipeline.
 
-    This is the parity oracle for every response — batched, solo or
-    from a resident pipeline: each must equal
-    ``solo_reference(request)`` bit-for-bit.
+    This is the parity oracle for every response, which a resident
+    pipeline answers: each must equal ``solo_reference(request)``
+    bit-for-bit.
     ``pad_to`` runs the reference on zero-padded features instead; the
     service never does (the end-to-end harness still builds such
     references).
@@ -72,24 +71,21 @@ def solo_reference(request: InferenceRequest,
 
 
 class InferenceService:
-    """Micro-batching inference service (asyncio).
+    """Single-worker inference service (asyncio).
 
     Parameters
     ----------
     config:
-        A :class:`~repro.core.config.SuiteConfig`; the serving knob
-        is ``serve_batch`` (``0`` planner auto / ``1`` off / ``N``
-        cap).  The pipeline fields of the config do **not** constrain
-        requests — every request carries its own parameters.
+        Accepted and ignored: every request carries its own parameters.
+        The end-to-end harness passes a
+        :class:`~repro.core.config.SuiteConfig` (ROADMAP item 1a).
     """
 
     def __init__(self, config: Optional[SuiteConfig] = None):
-        self.config = config if config is not None else SuiteConfig()
-        self.batcher = MicroBatcher(max_batch=self.config.serve_batch)
-        self.solo = 0                     # requests executed alone
-        self.batches: List[int] = []      # executed batch sizes, in order
-        self.plan_cache_hits = 0          # solo runs on a resident pipeline
-        self.pipelines_built = 0          # builds, solo and batched
+        self.batcher = MicroBatcher()
+        self.solo = 0                     # requests answered with an output
+        self.plan_cache_hits = 0          # runs on a resident pipeline
+        self.pipelines_built = 0          # builds
         #: (framework, spec, graph) -> BuiltPipeline, least recent first;
         #: read and written on the worker thread only.
         self._resident: OrderedDict = OrderedDict()
@@ -144,9 +140,8 @@ class InferenceService:
 
     # -- the drain loop ----------------------------------------------------
     async def _drain(self) -> None:
-        """One group per turn, cut only when the worker is free to run
-        it: requests that arrive meanwhile queue up behind it and form
-        the next group."""
+        """One request per turn, cut only when the worker is free to
+        run it: requests that arrive meanwhile queue up behind it."""
         loop = asyncio.get_running_loop()
         while True:
             groups = self.batcher.flush_all() if self._closing \
@@ -157,7 +152,7 @@ class InferenceService:
                         self._pool, self._execute_group, group)
                 except Exception as exc:
                     error = ServeError(
-                        f"group of {group.size} failed in execution: "
+                        f"request failed in execution: "
                         f"{type(exc).__name__}: {exc}")
                     error.__cause__ = exc
                     results = [error] * group.size
@@ -206,45 +201,29 @@ class InferenceService:
             return exc
         self.solo += 1
         return InferenceResponse(
-            request_id=request.request_id, output=output, source="solo",
-            batch_size=1, padded_to=graph.num_features)
+            request_id=request.request_id, output=output,
+            padded_to=graph.num_features)
 
     def _execute_group(self, group: BatchGroup):
-        """Run one flushed group; returns one outcome per entry, in order.
+        """Run a cut group — always one request — through :meth:`_solo`;
+        returns one outcome per entry.
 
-        A group is one feature width (it is part of the batcher's queue
-        key), so every member — batched or solo — runs at its own width.
+        The group survives only because ``benchmarks/e2e/tracing.py``
+        binds this method by name and reads the requests it serves
+        (ROADMAP item 1a).
         """
-        entries = group.entries
-        if len(entries) == 1:
-            return [self._solo(entries[0])]
-        head = entries[0].request
-        try:
-            workload = BatchedGraph([e.graph for e in entries])
-            built = get_backend(head.framework).build(
-                head.pipeline_spec(), workload)
-            self.pipelines_built += 1
-            packed = built.run()
-        except GSuiteError as exc:
-            return [exc] * len(entries)
-        self.batches.append(len(entries))
-        return [InferenceResponse(
-                    request_id=entry.request.request_id, output=block,
-                    source="batched", batch_size=len(entries),
-                    padded_to=entry.graph.num_features)
-                for block, entry in zip(workload.unpack(packed), entries)]
+        return [self._solo(entry) for entry in group.entries]
 
     # -- observability -----------------------------------------------------
     def stats(self) -> dict:
-        """Service counters: how requests executed, batch shape, and
-        how many solo requests a resident pipeline answered."""
-        batched = sum(self.batches)
+        """Service counters: requests answered, and how many of them a
+        resident pipeline answered.  ``batched`` (always 0) and
+        ``max_batch_size`` (always 1) stay because
+        ``benchmarks/e2e/metrics.py`` reads them (ROADMAP item 1a)."""
         return {
-            "responses": batched + self.solo,
-            "batched": batched,
+            "batched": 0,
             "solo": self.solo,
-            "batches": list(self.batches),
-            "max_batch_size": max(self.batches) if self.batches else 1,
+            "max_batch_size": 1,
             "plan_cache_hits": self.plan_cache_hits,
             "pipelines_built": self.pipelines_built,
         }

@@ -54,7 +54,7 @@ class TestValidation:
     @pytest.mark.parametrize("payload", [
         {"hidden": 10 ** 400}, {"scale": 10 ** 400}, {"seed": 10 ** 400},
         {"seed": 2 ** 63}, {"hidden": 1e300}, {"batch": 10 ** 400},
-        {"serve_batch": 2 ** 63},
+        {"sample_cap": 2 ** 63},
     ])
     def test_integers_past_int64_refused(self, payload):
         """An integer too large for a float used to escape
@@ -157,14 +157,13 @@ class TestImmutability:
 
 
 class TestKnobs:
-    """The shared knob vocabulary (fuse / batch / serve_batch)."""
+    """The shared knob vocabulary (fuse / batch)."""
 
     def test_registry_covers_the_plan_knobs(self):
-        assert set(KNOBS) == {"fuse", "batch", "serve_batch"}
+        assert set(KNOBS) == {"fuse", "batch"}
 
     @pytest.mark.parametrize("name,auto,off", [
         ("batch", 0, 1),
-        ("serve_batch", 0, 1),
         ("fuse", "auto", "off"),
     ])
     def test_uniform_auto_off_vocabulary(self, name, auto, off):
@@ -174,8 +173,8 @@ class TestKnobs:
         assert knob.parse("off") == off
 
     def test_integer_knobs_accept_ints_and_digit_strings(self):
-        assert KNOBS["serve_batch"].parse(4) == 4
-        assert KNOBS["serve_batch"].parse("4") == 4
+        assert KNOBS["batch"].parse(4) == 4
+        assert KNOBS["batch"].parse("4") == 4
         assert KNOBS["batch"].parse(16) == 16
         assert KNOBS["batch"].parse(16.0) == 16  # integral float ok
 
@@ -190,13 +189,30 @@ class TestKnobs:
         ("fuse", "maybe"), ("fuse", "force"),
     ])
     def test_uniform_refusal(self, name, bad):
-        knob = KNOBS[name]
+        """An off-vocabulary knob value refuses with the knob's message;
+        ``serve_batch`` — serving has no batch size any more — refuses
+        whatever its value, as an unknown key."""
         with pytest.raises(ConfigError) as err:
-            knob.parse(bad)
-        assert str(err.value) == \
-            f"{name} must be {knob.vocabulary()}, got {bad!r}"
+            SuiteConfig.from_dict({name: bad})
+        if name in KNOBS:
+            assert str(err.value) == \
+                f"{name} must be {KNOBS[name].vocabulary()}, got {bad!r}"
+        else:
+            assert str(err.value).startswith(
+                f"unknown configuration keys: ['{name}']")
 
-    @pytest.mark.parametrize("name", ["serve_batch", "batch"])
+    def test_old_serve_batch_file_is_refused_by_name(self, tmp_path):
+        """A config file written when serving still micro-batched is
+        refused, naming the key, rather than run with it ignored."""
+        path = tmp_path / "old.json"
+        for value in ("auto", "off", 4):
+            path.write_text(json.dumps({"dataset": "cora",
+                                        "serve_batch": value}))
+            with pytest.raises(ConfigError, match=r"unknown configuration "
+                               r"keys: \['serve_batch'\]"):
+                SuiteConfig.from_file(path)
+
+    @pytest.mark.parametrize("name", ["batch"])
     def test_below_minimum_refused_with_range_message(self, name):
         with pytest.raises(ConfigError, match="must be >= 0"):
             KNOBS[name].parse(-1)
@@ -208,8 +224,7 @@ class TestKnobs:
         assert parse(3) == 3
 
     def test_config_fields_parse_through_knobs(self):
-        cfg = SuiteConfig(serve_batch="auto", fuse="OFF", batch="off")
-        assert cfg.serve_batch == 0
+        cfg = SuiteConfig(fuse="OFF", batch="off")
         assert cfg.fuse == "off"
         assert cfg.batch == 1
 

@@ -121,8 +121,7 @@ class TestBatchedParity:
     heterogeneous batch can legally pick a different MP/SpMM schedule
     than a member alone would — there the contract weakens to
     numerical equivalence (and bitwise exactly when the format
-    decisions agree).  The serving layer therefore never batches
-    adaptive traffic (``InferenceRequest.batchable``)."""
+    decisions agree)."""
 
     @PARITY_SETTINGS
     @given(members=batch_member_lists(), combo=executable_combos(),

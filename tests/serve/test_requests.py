@@ -1,6 +1,6 @@
 """Request validation and the zero-padding width shim.
 
-A malformed request must die at construction — the micro-batcher queue
+A malformed request must die at construction — the service's queue
 only ever holds buildable work — and the padding shim must preserve
 everything except the appended zero columns, refusing the two unsafe
 cases (featureless graphs, narrowing).
@@ -79,8 +79,8 @@ class TestRequestValidation:
             InferenceRequest(request_id="r1", dataset="cora", num_layers=0)
 
     def test_unknown_model_rejected(self):
-        """The batcher prices a queued group by its model class on the
-        drain task, where an unknown name used to kill the task."""
+        """An unknown model name must die here, not on the worker (it
+        used to kill the drain task)."""
         for model in ("foo", "gat"):
             with pytest.raises(ServeError, match=f"unknown model '{model}'"):
                 InferenceRequest(request_id="r1", dataset="cora",
@@ -107,7 +107,7 @@ class TestRequestValidation:
     def test_integer_past_int64_rejected(self, field, value):
         """``json.loads`` yields arbitrarily long ints; one past int64
         used to pass construction and kill the drain task later
-        (``OverflowError`` pricing the batch budget)."""
+        (an ``OverflowError`` in a float conversion)."""
         fields = {"request_id": "x", "dataset": "cora", "scale": 0.1,
                   field: value}
         with pytest.raises(ServeError, match=f"'{field}' must be within "
@@ -138,29 +138,6 @@ class TestRequestValidation:
                 InferenceRequest(request_id="r1", dataset="cora",
                                  compute_model=compute_model,
                                  activation=activation, seed=0)
-
-
-class TestCompatibility:
-    def test_pinned_head_width_batches_across_datasets(self):
-        a = InferenceRequest(request_id="a", dataset="cora", out_features=8)
-        b = InferenceRequest(request_id="b", dataset="pubmed", out_features=8)
-        assert a.compatibility_key() == b.compatibility_key()
-
-    def test_natural_head_widths_split(self):
-        a = InferenceRequest(request_id="a", dataset="cora")     # 7 classes
-        b = InferenceRequest(request_id="b", dataset="pubmed")   # 3 classes
-        assert a.compatibility_key() != b.compatibility_key()
-
-    def test_seed_splits_groups(self):
-        a = InferenceRequest(request_id="a", dataset="cora", seed=0)
-        b = InferenceRequest(request_id="b", dataset="cora", seed=1)
-        assert a.compatibility_key() != b.compatibility_key()
-
-    def test_adaptive_is_not_batchable(self):
-        solo = InferenceRequest(request_id="a", dataset="cora",
-                                framework="gsuite-adaptive")
-        assert not solo.batchable
-        assert InferenceRequest(request_id="b", dataset="cora").batchable
 
 
 class TestWireForm:

@@ -1,9 +1,10 @@
 """End-to-end service tests: parity, accounting, wire.
 
 The serving invariant under test everywhere: **how** a request executes
-(batched or solo) never changes **what** it computes — every response
-is bit-for-bit the same request executed solo, at its own feature
-width — and the service's counters account every execution exactly.
+(on a resident pipeline or a fresh build, whatever else is queued)
+never changes **what** it computes — every response is bit-for-bit the
+same request executed solo, at its own feature width — and the
+service's counters account every execution exactly.
 """
 
 import asyncio
@@ -93,46 +94,46 @@ def _serve_all(requests, config=None):
 
 
 class TestBatchedParity:
+    """Requests that arrive together are still answered one by one:
+    each response is its request's plain solo run."""
+
     def test_equal_width_batch_is_bitwise_plain_solo(self):
         requests = _requests((5, 5, 5))
         service, responses = _serve_all(requests)
-        assert [r.source for r in responses] == ["batched"] * 3
         assert {r.padded_to for r in responses} == {5}
-        assert all(r.batch_size == 3 for r in responses)
+        assert service.stats()["max_batch_size"] == 1
         for request, response in zip(requests, responses):
             assert np.array_equal(response.output,
                                   solo_reference(request)), \
                 request.request_id
 
     def test_mixed_width_requests_run_at_their_own_width(self):
-        """Width is part of the batching key: simultaneous requests of
-        different widths never pack, equal ones among them still do,
-        and nobody's arithmetic depends on who else was in flight."""
+        """Simultaneous requests of different widths each run at their
+        own width, and nobody's arithmetic depends on who else was in
+        flight."""
         requests = _requests((3, 9, 3))
         service, responses = _serve_all(requests)
         assert [r.padded_to for r in responses] == [3, 9, 3]
-        assert [r.source for r in responses] == ["batched", "solo",
-                                                 "batched"]
-        assert service.stats()["batches"] == [2]
         for request, response in zip(requests, responses):
             assert np.array_equal(response.output, solo_reference(request))
 
     def test_dispatch_report_accounts_cleanly(self):
         service, responses = _serve_all(_requests((4, 4, 4)))
-        stats = service.stats()
-        assert stats["responses"] == 3
-        assert stats["batched"] == 3 and stats["solo"] == 0
-        assert stats["batches"] == [3] and stats["max_batch_size"] == 3
-        assert "degraded" not in stats and "dispatch" not in stats
+        assert service.stats() == {
+            "batched": 0, "solo": 3, "max_batch_size": 1,
+            "plan_cache_hits": 0, "pipelines_built": 3}
 
     def test_incompatible_requests_never_share_a_batch(self):
         gcn = _requests((4, 4))
-        gin = _requests((4, 4), model="gin")
-        service, responses = _serve_all(gcn + [
-            InferenceRequest(request_id=f"gin-{i}", graph=r.graph,
-                             model="gin", out_features=4)
-            for i, r in enumerate(gin)])
-        assert sorted(service.stats()["batches"]) == [2, 2]
+        gin = [InferenceRequest(request_id=f"gin-{i}", graph=r.graph,
+                                model="gin", out_features=4)
+               for i, r in enumerate(_requests((4, 4)))]
+        service, responses = _serve_all(gcn + gin)
+        stats = service.stats()
+        assert stats["batched"] == 0 and stats["solo"] == 4
+        assert stats["max_batch_size"] == 1
+        for request, response in zip(gcn + gin, responses):
+            assert np.array_equal(response.output, solo_reference(request))
 
     def test_latency_is_recorded(self):
         _, responses = _serve_all(_requests((4,)))
@@ -140,41 +141,46 @@ class TestBatchedParity:
 
 
 class TestWorkConservingFlush:
-    """The service cuts a group when the worker is free, never on a
-    timer.  The worker is gated with an event, so what runs alone and
-    what batches is decided by the test, not by the host's speed."""
+    """The service hands the worker the oldest request when the worker
+    is free, never on a timer.  The worker is gated with an event, so
+    what queues behind a running request is decided by the test, not
+    by the host's speed."""
 
-    def test_idle_runs_alone_and_busy_batches_what_queued(self):
-        a, b, c = _requests((3, 9, 9))
+    def test_same_tick_pair_is_answered_by_the_resident_pipeline(self):
+        """Two equal-width requests queued behind a running one (the
+        only arrival that was ever packed) each run alone on the
+        pipeline the first one built."""
+        first = InferenceRequest(request_id="a", dataset="cora", scale=0.1)
+        pair = [replace(first, request_id=f"b{i}") for i in range(2)]
         service = InferenceService(SuiteConfig())
         started, gate = _gate_worker(service)
 
         async def drive():
             loop = asyncio.get_running_loop()
             async with service:
-                first = asyncio.ensure_future(service.submit(a))
+                running = asyncio.ensure_future(service.submit(first))
                 await loop.run_in_executor(None, started.wait, 60)
                 assert len(service.batcher) == 0     # A was cut at once
-                rest = [asyncio.ensure_future(service.submit(r))
-                        for r in (b, c)]
+                queued = [asyncio.ensure_future(service.submit(r))
+                          for r in pair]
                 while len(service.batcher) < 2:      # both queue behind A
                     await asyncio.sleep(0)
                 gate.set()
-                return await asyncio.gather(first, *rest)
+                return await asyncio.gather(running, *queued)
 
         responses = asyncio.run(drive())
-        assert [r.batch_size for r in responses] == [1, 2, 2]
-        assert [r.source for r in responses] == ["solo", "batched",
-                                                 "batched"]
-        assert [r.padded_to for r in responses] == [3, 9, 9]
-        assert service.stats()["batches"] == [2]
-        for request, response in zip((a, b, c), responses):
+        stats = service.stats()
+        assert stats["batched"] == 0 and stats["solo"] == 3
+        assert stats["pipelines_built"] == 1
+        assert stats["plan_cache_hits"] == 2
+        for request, response in zip([first] + pair, responses):
+            assert response.request_id == request.request_id
             assert np.array_equal(response.output, solo_reference(request))
 
     def test_featureless_request_fails_alone_between_good_neighbours(self):
         """A graph stripped of its features after validation is refused
-        at ``submit`` — it never queues, so the equal-width requests on
-        either side of it still pack, and the drain task lives."""
+        at ``submit`` — it never queues, the requests on either side of
+        it are answered, and the drain task lives."""
         first, good_a, bad, good_b = _requests((4, 6, 6, 6))
         bad.graph.features = None
         service = InferenceService(SuiteConfig())
@@ -199,13 +205,12 @@ class TestWorkConservingFlush:
         assert isinstance(failure, GSuiteError)
         assert "r2" in str(failure) and "features" in str(failure)
         for request, response in ((good_a, a), (good_b, b)):
-            assert response.source == "batched" and response.batch_size == 2
             assert np.array_equal(response.output, solo_reference(request))
 
 
 class TestPoisonedRequests:
     """One bad request fails alone: the drain task survives whatever a
-    group raises, and the next request is answered."""
+    request raises, and the next request is answered."""
 
     @staticmethod
     def _serve_in_turn(service, requests):
@@ -253,35 +258,14 @@ class TestPoisonedRequests:
         assert alive
         assert np.array_equal(response.output, solo_reference(good))
 
-    def test_failed_pack_fails_its_group_only(self, monkeypatch):
-        import repro.serve.service as service_module
-        real = service_module.BatchedGraph
-        calls = []
-
-        def flaky(members, **kwargs):
-            calls.append(len(members))
-            if len(calls) == 1:
-                raise MemoryError("no room for the slab")
-            return real(members, **kwargs)
-        monkeypatch.setattr(service_module, "BatchedGraph", flaky)
-        requests = _requests((7, 7, 7, 7))
-        service = InferenceService(SuiteConfig())
-        (first, second), alive = self._serve_in_turn(
-            service, [requests[:2], requests[2:]])
-        assert all(isinstance(f, ServeError) and "MemoryError" in str(f)
-                   for f in first)
-        assert alive and calls == [2, 2]
-        for request, response in zip(requests[2:], second):
-            assert response.source == "batched"
-            assert np.array_equal(response.output, solo_reference(request))
-
-
 class TestServedPlansAreFused:
     """The service builds through ``Backend.build`` exactly as
     ``gsuite run`` does, so it serves the same fused plans."""
 
     @pytest.mark.parametrize("dataset", ("cora", "citeseer", "pubmed"))
     def test_solo_and_batched_run_the_pipeline_kernels(self, dataset):
+        """A request served alone and a pair submitted together both
+        answer with the pipeline's own output."""
         from repro.core.kernels import record_launches
         from repro.core.pipeline import GNNPipeline
         solo_request = InferenceRequest(request_id="solo", dataset=dataset,
@@ -289,11 +273,9 @@ class TestServedPlansAreFused:
         pair = [replace(solo_request, request_id=f"pair-{i}")
                 for i in range(2)]
         _, (solo,) = _serve_all([solo_request])
-        _, batched = _serve_all(pair)
-        assert solo.source == "solo"
-        assert [r.source for r in batched] == ["batched"] * 2
+        _, together = _serve_all(pair)
         for request, response in zip([solo_request] + pair,
-                                     [solo] + batched):
+                                     [solo] + together):
             assert np.array_equal(response.output, solo_reference(request))
         config = SuiteConfig(dataset=dataset, scale=0.25, out_features=8)
         assert np.array_equal(
@@ -335,7 +317,6 @@ class TestResidentPipelines:
         assert stats["pipelines_built"] == 1
         assert stats["plan_cache_hits"] == 2 and stats["solo"] == 3
         for request, response in zip(requests, responses):
-            assert response.source == "solo"
             assert np.array_equal(response.output, solo_reference(request))
 
     def test_table_is_bounded_least_recent_out(self):
@@ -405,15 +386,14 @@ class TestResidentPipelines:
 
 class TestBatchedRowSparseFeatures:
     def test_batched_pair_builds_no_dense_view(self):
-        """Members storing X row-sparse pack their CSRs: a batched
-        serve leaves each member's dense view unbuilt."""
+        """Requests on a dataset that stores X row-sparse, submitted
+        together, leave its dense view unbuilt."""
         from repro.datasets import clear_cache
         clear_cache()
         pair = [InferenceRequest(request_id=f"pair-{i}", dataset="cora",
                                  scale=0.25, out_features=8)
                 for i in range(2)]
         _, responses = _serve_all(pair)
-        assert [r.source for r in responses] == ["batched"] * 2
         for request, response in zip(pair, responses):
             assert not request.resolve_graph().dense_view_built
             assert np.array_equal(response.output, solo_reference(request))
@@ -421,34 +401,24 @@ class TestBatchedRowSparseFeatures:
 
 class TestServeModes:
     def test_off_mode_runs_everything_solo(self):
-        config = SuiteConfig(serve_batch=1)
+        """What ``serve_batch=off`` used to select is the only mode:
+        simultaneous requests of any widths each run alone."""
         requests = _requests((3, 9, 5))
-        service, responses = _serve_all(requests, config)
-        assert [r.source for r in responses] == ["solo"] * 3
+        service, responses = _serve_all(requests)
         assert [r.padded_to for r in responses] == [3, 9, 5]
         for request, response in zip(requests, responses):
             assert np.array_equal(response.output, solo_reference(request))
         stats = service.stats()
         assert stats["batched"] == 0 and stats["solo"] == 3
-        assert stats["batches"] == []
-
-    def test_cap_mode_bounds_batches(self):
-        config = SuiteConfig(serve_batch=2)
-        service, responses = _serve_all(_requests((4, 4, 4, 4)), config)
-        assert service.stats()["max_batch_size"] <= 2
-        assert sum(service.stats()["batches"]) + \
-            service.stats()["solo"] == 4
 
     def test_adaptive_traffic_stays_solo(self):
         requests = _requests((4, 4), framework="gsuite-adaptive")
         service, responses = _serve_all(requests)
-        assert [r.source for r in responses] == ["solo"] * 2
         for request, response in zip(requests, responses):
             assert np.array_equal(response.output, solo_reference(request))
 
     def test_repeat_geometry_answers_equal_solo_reference(self):
-        config = SuiteConfig(serve_batch=1)
-        service = InferenceService(config)
+        service = InferenceService(SuiteConfig())
         first = InferenceRequest(request_id="a", graph=_graph(seed=3),
                                  out_features=4)
         repeat = InferenceRequest(request_id="b", graph=_graph(seed=3),
@@ -472,7 +442,7 @@ class TestServeModes:
 class TestTcpServer:
     def test_json_lines_round_trip_and_error_reply(self):
         async def scenario():
-            service = InferenceService(SuiteConfig(serve_batch=1))
+            service = InferenceService(SuiteConfig())
             async with service:
                 ready = asyncio.get_running_loop().create_future()
                 server = asyncio.ensure_future(serve_tcp(
@@ -496,7 +466,6 @@ class TestTcpServer:
         assert served == 2
         assert first["request_id"] == "t1"
         assert first["output_shape"] == [10, 4]
-        assert first["source"] == "solo"
         assert "error" in second and "nope" in second["error"]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -504,7 +473,7 @@ class TestTcpServer:
         """NaN features would come back as ``"output_checksum": NaN`` —
         not JSON.  The payload refuses instead, the connection stays."""
         async def scenario():
-            service = InferenceService(SuiteConfig(serve_batch=1))
+            service = InferenceService(SuiteConfig())
             async with service:
                 ready = asyncio.get_running_loop().create_future()
                 server = asyncio.ensure_future(serve_tcp(
@@ -542,7 +511,7 @@ class TestTcpServer:
         unknown model killed the service's drain task).  Each now gets
         its error line and the next request on the line is answered."""
         async def scenario():
-            service = InferenceService(SuiteConfig(serve_batch=1))
+            service = InferenceService(SuiteConfig())
             async with service:
                 ready = asyncio.get_running_loop().create_future()
                 server = asyncio.ensure_future(serve_tcp(
@@ -630,7 +599,7 @@ class TestTcpServer:
 
     def test_overlong_request_line_gets_error_reply_then_close(self):
         async def scenario():
-            service = InferenceService(SuiteConfig(serve_batch=1))
+            service = InferenceService(SuiteConfig())
             async with service:
                 ready = asyncio.get_running_loop().create_future()
                 server = asyncio.ensure_future(serve_tcp(
@@ -681,11 +650,11 @@ class TestLoadgen:
         assert report.requests == 6
         assert report.parity_checked == 6
         assert report.parity_failures == 0
-        assert report.batched + report.solo == 6
+        assert report.plan_cache_hits == 0      # inline graphs: no hits
         assert report.throughput_rps > 0
         assert report.p99_ms >= report.p50_ms >= 0
         summary = report.summary()
-        assert "p50" in summary and "batched" in summary
+        assert "p50" in summary and "resident" in summary
 
     def test_bad_parameters_refused(self):
         template = InferenceRequest(request_id="t", graph=_graph(),
@@ -703,19 +672,22 @@ class TestCli:
                      "--datasets", "cora,pubmed", "--scale", "0.1",
                      "--verify"]) == 0
         out = capsys.readouterr().out
-        assert "loadgen over cora+pubmed (micro-batching auto)" in out
+        assert "loadgen over cora+pubmed" in out
         assert "parity" in out
 
-    def test_loadgen_off_mode(self, capsys):
+    def test_serve_knobs_validate(self, capsys):
+        """Serving has no batch size to set: the flag is unknown to
+        ``gsuite serve`` and ``gsuite loadgen``, and a config naming
+        it is refused."""
         from repro.cli import main
-        assert main(["loadgen", "--concurrency", "2", "--requests", "1",
-                     "--dataset", "cora", "--scale", "0.1",
-                     "--serve-batch", "off"]) == 0
-        assert "micro-batching off" in capsys.readouterr().out
-
-    def test_serve_knobs_validate(self):
-        with pytest.raises(ConfigError):
-            SuiteConfig(serve_batch=-2)
+        for command in ("serve", "loadgen"):
+            with pytest.raises(SystemExit) as exited:
+                main([command, "--serve-batch", "off"])
+            assert exited.value.code == 2
+        assert "unrecognized arguments: --serve-batch" in \
+            capsys.readouterr().err
+        with pytest.raises(ConfigError, match="unknown configuration keys"):
+            SuiteConfig.from_dict({"serve_batch": -2})
 
 
 @st.composite

@@ -284,6 +284,5 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert replies[0]["request_id"] == "r1"
-        assert replies[0]["source"] == "solo"
-        assert ("served 1 request(s); 0 batched / 1 solo (max batch 1)"
-                in out)
+        assert replies[0]["padded_to"] == 1433
+        assert "served 1 request(s); 0 on a resident pipeline" in out
