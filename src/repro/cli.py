@@ -64,6 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     # not clobber the file with the built-in default); the built-in
     # defaults themselves live in SuiteConfig and apply when neither
     # the file nor the flag sets a field.
+    def add_config_arg(p):
+        p.add_argument("--config", default=None,
+                       help="JSON config file with default parameters")
+
     def add_pipeline_args(p):
         p.add_argument("--model", default=None,
                        help="GNN model: gcn, gin, sage (default gcn)")
@@ -83,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dataset scale in (0, 1] (default 1.0)")
         p.add_argument("--seed", type=int, default=None,
                        help="generation / weight seed (default 0)")
-        p.add_argument("--config", default=None,
-                       help="JSON config file with default parameters")
+        add_config_arg(p)
         p.add_argument("--repeats", type=int, default=None,
                        help="timing repeats (default 3)")
         p.add_argument("--fuse", type=_knob_type("fuse"), default=None,
@@ -119,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the JSON-lines inference service (one request object "
-             "per line in, one response summary per line out)")
-    add_pipeline_args(serve)
+             "per line in, one response summary per line out); each "
+             "request carries its own pipeline parameters")
+    add_config_arg(serve)
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8753,
@@ -173,10 +177,12 @@ _ARG_FIELDS = {
 
 def _config_from_args(args) -> SuiteConfig:
     """The resolved SuiteConfig behind ``_pipeline_from_args`` (serving
-    commands need the config without building a pipeline)."""
+    commands need the config without building a pipeline).  A flag the
+    sub-command does not register reads as unset: ``gsuite serve`` has
+    only ``--config``."""
     overrides = {field: getattr(args, dest)
                  for dest, field in _ARG_FIELDS.items()
-                 if getattr(args, dest) is not None}
+                 if getattr(args, dest, None) is not None}
     if args.config:
         return SuiteConfig.from_file(args.config, **overrides)
     return SuiteConfig.from_dict(overrides)

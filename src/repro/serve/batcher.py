@@ -1,19 +1,21 @@
 """The inference service's request queue: first in, first out.
 
-Whoever owns the worker asks :meth:`MicroBatcher.due` **when the worker
-is free** and gets the oldest queued request, as a :class:`BatchGroup`
-of one; an idle service therefore answers a lone request at once, and
-a busy one answers the queue in arrival order.  Nothing is packed:
-every request runs alone.
+The service's worker thread asks :meth:`MicroBatcher.due` itself
+**whenever it is free** and gets the oldest queued request, as a
+:class:`BatchGroup` of one; an idle service therefore answers a lone
+request at once, and a busy one answers the queue in arrival order.
+Nothing is packed: every request runs alone.
 
 The class and method names are the end-to-end harness's:
 ``benchmarks/e2e/tracing.py`` binds ``MicroBatcher.submit`` / ``due``
 / ``flush_all`` by name and reads a group's ``reason``, ``size`` and
 ``entries`` (ROADMAP item 1a renames them with the harness).
 
-The queue is synchronous and clock-free: the asyncio service drives it
-(:mod:`repro.serve.service`), and tests drive it call by call — no
-sleeping, no threads, no flakiness.
+The queue is synchronous, clock-free and takes no lock of its own: the
+service (:mod:`repro.serve.service`) calls ``submit`` on its event loop
+thread and ``due`` / ``flush_all`` on its worker thread, always under
+its one lock, and tests drive it call by call — no sleeping, no
+threads, no flakiness.
 """
 
 from __future__ import annotations

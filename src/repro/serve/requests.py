@@ -69,7 +69,7 @@ class InferenceRequest:
                         f"request field {name!r} must be {noun}, got "
                         f"{type(value).__name__}")
                 # A JSON integer can be arbitrarily long; past int64 it
-                # overflows a float conversion on the drain task later.
+                # overflows a float conversion on the worker later.
                 if (isinstance(value, Integral)
                         and not INT64_MIN <= value <= INT64_MAX):
                     raise ServeError(

@@ -1,14 +1,17 @@
 """The asyncio inference front end over the suite's execution path.
 
 :class:`InferenceService` owns one FIFO request queue
-(:class:`~repro.serve.batcher.MicroBatcher`) and one single-worker
-thread executor.  ``submit`` is a coroutine: the request queues, and a
-background drain task hands the oldest request to the worker
-**whenever the worker is free** — at once on an idle service,
-otherwise the moment the running request finishes — one request at a
-time, so concurrent traffic can never interleave kernels and execution
-stays deterministic.  An exception out of a request fails that request
-and nothing else.
+(:class:`~repro.serve.batcher.MicroBatcher`) and one worker thread,
+which drains the queue itself.  ``submit`` is a coroutine: the request
+queues under the service's lock and wakes the worker if it sleeps.
+The worker cuts the oldest request under that lock **whenever it is
+free** — at once on an idle service, otherwise the moment the running
+request finishes, without a round trip through the event loop — and
+runs one request at a time, so concurrent traffic can never interleave
+kernels and execution stays deterministic.  The event loop only
+resolves each request's future (and stamps its latency) when the
+worker hands the outcome back.  An exception out of a request fails
+that request and nothing else.
 
 Every request runs alone, on a **resident pipeline** where it can: the
 service keeps the :class:`~repro.frameworks.base.BuiltPipeline` of each
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 from collections import OrderedDict
 from typing import Optional
@@ -49,6 +53,12 @@ __all__ = ["InferenceService", "RESIDENT_PIPELINES", "solo_reference",
 #: graphs the table can pin: the size of the dataset loader's graph
 #: cache.
 RESIDENT_PIPELINES = 8
+
+#: How long an idle worker sleeps before it looks whether its event
+#: loop was closed without :meth:`InferenceService.close`, so the thread
+#: cannot outlive the loop (a parked pool thread would hang interpreter
+#: exit).  A submit wakes the worker at once, whatever this is.
+_IDLE_CHECK_S = 1.0
 
 
 def solo_reference(request: InferenceRequest,
@@ -90,29 +100,30 @@ class InferenceService:
         #: read and written on the worker thread only.
         self._resident: OrderedDict = OrderedDict()
         self._closing = False
-        self._task: Optional[asyncio.Task] = None
-        self._wake: Optional[asyncio.Event] = None
+        #: Guards the queue and ``_closing``; the worker sleeps on it.
+        self._cond = threading.Condition()
+        self._task: Optional[asyncio.Future] = None
         self._pool = None
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "InferenceService":
-        """Spawn the drain task (idempotent)."""
+        """Start the worker (idempotent)."""
         if self._task is None:
             from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="gsuite-serve")
-            self._wake = asyncio.Event()
             self._closing = False
-            self._task = asyncio.get_running_loop().create_task(
-                self._drain())
+            loop = asyncio.get_running_loop()
+            self._task = loop.run_in_executor(self._pool, self._worker, loop)
         return self
 
     async def close(self) -> None:
-        """Flush every queued request, then stop the drain task."""
+        """Answer every queued request, then stop the worker."""
         if self._task is None:
             return
-        self._closing = True
-        self._wake.set()
+        with self._cond:
+            self._closing = True
+            self._cond.notify()
         await self._task
         self._task = None
         self._pool.shutdown(wait=True)
@@ -124,7 +135,7 @@ class InferenceService:
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
-    # -- the request path --------------------------------------------------
+    # -- the request path (event loop) -------------------------------------
     async def submit(self, request: InferenceRequest) -> InferenceResponse:
         """Queue one request; resolves when its result is served."""
         if self._task is None:
@@ -134,43 +145,53 @@ class InferenceService:
             raise ServeError("service is closing; request refused")
         start = time.perf_counter()
         future = asyncio.get_running_loop().create_future()
-        self.batcher.submit(request, payload=(future, start))
-        self._wake.set()
+        with self._cond:
+            self.batcher.submit(request, payload=(future, start))
+            self._cond.notify()
         return await future
 
-    # -- the drain loop ----------------------------------------------------
-    async def _drain(self) -> None:
-        """One request per turn, cut only when the worker is free to
-        run it: requests that arrive meanwhile queue up behind it."""
-        loop = asyncio.get_running_loop()
+    @staticmethod
+    def _resolve(group: BatchGroup, outcomes) -> None:
+        """Settle a group's futures with the worker's outcomes; runs on
+        the event loop, so ``latency_s`` spans submit to resolution."""
+        for entry, outcome in zip(group.entries, outcomes):
+            future, started = entry.payload
+            if future.done():
+                continue
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
+            else:
+                outcome.latency_s = time.perf_counter() - started
+                future.set_result(outcome)
+
+    # -- the drain loop (worker thread) ------------------------------------
+    def _worker(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Cut and run the oldest request whenever this thread is free;
+        once :meth:`close` is called, run what is still queued and
+        return."""
         while True:
-            groups = self.batcher.flush_all() if self._closing \
-                else self.batcher.due()
+            with self._cond:
+                while not (self._closing or len(self.batcher)):
+                    if loop.is_closed():
+                        return        # the loop went away without close()
+                    self._cond.wait(_IDLE_CHECK_S)
+                groups = self.batcher.flush_all() if self._closing \
+                    else self.batcher.due()
+            if not groups:
+                return                # closing, and the queue is empty
             for group in groups:
                 try:
-                    results = await loop.run_in_executor(
-                        self._pool, self._execute_group, group)
+                    outcomes = self._execute_group(group)
                 except Exception as exc:
                     error = ServeError(
                         f"request failed in execution: "
                         f"{type(exc).__name__}: {exc}")
                     error.__cause__ = exc
-                    results = [error] * group.size
-                for entry, outcome in zip(group.entries, results):
-                    future, started = entry.payload
-                    if future.done():
-                        continue
-                    if isinstance(outcome, Exception):
-                        future.set_exception(outcome)
-                    else:
-                        outcome.latency_s = time.perf_counter() - started
-                        future.set_result(outcome)
-            if groups:
-                continue              # the worker just came free: look again
-            if self._closing:
-                return
-            await self._wake.wait()
-            self._wake.clear()
+                    outcomes = [error] * group.size
+                try:
+                    loop.call_soon_threadsafe(self._resolve, group, outcomes)
+                except RuntimeError:      # the loop is closed: nobody waits
+                    return
 
     # -- execution (worker thread) -----------------------------------------
     def _solo(self, entry):

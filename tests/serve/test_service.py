@@ -9,6 +9,7 @@ service's counters account every execution exactly.
 
 import asyncio
 import json
+import sys
 import threading
 from dataclasses import replace
 
@@ -180,7 +181,7 @@ class TestWorkConservingFlush:
     def test_featureless_request_fails_alone_between_good_neighbours(self):
         """A graph stripped of its features after validation is refused
         at ``submit`` — it never queues, the requests on either side of
-        it are answered, and the drain task lives."""
+        it are answered, and the worker lives."""
         first, good_a, bad, good_b = _requests((4, 6, 6, 6))
         bad.graph.features = None
         service = InferenceService(SuiteConfig())
@@ -208,8 +209,209 @@ class TestWorkConservingFlush:
             assert np.array_equal(response.output, solo_reference(request))
 
 
+#: Hang guard for waits that must end at once on a working service.
+_HANG_S = 30
+
+
+def _record_worker(service, until=None):
+    """Log every ``_execute_group`` (request ids and thread) and every
+    ``MicroBatcher.due`` / ``flush_all`` call's thread; sets the returned
+    event once request ``until`` has executed."""
+    log = {"executed": [], "exec_threads": set(), "cut_threads": []}
+    executed = threading.Event()
+    execute = service._execute_group
+
+    def recorded(group):
+        log["exec_threads"].add(threading.get_ident())
+        try:
+            return execute(group)
+        finally:
+            ids = [entry.request.request_id for entry in group.entries]
+            log["executed"] += ids
+            if until in ids:
+                executed.set()
+    service._execute_group = recorded
+    for name in ("due", "flush_all"):
+        cut = getattr(service.batcher, name)
+
+        def traced(cut=cut, name=name):
+            log["cut_threads"].append((name, threading.get_ident()))
+            return cut()
+        setattr(service.batcher, name, traced)
+    return log, executed
+
+
+class TestWorkerDrainsTheQueue:
+    """The worker thread cuts and runs queued requests by itself: the
+    event loop only queues requests and resolves their futures."""
+
+    def test_queue_drains_while_the_loop_is_blocked(self):
+        """With A running and B, C, D queued, the worker runs all four
+        while the event loop thread is held in a callback: no request
+        needs a turn of the loop to start."""
+        a, b, c, d = _requests((4, 4, 4, 4))
+        service = InferenceService(SuiteConfig())
+        log, drained = _record_worker(service, until="r3")
+        started, gate = _gate_worker(service)
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            async with service:
+                running = asyncio.ensure_future(service.submit(a))
+                await loop.run_in_executor(None, started.wait, _HANG_S)
+                queued = [asyncio.ensure_future(service.submit(r))
+                          for r in (b, c, d)]
+                while len(service.batcher) < 3:
+                    await asyncio.sleep(0)
+                blocked = loop.create_future()
+
+                def block_loop():
+                    gate.set()
+                    blocked.set_result(drained.wait(timeout=_HANG_S))
+                loop.call_soon(block_loop)
+                drained_while_blocked = await blocked
+                responses = await asyncio.gather(running, *queued)
+            return drained_while_blocked, responses
+
+        drained_while_blocked, responses = asyncio.run(drive())
+        assert drained_while_blocked
+        assert log["executed"] == ["r0", "r1", "r2", "r3"]
+        (worker,) = log["exec_threads"]
+        assert worker != threading.get_ident()
+        due = [thread for name, thread in log["cut_threads"]
+               if name == "due"]
+        assert len(due) >= 4 and set(due) == {worker}
+        for request, response in zip((a, b, c, d), responses):
+            assert np.array_equal(response.output, solo_reference(request))
+
+    def test_close_answers_queued_requests_first(self):
+        """``close()`` with requests still queued flushes them on the
+        worker and resolves each before it returns."""
+        first, *rest = _requests((4, 5, 6))
+        service = InferenceService(SuiteConfig())
+        log, _ = _record_worker(service)
+        started, gate = _gate_worker(service)
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            await service.start()
+            worker = service._task
+            running = asyncio.ensure_future(service.submit(first))
+            await loop.run_in_executor(None, started.wait, _HANG_S)
+            queued = [asyncio.ensure_future(service.submit(r))
+                      for r in rest]
+            while len(service.batcher) < 2:
+                await asyncio.sleep(0)
+            closing = asyncio.ensure_future(service.close())
+            await asyncio.sleep(0)                # close() has begun
+            with pytest.raises(ServeError, match="closing"):
+                await service.submit(first)
+            gate.set()
+            await asyncio.wait_for(closing, _HANG_S)
+            settled = [future.done() for future in [running] + queued]
+            return settled, worker.done(), await asyncio.gather(
+                running, *queued)
+
+        settled, stopped, responses = asyncio.run(drive())
+        assert settled == [True, True, True] and stopped
+        assert log["executed"] == ["r0", "r1", "r2"]
+        assert [name for name, _ in log["cut_threads"]][-1] == "flush_all"
+        assert {thread for _, thread in log["cut_threads"]} \
+            == log["exec_threads"]
+        for request, response in zip([first] + rest, responses):
+            assert np.array_equal(response.output, solo_reference(request))
+
+    @pytest.mark.parametrize("clients", (1, 4))
+    def test_back_to_back_requests_lose_no_wakeup(self, clients):
+        """200 requests, each client sending its next the moment its last
+        one is answered, are all answered: the worker never sleeps
+        through a request that queued while it was busy.  A short
+        switch interval makes the loop and worker threads interleave
+        as often as the interpreter allows."""
+        request = InferenceRequest(request_id="r", dataset="cora",
+                                   scale=0.1)
+        per_client = 200 // clients
+
+        async def client(service, c):
+            return [await asyncio.wait_for(
+                service.submit(replace(request, request_id=f"c{c}-{i}")),
+                _HANG_S) for i in range(per_client)]
+
+        async def drive():
+            async with InferenceService(SuiteConfig()) as service:
+                answered = await asyncio.gather(
+                    *(client(service, c) for c in range(clients)))
+                return answered, service.stats()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            answered, stats = asyncio.run(drive())
+        finally:
+            sys.setswitchinterval(interval)
+        for c, responses in enumerate(answered):
+            assert [r.request_id for r in responses] == \
+                [f"c{c}-{i}" for i in range(per_client)]
+        assert stats["solo"] == 200 and stats["plan_cache_hits"] == 199
+        reference = solo_reference(request)
+        assert all(np.array_equal(r.output, reference)
+                   for responses in answered for r in responses)
+
+    def test_raising_execution_fails_alone_and_worker_lives(self):
+        """An exception out of ``_execute_group`` fails that request as a
+        ``ServeError``; its queued neighbours are answered and the
+        worker keeps running."""
+        before, bad, after = _requests((4, 4, 4))
+        service = InferenceService(SuiteConfig())
+        execute = service._execute_group
+
+        def failing(group):
+            if group.entries[0].request is bad:
+                raise RuntimeError("kernel blew up")
+            return execute(group)
+        service._execute_group = failing
+        started, gate = _gate_worker(service)
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            async with service:
+                running = asyncio.ensure_future(service.submit(before))
+                await loop.run_in_executor(None, started.wait, _HANG_S)
+                queued = [asyncio.ensure_future(service.submit(r))
+                          for r in (bad, after)]
+                while len(service.batcher) < 2:
+                    await asyncio.sleep(0)
+                gate.set()
+                outcomes = await asyncio.gather(running, *queued,
+                                                return_exceptions=True)
+                return outcomes, service._task.done()
+
+        (first, failure, last), stopped = asyncio.run(drive())
+        assert not stopped
+        assert isinstance(failure, ServeError)
+        assert "RuntimeError: kernel blew up" in str(failure)
+        for request, response in ((before, first), (after, last)):
+            assert np.array_equal(response.output, solo_reference(request))
+
+    def test_worker_ends_with_a_loop_closed_without_close(self):
+        """A started service whose loop ends without ``close()`` does not
+        leave its worker thread parked (a parked pool thread would hang
+        interpreter exit)."""
+        service = InferenceService(SuiteConfig())
+
+        async def drive():
+            await service.start()
+            return await service.submit(_requests((4,))[0])
+
+        asyncio.run(drive())
+        (worker,) = service._pool._threads
+        service._pool.shutdown(wait=False)    # what interpreter exit does
+        worker.join(timeout=_HANG_S)
+        assert not worker.is_alive()
+
+
 class TestPoisonedRequests:
-    """One bad request fails alone: the drain task survives whatever a
+    """One bad request fails alone: the worker survives whatever a
     request raises, and the next request is answered."""
 
     @staticmethod
@@ -688,6 +890,21 @@ class TestCli:
             capsys.readouterr().err
         with pytest.raises(ConfigError, match="unknown configuration keys"):
             SuiteConfig.from_dict({"serve_batch": -2})
+
+    def test_serve_refuses_pipeline_flags(self, capsys, tmp_path):
+        """Each request names its own pipeline, so ``gsuite serve`` has no
+        pipeline flag to read: one passed is refused, not silently
+        ignored, while a ``--config`` file is still validated."""
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--model", "gin"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --model gin" in \
+            capsys.readouterr().err
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"serve_batch": 4}))
+        assert main(["serve", "--config", str(config)]) == 2
+        assert "unknown configuration keys" in capsys.readouterr().err
 
 
 @st.composite
