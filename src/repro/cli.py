@@ -88,6 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="generation / weight seed (default 0)")
         add_config_arg(p)
+
+    # The flags only the pipeline commands read (``loadgen`` serves
+    # fused solo requests and registers none of them).
+    def add_execution_args(p):
         p.add_argument("--repeats", type=int, default=None,
                        help="timing repeats (default 3)")
         p.add_argument("--fuse", type=_knob_type("fuse"), default=None,
@@ -115,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "format choices")):
         p = sub.add_parser(name, help=help_text)
         add_pipeline_args(p)
+        add_execution_args(p)
 
     sub.add_parser("datasets", help="show the Table IV dataset registry")
     sub.add_parser("kernels", help="show the Table II kernel registry")

@@ -18,7 +18,7 @@ without ``lower_layer``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -170,13 +170,17 @@ class GNNModel:
         return tuple(cls.lowerable_formats or cls.supported_compute_models)
 
     def lower(self, formats: Optional[Sequence[str]] = None,
-              flavor: str = "native"):
+              flavor: str = "native", prepare: Optional[Callable] = None):
         """Lower this model to an :class:`~repro.plan.ir.ExecutionPlan`.
 
         ``formats`` selects the execution format *per layer* (default:
-        the model's configured compute model everywhere).  Structure
-        preparation (:meth:`lower_prepare`) is emitted once per distinct
-        format and shared by every layer of that format.
+        the model's configured compute model everywhere).  By default
+        structure preparation (:meth:`lower_prepare`) is emitted before
+        layer 0, once per distinct format in order of first appearance,
+        and shared by every layer of that format.  A framework backend
+        passes ``prepare(builder, fmt, layer) -> state`` instead, called
+        before each layer, to supply the structures its framework
+        builds (and when it builds them) to the same :meth:`lower_layer`.
         """
         from repro.plan.ir import PlanBuilder
         if formats is None:
@@ -196,13 +200,18 @@ class GNNModel:
             )
         builder = PlanBuilder(model=self.name, flavor=flavor)
         x = builder.input("X", fmt="dense")
-        state = {}
-        for fmt in formats:
-            if fmt not in state:
-                state[fmt] = self.lower_prepare(builder, fmt)
+        if prepare is None:
+            state = {}
+            for fmt in formats:
+                if fmt not in state:
+                    state[fmt] = self.lower_prepare(builder, fmt)
+
+            def prepare(builder, fmt, layer):
+                return state[fmt]
         for layer in range(self.num_layers):
             fmt = formats[layer]
-            x = self.lower_layer(layer, x, builder, state[fmt], fmt)
+            x = self.lower_layer(layer, x, builder,
+                                 prepare(builder, fmt, layer), fmt)
             if layer < self.num_layers - 1:
                 x = builder.activation(x, self.activation_name)
         return builder.build(x, layer_formats=tuple(formats),
@@ -225,7 +234,8 @@ class GNNModel:
         backend runs it, so every model implements it — a registered
         extension model included (``register_model`` refuses one that
         does not).  ``state`` is what :meth:`lower_prepare` returned for
-        ``fmt``.
+        ``fmt``, or what a framework's ``prepare`` hook supplied in its
+        place (:meth:`lower`).
         """
         raise NotImplementedError(
             f"{type(self).__name__} provides no plan lowering"

@@ -8,6 +8,10 @@ SpMM (paper Eq. 4)::
 
     X' = Theta( (A + (1 + eps) I) X )
 
+The DGL-like backend supplies the plain adjacency ``A`` instead of
+``A + (1 + eps) I``; its layer then reads as DGL's ``GINConv`` does,
+``spmm(A, X)`` followed by the MP path's ``(1 + eps) X`` combine.
+
 Theta is the layer's MLP — gSuite realises it as two chained ``sgemm``
 launches with a ReLU in between (the standard GIN-MLP of depth 2).
 Aggregation runs at the *input* feature width (unlike GCN, which
@@ -87,14 +91,19 @@ class GIN(GNNModel):
         b1 = builder.constant(params["b1"], name=f"l{layer}.b1")
         w2 = builder.constant(params["W2"], name=f"l{layer}.W2")
         b2 = builder.constant(params["b2"], name=f"l{layer}.b2")
-        if fmt == "MP":
-            messages = builder.gather(x, state["src"], tag=tag)
-            neighbour_sum = builder.scatter_reduce(messages, state["dst"],
-                                                   reduce="sum", tag=tag)
+        if "aggregate" in state:
+            combined = builder.spmm(state["aggregate"], x, tag=tag)
+        else:
+            if fmt == "MP":
+                messages = builder.gather(x, state["src"], tag=tag)
+                neighbour_sum = builder.scatter_reduce(
+                    messages, state["dst"], reduce="sum", tag=tag)
+            else:
+                # DGL's GINConv: sum the neighbours over the plain
+                # adjacency, then add (1 + eps) h.
+                neighbour_sum = builder.spmm(state["adjacency"], x, tag=tag)
             combined = builder.elementwise("combine", x, neighbour_sum,
                                            alpha=self.epsilon)
-        else:
-            combined = builder.spmm(state["aggregate"], x, tag=tag)
         hidden = builder.activation(
             builder.sgemm(combined, w1, bias=b1, tag=tag), "relu")
         return builder.sgemm(hidden, w2, bias=b2, tag=tag)

@@ -22,19 +22,10 @@ winning side per dataset.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from repro.core.models import build_model, get_model_class
+from repro.core.models import get_model_class
 from repro.frameworks.base import Backend, BuiltPipeline, PipelineSpec
 from repro.graph import Graph
-from repro.plan import (
-    GraphStats,
-    PlanExecutor,
-    cached_plan,
-    choose_formats,
-)
+from repro.plan import GraphStats, cached_plan, choose_formats
 
 __all__ = ["AdaptiveBackend"]
 
@@ -59,16 +50,7 @@ def plan_formats(spec: PipelineSpec, graph: Graph, model=None):
 def _reference_model(spec: PipelineSpec, graph: Graph):
     cls = get_model_class(spec.model)
     base = "MP" if "MP" in cls.supported_compute_models else "SpMM"
-    return build_model(
-        spec.model,
-        in_features=graph.num_features,
-        hidden=spec.hidden,
-        out_features=spec.out_features,
-        num_layers=spec.num_layers,
-        compute_model=base,
-        activation=spec.activation,
-        seed=spec.seed,
-    )
+    return spec.zoo_model(graph, base)
 
 
 class _AdaptivePipeline(BuiltPipeline):
@@ -79,11 +61,6 @@ class _AdaptivePipeline(BuiltPipeline):
         self.plan = cached_plan(
             graph, lambda: self._model.lower(self.formats, flavor="adaptive"),
             fuse=fuse)
-        self._executor = PlanExecutor()
-
-    def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
-        return self._executor.run(self.plan, self.graph,
-                                  {"X": self.input_features(features)})
 
 
 class AdaptiveBackend(Backend):

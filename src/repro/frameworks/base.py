@@ -25,9 +25,11 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.models import build_model
 from repro.core.models.base import check_features
 from repro.errors import BackendError
 from repro.graph import Graph
+from repro.plan import PlanExecutor
 
 __all__ = ["PipelineSpec", "BuiltPipeline", "Backend", "time_end_to_end"]
 
@@ -58,6 +60,15 @@ class PipelineSpec:
                 f"{self.hidden} and {self.out_features}"
             )
 
+    def zoo_model(self, graph: Graph, compute_model: str):
+        """The model-zoo instance every backend lowers: this spec's
+        model, geometry and seed over ``graph``'s feature width."""
+        return build_model(
+            self.model, in_features=graph.num_features, hidden=self.hidden,
+            out_features=self.out_features, num_layers=self.num_layers,
+            compute_model=compute_model, activation=self.activation,
+            seed=self.seed)
+
 
 class BuiltPipeline:
     """A ready-to-run inference pipeline bound to one graph.
@@ -78,10 +89,12 @@ class BuiltPipeline:
         self.graph = graph
         #: The input width the plan's weights were built for.
         self.num_features = graph.num_features
+        self._executor = PlanExecutor()
 
     def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
         """Execute inference, returning ``[num_nodes, out_features]``."""
-        raise NotImplementedError
+        return self._executor.run(self.plan, self.graph,
+                                  {"X": self.input_features(features)})
 
     def input_features(self,
                        features: Optional[np.ndarray] = None) -> np.ndarray:

@@ -10,14 +10,9 @@ cheaper than any store could hand it back.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from repro.core.models import build_model
 from repro.frameworks.base import Backend, BuiltPipeline, PipelineSpec
 from repro.graph import Graph
-from repro.plan import PlanExecutor, cached_plan
+from repro.plan import cached_plan
 
 __all__ = ["NativeBackend"]
 
@@ -26,22 +21,8 @@ class _NativePipeline(BuiltPipeline):
     def __init__(self, backend_name: str, spec: PipelineSpec, graph: Graph,
                  fuse: bool):
         super().__init__(backend_name, spec, graph)
-        self._model = build_model(
-            spec.model,
-            in_features=graph.num_features,
-            hidden=spec.hidden,
-            out_features=spec.out_features,
-            num_layers=spec.num_layers,
-            compute_model=spec.compute_model,
-            activation=spec.activation,
-            seed=spec.seed,
-        )
+        self._model = spec.zoo_model(graph, spec.compute_model)
         self.plan = cached_plan(graph, self._model.lower, fuse=fuse)
-        self._executor = PlanExecutor()
-
-    def run(self, features: Optional[np.ndarray] = None) -> np.ndarray:
-        return self._executor.run(self.plan, self.graph,
-                                  {"X": self.input_features(features)})
 
 
 class NativeBackend(Backend):

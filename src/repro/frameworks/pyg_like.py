@@ -17,13 +17,16 @@ PyG's costs, re-created here as *real work* (never artificial delays):
   explicitly disabled; each forward starts a fresh tape, so a pipeline
   run many times holds one forward's nodes.
 
-The pipeline *lowers* to the shared :class:`~repro.plan.ir.ExecutionPlan`
-IR (flavoured with PyG's per-layer uncached ``gcn_norm`` and per-call
-edge re-validation) and executes it through the instrumented core
-kernels, so kernel-level recordings of this backend mirror Fig. 4's PyG
-column.  The conv classes below only hold parameters: their
-construction is the ``reset_parameters`` cost Fig. 3 measures, and the
-plan reads its weights from them.
+The layer math is the model zoo's own MP lowering
+(:meth:`~repro.core.models.GNNModel.lower_layer`); this backend only
+supplies its structures (:data:`_STRUCTURES`), each a Normalize op over
+a runtime ``edge_index`` input: PyG's per-layer uncached ``gcn_norm``
+and SAGE diagonal augmentation, GIN's per-run edge split.  The plan
+runs through the instrumented core kernels, so kernel-level recordings
+of this backend mirror Fig. 4's PyG column.  Each conv's parameters are
+one :class:`Parameter` per entry of the reference model's layer
+weights, in their draw order: their construction is the
+``reset_parameters`` cost Fig. 3 measures.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.models import build_model
 from repro.errors import BackendError
 from repro.frameworks.base import Backend, BuiltPipeline, PipelineSpec
 from repro.graph import Graph
-from repro.plan import ExecutionPlan, PlanBuilder, PlanExecutor, cached_plan
+from repro.plan import PlanExecutor, cached_plan
 
 __all__ = ["PyGLikeBackend"]
 
@@ -105,96 +107,37 @@ def _gcn_norm(edge_index: np.ndarray, num_nodes: int):
     return full, weight
 
 
-class GCNConv:
-    """GCNConv's parameters; its uncached ``gcn_norm`` is a per-layer
-    Normalize op of the lowered plan."""
-
-    def __init__(self, fan_in: int, fan_out: int, rng):
-        self.weight = Parameter((fan_in, fan_out), rng)
-        self.bias = Parameter((fan_out,), rng)
-
-
-class GINConv:
-    """GINConv's parameters: the standard 2-layer MLP."""
-
-    def __init__(self, fan_in: int, fan_out: int, epsilon: float, rng):
-        mlp_hidden = max(fan_in, fan_out)
-        self.epsilon = epsilon
-        self.w1 = Parameter((fan_in, mlp_hidden), rng)
-        self.b1 = Parameter((mlp_hidden,), rng)
-        self.w2 = Parameter((mlp_hidden, fan_out), rng)
-        self.b2 = Parameter((fan_out,), rng)
+#: Model -> the structure PyG's conv re-derives from the runtime
+#: ``edge_index``: ``(Normalize kind, its outputs, whether it runs in
+#: every layer's forward rather than once per run)``.  The output names
+#: are the state keys the model's MP ``lower_layer`` reads.
+_EDGES = (("src", "edge"), ("dst", "edge"))
+_STRUCTURES = {
+    "gcn": ("pyg_gcn_norm", _EDGES + (("weight", "vec"),), True),
+    "gin": ("split_edges", _EDGES, False),
+    "sage": ("pyg_sage_endpoints", _EDGES, True),
+}
 
 
-class SAGEConv:
-    """SAGEConv's parameters (mean aggregation over N(v) + v)."""
+def _structure_source(kind: str, outputs, per_layer: bool):
+    """The ``prepare`` hook of :meth:`~repro.core.models.GNNModel.lower`
+    that reads every structure from a runtime ``edge_index`` input:
+    re-validated and re-split on every call, with ``gcn_norm`` and
+    SAGE's diagonal augmentation redone per layer (PyG's uncached
+    defaults)."""
+    edge_index = state = None
 
-    def __init__(self, fan_in: int, fan_out: int, rng):
-        self.w_self = Parameter((fan_in, fan_out), rng)
-        self.w_neigh = Parameter((fan_in, fan_out), rng)
-        self.bias = Parameter((fan_out,), rng)
+    def prepare(builder, fmt, layer):
+        nonlocal edge_index, state
+        if layer == 0:
+            edge_index = builder.input("edge_index", fmt="edge")
+        if layer == 0 or per_layer:
+            refs = builder.normalize(kind, outputs=outputs,
+                                     inputs=(edge_index,))
+            state = {name: ref for (name, _), ref in zip(outputs, refs)}
+        return state
 
-
-def _lower_pyg(spec: PipelineSpec, convs: List) -> ExecutionPlan:
-    """Lower the conv stack to a PyG-flavoured execution plan.
-
-    The plan reproduces PyG's execution structure op for op: the edge
-    index is a *runtime* input (re-validated and re-split every call),
-    ``gcn_norm`` and SAGE's diagonal augmentation are per-layer
-    Normalize ops (PyG's uncached defaults), and all math flows through
-    the instrumented core kernels.
-    """
-    builder = PlanBuilder(model=spec.model, flavor="pyg")
-    x = builder.input("X", fmt="dense")
-    edge_index = builder.input("edge_index", fmt="edge")
-    if spec.model == "gin":
-        src, dst = builder.normalize(
-            "split_edges", outputs=(("src", "edge"), ("dst", "edge")),
-            inputs=(edge_index,))
-    for layer, conv in enumerate(convs):
-        tag = f"{spec.model}-l{layer}"
-        if spec.model == "gcn":
-            full_src, full_dst, norm_weight = builder.normalize(
-                "pyg_gcn_norm",
-                outputs=(("src", "edge"), ("dst", "edge"), ("weight", "vec")),
-                inputs=(edge_index,))
-            weight = builder.constant(conv.weight.data, name=f"l{layer}.W")
-            bias = builder.constant(conv.bias.data, name=f"l{layer}.b")
-            h = builder.sgemm(x, weight, tag=tag)
-            messages = builder.gather(h, full_src, scale=norm_weight, tag=tag)
-            aggregated = builder.scatter_reduce(messages, full_dst,
-                                                reduce="sum", tag=tag)
-            x = builder.elementwise("add_bias", aggregated, bias)
-        elif spec.model == "gin":
-            w1 = builder.constant(conv.w1.data, name=f"l{layer}.W1")
-            b1 = builder.constant(conv.b1.data, name=f"l{layer}.b1")
-            w2 = builder.constant(conv.w2.data, name=f"l{layer}.W2")
-            b2 = builder.constant(conv.b2.data, name=f"l{layer}.b2")
-            messages = builder.gather(x, src, tag=tag)
-            agg = builder.scatter_reduce(messages, dst, reduce="sum", tag=tag)
-            combined = builder.elementwise("combine", x, agg,
-                                           alpha=conv.epsilon)
-            hidden = builder.activation(
-                builder.sgemm(combined, w1, bias=b1, tag=tag), "relu")
-            x = builder.sgemm(hidden, w2, bias=b2, tag=tag)
-        else:  # sage
-            full_src, full_dst = builder.normalize(
-                "pyg_sage_endpoints",
-                outputs=(("src", "edge"), ("dst", "edge")),
-                inputs=(edge_index,))
-            w_self = builder.constant(conv.w_self.data, name=f"l{layer}.W1")
-            w_neigh = builder.constant(conv.w_neigh.data, name=f"l{layer}.W2")
-            bias = builder.constant(conv.bias.data, name=f"l{layer}.b")
-            messages = builder.gather(x, full_src, tag=tag)
-            mean_neigh = builder.scatter_reduce(messages, full_dst,
-                                                reduce="mean", tag=tag)
-            self_part = builder.sgemm(x, w_self, tag=tag)
-            neigh_part = builder.sgemm(mean_neigh, w_neigh, bias=bias,
-                                       tag=tag)
-            x = builder.elementwise("add", self_part, neigh_part)
-        if layer < len(convs) - 1:
-            x = builder.activation(x, spec.activation)
-    return builder.build(x, layer_formats=("MP",) * len(convs))
+    return prepare
 
 
 #: Plan opcode -> the tape label PyG's autograd graph gives the op.
@@ -212,38 +155,28 @@ class _PyGLikePipeline(BuiltPipeline):
         self._tape = _Tape()
         rng = np.random.default_rng(spec.seed + 1)
 
-        # Construct conv modules (reset_parameters runs here)...
-        reference = build_model(
-            spec.model, in_features=graph.num_features, hidden=spec.hidden,
-            out_features=spec.out_features, num_layers=spec.num_layers,
-            compute_model="MP", activation=spec.activation, seed=spec.seed,
-        )
-        self._convs = []
-        for layer, (fan_in, fan_out) in enumerate(reference.dims):
-            params = reference.weights[layer]
-            if spec.model == "gcn":
-                conv = GCNConv(fan_in, fan_out, rng)
-                conv.weight.load(params["W"])
-                conv.bias.load(params["b"])
-            elif spec.model == "gin":
-                conv = GINConv(fan_in, fan_out, reference.epsilon, rng)
-                conv.w1.load(params["W1"])
-                conv.b1.load(params["b1"])
-                conv.w2.load(params["W2"])
-                conv.b2.load(params["b2"])
-            elif spec.model in ("sage", "sag"):
-                conv = SAGEConv(fan_in, fan_out, rng)
-                conv.w_self.load(params["W1"])
-                conv.w_neigh.load(params["W2"])
-                conv.bias.load(params["b"])
-            else:
-                raise BackendError(f"PyG backend has no conv for {spec.model!r}")
-            self._convs.append(conv)
+        reference = spec.zoo_model(graph, "MP")
+        structure = _STRUCTURES.get(reference.name)
+        if structure is None:
+            raise BackendError(f"PyG backend has no conv for {spec.model!r}")
+        # Construct the conv modules' parameters (reset_parameters runs
+        # here), one per reference weight in its draw order, then load
+        # the reference values as a state dict would.
+        self.parameters: List[Dict[str, Parameter]] = []
+        for weights in reference.weights:
+            layer = {name: Parameter(values.shape, rng)
+                     for name, values in weights.items()}
+            for name, parameter in layer.items():
+                parameter.load(weights[name])
+            self.parameters.append(layer)
 
         # The tape below records one node per lowered op, so this plan
         # never takes the fusion pass.
-        self.plan = cached_plan(graph, lambda: _lower_pyg(spec, self._convs),
-                                fuse=False)
+        formats = ("MP",) * reference.num_layers
+        self.plan = cached_plan(
+            graph, lambda: reference.lower(
+                formats, flavor="pyg", prepare=_structure_source(*structure)),
+            fuse=False)
         self._executor = PlanExecutor(on_op=self._record_op)
 
     def _record_op(self, op, result) -> None:

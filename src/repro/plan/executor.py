@@ -30,9 +30,12 @@ destination-major :func:`~repro.core.kernels.reduction_structure` of
 each output an aggregation op reduces over and, for an aggregation
 whose index and scale operands all come from those kinds, the CSR
 :func:`~repro.core.kernels.aggregation_operator` it multiplies by, and
-hands both to ``scatter`` / ``fused_gather_scatter``.  The ``pyg_*`` /
-``dgl_*`` kinds model what those frameworks re-derive on every forward
-and stay per-run: their kernels build the operator for each call.
+hands both to ``scatter`` / ``fused_gather_scatter``.  The framework
+backends' kinds (``split_edges``, ``pyg_gcn_norm``,
+``pyg_sage_endpoints`` and ``dgl_graph``, whose ``structure`` param
+names the conv's structure) model what those frameworks re-derive on
+every forward and stay per-run: their kernels build the operator for
+each call.
 
 The same goes for the one dense operand the graph owns.  A run binds
 ``X`` as the graph stores it (:attr:`repro.graph.Graph.
@@ -194,24 +197,10 @@ def _norm_pyg_sage_endpoints(graph: Graph, params, inputs, tag):
 
 
 def _norm_dgl_graph(graph: Graph, params, inputs, tag):
-    """DGL's up-front multi-format graph object (built per run)."""
+    """DGL's up-front multi-format graph object (built per run) and the
+    conv's cached ``structure`` read from it."""
     from repro.frameworks.dgl_like import DGLGraphLike
-    return (DGLGraphLike(graph),)
-
-
-def _norm_dgl_normalized(graph: Graph, params, inputs, tag):
-    dgl_graph, = inputs
-    return (dgl_graph.normalized(),)
-
-
-def _norm_dgl_mean_adjacency(graph: Graph, params, inputs, tag):
-    dgl_graph, = inputs
-    return (dgl_graph.mean_adjacency(),)
-
-
-def _norm_dgl_plain(graph: Graph, params, inputs, tag):
-    dgl_graph, = inputs
-    return (dgl_graph.plain(),)
+    return (getattr(DGLGraphLike(graph), params["structure"])(),)
 
 
 for _kind, _fn in (
@@ -225,9 +214,6 @@ for _kind, _fn in (
         ("pyg_gcn_norm", _norm_pyg_gcn_norm),
         ("pyg_sage_endpoints", _norm_pyg_sage_endpoints),
         ("dgl_graph", _norm_dgl_graph),
-        ("dgl_normalized", _norm_dgl_normalized),
-        ("dgl_mean_adjacency", _norm_dgl_mean_adjacency),
-        ("dgl_plain", _norm_dgl_plain),
 ):
     register_normalize(_kind, _fn)
 

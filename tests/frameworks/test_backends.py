@@ -170,8 +170,9 @@ class TestEndToEndTiming:
                             repeats=0)
 
     def test_pyg_unknown_model_rejected(self, graph):
-        """The PyG-like backend has a conv for the paper's trio only: a
-        registered model outside it is refused, not run as a GCN."""
+        """The PyG-like and DGL-like backends have a conv (a structure
+        source) for the paper's trio only: a registered model outside
+        it is refused, not run as a GCN."""
         from repro.core.models import GCN, register_model
         from repro.core.models.registry import MODELS
 
@@ -180,8 +181,10 @@ class TestEndToEndTiming:
 
         register_model("extension-test", Extension)
         try:
-            with pytest.raises(BackendError, match="no conv"):
-                get_backend("pyg").build(
-                    PipelineSpec(model="extension-test"), graph)
+            for backend, compute_model in (("pyg", "MP"), ("dgl", "SpMM")):
+                with pytest.raises(BackendError, match="no conv"):
+                    get_backend(backend).build(
+                        PipelineSpec(model="extension-test",
+                                     compute_model=compute_model), graph)
         finally:
             MODELS.pop("extension-test", None)

@@ -5,10 +5,9 @@ import pytest
 
 from repro.errors import BackendError
 from repro.frameworks import PipelineSpec, get_backend
+from repro.core.models import build_model
 from repro.frameworks.pyg_like import (
-    GINConv,
     Parameter,
-    SAGEConv,
     _gcn_norm,
     _validate_edge_index,
 )
@@ -98,12 +97,23 @@ class TestTapeAndConvs:
         pipeline.run()
         assert once and pipeline._tape.nodes == once
 
-    def test_gin_conv_shapes(self):
-        conv = GINConv(5, 3, 0.1, np.random.default_rng(3))
-        assert [p.shape for p in (conv.w1, conv.b1, conv.w2, conv.b2)] \
-            == [(5, 5), (5,), (5, 3), (3,)]
-
-    def test_sage_conv_shapes(self):
-        conv = SAGEConv(5, 3, np.random.default_rng(4))
-        assert [p.shape for p in (conv.w_self, conv.w_neigh, conv.bias)] \
-            == [(5, 3), (5, 3), (3,)]
+    @pytest.mark.parametrize("model", ["gcn", "gin", "sage"])
+    def test_parameters_mirror_the_reference_weights(self, model):
+        """PyG's conv parameters are one ``Parameter`` per entry of the
+        zoo model's layer weights — same names, shapes and (loaded)
+        values — so a layer's shapes, GIN's MLP width included, have
+        one source: the model's ``_init_layer``."""
+        rng = np.random.default_rng(3)
+        graph = Graph(rng.integers(0, 10, size=(2, 30)), num_nodes=10,
+                      features=rng.standard_normal((10, 5)).astype(np.float32))
+        spec = PipelineSpec(model=model, hidden=4, out_features=3, seed=7)
+        pipeline = get_backend("pyg").build(spec, graph)
+        reference = build_model(model, in_features=5, hidden=4,
+                                out_features=3, seed=7)
+        assert len(pipeline.parameters) == len(reference.weights) == 2
+        for parameters, weights in zip(pipeline.parameters,
+                                       reference.weights):
+            assert list(parameters) == list(weights)
+            for name, parameter in parameters.items():
+                assert parameter.shape == weights[name].shape
+                assert np.array_equal(parameter.data, weights[name])

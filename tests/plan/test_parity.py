@@ -31,13 +31,13 @@ from hypothesis import strategies as st
 
 from oracle import layer_ratios, reference_model
 from repro.core.kernels import record_launches, sgemm
-from repro.core.models import GNNModel, register_model
+from repro.core.models import GNNModel, build_model, register_model
 from repro.core.models.registry import MODELS
 from repro.datasets import load_dataset
 from repro.errors import ModelError
 from repro.frameworks import get_backend, PipelineSpec
 from repro.graph import Graph
-from repro.plan import ExecutionPlan
+from repro.plan import ExecutionPlan, Normalize
 from strategies import (
     EXECUTABLE_COMBOS,
     STANDARD_SETTINGS,
@@ -55,6 +55,10 @@ GOLDEN_LAUNCHES_PATH = Path(__file__).with_name("golden_launches.json")
 #: function by ``test_adaptive_matches_native_function``).
 PARITY_COMBOS = tuple(combo for combo in EXECUTABLE_COMBOS
                       if combo[0] != "gsuite-adaptive")
+
+#: The combos whose plans a framework backend lowers.
+FRAMEWORK_COMBOS = tuple(combo for combo in EXECUTABLE_COMBOS
+                         if combo[0] in ("pyg", "dgl"))
 
 #: One layer's PyG-like tape, as the PyG conv loop recorded it.
 PYG_TAPE = {
@@ -97,6 +101,14 @@ def golden_launches_text(graph) -> str:
                       + ",\n".join(f"  {json.dumps(row)}" for row in rows)
                       + "\n ]")
     return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
+def _layer_ops(plan):
+    """The plan's non-Normalize ops as ``(opcode, tag, kind or
+    function)``."""
+    return [(op.opcode, op.tag,
+             getattr(op, "kind", None) or getattr(op, "function", ""))
+            for op in plan.ops if not isinstance(op, Normalize)]
 
 
 def _wrong_models(right):
@@ -150,6 +162,46 @@ class TestBitwiseParity:
         pipeline.run()
         assert [n["op"] for n in pipeline._tape.nodes] \
             == list(PYG_TAPE[model] * spec.num_layers)
+
+    @pytest.mark.parametrize("backend,model,cm", FRAMEWORK_COMBOS)
+    def test_framework_plans_run_the_native_layers(self, graph, backend,
+                                                    model, cm):
+        """The PyG-like and DGL-like backends supply structures to the
+        zoo's own ``lower_layer``: outside their Normalize ops, their
+        plans are the native plan in the same formats.  The one reading
+        of its own is DGL's GINConv, which sums over the plain
+        adjacency and then adds ``(1 + eps) h``: one ``combine`` after
+        each layer's ``spmm``."""
+        spec = _spec(model, cm)
+        framework = _layer_ops(lowered(backend, spec, graph).plan)
+        native = _layer_ops(build_model(
+            model, in_features=graph.num_features, hidden=spec.hidden,
+            out_features=spec.out_features, num_layers=spec.num_layers,
+            seed=spec.seed).lower([cm] * spec.num_layers))
+        if (backend, model) == ("dgl", "gin"):
+            combines = [i for i, op in enumerate(framework)
+                        if op == ("elementwise", "", "combine")]
+            assert [framework[i - 1] for i in combines] == [
+                ("spmm", f"gin-l{layer}", "")
+                for layer in range(spec.num_layers)]
+            framework = [op for i, op in enumerate(framework)
+                         if i not in combines]
+        assert framework == native
+
+    @pytest.mark.parametrize("backend,model,cm", FRAMEWORK_COMBOS)
+    def test_framework_structures_are_rebuilt_where_the_framework_does(
+            self, graph, backend, model, cm):
+        """PyG-like re-derives ``gcn_norm`` and SAGE's self-loop
+        endpoints in every layer and splits the edge index once per
+        run; DGL-like builds one graph object per run."""
+        spec = _spec(model, cm)
+        kinds = [op.kind for op in lowered(backend, spec, graph).plan.ops
+                 if isinstance(op, Normalize)]
+        per_run = {"pyg": {"gcn": ["pyg_gcn_norm"] * spec.num_layers,
+                           "gin": ["split_edges"],
+                           "sage": ["pyg_sage_endpoints"] * spec.num_layers},
+                   "dgl": {model: ["dgl_graph"]}}
+        assert kinds == per_run[backend][model]
 
     def test_rebuild_is_deterministic_bitwise(self, graph):
         """Lowering the same spec twice yields the same plan and output."""

@@ -906,6 +906,18 @@ class TestCli:
         assert main(["serve", "--config", str(config)]) == 2
         assert "unknown configuration keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--repeats", "9"], ["--fuse", "off"],
+                                      ["--no-fuse"], ["--batch", "4"]])
+    def test_loadgen_refuses_flags_it_never_reads(self, capsys, flag):
+        """``gsuite loadgen`` serves fused solo requests once each, so a
+        repeats, fusion or batch flag is refused, not silently ignored."""
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exited:
+            main(["loadgen", *flag])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in \
+            capsys.readouterr().err
+
 
 @st.composite
 def _arrivals(draw):

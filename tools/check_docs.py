@@ -15,8 +15,11 @@ Two failure classes CI should catch before a reader does:
   files, wire requests — cannot drift into invalid JSON).
 * **Unknown CLI flags** — every ``--flag`` on a ``gsuite ...`` /
   ``python -m repro ...`` line of a fenced block in ``README.md`` or
-  ``docs/`` must be an option of some :mod:`repro.cli` sub-parser, so
-  a removed flag cannot linger in a documented command.
+  ``docs/`` must be an option of that command's own :mod:`repro.cli`
+  sub-parser (of some sub-parser, when the first word after the
+  command is not a sub-command), so a removed flag cannot linger in a
+  documented command and ``gsuite serve --model gin`` cannot pass on
+  the strength of ``gsuite run``'s flags.
 
 Checked files: ``README.md``, ``ROADMAP.md``, ``CHANGES.md`` and
 everything under ``docs/`` (the flag check skips ``ROADMAP.md`` and
@@ -37,7 +40,7 @@ import re
 import sys
 import textwrap
 from pathlib import Path
-from typing import Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -151,16 +154,18 @@ def check_snippets(path: Path,
     return problems
 
 
-def cli_flags() -> Set[str]:
-    """Every option string of the gsuite parser and its sub-parsers."""
+def cli_flags() -> Dict[str, Set[str]]:
+    """Option strings per gsuite sub-command, and under ``""`` every
+    option string of the parser and its sub-parsers."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.cli import build_parser
     parser = build_parser()
-    flags = set(parser._option_string_actions)
+    flags = {"": set(parser._option_string_actions)}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                flags.update(sub._option_string_actions)
+            for name, sub in action.choices.items():
+                flags[name] = set(sub._option_string_actions)
+                flags[""].update(flags[name])
     return flags
 
 
@@ -189,15 +194,23 @@ def iter_fenced_commands(text: str) -> Iterator[Tuple[int, str]]:
 
 
 def check_flags(path: Path, commands: List[Tuple[int, str]],
-                known: Set[str]) -> List[str]:
-    """Unknown-flag messages for one file (empty = clean)."""
+                known: Dict[str, Set[str]]) -> List[str]:
+    """Unknown-flag messages for one file (empty = clean).
+
+    ``known`` is :func:`cli_flags`: a command whose first word is a
+    sub-command is checked against that sub-parser's flags, any other
+    against the union.
+    """
     problems = []
     for lineno, command in commands:
+        words = command.split()
+        name = words[0] if words and words[0] in known else ""
+        owner = f"gsuite {name}" if name else "any gsuite command"
         for flag in sorted(set(_FLAG.findall(command))):
-            if flag not in known:
+            if flag not in known[name]:
                 problems.append(
                     f"{path.relative_to(REPO_ROOT)}:{lineno}: {flag} is "
-                    f"not an option of any gsuite command")
+                    f"not an option of {owner}")
     return problems
 
 
