@@ -185,10 +185,6 @@ class CacheStats:
     stores: int = 0
     corrupt: int = 0   # entries that failed their checksum (quarantined)
 
-    def to_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "corrupt": self.corrupt}
-
     def summary(self) -> str:
         """One-line human-readable form for the harness summary."""
         total = self.hits + self.misses

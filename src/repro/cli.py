@@ -92,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     # The flags only the pipeline commands read (``loadgen`` serves
     # fused solo requests and registers none of them).
     def add_execution_args(p):
-        p.add_argument("--repeats", type=int, default=None,
-                       help="timing repeats (default 3)")
         p.add_argument("--fuse", type=_knob_type("fuse"), default=None,
                        metavar="auto|off",
                        help="plan-level operator fusion: 'auto' (default) "
@@ -120,6 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         add_pipeline_args(p)
         add_execution_args(p)
+        if name == "time":      # the one command that measures repeats
+            p.add_argument("--repeats", type=int, default=None,
+                           help="timing repeats (default 3)")
 
     sub.add_parser("datasets", help="show the Table IV dataset registry")
     sub.add_parser("kernels", help="show the Table II kernel registry")

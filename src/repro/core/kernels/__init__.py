@@ -2,7 +2,6 @@
 
 from repro.core.kernels.index_select import index_select
 from repro.core.kernels.launch import (
-    CTA_SIZE,
     FLOAT_BYTES,
     LINE_BYTES,
     WARP_SIZE,
@@ -12,7 +11,7 @@ from repro.core.kernels.launch import (
     active_recorder,
     record_launches,
 )
-from repro.core.kernels.registry import KERNELS, KernelSpec, get_kernel, kernel_table
+from repro.core.kernels.registry import KERNELS, KernelSpec, kernel_table
 from repro.core.kernels.scatter import (
     REDUCE_OPS,
     ROW_SPARSE_RATIO,
@@ -31,7 +30,6 @@ from repro.core.kernels.sparse import (
 )
 
 __all__ = [
-    "CTA_SIZE",
     "FLOAT_BYTES",
     "KERNELS",
     "InstructionMix",
@@ -46,7 +44,6 @@ __all__ = [
     "aggregation_operator",
     "finite_rows",
     "fused_gather_scatter",
-    "get_kernel",
     "index_select",
     "kernel_table",
     "record_launches",

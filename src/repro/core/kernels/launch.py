@@ -4,7 +4,7 @@ Every core kernel (Table II) performs its NumPy computation and — when a
 :class:`LaunchRecorder` is active — emits a :class:`KernelLaunch`
 describing what an equivalent CUDA kernel would have done on the GPU:
 
-* launch geometry (threads, warps, thread blocks);
+* launch geometry (threads, warps);
 * an :class:`InstructionMix` (FP32 / INT / load-store / control / other),
   derived from the kernel's actual operand shapes;
 * a *memory access trace*: the cache-line addresses the kernel touches,
@@ -34,7 +34,6 @@ __all__ = [
     "LINE_BYTES",
     "FLOAT_BYTES",
     "WARP_SIZE",
-    "CTA_SIZE",
     "InstructionMix",
     "KernelLaunch",
     "LaunchRecorder",
@@ -52,8 +51,6 @@ LINE_BYTES = 128
 FLOAT_BYTES = 4
 #: Threads per warp on all NVIDIA architectures.
 WARP_SIZE = 32
-#: Threads per thread block assumed by the launch-geometry model.
-CTA_SIZE = 256
 
 #: Virtual address-space stride between operand regions.  Large enough
 #: that no operand of one kernel overlaps another's region.
@@ -87,16 +84,6 @@ class InstructionMix:
             "Control": self.control / total,
             "other": self.other / total,
         }
-
-    def scaled(self, factor: float) -> "InstructionMix":
-        """Return a copy with every class multiplied by ``factor``."""
-        return InstructionMix(
-            fp32=self.fp32 * factor,
-            int_ops=self.int_ops * factor,
-            ldst=self.ldst * factor,
-            control=self.control * factor,
-            other=self.other * factor,
-        )
 
 
 @dataclass
@@ -142,21 +129,6 @@ class KernelLaunch:
     def warps(self) -> int:
         """Number of warps the launch geometry implies."""
         return max(1, math.ceil(self.threads / WARP_SIZE))
-
-    @property
-    def ctas(self) -> int:
-        """Number of thread blocks."""
-        return max(1, math.ceil(self.threads / CTA_SIZE))
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per byte of (unsampled) DRAM-side traffic."""
-        traffic = self.bytes_read + self.bytes_written
-        return self.flops / traffic if traffic else 0.0
-
-    def trace_accesses(self) -> int:
-        """Number of recorded (sampled) trace accesses."""
-        return int(self.loads.shape[0] + self.stores.shape[0])
 
     def derived(self, key, build):
         """The value memoised under ``key``, built on first use.
@@ -243,18 +215,6 @@ class LaunchRecorder:
     def emit(self, launch: KernelLaunch) -> None:
         """Append a finished launch record."""
         self.launches.append(launch)
-
-    # -- aggregation helpers used by the bench drivers --------------------
-    def by_kernel(self) -> Dict[str, List[KernelLaunch]]:
-        """Group launches by kernel name, preserving order."""
-        grouped: Dict[str, List[KernelLaunch]] = {}
-        for launch in self.launches:
-            grouped.setdefault(launch.kernel, []).append(launch)
-        return grouped
-
-    def total_duration(self) -> float:
-        """Wall-clock seconds across all recorded launches."""
-        return sum(launch.duration_s for launch in self.launches)
 
 
 _STACK: List[LaunchRecorder] = []

@@ -14,9 +14,8 @@ from repro.core.kernels.index_select import index_select
 from repro.core.kernels.scatter import scatter
 from repro.core.kernels.sgemm import sgemm
 from repro.core.kernels.sparse import spgemm, spmm
-from repro.errors import KernelError
 
-__all__ = ["KernelSpec", "KERNELS", "get_kernel", "kernel_table"]
+__all__ = ["KernelSpec", "KERNELS", "kernel_table"]
 
 
 @dataclass(frozen=True)
@@ -60,13 +59,6 @@ KERNELS: Dict[str, KernelSpec] = {
         ),
     )
 }
-
-
-def get_kernel(name: str) -> KernelSpec:
-    """Look up a kernel by canonical name (case-sensitive per Table II)."""
-    if name not in KERNELS:
-        raise KernelError(f"unknown kernel {name!r}; known: {sorted(KERNELS)}")
-    return KERNELS[name]
 
 
 def kernel_table() -> Tuple[Tuple[str, str, str, str], ...]:

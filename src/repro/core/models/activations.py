@@ -1,8 +1,8 @@
 """Activation functions for GNN layers.
 
 The paper's Theta is "an activation function such as a Rectified Linear
-Unit (ReLU) or a Sigmoid function"; both are provided plus identity for
-final layers.  Each takes an optional ``out`` array (``out=x`` applies
+Unit (ReLU) or a Sigmoid function"; both are provided (final layers
+apply none).  Each takes an optional ``out`` array (``out=x`` applies
 it in place, as the ``sgemm`` / ``spmm`` epilogues do to their own
 product), with the same bits as the out-of-place call.
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ModelError
 
-__all__ = ["ACTIVATIONS", "get_activation", "relu", "sigmoid", "identity"]
+__all__ = ["ACTIVATIONS", "get_activation", "relu", "sigmoid"]
 
 
 def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -35,18 +35,9 @@ def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def identity(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Pass-through (used for final layers producing logits)."""
-    if out is None or out is x:
-        return x
-    out[...] = x
-    return out
-
-
 ACTIVATIONS: Dict[str, Callable[..., np.ndarray]] = {
     "relu": relu,
     "sigmoid": sigmoid,
-    "identity": identity,
 }
 
 

@@ -91,8 +91,8 @@ class GNNModel:
         ``"MP"`` or ``"SpMM"``; must be one of the subclass's
         ``supported_compute_models``.
     activation:
-        Inter-layer activation name (final layer is identity, producing
-        logits — standard inference convention).
+        Inter-layer activation name (the final layer applies none,
+        producing logits — standard inference convention).
     seed:
         Weight initialisation seed; identical seeds give identical
         models, so MP and SpMM instances can be compared numerically.
@@ -240,18 +240,6 @@ class GNNModel:
         raise NotImplementedError(
             f"{type(self).__name__} provides no plan lowering"
         )
-
-    @property
-    def out_features(self) -> int:
-        """Width of the final layer's output."""
-        return self.dims[-1][1]
-
-    def parameter_count(self) -> int:
-        """Total trainable scalars (for reporting)."""
-        return int(sum(
-            sum(np.asarray(v).size for v in layer.values())
-            for layer in self.weights
-        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}(dims={self.dims}, "

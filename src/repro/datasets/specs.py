@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.errors import DatasetError
 
@@ -34,7 +34,6 @@ __all__ = [
     "SHORT_FORMS",
     "get_spec",
     "scaled_spec",
-    "register_dataset",
 ]
 
 
@@ -81,14 +80,6 @@ class DatasetSpec:
         """Mean directed degree ``E / V``."""
         return self.num_edges / self.num_nodes if self.num_nodes else 0.0
 
-    def feature_bytes(self) -> int:
-        """Size of the float32 feature matrix in bytes."""
-        return 4 * self.num_nodes * self.feature_length
-
-    def as_row(self) -> Tuple[str, int, int, int, str]:
-        """Row for the Table IV reproduction: (name, V, f, E, short)."""
-        return (self.name, self.num_nodes, self.feature_length,
-                self.num_edges, self.short_form)
 
 
 DATASETS: Dict[str, DatasetSpec] = {
@@ -135,30 +126,6 @@ def get_spec(name: str) -> DatasetSpec:
         known = ", ".join(sorted(set(DATASETS) | set(_ALIASES)))
         raise DatasetError(f"unknown dataset {name!r}; known: {known}")
     return DATASETS[key]
-
-
-def register_dataset(spec: DatasetSpec, overwrite: bool = False) -> None:
-    """Add a user-defined dataset to the registry.
-
-    The extendability counterpart of
-    :func:`repro.core.models.register_model`: a registered spec is
-    immediately loadable through ``load_dataset`` and sweepable by the
-    benchmark drivers.
-    """
-    name = spec.name.strip().lower()
-    if not name:
-        raise DatasetError("dataset name must be non-empty")
-    if name in DATASETS and not overwrite:
-        raise DatasetError(f"dataset {spec.name!r} already registered")
-    if spec.num_nodes < 1 or spec.num_edges < 0 or spec.feature_length < 1:
-        raise DatasetError(f"invalid dataset spec: {spec}")
-    if spec.num_edges > spec.num_nodes * (spec.num_nodes - 1):
-        raise DatasetError(
-            f"{spec.name}: {spec.num_edges} unique directed edges do not "
-            f"fit in a {spec.num_nodes}-node simple graph"
-        )
-    DATASETS[name] = spec
-    SHORT_FORMS[spec.short_form] = name
 
 
 def scaled_spec(spec: DatasetSpec, scale: float) -> DatasetSpec:

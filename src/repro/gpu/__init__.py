@@ -21,8 +21,6 @@ from repro.gpu.metrics import (
 from repro.gpu.profiler import NvprofProfiler, aggregate_instruction_fractions
 from repro.gpu.simulator import (
     GpuSimulator,
-    aggregate_occupancy,
-    aggregate_stalls,
     atomic_contention,
 )
 from repro.gpu.warp_sim import WarpSimOutput, build_pattern, simulate_warps
@@ -44,8 +42,6 @@ __all__ = [
     "SimResult",
     "WarpSimOutput",
     "aggregate_instruction_fractions",
-    "aggregate_occupancy",
-    "aggregate_stalls",
     "atomic_contention",
     "build_pattern",
     "merge_distributions",

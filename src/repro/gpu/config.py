@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import SimulationError
 
-__all__ = ["CacheConfig", "GPUConfig", "v100_config", "nvprof_config",
-           "mi100_config"]
+__all__ = ["CacheConfig", "GPUConfig", "v100_config", "nvprof_config"]
 
 
 @dataclass(frozen=True)
@@ -121,37 +120,6 @@ def v100_config(**overrides) -> GPUConfig:
         atomic_penalty=24,
         dram_bytes_per_cycle_per_sm=8.0,      # ~900 GB/s / 80 SMs / 1.38 GHz
         peak_flops_per_cycle_per_sm=128.0,    # 2 x 64 FP32 lanes (FMA)
-    )
-    return replace(base, **overrides) if overrides else base
-
-
-def mi100_config(**overrides) -> GPUConfig:
-    """An AMD CDNA-class (MI100-like) model — the paper's future work
-    ("support different architectures such as AMD GPUs").
-
-    Structural differences from the V100 model: 64-wide wavefronts, many
-    small per-CU L1s (16 KiB), a larger shared L2, higher per-CU memory
-    bandwidth (HBM2 across 120 CUs), and single-issue wavefront
-    scheduling.
-    """
-    base = GPUConfig(
-        name="MI100-sim",
-        num_sms=120,                 # compute units
-        max_warps_per_sm=40,         # wavefront slots per CU
-        issue_width=1,
-        warp_size=64,
-        l1=CacheConfig(size_bytes=16 * 1024, line_bytes=128, associativity=4),
-        l2=CacheConfig(size_bytes=8 * 1024 * 1024, line_bytes=128,
-                       associativity=16),
-        l1_latency=40,
-        l2_latency=220,
-        dram_latency=480,
-        alu_latency=2,
-        sfu_latency=8,
-        fetch_latency=1,
-        atomic_penalty=32,
-        dram_bytes_per_cycle_per_sm=6.7,   # ~1.2 TB/s / 120 CUs / 1.5 GHz
-        peak_flops_per_cycle_per_sm=128.0,
     )
     return replace(base, **overrides) if overrides else base
 

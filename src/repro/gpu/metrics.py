@@ -9,7 +9,7 @@ The taxonomies are exactly the legends of the paper's figures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 __all__ = [
     "STALL_REASONS",
@@ -106,10 +106,3 @@ class ProfileResult:
     instruction_fractions: Dict[str, float]
     tag: str = ""
 
-
-def weighted_mean(values: List[float], weights: List[float]) -> float:
-    """Weighted arithmetic mean; 0.0 when weights sum to zero."""
-    total = float(sum(weights))
-    if total <= 0:
-        return 0.0
-    return float(sum(v * w for v, w in zip(values, weights)) / total)

@@ -11,14 +11,14 @@ utilization.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
 from repro.core.kernels.launch import KernelLaunch, LINE_BYTES
 from repro.gpu.cache import launch_hierarchy
 from repro.gpu.config import GPUConfig, v100_config
-from repro.gpu.metrics import SimResult, merge_distributions, normalize
+from repro.gpu.metrics import SimResult, normalize
 from repro.gpu.warp_sim import build_pattern, simulate_warps
 
 __all__ = ["GpuSimulator", "atomic_contention"]
@@ -154,20 +154,3 @@ class GpuSimulator:
         per_resident = warp_instructions_total / (cfg.num_sms * resident)
         return int(min(cfg.max_instructions_per_warp, max(4, round(per_resident))))
 
-
-def aggregate_stalls(results: Iterable[SimResult]) -> Dict[str, float]:
-    """Cycle-weighted merge of stall distributions across launches."""
-    results = list(results)
-    return merge_distributions(
-        (r.stall_distribution for r in results),
-        (r.cycles for r in results),
-    )
-
-
-def aggregate_occupancy(results: Iterable[SimResult]) -> Dict[str, float]:
-    """Cycle-weighted merge of occupancy distributions across launches."""
-    results = list(results)
-    return merge_distributions(
-        (r.occupancy_distribution for r in results),
-        (r.cycles for r in results),
-    )

@@ -8,7 +8,7 @@ Public surface:
 * :class:`~repro.graph.formats.COOMatrix` / :class:`~repro.graph.formats.CSRMatrix`
   / :class:`~repro.graph.formats.CSCMatrix` / :class:`~repro.graph.formats.DenseMatrix`
 * :func:`~repro.graph.convert.convert` and edge-index bridges
-* structural ops: self-loops, normalisation, undirection, subgraphs
+* structural ops: self-loops and normalisation
 """
 
 from repro.graph.formats import COOMatrix, CSCMatrix, CSRMatrix, DenseMatrix, SparseMatrix
@@ -25,15 +25,11 @@ from repro.graph.convert import (
 )
 from repro.graph.ops import (
     add_self_loops,
-    coalesce_edges,
     gcn_edge_weights,
     normalized_adjacency,
-    remove_self_loops,
-    subgraph,
     symmetric_normalization,
-    to_undirected,
 )
-from repro.graph.validate import check_same_structure, validate_csr, validate_graph
+from repro.graph.validate import validate_graph
 
 __all__ = [
     "BatchedGraph",
@@ -51,14 +47,8 @@ __all__ = [
     "edge_index_to_coo",
     "edge_index_to_csr",
     "add_self_loops",
-    "coalesce_edges",
     "gcn_edge_weights",
     "normalized_adjacency",
-    "remove_self_loops",
-    "subgraph",
     "symmetric_normalization",
-    "to_undirected",
-    "check_same_structure",
-    "validate_csr",
     "validate_graph",
 ]

@@ -627,32 +627,3 @@ class DenseMatrix:
     def __matmul__(self, x) -> np.ndarray:
         return self.matmul(x)
 
-
-def _segment_sum(values: np.ndarray, indptr: np.ndarray, num_segments: int) -> np.ndarray:
-    """Sum ``values`` over the segments delimited by ``indptr``.
-
-    Implemented as an exclusive float64 cumulative sum differenced at the
-    segment boundaries: fully vectorised across feature columns (unlike
-    ``np.add.reduceat``, which degrades badly on wide 2-D arrays) and
-    naturally zero for empty segments.
-    """
-    out_shape = (num_segments,) + values.shape[1:]
-    if values.shape[0] == 0:
-        return np.zeros(out_shape, dtype=np.float32)
-    cumulative = np.cumsum(values, axis=0, dtype=np.float64)
-    padded = np.concatenate(
-        [np.zeros((1,) + values.shape[1:], dtype=np.float64), cumulative]
-    )
-    out = padded[indptr[1:]] - padded[indptr[:-1]]
-    return out.astype(np.float32)
-
-
-def _ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(c)`` for every ``c`` in ``counts`` (vectorised)."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    flat = np.arange(total, dtype=np.int64)
-    return flat - np.repeat(ends - counts, counts)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as _sp
 
 from repro.errors import GraphFormatError
-from repro.graph.formats import COOMatrix, CSRMatrix, CSCMatrix, DenseMatrix
+from repro.graph.formats import COOMatrix, CSRMatrix, CSCMatrix
 
 __all__ = ["Graph", "ROW_SPARSE_STRIDE", "row_sparse_enough"]
 
@@ -336,10 +336,6 @@ class Graph:
         """Total degree (in + out) of every node."""
         return self.in_degrees() + self.out_degrees()
 
-    def has_self_loops(self) -> bool:
-        """Whether any edge connects a node to itself."""
-        return bool(np.any(self.src == self.dst))
-
     def edge_values(self) -> np.ndarray:
         """Per-edge weights, defaulting to ones for unweighted graphs."""
         if self.edge_weight is not None:
@@ -364,28 +360,3 @@ class Graph:
         """Adjacency matrix in CSC form (column = source node)."""
         return self.adjacency_coo().to_csc()
 
-    def adjacency_dense(self) -> DenseMatrix:
-        """Dense adjacency matrix; only sensible for small graphs."""
-        return self.adjacency_coo().to_dense()
-
-    def feature_matrix(self) -> DenseMatrix:
-        """The feature matrix ``X`` as a :class:`DenseMatrix`."""
-        if self.features is None:
-            raise GraphFormatError(f"graph {self.name!r} carries no features")
-        return DenseMatrix(self.features)
-
-    # -- transforms ------------------------------------------------------------
-    def with_features(self, features) -> "Graph":
-        """Return a copy of this graph carrying ``features``."""
-        return Graph(self.edge_index, features=features, num_nodes=self.num_nodes,
-                     edge_weight=self.edge_weight, name=self.name)
-
-    def copy(self) -> "Graph":
-        """Deep copy (arrays included)."""
-        return Graph(
-            self.edge_index.copy(),
-            features=None if self._x is None else self._x.copy(),
-            num_nodes=self.num_nodes,
-            edge_weight=None if self.edge_weight is None else self.edge_weight.copy(),
-            name=self.name,
-        )

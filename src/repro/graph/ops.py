@@ -1,9 +1,8 @@
 """Structural graph transforms used while assembling GNN pipelines.
 
 These are the preprocessing steps the paper's Data Loader performs before
-inference: inserting self-loops (GCN's ``A-hat = A + I``), symmetric degree
-normalisation (``D^-1/2 A-hat D^-1/2``), deduplicating parallel edges, and
-making a directed edge list symmetric.
+inference: inserting self-loops (GCN's ``A-hat = A + I``) and symmetric
+degree normalisation (``D^-1/2 A-hat D^-1/2``).
 """
 
 from __future__ import annotations
@@ -13,19 +12,15 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.formats import COOMatrix, CSRMatrix
+from repro.graph.formats import CSRMatrix
 from repro.graph.graph import Graph
 
 __all__ = [
     "add_self_loops",
     "self_loop_adjacency_csr",
-    "remove_self_loops",
-    "coalesce_edges",
-    "to_undirected",
     "symmetric_normalization",
     "normalized_adjacency",
     "gcn_edge_weights",
-    "subgraph",
 ]
 
 
@@ -62,48 +57,6 @@ def self_loop_adjacency_csr(graph: Graph) -> CSRMatrix:
     return graph.structure(
         "self_loop_adjacency_csr",
         lambda: add_self_loops(graph).adjacency_csr())
-
-
-def remove_self_loops(graph: Graph) -> Graph:
-    """Drop all ``v -> v`` edges."""
-    keep = graph.src != graph.dst
-    edge_weight = graph.edge_weight[keep] if graph.edge_weight is not None else None
-    return Graph(graph.edge_index[:, keep], features=graph.stored_features,
-                 num_nodes=graph.num_nodes, edge_weight=edge_weight, name=graph.name)
-
-
-def coalesce_edges(graph: Graph) -> Graph:
-    """Merge duplicate edges, summing their weights, and sort row-major."""
-    coo = COOMatrix(graph.dst, graph.src, graph.edge_values(),
-                    shape=(graph.num_nodes, graph.num_nodes)).coalesce()
-    edge_index = np.vstack([coo.col, coo.row])
-    weights = coo.val
-    if graph.edge_weight is None and np.allclose(weights, 1.0):
-        weights = None
-    return Graph(edge_index, features=graph.stored_features,
-                 num_nodes=graph.num_nodes, edge_weight=weights,
-                 name=graph.name)
-
-
-def to_undirected(graph: Graph) -> Graph:
-    """Make the edge list symmetric by adding every reverse edge.
-
-    Duplicates introduced by edges that already exist in both directions
-    are coalesced away (weights summed then clipped back to the original
-    when the graph was unweighted).
-    """
-    forward = graph.edge_index
-    backward = graph.edge_index[::-1]
-    both = np.hstack([forward, backward])
-    merged = Graph(both, features=graph.stored_features,
-                   num_nodes=graph.num_nodes, name=graph.name)
-    merged = coalesce_edges(merged)
-    if graph.edge_weight is None and merged.edge_weight is not None:
-        # Summation may have produced weight-2 entries for reciprocal edges;
-        # an unweighted graph stays unweighted.
-        return Graph(merged.edge_index, features=graph.stored_features,
-                     num_nodes=graph.num_nodes, name=graph.name)
-    return merged
 
 
 def symmetric_normalization(adjacency: CSRMatrix) -> CSRMatrix:
@@ -159,27 +112,3 @@ def _gcn_edge_weights(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
     weights = (values * inv_sqrt[looped.src] * inv_sqrt[looped.dst]).astype(np.float32)
     return looped.edge_index, weights
 
-
-def subgraph(graph: Graph, nodes) -> Graph:
-    """Induce the subgraph on ``nodes`` with node ids relabelled compactly.
-
-    Used by the scaled dataset loaders to carve CI-sized workloads out of
-    full-size generators while preserving local structure.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= graph.num_nodes):
-        raise GraphFormatError("subgraph node ids out of range")
-    keep_mask = np.zeros(graph.num_nodes, dtype=bool)
-    keep_mask[nodes] = True
-    relabel = np.full(graph.num_nodes, -1, dtype=np.int64)
-    relabel[nodes] = np.arange(nodes.shape[0], dtype=np.int64)
-    edge_mask = keep_mask[graph.src] & keep_mask[graph.dst]
-    edge_index = np.vstack([
-        relabel[graph.src[edge_mask]],
-        relabel[graph.dst[edge_mask]],
-    ])
-    stored = graph.stored_features
-    features = stored[nodes] if stored is not None else None
-    weight = graph.edge_weight[edge_mask] if graph.edge_weight is not None else None
-    return Graph(edge_index, features=features, num_nodes=nodes.shape[0],
-                 edge_weight=weight, name=graph.name)

@@ -1,8 +1,8 @@
-"""Consistency checks for graphs and sparse containers.
+"""Consistency checks for graphs.
 
 The loaders call :func:`validate_graph` after every generator/transform so
-that structural corruption (out-of-range ids, NaN features, inconsistent
-CSR pointers) is caught at the boundary rather than inside a kernel.
+that structural corruption (out-of-range ids, NaN features or edge
+weights) is caught at the boundary rather than inside a kernel.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GraphFormatError
-from repro.graph.formats import CSRMatrix
 from repro.graph.graph import Graph
 
-__all__ = ["validate_graph", "validate_csr", "check_same_structure"]
+__all__ = ["validate_graph"]
 
 
 def validate_graph(graph: Graph) -> Graph:
@@ -48,17 +47,3 @@ def validate_graph(graph: Graph) -> Graph:
             raise GraphFormatError("edge_weight contains NaN or infinite values")
     return graph
 
-
-def validate_csr(matrix: CSRMatrix) -> CSRMatrix:
-    """Re-check CSR invariants (constructor-equivalent, usable post-mutation)."""
-    CSRMatrix(matrix.indptr, matrix.indices, matrix.data, shape=matrix.shape)
-    return matrix
-
-
-def check_same_structure(a: Graph, b: Graph) -> bool:
-    """True when two graphs share node count and the exact same edge list."""
-    return (
-        a.num_nodes == b.num_nodes
-        and a.num_edges == b.num_edges
-        and bool(np.array_equal(a.edge_index, b.edge_index))
-    )

@@ -49,7 +49,6 @@ segment-local to stay bit-for-bit with per-member execution).
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -468,10 +467,6 @@ class ExecutionPlan:
             constants=self.constants, layer_formats=self.layer_formats,
             meta=self.meta, batch=batch,
         )
-
-    def op_counts(self) -> Dict[str, int]:
-        """``{opcode: occurrences}`` — the plan's kernel vocabulary."""
-        return dict(Counter(op.opcode for op in self.ops))
 
     def validate(self) -> None:
         """Check SSA well-formedness: defs precede uses, single output."""

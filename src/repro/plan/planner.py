@@ -177,8 +177,8 @@ class PlannerDecisions:
     formats, fused sites, batch size and the human-readable explain
     strings.
 
-    ``fused`` says whether the fusion pass rewrote the plan and
-    ``fused_sites`` how many sites per pattern; ``execution_plan`` is
+    ``fused_sites`` counts the fusion pass's rewrites per pattern
+    (empty when it rewrote nothing); ``execution_plan`` is
     the lowered :class:`~repro.plan.ir.ExecutionPlan` the build
     executes.  Sources are ``"planner"`` / ``"forced"`` / ``"off"``
     (plus ``"fixed"`` for formats pinned by the compute model and
@@ -193,23 +193,6 @@ class PlannerDecisions:
     batch_source: str = "off"
     explain: str = ""
 
-    @property
-    def fused(self) -> bool:
-        """Whether the fusion pass rewrote the plan."""
-        return any(self.fused_sites.values())
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (what the regression gate records)."""
-        return {
-            "formats": list(self.formats),
-            "formats_source": self.formats_source,
-            "fused": self.fused,
-            "fused_sites": dict(self.fused_sites),
-            "batch": self.batch,
-            "batch_source": self.batch_source,
-            "explain": self.explain,
-            "plan_fingerprint": self.execution_plan.fingerprint(),
-        }
 
 
 def _lane_penalty(feature_width: int) -> float:

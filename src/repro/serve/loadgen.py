@@ -75,13 +75,6 @@ class LoadReport:
     parity_checked: int = 0
     parity_failures: int = 0
 
-    def to_dict(self) -> dict:
-        out = self.__dict__.copy()
-        out["wall_s"] = round(self.wall_s, 4)
-        for key in ("p50_ms", "p99_ms", "mean_ms", "throughput_rps"):
-            out[key] = round(out[key], 3)
-        return out
-
     def summary(self) -> str:
         return (f"C={self.concurrency} n={self.requests}: "
                 f"p50 {self.p50_ms:.2f} ms, p99 {self.p99_ms:.2f} ms, "

@@ -174,8 +174,7 @@ class TestEnvKillSwitch:
                                   results_base=str(tmp_path))
         assert [t.cell for t in report.cell_timings] == [cell]
         assert not report.cell_timings[0].cached  # the work still happened
-        assert report.cache_stats.to_dict() == {
-            "hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
+        assert report.cache_stats == trace_cache.CacheStats()
         cache = trace_cache.get_cache()
         assert not cache.enabled
         assert not cache.root.exists() or not any(cache.root.rglob("*.pkl"))

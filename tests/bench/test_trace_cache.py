@@ -87,8 +87,7 @@ class TestTraceCache:
         cache.put("sim", key, "value")
         assert cache.get("sim", key) is None
         assert not (tmp_path / "c").exists()
-        assert cache.stats.to_dict() == {"hits": 0, "misses": 0,
-                                         "stores": 0, "corrupt": 0}
+        assert cache.stats == trace_cache.CacheStats()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = TraceCache(tmp_path / "c")
@@ -158,8 +157,7 @@ class TestRootTrust:
             assert cache.clear() == 0
         assert len(caught) == 1
         assert not cache.enabled
-        assert cache.stats.to_dict() == {"hits": 0, "misses": 0,
-                                         "stores": 0, "corrupt": 0}
+        assert cache.stats == trace_cache.CacheStats()
         assert sorted(p.name for p in (root / "sim").iterdir()) == \
             [f"{key}.pkl"]
 
@@ -262,7 +260,6 @@ class TestBenchWiring:
     def test_no_cache_bypass(self):
         get_cache().enabled = False
         recorded_launches("gcn", "cora", "MP", TINY)
-        assert get_cache().stats.to_dict() == {
-            "hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
+        assert get_cache().stats == trace_cache.CacheStats()
         root = get_cache().root
         assert not any(root.rglob("*.pkl")) if root.exists() else True

@@ -40,10 +40,6 @@ class TestInstructionMix:
     def test_empty_mix_fractions(self):
         assert all(v == 0.0 for v in InstructionMix().fractions().values())
 
-    def test_scaled(self):
-        mix = InstructionMix(fp32=2).scaled(3.0)
-        assert mix.fp32 == 6.0
-
 
 class TestRecorder:
     def test_no_recording_outside_context(self):
@@ -96,22 +92,6 @@ class TestRecorder:
         assert alone.launches[0].fingerprint() == \
             after.launches[1].fingerprint()
 
-    def test_by_kernel_grouping(self):
-        x = np.ones((4, 3), dtype=np.float32)
-        with record_launches() as rec:
-            index_select(x, np.array([0]))
-            index_select(x, np.array([1]))
-            sgemm(x, np.ones((3, 2), dtype=np.float32))
-        grouped = rec.by_kernel()
-        assert len(grouped["indexSelect"]) == 2
-        assert len(grouped["sgemm"]) == 1
-
-    def test_total_duration_nonnegative(self):
-        x = np.ones((64, 16), dtype=np.float32)
-        with record_launches() as rec:
-            sgemm(x, np.ones((16, 16), dtype=np.float32))
-        assert rec.total_duration() >= 0.0
-
 
 class TestLaunchRecords:
     def test_geometry(self):
@@ -121,7 +101,6 @@ class TestLaunchRecords:
         launch = rec.launches[0]
         assert launch.threads == 1000
         assert launch.warps == int(np.ceil(1000 / WARP_SIZE))
-        assert launch.ctas >= 1
 
     def test_scatter_is_atomic(self):
         with record_launches() as rec:
@@ -169,14 +148,7 @@ class TestLaunchRecords:
             index_select(x, idx)
         launch = rec.launches[0]
         assert launch.sample_fraction < 1.0
-        assert launch.trace_accesses() < 40_000
-
-    def test_arithmetic_intensity(self):
-        a = np.ones((32, 32), dtype=np.float32)
-        with record_launches() as rec:
-            sgemm(a, a)
-        launch = rec.launches[0]
-        assert launch.arithmetic_intensity > 0
+        assert launch.loads.shape[0] + launch.stores.shape[0] < 40_000
 
     def test_spmm_and_spgemm_short_form(self):
         rng = np.random.default_rng(0)

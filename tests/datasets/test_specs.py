@@ -47,17 +47,9 @@ class TestRegistry:
         with pytest.raises(DatasetError):
             get_spec("ogbn-arxiv")
 
-    def test_as_row_matches_table(self):
-        row = get_spec("pubmed").as_row()
-        assert row == ("pubmed", 19_717, 500, 44_438, "PB")
-
     def test_average_degree(self):
         spec = get_spec("cora")
         assert spec.average_degree == pytest.approx(5_429 / 2_708)
-
-    def test_feature_bytes(self):
-        spec = get_spec("livejournal")
-        assert spec.feature_bytes() == 4 * 4_847_571
 
 
 class TestScaling:

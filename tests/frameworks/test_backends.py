@@ -13,6 +13,7 @@ from repro.frameworks import (
     get_backend,
     time_end_to_end,
 )
+from strategies import copy_graph
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +112,7 @@ class TestFeatureInput:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_bad_features_are_refused_before_any_launch(self, graph, name,
                                                         case):
-        own = graph.copy()
+        own = copy_graph(graph)
         built = get_backend(name).build(
             PipelineSpec(model="gin",
                          compute_model="SpMM" if name == "dgl" else "MP"),

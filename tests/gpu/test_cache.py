@@ -27,11 +27,11 @@ from repro.gpu.cache import (
 )
 from repro.gpu.config import (
     CacheConfig,
-    mi100_config,
     nvprof_config,
     v100_config,
 )
 from repro.gpu.simulator import atomic_contention
+from mi100 import mi100_config
 from strategies import STANDARD_SETTINGS
 
 

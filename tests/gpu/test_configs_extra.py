@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.core.kernels import index_select, record_launches, scatter
 from repro.gpu import GpuSimulator, v100_config
-from repro.gpu.config import mi100_config
+from mi100 import mi100_config
 
 
 class TestMI100Config:

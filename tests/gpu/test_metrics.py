@@ -8,7 +8,6 @@ from repro.gpu.metrics import (
     SimResult,
     merge_distributions,
     normalize,
-    weighted_mean,
 )
 
 
@@ -47,15 +46,6 @@ class TestMergeDistributions:
     def test_zero_weights(self):
         merged = merge_distributions([{"x": 1.0}], [0.0])
         assert merged["x"] == 0.0
-
-
-class TestWeightedMean:
-    def test_basic(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 1.0]) == pytest.approx(2.0)
-        assert weighted_mean([1.0, 3.0], [3.0, 1.0]) == pytest.approx(1.5)
-
-    def test_zero_weights(self):
-        assert weighted_mean([1.0], [0.0]) == 0.0
 
 
 class TestSimResult:

@@ -33,19 +33,17 @@ from repro.gpu import (
     GpuSimulator,
     NvprofProfiler,
     aggregate_instruction_fractions,
-    aggregate_occupancy,
-    aggregate_stalls,
     atomic_contention,
     nvprof_config,
     v100_config,
 )
-from repro.gpu.config import mi100_config
 from repro.gpu.metrics import (
     OCCUPANCY_STATES,
     STALL_REASONS,
     merge_distributions,
     normalize,
 )
+from mi100 import mi100_config
 
 GOLDEN_PATH = Path(__file__).with_name("golden_sim.json")
 GOLDEN_PROFILE_PATH = Path(__file__).with_name("golden_profile.json")
@@ -289,14 +287,6 @@ class TestAggregation:
         merged = merge_distributions(
             [{"x": 1.0, "y": 0.0}, {"x": 0.0, "y": 1.0}], [3.0, 1.0])
         assert merged["x"] == pytest.approx(0.75)
-
-    def test_aggregate_stalls(self, sim_results):
-        merged = aggregate_stalls(sim_results)
-        assert sum(merged.values()) == pytest.approx(1.0)
-
-    def test_aggregate_occupancy(self, sim_results):
-        merged = aggregate_occupancy(sim_results)
-        assert sum(merged.values()) == pytest.approx(1.0)
 
     def test_aggregate_instruction_fractions(self, prof_results):
         merged = aggregate_instruction_fractions(prof_results)

@@ -10,8 +10,6 @@ from repro.graph.formats import (
     COOMatrix,
     CSRMatrix,
     DenseMatrix,
-    _ragged_arange,
-    _segment_sum,
 )
 
 
@@ -236,26 +234,6 @@ class TestDenseMatrix:
     def test_density_of_empty_shape(self):
         coo = COOMatrix([], [], shape=(0, 0))
         assert coo.density == 0.0
-
-
-class TestHelpers:
-    def test_segment_sum_with_empty_segments(self):
-        values = np.array([[1.0], [2.0], [3.0]], dtype=np.float32)
-        indptr = np.array([0, 0, 2, 2, 3])
-        out = _segment_sum(values, indptr, 4)
-        assert np.allclose(out[:, 0], [0.0, 3.0, 0.0, 3.0])
-
-    def test_segment_sum_empty_input(self):
-        out = _segment_sum(np.empty((0, 2), dtype=np.float32), np.array([0, 0]), 1)
-        assert out.shape == (1, 2)
-        assert np.all(out == 0)
-
-    def test_ragged_arange(self):
-        out = _ragged_arange(np.array([3, 0, 2]))
-        assert list(out) == [0, 1, 2, 0, 1]
-
-    def test_ragged_arange_empty(self):
-        assert _ragged_arange(np.array([], dtype=np.int64)).size == 0
 
 
 @settings(max_examples=50, deadline=None)

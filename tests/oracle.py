@@ -41,10 +41,9 @@ __all__ = ["U", "adjacency", "gamma", "layer_inputs", "layer_ratios",
 U = 2.0 ** -24
 
 #: Each inter-layer activation (all 1-Lipschitz), with the roundings it
-#: adds to its input's error: ReLU and identity are exact; sigmoid is an
-#: exp faithful to one ulp (two units of ``U``), an add and a divide.
+#: adds to its input's error: ReLU is exact; sigmoid is an exp faithful
+#: to one ulp (two units of ``U``), an add and a divide.
 _ACTIVATIONS = {
-    "identity": (lambda y: y, 0),
     "relu": (lambda y: np.maximum(y, 0.0), 0),
     "sigmoid": (lambda y: 0.5 + 0.5 * np.tanh(0.5 * y), 4),
 }

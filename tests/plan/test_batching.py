@@ -35,6 +35,7 @@ from repro.plan import (
 from strategies import (
     PARITY_SETTINGS,
     batch_member_lists,
+    copy_graph,
     executable_combos,
 )
 
@@ -181,7 +182,7 @@ class TestEdgeCases:
         empty = Graph(np.zeros((2, 0), dtype=np.int64),
                       features=rng.standard_normal((4, 6)).astype(np.float32),
                       num_nodes=4, name="empty")
-        packed = BatchedGraph([a, empty, a.copy()])
+        packed = BatchedGraph([a, empty, copy_graph(a)])
         spec = _spec("gcn", "MP")
         blocks = packed.unpack(get_backend("gsuite").build(spec,
                                                            packed).run())

@@ -18,12 +18,12 @@ from repro.core.kernels import record_launches
 from repro.datasets import load_dataset
 from repro.frameworks import PipelineSpec, get_backend
 from repro.graph import Graph
-from strategies import EXECUTABLE_COMBOS
+from strategies import EXECUTABLE_COMBOS, copy_graph
 
 
 def _born():
     """cora@0.15 as generated: ``X`` stored row-sparse, an empty memo."""
-    return load_dataset("cora", scale=0.15, seed=1).copy()
+    return copy_graph(load_dataset("cora", scale=0.15, seed=1))
 
 
 def _run(backend, spec, graph, fuse):
@@ -51,7 +51,7 @@ def _count_densifications(monkeypatch, graph):
 def test_row_sparse_x_runs_as_its_dense_twin(backend, model, cm, fuse,
                                              monkeypatch):
     born = _born()
-    twin = Graph(born.edge_index, features=born.copy().features.copy())
+    twin = Graph(born.edge_index, features=copy_graph(born).features.copy())
     assert not born.dense_view_built
     densified = _count_densifications(monkeypatch, born)
     spec = PipelineSpec(model=model, compute_model=cm, seed=5)

@@ -26,8 +26,8 @@ from repro.datasets import load_dataset
 from repro.frameworks import PipelineSpec, get_backend
 from repro.graph import BatchedGraph, Graph
 from repro.plan import PlanBuilder, PlanExecutor, describe_features
-from strategies import PARITY_SETTINGS, STANDARD_SETTINGS, lowered, \
-    power_law_graphs
+from strategies import PARITY_SETTINGS, STANDARD_SETTINGS, copy_graph, \
+    lowered, power_law_graphs
 
 _SAGE = PipelineSpec(model="sage", compute_model="MP", seed=5)
 
@@ -172,7 +172,7 @@ def _mean_of_x(consumers):
 
 
 def _cora():
-    return load_dataset("cora", scale=0.1, seed=1).copy()
+    return copy_graph(load_dataset("cora", scale=0.1, seed=1))
 
 
 _DECLINED = {

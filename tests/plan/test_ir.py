@@ -31,7 +31,7 @@ class TestBuilder:
     def test_builds_valid_plan(self):
         plan = _tiny_plan()
         assert isinstance(plan, ExecutionPlan)
-        assert plan.op_counts() == {"sgemm": 1, "activation": 1}
+        assert [op.opcode for op in plan.ops] == ["sgemm", "activation"]
         assert plan.layer_formats == ("MP",)
         assert len(plan.inputs) == 1 and plan.inputs[0].name == "X"
 

@@ -16,6 +16,7 @@ from repro.core import GNNPipeline, SuiteConfig
 from repro.core.kernels import record_launches
 from repro.graph import Graph, add_self_loops, gcn_edge_weights
 from repro.graph.formats import CSRMatrix
+from strategies import copy_graph
 
 # (model, compute model, fuse) -> the builders that run and how often.
 # ``reduction_structure`` and ``aggregation_operator`` count every build,
@@ -337,7 +338,8 @@ def test_run_with_other_features_takes_the_dense_route(monkeypatch):
 def test_copies_start_with_an_empty_memo():
     graph = _bag_of_words()
     _run(_GCN, graph)
-    for other in (graph.copy(), graph.with_features(graph.features.copy())):
+    for other in (copy_graph(graph),
+                  Graph(graph.edge_index, features=graph.features.copy())):
         assert not other._structures
         other.features[0, 0] = 5.0                # its own, writable
         assert graph.features[0, 0] != 5.0
@@ -363,7 +365,7 @@ def _routes_taken(monkeypatch):
 def _citation(seed=1):
     """A fresh cora sample: 1,433 columns at 1 %, an empty memo."""
     from repro.datasets import load_dataset
-    return load_dataset("cora", scale=0.1, seed=seed).copy()
+    return copy_graph(load_dataset("cora", scale=0.1, seed=seed))
 
 
 @pytest.mark.parametrize("model, compute_model",
@@ -485,7 +487,7 @@ def test_unfused_layer0_gathers_the_resident_rows(model, monkeypatch):
     from repro.frameworks import PipelineSpec, get_backend
 
     gathers, answers = _aggregations_seen(monkeypatch)
-    graph = load_dataset("cora", scale=0.15, seed=1).copy()
+    graph = copy_graph(load_dataset("cora", scale=0.15, seed=1))
     spec = PipelineSpec(model=model, compute_model="MP", seed=5)
     unfused = get_backend("gsuite").build(spec, graph, fuse=False).run()
     fused = get_backend("gsuite").build(spec, graph).run()

@@ -134,7 +134,7 @@ class TestRequestValidation:
 
     def test_known_names_construct(self):
         for compute_model in ("MP", "SpMM"):
-            for activation in ("relu", "sigmoid", "identity"):
+            for activation in ("relu", "sigmoid"):
                 InferenceRequest(request_id="r1", dataset="cora",
                                  compute_model=compute_model,
                                  activation=activation, seed=0)

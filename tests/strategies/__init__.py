@@ -10,7 +10,7 @@ the package imports as top-level ``strategies``.)
 """
 
 from .features import feature_matrices
-from .graphs import power_law_graphs
+from .graphs import copy_graph, power_law_graphs
 from .modes import (
     EXECUTABLE_COMBOS,
     FUSABLE_COMBOS,
@@ -30,6 +30,7 @@ __all__ = [
     "PARITY_SETTINGS",
     "STANDARD_SETTINGS",
     "batch_member_lists",
+    "copy_graph",
     "executable_combos",
     "feature_matrices",
     "fusable_combos",

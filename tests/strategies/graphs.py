@@ -12,7 +12,9 @@ deterministically.
 import numpy as np
 from hypothesis import strategies as st
 
-__all__ = ["power_law_graphs"]
+from repro.graph import Graph
+
+__all__ = ["copy_graph", "power_law_graphs"]
 
 
 @st.composite
@@ -30,8 +32,6 @@ def power_law_graphs(draw, min_nodes: int = 6, max_nodes: int = 48,
     ``row_nnz`` keeps that many non-zeros per feature row, at random
     columns (a bag-of-words ``X``); ``0`` keeps the rows dense.
     """
-    from repro.graph import Graph
-
     num_nodes = draw(st.integers(min_nodes, max_nodes))
     avg_degree = draw(st.integers(0, max_avg_degree))
     exponent = draw(st.sampled_from((2.1, 2.5, 3.0)))
@@ -57,3 +57,15 @@ def power_law_graphs(draw, min_nodes: int = 6, max_nodes: int = 48,
     return Graph(np.vstack([src, dst]).astype(np.int64),
                  num_nodes=num_nodes, features=features,
                  name=f"powerlaw-{num_nodes}n-{num_edges}e")
+
+
+def copy_graph(graph):
+    """A deep copy of ``graph``: its own arrays (``X`` in its stored
+    form) and an empty structure memo, so a test can run or write it
+    without touching the loader's cached original."""
+    stored, weight = graph.stored_features, graph.edge_weight
+    return Graph(graph.edge_index.copy(),
+                 features=None if stored is None else stored.copy(),
+                 num_nodes=graph.num_nodes,
+                 edge_weight=None if weight is None else weight.copy(),
+                 name=graph.name)

@@ -40,6 +40,23 @@ class TestParser:
         assert exit_.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command",
+                             ["run", "record", "simulate", "profile", "plan"])
+    def test_repeats_is_refused_where_nothing_repeats(self, capsys, command):
+        """Only ``gsuite time`` measures repeats; elsewhere the flag is
+        refused instead of being accepted and ignored."""
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--dataset", "cora", "--scale", "0.1",
+                  "--repeats", "3"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --repeats 3" in capsys.readouterr().err
+
+    def test_time_reads_repeats(self, capsys):
+        code = main(["time", "--dataset", "cora", "--scale", "0.1",
+                     "--repeats", "2"])
+        assert code == 0
+        assert "over 2 runs" in capsys.readouterr().out
+
 
 class TestCommands:
     def test_run(self, capsys):
